@@ -61,7 +61,7 @@ _M_BREAKER = _REGISTRY.counter(
     "detector.breaker.transitions", "circuit-breaker state transitions"
 )
 _M_RETRY_DELAYS = _REGISTRY.counter(
-    "detector.retry.delays", "backoff delays drawn from retry policies"
+    "detector.retry.delays", "backoff delays drawn from jittered retry policies"
 )
 
 
@@ -215,6 +215,13 @@ class PhiAccrualDetector:
         return tuple(sorted(self._suspected, key=repr))
 
 
+class _NullDetector(PhiAccrualDetector):
+    """The disabled detector: it hears nothing, so it never suspects."""
+
+    def heartbeat(self, peer: Peer, now: float) -> None:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # bounded retries with backoff + jitter
 # ---------------------------------------------------------------------------
@@ -254,8 +261,10 @@ class RetryPolicy:
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
         nominal = min(self.cap, self.base * (self.multiplier ** attempt))
+        if self.jitter == 0.0:
+            return nominal  # a fixed schedule: no draw, nothing counted
         _M_RETRY_DELAYS.inc()
-        if rng is None or self.jitter == 0.0:
+        if rng is None:
             return nominal
         return nominal * (1.0 + rng.uniform(-self.jitter, self.jitter))
 
@@ -399,3 +408,11 @@ class CircuitBreaker:
                 key=repr,
             )
         )
+
+
+class _NullBreaker(CircuitBreaker):
+    """The disabled breaker: failures are not counted, so no circuit ever
+    opens and every send is allowed."""
+
+    def record_failure(self, peer: Peer, now: float) -> bool:
+        return False

@@ -479,29 +479,17 @@ class MonitoredFederation:
             until=until,
             probe_interval=self.config.probe_interval,
         )
-        sampler: Optional[SeriesSampler] = None
+        sampler = SeriesSampler.start(self.env, self.config.sample_interval)
         engine: Optional[SloEngine] = None
-        if self.config.sample_interval is not None:
-            sampler = SeriesSampler(
-                self.env, interval=self.config.sample_interval
-            )
-            if self.config.slos:
-                engine = SloEngine(
-                    self.config.slos, on_alert=self._on_slo_alert
-                )
-                sampler.add_observer(engine.observe)
-            sampler.install()
+        if self.config.slos:  # validated: slos come with a sample_interval
+            engine = SloEngine(self.config.slos, on_alert=self._on_slo_alert)
+            sampler.add_observer(engine.observe)
         self.env.process(self._monitor_process(until))
         self.env.run(until=until)
-        series_bank: Dict[str, dict] = {}
-        if sampler is not None:
-            sampler.sample()
-            series_bank = sampler.bank()
-            sink = obs_tracer().sink
-            if sink is not None:
-                sampler.emit(sink)
-                if engine is not None:
-                    engine.emit(sink)
+        sink = obs_tracer().sink
+        series_bank = sampler.finish(sink)
+        if sink is not None and engine is not None:
+            engine.emit(sink)
         self._span.end(
             repairs=self._repairs,
             baseline=self._baseline,

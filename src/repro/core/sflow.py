@@ -33,30 +33,9 @@ optimistic uniform prior estimated from the links the node can see.  This
 is what makes sFlow degrade gracefully -- but measurably -- as the network
 grows, reproducing the downward trend of Fig. 10(a).
 
-Crash tolerance (the "agile" half of the paper's title, carried into the
-protocol itself): a :class:`~repro.network.failures.ChaosPlan` can kill
-service nodes *while the federation is running*.  The runtime then behaves
-like a real distributed system rather than a batch solver:
-
-* a crashed node silently drops traffic; the upstream sender detects it by
-  **retry exhaustion** of the acknowledged transport;
-* the sender **fails over**: it re-runs its local baseline/reduction step
-  with every suspected-dead instance excluded, re-pins the lost service to
-  its next-best candidate, and re-sends -- with exponential backoff between
-  attempts.  Re-pins carry a per-service generation so downstream merge
-  points deterministically prefer the freshest decision over stale pins
-  still in flight;
-* failovers that cannot be decided locally (a merge service pinned by a
-  remote dominator, an exhausted failover budget, no live alternative)
-  escalate to a bounded number of **re-federations**: the consumer restarts
-  the protocol for the residual requirement -- everything not safely
-  delivered, i.e. the full requirement -- with the suspects excluded;
-* the sink side enforces an optional end-to-end **deadline**; each expiry
-  burns one re-federation, and exhausting them fails the run;
-* every recovery step lands in a structured :class:`RecoveryEvent` log on
-  the :class:`SFlowResult`, and an unrecoverable run returns
-  ``outcome=FederationOutcome.FAILED`` instead of leaking an exception out
-  of :meth:`~repro.sim.engine.Environment.run`.
+What happens when messages or nodes fail mid-protocol -- acknowledged
+transport, failover, re-federation, deadlines, the degradation ladder --
+lives in :mod:`repro.core.recovery`, behind one object per session.
 
 Everything runs on the discrete-event simulator: ``sfederate`` messages
 take the latency of the realised overlay path they travel, so the reported
@@ -66,9 +45,10 @@ convergence time and message counts are measured, not modelled.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import FederationError, SimulationError
 from repro.network.failures import ChaosPlan
@@ -76,7 +56,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.clock import Stopwatch
 from repro.obs.timeseries import SeriesSampler
 from repro.obs.trace import NULL_SPAN, SimClock, tracer as obs_tracer
-from repro.network.metrics import PathQuality, UNREACHABLE
+from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
 from repro.routing.oracle import RouteOracle
@@ -84,16 +64,10 @@ from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
 from repro.core.degradation import DegradationRecord, SessionState
-from repro.core.detector import (
-    BreakerConfig,
-    CircuitBreaker,
-    DetectorConfig,
-    PhiAccrualDetector,
-    RetryPolicy,
-)
+from repro.core.detector import BreakerConfig, DetectorConfig, RetryPolicy
+from repro.core.recovery import Ack, RecoveryEvent, _Recovery
 from repro.core.reductions import AbstractView, ReductionSolver
-from repro.core.repair import repair_flow_graph
-from repro.sim.channels import Envelope, MessageNetwork
+from repro.sim.channels import Envelope
 from repro.sim.engine import Environment, Event
 
 #: Protocol metrics (process-wide, resolved once at import).  Counters are
@@ -102,47 +76,17 @@ from repro.sim.engine import Environment, Event
 _REGISTRY = obs_metrics.registry()
 _M_SESSIONS = _REGISTRY.counter("sflow.sessions", "federation runs by outcome")
 _M_SFEDERATE = _REGISTRY.counter("sflow.sfederate.sent", "sfederate dispatches")
-_M_ACKS = _REGISTRY.counter("sflow.acks.sent", "acknowledgements sent")
-_M_RETRANSMISSIONS = _REGISTRY.counter(
-    "sflow.retransmissions", "sfederate retransmissions"
-)
-_M_SUSPECTS = _REGISTRY.counter(
-    "sflow.suspects", "instances declared dead by retry exhaustion"
-)
-_M_FAILOVERS = _REGISTRY.counter("sflow.failovers", "local re-pins after suspicion")
-_M_REFEDERATIONS = _REGISTRY.counter(
-    "sflow.refederations", "consumer-side protocol restarts"
-)
-_M_CRASHES = _REGISTRY.counter("sflow.crashes", "chaos crash-stop events")
 _M_ACTIVATIONS = _REGISTRY.counter(
     "sflow.node.activations", "local planning steps executed"
-)
-_M_RECOVERY = _REGISTRY.counter(
-    "sflow.recovery.events", "structured recovery-log entries by kind"
 )
 _H_FEDERATION_TIME = _REGISTRY.histogram(
     "sflow.federation.sim_time", "per-session federation latency (virtual time)"
 )
-_H_RECOVERY_TIME = _REGISTRY.histogram(
-    "sflow.recovery.sim_time",
-    "first recovery event to completion (virtual time), disturbed runs only",
-)
-_M_DEGRADE_DETECTED = _REGISTRY.counter(
-    "degrade.detected", "completions that fell below the bandwidth requirement"
-)
-_M_DEGRADE_REPAIRS = _REGISTRY.counter(
-    "degrade.repairs", "in-place repairs attempted on degraded sessions"
-)
-_M_DEGRADE_SESSIONS = _REGISTRY.counter(
-    "degrade.sessions", "sessions served below requirement (explicit record)"
-)
-_M_DEGRADE_RECOVERED = _REGISTRY.counter(
-    "degrade.recovered", "degraded sessions restored to full bandwidth"
-)
-_H_DELIVERED_FRACTION = _REGISTRY.histogram(
-    "degrade.delivered_fraction",
-    "achieved / required bandwidth at completion (requirement-bearing runs)",
-)
+
+#: Delay of the consumer's first ``sfederate`` of every round.
+_INITIAL_LATENCY = 0.0
+#: Enumeration cap of every local :class:`ReductionSolver`.
+_ENUMERATION_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -160,9 +104,6 @@ class SFederate:
     #: (absent = 0).  Higher generations win when pins conflict downstream.
     repins: Tuple[Tuple[Sid, int], ...] = ()
 
-    def pin_map(self) -> Dict[Sid, ServiceInstance]:
-        return dict(self.pins)
-
     @property
     def size(self) -> int:
         """Abstract wire size used for byte accounting."""
@@ -173,13 +114,6 @@ class SFederate:
             + 3 * len(self.edges)
             + len(self.repins)
         )
-
-
-@dataclass(frozen=True)
-class Ack:
-    """Acknowledgement of an ``sfederate`` message under a lossy transport."""
-
-    msg_id: int
 
 
 class FederationOutcome(enum.Enum):
@@ -197,24 +131,6 @@ class FederationOutcome(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One structured entry of a run's recovery log.
-
-    ``kind`` is one of: ``crash``, ``revival``, ``retry_exhausted``,
-    ``suspect``, ``unsuspect``, ``quarantine``, ``failover``, ``abandon``,
-    ``refederate``, ``deadline_expired``, ``degrade_detected``,
-    ``degrade_repair``, ``degraded``, ``recovered``, ``failed``.
-    ``instance`` names the affected instance when the event concerns one
-    (detection-latency accounting keys on it).
-    """
-
-    time: float
-    kind: str
-    detail: str
-    instance: str = ""
-
-
 @dataclass
 class SFlowConfig:
     """Tunables of the distributed algorithm.
@@ -227,13 +143,6 @@ class SFlowConfig:
         use_link_state: materialise local views by running the bounded
             link-state protocol on the simulator instead of reading them off
             the overlay directly (slower, but fully distributed end to end).
-        gossip_hints: let planners use the per-instance scalar quality
-            summaries published in the directory when pricing edges beyond
-            the horizon (see ``_PlanningView``); disable for the strictly
-            local ablation.
-        enumeration_limit: cap forwarded to the local
-            :class:`~repro.core.reductions.ReductionSolver` instances.
-        initial_latency: delay of the consumer's first ``sfederate`` message.
         loss_rate: probability that the transport loses any one protocol
             message (sfederate or ack).  Non-zero rates switch the protocol
             into reliable mode: receivers acknowledge and deduplicate,
@@ -245,14 +154,10 @@ class SFlowConfig:
             ``sfederate`` is resent.
         max_retries: retransmissions before the sender declares the
             receiver dead (suspected) and hands over to failover.
-        failover: whether an upstream node re-pins a suspected-dead
-            downstream instance to its next-best candidate (re-running the
-            local reduction step with suspects excluded).  With failover
-            off, retry exhaustion fails the run -- but still through the
-            structured :class:`SFlowResult` path, never by raising out of
-            the simulation.
-        max_failovers: total failover budget of one run; exhausting it
-            escalates to re-federation.
+        max_failovers: how many times in one run an upstream node may
+            re-pin a suspected-dead downstream instance to its next-best
+            candidate (re-running the local reduction step with suspects
+            excluded); exhausting the budget escalates to re-federation.
         failover_backoff: base of the exponential virtual-time backoff
             between failover attempts (doubles per attempt of a send).
         deadline: optional end-to-end virtual-time deadline enforced on the
@@ -265,8 +170,8 @@ class SFlowConfig:
             (flow-graph bottleneck, gray degradation ramps applied) and,
             when short, climbs the degradation ladder -- in-place repair,
             hysteresis-bounded re-federation, serve DEGRADED -- instead of
-            silently committing a starved graph.  ``None`` (default)
-            preserves the legacy behaviour bit for bit.
+            silently committing a starved graph.  ``None`` (default): a
+            completed graph is committed whatever it delivers.
         refederate_hysteresis: minimum virtual time between two
             degradation-triggered re-federations (flap-storm damping).
         detector: optional phi-accrual detector config; when set, every
@@ -277,26 +182,22 @@ class SFlowConfig:
             exhaust their retries are quarantined and later sends fail
             over immediately instead of burning a full retry cycle.
         retry_policy: optional bounded retry budget with exponential
-            backoff + jitter, replacing the fixed
-            ``retransmit_timeout`` x ``max_retries`` schedule.
+            backoff + jitter.  ``None`` (default) is the fixed schedule
+            ``RetryPolicy(max_attempts=max_retries + 1,
+            base=cap=retransmit_timeout, multiplier=1, jitter=0)``.
         sample_interval: optional sim-time interval at which a
             :class:`~repro.obs.timeseries.SeriesSampler` scrapes the
             metrics registry during the run.  ``None`` (default) disables
-            sampling entirely -- no sampler process is created and the
-            legacy event schedule is preserved bit for bit.
+            sampling entirely -- no sampler process is created.
     """
 
     horizon: int = 2
     pareto: bool = True
     use_link_state: bool = False
-    gossip_hints: bool = True
-    enumeration_limit: int = 100_000
-    initial_latency: float = 0.0
     loss_rate: float = 0.0
     loss_seed: int = 0
     retransmit_timeout: float = 30.0
     max_retries: int = 25
-    failover: bool = True
     max_failovers: int = 8
     failover_backoff: float = 10.0
     deadline: Optional[float] = None
@@ -389,6 +290,21 @@ class SFlowResult:
         return SessionState.COMMITTED
 
 
+def _mean_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
+    """Mean bandwidth and latency of the usable links (``None`` if none)."""
+    usable = [
+        metrics
+        for metrics in links
+        if metrics.reachable and metrics.bandwidth != float("inf")
+    ]
+    if not usable:
+        return None
+    return PathQuality(
+        sum(metrics.bandwidth for metrics in usable) / len(usable),
+        sum(metrics.latency for metrics in usable) / len(usable),
+    )
+
+
 class _PlanningView(AbstractView):
     """What one node knows when it plans: its local view plus the directory.
 
@@ -414,47 +330,29 @@ class _PlanningView(AbstractView):
         local_view: OverlayGraph,
         directory: Dict[Sid, Tuple[ServiceInstance, ...]],
         pins: Dict[Sid, ServiceInstance],
-        hints: Optional[Dict[ServiceInstance, PathQuality]] = None,
+        hints: Dict[ServiceInstance, PathQuality],
         excluded: FrozenSet[ServiceInstance] = frozenset(),
     ) -> None:
         self._local = local_view
-        self._hints = hints or {}
+        self._hints = hints
         self._pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {}
         for sid in residual.services():
             pinned = pins.get(sid)
             if pinned is not None:
                 self._pools[sid] = (pinned,)
                 continue
-            known = tuple(
-                inst
-                for inst in local_view.instances_of(sid)
-                if inst not in excluded
-            )
-            if known:
-                self._pools[sid] = known
-            else:
-                self._pools[sid] = tuple(
-                    inst
-                    for inst in directory.get(sid, ())
-                    if inst not in excluded
-                )
-        self._prior = self._estimate_prior(local_view)
-
-    @staticmethod
-    def _estimate_prior(view: OverlayGraph) -> PathQuality:
-        bandwidths: List[float] = []
-        latencies: List[float] = []
-        for inst in view.instances():
-            for _, metrics in view.successors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-        if not bandwidths:
-            return PathQuality(1.0, 1.0)
-        return PathQuality(
-            sum(bandwidths) / len(bandwidths),
-            sum(latencies) / len(latencies),
-        )
+            # Instances the view shows, else whatever the directory lists.
+            for known in (local_view.instances_of(sid), directory.get(sid, ())):
+                pool = tuple(inst for inst in known if inst not in excluded)
+                if pool:
+                    break
+            self._pools[sid] = pool
+        #: Optimistic uniform prior for instances without a hint.
+        self._prior = _mean_quality(
+            metrics
+            for inst in local_view.instances()
+            for _, metrics in local_view.successors(inst)
+        ) or PathQuality(1.0, 1.0)
 
     def instances_of(self, sid: Sid) -> Tuple[ServiceInstance, ...]:
         return self._pools.get(sid, ())
@@ -479,12 +377,54 @@ class _PlanningView(AbstractView):
         )
 
 
+_Pins = Dict[Sid, ServiceInstance]
+_Edges = Dict[Tuple[Sid, Sid], FlowEdge]
+#: What a node knows once its inbox is merged: pins, re-pin generations, edges.
+_Decisions = Tuple[_Pins, Dict[Sid, int], _Edges]
+
+
+def _merge_decisions(
+    parts: Iterable[
+        Tuple[Iterable[Tuple[Sid, ServiceInstance]], Dict[Sid, int], Iterable[FlowEdge]]
+    ],
+    where: object,
+) -> _Decisions:
+    """Union of the ``(pins, re-pin generations, flow edges)`` several
+    ``sfederate`` branches carry.  A failover re-pin (higher generation)
+    supersedes the stale decision, equal generations must agree, and flow
+    edges that still reference a superseded pin are dropped."""
+    pins: _Pins = {}
+    gens: Dict[Sid, int] = {}
+    edges: _Edges = {}
+    for part_pins, part_gens, part_edges in parts:
+        for sid, inst in part_pins:
+            gen = part_gens.get(sid, 0)
+            if sid not in pins or gen > gens[sid]:
+                pins[sid] = inst
+                gens[sid] = gen
+            elif gen == gens[sid] and pins[sid] != inst:
+                raise FederationError(
+                    f"inconsistent pins for {sid!r} at {where}: "
+                    f"{pins[sid]} vs {inst}"
+                )
+        for edge in part_edges:
+            edges[edge.requirement_edge] = edge
+    edges = {
+        key: edge
+        for key, edge in edges.items()
+        if pins.get(edge.src.sid) == edge.src
+        and pins.get(edge.dst.sid) == edge.dst
+    }
+    return pins, gens, edges
+
+
 class _SFlowNode:
     """The per-instance protocol endpoint (a simulation process)."""
 
     def __init__(self, me: ServiceInstance, federation: "_Federation") -> None:
         self.me = me
         self.fed = federation
+        self.recovery = federation.recovery
         self.mailbox = federation.network.register(me)
         self.inbox: List[SFederate] = []
         self.generation = 0
@@ -499,28 +439,25 @@ class _SFlowNode:
         while True:
             envelope: Envelope = yield self.mailbox.get()
             payload = envelope.payload
-            self.fed.observe_peer(envelope.src)
+            self.recovery.observe_peer(envelope.src)
             if isinstance(payload, Ack):
-                self.fed.acknowledge(payload.msg_id)
+                self.recovery.acknowledge(payload.msg_id)
                 continue
             message: SFederate = payload
+            if message.msg_id:
+                # Reliable mode: always (re-)acknowledge -- the previous ack
+                # may have been lost, and a stale round's retransmitter
+                # must be silenced too.
+                self.recovery.send_ack(self.me, envelope.src, message.msg_id)
             if message.generation < self.generation:
-                # Stale protocol round: acknowledge (to silence the
-                # retransmitter) but never act on it.
-                if message.msg_id:
-                    self.fed.send_ack(self.me, envelope.src, message.msg_id)
-                continue
+                continue  # stale protocol round: never act on it
             if message.generation > self.generation:
                 # A re-federation superseded everything this node had.
                 self.generation = message.generation
-                self.inbox.clear()
-                self._seen_ids.clear()
+                self.reset()
             if message.msg_id:
-                # Reliable mode: always (re-)acknowledge -- the previous ack
-                # may have been lost -- but process each message once.
-                self.fed.send_ack(self.me, envelope.src, message.msg_id)
                 if message.msg_id in self._seen_ids:
-                    continue
+                    continue  # process each message once
                 self._seen_ids.add(message.msg_id)
             self.inbox.append(message)
             expected = max(1, self.fed.requirement.in_degree(self.me.sid))
@@ -531,40 +468,18 @@ class _SFlowNode:
     def _activate(self, cause: int = 0) -> None:
         fed = self.fed
         my_sid = self.me.sid
-        fed.node_activations += 1
+        fed.result.node_activations += 1
         _M_ACTIVATIONS.inc()
         # ``cause`` is the network msg_id of the delivery that completed
         # this node's in-degree -- the causal profiler's join key.
-        fed._span.event("node.activate", instance=str(self.me), cause=cause)
-        pins: Dict[Sid, ServiceInstance] = {}
-        pin_gens: Dict[Sid, int] = {}
-        edges: Dict[Tuple[Sid, Sid], FlowEdge] = {}
-        for message in self.inbox:
-            gens = dict(message.repins)
-            for sid, inst in message.pins:
-                gen = gens.get(sid, 0)
-                if sid not in pins:
-                    pins[sid] = inst
-                    pin_gens[sid] = gen
-                    continue
-                if gen > pin_gens[sid]:
-                    # A failover re-pin supersedes the stale decision.
-                    pins[sid] = inst
-                    pin_gens[sid] = gen
-                elif gen == pin_gens[sid] and pins[sid] != inst:
-                    raise FederationError(
-                        f"inconsistent pins for {sid!r} at {self.me}: "
-                        f"{pins[sid]} vs {inst}"
-                    )
-            for edge in message.edges:
-                edges[edge.requirement_edge] = edge
-        # Drop flow edges that still reference a superseded pin.
-        edges = {
-            key: edge
-            for key, edge in edges.items()
-            if pins.get(edge.src.sid) == edge.src
-            and pins.get(edge.dst.sid) == edge.dst
-        }
+        fed.span.event("node.activate", instance=str(self.me), cause=cause)
+        decisions = pins, pin_gens, edges = _merge_decisions(
+            (
+                (message.pins, dict(message.repins), message.edges)
+                for message in self.inbox
+            ),
+            self.me,
+        )
         if pins.get(my_sid) != self.me:
             raise FederationError(
                 f"{self.me} received an sfederate pinned to {pins.get(my_sid)}"
@@ -572,39 +487,21 @@ class _SFlowNode:
 
         successors = fed.requirement.successors(my_sid)
         if not successors:
-            fed.complete_sink(my_sid, pins, pin_gens, edges, self.generation)
+            fed.complete_sink(my_sid, self.generation, decisions)
             return
 
-        started = fed.stopwatch.read()
         residual = fed.requirement.downstream_closure(my_sid)
-        view = fed.local_view(self.me)
-        planning = _PlanningView(
-            residual,
-            view,
-            fed.directory,
-            pins,
-            fed.hints,
-            excluded=frozenset(fed.suspected),
-        )
-        solver = ReductionSolver(
-            pareto=fed.config.pareto,
-            enumeration_limit=fed.config.enumeration_limit,
-        )
-        try:
-            assignment, _quality = solver.solve_assignment(
-                residual, planning, source_instance=self.me
-            )
-        except FederationError:
+        assignment = fed.plan(self.me, residual, pins)
+        if assignment is None:
             # The local view offers no feasible plan (e.g. a partitioned
             # vicinity); fall back to blind directory choices so the
             # federation still terminates -- with poor quality, as it should.
             assignment = {
-                sid: pins.get(sid) or fed.live_choice(sid)
+                sid: pins.get(sid)
+                or self.recovery.live_instance(sid)
+                or fed.directory[sid][0]
                 for sid in residual.services()
             }
-            assignment[my_sid] = self.me
-        elapsed = fed.stopwatch.read() - started
-        fed.record_compute(self.me, elapsed)
 
         # Pin every service whose decision responsibility lies here.
         new_pins = dict(pins)
@@ -614,10 +511,6 @@ class _SFlowNode:
             if fed.idom[sid] == my_sid:
                 new_pins[sid] = assignment[sid]
 
-        pin_tuple = tuple(sorted(new_pins.items()))
-        repin_tuple = tuple(
-            sorted((sid, gen) for sid, gen in pin_gens.items() if gen > 0)
-        )
         for succ_sid in successors:
             succ_inst = new_pins.get(succ_sid)
             if succ_inst is None:
@@ -625,27 +518,15 @@ class _SFlowNode:
                     f"no pin for immediate downstream {succ_sid!r} at {self.me}; "
                     f"dominator {fed.idom[succ_sid]!r} failed to decide"
                 )
-            flow_edge = fed.realize_edge(self.me, succ_inst)
-            out_edges = dict(edges)
-            out_edges[flow_edge.requirement_edge] = flow_edge
-            message = SFederate(
-                residual=fed.requirement.downstream_closure(succ_sid),
-                pins=pin_tuple,
-                edges=tuple(out_edges[k] for k in sorted(out_edges)),
-                msg_id=fed.next_msg_id(),
-                generation=self.generation,
-                repins=repin_tuple,
-            )
-            latency = (
-                flow_edge.quality.latency
-                if flow_edge.quality.reachable
-                else fed.fallback_latency
+            message, latency = fed.outgoing(
+                self.me, succ_inst, new_pins, pin_gens, edges, self.generation
             )
             fed.dispatch(self.me, succ_inst, message, latency)
 
 
 class _Federation:
-    """Shared state of one distributed federation run."""
+    """Shared state of one distributed federation run; what exists only
+    because messages or nodes can fail is behind :attr:`recovery`."""
 
     def __init__(
         self,
@@ -653,8 +534,8 @@ class _Federation:
         overlay: OverlayGraph,
         source_instance: ServiceInstance,
         config: SFlowConfig,
-        chaos: Optional[ChaosPlan] = None,
-        stopwatch: Optional[Stopwatch] = None,
+        chaos: Optional[ChaosPlan],
+        stopwatch: Stopwatch,
     ) -> None:
         self.requirement = requirement
         self.overlay = overlay
@@ -662,69 +543,25 @@ class _Federation:
         self.config = config
         #: Host-compute measurements (solver timing, setup cost) go through
         #: an injectable clock; protocol code never reads wall time directly.
-        self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
+        self.stopwatch = stopwatch
         self.env = Environment()
-        self.chaos = chaos if chaos is not None and chaos.active else None
-        if self.chaos is not None:
-            self.chaos.schedule.validate_against(overlay)
-        #: The gray-failure plan (lossy/duplicating/reordering channels,
-        #: stragglers, flaps, partitions, bandwidth ramps), when active.
-        self.gray = None
-        if (
-            self.chaos is not None
-            and self.chaos.gray is not None
-            and self.chaos.gray.active
-        ):
-            self.gray = self.chaos.gray
-            self.gray.validate_against(overlay)
-        #: Reliable (acknowledged) transport is needed whenever messages can
-        #: vanish -- seeded loss or a chaos plan that crashes nodes.
-        self.reliable = config.loss_rate > 0 or self.chaos is not None
-        self._loss_rng = random.Random(config.loss_seed)
-        self._chaos_rng = (
-            random.Random(self.chaos.seed)
-            if self.chaos is not None and self.chaos.loss_rate > 0
-            else None
+        self.done: Event = self.env.event()
+        #: Root span of the session; a real span only while a trace sink is
+        #: attached, otherwise the free no-op singleton.
+        self.span = NULL_SPAN
+        #: The session's ledger: nodes and the recovery layer count into it
+        #: as the run goes; :meth:`run` completes and returns it.
+        self.result = SFlowResult(
+            flow_graph=None, convergence_time=0.0, messages=0, bytes=0,
+            local_compute_seconds=0.0, node_activations=0,
         )
-        loss_fn = None
-        if config.loss_rate > 0 or self._chaos_rng is not None:
-            loss_fn = self._lose
-        jitter_fn = None
-        if self.chaos is not None and self.chaos.delay_jitter > 0:
-            jitter_rng = random.Random(self.chaos.seed ^ 0x9E3779B9)
-            jitter = self.chaos.delay_jitter
-
-            def jitter_fn(src, dst, envelope):
-                if src == "consumer":
-                    return 0.0
-                return jitter_rng.uniform(0.0, jitter)
-
-        self.network = MessageNetwork(self.env, loss_fn=loss_fn, jitter_fn=jitter_fn)
-        if self.gray is not None:
-            self.network.install_gray(self.gray.channel_model())
-        #: Adaptive failure detection (all optional; ``None`` leaves the
-        #: legacy retry-exhaustion-only path bit-identical).
-        self.detector = (
-            PhiAccrualDetector(config.detector)
-            if config.detector is not None
-            else None
-        )
-        self.breaker = (
-            CircuitBreaker(config.breaker) if config.breaker is not None else None
-        )
-        self._retry_rng = (
-            random.Random(config.loss_seed ^ 0x5F3759DF)
-            if config.retry_policy is not None
-            else None
-        )
-        #: Peers suspected by the phi detector alone (cleared on the next
-        #: heartbeat -- unlike retry-exhaustion suspects, which stay).
-        self._phi_suspects: Set[ServiceInstance] = set()
-        self._msg_ids = 0
-        self._pending_acks: Dict[int, Event] = {}
-        self.retransmissions = 0
-        self.acks_sent = 0
+        self.recovery = _Recovery(self, chaos)
+        self.network = self.recovery.network
         self.idom = requirement.immediate_dominators()
+        #: Every local planning step (and in-place repair) solves with this.
+        self.solver = ReductionSolver(
+            pareto=config.pareto, enumeration_limit=_ENUMERATION_LIMIT
+        )
         _t0 = self.stopwatch.read()
         self.directory: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: overlay.instances_of(sid) for sid in requirement.services()
@@ -739,16 +576,37 @@ class _Federation:
         # (established routing state), never for decision making.
         self.abstract = AbstractGraph.build(requirement, overlay)
         _t2 = self.stopwatch.read()
-        self.fallback_latency = self._mean_latency()
-        self.hints: Dict[ServiceInstance, PathQuality] = (
-            self._gossip_hints() if config.gossip_hints else {}
+        latencies = [
+            metrics.latency
+            for inst in overlay.instances()
+            for _, metrics in overlay.successors(inst)
+            if metrics.reachable
+        ]
+        #: Latency assumed for hops no committed route prices (acks, sends
+        #: over an unreachable edge): the overlay's mean link latency.
+        self.fallback_latency = (
+            sum(latencies) / len(latencies) if latencies else 1.0
         )
-        self.link_state_messages = 0
-        self._views: Dict[ServiceInstance, OverlayGraph] = {}
+        #: Gossip hints: each instance publishes one mean ``(bandwidth,
+        #: latency)`` over its incident service links -- constant-size state
+        #: a directory or gossip layer can carry -- which planners use to
+        #: price edges to instances beyond their horizon.
+        self.hints: Dict[ServiceInstance, PathQuality] = {}
+        for inst in overlay.instances():
+            hint = _mean_quality(
+                metrics
+                for _, metrics in itertools.chain(
+                    overlay.successors(inst), overlay.predecessors(inst)
+                )
+            )
+            if hint is not None:
+                self.hints[inst] = hint
+        #: Ego views materialised so far (all of them under link-state).
+        self.views: Dict[ServiceInstance, OverlayGraph] = {}
         if config.use_link_state:
             report = collect_local_views(overlay, config.horizon)
-            self._views = report.views
-            self.link_state_messages = report.messages
+            self.views = report.views
+            self.result.link_state_messages = report.messages
         _t3 = self.stopwatch.read()
         #: Wall-clock setup cost, reported as zero-length sim-time spans by
         #: :meth:`run` -- setup happens before the DES clock starts ticking.
@@ -756,205 +614,71 @@ class _Federation:
             "discovery": (_t1 - _t0) + (_t3 - _t2),
             "abstract_graph": _t2 - _t1,
         }
-        #: Root span of the session; a real span only while a trace sink is
-        #: attached, otherwise the free no-op singleton.
-        self._span = NULL_SPAN
-        self.node_activations = 0
-        self.local_compute_seconds = 0.0
-        self.per_node_compute: Dict[ServiceInstance, float] = {}
-        self._sink_parts: Dict[
-            Sid, Tuple[Dict, Dict, Dict]
-        ] = {}
-        self._nodes: Dict[ServiceInstance, _SFlowNode] = {}
-        #: Instances this run believes are dead (retry exhaustion, crashes
-        #: observed through failed sends -- never via global knowledge).
-        self.suspected: Set[ServiceInstance] = set()
+        self._sink_parts: Dict[Sid, _Decisions] = {}
+        self.nodes: Dict[ServiceInstance, _SFlowNode] = {}
+        #: Protocol round; bumped by every re-federation.
         self.generation = 0
-        self.crashes = 0
-        self.failovers = 0
-        self.refederations = 0
-        self.failed = False
-        self.failure_reason = ""
-        self.recovery_log: List[RecoveryEvent] = []
-        #: Graceful-degradation ladder state (requirement-bearing runs).
-        self.degradation: Optional[DegradationRecord] = None
-        self.achieved_bandwidth: Optional[float] = None
-        self._final_graph: Optional[ServiceFlowGraph] = None
-        self._best_graph: Optional[ServiceFlowGraph] = None
-        self._best_bandwidth = 0.0
-        self._degrade_seen = False
-        self._repair_used = False
-        self._last_refederate_at = -float("inf")
-        self.done: Event = self.env.event()
 
-    def _lose(self, src, dst, envelope) -> bool:
-        if src == "consumer":
-            return False
-        lost = False
-        if self.config.loss_rate > 0:
-            lost |= self._loss_rng.random() < self.config.loss_rate
-        if self._chaos_rng is not None:
-            lost |= self._chaos_rng.random() < self.chaos.loss_rate
-        return lost
+    # -- services used by nodes (and by failover re-planning) --------------------
 
-    def _mean_latency(self) -> float:
-        latencies = [
-            metrics.latency
-            for inst in self.overlay.instances()
-            for _, metrics in self.overlay.successors(inst)
-            if metrics.reachable
-        ]
-        return sum(latencies) / len(latencies) if latencies else 1.0
-
-    def _gossip_hints(self) -> Dict[ServiceInstance, PathQuality]:
-        """Per-instance scalar summaries: mean incident link quality.
-
-        Each instance publishes one ``(bandwidth, latency)`` aggregate over
-        its incident service links -- constant-size state a directory or
-        gossip layer can carry -- which planners use to price edges to
-        instances beyond their horizon."""
-        hints: Dict[ServiceInstance, PathQuality] = {}
-        for inst in self.overlay.instances():
-            bandwidths: List[float] = []
-            latencies: List[float] = []
-            for _, metrics in self.overlay.successors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-            for _, metrics in self.overlay.predecessors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-            if bandwidths:
-                hints[inst] = PathQuality(
-                    sum(bandwidths) / len(bandwidths),
-                    sum(latencies) / len(latencies),
-                )
-        return hints
-
-    # -- recovery bookkeeping ----------------------------------------------------
-
-    def _log(self, kind: str, detail: str, *, instance: str = "") -> None:
-        self.recovery_log.append(
-            RecoveryEvent(self.env.now, kind, detail, instance)
+    def plan(
+        self, me: ServiceInstance, residual: ServiceRequirement, pins: _Pins
+    ) -> Optional[_Pins]:
+        """One (timed) local planning step: ``me`` solves ``residual`` on
+        its local view, pins honoured and suspects excluded.  ``None`` when
+        the view offers no feasible plan."""
+        started = self.stopwatch.read()
+        if me not in self.views:
+            self.views[me] = self.overlay.ego_view(me, self.config.horizon)
+        planning = _PlanningView(
+            residual,
+            self.views[me],
+            self.directory,
+            pins,
+            self.hints,
+            excluded=frozenset(self.recovery.suspected),
         )
-        _M_RECOVERY.inc(kind=kind)
-        self._span.event("recovery." + kind, detail=detail)
-
-    def observe_peer(self, peer) -> None:
-        """Feed the adaptive detector: every received envelope (sfederate
-        or ack) is a liveness proof of its sender."""
-        if self.detector is None or not isinstance(peer, ServiceInstance):
-            return
-        self.detector.heartbeat(peer, self.env.now)
-        if peer in self._phi_suspects:
-            # The phi detector was wrong (straggler, healed partition):
-            # take the suspicion back so failover planning sees the peer.
-            self._phi_suspects.discard(peer)
-            self.suspected.discard(peer)
-            self._log(
-                "unsuspect",
-                f"{peer} heartbeated again; phi suspicion withdrawn",
-                instance=str(peer),
+        try:
+            assignment, _quality = self.solver.solve_assignment(
+                residual, planning, source_instance=me
             )
+        except FederationError:
+            assignment = None
+        self.record_compute(me, self.stopwatch.read() - started)
+        return assignment
 
-    def _detector_sweep(self):
-        """Periodic phi evaluation over every tracked peer: silence beyond
-        the adaptive threshold turns into a suspicion *before* any retry
-        budget runs out."""
-        interval = self.config.detector.bootstrap_interval
-        while True:
-            yield self.env.timeout(interval)
-            if self.done.triggered:
-                return
-            for peer, phi in self.detector.poll(self.env.now):
-                if peer in self.suspected or peer == self.source_instance:
-                    continue
-                self.suspected.add(peer)
-                self._phi_suspects.add(peer)
-                _M_SUSPECTS.inc()
-                self._log(
-                    "suspect",
-                    f"phi-accrual suspects {peer} (phi={phi:.2f})",
-                    instance=str(peer),
-                )
-
-    def _fail_run(self, reason: str, *, force: bool = False) -> None:
-        """End the run as FAILED -- structured, never by raising."""
-        if self.done.triggered and not force:
-            return
-        if not self.failed:
-            self.failed = True
-            self.failure_reason = reason
-            self._log("failed", reason)
-        if not self.done.triggered:
-            self.done.succeed()
-
-    def live_choice(self, sid: Sid) -> ServiceInstance:
-        """First directory instance not currently suspected dead (falling
-        back to the directory head so blind planning still terminates)."""
-        pool = self.directory[sid]
-        for inst in pool:
-            if inst not in self.suspected:
-                return inst
-        return pool[0]
-
-    def _live_alternative(self, sid: Sid) -> Optional[ServiceInstance]:
-        for inst in self.directory.get(sid, ()):
-            if inst not in self.suspected:
-                return inst
-        return None
-
-    # -- chaos (crash-stop schedule) ---------------------------------------------
-
-    def _chaos_driver(self, event):
-        yield self.env.timeout(event.at)
-        self._crash(event.instance)
-        if event.revive_at is not None:
-            yield self.env.timeout(event.revive_at - event.at)
-            self._revive(event.instance)
-
-    def _crash(self, instance: ServiceInstance) -> None:
-        self.network.crash(instance)
-        node = self._nodes.get(instance)
-        if node is not None:
-            node.reset()
-        self.crashes += 1
-        _M_CRASHES.inc()
-        # Scoped invalidation: cached planning trees that route *through*
-        # the dead instance are operationally stale -- bump the epoch of
-        # every materialised local view, dropping exactly those trees.
-        # (Restrictive mutation: surviving trees stay exact, so planning
-        # behaviour is bit-identical, only recomputation cost changes.)
-        oracle = RouteOracle.default()
-        for view in self._views.values():
-            oracle.mutate(view, removed_instances=(instance,))
-        self._log("crash", f"{instance} crashed (crash-stop)")
-
-    def _revive(self, instance: ServiceInstance) -> None:
-        self.network.revive(instance)
-        self.suspected.discard(instance)
-        self._phi_suspects.discard(instance)
-        if self.detector is not None:
-            # Pre-crash inter-arrival history would insta-suspect the fresh
-            # incarnation; let it bootstrap cleanly.
-            self.detector.forget(instance)
-        # A revival is additive (paths through the instance become viable
-        # again), so the affected views cold-start their tree caches.
-        oracle = RouteOracle.default()
-        for view in self._views.values():
-            if instance in view:
-                oracle.mutate(view, additive=True)
-        self._log("revival", f"{instance} revived with empty state")
-
-    # -- transport (reliability layer) -------------------------------------------
-
-    def next_msg_id(self) -> int:
-        """Fresh ``sfederate`` id; 0 (no reliability) on a safe transport."""
-        if not self.reliable:
-            return 0
-        self._msg_ids += 1
-        return self._msg_ids
+    def outgoing(
+        self,
+        src: ServiceInstance,
+        dst: ServiceInstance,
+        pins: _Pins,
+        pin_gens: Dict[Sid, int],
+        edges: _Edges,
+        generation: int,
+    ) -> Tuple[SFederate, float]:
+        """The ``sfederate`` ``src`` sends to ``dst`` -- the decisions so
+        far plus the edge this hop commits -- and the latency it travels at."""
+        route = self.abstract.edge(src, dst)
+        if route is None:
+            flow_edge = FlowEdge(src, dst, UNREACHABLE, ())
+        else:
+            flow_edge = FlowEdge(src, dst, route.quality, route.overlay_path)
+        out_edges = dict(edges)
+        out_edges[flow_edge.requirement_edge] = flow_edge
+        message = SFederate(
+            residual=self.requirement.downstream_closure(dst.sid),
+            pins=tuple(sorted(pins.items())),
+            edges=tuple(out_edges[k] for k in sorted(out_edges)),
+            msg_id=self.recovery.next_msg_id(),
+            generation=generation,
+            repins=tuple(sorted(item for item in pin_gens.items() if item[1] > 0)),
+        )
+        latency = (
+            flow_edge.quality.latency
+            if flow_edge.quality.reachable
+            else self.fallback_latency
+        )
+        return message, latency
 
     def dispatch(
         self,
@@ -969,284 +693,19 @@ class _Federation:
         if message.msg_id == 0:
             self.network.send(src, dst, message, latency=latency, size=message.size)
             return
-        self.env.process(self._supervised_send(src, dst, message, latency))
+        self.env.process(self.recovery.supervise(src, dst, message, latency))
 
-    def _reliable_send(
-        self,
-        src: ServiceInstance,
-        dst: ServiceInstance,
-        message: SFederate,
-        latency: float,
-        ack_event: Event,
-    ):
-        """Acknowledged transmission; returns True when acked, False when
-        the retry budget went unanswered.  Never raises: retry exhaustion
-        is the *caller's* signal to start failing over.
+    def record_compute(self, instance: ServiceInstance, seconds: float) -> None:
+        self.result.local_compute_seconds += seconds
+        per_node = self.result.per_node_compute
+        per_node[instance] = per_node.get(instance, 0.0) + seconds
 
-        The budget is the fixed ``max_retries`` x ``retransmit_timeout``
-        schedule by default; an :class:`~repro.core.detector.RetryPolicy`
-        replaces it with a bounded attempt count and exponential backoff +
-        seeded jitter."""
-        policy = self.config.retry_policy
-        attempts = (
-            policy.max_attempts
-            if policy is not None
-            else self.config.max_retries + 1
-        )
-        for attempt in range(attempts):
-            self.network.send(
-                src, dst, message, latency=latency, size=message.size
-            )
-            if attempt > 0:
-                self.retransmissions += 1
-                _M_RETRANSMISSIONS.inc()
-            wait = (
-                policy.delay(attempt, self._retry_rng)
-                if policy is not None
-                else self.config.retransmit_timeout
-            )
-            timeout = self.env.timeout(wait)
-            yield self.env.any_of([ack_event, timeout])
-            if ack_event.processed:
-                return True
-        return False
+    # -- rounds, sink collection, assembly ---------------------------------------
 
-    def _supervised_send(
-        self,
-        src: ServiceInstance,
-        dst: ServiceInstance,
-        message: SFederate,
-        latency: float,
-    ):
-        """Drive one ``sfederate`` to *some* live instance of its service.
-
-        The happy path is a single acknowledged send.  On retry exhaustion
-        the target is suspected dead and, failover permitting, the sender
-        re-runs its local planning step (suspects excluded), re-pins the
-        service, and re-sends to the next-best candidate -- backing off
-        exponentially between attempts.  Everything that cannot be resolved
-        locally escalates to a bounded re-federation."""
-        target, msg, lat = dst, message, latency
-        round_index = 0
-        while True:
-            quarantined = (
-                self.breaker is not None
-                and not self.breaker.allows(target, self.env.now)
-            )
-            if quarantined:
-                # The circuit is open: the target already burned through a
-                # retry cycle recently.  Fail over immediately instead of
-                # spending another full budget on a suspect peer.
-                self._log(
-                    "quarantine",
-                    f"{target} is quarantined; sfederate {msg.msg_id} from "
-                    f"{src} fails over without retrying",
-                    instance=str(target),
-                )
-            else:
-                ack_event = self.env.event()
-                self._pending_acks[msg.msg_id] = ack_event
-                acked = yield from self._reliable_send(
-                    src, target, msg, lat, ack_event
-                )
-                if acked:
-                    if self.breaker is not None:
-                        self.breaker.record_success(target, self.env.now)
-                    return
-                self._pending_acks.pop(msg.msg_id, None)
-            if self.done.triggered or msg.generation < self.generation:
-                return  # run settled or superseded by a re-federation
-            if not quarantined:
-                attempts = (
-                    self.config.retry_policy.max_attempts
-                    if self.config.retry_policy is not None
-                    else self.config.max_retries + 1
-                )
-                self.suspected.add(target)
-                self._phi_suspects.discard(target)
-                _M_SUSPECTS.inc()
-                self._log(
-                    "retry_exhausted",
-                    f"{target} never acked sfederate {msg.msg_id} from {src} "
-                    f"({attempts} transmissions)",
-                    instance=str(target),
-                )
-                if self.breaker is not None and self.breaker.record_failure(
-                    target, self.env.now
-                ):
-                    self._log(
-                        "quarantine",
-                        f"circuit opened for {target} after consecutive "
-                        "retry exhaustions",
-                        instance=str(target),
-                    )
-            if not self.config.failover:
-                self._fail_run(
-                    f"sfederate {msg.msg_id} from {src} to {target} lost "
-                    f"{self.config.max_retries + 1} times; failover disabled"
-                )
-                return
-            if self.requirement.in_degree(target.sid) > 1:
-                self._log(
-                    "abandon",
-                    f"{target.sid!r} is a merge service pinned by a remote "
-                    f"dominator; local failover at {src} would fork the pin",
-                )
-                self._try_refederate(
-                    f"merge service {target.sid!r} lost instance {target}"
-                )
-                return
-            if self.failovers >= self.config.max_failovers:
-                self._log(
-                    "abandon",
-                    f"failover budget ({self.config.max_failovers}) exhausted",
-                )
-                self._try_refederate("failover budget exhausted")
-                return
-            backoff = self.config.failover_backoff * (2 ** round_index)
-            round_index += 1
-            yield self.env.timeout(backoff)
-            if self.done.triggered or msg.generation < self.generation:
-                return
-            replacement = self._plan_failover(src, target, msg)
-            if replacement is None:
-                self._log(
-                    "abandon",
-                    f"no live alternative instance for {target.sid!r}",
-                )
-                self._try_refederate(
-                    f"service {target.sid!r} has no live alternative"
-                )
-                return
-            self.failovers += 1
-            _M_FAILOVERS.inc()
-            new_target, new_msg, new_lat = replacement
-            self._log(
-                "failover",
-                f"{src} re-pinned {target.sid!r}: {target} -> {new_target} "
-                f"(backoff {backoff:g})",
-            )
-            target, msg, lat = new_target, new_msg, new_lat
-
-    def _plan_failover(
-        self,
-        src: ServiceInstance,
-        dead: ServiceInstance,
-        message: SFederate,
-    ) -> Optional[Tuple[ServiceInstance, SFederate, float]]:
-        """Re-run ``src``'s local planning step with suspects excluded and
-        rebuild the sfederate for the next-best instance of ``dead.sid``."""
-        my_sid = src.sid
-        residual = self.requirement.downstream_closure(my_sid)
-        pins = {
-            sid: inst
-            for sid, inst in message.pins
-            if inst not in self.suspected
-        }
-        pins[my_sid] = src
-        started = self.stopwatch.read()
-        planning = _PlanningView(
-            residual,
-            self.local_view(src),
-            self.directory,
-            pins,
-            self.hints,
-            excluded=frozenset(self.suspected),
-        )
-        solver = ReductionSolver(
-            pareto=self.config.pareto,
-            enumeration_limit=self.config.enumeration_limit,
-        )
-        replacement: Optional[ServiceInstance] = None
-        try:
-            assignment, _quality = solver.solve_assignment(
-                residual, planning, source_instance=src
-            )
-            replacement = assignment.get(dead.sid)
-        except FederationError:
-            replacement = None
-        self.record_compute(src, self.stopwatch.read() - started)
-        if replacement is None or replacement in self.suspected:
-            replacement = self._live_alternative(dead.sid)
-        if replacement is None:
-            return None
-        new_pins = message.pin_map()
-        new_pins[dead.sid] = replacement
-        repins = dict(message.repins)
-        repins[dead.sid] = repins.get(dead.sid, 0) + 1
-        flow_edge = self.realize_edge(src, replacement)
-        out_edges = {
-            edge.requirement_edge: edge
-            for edge in message.edges
-            if dead not in (edge.src, edge.dst)
-        }
-        out_edges[flow_edge.requirement_edge] = flow_edge
-        new_msg = SFederate(
-            residual=message.residual,
-            pins=tuple(sorted(new_pins.items())),
-            edges=tuple(out_edges[k] for k in sorted(out_edges)),
-            msg_id=self.next_msg_id(),
-            generation=message.generation,
-            repins=tuple(sorted(repins.items())),
-        )
-        latency = (
-            flow_edge.quality.latency
-            if flow_edge.quality.reachable
-            else self.fallback_latency
-        )
-        return replacement, new_msg, latency
-
-    def send_ack(
-        self, src: ServiceInstance, dst, msg_id: int
-    ) -> None:
-        self.acks_sent += 1
-        _M_ACKS.inc()
-        self.network.send(
-            src, dst, Ack(msg_id), latency=self.fallback_latency, size=1
-        )
-
-    def acknowledge(self, msg_id: int) -> None:
-        pending = self._pending_acks.pop(msg_id, None)
-        if pending is not None and not pending.triggered:
-            pending.succeed()
-
-    # -- re-federation (consumer-side recovery) ----------------------------------
-
-    def _try_refederate(self, reason: str) -> bool:
-        """Restart the protocol for the residual requirement (which, seen
-        from the consumer, is the full requirement: partially committed
-        branches upstream of a loss cannot be trusted).  Bounded by
-        ``max_refederations``; exhaustion fails the run structurally."""
-        if self.done.triggered:
-            return False
-        if self.refederations >= self.config.max_refederations:
-            self._fail_run(
-                f"unrecoverable: {reason} "
-                f"(after {self.refederations} re-federation(s))"
-            )
-            return False
-        for sid, pool in self.directory.items():
-            if all(inst in self.suspected for inst in pool):
-                self._fail_run(
-                    f"unrecoverable: required service {sid!r} has no live "
-                    f"instance ({reason})"
-                )
-                return False
-        if self.source_instance in self.suspected:
-            self._fail_run(
-                f"unrecoverable: pinned source instance "
-                f"{self.source_instance} is dead ({reason})"
-            )
-            return False
-        self.refederations += 1
-        _M_REFEDERATIONS.inc()
-        self.generation += 1
+    def start_round(self) -> None:
+        """The consumer hands the requirement to the source node (assumed
+        reliable) -- at the start, and again on every re-federation."""
         self._sink_parts.clear()
-        self._log(
-            "refederate",
-            f"round {self.generation}: restarting the residual requirement "
-            f"({reason}); {len(self.suspected)} suspect(s) excluded",
-        )
         initial = SFederate(
             residual=self.requirement,
             pins=((self.requirement.source, self.source_instance),),
@@ -1257,407 +716,102 @@ class _Federation:
             "consumer",
             self.source_instance,
             initial,
-            latency=self.config.initial_latency,
+            latency=_INITIAL_LATENCY,
             size=initial.size,
-        )
-        return True
-
-    def _watchdog(self):
-        """Sink-side deadline enforcement: every expired window burns one
-        re-federation; running out of them fails the run."""
-        while True:
-            yield self.env.timeout(self.config.deadline)
-            if self.done.triggered:
-                return
-            self._log(
-                "deadline_expired",
-                f"no complete flow graph by t={self.env.now:g}",
-            )
-            if not self._try_refederate("deadline expired"):
-                return
-
-    # -- services used by nodes ------------------------------------------------
-
-    def local_view(self, instance: ServiceInstance) -> OverlayGraph:
-        if instance not in self._views:
-            self._views[instance] = self.overlay.ego_view(
-                instance, self.config.horizon
-            )
-        return self._views[instance]
-
-    def realize_edge(
-        self, src: ServiceInstance, dst: ServiceInstance
-    ) -> FlowEdge:
-        abstract_edge = self.abstract.edge(src, dst)
-        if abstract_edge is None:
-            return FlowEdge(src, dst, UNREACHABLE, ())
-        return FlowEdge(src, dst, abstract_edge.quality, abstract_edge.overlay_path)
-
-    def record_compute(self, instance: ServiceInstance, seconds: float) -> None:
-        self.local_compute_seconds += seconds
-        self.per_node_compute[instance] = (
-            self.per_node_compute.get(instance, 0.0) + seconds
         )
 
     def complete_sink(
-        self,
-        sink_sid: Sid,
-        pins: Dict[Sid, ServiceInstance],
-        pin_gens: Dict[Sid, int],
-        edges: Dict[Tuple[Sid, Sid], FlowEdge],
-        generation: int,
+        self, sink_sid: Sid, generation: int, decisions: _Decisions
     ) -> None:
         if generation != self.generation:
             return  # a stale round's sink part; the restart superseded it
-        self._sink_parts[sink_sid] = (dict(pins), dict(pin_gens), dict(edges))
-        if len(self._sink_parts) == len(self.requirement.sinks) and not (
-            self.done.triggered
-        ):
-            if self.config.required_bandwidth is None:
-                self.done.succeed()
-                return
-            self._evaluate_completion()
+        self._sink_parts[sink_sid] = decisions
+        if len(self._sink_parts) == len(self.requirement.sinks):
+            self.recovery.complete()
 
-    # -- graceful degradation (requirement-bearing runs) -------------------------
-
-    def _delivered_bandwidth(self, graph: Optional[ServiceFlowGraph]) -> float:
-        """Bottleneck bandwidth the graph delivers *right now*: committed
-        edge qualities scaled by any active gray degradation ramps along
-        each edge's realised overlay path."""
-        if graph is None:
-            return 0.0
-        bottleneck = float("inf")
-        for edge in graph.edges():
-            bandwidth = edge.quality.bandwidth
-            if not edge.quality.reachable:
-                return 0.0
-            if self.gray is not None:
-                hops = (
-                    list(zip(edge.overlay_path, edge.overlay_path[1:]))
-                    if len(edge.overlay_path) >= 2
-                    else [(edge.src, edge.dst)]
-                )
-                for hop_src, hop_dst in hops:
-                    bandwidth *= self.gray.bandwidth_factor(
-                        hop_src, hop_dst, self.env.now
-                    )
-            bottleneck = min(bottleneck, bandwidth)
-        return 0.0 if bottleneck == float("inf") else bottleneck
-
-    def _attempt_repair(
-        self, graph: ServiceFlowGraph, required: float
-    ) -> Optional[ServiceFlowGraph]:
-        """Rung 1 of the ladder: re-decide only the weak services against
-        alternative instances, suspects excluded, survivors pinned."""
-        overlay = self.overlay
-        if self.suspected:
-            live = [
-                inst
-                for inst in overlay.instances()
-                if inst not in self.suspected
-            ]
-            if self.source_instance in live:
-                overlay = overlay.subgraph(live)
-        weak: Set[Sid] = set()
-        for edge in graph.edges():
-            bandwidth = edge.quality.bandwidth
-            if self.gray is not None:
-                hops = (
-                    list(zip(edge.overlay_path, edge.overlay_path[1:]))
-                    if len(edge.overlay_path) >= 2
-                    else [(edge.src, edge.dst)]
-                )
-                for hop_src, hop_dst in hops:
-                    bandwidth *= self.gray.bandwidth_factor(
-                        hop_src, hop_dst, self.env.now
-                    )
-            if bandwidth < required:
-                weak.add(edge.src.sid)
-                weak.add(edge.dst.sid)
-        weak.discard(self.requirement.source)
-        started = self.stopwatch.read()
-        try:
-            report = repair_flow_graph(
-                graph,
-                overlay,
-                source_instance=self.source_instance,
-                solver=ReductionSolver(
-                    pareto=self.config.pareto,
-                    enumeration_limit=self.config.enumeration_limit,
-                ),
-                force_repair=weak,
-            )
-        except FederationError:
-            return None
-        finally:
-            self.record_compute(self.source_instance, self.stopwatch.read() - started)
-        return report.graph
-
-    def _evaluate_completion(self) -> None:
-        """The degradation ladder, run at every tentative completion:
-        commit when the requirement is met, otherwise repair in place,
-        then re-federate (hysteresis-bounded), then serve DEGRADED."""
-        if self.done.triggered:
-            return
-        required = self.config.required_bandwidth
-        try:
-            graph: Optional[ServiceFlowGraph] = self._assemble()
-        except FederationError:
-            graph = None
-        achieved = self._delivered_bandwidth(graph)
-        if graph is not None and achieved > self._best_bandwidth:
-            self._best_graph, self._best_bandwidth = graph, achieved
-        if graph is not None and achieved >= required:
-            if self._degrade_seen:
-                _M_DEGRADE_RECOVERED.inc()
-                self._log(
-                    "recovered",
-                    f"re-federation restored bandwidth to {achieved:g} "
-                    f">= {required:g}",
-                )
-            self._final_graph = graph
-            self.achieved_bandwidth = achieved
-            self.done.succeed()
-            return
-        self._degrade_seen = True
-        _M_DEGRADE_DETECTED.inc()
-        self._log(
-            "degrade_detected",
-            f"flow graph delivers {achieved:g} < required {required:g}",
-        )
-        # Rung 1: in-place repair against alternative instances (once).
-        if graph is not None and not self._repair_used:
-            self._repair_used = True
-            _M_DEGRADE_REPAIRS.inc()
-            repaired = self._attempt_repair(graph, required)
-            if repaired is not None:
-                repaired_achieved = self._delivered_bandwidth(repaired)
-                self._log(
-                    "degrade_repair",
-                    f"in-place repair delivers {repaired_achieved:g} "
-                    f"(was {achieved:g})",
-                )
-                if repaired_achieved > achieved:
-                    graph, achieved = repaired, repaired_achieved
-                    if achieved > self._best_bandwidth:
-                        self._best_graph, self._best_bandwidth = graph, achieved
-                if repaired_achieved >= required:
-                    _M_DEGRADE_RECOVERED.inc()
-                    self._log(
-                        "recovered",
-                        f"repair restored bandwidth to {repaired_achieved:g} "
-                        f">= {required:g}",
-                    )
-                    self._final_graph = graph
-                    self.achieved_bandwidth = achieved
-                    self.done.succeed()
-                    return
-        # Rung 2: re-federate -- bounded, and hysteresis-damped so a
-        # sagging overlay cannot trigger a flap storm of restarts.
-        elapsed = self.env.now - self._last_refederate_at
-        if (
-            elapsed >= self.config.refederate_hysteresis
-            and self.refederations < self.config.max_refederations
-        ):
-            self._last_refederate_at = self.env.now
-            if self._try_refederate(
-                f"delivered bandwidth {achieved:g} below requirement {required:g}"
-            ):
-                return  # a fresh round is in flight; its sinks re-evaluate
-            if self.done.triggered:
-                return  # the attempt was unrecoverable; the run is FAILED
-        # Rung 3: serve at the best achievable bandwidth, explicitly.
-        graph, achieved = self._best_graph, self._best_bandwidth
-        if graph is None:
-            self._fail_run(
-                "degraded completion yielded no assemblable flow graph"
-            )
-            return
-        self.degradation = DegradationRecord(
-            time=self.env.now,
-            required_bandwidth=required,
-            achieved_bandwidth=achieved,
-            reason=(
-                "re-federation hysteresis window open"
-                if elapsed < self.config.refederate_hysteresis
-                else "re-federation budget exhausted"
+    def assemble(self) -> ServiceFlowGraph:
+        assignment, _gens, edges = _merge_decisions(
+            (
+                (pins.items(), pin_gens, part_edges.values())
+                for pins, pin_gens, part_edges in self._sink_parts.values()
             ),
+            "the sinks",
         )
-        _M_DEGRADE_SESSIONS.inc()
-        self._log(
-            "degraded",
-            f"serving at {achieved:g}/{required:g} "
-            f"({self.degradation.reason})",
-        )
-        self._final_graph = graph
-        self.achieved_bandwidth = achieved
-        self.done.succeed()
+        return ServiceFlowGraph(self.requirement, assignment, edges.values())
 
     # -- driving -----------------------------------------------------------------
 
     def run(self) -> SFlowResult:
+        recovery = self.recovery
         nodes = [_SFlowNode(inst, self) for inst in self.overlay.instances()]
-        self._nodes = {node.me: node for node in nodes}
-        self._span = obs_tracer().session(
+        self.nodes = {node.me: node for node in nodes}
+        self.span = obs_tracer().session(
             "sflow.federate",
             clock=SimClock(self.env),
             services=len(self.directory),
             instances=len(nodes),
             source=str(self.source_instance),
-            chaos=self.chaos is not None,
+            chaos=recovery.chaos.active,
         )
         # Causal stamping: while the session span is live, the transport
         # tags every send/deliver with a msg_id so the profiler can join
         # activations back through each hop (repro.obs.causal).
-        self.network.set_trace_span(self._span)
+        self.network.set_trace_span(self.span)
         # Setup happened before the DES clock started ticking: report the
         # discovery and abstract-graph phases as zero-length sim-time spans
         # carrying their wall-clock cost.
         for phase in ("discovery", "abstract_graph"):
-            self._span.child(phase).end(
+            self.span.child(phase).end(
                 wall_seconds=self._setup_seconds[phase]
             )
-        sampler: Optional[SeriesSampler] = None
-        if self.config.sample_interval is not None:
-            sampler = SeriesSampler(
-                self.env, interval=self.config.sample_interval
-            )
-            sampler.install()
+        sampler = SeriesSampler.start(self.env, self.config.sample_interval)
         for node in nodes:
             self.env.process(node.run())
-        if self.chaos is not None:
-            for event in self.chaos.schedule.events:
-                self.env.process(self._chaos_driver(event))
-        if self.config.deadline is not None:
-            self.env.process(self._watchdog())
-        if self.detector is not None:
-            self.env.process(self._detector_sweep())
-        initial = SFederate(
-            residual=self.requirement,
-            pins=((self.requirement.source, self.source_instance),),
-            edges=(),
-        )
-        negotiate = self._span.child("negotiate")
-        self.network.send(
-            "consumer",
-            self.source_instance,
-            initial,
-            latency=self.config.initial_latency,
-            size=initial.size,
-        )
+        recovery.start()
+        negotiate = self.span.child("negotiate")
+        self.start_round()
         try:
             self.env.run(until=self.done)
         except FederationError as exc:
             # A node hit a protocol invariant violation mid-simulation;
             # surface it as a structured failure, never as an exception
             # escaping Environment.run().
-            self._fail_run(f"protocol error: {exc}", force=True)
+            recovery.fail(f"protocol error: {exc}")
         except SimulationError as exc:
             # The event queue drained without completing -- e.g. every
             # message path died with no failover/deadline left to drive
             # recovery.  Starvation is a failure, not a crash.
-            self._fail_run(f"protocol starved: {exc}", force=True)
+            recovery.fail(f"protocol starved: {exc}")
         negotiate.end(generations=self.generation + 1)
-        graph: Optional[ServiceFlowGraph] = None
-        if self.config.required_bandwidth is not None:
-            # The degradation ladder assembled (and possibly repaired) the
-            # graph in-run; a failed run left it None.
-            graph = self._final_graph if not self.failed else None
-        elif not self.failed:
-            try:
-                graph = self._assemble()
-            except FederationError as exc:
-                self._fail_run(f"assembly failed: {exc}", force=True)
-        if graph is None:
-            outcome = FederationOutcome.FAILED
-        elif self.degradation is not None:
-            outcome = FederationOutcome.DEGRADED
-        else:
-            outcome = FederationOutcome.SUCCEEDED
-        _M_SESSIONS.inc(outcome=outcome.value)
+        recovery_latency = recovery.settle()
+        result, stats = self.result, self.network.stats
+        if result.flow_graph is None:
+            result.outcome = FederationOutcome.FAILED
+        elif result.degradation is not None:
+            result.outcome = FederationOutcome.DEGRADED
+        _M_SESSIONS.inc(outcome=result.outcome.value)
         _H_FEDERATION_TIME.observe(self.env.now)
-        if self.config.required_bandwidth is not None and graph is not None:
-            _H_DELIVERED_FRACTION.observe(
-                min(
-                    1.0,
-                    (self.achieved_bandwidth or 0.0)
-                    / self.config.required_bandwidth,
-                )
-            )
-        recovery_latency: Optional[float] = None
-        if self.recovery_log:
-            recovery_latency = self.env.now - self.recovery_log[0].time
-            _H_RECOVERY_TIME.observe(recovery_latency)
-        series_bank: Dict[str, dict] = {}
-        if sampler is not None:
-            # One final manual scrape so the outcome metrics recorded just
-            # above land in the series even when the run ended mid-interval.
-            sampler.sample()
-            series_bank = sampler.bank()
-            sink = obs_tracer().sink
-            if sink is not None:
-                sampler.emit(sink)
-        self._span.end(
-            outcome=outcome.value,
-            messages=self.network.stats.messages,
-            bytes=self.network.stats.bytes,
+        # After the outcome metrics, so they land in the series even when
+        # the run ended mid-interval.
+        result.series = sampler.finish(obs_tracer().sink)
+        result.convergence_time = self.env.now
+        result.messages, result.bytes = stats.messages, stats.bytes
+        result.lost_messages = stats.lost
+        self.span.end(
+            outcome=result.outcome.value,
+            messages=result.messages,
+            bytes=result.bytes,
             convergence_time=self.env.now,
-            crashes=self.crashes,
-            failovers=self.failovers,
-            refederations=self.refederations,
-            retransmissions=self.retransmissions,
+            crashes=result.crashes,
+            failovers=result.failovers,
+            refederations=result.refederations,
+            retransmissions=result.retransmissions,
             recovery_latency=recovery_latency,
-            failure_reason=self.failure_reason,
+            failure_reason=result.failure_reason,
         )
         self.network.set_trace_span(None)
-        self._span = NULL_SPAN
-        return SFlowResult(
-            flow_graph=graph,
-            convergence_time=self.env.now,
-            messages=self.network.stats.messages,
-            bytes=self.network.stats.bytes,
-            local_compute_seconds=self.local_compute_seconds,
-            node_activations=self.node_activations,
-            link_state_messages=self.link_state_messages,
-            per_node_compute=dict(self.per_node_compute),
-            retransmissions=self.retransmissions,
-            lost_messages=self.network.stats.lost,
-            acks=self.acks_sent,
-            outcome=outcome,
-            failure_reason=self.failure_reason,
-            recovery_log=tuple(self.recovery_log),
-            crashes=self.crashes,
-            failovers=self.failovers,
-            refederations=self.refederations,
-            degradation=self.degradation,
-            achieved_bandwidth=self.achieved_bandwidth,
-            suspected=tuple(sorted(str(inst) for inst in self.suspected)),
-            series=series_bank,
-        )
-
-    def _assemble(self) -> ServiceFlowGraph:
-        assignment: Dict[Sid, ServiceInstance] = {}
-        gens: Dict[Sid, int] = {}
-        edges: Dict[Tuple[Sid, Sid], FlowEdge] = {}
-        for pins, pin_gens, part_edges in self._sink_parts.values():
-            for sid, inst in pins.items():
-                gen = pin_gens.get(sid, 0)
-                existing = assignment.get(sid)
-                if existing is None or gen > gens[sid]:
-                    assignment[sid] = inst
-                    gens[sid] = gen
-                elif gen == gens[sid] and existing != inst:
-                    raise FederationError(
-                        f"sinks disagree on {sid!r}: {existing} vs {inst}"
-                    )
-            edges.update(part_edges)
-        edges = {
-            key: edge
-            for key, edge in edges.items()
-            if assignment.get(edge.src.sid) == edge.src
-            and assignment.get(edge.dst.sid) == edge.dst
-        }
-        return ServiceFlowGraph(self.requirement, assignment, edges.values())
+        self.span = NULL_SPAN
+        return result
 
 
 class SFlowAlgorithm:
@@ -1724,9 +878,7 @@ class SFlowAlgorithm:
                     f"source service {requirement.source!r} has no instance"
                 )
             source_instance = pool[0]
-        federation = _Federation(
-            requirement, overlay, source_instance, self.config, chaos,
-            stopwatch=self.stopwatch,
-        )
-        self.last_result = federation.run()
+        self.last_result = _Federation(
+            requirement, overlay, source_instance, self.config, chaos, self.stopwatch
+        ).run()
         return self.last_result

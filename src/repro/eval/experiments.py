@@ -78,8 +78,7 @@ class EvaluationConfig:
     #: one record for record (wall-clock timing fields aside).
     workers: int = 0
     #: Optional sim-time metric sampling inside every sflow cell (see
-    #: :attr:`repro.core.sflow.SFlowConfig.sample_interval`); ``None``
-    #: keeps the legacy schedule bit for bit.
+    #: :attr:`repro.core.sflow.SFlowConfig.sample_interval`); ``None``: off.
     sample_interval: Optional[float] = None
     #: SLOs graded over the sweep's folded series bank (needs
     #: ``sample_interval``); verdicts land in :class:`SweepTelemetry`.

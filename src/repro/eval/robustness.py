@@ -410,8 +410,8 @@ class GrayFailureConfig:
     #: -1 uses every CPU.  Bit-identical to the serial sweep.
     workers: int = 0
     #: Optional sim-time metric sampling inside every run (baseline and
-    #: gray arms alike, so the intensity-0 bit-compat check still holds);
-    #: ``None`` keeps the legacy event schedule.
+    #: gray arms alike, so intensity 0 still reproduces the baseline);
+    #: ``None``: no sampler process.
     sample_interval: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -45,9 +45,6 @@ from typing import Any, Dict, List, Optional, Union
 
 FORMAT = "sflow-flight-recorder/2"
 
-#: Formats :func:`load_recording` understands (``/1`` lacks series/slo).
-COMPATIBLE_FORMATS = ("sflow-flight-recorder/1", "sflow-flight-recorder/2")
-
 
 class Recorder:
     """Append-only JSONL sink with an end-of-run metrics/summary footer."""

@@ -459,6 +459,16 @@ class SeriesSampler:
         here)."""
         self._observers.append(hook)
 
+    @classmethod
+    def start(cls, env: Any, interval: Optional[float]) -> "SeriesSampler":
+        """A sampler scraping ``env`` every ``interval``, already installed;
+        for ``interval=None`` the disabled one (no process, empty bank)."""
+        if interval is None:
+            return _DisabledSampler()
+        sampler = cls(env, interval=interval)
+        sampler.install()
+        return sampler
+
     def install(self) -> Any:
         """Register the scrape loop as a process on the environment."""
         if self.env is None:
@@ -551,3 +561,21 @@ class SeriesSampler:
                 "series": self.bank(),
             }
         )
+
+    def finish(self, sink: Optional[Any]) -> Dict[str, dict]:
+        """One final manual scrape (the tail after the last tick), the bank
+        emitted to ``sink`` when a recorder is attached, and returned."""
+        self.sample()
+        if sink is not None:
+            self.emit(sink)
+        return self.bank()
+
+
+class _DisabledSampler(SeriesSampler):
+    """``SeriesSampler.start(env, None)``: no registry baseline, no scrapes."""
+
+    def __init__(self) -> None:
+        pass
+
+    def finish(self, sink: Optional[Any]) -> Dict[str, dict]:
+        return {}

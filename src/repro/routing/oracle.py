@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -515,22 +514,6 @@ class RouteOracle:
                     for name, counter in self._counters.items()
                 }
             )
-
-    @property
-    def counters(self) -> OracleStats:
-        """Deprecated pre-registry alias for :meth:`stats`.
-
-        The bespoke counters attribute is gone; the ``oracle.*`` counters
-        in :func:`repro.obs.metrics.registry` are the single source of
-        truth and this thin alias merely snapshots them.
-        """
-        warnings.warn(
-            "RouteOracle.counters is deprecated; use RouteOracle.stats() or "
-            "the oracle.* counters in repro.obs.metrics.registry()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats()
 
     def reset_stats(self) -> None:
         with self._lock:

@@ -12,6 +12,7 @@ from repro.core.sflow import (
 from repro.errors import FederationError, SFlowError
 from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
 from repro.network.overlay import ServiceInstance
+from repro.routing.oracle import RouteOracle
 from repro.services.workloads import ScenarioConfig, generate_scenario
 
 #: Recovery-friendly protocol knobs: suspicion after 3 transmissions and a
@@ -131,25 +132,6 @@ class TestUnrecoverableCrash:
                 chaos=crash_plan(*events),
             )
 
-    def test_failover_disabled_still_fails_structurally(self, scenario):
-        """Satellite bugfix: retry exhaustion must not propagate an
-        exception out of Environment.run() even with failover off."""
-        baseline = federate(scenario)
-        victim = pick_victim(scenario, baseline)
-        config = SFlowConfig(
-            retransmit_timeout=10.0,
-            max_retries=2,
-            failover=False,
-        )
-        result = federate(
-            scenario, crash_plan(CrashEvent(victim, at=0.5)), config=config
-        )
-        assert result.outcome is FederationOutcome.FAILED
-        assert "failover disabled" in result.failure_reason
-        assert any(
-            e.kind == "retry_exhausted" for e in result.recovery_log
-        )
-
 
 class TestCrashAndRevival:
     def test_revived_instance_receives_retransmission(self, scenario):
@@ -178,6 +160,26 @@ class TestCrashAndRevival:
         )
         assert result.outcome is FederationOutcome.SUCCEEDED
         assert result.flow_graph.is_complete()
+
+
+class TestCrashedInstanceInCachedTrees:
+    def test_cached_tree_loses_the_victim_a_cold_tree_keeps_it(self, scenario):
+        """Open correctness item, pinned so it only changes on purpose: a
+        crash reports ``removed_instances`` to the oracle on each ego view
+        but leaves the view graph alone, so what a planner sees of the
+        dead instance depends on whether its tree was cached before."""
+        root = scenario.source_instance
+        view = scenario.overlay.ego_view(root, 2)
+        oracle = RouteOracle.default()
+        victim = next(inst for inst in oracle.tree(view, root) if inst != root)
+        other = next(
+            inst for inst in view.instances() if inst not in (root, victim)
+        )
+        # What the recovery layer's crash handler does with every view:
+        oracle.mutate(view, removed_instances=(victim,))
+        assert victim in view
+        assert victim not in oracle.tree(view, root)  # cached, then repaired
+        assert victim in oracle.tree(view, other)  # first built afterwards
 
 
 class TestDeterminism:

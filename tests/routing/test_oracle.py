@@ -292,13 +292,6 @@ class TestRegistryExport:
         RouteOracle.reset_default()
         assert obs_metrics.registry().counter("oracle.misses").total == 0
 
-    def test_counters_attribute_is_a_deprecated_alias(self):
-        oracle = RouteOracle.default()
-        oracle.tree(diamond_overlay(), ServiceInstance("A", 0))
-        with pytest.warns(DeprecationWarning):
-            legacy = oracle.counters
-        assert legacy == oracle.stats()
-
 
 class TestWarm:
     """Batched prefetch: warm() fills the cache through the kernel."""
