@@ -4,7 +4,9 @@
 This example opens up the machinery behind ``SFlowAlgorithm.solve``:
 
 1. runs the bounded link-state protocol that gives every service node its
-   two-hop local view (and verifies it against the overlay's ego views);
+   two-hop local view (and verifies it against the overlay's ego views --
+   read-only objects the overlay memoises and shares between roots that see
+   the same vicinity; a vicinity covering everything is the overlay itself);
 2. executes the sfederate federation end-to-end on the discrete-event
    simulator with per-node accounting;
 3. sweeps the knowledge horizon to show how local information quality
@@ -47,6 +49,18 @@ def main() -> None:
         f"  view check at {sample}: protocol sees {len(protocol_view)} "
         f"instances, ego view has {len(ego)} -> "
         f"{'match' if len(protocol_view) == len(ego) else 'MISMATCH'}"
+    )
+    views = {inst: scenario.overlay.ego_view(inst, 2) for inst in report.views}
+    whole = sum(view is scenario.overlay for view in views.values())
+    print(
+        f"  ego views are shared    : {len(views)} roots -> "
+        f"{len({id(view) for view in views.values()})} view object(s), "
+        f"{whole} of them the overlay itself"
+    )
+    print(
+        "  (views are read-only: a crash never edits one -- a planner "
+        "learns of it\n   only by suspecting the silent peer and excluding "
+        "it from its candidates)"
     )
 
     print("\n=== 2. one federation, fully accounted ===")

@@ -44,7 +44,6 @@ from repro.errors import FederationError
 from repro.network.failures import ChaosPlan, CrashEvent, GrayFaultPlan
 from repro.network.overlay import ServiceInstance
 from repro.obs import metrics as obs_metrics
-from repro.routing.oracle import RouteOracle
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import Sid
 from repro.core.degradation import DegradationRecord
@@ -310,16 +309,9 @@ class _Recovery:
         self.fed.nodes[instance].reset()  # every overlay instance runs a node
         self.result.crashes += 1
         _M_CRASHES.inc()
-        # Report the removal on every ego view materialised so far.  The
-        # view graphs keep the instance, so this is not neutral: a tree
-        # cached before the crash loses it as a destination (the oracle's
-        # repair drops a removed destination's label) while a tree first
-        # built afterwards still routes to it -- what a planner sees of a
-        # crashed instance depends on cache timing.  Known wart, pinned by
-        # TestCrashedInstanceInCachedTrees; fixing it moves chaos records.
-        oracle = RouteOracle.default()
-        for view in self.fed.views.values():
-            oracle.mutate(view, removed_instances=(instance,))
+        # A crash-stop is silent: nothing tells the planners (their views
+        # are read-only and shared with other sessions); they learn of it
+        # only once the victim is in ``suspected``.
         self.log("crash", f"{instance} crashed (crash-stop)")
 
     def _revive(self, instance: ServiceInstance) -> None:
@@ -329,12 +321,6 @@ class _Recovery:
         # Pre-crash inter-arrival history would insta-suspect the fresh
         # incarnation; let it bootstrap cleanly.
         self.detector.forget(instance)
-        # A revival is additive (paths through the instance become viable
-        # again), so the affected views cold-start their tree caches.
-        oracle = RouteOracle.default()
-        for view in self.fed.views.values():
-            if instance in view:
-                oracle.mutate(view, additive=True)
         self.log("revival", f"{instance} revived with empty state")
 
     # -- transport (reliability layer) -------------------------------------------

@@ -45,7 +45,6 @@ convergence time and message counts are measured, not modelled.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -56,7 +55,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.clock import Stopwatch
 from repro.obs.timeseries import SeriesSampler
 from repro.obs.trace import NULL_SPAN, SimClock, tracer as obs_tracer
-from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
+from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
 from repro.routing.oracle import RouteOracle
@@ -142,7 +141,9 @@ class SFlowConfig:
             paper's pure heuristic).
         use_link_state: materialise local views by running the bounded
             link-state protocol on the simulator instead of reading them off
-            the overlay directly (slower, but fully distributed end to end).
+            the overlay directly (slower, but fully distributed end to end;
+            rebuilt per run, where the overlay's own views are shared).
+            Either kind is read-only: a crash is suspected, never written in.
         loss_rate: probability that the transport loses any one protocol
             message (sfederate or ack).  Non-zero rates switch the protocol
             into reliable mode: receivers acknowledge and deduplicate,
@@ -290,21 +291,6 @@ class SFlowResult:
         return SessionState.COMMITTED
 
 
-def _mean_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
-    """Mean bandwidth and latency of the usable links (``None`` if none)."""
-    usable = [
-        metrics
-        for metrics in links
-        if metrics.reachable and metrics.bandwidth != float("inf")
-    ]
-    if not usable:
-        return None
-    return PathQuality(
-        sum(metrics.bandwidth for metrics in usable) / len(usable),
-        sum(metrics.latency for metrics in usable) / len(usable),
-    )
-
-
 class _PlanningView(AbstractView):
     """What one node knows when it plans: its local view plus the directory.
 
@@ -348,20 +334,15 @@ class _PlanningView(AbstractView):
                     break
             self._pools[sid] = pool
         #: Optimistic uniform prior for instances without a hint.
-        self._prior = _mean_quality(
-            metrics
-            for inst in local_view.instances()
-            for _, metrics in local_view.successors(inst)
-        ) or PathQuality(1.0, 1.0)
+        self._prior = local_view.mean_link_quality() or PathQuality(1.0, 1.0)
 
     def instances_of(self, sid: Sid) -> Tuple[ServiceInstance, ...]:
         return self._pools.get(sid, ())
 
     def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
         if src in self._local and dst in self._local:
-            # Local views persist across planning steps (and failover
-            # re-planning) of one federation, so the process oracle turns
-            # the repeated per-node tree computations into cache hits.
+            # Views are shared by every planning step on an overlay (across
+            # nodes and sessions), so these are hits on the process oracle.
             label = RouteOracle.default().tree(self._local, src).get(dst)
             if label is not None and label.quality.reachable:
                 return label.quality
@@ -576,32 +557,11 @@ class _Federation:
         # (established routing state), never for decision making.
         self.abstract = AbstractGraph.build(requirement, overlay)
         _t2 = self.stopwatch.read()
-        latencies = [
-            metrics.latency
-            for inst in overlay.instances()
-            for _, metrics in overlay.successors(inst)
-            if metrics.reachable
-        ]
         #: Latency assumed for hops no committed route prices (acks, sends
         #: over an unreachable edge): the overlay's mean link latency.
-        self.fallback_latency = (
-            sum(latencies) / len(latencies) if latencies else 1.0
-        )
-        #: Gossip hints: each instance publishes one mean ``(bandwidth,
-        #: latency)`` over its incident service links -- constant-size state
-        #: a directory or gossip layer can carry -- which planners use to
-        #: price edges to instances beyond their horizon.
-        self.hints: Dict[ServiceInstance, PathQuality] = {}
-        for inst in overlay.instances():
-            hint = _mean_quality(
-                metrics
-                for _, metrics in itertools.chain(
-                    overlay.successors(inst), overlay.predecessors(inst)
-                )
-            )
-            if hint is not None:
-                self.hints[inst] = hint
-        #: Ego views materialised so far (all of them under link-state).
+        self.fallback_latency = overlay.mean_link_latency() or 1.0
+        #: The ego view each node plans on (all earned by protocol under
+        #: link-state; otherwise read off the overlay, which shares them).
         self.views: Dict[ServiceInstance, OverlayGraph] = {}
         if config.use_link_state:
             report = collect_local_views(overlay, config.horizon)
@@ -635,7 +595,7 @@ class _Federation:
             self.views[me],
             self.directory,
             pins,
-            self.hints,
+            self.overlay.gossip_hints(),
             excluded=frozenset(self.recovery.suspected),
         )
         try:

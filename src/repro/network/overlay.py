@@ -21,10 +21,15 @@ shortest-widest quality of that underlay path.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -32,6 +37,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
@@ -39,6 +45,7 @@ from repro.network.underlay import Underlay
 
 Sid = str
 Nid = int
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, order=True)
@@ -76,6 +83,33 @@ class ServiceLink:
             raise ValueError(f"self-loop service link at {self.src}")
 
 
+def _mean_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
+    """Mean bandwidth and latency of the usable links (``None`` if none)."""
+    usable = [
+        metrics
+        for metrics in links
+        if metrics.reachable and metrics.bandwidth != float("inf")
+    ]
+    if not usable:
+        return None
+    return PathQuality(
+        sum(metrics.bandwidth for metrics in usable) / len(usable),
+        sum(metrics.latency for metrics in usable) / len(usable),
+    )
+
+
+def _memoised(query: Callable[["OverlayGraph"], _T]) -> Callable[["OverlayGraph"], _T]:
+    """A no-argument topology query computed once per overlay state."""
+
+    @functools.wraps(query)
+    def cached(self: "OverlayGraph") -> _T:
+        if query.__name__ not in self._memo:
+            self._memo[query.__name__] = query(self)
+        return self._memo[query.__name__]
+
+    return cached
+
+
 class OverlayGraph:
     """A directed weighted graph over :class:`ServiceInstance` nodes."""
 
@@ -83,6 +117,10 @@ class OverlayGraph:
         self._out: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._in: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._by_sid: Dict[Sid, List[ServiceInstance]] = {}
+        #: What planners derive from the topology alone (ego views by reached
+        #: node set, the link summaries): computed once, shared read-only,
+        #: dropped by ``add_instance`` / ``add_link`` and nothing else.
+        self._memo: Dict[Hashable, Any] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -91,8 +129,8 @@ class OverlayGraph:
         if instance not in self._out:
             self._out[instance] = {}
             self._in[instance] = {}
-            self._by_sid.setdefault(instance.sid, []).append(instance)
-            self._by_sid[instance.sid].sort()
+            bisect.insort(self._by_sid.setdefault(instance.sid, []), instance)
+            self._memo.clear()
         return instance
 
     def add_link(
@@ -110,6 +148,7 @@ class OverlayGraph:
         link = ServiceLink(src, dst, metrics, tuple(underlay_path))
         self._out[src][dst] = link
         self._in[dst][src] = link
+        self._memo.clear()
         return link
 
     @classmethod
@@ -277,45 +316,93 @@ class OverlayGraph:
                 direction when measuring distance -- matching "the portion of
                 the overall overlay graph within a two-hop vicinity".
 
-        Returns a new :class:`OverlayGraph` containing the reached instances
-        and *all* links of this overlay among them.
+        Returns the :class:`OverlayGraph` of the reached instances and *all*
+        links of this overlay among them.  Views are **read-only and
+        shared**: roots that reach the same node set get the same object
+        (so its routing trees are computed once), and a vicinity covering
+        the whole overlay is this overlay itself.
         """
         if root not in self._out:
             raise KeyError(f"unknown instance {root}")
         if hops < 0:
             raise ValueError("hops must be >= 0")
-        if direction not in ("out", "in", "both"):
+        sides = {"out": [self._out], "in": [self._in], "both": [self._out, self._in]}
+        if direction not in sides:
             raise ValueError(f"bad direction {direction!r}")
         reached: Set[ServiceInstance] = {root}
         frontier = [root]
         for _ in range(hops):
             nxt: List[ServiceInstance] = []
             for node in frontier:
-                adjacent: List[ServiceInstance] = []
-                if direction in ("out", "both"):
-                    adjacent.extend(self._out[node])
-                if direction in ("in", "both"):
-                    adjacent.extend(self._in[node])
-                for other in adjacent:
-                    if other not in reached:
-                        reached.add(other)
-                        nxt.append(other)
+                if len(reached) == len(self._out):
+                    break  # everything already: the rest of the sweep adds nothing
+                for side in sides[direction]:
+                    for other in side[node]:
+                        if other not in reached:
+                            reached.add(other)
+                            nxt.append(other)
             frontier = nxt
-        return self.subgraph(reached)
+        if len(reached) == len(self._out):
+            return self
+        nodes = frozenset(reached)
+        if nodes not in self._memo:
+            self._memo[nodes] = self.subgraph(nodes)
+        return self._memo[nodes]
 
     def subgraph(self, keep: Iterable[ServiceInstance]) -> "OverlayGraph":
-        """Induced sub-overlay over ``keep`` (links with both ends kept)."""
+        """Induced sub-overlay over ``keep`` (links with both ends kept;
+        the frozen :class:`ServiceLink` objects are shared, not copied)."""
         keep_set = set(keep)
+        ordered = sorted(keep_set)
         sub = OverlayGraph()
-        for inst in sorted(keep_set):
+        for inst in ordered:
             if inst not in self._out:
                 raise KeyError(f"unknown instance {inst}")
             sub.add_instance(inst)
-        for inst in sorted(keep_set):
+        for inst in ordered:
             for dst, link in sorted(self._out[inst].items()):
                 if dst in keep_set:
-                    sub.add_link(link.src, link.dst, link.metrics, link.underlay_path)
+                    sub._out[inst][dst] = link
+                    sub._in[dst][inst] = link
         return sub
+
+    # -- link summaries (what a directory or gossip layer would carry) --------
+
+    @_memoised
+    def gossip_hints(self) -> Dict[ServiceInstance, PathQuality]:
+        """Per-instance gossip hints: the mean ``(bandwidth, latency)`` over
+        an instance's usable incident service links -- constant-size state a
+        membership record can carry -- for every instance that has one.
+        Shared; treat as read-only."""
+        hints = {
+            inst: _mean_quality(
+                metrics
+                for _, metrics in itertools.chain(
+                    self.successors(inst), self.predecessors(inst)
+                )
+            )
+            for inst in self.instances()
+        }
+        return {inst: hint for inst, hint in hints.items() if hint is not None}
+
+    @_memoised
+    def mean_link_quality(self) -> Optional[PathQuality]:
+        """Mean quality of the usable links (``None`` without any)."""
+        return _mean_quality(self._link_metrics())
+
+    @_memoised
+    def mean_link_latency(self) -> Optional[float]:
+        """Mean latency of the reachable links (``None`` without any)."""
+        latencies = [m.latency for m in self._link_metrics() if m.reachable]
+        return sum(latencies) / len(latencies) if latencies else None
+
+    def _link_metrics(self) -> Iterator[LinkMetrics]:
+        """Every link's metrics in ``(src, dst)`` order."""
+        return (
+            metrics
+            for inst in self.instances()
+            for _, metrics in self.successors(inst)
+        )
 
     def merged_with(self, other: "OverlayGraph") -> "OverlayGraph":
         """Union of two overlay views (used when a node combines knowledge

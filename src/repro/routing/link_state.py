@@ -10,7 +10,10 @@ adjacencies in both directions (knowing a neighbour implies hearing from
 it), so after the flood each node has learned every instance within
 ``horizon`` undirected overlay hops -- exactly the
 :meth:`~repro.network.overlay.OverlayGraph.ego_view` of the same radius,
-which the tests assert.
+which the tests assert.  The views built here belong to the run that flooded
+them, where ego views read off an overlay are shared (possibly the overlay
+itself); either way a view is **read-only**: no crash is ever written into
+one -- a planner learns of a crash only by suspecting the silent peer.
 
 :func:`collect_local_views` is the convenience entry point; it returns both
 the per-node views and the protocol cost (messages/bytes), which the

@@ -442,7 +442,7 @@ class RouteOracle:
         join); nothing is carried then.
         """
         if new is old:
-            raise ValueError("derive() needs a distinct new graph; use mutate()")
+            raise ValueError("derive() needs a distinct new graph")
         touched_nodes, touched_edges = _touched(
             removed_instances, removed_links, degraded_links
         )
@@ -452,34 +452,7 @@ class RouteOracle:
             new_meta = _GraphMeta(old_meta.lineage, epoch)
             self._register(new, new_meta)
             self._propagate(
-                old_meta, new_meta, touched_nodes, touched_edges, additive,
-                move=False,
-            )
-
-    def mutate(
-        self,
-        graph: Any,
-        *,
-        removed_instances: Iterable[Node] = (),
-        removed_links: Iterable[Tuple[Node, Node]] = (),
-        degraded_links: Iterable[Tuple[Node, Node]] = (),
-        additive: bool = False,
-    ) -> None:
-        """Record an in-place mutation of ``graph`` (epoch bump).
-
-        The graph object stays the same, so surviving trees are *moved* to
-        the new epoch and the old epoch becomes unreachable.
-        """
-        touched_nodes, touched_edges = _touched(
-            removed_instances, removed_links, degraded_links
-        )
-        with self._lock:
-            meta = self._meta_for(graph)
-            old_meta = _GraphMeta(meta.lineage, meta.epoch)
-            meta.epoch = self._next_epoch(meta.lineage)
-            self._propagate(
-                old_meta, meta, touched_nodes, touched_edges, additive,
-                move=True,
+                old_meta, new_meta, touched_nodes, touched_edges, additive
             )
 
     def invalidate(self, graph: Any) -> None:
@@ -584,24 +557,17 @@ class RouteOracle:
         touched_nodes: FrozenSet[Node],
         touched_edges: FrozenSet[Tuple[Node, Node]],
         additive: bool,
-        *,
-        move: bool,
     ) -> None:
         old_key = (old_meta.lineage, old_meta.epoch)
         keys = self._index.get(old_key, set())
-        if move:
-            self._index.pop(old_key, None)
         for key in sorted(keys, key=repr):
             entry = self._cache.get(key)
             if entry is None:
                 continue
-            if move:
-                del self._cache[key]
             if additive:
                 # Additive mutations can create better paths anywhere: no
-                # tree survives into the new epoch.  (With ``move=False``
-                # the old graph keeps its still-valid entries; the new
-                # epoch simply starts cold.)
+                # tree survives into the new epoch.  (The old graph keeps
+                # its still-valid entries; the new epoch starts cold.)
                 self._counters["invalidated"].inc()
                 continue
             new_key = (new_meta.lineage, new_meta.epoch) + key[2:]
@@ -629,11 +595,6 @@ class RouteOracle:
                 continue
             new_key = (new_meta.lineage, new_meta.epoch) + key[2:]
             self._add_repair(new_key, pending.merged(touched_nodes, touched_edges))
-        if move:
-            # The old epoch is unreachable now: its snapshots and pending
-            # repairs can never be used again.  (With a derive the old
-            # graph stays alive and keeps serving its own epoch.)
-            self._drop_epoch_extras(old_key)
 
     def _insert(self, key: _CacheKey, entry: _Entry) -> None:
         stale = self._cache.pop(key, None)
@@ -753,8 +714,11 @@ class RouteOracle:
 
     def _drop_epoch_extras(self, epoch_key: Tuple[int, int]) -> None:
         """Drop snapshots and pending repairs of one dead epoch."""
-        for snap_key in [k for k in self._snapshots if k[:2] == epoch_key]:
-            del self._snapshots[snap_key]
+        # Over a copy: a collected graph's ``_purge`` can re-enter here (same
+        # thread, re-entrant lock) from an allocation inside this very loop.
+        for snap_key in list(self._snapshots):
+            if snap_key[:2] == epoch_key:
+                self._snapshots.pop(snap_key, None)
         for key in list(self._repair_index.pop(epoch_key, ())):
             self._repairs.pop(key, None)
 

@@ -13,9 +13,12 @@ import pytest
 
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import ReductionSolver
-from repro.core.sflow import SFlowAlgorithm, SFlowConfig
+from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _PlanningView
 from repro.errors import FederationError
+from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
+from repro.routing import kernel
+from repro.routing.oracle import RouteOracle
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import (
     ScenarioConfig,
@@ -282,6 +285,69 @@ class TestKnowledgeModels:
         assert graph_ego.assignment == graph_lsa.assignment
         assert lsa.last_result.link_state_messages > 0
         assert ego.last_result.link_state_messages == 0
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_repeat_federation_plans_warm(self, horizon, monkeypatch):
+        """Ego views are shared per overlay (``horizon=2`` sees all of this
+        one, ``horizon=1`` proper sub-views), so a repeat session finds
+        every view, snapshot and routing tree already there."""
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=40, n_services=6, instances_per_service=(4, 6), seed=3
+            )
+        )
+        overlay, source = scenario.overlay, scenario.source_instance
+        whole = [
+            overlay.ego_view(inst, horizon) is overlay
+            for inst in overlay.instances()
+        ]
+        assert all(whole) if horizon == 2 else not any(whole)
+        snapshots = []
+        real_snapshot = kernel.snapshot
+        monkeypatch.setattr(
+            kernel, "snapshot",
+            lambda *args: snapshots.append(args) or real_snapshot(*args),
+        )
+        algorithm = SFlowAlgorithm(SFlowConfig(horizon=horizon))
+        oracle = RouteOracle.reset_default()
+        first = algorithm.federate(
+            scenario.requirement, overlay, source_instance=source
+        )
+        assert oracle.stats().misses + oracle.stats().warmed > 0
+        cold, built = oracle.stats(), len(snapshots)
+        again = algorithm.federate(
+            scenario.requirement, overlay, source_instance=source
+        )
+        assert oracle.stats().misses == cold.misses
+        assert oracle.stats().warmed == cold.warmed
+        assert oracle.stats().hits > cold.hits
+        assert len(snapshots) == built
+        assert again.flow_graph.assignment == first.flow_graph.assignment
+        assert again.convergence_time == first.convergence_time
+
+    def test_blind_edges_are_priced_from_the_overlays_summaries(self):
+        """Beyond the horizon a planner has the gossip hints (published
+        per overlay) and, for instances without one, its view's prior."""
+        scenario = generate_scenario(
+            ScenarioConfig(network_size=40, n_services=6, seed=12)
+        )
+        overlay, requirement = scenario.overlay, scenario.requirement
+        root = scenario.source_instance
+        view = overlay.ego_view(root, 1)
+        outside = next(i for i in overlay.instances() if i not in view)
+        directory = {sid: overlay.instances_of(sid) for sid in requirement.services()}
+        hints = dict(overlay.gossip_hints())
+        planning = _PlanningView(requirement, view, directory, {}, dict(hints))
+        hint, prior = hints.pop(outside), view.mean_link_quality()
+        assert planning.quality(root, outside) == PathQuality(
+            min(hints[root].bandwidth, hint.bandwidth),
+            (hints[root].latency + hint.latency) / 2.0,
+        )
+        unhinted = _PlanningView(requirement, view, directory, {}, hints)
+        assert unhinted.quality(root, outside) == PathQuality(
+            min(hints[root].bandwidth, prior.bandwidth),
+            (hints[root].latency + prior.latency) / 2.0,
+        )
 
     def test_horizon_zero_still_terminates(self, media_scenario):
         graph = SFlowAlgorithm(SFlowConfig(horizon=0)).solve(

@@ -14,6 +14,7 @@ from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
 from repro.network.overlay import ServiceInstance
 from repro.routing.oracle import RouteOracle
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.core.test_sflow_golden import _pin
 
 #: Recovery-friendly protocol knobs: suspicion after 3 transmissions and a
 #: short backoff keep virtual recovery times small and deterministic.
@@ -25,15 +26,16 @@ CONFIG = SFlowConfig(
 )
 
 
+#: Several instances per service (seed chosen so the baseline run
+#: federates successfully).
+SCENARIO = ScenarioConfig(
+    network_size=16, n_services=5, instances_per_service=(2, 4), seed=7
+)
+
+
 @pytest.fixture
 def scenario():
-    """A scenario with several instances per service (seed chosen so the
-    baseline run federates successfully)."""
-    return generate_scenario(
-        ScenarioConfig(
-            network_size=16, n_services=5, instances_per_service=(2, 4), seed=7
-        )
-    )
+    return generate_scenario(SCENARIO)
 
 
 def federate(scenario, chaos=None, config=CONFIG):
@@ -163,23 +165,49 @@ class TestCrashAndRevival:
 
 
 class TestCrashedInstanceInCachedTrees:
-    def test_cached_tree_loses_the_victim_a_cold_tree_keeps_it(self, scenario):
-        """Open correctness item, pinned so it only changes on purpose: a
-        crash reports ``removed_instances`` to the oracle on each ego view
-        but leaves the view graph alone, so what a planner sees of the
-        dead instance depends on whether its tree was cached before."""
-        root = scenario.source_instance
-        view = scenario.overlay.ego_view(root, 2)
-        oracle = RouteOracle.default()
-        victim = next(inst for inst in oracle.tree(view, root) if inst != root)
+    """Cold oracle == warm oracle.  Ego views and their routing trees are
+    shared by every session on an overlay, so a crash must leave no trace
+    in them: a planner learns of it only through its own suspicions, and a
+    session's record cannot depend on what ran (or crashed) before it."""
+
+    @staticmethod
+    def plans(scenario):
+        """The session under test (crash, failover, late revival) and
+        another crash session with a different victim."""
+        baseline = federate(scenario)
+        victim = pick_victim(scenario, baseline)
         other = next(
-            inst for inst in view.instances() if inst not in (root, victim)
+            inst
+            for inst in sorted(baseline.flow_graph.assignment.values())
+            if inst not in (victim, scenario.source_instance)
         )
-        # What the recovery layer's crash handler does with every view:
-        oracle.mutate(view, removed_instances=(victim,))
-        assert victim in view
-        assert victim not in oracle.tree(view, root)  # cached, then repaired
-        assert victim in oracle.tree(view, other)  # first built afterwards
+        return (
+            crash_plan(CrashEvent(victim, at=0.5, revive_at=200.0), seed=21),
+            crash_plan(CrashEvent(other, at=0.2, revive_at=5.0), seed=4),
+        )
+
+    @pytest.mark.parametrize(
+        "earlier",
+        [("calm",), ("crash",), ("calm", "crash"), ("crash", "calm"), ("self",)],
+        ids="-".join,
+    )
+    def test_cold_equals_warm(self, scenario, earlier):
+        """The same record on a cold oracle and after ``earlier`` sessions."""
+        subject, other = self.plans(scenario)
+        chaos = {"calm": None, "crash": other, "self": subject}
+        RouteOracle.reset_default()
+        cold = _pin(federate(scenario, subject))
+        assert cold["crashes"] == 1 and cold["failovers"] + cold["refederations"]
+        # A fresh overlay (nothing memoised on it) and a fresh oracle, then
+        # other sessions warm both before the session under test runs.
+        warm_scenario = generate_scenario(SCENARIO)
+        RouteOracle.reset_default()
+        for kind in earlier:
+            federate(warm_scenario, chaos[kind])
+        assert _pin(federate(warm_scenario, subject)) == cold
+        # ... and once more with the views kept but the trees dropped.
+        RouteOracle.reset_default()
+        assert _pin(federate(warm_scenario, subject)) == cold
 
 
 class TestDeterminism:

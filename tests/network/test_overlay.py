@@ -8,6 +8,7 @@ from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance, ServiceLink
 from repro.network.underlay import Underlay
 from repro.services.catalog import ServiceCatalog
+from repro.services.workloads import ScenarioConfig, generate_scenario
 
 
 class TestServiceInstance:
@@ -203,6 +204,129 @@ class TestEgoView:
         overlay, insts = line_overlay
         with pytest.raises(ValueError):
             overlay.ego_view(insts[0], 1, direction="sideways")
+
+
+class TestSharedViewsAndSummaries:
+    """Everything a planner derives from topology alone is a memoised,
+    read-only query on the overlay, dropped by ``add_instance`` /
+    ``add_link`` and by nothing else."""
+
+    @pytest.fixture
+    def line_overlay(self):
+        """a/0 -> b/1 -> c/2 -> d/3 -> e/4 (directed line)."""
+        overlay = OverlayGraph()
+        insts = [ServiceInstance(s, i) for i, s in enumerate("abcde")]
+        for k, (u, v) in enumerate(zip(insts, insts[1:])):
+            overlay.add_link(u, v, PathQuality(5 + k, 1 + k))
+        return overlay, insts
+
+    def test_same_reach_is_the_same_object(self, line_overlay):
+        overlay, insts = line_overlay
+        view = overlay.ego_view(insts[1], 1)  # {a, b, c}
+        assert overlay.ego_view(insts[1], 1) is view
+        assert overlay.ego_view(insts[0], 2, direction="out") is view
+        assert overlay.ego_view(insts[2], 1) is not view  # {b, c, d}
+
+    def test_whole_overlay_reach_is_the_overlay(self, line_overlay):
+        overlay, insts = line_overlay
+        assert overlay.ego_view(insts[2], 2) is overlay
+        assert overlay.ego_view(insts[0], 10, direction="out") is overlay
+
+    def test_sub_view_holds_exactly_the_induced_links(self, line_overlay):
+        overlay, insts = line_overlay
+        view = overlay.ego_view(insts[1], 1)
+        assert list(view.instances()) == insts[:3]
+        links = [link for inst in view.instances() for link in view.out_links(inst)]
+        assert [(link.src, link.dst) for link in links] == [
+            (insts[0], insts[1]), (insts[1], insts[2]),
+        ]
+        # The frozen links are shared with the overlay, not re-created.
+        assert all(link is overlay.link(link.src, link.dst) for link in links)
+        assert list(view.predecessors(insts[1])) == [(insts[0], PathQuality(5, 1))]
+        assert view.instances_of("d") == ()
+
+    def test_add_link_and_add_instance_drop_the_memo(self, line_overlay):
+        overlay, insts = line_overlay
+        view = overlay.ego_view(insts[1], 1)
+        hints, latency = overlay.gossip_hints(), overlay.mean_link_latency()
+        assert overlay.gossip_hints() is hints
+        overlay.add_link(insts[0], insts[2], PathQuality(50, 10))
+        fresh = overlay.ego_view(insts[1], 1)
+        assert fresh is not view
+        assert view.link(insts[0], insts[2]) is None
+        assert fresh.link(insts[0], insts[2]) is overlay.link(insts[0], insts[2])
+        assert overlay.gossip_hints()[insts[0]] != hints[insts[0]]
+        assert (latency, overlay.mean_link_latency()) == (2.5, 4.0)
+        # A re-registration changes nothing and keeps the memo; a new
+        # instance grows every whole-overlay vicinity.
+        overlay.add_instance(insts[0])
+        assert overlay.ego_view(insts[1], 1) is fresh
+        overlay.add_instance(ServiceInstance("a", 9))
+        assert overlay.ego_view(insts[1], 1) is not fresh
+        assert overlay.ego_view(insts[2], 2) is not overlay
+
+    def test_instances_of_stays_sorted_whatever_the_insertion_order(self):
+        overlay = OverlayGraph()
+        for nid in (5, 1, 9, 3, 1):
+            overlay.add_instance(ServiceInstance("a", nid))
+        assert [inst.nid for inst in overlay.instances_of("a")] == [1, 3, 5, 9]
+
+    def test_summaries_equal_the_plain_loops(self):
+        """As ``float.hex``, on a generated overlay and on a proper
+        sub-view of it: same filters, same summation order as the
+        per-session loops the queries replaced."""
+        overlay = generate_scenario(
+            ScenarioConfig(network_size=30, n_services=6, seed=5)
+        ).overlay
+        a, b = list(overlay.instances())[:2]
+        if overlay.link(a, b) is None:  # unusable for the quality means
+            overlay.add_link(a, b, PathQuality(math.inf, 0.0))
+        view = overlay.subgraph(list(overlay.instances())[::2])
+        assert 0 < view.num_links() < overlay.num_links()
+
+        def mean(links):
+            usable = [
+                m for m in links if m.reachable and m.bandwidth != math.inf
+            ]
+            if not usable:
+                return None
+            return (
+                (sum(m.bandwidth for m in usable) / len(usable)).hex(),
+                (sum(m.latency for m in usable) / len(usable)).hex(),
+            )
+
+        def pin(quality):
+            return quality and (quality.bandwidth.hex(), quality.latency.hex())
+
+        for graph in (overlay, view):
+            every = [
+                m for inst in graph.instances() for _, m in graph.successors(inst)
+            ]
+            assert any(m.bandwidth == math.inf for m in every) or graph is view
+            assert pin(graph.mean_link_quality()) == mean(every)
+            latencies = [m.latency for m in every if m.reachable]
+            assert graph.mean_link_latency().hex() == (
+                sum(latencies) / len(latencies)
+            ).hex()
+            expected = {
+                inst: mean(
+                    [m for _, m in graph.successors(inst)]
+                    + [m for _, m in graph.predecessors(inst)]
+                )
+                for inst in graph.instances()
+            }
+            assert {
+                inst: pin(hint) for inst, hint in graph.gossip_hints().items()
+            } == {
+                inst: hint for inst, hint in expected.items() if hint is not None
+            }
+
+    def test_summaries_of_a_linkless_overlay_are_empty(self):
+        overlay = OverlayGraph()
+        overlay.add_instance(ServiceInstance("a", 1))
+        assert overlay.gossip_hints() == {}
+        assert overlay.mean_link_quality() is None
+        assert overlay.mean_link_latency() is None
 
 
 class TestSubgraphAndMerge:

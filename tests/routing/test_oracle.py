@@ -11,7 +11,12 @@ import gc
 
 import pytest
 
-from repro.network.failures import degrade_links, fail_instances, fail_links
+from repro.network.failures import (
+    degrade_links,
+    fail_instances,
+    fail_links,
+    revive_links,
+)
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle, SHORTEST_WIDEST, WIDEST_SHORTEST
@@ -185,27 +190,20 @@ class TestMutations:
         assert stats.carried == 1 and stats.dropped == 1
         assert oracle.tree(cut, b1) == shortest_widest_tree(cut.successors, b1)
 
-    def test_in_place_mutation_moves_epoch(self):
-        overlay = diamond_overlay()
-        oracle = RouteOracle.default()
-        b1 = ServiceInstance("B", 1)
-        b2 = ServiceInstance("B", 2)
-        oracle.tree(overlay, b1)
-        oracle.tree(overlay, b2)
-        old_epoch = oracle.epoch(overlay)
-        oracle.mutate(overlay, removed_instances=(ServiceInstance("C", 3),))
-        assert oracle.epoch(overlay) > old_epoch
-        # Both b-trees reach c, so both are dropped; nothing carried.
-        assert oracle.cached_sources(overlay) == set()
-
     def test_additive_mutation_cold_starts_the_graph(self):
         overlay = diamond_overlay()
         oracle = RouteOracle.default()
         a = ServiceInstance("A", 0)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
         oracle.tree(overlay, a)
-        oracle.mutate(overlay, additive=True)
-        assert oracle.cached_sources(overlay) == set()
+        degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
+        oracle.tree(degraded, a)
+        oracle.reset_stats()
+        healed = revive_links(degraded, overlay, [link])
+        assert oracle.epoch(healed) > oracle.epoch(degraded)
+        assert oracle.cached_sources(healed) == set()
         assert oracle.stats().invalidated == 1
+        assert oracle.cached_sources(degraded) == {a}  # the old graph serves on
 
     def test_invalidate_drops_everything_for_graph(self):
         overlay = diamond_overlay()
@@ -411,13 +409,15 @@ class TestIncrementalRepair:
         overlay = diamond_overlay()
         oracle = RouteOracle.default()
         a = ServiceInstance("A", 0)
-        b2 = ServiceInstance("B", 2)
-        c = ServiceInstance("C", 3)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
         oracle.tree(overlay, a)
-        cut = fail_links(overlay, [(b2, c)])  # a's tree becomes a repair
-        oracle.mutate(cut, additive=True)  # better paths may exist now
+        # a's tree becomes a pending repair of the degraded graph...
+        degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
+        # ... which must not chain into the healed one: better paths may
+        # exist there, so its labels are no longer a safe starting point.
+        healed = revive_links(degraded, overlay, [link])
         oracle.reset_stats()
-        assert oracle.tree(cut, a) == shortest_widest_tree(cut.successors, a)
+        assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
         assert oracle.stats().repaired == 0
 
     @pytest.mark.parametrize("seed", [2, 11])
