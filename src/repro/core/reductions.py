@@ -18,7 +18,7 @@ requirement DAG:
 * a :class:`ParallelBlock` puts blocks side by side between the same two
   terminals -- exactly the paper's disjoint paths / split-and-merge shape;
 * a :class:`GeneralBlock` is an irreducible residue, handled by bounded
-  exhaustive enumeration (the paper concedes its reductions are best-effort
+  branch-and-bound (the paper concedes its reductions are best-effort
   heuristics; arbitrary DAGs cannot always be reduced).
 
 The accompanying :class:`ReductionSolver` runs a dynamic program over the
@@ -35,11 +35,15 @@ With Pareto frontiers the solver is *exact* for series-parallel
 requirements (given the paper's edge-quality model where every abstract
 edge is priced by its own shortest-widest overlay path); this is verified
 against brute force in ``tests/core/test_reductions.py``.
+
+One :meth:`ReductionSolver.solve_assignment` call is one *planning step*:
+it asks the view for the price of every requirement edge's instance pairs
+once (:class:`_PricedEdges`) and the block solvers then read only that
+table -- the view is never called per candidate assignment.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -342,6 +346,13 @@ def _combine_parallel(a: Entry, b: Entry) -> Entry:
 #: DP table: (u_instance, v_instance) -> Pareto list of entries.
 BlockTable = Dict[Tuple[ServiceInstance, ServiceInstance], List[Entry]]
 
+#: One priced instance pair: ``(bandwidth, latency)``, ``None`` = unreachable.
+Hop = Optional[Tuple[float, float]]
+
+#: A terminal pair's frontier while its general block is searched, widest
+#: first: ``(bandwidth, latency, pool index per interior service)``.
+_Frontier = List[Tuple[float, float, Tuple[int, ...]]]
+
 
 class _AugmentedView:
     """An :class:`AbstractView` with a virtual sink gluing multi-sink
@@ -369,6 +380,36 @@ class _AugmentedView:
         return self._base.quality(src, dst)
 
 
+class _PricedEdges:
+    """Everything one planning step asks of its view, asked once.
+
+    ``pools[sid]`` is the candidate pool of a service and ``hops[(a, b)]``
+    the dense price table of a requirement edge: ``hops[(a, b)][i][j]`` is
+    the :data:`Hop` from ``pools[a][i]`` to ``pools[b][j]``.  Every
+    requirement edge lies in exactly one leaf block, so the block solvers
+    address instances by pool index and read plain floats.
+    """
+
+    def __init__(self, requirement: ServiceRequirement, view: AbstractView) -> None:
+        self.pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {
+            sid: view.instances_of(sid) for sid in requirement.services()
+        }
+        self.hops: Dict[Tuple[Sid, Sid], List[List[Hop]]] = {}
+        for a, b in requirement.edges():
+            rows: List[List[Hop]] = []
+            for src in self.pools[a]:
+                row: List[Hop] = []
+                for dst in self.pools[b]:
+                    quality = view.quality(src, dst)
+                    row.append(
+                        (quality.bandwidth, quality.latency)
+                        if quality.reachable
+                        else None
+                    )
+                rows.append(row)
+            self.hops[(a, b)] = rows
+
+
 class ReductionSolver:
     """Requirement-reduction federation (the centralised sFlow core).
 
@@ -376,9 +417,13 @@ class ReductionSolver:
         pareto: keep full Pareto frontiers in the block DP (exact for
             series-parallel requirements) instead of single
             shortest-widest-best entries (the paper's heuristic).
-        enumeration_limit: cap on the number of assignments a
-            :class:`GeneralBlock` may enumerate before falling back to the
-            greedy widest-first completion.
+        enumeration_limit: the largest interior of a :class:`GeneralBlock`
+            that is searched exactly -- the product of the pool sizes of
+            the block's services *other than its two terminals* (terminal
+            pairs are the keys of the block's table, searched one by one,
+            and are not counted).  A block above the limit falls back to
+            the greedy widest-first completion.  Every caller, local sFlow
+            planning included, uses this default.
     """
 
     name = "reduction"
@@ -442,12 +487,14 @@ class ReductionSolver:
                     "frontier entries a bound may require"
                 )
         work_req, work_view = self._two_terminal(requirement, view)
-        block = decompose(work_req)
-        table = self._solve_block(block, work_view)
-        sources = self._source_candidates(work_view, work_req.source, source_instance)
+        priced = _PricedEdges(work_req, work_view)
+        table = self._solve_block(decompose(work_req), priced)
+        sources = self._source_candidates(
+            priced.pools[work_req.source], work_req.source, source_instance
+        )
         best: Optional[Entry] = None
         for src in sources:
-            for dst in work_view.instances_of(work_req.sink):
+            for dst in priced.pools[work_req.sink]:
                 for quality, assignment in table.get((src, dst), ()):
                     if latency_bound is not None and quality.latency > latency_bound:
                         continue
@@ -482,11 +529,10 @@ class ReductionSolver:
 
     def _source_candidates(
         self,
-        view: AbstractView,
+        instances: Tuple[ServiceInstance, ...],
         source_sid: Sid,
         pinned: Optional[ServiceInstance],
     ) -> Tuple[ServiceInstance, ...]:
-        instances = view.instances_of(source_sid)
         if not instances:
             raise FederationError(f"service {source_sid!r} has no instances")
         if pinned is None:
@@ -500,49 +546,55 @@ class ReductionSolver:
 
     # -- block dynamic program ----------------------------------------------------
 
-    def _solve_block(self, block: Block, view: AbstractView) -> BlockTable:
+    def _solve_block(self, block: Block, priced: _PricedEdges) -> BlockTable:
         if isinstance(block, PathBlock):
-            return self._solve_path(block, view)
+            return self._solve_path(block, priced)
         if isinstance(block, SeriesBlock):
-            return self._solve_series(block, view)
+            return self._solve_series(block, priced)
         if isinstance(block, ParallelBlock):
-            return self._solve_parallel(block, view)
+            return self._solve_parallel(block, priced)
         if isinstance(block, GeneralBlock):
-            return self._solve_general(block, view)
+            return self._solve_general(block, priced)
         raise AssertionError(f"unknown block type {type(block).__name__}")
 
-    def _solve_path(self, block: PathBlock, view: AbstractView) -> BlockTable:
+    def _solve_path(self, block: PathBlock, priced: _PricedEdges) -> BlockTable:
         """Layered DP along a chain -- the baseline algorithm, Pareto-ised."""
         table: BlockTable = {}
         chain = block.chain
-        for src in view.instances_of(chain[0]):
-            layer: Dict[ServiceInstance, List[Entry]] = {
-                src: [(IDEAL, {chain[0]: src})]
-            }
-            for sid in chain[1:]:
-                nxt: Dict[ServiceInstance, List[Entry]] = {}
-                for inst in view.instances_of(sid):
+        pools = [priced.pools[sid] for sid in chain]
+        for start, src in enumerate(pools[0]):
+            # Pool index of the layer's instance -> its frontier.
+            layer: Dict[int, List[Entry]] = {start: [(IDEAL, {chain[0]: src})]}
+            for prev_sid, sid, pool in zip(chain, chain[1:], pools[1:]):
+                hops = priced.hops[(prev_sid, sid)]
+                nxt: Dict[int, List[Entry]] = {}
+                for j, inst in enumerate(pool):
                     candidates: List[Entry] = []
-                    for prev_inst, entries in layer.items():
-                        hop = view.quality(prev_inst, inst)
-                        if not hop.reachable:
+                    for i, entries in layer.items():
+                        hop = hops[i][j]
+                        if hop is None:
                             continue
+                        bandwidth, latency = hop
                         for quality, assignment in entries:
                             extended = dict(assignment)
                             extended[sid] = inst
-                            candidates.append((quality.extend(hop), extended))
+                            extended_quality = PathQuality(
+                                min(quality.bandwidth, bandwidth),
+                                quality.latency + latency,
+                            )
+                            candidates.append((extended_quality, extended))
                     pruned = pareto_prune(candidates, keep_all=self.pareto)
                     if pruned:
-                        nxt[inst] = pruned
+                        nxt[j] = pruned
                 layer = nxt
                 if not layer:
                     break
-            for dst, entries in layer.items():
-                table[(src, dst)] = entries
+            for j, entries in layer.items():
+                table[(src, pools[-1][j])] = entries
         return table
 
-    def _solve_series(self, block: SeriesBlock, view: AbstractView) -> BlockTable:
-        tables = [self._solve_block(child, view) for child in block.children]
+    def _solve_series(self, block: SeriesBlock, priced: _PricedEdges) -> BlockTable:
+        tables = [self._solve_block(child, priced) for child in block.children]
         result = tables[0]
         for nxt in tables[1:]:
             combined: BlockTable = {}
@@ -564,8 +616,10 @@ class ReductionSolver:
             result = combined
         return result
 
-    def _solve_parallel(self, block: ParallelBlock, view: AbstractView) -> BlockTable:
-        tables = [self._solve_block(child, view) for child in block.children]
+    def _solve_parallel(
+        self, block: ParallelBlock, priced: _PricedEdges
+    ) -> BlockTable:
+        tables = [self._solve_block(child, priced) for child in block.children]
         result = tables[0]
         for nxt in tables[1:]:
             combined: BlockTable = {}
@@ -584,39 +638,128 @@ class ReductionSolver:
             result = combined
         return result
 
-    def _solve_general(self, block: GeneralBlock, view: AbstractView) -> BlockTable:
+    def _solve_general(self, block: GeneralBlock, priced: _PricedEdges) -> BlockTable:
+        """Exact table of an irreducible block by branch-and-bound.
+
+        Per ``(u, v)`` instance pair the interior services are assigned
+        depth-first in topological order, each pool in order, carrying the
+        bottleneck bandwidth so far and a lower bound on the critical-path
+        latency (the latest finish time seen, the sink's included: hop
+        latencies are non-negative, so no completion finishes earlier).
+        A branch is abandoned at an unreachable hop, or once an entry
+        already on the pair's frontier is at least as wide as the
+        bottleneck and at most as slow as the bound: that entry
+        dominates-or-equals every completion of the branch.
+
+        The result is the one :func:`pareto_prune` (a stable sort) gives on
+        the full ``interior x u x v`` product walked interior-major -- same
+        floats, same winner on ties, same key order: within a pair the walk
+        is in product order and only an *earlier* entry ever prunes, so the
+        first assignment reaching a frontier point keeps it; pairs are
+        returned in the order of their first feasible assignment in that
+        product, which is what :meth:`_solve_series` buckets by.
+        """
         req = block.requirement
         interior = [s for s in req.topological_order() if s not in (block.u, block.v)]
-        pools = [view.instances_of(s) for s in interior]
+        pools = [priced.pools[s] for s in interior]
         combos = 1
         for pool in pools:
             if not pool:
                 return {}
             combos *= len(pool)
         if combos > self.enumeration_limit:
-            return self._solve_general_greedy(block, view)
+            return self._solve_general_greedy(block, priced)
+
+        # Slot 0 is ``u``, slot k + 1 the k-th interior service.  ``v`` is
+        # fixed per pair, so a hop into it is priced with its tail.
+        slot = {block.u: 0}
+        slot.update((sid, k + 1) for k, sid in enumerate(interior))
+        incoming = [
+            [(slot[pred], priced.hops[(pred, sid)]) for pred in req.predecessors(sid)]
+            for sid in interior
+        ]
+        into_sink = [
+            priced.hops[(sid, block.v)] if req.has_edge(sid, block.v) else None
+            for sid in interior
+        ]
+        direct = (
+            priced.hops[(block.u, block.v)] if req.has_edge(block.u, block.v) else None
+        )
+        u_pool, v_pool = priced.pools[block.u], priced.pools[block.v]
+        chosen = [0] * (len(interior) + 1)  # pool index per slot
+        finish = [0.0] * (len(interior) + 1)  # finish time per slot
+        #: Per pair that has a feasible assignment: the interior choice of
+        #: its first one, its ``u`` and ``v`` pool indices, its frontier.
+        feasible: List[Tuple[Tuple[int, ...], int, int, _Frontier]] = []
+
+        def descend(
+            depth: int, bottleneck: float, bound: float, sink: int, frontier: _Frontier
+        ) -> None:
+            if depth == len(interior):
+                # A full assignment nothing found earlier dominates-or-equals.
+                choice = tuple(chosen[1:])
+                if not frontier:
+                    feasible.append((choice, chosen[0], sink, frontier))
+                frontier[:] = (
+                    [e for e in frontier if e[0] > bottleneck]
+                    + [(bottleneck, bound, choice)]
+                    + [e for e in frontier if e[0] < bottleneck and e[1] < bound]
+                )
+                return
+            rows = [(finish[pred], hops[chosen[pred]]) for pred, hops in incoming[depth]]
+            last = into_sink[depth]
+            for i in range(len(pools[depth])):
+                width, done = bottleneck, 0.0
+                for ready, row in rows:
+                    hop = row[i]
+                    if hop is None:
+                        break
+                    bandwidth, latency = hop
+                    if bandwidth < width:
+                        width = bandwidth
+                    if ready + latency > done:
+                        done = ready + latency
+                else:
+                    latest = done if done > bound else bound
+                    if last is not None:
+                        hop = last[i][sink]
+                        if hop is None:
+                            continue
+                        bandwidth, latency = hop
+                        if bandwidth < width:
+                            width = bandwidth
+                        if done + latency > latest:
+                            latest = done + latency
+                    for found_width, found_latency, _ in frontier:
+                        if found_width >= width and found_latency <= latest:
+                            break
+                    else:
+                        chosen[depth + 1] = i
+                        finish[depth + 1] = done
+                        descend(depth + 1, width, latest, sink, frontier)
+
+        for start in range(len(u_pool)):
+            chosen[0] = start
+            for sink in range(len(v_pool)):
+                hop = (math.inf, 0.0) if direct is None else direct[start][sink]
+                if hop is not None:
+                    descend(0, hop[0], finish[0] + hop[1], sink, [])
 
         table: BlockTable = {}
-        u_pool = view.instances_of(block.u)
-        v_pool = view.instances_of(block.v)
-        for interior_choice in itertools.product(*pools):
-            partial = dict(zip(interior, interior_choice))
-            for src in u_pool:
-                for dst in v_pool:
-                    assignment = dict(partial)
-                    assignment[block.u] = src
-                    assignment[block.v] = dst
-                    quality = _evaluate_assignment(req, assignment, view)
-                    if quality is None:
-                        continue
-                    table.setdefault((src, dst), []).append((quality, assignment))
-        return {
-            key: pareto_prune(entries, keep_all=self.pareto)
-            for key, entries in table.items()
-        }
+        for _first, start, sink, frontier in sorted(feasible, key=lambda f: f[:3]):
+            entries: List[Entry] = []
+            for width, latency, choice in frontier if self.pareto else frontier[:1]:
+                assignment = {
+                    sid: pool[i] for sid, pool, i in zip(interior, pools, choice)
+                }
+                assignment[block.u] = u_pool[start]
+                assignment[block.v] = v_pool[sink]
+                entries.append((PathQuality(width, latency), assignment))
+            table[(u_pool[start], v_pool[sink])] = entries
+        return table
 
     def _solve_general_greedy(
-        self, block: GeneralBlock, view: AbstractView
+        self, block: GeneralBlock, priced: _PricedEdges
     ) -> BlockTable:
         """Fallback for oversized general blocks: widest-first per service.
 
@@ -627,40 +770,39 @@ class ReductionSolver:
         """
         req = block.requirement
         table: BlockTable = {}
-        for src in view.instances_of(block.u):
-            assignment: Dict[Sid, ServiceInstance] = {block.u: src}
-            feasible = True
+        for start, src in enumerate(priced.pools[block.u]):
+            choice: Dict[Sid, int] = {block.u: start}
             for sid in req.topological_order():
                 if sid == block.u:
                     continue
-                best_inst: Optional[ServiceInstance] = None
+                best: Optional[int] = None
                 best_quality = UNREACHABLE
-                for inst in view.instances_of(sid):
+                for i in range(len(priced.pools[sid])):
                     worst = IDEAL
                     for pred in req.predecessors(sid):
-                        pred_inst = assignment.get(pred)
-                        if pred_inst is None:
+                        if pred not in choice:
                             continue
-                        hop = view.quality(pred_inst, inst)
-                        if hop.bandwidth < worst.bandwidth or (
-                            hop.bandwidth == worst.bandwidth
-                            and hop.latency > worst.latency
+                        hop = priced.hops[(pred, sid)][choice[pred]][i]
+                        quality = UNREACHABLE if hop is None else PathQuality(*hop)
+                        if quality.bandwidth < worst.bandwidth or (
+                            quality.bandwidth == worst.bandwidth
+                            and quality.latency > worst.latency
                         ):
-                            worst = hop
-                    if best_inst is None or worst.is_better_than(best_quality):
-                        best_inst = inst
+                            worst = quality
+                    if best is None or worst.is_better_than(best_quality):
+                        best = i
                         best_quality = worst
-                if best_inst is None:
-                    feasible = False
+                if best is None:
                     break
-                assignment[sid] = best_inst
-            if not feasible:
-                continue
-            quality = _evaluate_assignment(req, assignment, view)
-            if quality is None:
-                continue
-            dst = assignment[block.v]
-            table.setdefault((src, dst), []).append((quality, assignment))
+                choice[sid] = best
+            else:
+                quality = _evaluate_assignment(req, choice, priced)
+                if quality is None:
+                    continue
+                assignment = {sid: priced.pools[sid][i] for sid, i in choice.items()}
+                table.setdefault((src, assignment[block.v]), []).append(
+                    (quality, assignment)
+                )
         return {
             key: pareto_prune(entries, keep_all=self.pareto)
             for key, entries in table.items()
@@ -668,22 +810,21 @@ class ReductionSolver:
 
 
 def _evaluate_assignment(
-    req: ServiceRequirement,
-    assignment: Dict[Sid, ServiceInstance],
-    view: AbstractView,
+    req: ServiceRequirement, choice: Dict[Sid, int], priced: _PricedEdges
 ) -> Optional[PathQuality]:
     """Bottleneck bandwidth + critical-path latency of a full block
-    assignment; ``None`` when any edge is unreachable."""
+    assignment (a pool index per service); ``None`` when any edge is
+    unreachable."""
     bandwidth = math.inf
     finish: Dict[Sid, float] = {req.source: 0.0}
     for sid in req.topological_order()[1:]:
         worst_finish = 0.0
         for pred in req.predecessors(sid):
-            hop = view.quality(assignment[pred], assignment[sid])
-            if not hop.reachable:
+            hop = priced.hops[(pred, sid)][choice[pred]][choice[sid]]
+            if hop is None:
                 return None
-            bandwidth = min(bandwidth, hop.bandwidth)
-            worst_finish = max(worst_finish, finish[pred] + hop.latency)
+            bandwidth = min(bandwidth, hop[0])
+            worst_finish = max(worst_finish, finish[pred] + hop[1])
         finish[sid] = worst_finish
     latency = max(finish[s] for s in req.sinks)
     return PathQuality(bandwidth, latency)

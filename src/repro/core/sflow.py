@@ -59,6 +59,7 @@ from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
 from repro.routing.oracle import RouteOracle
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
@@ -84,8 +85,6 @@ _H_FEDERATION_TIME = _REGISTRY.histogram(
 
 #: Delay of the consumer's first ``sfederate`` of every round.
 _INITIAL_LATENCY = 0.0
-#: Enumeration cap of every local :class:`ReductionSolver`.
-_ENUMERATION_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -321,6 +320,8 @@ class _PlanningView(AbstractView):
     ) -> None:
         self._local = local_view
         self._hints = hints
+        #: Routing trees of this planning step, one oracle lookup per source.
+        self._trees: Dict[ServiceInstance, Dict[ServiceInstance, RouteLabel]] = {}
         self._pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {}
         for sid in residual.services():
             pinned = pins.get(sid)
@@ -341,9 +342,13 @@ class _PlanningView(AbstractView):
 
     def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
         if src in self._local and dst in self._local:
-            # Views are shared by every planning step on an overlay (across
-            # nodes and sessions), so these are hits on the process oracle.
-            label = RouteOracle.default().tree(self._local, src).get(dst)
+            tree = self._trees.get(src)
+            if tree is None:
+                # Views are shared by every planning step on an overlay
+                # (across nodes and sessions), so this is a hit on the
+                # process oracle.
+                tree = self._trees[src] = RouteOracle.default().tree(self._local, src)
+            label = tree.get(dst)
             if label is not None and label.quality.reachable:
                 return label.quality
             return UNREACHABLE
@@ -540,9 +545,7 @@ class _Federation:
         self.network = self.recovery.network
         self.idom = requirement.immediate_dominators()
         #: Every local planning step (and in-place repair) solves with this.
-        self.solver = ReductionSolver(
-            pareto=config.pareto, enumeration_limit=_ENUMERATION_LIMIT
-        )
+        self.solver = ReductionSolver(pareto=config.pareto)
         _t0 = self.stopwatch.read()
         self.directory: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: overlay.instances_of(sid) for sid in requirement.services()

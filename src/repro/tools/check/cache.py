@@ -34,8 +34,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.tools.check.base import Violation
 from repro.tools.check.symbols import ModuleSummary
 
-#: Bump to invalidate every cache written by older engine layouts.
-CACHE_SCHEMA = 1
+#: Bump to invalidate every cache written by older engine layouts or rule
+#: vocabularies (2: ``mutate`` left :data:`~repro.tools.check.vocab.INVALIDATORS`).
+CACHE_SCHEMA = 2
 
 CACHE_FILENAME = "cache.json"
 

@@ -127,7 +127,7 @@ class EscapedGraphMutation(ProjectRule):
                             f"{site.terminal}({arg}, ...) hands a pre-existing "
                             f"graph to {target.qname}(), which mutates "
                             f"{param}.{mutator}(...) without RouteOracle "
-                            "derive/mutate/invalidate on either side; the "
+                            "derive/invalidate on either side; the "
                             "per-file epoch rule cannot see this escape -- "
                             "invalidate in the caller or the callee"
                         ),

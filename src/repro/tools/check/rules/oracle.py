@@ -72,14 +72,14 @@ class EpochDiscipline(Rule):
 
     Mutating a graph that existed before the function ran changes a
     topology the :class:`RouteOracle` may hold cached trees for.  The
-    same function must therefore tell the oracle (``derive``/``mutate``/
+    same function must therefore tell the oracle (``derive`` or
     ``invalidate``).  Graphs *constructed* in the function (``result =
     OverlayGraph()``; ``sub = overlay.subgraph(...)``) are exempt while
     being filled in -- they have no cached epoch yet.
     """
 
     code = "SFL004"
-    summary = "graph mutation without RouteOracle derive/mutate/invalidate"
+    summary = "graph mutation without RouteOracle derive/invalidate"
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_package("repro") and ctx.module not in GRAPH_DEFINING_MODULES
@@ -125,6 +125,6 @@ class EpochDiscipline(Rule):
                 ctx,
                 call,
                 f"{target}.{call.func.attr}(...) mutates a pre-existing "
-                "graph without RouteOracle.derive/mutate/invalidate in the "
+                "graph without RouteOracle.derive/invalidate in the "
                 "same function; cached trees would silently go stale",
             )

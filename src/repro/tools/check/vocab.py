@@ -50,7 +50,7 @@ GRAPH_MUTATORS: Set[str] = {
 }
 
 #: RouteOracle epoch-discipline entry points.
-INVALIDATORS: Set[str] = {"derive", "mutate", "invalidate"}
+INVALIDATORS: Set[str] = {"derive", "invalidate"}
 
 #: Constructors whose results are *fresh* graphs: mutating a graph built
 #: inside the same function is initialisation, not topology mutation.

@@ -9,17 +9,22 @@ Two layers of validation:
   heuristic) variant is never better.
 """
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import (
+    VIRTUAL_SINK,
     GeneralBlock,
     ParallelBlock,
     PathBlock,
     ReductionSolver,
     SeriesBlock,
+    _PricedEdges,
     decompose,
     pareto_prune,
 )
@@ -30,6 +35,7 @@ from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import (
     ScenarioConfig,
     generate_scenario,
+    random_requirement,
     travel_agency_requirement,
 )
 
@@ -349,3 +355,273 @@ class TestLatencyBound:
             return
         assert bounded.end_to_end_latency() <= bound + 1e-9
         assert bounded.bottleneck_bandwidth() == pytest.approx(best_bw)
+
+
+# -- the general-block search against the exhaustive walk it replaced ------------
+
+
+class TableView:
+    """An ``AbstractView`` read off two dicts; counts its ``quality`` calls."""
+
+    def __init__(self, pools, prices):
+        self.pools = pools
+        self.prices = prices
+        self.calls = {}
+
+    def instances_of(self, sid):
+        return self.pools[sid]
+
+    def quality(self, src, dst):
+        self.calls[(src, dst)] = self.calls.get((src, dst), 0) + 1
+        return self.prices.get((src, dst), UNREACHABLE)
+
+
+class ExhaustiveSolver(ReductionSolver):
+    """The reference: general blocks solved the way they were before the
+    branch-and-bound -- every assignment of ``itertools.product`` priced
+    edge by edge through the view, then :func:`pareto_prune`."""
+
+    def work(self, requirement, view):
+        """The two-terminal requirement and the priced step of one solve."""
+        work_req, self.view = self._two_terminal(requirement, view)
+        return work_req, _PricedEdges(work_req, self.view)
+
+    def solve_assignment(self, requirement, view, **kwargs):
+        self.view = self._two_terminal(requirement, view)[1]
+        return super().solve_assignment(requirement, view, **kwargs)
+
+    def _solve_general(self, block, priced):
+        req, view = block.requirement, self.view
+        interior = [s for s in req.topological_order() if s not in (block.u, block.v)]
+        pools = [view.instances_of(s) for s in interior]
+        if math.prod(len(pool) for pool in pools) > self.enumeration_limit:
+            return self._solve_general_greedy(block, priced)
+        table = {}
+        for interior_choice in itertools.product(*pools):
+            partial = dict(zip(interior, interior_choice))
+            for src in view.instances_of(block.u):
+                for dst in view.instances_of(block.v):
+                    assignment = dict(partial)
+                    assignment[block.u] = src
+                    assignment[block.v] = dst
+                    quality = self.evaluate(req, assignment)
+                    if quality is not None:
+                        table.setdefault((src, dst), []).append((quality, assignment))
+        return {
+            key: pareto_prune(entries, keep_all=self.pareto)
+            for key, entries in table.items()
+        }
+
+    def evaluate(self, req, assignment):
+        bandwidth = math.inf
+        finish = {req.source: 0.0}
+        for sid in req.topological_order()[1:]:
+            worst_finish = 0.0
+            for pred in req.predecessors(sid):
+                hop = self.view.quality(assignment[pred], assignment[sid])
+                if not hop.reachable:
+                    return None
+                bandwidth = min(bandwidth, hop.bandwidth)
+                worst_finish = max(worst_finish, finish[pred] + hop.latency)
+            finish[sid] = worst_finish
+        return PathQuality(bandwidth, max(finish[s] for s in req.sinks))
+
+
+#: The smallest requirement no reduction applies to.
+_N_SHAPE = [
+    ("s", "a"), ("s", "b"), ("a", "x"), ("a", "y"), ("b", "y"), ("x", "t"), ("y", "t"),
+]
+
+
+def _general_shapes():
+    shapes = {
+        "n-shape": ServiceRequirement(edges=_N_SHAPE),
+        # Two sinks: the virtual sink becomes the block's ``v``.
+        "multi-sink": ServiceRequirement(edges=_N_SHAPE[:5]),
+        # Series(Path, General, Path): the block's keys feed _solve_series.
+        "nested": ServiceRequirement(
+            edges=[("p", "s"), *_N_SHAPE, ("t", "z")]
+        ),
+        "two-blocks": ServiceRequirement(
+            edges=_N_SHAPE + [(a + "2", b + "2") for a, b in _N_SHAPE] + [("t", "s2")]
+        ),
+    }
+    rng = random.Random(17)
+    while len(shapes) < 8:
+        shape = random_requirement(rng, rng.randint(5, 7), RequirementClass.GENERAL)
+        if shape.classify() is RequirementClass.GENERAL:
+            shapes[f"random-{len(shapes)}"] = shape
+    return shapes
+
+
+GENERAL_SHAPES = _general_shapes()
+
+#: Tie-heavy prices: three bandwidths, five latencies, a quarter unreachable.
+_hops = st.tuples(st.integers(0, 3), st.integers(0, 4))
+
+
+@st.composite
+def priced_views(draw, requirement):
+    pools = {
+        sid: tuple(
+            ServiceInstance(sid, nid) for nid in range(draw(st.integers(1, 3)))
+        )
+        for sid in requirement.services()
+    }
+    prices = {}
+    for a, b in requirement.edges():
+        for src in pools[a]:
+            for dst in pools[b]:
+                bandwidth, latency = draw(_hops)
+                if bandwidth:
+                    prices[(src, dst)] = PathQuality(float(bandwidth), float(latency))
+    return TableView(pools, prices)
+
+
+general_cases = st.sampled_from(sorted(GENERAL_SHAPES)).flatmap(
+    lambda name: st.tuples(
+        st.just(GENERAL_SHAPES[name]), priced_views(GENERAL_SHAPES[name])
+    )
+)
+
+
+def _pinned_table(table):
+    """A block table with nothing left to tolerance or dict equality."""
+    return [
+        (
+            (str(src), str(dst)),
+            [
+                (
+                    quality.bandwidth.hex(),
+                    quality.latency.hex(),
+                    [(sid, str(inst)) for sid, inst in assignment.items()],
+                )
+                for quality, assignment in entries
+            ],
+        )
+        for (src, dst), entries in table.items()
+    ]
+
+
+def _outcome(solver, requirement, view, **kwargs):
+    try:
+        assignment, quality = solver.solve_assignment(requirement, view, **kwargs)
+    except FederationError:
+        return None
+    return (
+        quality.bandwidth.hex(),
+        quality.latency.hex(),
+        [(sid, str(inst)) for sid, inst in assignment.items()],
+    )
+
+
+class TestGeneralSearchEqualsExhaustive:
+    """``_solve_general`` returns the exhaustive walk's table: keys in
+    order, every float bit for bit, the same winner on every tie."""
+
+    def test_shapes_hold_a_general_block(self):
+        def kinds(block):
+            yield type(block).__name__
+            for child in getattr(block, "children", ()):
+                yield from kinds(child)
+
+        solver = ReductionSolver()
+        blocks = {}
+        for name, shape in GENERAL_SHAPES.items():
+            pools = {sid: () for sid in shape.services()}
+            work_req, _ = solver._two_terminal(shape, TableView(pools, {}))
+            blocks[name] = decompose(work_req)
+            assert "GeneralBlock" in kinds(blocks[name]), name
+        assert list(kinds(blocks["nested"])) == [
+            "SeriesBlock", "PathBlock", "GeneralBlock", "PathBlock"
+        ]
+        assert list(kinds(blocks["two-blocks"])).count("GeneralBlock") == 2
+        assert blocks["multi-sink"].v == VIRTUAL_SINK
+
+    @pytest.mark.parametrize("pareto", [True, False])
+    @given(case=general_cases)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_block_tables_are_identical(self, pareto, case):
+        requirement, view = case
+        reference = ExhaustiveSolver(pareto=pareto)
+        work_req, priced = reference.work(requirement, view)
+        block = decompose(work_req)
+        expected = reference._solve_block(block, priced)
+        found = ReductionSolver(pareto=pareto)._solve_block(block, priced)
+        assert _pinned_table(found) == _pinned_table(expected)
+
+    @given(case=general_cases, bound=st.integers(0, 10), pin=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_solutions_are_identical(self, case, bound, pin):
+        requirement, view = case
+        sources = view.instances_of(requirement.source)
+        for pareto in (True, False):
+            for kwargs in (
+                {},
+                {"source_instance": sources[pin % len(sources)]},
+                {"latency_bound": float(bound)} if pareto else {},
+            ):
+                assert _outcome(
+                    ReductionSolver(pareto=pareto), requirement, view, **kwargs
+                ) == _outcome(
+                    ExhaustiveSolver(pareto=pareto), requirement, view, **kwargs
+                )
+
+    @given(view=priced_views(ServiceRequirement(edges=_N_SHAPE + [("s", "t")])))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_block_with_a_direct_terminal_edge(self, view):
+        """``decompose`` splits a direct ``u -> v`` edge off as its own
+        branch; a block built by hand may still carry one."""
+        requirement = ServiceRequirement(edges=_N_SHAPE + [("s", "t")])
+        block = GeneralBlock("s", "t", requirement)
+        reference = ExhaustiveSolver()
+        _, priced = reference.work(requirement, view)
+        assert _pinned_table(
+            ReductionSolver()._solve_general(block, priced)
+        ) == _pinned_table(reference._solve_general(block, priced))
+
+
+class TestOnePricePerPair:
+    @given(case=general_cases)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_quality_is_asked_at_most_once_per_pair(self, case):
+        requirement, view = case
+        _outcome(ReductionSolver(), requirement, view)
+        assert view.calls and max(view.calls.values()) == 1
+
+
+class TestEnumerationLimit:
+    """What ``enumeration_limit`` counts, and where it cuts."""
+
+    @pytest.fixture
+    def view(self):
+        # Interior a, b, x, y: 2 * 2 * 2 * 2 = 16; terminals s, t: 3 * 3.
+        size = {"s": 3, "t": 3}
+        pools = {
+            sid: tuple(ServiceInstance(sid, nid) for nid in range(size.get(sid, 2)))
+            for sid in "sabxyt"
+        }
+        prices = {
+            (src, dst): PathQuality(1.0 + src.nid + dst.nid, 1.0)
+            for a, b in _N_SHAPE
+            for src in pools[a]
+            for dst in pools[b]
+        }
+        return TableView(pools, prices)
+
+    @pytest.mark.parametrize("limit, greedy", [(16, False), (15, True)])
+    def test_interior_product_at_the_limit_is_searched(
+        self, view, limit, greedy, monkeypatch
+    ):
+        fallbacks = []
+        real = ReductionSolver._solve_general_greedy
+        monkeypatch.setattr(
+            ReductionSolver,
+            "_solve_general_greedy",
+            lambda self, block, priced: fallbacks.append(block)
+            or real(self, block, priced),
+        )
+        ReductionSolver(enumeration_limit=limit).solve_assignment(
+            ServiceRequirement(edges=_N_SHAPE), view
+        )
+        assert bool(fallbacks) is greedy

@@ -13,10 +13,11 @@ import pytest
 
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import ReductionSolver
-from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _PlanningView
+from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _Federation, _PlanningView
 from repro.errors import FederationError
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
+from repro.obs.clock import Stopwatch
 from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.requirement import RequirementClass, ServiceRequirement
@@ -324,6 +325,39 @@ class TestKnowledgeModels:
         assert len(snapshots) == built
         assert again.flow_graph.assignment == first.flow_graph.assignment
         assert again.convergence_time == first.convergence_time
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_a_planning_step_asks_the_oracle_once_per_source(self, horizon):
+        """One ``plan`` prices every edge once and reads all of a source's
+        destinations off one tree, however many assignments it searches."""
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=40,
+                n_services=6,
+                requirement_class=RequirementClass.GENERAL,
+                instances_per_service=(4, 6),
+                seed=3,
+            )
+        )
+        requirement, source = scenario.requirement, scenario.source_instance
+        assert requirement.classify() is RequirementClass.GENERAL
+        oracle = RouteOracle.reset_default()
+        federation = _Federation(
+            requirement, scenario.overlay, source,
+            SFlowConfig(horizon=horizon), None, Stopwatch(),
+        )
+        pins = {requirement.source: source}
+        first = federation.plan(source, requirement, pins)
+        warm = oracle.stats()
+        assert federation.plan(source, requirement, pins) == first
+        tails = [
+            inst
+            for sid in requirement.services()
+            if requirement.successors(sid)
+            for inst in scenario.overlay.instances_of(sid)
+        ]
+        assert oracle.stats().misses == warm.misses
+        assert 0 < oracle.stats().hits - warm.hits <= len(tails)
 
     def test_blind_edges_are_priced_from_the_overlays_summaries(self):
         """Beyond the horizon a planner has the gossip hints (published
