@@ -672,8 +672,7 @@ class ReductionSolver:
 
         # Slot 0 is ``u``, slot k + 1 the k-th interior service.  ``v`` is
         # fixed per pair, so a hop into it is priced with its tail.
-        slot = {block.u: 0}
-        slot.update((sid, k + 1) for k, sid in enumerate(interior))
+        slot = {sid: k for k, sid in enumerate([block.u, *interior])}
         incoming = [
             [(slot[pred], priced.hops[(pred, sid)]) for pred in req.predecessors(sid)]
             for sid in interior
@@ -782,13 +781,13 @@ class ReductionSolver:
                     for pred in req.predecessors(sid):
                         if pred not in choice:
                             continue
-                        hop = priced.hops[(pred, sid)][choice[pred]][i]
-                        quality = UNREACHABLE if hop is None else PathQuality(*hop)
-                        if quality.bandwidth < worst.bandwidth or (
-                            quality.bandwidth == worst.bandwidth
-                            and quality.latency > worst.latency
+                        price = priced.hops[(pred, sid)][choice[pred]][i]
+                        hop = UNREACHABLE if price is None else PathQuality(*price)
+                        if hop.bandwidth < worst.bandwidth or (
+                            hop.bandwidth == worst.bandwidth
+                            and hop.latency > worst.latency
                         ):
-                            worst = quality
+                            worst = hop
                     if best is None or worst.is_better_than(best_quality):
                         best = i
                         best_quality = worst
