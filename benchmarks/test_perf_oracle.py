@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.eval.experiments import EvaluationConfig, TrialRecord, run_evaluation
-from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.workloads import ScenarioConfig, generate_scenario
@@ -72,7 +71,6 @@ def _context(workers: int = 0) -> dict:
         "cpu_count": os.cpu_count(),
         "workers": workers,
         "python": platform.python_version(),
-        "kernel_available": kernel.HAVE_NUMPY,
     }
 
 
@@ -154,7 +152,7 @@ def _measure_kernel_cold_build(size: int, trials_config: EvaluationConfig) -> di
         "pure_cold_seconds": pure_seconds,
         "kernel_cold_seconds": kernel_seconds,
         "speedup": pure_seconds / kernel_seconds if kernel_seconds else float("inf"),
-        "gate_applies": size >= KERNEL_GATE_MIN_SIZE and kernel.HAVE_NUMPY,
+        "gate_applies": size >= KERNEL_GATE_MIN_SIZE,
         "context": _context(),
     }
 

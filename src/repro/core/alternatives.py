@@ -30,6 +30,7 @@ from repro.errors import FederationError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle
+from repro.routing.wang_crowcroft import NeighborFn
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass, ServiceRequirement, Sid
@@ -136,6 +137,22 @@ class FixedAlgorithm:
         return max(qualities, default=0.0)
 
 
+def undirected_relaxation(overlay: OverlayGraph) -> NeighborFn:
+    """``overlay``'s adjacency with link direction ignored: each neighbour
+    once, under the better of the two directions' metrics."""
+
+    def undirected(inst: ServiceInstance):
+        seen = {}
+        for nbr, metrics in overlay.successors(inst):
+            seen[nbr] = metrics
+        for nbr, metrics in overlay.predecessors(inst):
+            if nbr not in seen or metrics.is_better_than(seen[nbr]):
+                seen[nbr] = metrics
+        return sorted(seen.items())
+
+    return undirected
+
+
 class ServicePathAlgorithm:
     """End-to-end single service path federation (Gu et al. style).
 
@@ -214,15 +231,7 @@ class ServicePathAlgorithm:
         """Layered shortest-widest DP along the serialized service chain."""
         chain = requirement.topological_order()
         oracle = RouteOracle.default()
-
-        def undirected(inst: ServiceInstance):
-            seen = {}
-            for nbr, metrics in overlay.successors(inst):
-                seen[nbr] = metrics
-            for nbr, metrics in overlay.predecessors(inst):
-                if nbr not in seen or metrics.is_better_than(seen[nbr]):
-                    seen[nbr] = metrics
-            return sorted(seen.items())
+        undirected = undirected_relaxation(overlay)
 
         def hop_quality(a: ServiceInstance, b: ServiceInstance) -> PathQuality:
             # The serialized-chain control plans over the *undirected*
@@ -238,6 +247,12 @@ class ServicePathAlgorithm:
             if source_instance not in first_pool:
                 raise FederationError(f"bad pinned source {source_instance}")
             first_pool = (source_instance,)
+        # Every pool but the last is a source of hop_quality(): build
+        # those trees in one batch instead of one miss at a time.
+        inner = (i for sid in chain[1:-1] for i in overlay.instances_of(sid))
+        oracle.warm(
+            overlay, [*first_pool, *inner], view="undirected", neighbors=undirected
+        )
         # layer: instance -> (serialized quality so far, assignment)
         layer: Dict[ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]]
         layer = {inst: (IDEAL, {chain[0]: inst}) for inst in first_pool}

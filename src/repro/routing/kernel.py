@@ -17,13 +17,17 @@ dual) against primitive arrays:
 * per-source Dijkstras still use a binary heap, but heap entries are
   plain ``(float, int, int)`` tuples over interned node indices;
 * each row's usable edges are laid out **bandwidth-descending**, so the
-  phase-2 *distinct-bandwidth* sweeps walk the threshold subgraph by
+  threshold-``w`` subgraph of phase 2 is a per-row prefix, walked by
   breaking out of a row as soon as an edge falls below the threshold --
   one shared layout serves every threshold of every source with zero
   per-threshold materialisation;
-* phase-2 sweeps early-terminate once every node whose bottleneck equals
-  the threshold has been settled (settled Dijkstra labels are final, so
-  the extracted labels equal the exhaustive computation's).
+* phase 2 is **one incremental pass per tree**, not one Dijkstra per
+  distinct width: a label found at a wider threshold stays a valid upper
+  bound at every narrower one, so stepping down *activates* the newly
+  qualifying edges and drains one persistent heap only as far as that
+  threshold's members need (:func:`_shortest_widest_csr`;
+  ``docs/performance.md`` has the fixpoint argument and the restart rule
+  that keeps it exact under float addition).
 
 **Exactness contract.**  :func:`batched_trees` is bit-identical to
 per-source :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
@@ -47,20 +51,20 @@ that possible without replicating heap insertion order:
 Float arithmetic is identical because a path's latency accumulates
 left-to-right along the same edges in both implementations.
 
-``numpy`` is an optional dependency of this module alone: when it is
-missing, :data:`HAVE_NUMPY` is False, :func:`snapshot` returns ``None``
-and the :class:`~repro.routing.oracle.RouteOracle` falls back to the
-pure-Python path.  The kernel draws no random numbers (rule SFL010
-guards the package against ambient numpy RNG use).
+``numpy`` is a declared dependency of the package and is used for the
+snapshot's array layout only; the kernel draws no random numbers (rule
+SFL010 guards the package against ambient numpy RNG use).
 
 Property-tested label-for-label against the pure implementations in
-``tests/routing/test_kernel.py`` over seeded Waxman/ER/BA overlays,
-including unreachable and zero-bandwidth links.
+``tests/routing/test_kernel.py`` over seeded Waxman/ER/BA underlays,
+filled overlays (directed and undirected), tie-heavy random digraphs and
+a hand-built case where float addition is not strictly monotone.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import (
     Any,
@@ -74,16 +78,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as _np
+
 from repro.network.metrics import IDEAL, PathQuality
 from repro.routing.wang_crowcroft import NeighborFn, Node, RouteLabel
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None  # type: ignore[assignment]
-
-#: Whether the vectorized kernel is usable in this process.
-HAVE_NUMPY: bool = _np is not None
 
 #: Orders the kernel can compute (mirrors :mod:`repro.routing.oracle`).
 SHORTEST_WIDEST = "shortest_widest"
@@ -97,6 +95,10 @@ _INF = math.inf
 #: are sorted bandwidth-descending so a threshold sweep can ``break``
 #: out of the row at the first disqualified edge.
 _UsableCSR = Tuple[List[int], List[int], List[float], List[float]]
+
+#: Every usable edge, bandwidth-descending across rows: ``(tails, slots
+#: into the _UsableCSR edge arrays, negated bandwidths for bisect)``.
+_Activation = Tuple[List[int], List[int], List[float]]
 
 
 class CSRGraph:
@@ -119,7 +121,7 @@ class CSRGraph:
         "bandwidth",
         "latency",
         "_usable_view",
-        "_min_usable_bw",
+        "_activation",
     )
 
     def __init__(
@@ -150,16 +152,13 @@ class CSRGraph:
         counts = _np.bincount(rows, minlength=len(nodes))
         u_indptr = _np.zeros(len(nodes) + 1, dtype=_np.int64)
         _np.cumsum(counts, out=u_indptr[1:])
-        sorted_bw = bandwidth[order]
         self._usable_view: _UsableCSR = (
             u_indptr.tolist(),
             indices[order].tolist(),
             latency[order].tolist(),
-            sorted_bw.tolist(),
+            bandwidth[order].tolist(),
         )
-        self._min_usable_bw: float = (
-            float(sorted_bw.min()) if len(sorted_bw) else 0.0
-        )
+        self._activation: Optional[_Activation] = None
 
     # -- construction ------------------------------------------------------
 
@@ -228,18 +227,28 @@ class CSRGraph:
     def usable_view(self) -> _UsableCSR:
         """The usable-edge adjacency, rows laid out bandwidth-descending.
 
-        A phase-2 sweep at threshold ``w`` walks each row until the
-        first edge with ``bandwidth < w`` and breaks -- the qualifying
-        edges of a row are always a prefix.  When ``w`` does not exceed
-        :attr:`min_usable_bandwidth`, every usable edge qualifies and
-        the sweep can skip the bandwidth test entirely.
+        Phase 2 at threshold ``w`` walks each row until the first edge
+        with ``bandwidth < w`` and breaks -- the qualifying edges of a row
+        are always a prefix.
         """
         return self._usable_view
 
-    @property
-    def min_usable_bandwidth(self) -> float:
-        """Smallest bandwidth among usable edges (0.0 when edgeless)."""
-        return self._min_usable_bw
+    def activation_order(self) -> _Activation:
+        """The usable edges, bandwidth-descending across all rows.
+
+        Built by the first shortest-widest tree, so a snapshot that only
+        serves widest-shortest ones (the underlay's) never pays for it; a
+        concurrent duplicate build is harmless (same result, one store).
+        """
+        order = self._activation
+        if order is None:
+            indptr, _, _, ebw = self._usable_view
+            neg_bw = -_np.asarray(ebw, dtype=_np.float64)
+            slots = _np.argsort(neg_bw, kind="stable")
+            tails = _np.searchsorted(indptr, slots, side="right") - 1
+            order = (tails.tolist(), slots.tolist(), neg_bw[slots].tolist())
+            self._activation = order
+        return order
 
 
 def snapshot(
@@ -250,11 +259,9 @@ def snapshot(
 
     The node universe comes from the graph's ``routing_nodes()`` export
     hook (see :meth:`repro.network.overlay.OverlayGraph.routing_nodes`).
-    Returns ``None`` when numpy is unavailable, the graph exports no
-    universe, or interning fails -- callers fall back to the pure path.
+    Returns ``None`` when the graph exports no universe or interning
+    fails -- callers fall back to the pure path.
     """
-    if not HAVE_NUMPY:
-        return None
     export = getattr(graph, "routing_nodes", None)
     if export is None:
         return None
@@ -273,28 +280,51 @@ def snapshot(
 # -- batched tree computation -------------------------------------------------
 
 
+class TreeBatch(List[Dict[Node, RouteLabel]]):
+    """What :func:`batched_trees` returns: one label dict per source, and
+    the phase-2 work of its shortest-widest trees as plain ints -- distinct
+    widths stepped through, and how many of those steps had to restart."""
+
+    thresholds = 0
+    restarts = 0
+
+
 class _Scratch:
-    """Per-batch work arrays, reused across every sweep of a batch.
+    """Per-batch work arrays, reused across every tree of a batch.
 
     Validity is generation-stamped (``mark[v] == gen`` -> the slot holds
-    this sweep's value) so a new sweep costs one integer bump instead of
-    reallocating four n-sized lists.  One instance per :func:`batched_trees`
-    call -- never shared across threads.
+    this generation's label) so a new tree costs one integer bump instead
+    of reallocating the n-sized lists.  ``sgen`` stamps the settled nodes
+    of a widest-shortest pass and the *queued* ones of a shortest-widest
+    pass; ``via`` is the edge slot a shortest-widest label came in by.
+    One instance per :func:`batched_trees` call -- never shared across
+    threads.
     """
 
-    __slots__ = ("lat", "bw", "hops", "paths", "mark", "sgen", "gen")
+    __slots__ = ("lat", "bw", "hops", "paths", "via", "mark", "sgen", "gen", "batch")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, batch: TreeBatch) -> None:
         self.lat: List[float] = [_INF] * n
         self.bw: List[float] = [0.0] * n
         self.hops: List[int] = [0] * n
         self.paths: List[Tuple[int, ...]] = [()] * n
+        self.via: List[int] = [-1] * n
         self.mark: List[int] = [0] * n  # label-validity stamp
-        self.sgen: List[int] = [0] * n  # settled stamp
+        self.sgen: List[int] = [0] * n  # settled / queued stamp
         self.gen = 0
+        self.batch = batch
 
     def next_gen(self) -> int:
         self.gen += 1
+        return self.gen
+
+    def seed(self, src: int) -> int:
+        """A new generation in which only ``src`` is labelled and queued."""
+        self.lat[src] = 0.0
+        self.hops[src] = 0
+        self.paths[src] = (src,)
+        self.via[src] = -1
+        self.mark[src] = self.sgen[src] = self.next_gen()
         return self.gen
 
 
@@ -303,7 +333,7 @@ def batched_trees(
     sources: Sequence[Node],
     *,
     order: str = SHORTEST_WIDEST,
-) -> List[Dict[Node, RouteLabel]]:
+) -> TreeBatch:
     """Routing trees for many sources against one CSR snapshot.
 
     Returns one label dict per source (same order as ``sources``),
@@ -319,8 +349,8 @@ def batched_trees(
         builder = _widest_shortest_csr
     else:
         raise ValueError(f"unknown tree order {order!r}")
-    scratch = _Scratch(csr.n)
-    out: List[Dict[Node, RouteLabel]] = []
+    out = TreeBatch()
+    scratch = _Scratch(csr.n, out)
     for source in sources:
         out.append(builder(csr, csr.index[source], scratch))
     return out
@@ -329,25 +359,117 @@ def batched_trees(
 def _shortest_widest_csr(
     csr: CSRGraph, src: int, scratch: _Scratch
 ) -> Dict[Node, RouteLabel]:
-    """The two-phase Wang-Crowcroft scheme on interned arrays."""
+    """The two-phase Wang-Crowcroft scheme on interned arrays.
+
+    Phase 1 finds every node's width ``w``; phase 2 owes it the
+    min-latency label over the edges ``>= w``.  One label-correcting pass
+    walks the widths downward and *carries* the labels (a path found at a
+    wider threshold still exists at every narrower one).  Stepping down
+    *activates* the newly qualifying edges -- each relaxed once from its
+    tail's current label -- then drains the heap while its top latency is
+    ``<=`` the largest among this threshold's members; a popped node
+    relaxes its row prefix ``>= w``, entries above the bound stay queued.
+
+    That reaches Dijkstra's labels at or below the bound provided every
+    label equals ``extend`` of its parent's *current* label, which float
+    addition can break: ``a < b`` yet ``a + l == b + l``, so a parent
+    improves while its child, re-derived, compares worse (same latency,
+    more hops).  ``via`` records the edge slot each label came in by; when
+    that slot yields a strictly worse candidate the threshold **restarts**
+    from the source alone -- a plain per-width Dijkstra, in which a popped
+    node never changes, so at most once.  Ties break as
+    :func:`repro.routing.wang_crowcroft._lat_better`: latency, hops, then
+    smallest interned path.  (``docs/performance.md`` has the argument.)
+    """
     width = _widest_widths(csr, src)
-    n = csr.n
     nodes = csr.nodes
     labels: Dict[Node, RouteLabel] = {
         nodes[src]: RouteLabel(IDEAL, 0, (nodes[src],))
     }
     by_width: Dict[float, List[int]] = {}
-    for v in range(n):
-        w = width[v]
+    for v, w in enumerate(width):
         if v != src and w > 0.0:
             by_width.setdefault(w, []).append(v)
-    lat, hops, paths, mark = scratch.lat, scratch.hops, scratch.paths, scratch.mark
+    indptr, indices, elat, ebw = csr.usable_view()
+    tails, slots, neg_bw = csr.activation_order()
+    lat, hops, paths, via = scratch.lat, scratch.hops, scratch.paths, scratch.via
+    mark, queued = scratch.mark, scratch.sgen
+    scratch.batch.thresholds += len(by_width)
+    g = scratch.seed(src)
+    heap: List[Tuple[float, int, int]] = [(0.0, 0, src)]
+    pos = 0
     for w in sorted(by_width, reverse=True):
         members = by_width[w]
-        g = _latency_tree(csr, src, w, members, scratch)
-        for v in members:
-            if mark[v] != g:  # pragma: no cover - phase 1 guarantees reach
+        end = bisect_right(neg_bw, -w, pos)
+        for u, j in zip(tails[pos:end], slots[pos:end]):
+            if mark[u] != g:
                 continue
+            v = indices[j]
+            clat = lat[u] + elat[j]
+            chops = hops[u] + 1
+            if mark[v] != g:
+                mark[v] = g
+            elif clat > lat[v] or (
+                clat == lat[v] and (chops, paths[u] + (v,)) >= (hops[v], paths[v])
+            ):
+                continue
+            lat[v] = clat
+            hops[v] = chops
+            paths[v] = paths[u] + (v,)
+            via[v] = j
+            queued[v] = g
+            heappush(heap, (clat, chops, v))
+        pos = end
+        # Members still unlabelled keep the bound open; once the last one
+        # is reached it is the largest member latency (labels only fall).
+        unlabelled = sum(1 for v in members if mark[v] != g)
+        bound = _INF
+        while heap and heap[0][0] <= bound:
+            if bound == _INF and not unlabelled:
+                bound = max(lat[v] for v in members)
+                continue
+            ulat, uhops, u = heappop(heap)
+            if queued[u] != g or ulat != lat[u] or uhops != hops[u]:
+                continue  # stale entry
+            queued[u] = 0
+            upath = paths[u]
+            chops = uhops + 1
+            for j in range(indptr[u], indptr[u + 1]):
+                if ebw[j] < w:
+                    break  # rows are bandwidth-descending
+                v = indices[j]
+                clat = ulat + elat[j]
+                if mark[v] != g:
+                    mark[v] = g
+                    if width[v] == w:
+                        unlabelled -= 1
+                elif clat > lat[v] or (
+                    clat == lat[v] and (chops, upath + (v,)) >= (hops[v], paths[v])
+                ):
+                    # No better -- but over the edge v's label came in by
+                    # it has to be that very label, or the label is stale.
+                    if via[v] != j or (clat, chops, upath + (v,)) == (
+                        lat[v], hops[v], paths[v]
+                    ):
+                        continue
+                    scratch.batch.restarts += 1
+                    g = scratch.seed(src)
+                    heap[:] = [(0.0, 0, src)]
+                    unlabelled = len(members)
+                    bound = _INF
+                    break
+                lat[v] = clat
+                hops[v] = chops
+                paths[v] = upath + (v,)
+                via[v] = j
+                queued[v] = g
+                heappush(heap, (clat, chops, v))
+        for v in members:
+            if mark[v] != g:
+                raise RuntimeError(
+                    f"kernel invariant broken: phase 1 reached {nodes[v]!r} "
+                    f"at width {w!r} but phase 2 left it unlabelled"
+                )
             labels[nodes[v]] = RouteLabel(
                 PathQuality(w, lat[v]),
                 hops[v],
@@ -379,84 +501,6 @@ def _widest_widths(csr: CSRGraph, src: int) -> List[float]:
                 width[v] = candidate
                 heappush(heap, (-candidate, v))
     return width
-
-
-def _latency_tree(
-    csr: CSRGraph,
-    src: int,
-    min_bandwidth: float,
-    members: Sequence[int],
-    scratch: _Scratch,
-) -> int:
-    """Phase 2: min-latency Dijkstra over the ``>= w`` subgraph.
-
-    Early-terminates once every member (nodes whose bottleneck equals the
-    threshold) is settled; settled labels are final, so the extracted
-    member labels equal the exhaustive run's.  Ties on latency break by
-    hop count, then by lexicographically smallest interned path -- the
-    exact :func:`repro.routing.wang_crowcroft._lat_better` order.
-
-    Rows are bandwidth-descending, so the ``>= w`` subgraph is walked by
-    breaking out of each row at its first disqualified edge.
-
-    Results land in ``scratch``; the returned generation stamp marks the
-    valid slots (``scratch.mark[v] == gen``).
-    """
-    indptr, indices, elat, ebw = csr.usable_view()
-    g = scratch.next_gen()
-    lat, hops, paths = scratch.lat, scratch.hops, scratch.paths
-    mark, sgen = scratch.mark, scratch.sgen
-    lat[src] = 0.0
-    hops[src] = 0
-    paths[src] = (src,)
-    mark[src] = g
-    remaining = set(members)
-    remaining.discard(src)
-    heap: List[Tuple[float, int, int]] = [(0.0, 0, src)]
-    while heap:
-        ulat, uhops, u = heappop(heap)
-        if sgen[u] == g:
-            continue
-        if ulat != lat[u] or uhops != hops[u]:
-            continue  # stale entry
-        sgen[u] = g
-        remaining.discard(u)
-        if not remaining:
-            break
-        upath = paths[u]
-        for j in range(indptr[u], indptr[u + 1]):
-            if ebw[j] < min_bandwidth:
-                break  # rows are bandwidth-descending
-            v = indices[j]
-            if sgen[v] == g:
-                continue
-            clat = ulat + elat[j]
-            chops = uhops + 1
-            if mark[v] == g:
-                # _lat_better(): latency, then hops, then smallest path.
-                vlat = lat[v]
-                if clat != vlat:
-                    if clat > vlat:
-                        continue
-                elif chops != hops[v]:
-                    if chops > hops[v]:
-                        continue
-                else:
-                    cpath = upath + (v,)
-                    if cpath >= paths[v]:
-                        continue
-                    lat[v] = clat
-                    hops[v] = chops
-                    paths[v] = cpath
-                    heappush(heap, (clat, chops, v))
-                    continue
-            else:
-                mark[v] = g
-            lat[v] = clat
-            hops[v] = chops
-            paths[v] = upath + (v,)
-            heappush(heap, (clat, chops, v))
-    return g
 
 
 def _widest_shortest_csr(

@@ -60,6 +60,7 @@ from typing import (
     Hashable,
     Iterable,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -98,6 +99,9 @@ class OracleStats:
     evictions: int = 0  # LRU evictions
     warmed: int = 0  # trees computed by a batched warm() prefetch
     repaired: int = 0  # trees rebuilt by targeted repair, not full recompute
+    kernel_trees: int = 0  # shortest-widest trees the CSR kernel built
+    kernel_thresholds: int = 0  # distinct widths those trees stepped through
+    kernel_restarts: int = 0  # width steps the kernel redid from scratch
 
     @property
     def lookups(self) -> int:
@@ -120,26 +124,31 @@ class _GraphMeta:
 
 
 class _Entry:
-    """One cached tree plus the elements its label paths traverse."""
+    """One cached tree plus the elements its label paths traverse --
+    found by the first :meth:`touches` (only ``derive`` asks), so a tree
+    no mutation ever meets never pays for the sets."""
 
     __slots__ = ("labels", "nodes", "edges")
 
     def __init__(self, labels: Dict[Node, RouteLabel]) -> None:
         self.labels = labels
-        nodes: Set[Node] = set()
-        edges: Set[Tuple[Node, Node]] = set()
-        for label in labels.values():
-            path = label.path
-            nodes.update(path)
-            edges.update(zip(path, path[1:]))
-        self.nodes: FrozenSet[Node] = frozenset(nodes)
-        self.edges: FrozenSet[Tuple[Node, Node]] = frozenset(edges)
+        self.nodes: Optional[FrozenSet[Node]] = None
+        self.edges: Optional[FrozenSet[Tuple[Node, Node]]] = None
 
     def touches(
         self,
         touched_nodes: FrozenSet[Node],
         touched_edges: FrozenSet[Tuple[Node, Node]],
     ) -> bool:
+        if self.nodes is None or self.edges is None:
+            nodes: Set[Node] = set()
+            edges: Set[Tuple[Node, Node]] = set()
+            for label in self.labels.values():
+                path = label.path
+                nodes.update(path)
+                edges.update(zip(path, path[1:]))
+            self.nodes = frozenset(nodes)
+            self.edges = frozenset(edges)
         return bool(self.nodes & touched_nodes) or bool(self.edges & touched_edges)
 
 
@@ -201,10 +210,10 @@ class RouteOracle:
         #: counters) -- the A/B switch the perf harness flips.
         self.enabled = enabled
         #: Route cold misses through the vectorized CSR kernel when the
-        #: graph exports a snapshot (``routing_nodes``) and numpy is
-        #: available; results are bit-identical either way, so this is
-        #: purely a cost switch (the perf harness A/Bs it).
-        self.use_kernel = use_kernel and _kernel.HAVE_NUMPY
+        #: graph exports a snapshot (``routing_nodes``); results are
+        #: bit-identical either way, so this is purely a cost switch (the
+        #: perf harness A/Bs it).
+        self.use_kernel = use_kernel
         #: Below this node count the pure path wins (snapshot build cost
         #: dominates); tiny ego views skip the kernel entirely.
         self.kernel_min_nodes = kernel_min_nodes
@@ -247,6 +256,15 @@ class RouteOracle:
             "repaired": self._registry.counter(
                 "oracle.repaired",
                 "trees rebuilt by targeted repair instead of full recompute",
+            ),
+            "kernel_trees": self._registry.counter(
+                "oracle.kernel_trees", "shortest-widest trees the kernel built"
+            ),
+            "kernel_thresholds": self._registry.counter(
+                "oracle.kernel_thresholds", "distinct widths those trees stepped through"
+            ),
+            "kernel_restarts": self._registry.counter(
+                "oracle.kernel_restarts", "width steps the kernel redid from scratch"
             ),
         }
         self._lock = threading.RLock()
@@ -350,7 +368,7 @@ class RouteOracle:
         if labels is None and self.use_kernel:
             csr = self._snapshot_for(graph, key[0], key[1], view, neighbors)
             if csr is not None and source in csr.index:
-                labels = _kernel.batched_trees(csr, (source,), order=order)[0]
+                labels = self._kernel_trees(csr, (source,), order)[0]
         if labels is None:
             labels = tree_fn(neighbors, source)
         with self._lock:
@@ -371,10 +389,10 @@ class RouteOracle:
         The cold-path entry point of the vectorized kernel: one CSR
         snapshot of ``graph`` is built (and cached per ``(lineage, epoch,
         view)``), then every not-yet-cached source's tree is computed
-        against it in one batch, sharing the phase-2 threshold subgraphs
-        across sources.  Falls back to per-source pure computation when
-        the graph cannot be snapshotted.  Subsequent :meth:`tree` calls
-        for these sources are cache hits.
+        against it in one batch -- one set of work arrays, one snapshot
+        lookup and one lock round-trip for all of them.  Falls back to
+        per-source pure computation when the graph cannot be snapshotted.
+        Subsequent :meth:`tree` calls for these sources are cache hits.
 
         Returns the number of trees actually computed (0 when disabled or
         everything was already cached).  Results are bit-identical to
@@ -408,7 +426,7 @@ class RouteOracle:
         if self.use_kernel:
             csr = self._snapshot_for(graph, lineage, epoch, view, neighbors)
             if csr is not None and all(s in csr.index for s in missing):
-                trees = _kernel.batched_trees(csr, missing, order=order)
+                trees = self._kernel_trees(csr, missing, order)
         if trees is None:
             trees = [tree_fn(neighbors, source) for source in missing]
         with self._lock:
@@ -612,6 +630,18 @@ class RouteOracle:
             self._counters["evictions"].inc()
 
     # -- kernel snapshots --------------------------------------------------
+
+    def _kernel_trees(
+        self, csr: _kernel.CSRGraph, sources: Sequence[Node], order: str
+    ) -> _kernel.TreeBatch:
+        """One kernel batch, its phase-2 work added to ``oracle.kernel_*``."""
+        batch = _kernel.batched_trees(csr, sources, order=order)
+        if order == SHORTEST_WIDEST:
+            with self._lock:
+                self._counters["kernel_trees"].inc(len(batch))
+                self._counters["kernel_thresholds"].inc(batch.thresholds)
+                self._counters["kernel_restarts"].inc(batch.restarts)
+        return batch
 
     def _snapshot_for(
         self,

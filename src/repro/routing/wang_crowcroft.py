@@ -121,7 +121,7 @@ def widest_bandwidths(
     return width
 
 
-def _shortest_latency_tree(
+def _min_latency_dijkstra(
     neighbors: NeighborFn,
     source: Node,
     min_bandwidth: float,
@@ -224,7 +224,7 @@ def shortest_widest_tree(
         if node != source and w > 0:
             by_width.setdefault(w, []).append(node)
     for w, members in sorted(by_width.items(), reverse=True):
-        tree = _shortest_latency_tree(
+        tree = _min_latency_dijkstra(
             neighbors, source, w, targets=members if target_set is not None else None
         )
         for node in members:

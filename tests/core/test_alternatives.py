@@ -13,6 +13,7 @@ from repro.core.baseline import solve_path_requirement
 from repro.core.optimal import optimal_flow_graph
 from repro.errors import FederationError
 from repro.network.overlay import ServiceInstance
+from repro.routing.oracle import RouteOracle
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import ScenarioConfig, generate_scenario
 
@@ -207,6 +208,26 @@ class TestServicePathAlgorithm:
             return algorithm.last_serialized
 
         assert run() == run()
+
+    def test_serialized_chain_prefetches_its_trees_in_one_batch(
+        self, travel_scenario
+    ):
+        """The DP reads a tree from the pinned source and from every pool
+        but the last: those are warmed once, so no lookup misses and no
+        tree is built that the DP does not read."""
+        requirement, overlay = travel_scenario.requirement, travel_scenario.overlay
+        oracle = RouteOracle.reset_default()
+        ServicePathAlgorithm()._serialize(
+            requirement, overlay, travel_scenario.source_instance
+        )
+        chain = requirement.topological_order()
+        sources = {travel_scenario.source_instance} | {
+            inst for sid in chain[1:-1] for inst in overlay.instances_of(sid)
+        }
+        assert oracle.cached_sources(overlay, view="undirected") == sources
+        stats = oracle.stats()
+        assert (stats.misses, stats.warmed) == (0, len(sources))
+        assert stats.hits > 0
 
     def test_bad_pinned_source_rejected(self, travel_scenario):
         with pytest.raises(FederationError):

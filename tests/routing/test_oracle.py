@@ -19,6 +19,7 @@ from repro.network.failures import (
 )
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
+from repro.routing import kernel
 from repro.routing.oracle import RouteOracle, SHORTEST_WIDEST, WIDEST_SHORTEST
 from repro.routing.wang_crowcroft import (
     shortest_widest_tree,
@@ -214,6 +215,29 @@ class TestMutations:
         assert oracle.cached_sources(overlay) == set()
 
 
+def degrade_then_crash(scenario):
+    """Degrade an eighth of the links, then crash up to two replaceable
+    instances: the ``(degraded, crashed)`` overlays of the chain."""
+    overlay = scenario.overlay
+    links = [
+        (link.src, link.dst)
+        for inst in overlay.instances()
+        for link in overlay.out_links(inst)
+    ]
+    degraded = degrade_links(
+        overlay, links[: max(1, len(links) // 8)], bandwidth_factor=0.4
+    )
+    victims = []
+    for inst in degraded.instances():
+        if inst == scenario.source_instance or len(victims) == 2:
+            continue
+        if len(degraded.instances_of(inst.sid)) > 1 and not any(
+            v.sid == inst.sid for v in victims
+        ):
+            victims.append(inst)
+    return degraded, fail_instances(degraded, victims)
+
+
 class TestMutationChains:
     """Carried trees stay exact through realistic mutation sequences."""
 
@@ -226,29 +250,116 @@ class TestMutationChains:
         oracle = RouteOracle.default()
         for inst in overlay.instances():
             oracle.tree(overlay, inst)
-
-        links = [
-            (link.src, link.dst)
-            for inst in overlay.instances()
-            for link in overlay.out_links(inst)
-        ]
-        degraded = degrade_links(
-            overlay, links[: max(1, len(links) // 8)], bandwidth_factor=0.4
-        )
-        victims = []
-        for inst in degraded.instances():
-            if inst == scenario.source_instance or len(victims) == 2:
-                continue
-            if len(degraded.instances_of(inst.sid)) > 1 and not any(
-                v.sid == inst.sid for v in victims
-            ):
-                victims.append(inst)
-        crashed = fail_instances(degraded, victims)
-        for graph in (degraded, crashed):
+        for graph in degrade_then_crash(scenario):
             for inst in graph.instances():
                 assert oracle.tree(graph, inst) == shortest_widest_tree(
                     graph.successors, inst
                 ), f"stale tree served for {inst} (seed {seed})"
+
+
+class TestLazyTraversedSets:
+    """An entry's traversed node/edge sets are built by its first
+    ``derive``: that changes what a never-mutated tree costs, not what a
+    mutation carries, drops or repairs."""
+
+    def test_warmed_entry_holds_no_sets_until_derived(self):
+        overlay = diamond_overlay()
+        oracle = RouteOracle.default()
+        b1 = ServiceInstance("B", 1)
+        c = ServiceInstance("C", 3)
+        oracle.warm(overlay, overlay.instances())
+        entries = list(oracle._cache.values())
+        assert len(entries) == 4
+        assert all(e.nodes is None and e.edges is None for e in entries)
+        for inst in overlay.instances():
+            oracle.tree(overlay, inst)  # hits read labels only
+        assert all(e.nodes is None and e.edges is None for e in entries)
+        fail_links(overlay, [(b1, c)])
+        assert all(
+            isinstance(e.nodes, frozenset) and isinstance(e.edges, frozenset)
+            for e in entries
+        )
+
+    #: (carried, dropped, repaired) of the chain below, as counted at the
+    #: parent commit, where every entry built its sets on insertion.
+    EAGER_COUNTS = {0: (12, 3, 2), 7: (9, 2, 2), 21: (7, 2, 2)}
+
+    @pytest.mark.parametrize("seed", sorted(EAGER_COUNTS))
+    def test_derive_after_warm_counts_and_labels(self, seed):
+        scenario = generate_scenario(
+            ScenarioConfig(network_size=14, n_services=4, seed=seed)
+        )
+        overlay = scenario.overlay
+        oracle = RouteOracle.default()
+        oracle.reset_stats()
+        instances = list(overlay.instances())
+        oracle.warm(overlay, instances)
+        before = {inst: oracle.tree(overlay, inst) for inst in instances}
+        degraded, crashed = degrade_then_crash(scenario)
+        for pending in oracle._repairs.values():
+            assert isinstance(pending.nodes, frozenset)
+            assert isinstance(pending.edges, frozenset)
+        for graph in (degraded, crashed):
+            for inst in graph.instances():
+                labels = oracle.tree(graph, inst)
+                assert labels == shortest_widest_tree(graph.successors, inst)
+                # What a repair or a carry keeps, it keeps verbatim.
+                for dest, label in labels.items():
+                    if label == before[inst].get(dest):
+                        assert label is before[inst][dest]
+        stats = oracle.stats()
+        assert (stats.carried, stats.dropped, stats.repaired) == (
+            self.EAGER_COUNTS[seed]
+        )
+
+
+class TestKernelCounters:
+    """``oracle.kernel_*``: the kernel's phase-2 work, added per batch."""
+
+    def test_shortest_widest_batches_are_counted(self):
+        from repro.core.alternatives import undirected_relaxation
+        from repro.obs import metrics as obs_metrics
+
+        overlay = generate_scenario(
+            ScenarioConfig(
+                network_size=60, n_services=6, instances_per_service=(9, 11), seed=0
+            )
+        ).overlay
+        oracle = RouteOracle.default()
+        oracle.reset_stats()
+        instances = list(overlay.instances())
+        neighbors = undirected_relaxation(overlay)
+        oracle.warm(overlay, instances, view="undirected", neighbors=neighbors)
+        batch = kernel.batched_trees(
+            kernel.CSRGraph.from_adjacency(overlay.routing_nodes(), neighbors),
+            instances,
+        )
+        assert batch.restarts >= 1  # the fixture exercises every counter
+        stats = oracle.stats()
+        assert (stats.kernel_trees, stats.kernel_thresholds, stats.kernel_restarts) == (
+            len(instances), batch.thresholds, batch.restarts
+        )
+        reg = obs_metrics.registry()
+        assert reg.counter("oracle.kernel_trees").total == stats.kernel_trees
+        assert reg.counter("oracle.kernel_thresholds").total == stats.kernel_thresholds
+        assert reg.counter("oracle.kernel_restarts").total == stats.kernel_restarts
+        # One more miss through the kernel: one more tree, its widths.
+        oracle.tree(overlay, instances[0])
+        assert oracle.stats().kernel_trees == len(instances) + 1
+
+    def test_other_paths_leave_them_alone(self):
+        overlay = generate_scenario(
+            ScenarioConfig(network_size=20, n_services=4, seed=3)
+        ).overlay
+        instances = list(overlay.instances())
+        pure = RouteOracle(use_kernel=False)
+        pure.warm(overlay, instances)
+        assert pure.stats().kernel_trees == 0
+        dual = RouteOracle(kernel_min_nodes=1)
+        dual.warm(overlay, instances, order=WIDEST_SHORTEST)
+        stats = dual.stats()
+        assert stats.warmed == len(instances)
+        assert (stats.kernel_trees, stats.kernel_thresholds) == (0, 0)
 
 
 class TestRegistryExport:
