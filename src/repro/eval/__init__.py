@@ -1,57 +1,19 @@
 """Evaluation harness: reproduce every panel of the paper's Fig. 10.
 
+Import from the submodules; the package itself exports nothing.
+
 * :mod:`repro.eval.experiments` -- scenario sweeps over network sizes with
   all five algorithms (sFlow, fixed, random, service path, global optimal),
-  producing tidy per-trial records.
+  producing tidy per-trial records, and the one cell runner (``sweep``)
+  every campaign fans out through.
 * :mod:`repro.eval.figures` -- regenerates each figure panel as a printed
   table / CSV (``python -m repro.eval.figures all``).
-* :mod:`repro.eval.robustness` -- the crash-tolerance sweep: crash rate x
-  network size under mid-protocol chaos plans.
+* :mod:`repro.eval.campaign` -- the whole evaluation in one results
+  directory with a manifest (``python -m repro.eval.campaign --out DIR``).
+* :mod:`repro.eval.robustness` -- the crash-tolerance and gray-failure
+  sweeps: fault level x network size under mid-protocol chaos plans.
+* :mod:`repro.eval.churn` -- availability of a monitored federation under
+  continuous leave/rejoin.
 * :mod:`repro.eval.stats` -- tiny statistics helpers (means, confidence
   intervals) so the harness has no plotting dependencies.
 """
-
-from repro.eval.experiments import (
-    EvaluationConfig,
-    SweepTelemetry,
-    TrialRecord,
-    run_evaluation,
-    run_evaluation_with_observability,
-    run_scalability,
-    run_trial,
-)
-from repro.eval.stats import mean, sample_stdev, confidence_interval_95
-from repro.eval.campaign import CampaignResult, run_campaign
-from repro.eval.churn import ChurnConfig, ChurnReport, run_churn_experiment
-from repro.eval.robustness import (
-    RobustnessCell,
-    RobustnessConfig,
-    RobustnessExperiment,
-    RobustnessRecord,
-    run_robustness,
-    summarize,
-)
-
-__all__ = [
-    "CampaignResult",
-    "ChurnConfig",
-    "ChurnReport",
-    "RobustnessCell",
-    "RobustnessConfig",
-    "RobustnessExperiment",
-    "RobustnessRecord",
-    "run_campaign",
-    "run_churn_experiment",
-    "run_robustness",
-    "summarize",
-    "EvaluationConfig",
-    "SweepTelemetry",
-    "TrialRecord",
-    "confidence_interval_95",
-    "mean",
-    "run_evaluation",
-    "run_evaluation_with_observability",
-    "run_scalability",
-    "run_trial",
-    "sample_stdev",
-]

@@ -140,7 +140,6 @@ def config_from_manifest(path: Path) -> EvaluationConfig:
     clazz = data.pop("requirement_class", None)
     return EvaluationConfig(
         network_sizes=tuple(data.pop("network_sizes")),
-        instances_per_service=tuple(data.pop("instances_per_service")),
         requirement_class=RequirementClass(clazz) if clazz else None,
         **data,
     )

@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.alternatives import (
     FixedAlgorithm,
@@ -29,6 +29,7 @@ from repro.core.alternatives import (
 from repro.core.optimal import GlobalOptimalAlgorithm
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig
 from repro.errors import FederationError
+from repro.obs import active_recorder
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeseries as obs_timeseries
 from repro.obs.causal import (
@@ -51,24 +52,17 @@ ALGORITHMS = ("sflow", "fixed", "random", "service_path", "optimal")
 
 
 @dataclass
-class EvaluationConfig:
-    """Sweep parameters (defaults follow the paper's setup).
+class SweepConfig:
+    """What every campaign is swept over: sizes x trials, seeded, fanned out.
 
-    The paper evaluates network sizes 10..50; requirements "of any type"
-    (mixed classes) for the quality panels and path requirements for the
-    timing panel.  ``trials`` scenarios are generated per size from
-    deterministic sub-seeds of ``seed``.
+    The base of :class:`EvaluationConfig` and of the crash / gray-failure
+    configs in :mod:`repro.eval.robustness` (which override some defaults).
     """
 
     network_sizes: Tuple[int, ...] = (10, 20, 30, 40, 50)
     trials: int = 20
     n_services: int = 6
-    requirement_class: Optional[RequirementClass] = None
-    instances_per_service: Tuple[int, int] = (1, 3)
-    scale_instances: bool = True
     horizon: int = 2
-    pareto: bool = True
-    use_link_state: bool = False
     seed: int = 0
     #: Evaluation parallelism: 0 or 1 runs the sweep serially in-process;
     #: ``n >= 2`` fans the independent (size, trial) cells out over a pool
@@ -77,12 +71,6 @@ class EvaluationConfig:
     #: cell-submission order, so the parallel sweep reproduces the serial
     #: one record for record (wall-clock timing fields aside).
     workers: int = 0
-    #: Optional sim-time metric sampling inside every sflow cell (see
-    #: :attr:`repro.core.sflow.SFlowConfig.sample_interval`); ``None``: off.
-    sample_interval: Optional[float] = None
-    #: SLOs graded over the sweep's folded series bank (needs
-    #: ``sample_interval``); verdicts land in :class:`SweepTelemetry`.
-    slos: Tuple[SloSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -91,25 +79,30 @@ class EvaluationConfig:
             raise ValueError("need at least one network size")
         if self.workers < -1:
             raise ValueError("workers must be >= -1")
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0 (or None)")
-        self.slos = tuple(self.slos)
-        if self.slos and self.sample_interval is None:
-            raise ValueError("slos need sample_interval to be evaluated")
 
     def instance_range(self, network_size: int) -> Tuple[int, int]:
         """Instances per service for a given network size.
 
         In the paper every network node is a service node (Fig. 4), so the
-        overlay grows with the network.  With ``scale_instances`` (default)
-        we replicate that: instance counts are chosen so the total number of
-        service instances roughly fills the network; otherwise the static
-        ``instances_per_service`` range is used.
+        overlay grows with the network.  We replicate that: instance counts
+        are chosen so the total number of service instances roughly fills
+        the network.
         """
-        if not self.scale_instances:
-            return self.instances_per_service
         per_service = max(1, round(network_size / self.n_services))
         return (max(1, per_service - 1), per_service + 1)
+
+
+@dataclass
+class EvaluationConfig(SweepConfig):
+    """Sweep parameters (defaults follow the paper's setup).
+
+    The paper evaluates network sizes 10..50; requirements "of any type"
+    (mixed classes) for the quality panels and path requirements for the
+    timing panel.  ``trials`` scenarios are generated per size from
+    deterministic sub-seeds of ``seed``.
+    """
+
+    requirement_class: Optional[RequirementClass] = None
 
 
 @dataclass
@@ -136,10 +129,10 @@ def run_trial(
     scenario: Scenario,
     *,
     horizon: int = 2,
-    pareto: bool = True,
-    use_link_state: bool = False,
     rng: Optional[random.Random] = None,
     stopwatch: Optional[Stopwatch] = None,
+    sample_interval: Optional[float] = None,
+    series: Optional[Dict[str, dict]] = None,
 ) -> List[TrialRecord]:
     """Run the full algorithm line-up on one scenario.
 
@@ -147,34 +140,11 @@ def run_trial(
     (it defines the correctness coefficient); if the scenario is infeasible
     even for it, every record is marked infeasible.  ``stopwatch``
     injects the host clock behind ``elapsed_seconds`` (tests script it).
-    """
-    records, _ = run_trial_with_series(
-        scenario,
-        horizon=horizon,
-        pareto=pareto,
-        use_link_state=use_link_state,
-        rng=rng,
-        stopwatch=stopwatch,
-    )
-    return records
-
-
-def run_trial_with_series(
-    scenario: Scenario,
-    *,
-    horizon: int = 2,
-    pareto: bool = True,
-    use_link_state: bool = False,
-    rng: Optional[random.Random] = None,
-    stopwatch: Optional[Stopwatch] = None,
-    sample_interval: Optional[float] = None,
-) -> Tuple[List[TrialRecord], Dict[str, dict]]:
-    """:func:`run_trial` plus the sflow run's sampled series bank.
 
     With ``sample_interval`` set, the sflow arm of the line-up runs under
-    a :class:`~repro.obs.timeseries.SeriesSampler` and the second element
-    is its plain-dict bank (empty otherwise -- and empty for the
-    centralized baselines, which have no simulation to sample).
+    a :class:`~repro.obs.timeseries.SeriesSampler`, and ``series`` (a dict
+    the caller owns) receives its plain-dict bank; the centralized
+    baselines have no simulation to sample.
     """
     rng = rng or random.Random(scenario.seed)
     stopwatch = stopwatch if stopwatch is not None else Stopwatch()
@@ -230,7 +200,6 @@ def run_trial_with_series(
         )
 
     records: List[TrialRecord] = []
-    series_bank: Dict[str, dict] = {}
 
     optimal_alg = GlobalOptimalAlgorithm()
     started = stopwatch.read()
@@ -241,12 +210,7 @@ def run_trial_with_series(
     optimal_elapsed = stopwatch.read() - started
 
     sflow_alg = SFlowAlgorithm(
-        SFlowConfig(
-            horizon=horizon,
-            pareto=pareto,
-            use_link_state=use_link_state,
-            sample_interval=sample_interval,
-        )
+        SFlowConfig(horizon=horizon, sample_interval=sample_interval)
     )
     service_path_alg = ServicePathAlgorithm()
     for name, algorithm in (
@@ -268,7 +232,8 @@ def run_trial_with_series(
         if name == "sflow" and sflow_alg.last_result is not None:
             messages = sflow_alg.last_result.messages
             convergence = sflow_alg.last_result.convergence_time
-            series_bank = sflow_alg.last_result.series
+            if series is not None:
+                series.update(sflow_alg.last_result.series)
         rec = record(
             name,
             graph,
@@ -294,20 +259,15 @@ def run_trial_with_series(
     records.append(
         record("optimal", optimal, optimal_elapsed, optimal)
     )
-    return records, series_bank
-
-
-def _evaluate_cell(payload: Tuple[EvaluationConfig, int, int]) -> List[TrialRecord]:
-    """One (size, trial) sweep cell; self-seeded, safe in a worker process."""
-    records, _ = _observed_cell(payload)
     return records
 
 
-def _observed_cell(
-    payload: Tuple[EvaluationConfig, int, int]
+def _trial_cell(
+    payload: Tuple[EvaluationConfig, int, int, Optional[float]]
 ) -> Tuple[List[TrialRecord], Dict[str, dict]]:
-    """:func:`_evaluate_cell` plus the cell's sampled series bank."""
-    config, size, trial = payload
+    """One (size, trial) sweep cell: its records and its sampled series
+    bank.  Self-seeded, so it is safe in a worker process."""
+    config, size, trial, sample_interval = payload
     scenario_seed = _trial_seed(config.seed, size, trial)
     scenario = generate_scenario(
         ScenarioConfig(
@@ -318,14 +278,15 @@ def _observed_cell(
             seed=scenario_seed,
         )
     )
-    return run_trial_with_series(
+    bank: Dict[str, dict] = {}
+    records = run_trial(
         scenario,
         horizon=config.horizon,
-        pareto=config.pareto,
-        use_link_state=config.use_link_state,
         rng=random.Random(scenario_seed ^ 0x5F5F),
-        sample_interval=config.sample_interval,
+        sample_interval=sample_interval,
+        series=bank,
     )
+    return records, bank
 
 
 def resolve_workers(workers: int, cells: int) -> int:
@@ -384,8 +345,60 @@ def _init_worker(handoff: Tuple[bool, bool, int, int]) -> None:
     oracle.max_entries = max_entries
 
 
-def map_cells(worker, payloads: List, workers: int) -> List:
-    """Deterministically map ``worker`` over cell payloads.
+class _ObservedCell:
+    """Picklable wrapper: run one cell and ship what it did to telemetry.
+
+    Each cell snapshots the (per-process) metrics registry before and after
+    it runs and returns the delta.  The before/after diff is what makes
+    pooled sweeps correct: a forked worker inherits whatever counter values
+    the parent had accumulated, and subtracting the entry snapshot leaves
+    exactly the increments this cell caused.
+
+    With ``profile`` the cell's federations also trace into a per-cell
+    ``StringIO`` recording (the tracer's previous sink is saved and
+    restored, so an outer recording -- if any -- is shadowed for the cell,
+    never closed), which is causally profiled *inside the cell*.  Only the
+    folded :class:`~repro.obs.causal.CampaignProfile` travels back to the
+    parent: cheap to pickle, and its submission-order merge is plain float
+    addition, so pooled sweeps aggregate bit-identically to serial ones.
+    """
+
+    def __init__(self, cell: Callable, profile: bool) -> None:
+        self.cell = cell
+        self.profile = profile
+
+    def __call__(
+        self, payload
+    ) -> Tuple[object, Dict[str, dict], Optional[CampaignProfile]]:
+        reg = obs_metrics.registry()
+        before = reg.snapshot()
+        if self.profile:
+            result, profile = self._profiled(payload)
+        else:
+            result, profile = self.cell(payload), None
+        delta = obs_metrics.diff_snapshots(reg.snapshot(), before)
+        return result, delta, profile
+
+    def _profiled(self, payload) -> Tuple[object, CampaignProfile]:
+        buffer = io.StringIO()
+        active = obs_tracer()
+        previous = active.sink
+        recorder = Recorder(buffer)
+        active.set_sink(recorder)
+        try:
+            result = self.cell(payload)
+        finally:
+            active.set_sink(previous)
+            recorder.close()
+        recording = parse_recording(buffer.getvalue().splitlines())
+        return result, aggregate_profiles(profile_recording(recording))
+
+
+def sweep(
+    cell: Callable, payloads: List, workers: int, *, profile: bool = False
+) -> Tuple[List, Dict[str, dict], Optional[CampaignProfile]]:
+    """The campaign runner: ``cell`` over every payload, results in
+    submission order, plus the folds of what the cells did.
 
     With a pool, ``Pool.map`` collects results in submission order -- the
     same order the serial loop produces -- so the only difference between
@@ -393,125 +406,120 @@ def map_cells(worker, payloads: List, workers: int) -> List:
     never from global state, which makes the fan-out bit-reproducible.
     Pools fork (:func:`_pool_context`) and re-apply the parent oracle's
     configuration in every worker (:func:`_init_worker`).
+
+    The second element is the submission-order merge of every cell's
+    metric-registry delta.  When a pool computed the cells, the merge is
+    also folded into the parent process's registry -- worker increments
+    land in forked copies, and without this fold the parent's counters
+    would silently disagree with a serial run of the same sweep.  All
+    integer series (counters, histogram counts and buckets) are identical
+    either way; float histogram *sums* can differ in the final bits, since
+    subtraction-based deltas round differently than a fresh accumulation.
+    The third is the folded causal profile of every cell's in-memory
+    flight recording (``None`` unless ``profile``), bit-identical between
+    ``workers=0`` and any pool size.
+
+    A flight recording is per-process: workers would write none of their
+    spans and events to one the parent holds open, so a pooled sweep
+    under an active recording is refused rather than silently truncated.
     """
     pool_size = resolve_workers(workers, len(payloads))
+    if pool_size != 0 and active_recorder() is not None:
+        raise ValueError(
+            "a flight recording is active and cannot follow a sweep into "
+            f"{pool_size} worker processes; record with workers=0"
+        )
+    observed = _ObservedCell(cell, profile)
     if pool_size == 0:
-        return [worker(payload) for payload in payloads]
-    ctx = _pool_context()
-    with ctx.Pool(
-        pool_size, initializer=_init_worker, initargs=(_oracle_handoff(),)
-    ) as pool:
-        return pool.map(worker, payloads, chunksize=1)
-
-
-class _MeteredCell:
-    """Picklable wrapper: run a cell worker and ship its metric delta.
-
-    Each cell snapshots the (per-process) metrics registry before and after
-    the worker runs and returns ``(result, delta)``.  The before/after diff
-    is what makes pooled sweeps correct: a forked worker inherits whatever
-    counter values the parent had accumulated, and subtracting the entry
-    snapshot leaves exactly the increments this cell caused.
-    """
-
-    def __init__(self, worker) -> None:
-        self.worker = worker
-
-    def __call__(self, payload) -> Tuple[object, Dict[str, dict]]:
-        reg = obs_metrics.registry()
-        before = reg.snapshot()
-        result = self.worker(payload)
-        delta = obs_metrics.diff_snapshots(reg.snapshot(), before)
-        return result, delta
-
-
-def map_cells_with_metrics(
-    worker, payloads: List, workers: int
-) -> Tuple[List, Dict[str, dict]]:
-    """:func:`map_cells` plus per-cell metric merging.
-
-    Returns ``(cell_results, merged_delta)`` where ``merged_delta`` is the
-    submission-order merge of every cell's registry delta.  When a pool
-    computed the cells, the merge is also folded into the parent process's
-    registry -- worker increments land in forked copies, and without this
-    fold the parent's counters would silently disagree with a serial run of
-    the same sweep.
-    """
-    pool_size = resolve_workers(workers, len(payloads))
-    metered = _MeteredCell(worker)
-    if pool_size == 0:
-        results = [metered(payload) for payload in payloads]
+        outcomes = [observed(payload) for payload in payloads]
     else:
-        ctx = _pool_context()
-        with ctx.Pool(
+        with _pool_context().Pool(
             pool_size, initializer=_init_worker, initargs=(_oracle_handoff(),)
         ) as pool:
-            results = pool.map(metered, payloads, chunksize=1)
-    merged: Dict[str, dict] = {}
-    for _, delta in results:
-        merged = obs_metrics.merge_snapshots(merged, delta)
+            outcomes = pool.map(observed, payloads, chunksize=1)
+    metrics: Dict[str, dict] = {}
+    campaign = CampaignProfile() if profile else None
+    for _, delta, cell_profile in outcomes:
+        metrics = obs_metrics.merge_snapshots(metrics, delta)
+        if campaign is not None:
+            merge_campaigns(campaign, cell_profile)
     if pool_size != 0:
-        obs_metrics.registry().apply(merged)
-    return [cell for cell, _ in results], merged
+        obs_metrics.registry().apply(metrics)
+    return [result for result, _, _ in outcomes], metrics, campaign
 
 
-class _ProfiledCell:
-    """Picklable wrapper: run a cell under a private in-memory recorder.
+@dataclass
+class SweepFold:
+    """Everything one observed sweep produced, folded in submission order.
 
-    The cell's federations trace into a per-cell ``StringIO`` recording
-    (the tracer's previous sink is saved and restored, so an outer
-    recording -- if any -- is shadowed for the cell, never closed), which
-    is then causally profiled *inside the cell*.  Only the folded
-    :class:`~repro.obs.causal.CampaignProfile` travels back to the parent:
-    cheap to pickle, and its submission-order merge is plain float
-    addition, so pooled sweeps aggregate bit-identically to serial ones.
+    ``metrics`` is the registry delta the whole sweep caused -- protocol
+    counters, oracle hit/miss counts, channel histograms (see
+    :func:`sweep`).  ``series`` is the fold of every cell's sampled bank
+    (:func:`repro.obs.timeseries.merge_banks`): per-sim-time aggregates
+    across cells, empty unless the sweep sampled.  All integer series
+    content (sample times, counter deltas, histogram counts and buckets)
+    is bit-identical between serial and pooled runs; histogram float
+    *sums* carry the same last-bit rounding caveat as ``metrics``.
+    ``slo_results``/``alerts`` come from replaying the requested SLOs over
+    that folded bank (empty when none were requested), and ``profile`` is
+    the campaign-level causal profile (``None`` unless requested).
     """
 
-    def __init__(self, worker) -> None:
-        self.worker = worker
-
-    def __call__(self, payload) -> Tuple[object, CampaignProfile]:
-        buffer = io.StringIO()
-        active = obs_tracer()
-        previous = active.sink
-        recorder = Recorder(buffer)
-        active.set_sink(recorder)
-        try:
-            result = self.worker(payload)
-        finally:
-            active.set_sink(previous)
-            recorder.close()
-        recording = parse_recording(buffer.getvalue().splitlines())
-        profile = aggregate_profiles(profile_recording(recording))
-        return result, profile
+    records: List = field(default_factory=list)
+    metrics: Dict[str, dict] = field(default_factory=dict)
+    series: Dict[str, dict] = field(default_factory=dict)
+    slo_results: List[dict] = field(default_factory=list)
+    alerts: List[dict] = field(default_factory=list)
+    profile: Optional[CampaignProfile] = None
 
 
-def run_evaluation_with_profiles(
-    config: EvaluationConfig,
-) -> Tuple[List[TrialRecord], CampaignProfile]:
-    """The quality sweep plus a campaign-level causal profile.
+def observe_sweep(
+    cell: Callable,
+    subject: object,
+    config: SweepConfig,
+    *,
+    sample_interval: Optional[float] = None,
+    slos: Sequence[SloSpec] = (),
+    profile: bool = False,
+) -> SweepFold:
+    """Run one ``(subject, size, trial, sample_interval)`` cell per size
+    and trial of ``config`` through :func:`sweep` and flatten the outcome.
 
-    Every cell's sflow runs are flight-recorded in memory and reduced to
-    critical-path aggregates (:mod:`repro.obs.causal`); cells fold in
-    submission order, so the returned :class:`CampaignProfile` is
-    bit-identical between ``workers=0`` and any pool size.  Trial records
-    are unchanged from :func:`run_evaluation` -- tracing stamps message
-    ids but never alters protocol behaviour.
+    Every cell returns ``(records, series bank)``.  With
+    ``sample_interval`` set, every sflow run samples series in sim time
+    (see :attr:`repro.core.sflow.SFlowConfig.sample_interval`) and any
+    ``slos`` are graded over the folded bank; with ``profile``, every
+    run is flight-recorded in memory and reduced to critical-path
+    aggregates (:mod:`repro.obs.causal`).  Neither changes a record --
+    sampling adds a read-only process, tracing stamps message ids -- so
+    they are arguments of the observation, not of the experiment.
     """
+    if slos and sample_interval is None:
+        raise ValueError("slos need sample_interval to be evaluated")
     payloads = [
-        (config, size, trial)
+        (subject, size, trial, sample_interval)
         for size in config.network_sizes
         for trial in range(config.trials)
     ]
-    cell_results, _ = map_cells_with_metrics(
-        _ProfiledCell(_evaluate_cell), payloads, config.workers
+    cells, metrics, campaign = sweep(
+        cell, payloads, config.workers, profile=profile
     )
-    records: List[TrialRecord] = []
-    campaign = CampaignProfile()
-    for cell_records, profile in cell_results:
-        records.extend(cell_records)
-        merge_campaigns(campaign, profile)
-    return records, campaign
+    fold = SweepFold(metrics=metrics, profile=campaign)
+    for records, bank in cells:
+        fold.records.extend(records)
+        fold.series = obs_timeseries.merge_banks(fold.series, bank)
+    if slos:
+        engine = slo_replay(fold.series, slos)
+        fold.slo_results = engine.summary()
+        fold.alerts = list(engine.alerts)
+    return fold
+
+
+def observe_evaluation(config: EvaluationConfig, **observation) -> SweepFold:
+    """The fully observed quality sweep: :func:`run_evaluation`'s records
+    plus merged metrics, folded series, SLO verdicts and causal profile.
+    The keyword arguments are :func:`observe_sweep`'s."""
+    return observe_sweep(_trial_cell, config, config, **observation)
 
 
 def run_evaluation(config: EvaluationConfig) -> List[TrialRecord]:
@@ -522,78 +530,7 @@ def run_evaluation(config: EvaluationConfig) -> List[TrialRecord]:
     across the serial/parallel switch (``config.workers``), which only
     changes who computes each independent cell, not what is computed.
     """
-    records, _ = run_evaluation_with_metrics(config)
-    return records
-
-
-def run_evaluation_with_metrics(
-    config: EvaluationConfig,
-) -> Tuple[List[TrialRecord], Dict[str, dict]]:
-    """:func:`run_evaluation` plus the sweep's merged metric snapshot.
-
-    The second element is the registry delta the whole sweep caused --
-    protocol counters, oracle hit/miss counts, channel histograms.  All
-    integer series (counters, histogram counts and buckets) are identical
-    whether the cells ran serially or over a worker pool (per-cell deltas
-    merge in submission order either way); float histogram *sums* can
-    differ in the final bits, since subtraction-based deltas round
-    differently than a fresh accumulation.
-    """
-    records, metrics, _ = run_evaluation_with_observability(config)
-    return records, metrics
-
-
-@dataclass
-class SweepTelemetry:
-    """Series and SLO outputs of one observed sweep.
-
-    ``series`` is the submission-order fold of every cell's sampled bank
-    (:func:`repro.obs.timeseries.merge_banks`): per-sim-time aggregates
-    across cells.  All integer series content (sample times, counter
-    deltas, histogram counts and buckets) is bit-identical between serial
-    and pooled runs; histogram float *sums* carry the same last-bit
-    rounding caveat as :func:`run_evaluation_with_metrics`.
-    ``slo_results``/``alerts`` come from replaying ``config.slos`` over
-    that folded bank (empty when no SLOs were configured).
-    """
-
-    series: Dict[str, dict] = field(default_factory=dict)
-    slo_results: List[dict] = field(default_factory=list)
-    alerts: List[dict] = field(default_factory=list)
-
-
-def run_evaluation_with_observability(
-    config: EvaluationConfig,
-) -> Tuple[List[TrialRecord], Dict[str, dict], SweepTelemetry]:
-    """The fully observed sweep: records, merged metrics, telemetry.
-
-    With ``config.sample_interval`` unset the telemetry is empty and the
-    sweep is exactly :func:`run_evaluation_with_metrics`.  With it set,
-    every sflow cell samples series in sim time; the per-cell banks fold
-    in submission order, so ``workers`` never changes the folded series
-    beyond the histogram-sum rounding caveat (the eval tests assert
-    bit-equality of everything integer), and any ``config.slos`` are
-    graded over the folded bank.
-    """
-    payloads = [
-        (config, size, trial)
-        for size in config.network_sizes
-        for trial in range(config.trials)
-    ]
-    cell_results, metrics = map_cells_with_metrics(
-        _observed_cell, payloads, config.workers
-    )
-    records: List[TrialRecord] = []
-    bank: Dict[str, dict] = {}
-    for cell_records, cell_bank in cell_results:
-        records.extend(cell_records)
-        bank = obs_timeseries.merge_banks(bank, cell_bank)
-    telemetry = SweepTelemetry(series=bank)
-    if config.slos:
-        engine = slo_replay(bank, config.slos)
-        telemetry.slo_results = engine.summary()
-        telemetry.alerts = list(engine.alerts)
-    return records, metrics, telemetry
+    return observe_evaluation(config).records
 
 
 def run_scalability(config: EvaluationConfig) -> List[TrialRecord]:
@@ -604,27 +541,3 @@ def run_scalability(config: EvaluationConfig) -> List[TrialRecord]:
 def _trial_seed(base: int, size: int, trial: int) -> int:
     """Stable per-(size, trial) seed derivation."""
     return (base * 1_000_003 + size * 7919 + trial * 104_729) % (2**31)
-
-
-def aggregate(
-    records: Iterable[TrialRecord],
-    metric: str,
-    *,
-    feasible_only: bool = True,
-) -> Dict[Tuple[int, str], float]:
-    """Mean of ``metric`` grouped by ``(network_size, algorithm)``.
-
-    ``feasible_only`` drops infeasible trials (e.g. a random pick that broke
-    the flow graph) from quality metrics, so a handful of failures do not
-    turn a mean latency into infinity.
-    """
-    from repro.eval.stats import mean
-
-    groups: Dict[Tuple[int, str], List[float]] = {}
-    for rec in records:
-        if feasible_only and not rec.feasible:
-            continue
-        groups.setdefault((rec.network_size, rec.algorithm), []).append(
-            getattr(rec, metric)
-        )
-    return {key: mean(values) for key, values in groups.items()}

@@ -31,44 +31,40 @@ import csv
 import dataclasses
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.detector import BreakerConfig, DetectorConfig, RetryPolicy
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig, SFlowResult
-from repro.eval.experiments import _trial_seed, map_cells_with_metrics
+from repro.eval.experiments import (
+    SweepConfig,
+    SweepFold,
+    _trial_seed,
+    observe_sweep,
+    resolve_workers,
+)
+from repro.eval.stats import mean
 from repro.network.failures import ChaosPlan, FailureInjector
+from repro.obs import timeseries as obs_timeseries
 from repro.services.workloads import Scenario, ScenarioConfig, generate_scenario
 
 
-def _robustness_cell(
-    payload: Tuple["RobustnessExperiment", int, int]
-) -> List["RobustnessRecord"]:
-    """Top-level (picklable) worker for one (size, trial) sweep cell."""
-    experiment, size, trial = payload
-    return experiment._cell(size, trial)
-
-
 @dataclass
-class RobustnessConfig:
-    """Sweep parameters for the crash-tolerance experiment.
+class ChaosSweepConfig(SweepConfig):
+    """What the crash and the gray-failure sweep share.
 
     The protocol knobs (``retransmit_timeout``, ``max_retries``,
     ``failover_backoff``, ``deadline``) are deliberately tighter than the
     :class:`~repro.core.sflow.SFlowConfig` defaults: a robustness sweep
     measures recovery, so suspicion must be cheap and deadlines must be
-    reachable within a short simulated window.
+    reachable within a short simulated window.  ``workers`` fans the
+    (size, trial) cells out like :attr:`SweepConfig.workers`; records are
+    bit-identical to the serial sweep (every field is a virtual-time or
+    counter measurement, never wall-clock).
     """
 
-    network_sizes: Tuple[int, ...] = (10, 20, 30)
-    crash_rates: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
-    trials: int = 10
     n_services: int = 5
-    horizon: int = 2
-    #: Crash times are drawn uniformly from ``[0, crash_window)`` -- inside
-    #: the federation run, which is the whole point.
-    crash_window: float = 40.0
     revive_after: Optional[float] = None
     retransmit_timeout: float = 10.0
     max_retries: int = 2
@@ -76,34 +72,23 @@ class RobustnessConfig:
     max_failovers: int = 8
     deadline: Optional[float] = 600.0
     max_refederations: int = 2
-    seed: int = 0
-    #: Like :attr:`EvaluationConfig.workers`: 0/1 serial, ``n >= 2`` fans
-    #: the (size, trial) cells over ``n`` processes, -1 uses every CPU.
-    #: Records are bit-identical to the serial sweep (every field is a
-    #: virtual-time or counter measurement, never wall-clock).
-    workers: int = 0
+
+    @property
+    def levels(self) -> Tuple[float, ...]:
+        """The fault levels every cell runs, besides its baseline."""
+        raise NotImplementedError
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if not self.network_sizes:
-            raise ValueError("need at least one network size")
-        if not self.crash_rates:
-            raise ValueError("need at least one crash rate")
-        for rate in self.crash_rates:
-            if not (0.0 <= rate <= 1.0):
-                raise ValueError(f"crash rates must be in [0, 1], got {rate}")
-        if self.workers < -1:
-            raise ValueError("workers must be >= -1")
+        super().__post_init__()
+        if not self.levels:
+            raise ValueError("need at least one fault level")
+        for level in self.levels:
+            if not (0.0 <= level <= 1.0):
+                raise ValueError(f"fault levels must be in [0, 1], got {level}")
 
-    def instance_range(self, network_size: int) -> Tuple[int, int]:
-        """Instances per service, scaled with the network like the Fig. 10
-        sweeps (every network node is a service node)."""
-        per_service = max(1, round(network_size / self.n_services))
-        return (max(1, per_service - 1), per_service + 1)
-
-    def protocol_config(self) -> SFlowConfig:
-        """The :class:`SFlowConfig` every run (baseline and chaotic) uses."""
+    def protocol_config(self, **adaptive) -> SFlowConfig:
+        """The :class:`SFlowConfig` every run (baseline and chaotic) uses;
+        ``adaptive`` are the further fields a requirement-bearing run sets."""
         return SFlowConfig(
             horizon=self.horizon,
             retransmit_timeout=self.retransmit_timeout,
@@ -112,7 +97,134 @@ class RobustnessConfig:
             max_failovers=self.max_failovers,
             deadline=self.deadline,
             max_refederations=self.max_refederations,
+            **adaptive,
         )
+
+
+def _chaos_cell(payload: Tuple["ChaosExperiment", int, int, Optional[float]]):
+    """Top-level (picklable) worker for one (size, trial) sweep cell."""
+    experiment, size, trial, sample_interval = payload
+    return experiment._cell(size, trial, sample_interval)
+
+
+def _reproduces(baseline: SFlowResult, result: SFlowResult) -> bool:
+    """True iff ``result`` is the baseline's flow graph, reached with the
+    baseline's message count at the baseline's convergence time."""
+    return (
+        result.flow_graph is not None
+        and baseline.flow_graph is not None
+        and result.flow_graph.assignment == baseline.flow_graph.assignment
+        and result.messages == baseline.messages
+        and result.convergence_time == baseline.convergence_time
+    )
+
+
+class ChaosExperiment:
+    """A fault level x network size sweep (see the module docstring).
+
+    Every (size, trial) cell federates its seeded scenario once undisturbed
+    (the baseline) and once per fault level.  A subclass names its config
+    class and the salt of its chaos seeds, draws the :class:`ChaosPlan` of
+    a level (``_plan``) and shapes the record (``_record``).
+    """
+
+    config_class: type
+    chaos_salt: int
+
+    def __init__(self, config: Optional[ChaosSweepConfig] = None) -> None:
+        self.config = config or self.config_class()
+
+    def _scenario(self, size: int, trial: int) -> Scenario:
+        seed = _trial_seed(self.config.seed, size, trial)
+        return generate_scenario(
+            ScenarioConfig(
+                network_size=size,
+                n_services=self.config.n_services,
+                instances_per_service=self.config.instance_range(size),
+                seed=seed,
+            )
+        )
+
+    def _chaos(self, scenario: Scenario, level: float) -> Optional[ChaosPlan]:
+        if level <= 0:
+            return None
+        chaos_seed = scenario.seed ^ self.chaos_salt
+        injector = FailureInjector(
+            random.Random(chaos_seed),
+            protect=[scenario.source_instance],
+        )
+        return self._plan(injector, scenario, level, chaos_seed)
+
+    def _disturbed_protocol(
+        self, size: int, trial: int, baseline: SFlowResult
+    ) -> SFlowConfig:
+        """The protocol of a cell's runs under chaos: the baseline's."""
+        return self.config.protocol_config()
+
+    def _cell(self, size: int, trial: int, sample_interval: Optional[float]):
+        """One (size, trial) cell: the baseline run plus every fault level,
+        as ``(records, sampled series bank)``.  Level 0 re-runs the
+        baseline configuration and must reproduce it bit for bit."""
+        scenario = self._scenario(size, trial)
+
+        def federate(
+            protocol: SFlowConfig, chaos: Optional[ChaosPlan] = None
+        ) -> SFlowResult:
+            # Sampling rides on the baseline and the disturbed arms alike,
+            # so level 0 still reproduces the baseline.
+            sampled = dataclasses.replace(protocol, sample_interval=sample_interval)
+            return SFlowAlgorithm(sampled).federate(
+                scenario.requirement,
+                scenario.overlay,
+                source_instance=scenario.source_instance,
+                chaos=chaos,
+            )
+
+        calm = self.config.protocol_config()
+        baseline = federate(calm)
+        disturbed = self._disturbed_protocol(size, trial, baseline)
+        records = []
+        bank = baseline.series
+        for level in self.config.levels:
+            chaos = self._chaos(scenario, level)
+            result = federate(calm if chaos is None else disturbed, chaos)
+            records.append(
+                self._record(size, level, trial, baseline, result, chaos)
+            )
+            bank = obs_timeseries.merge_banks(bank, result.series)
+        return records, bank
+
+    def run(self) -> List:
+        """The sweep; cells fan out over ``config.workers`` processes.
+
+        Cells are fully independent (scenario, chaos and protocol all
+        reseed from ``config.seed``) and collected in submission order, so
+        the parallel table is bit-identical to the serial one.
+        """
+        return self.observe().records
+
+    def observe(self, **observation) -> SweepFold:
+        """:meth:`run` plus everything observed on the way: the merged
+        metric-registry delta, the folded series bank with its SLO verdicts
+        and the campaign profile.  The keyword arguments are
+        :func:`repro.eval.experiments.observe_sweep`'s."""
+        return observe_sweep(_chaos_cell, self, self.config, **observation)
+
+
+@dataclass
+class RobustnessConfig(ChaosSweepConfig):
+    """Sweep parameters for the crash-tolerance experiment."""
+
+    network_sizes: Tuple[int, ...] = (10, 20, 30)
+    trials: int = 10
+    crash_rates: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
+    #: Crash times are drawn uniformly from ``[0, crash_window)`` -- inside
+    #: the federation run, which is the whole point.
+    crash_window: float = 40.0
+
+    @property
+    def levels(self) -> Tuple[float, ...]:
+        return self.crash_rates
 
 
 @dataclass
@@ -159,92 +271,20 @@ class RobustnessRecord:
         return max(0.0, self.convergence_time - self.baseline_convergence)
 
 
-class RobustnessExperiment:
+class RobustnessExperiment(ChaosExperiment):
     """The crash rate x network size sweep (see the module docstring)."""
 
-    def __init__(self, config: Optional[RobustnessConfig] = None) -> None:
-        self.config = config or RobustnessConfig()
+    config_class = RobustnessConfig
+    chaos_salt = 0xC0FFEE
 
-    def _scenario(self, size: int, trial: int) -> Scenario:
-        seed = _trial_seed(self.config.seed, size, trial)
-        return generate_scenario(
-            ScenarioConfig(
-                network_size=size,
-                n_services=self.config.n_services,
-                instances_per_service=self.config.instance_range(size),
-                seed=seed,
-            )
-        )
-
-    def _chaos(self, scenario: Scenario, crash_rate: float) -> Optional[ChaosPlan]:
-        if crash_rate <= 0:
-            return None
-        chaos_seed = scenario.seed ^ 0xC0FFEE
-        injector = FailureInjector(
-            random.Random(chaos_seed),
-            protect=[scenario.source_instance],
-        )
+    def _plan(self, injector, scenario, crash_rate, seed) -> ChaosPlan:
         return injector.chaos_plan(
             scenario.overlay,
             crash_rate=crash_rate,
             window=self.config.crash_window,
             revive_after=self.config.revive_after,
-            seed=chaos_seed,
+            seed=seed,
         )
-
-    def _cell(self, size: int, trial: int) -> List[RobustnessRecord]:
-        """One (size, trial) cell: the baseline run plus every crash rate."""
-        protocol = self.config.protocol_config()
-        scenario = self._scenario(size, trial)
-        baseline = SFlowAlgorithm(protocol).federate(
-            scenario.requirement,
-            scenario.overlay,
-            source_instance=scenario.source_instance,
-        )
-        return [
-            self._record(
-                size,
-                rate,
-                trial,
-                baseline,
-                SFlowAlgorithm(protocol).federate(
-                    scenario.requirement,
-                    scenario.overlay,
-                    source_instance=scenario.source_instance,
-                    chaos=self._chaos(scenario, rate),
-                ),
-            )
-            for rate in self.config.crash_rates
-        ]
-
-    def run(self) -> List[RobustnessRecord]:
-        """The sweep; cells fan out over ``config.workers`` processes.
-
-        Cells are fully independent (scenario, chaos and protocol all
-        reseed from ``config.seed``) and collected in submission order, so
-        the parallel table is bit-identical to the serial one.
-        """
-        records, _ = self.run_with_metrics()
-        return records
-
-    def run_with_metrics(
-        self,
-    ) -> Tuple[List[RobustnessRecord], Dict[str, dict]]:
-        """:meth:`run` plus the sweep's merged metric-registry delta
-        (merged across worker processes in submission order, so serial and
-        pooled sweeps report the same counter totals)."""
-        payloads = [
-            (self, size, trial)
-            for size in self.config.network_sizes
-            for trial in range(self.config.trials)
-        ]
-        cells, metrics = map_cells_with_metrics(
-            _robustness_cell, payloads, self.config.workers
-        )
-        records: List[RobustnessRecord] = []
-        for cell in cells:
-            records.extend(cell)
-        return records, metrics
 
     @staticmethod
     def _record(
@@ -253,6 +293,7 @@ class RobustnessExperiment:
         trial: int,
         baseline: SFlowResult,
         result: SFlowResult,
+        chaos: Optional[ChaosPlan],
     ) -> RobustnessRecord:
         succeeded = result.flow_graph is not None
         quality = result.flow_graph.quality() if succeeded else None
@@ -260,13 +301,6 @@ class RobustnessExperiment:
             baseline.flow_graph.quality()
             if baseline.flow_graph is not None
             else None
-        )
-        identical = (
-            succeeded
-            and baseline.flow_graph is not None
-            and result.flow_graph.assignment == baseline.flow_graph.assignment
-            and result.messages == baseline.messages
-            and result.convergence_time == baseline.convergence_time
         )
         return RobustnessRecord(
             network_size=size,
@@ -288,7 +322,7 @@ class RobustnessExperiment:
             refederations=result.refederations,
             recovery_events=len(result.recovery_log),
             failure_reason=result.failure_reason,
-            identical_to_baseline=identical,
+            identical_to_baseline=_reproduces(baseline, result),
         )
 
 
@@ -317,8 +351,6 @@ class RobustnessCell:
 
 def summarize(records: List[RobustnessRecord]) -> List[RobustnessCell]:
     """Collapse trial records into per-cell aggregates, cell-sorted."""
-    from repro.eval.stats import mean
-
     cells: Dict[Tuple[int, float], List[RobustnessRecord]] = {}
     for record in records:
         cells.setdefault((record.network_size, record.crash_rate), []).append(
@@ -359,20 +391,12 @@ def summarize(records: List[RobustnessRecord]) -> List[RobustnessCell]:
 # ---------------------------------------------------------------------------
 
 
-def _gray_cell(
-    payload: Tuple["GrayFailureExperiment", int, int]
-) -> List["GrayFailureRecord"]:
-    """Top-level (picklable) worker for one (size, trial) gray-sweep cell."""
-    experiment, size, trial = payload
-    return experiment._cell(size, trial)
-
-
 #: Recovery-log kinds that count as "the runtime noticed this instance".
 _DETECTION_KINDS = frozenset({"suspect", "retry_exhausted", "quarantine"})
 
 
 @dataclass
-class GrayFailureConfig:
+class GrayFailureConfig(ChaosSweepConfig):
     """Sweep parameters for the gray-failure experiment.
 
     Every cell composes the full gray menu (channel loss / duplication /
@@ -384,58 +408,27 @@ class GrayFailureConfig:
     """
 
     network_sizes: Tuple[int, ...] = (10, 20)
-    intensities: Tuple[float, ...] = (0.0, 0.3, 0.6)
     trials: int = 5
-    n_services: int = 5
-    horizon: int = 2
+    intensities: Tuple[float, ...] = (0.0, 0.3, 0.6)
     fault_window: float = 60.0
     heal_after: Optional[float] = 30.0
     crash_fraction: float = 0.2
-    revive_after: Optional[float] = None
     required_fraction: float = 0.8
-    retransmit_timeout: float = 10.0
-    max_retries: int = 2
-    failover_backoff: float = 5.0
-    max_failovers: int = 8
-    deadline: Optional[float] = 600.0
-    max_refederations: int = 2
     refederate_hysteresis: float = 50.0
     detector_threshold: float = 4.0
     detector_poll: float = 15.0
     breaker_failures: int = 2
     retry_attempts: int = 3
     retry_base: float = 8.0
-    seed: int = 0
-    #: 0/1 serial, ``n >= 2`` fans the (size, trial) cells over processes,
-    #: -1 uses every CPU.  Bit-identical to the serial sweep.
-    workers: int = 0
-    #: Optional sim-time metric sampling inside every run (baseline and
-    #: gray arms alike, so intensity 0 still reproduces the baseline);
-    #: ``None``: no sampler process.
-    sample_interval: Optional[float] = None
+
+    @property
+    def levels(self) -> Tuple[float, ...]:
+        return self.intensities
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if not self.network_sizes:
-            raise ValueError("need at least one network size")
-        if not self.intensities:
-            raise ValueError("need at least one intensity")
-        for intensity in self.intensities:
-            if not (0.0 <= intensity <= 1.0):
-                raise ValueError(
-                    f"intensities must be in [0, 1], got {intensity}"
-                )
+        super().__post_init__()
         if not (0.0 < self.required_fraction <= 1.0):
             raise ValueError("required_fraction must be in (0, 1]")
-        if self.workers < -1:
-            raise ValueError("workers must be >= -1")
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0 (or None)")
-
-    def instance_range(self, network_size: int) -> Tuple[int, int]:
-        per_service = max(1, round(network_size / self.n_services))
-        return (max(1, per_service - 1), per_service + 1)
 
     def protocol_config(
         self, required_bandwidth: Optional[float] = None
@@ -444,14 +437,7 @@ class GrayFailureConfig:
         only on requirement-bearing (gray) runs, so the intensity-0 run is
         bit-identical to the plain baseline."""
         adaptive = required_bandwidth is not None
-        return SFlowConfig(
-            horizon=self.horizon,
-            retransmit_timeout=self.retransmit_timeout,
-            max_retries=self.max_retries,
-            failover_backoff=self.failover_backoff,
-            max_failovers=self.max_failovers,
-            deadline=self.deadline,
-            max_refederations=self.max_refederations,
+        return super().protocol_config(
             required_bandwidth=required_bandwidth,
             refederate_hysteresis=self.refederate_hysteresis,
             detector=(
@@ -474,7 +460,6 @@ class GrayFailureConfig:
                 if adaptive
                 else None
             ),
-            sample_interval=self.sample_interval,
         )
 
 
@@ -514,33 +499,13 @@ class GrayFailureRecord:
     identical_to_baseline: bool = False
 
 
-class GrayFailureExperiment:
+class GrayFailureExperiment(ChaosExperiment):
     """The fault intensity x network size sweep (see module docstring)."""
 
-    def __init__(self, config: Optional[GrayFailureConfig] = None) -> None:
-        self.config = config or GrayFailureConfig()
+    config_class = GrayFailureConfig
+    chaos_salt = 0x6B8B4567
 
-    def _scenario(self, size: int, trial: int) -> Scenario:
-        seed = _trial_seed(self.config.seed, size, trial)
-        return generate_scenario(
-            ScenarioConfig(
-                network_size=size,
-                n_services=self.config.n_services,
-                instances_per_service=self.config.instance_range(size),
-                seed=seed,
-            )
-        )
-
-    def _chaos(
-        self, scenario: Scenario, intensity: float
-    ) -> Optional[ChaosPlan]:
-        if intensity <= 0:
-            return None
-        chaos_seed = scenario.seed ^ 0x6B8B4567
-        injector = FailureInjector(
-            random.Random(chaos_seed),
-            protect=[scenario.source_instance],
-        )
+    def _plan(self, injector, scenario, intensity, seed) -> ChaosPlan:
         return injector.gray_plan(
             scenario.overlay,
             intensity=intensity,
@@ -548,65 +513,37 @@ class GrayFailureExperiment:
             heal_after=self.config.heal_after,
             crash_fraction=self.config.crash_fraction,
             revive_after=self.config.revive_after,
-            seed=chaos_seed,
+            seed=seed,
         )
 
-    def _cell(self, size: int, trial: int) -> List[GrayFailureRecord]:
-        """One (size, trial) cell: the fault-free baseline plus every
-        intensity.  Intensity 0 re-runs the baseline configuration and
-        must reproduce it bit for bit."""
-        scenario = self._scenario(size, trial)
-        baseline_config = self.config.protocol_config()
-        baseline = SFlowAlgorithm(baseline_config).federate(
-            scenario.requirement,
-            scenario.overlay,
-            source_instance=scenario.source_instance,
+    def _required(self, baseline: SFlowResult) -> float:
+        return (
+            baseline.flow_graph.bottleneck_bandwidth()
+            * self.config.required_fraction
         )
+
+    def _disturbed_protocol(
+        self, size: int, trial: int, baseline: SFlowResult
+    ) -> SFlowConfig:
         if baseline.flow_graph is None:
             raise RuntimeError(
                 f"gray-failure baseline failed for size={size} trial={trial}: "
                 f"{baseline.failure_reason}"
             )
-        required = (
-            baseline.flow_graph.bottleneck_bandwidth()
-            * self.config.required_fraction
+        return self.config.protocol_config(
+            required_bandwidth=self._required(baseline)
         )
-        records: List[GrayFailureRecord] = []
-        for intensity in self.config.intensities:
-            if intensity <= 0:
-                result = SFlowAlgorithm(baseline_config).federate(
-                    scenario.requirement,
-                    scenario.overlay,
-                    source_instance=scenario.source_instance,
-                )
-                chaos = None
-            else:
-                chaos = self._chaos(scenario, intensity)
-                result = SFlowAlgorithm(
-                    self.config.protocol_config(required_bandwidth=required)
-                ).federate(
-                    scenario.requirement,
-                    scenario.overlay,
-                    source_instance=scenario.source_instance,
-                    chaos=chaos,
-                )
-            records.append(
-                self._record(
-                    size, intensity, trial, required, baseline, result, chaos
-                )
-            )
-        return records
 
-    @staticmethod
     def _record(
+        self,
         size: int,
         intensity: float,
         trial: int,
-        required: float,
         baseline: SFlowResult,
         result: SFlowResult,
         chaos: Optional[ChaosPlan],
     ) -> GrayFailureRecord:
+        required = self._required(baseline)
         served = result.flow_graph is not None
         if result.achieved_bandwidth is not None:
             achieved = result.achieved_bandwidth
@@ -641,14 +578,6 @@ class GrayFailureExperiment:
             if result.recovery_log
             else 0.0
         )
-        identical = (
-            served
-            and baseline.flow_graph is not None
-            and result.flow_graph.assignment == baseline.flow_graph.assignment
-            and result.messages == baseline.messages
-            and result.convergence_time == baseline.convergence_time
-            and result.recovery_log == baseline.recovery_log
-        )
         return GrayFailureRecord(
             network_size=size,
             intensity=intensity,
@@ -677,30 +606,11 @@ class GrayFailureExperiment:
             failovers=result.failovers,
             refederations=result.refederations,
             failure_reason=result.failure_reason,
-            identical_to_baseline=identical,
+            identical_to_baseline=(
+                _reproduces(baseline, result)
+                and result.recovery_log == baseline.recovery_log
+            ),
         )
-
-    def run(self) -> List[GrayFailureRecord]:
-        records, _ = self.run_with_metrics()
-        return records
-
-    def run_with_metrics(
-        self,
-    ) -> Tuple[List[GrayFailureRecord], Dict[str, dict]]:
-        """:meth:`run` plus the merged metric-registry delta (submission
-        order, so serial and pooled sweeps report identical totals)."""
-        payloads = [
-            (self, size, trial)
-            for size in self.config.network_sizes
-            for trial in range(self.config.trials)
-        ]
-        cells, metrics = map_cells_with_metrics(
-            _gray_cell, payloads, self.config.workers
-        )
-        records: List[GrayFailureRecord] = []
-        for cell in cells:
-            records.extend(cell)
-        return records, metrics
 
 
 @dataclass
@@ -723,8 +633,6 @@ class GrayFailureCell:
 
 def summarize_gray(records: List[GrayFailureRecord]) -> List[GrayFailureCell]:
     """Collapse trial records into per-cell aggregates, cell-sorted."""
-    from repro.eval.stats import mean
-
     cells: Dict[Tuple[int, float], List[GrayFailureRecord]] = {}
     for record in records:
         cells.setdefault(
@@ -844,6 +752,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sampled series land in the recording as /2 'series' records",
     )
     args = parser.parse_args(argv)
+    if args.record is not None and resolve_workers(
+        args.workers, len(args.sizes) * args.trials
+    ):
+        parser.error(
+            "--record captures this process only and cannot follow "
+            "--workers into a pool; record with --workers 0"
+        )
 
     from repro import obs
     from repro.obs import metrics as obs_metrics
@@ -854,7 +769,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         trials=args.trials,
         seed=args.seed,
         workers=args.workers,
-        sample_interval=args.sample_interval,
     )
     errors_before = obs_metrics.registry().counter("engine.handler_error").total
     context = (
@@ -863,7 +777,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else contextlib.nullcontext()
     )
     with context:
-        records = GrayFailureExperiment(config).run()
+        records = (
+            GrayFailureExperiment(config)
+            .observe(sample_interval=args.sample_interval)
+            .records
+        )
     errors_after = obs_metrics.registry().counter("engine.handler_error").total
 
     if args.csv is not None:

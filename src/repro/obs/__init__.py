@@ -37,7 +37,8 @@ Typical use::
 
 ``start_recording``/``stop_recording`` are the imperative twins for CLIs
 and examples.  Recording is per-process; never leave one active across a
-``multiprocessing`` fan-out.
+``multiprocessing`` fan-out (:func:`repro.eval.experiments.sweep` raises
+rather than write a recording its workers' spans and events are not in).
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ recordings simply lack them; :func:`load_recording` reads both.
 Recording is strictly per-process: a recorder must never be shared with
 multiprocessing workers (forked children would interleave writes).  The
 evaluation campaigns instead ship per-cell metric *snapshots* back to the
-parent -- see :mod:`repro.eval.experiments`.
+parent, and their runner refuses to fan out under an active recording --
+see :func:`repro.eval.experiments.sweep`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ of the same seeded campaign, or the same campaign before and after an
 optimization) and reports per-kind latency deltas with a regression
 verdict: exit 1 when the candidate's mean critical path exceeds the
 baseline by more than ``--max-regression`` (default +20%).  CI runs it on
-every push -- see the profile-smoke job.
+every push -- see the chaos-smoke job.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the campaign runner and its results directories."""
 
+import dataclasses
 import json
 
 import pytest
@@ -78,6 +79,29 @@ class TestManifest:
 
     def test_config_to_dict_serialisable(self):
         json.dumps(config_to_dict(SMALL))
+
+    def test_every_config_field_survives_the_manifest(self, tmp_path):
+        """A non-default value in *every* field comes back equal, so the
+        next field added to the config cannot break the round trip
+        unnoticed (``slos`` once came back as a tuple of dicts)."""
+        changed = {
+            "network_sizes": (12, 16),
+            "trials": 3,
+            "n_services": 4,
+            "horizon": 3,
+            "seed": 7,
+            "workers": 2,
+            "requirement_class": RequirementClass.SPLIT_MERGE,
+        }
+        fields = {f.name for f in dataclasses.fields(EvaluationConfig)}
+        assert set(changed) == fields, "give the new field a non-default value"
+        config = EvaluationConfig(**changed)
+        default = EvaluationConfig()
+        for name in fields:
+            assert getattr(config, name) != getattr(default, name), name
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": config_to_dict(config)}))
+        assert config_from_manifest(manifest) == config
 
 
 class TestCli:

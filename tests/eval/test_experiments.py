@@ -1,19 +1,33 @@
 """Tests for the experiment sweeps."""
 
+import io
 import math
+from dataclasses import replace
 
 import pytest
 
+import repro.obs as obs
 from repro.eval.experiments import (
     ALGORITHMS,
     EvaluationConfig,
-    aggregate,
+    observe_evaluation,
+    resolve_workers,
     run_evaluation,
     run_scalability,
     run_trial,
 )
-from repro.services.requirement import RequirementClass
+from repro.eval.figures import _series
+from repro.obs.slo import DEFAULT_SLOS, SloSpec
+from repro.obs.trace import tracer as obs_tracer
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.eval.contract import (
+    comparable,
+    folds,
+    same_integer_metrics,
+    same_profile,
+    same_records,
+    same_series,
+)
 
 SMALL = EvaluationConfig(network_sizes=(10, 14), trials=2, n_services=5, seed=1)
 
@@ -36,12 +50,6 @@ class TestConfig:
         config = EvaluationConfig(n_services=5)
         lo, hi = config.instance_range(20)
         assert lo <= 20 / 5 <= hi
-
-    def test_static_instances_when_scaling_off(self):
-        config = EvaluationConfig(
-            scale_instances=False, instances_per_service=(2, 2)
-        )
-        assert config.instance_range(50) == (2, 2)
 
 
 class TestRunTrial:
@@ -121,57 +129,55 @@ class TestSweeps:
 
 
 class TestAggregate:
+    """``figures._series`` is the one aggregator every panel uses."""
+
     def test_groups_by_size_and_algorithm(self, records):
-        table = aggregate(records, "correctness", feasible_only=False)
-        assert (10, "sflow") in table
-        assert (14, "optimal") in table
+        table = _series(
+            records, (10, 14), ("sflow", "optimal"), "correctness",
+            feasible_only=False,
+        )
+        assert set(table) == {"sflow", "optimal"}
+        assert all(len(values) == 2 for values in table.values())
+        assert table["optimal"] == (1.0, 1.0)
 
     def test_feasible_only_drops_failures(self, records):
-        loose = aggregate(records, "latency", feasible_only=False)
-        strict = aggregate(records, "latency", feasible_only=True)
-        # Strict aggregation never contains infinities.
-        assert all(math.isfinite(v) for v in strict.values())
-        assert set(strict) <= set(loose)
+        sflow = next(r for r in records if r.algorithm == "sflow" and r.feasible)
+        failed = replace(sflow, feasible=False, latency=sflow.latency + 100.0)
+        lost = replace(sflow, feasible=False, latency=math.inf)
+        size = (sflow.network_size,)
+
+        def mean_latency(rows, feasible_only):
+            return _series(
+                rows, size, ("sflow",), "latency", feasible_only=feasible_only
+            )["sflow"][0]
+
+        assert mean_latency([sflow, failed, lost], True) == sflow.latency
+        # Loose aggregation keeps the failure; infinities never reach a mean.
+        assert mean_latency([sflow, failed, lost], False) == pytest.approx(
+            sflow.latency + 50.0
+        )
+
+
+SMALLER = EvaluationConfig(network_sizes=(10,), trials=2, n_services=4, seed=3)
 
 
 class TestParallelDeterminism:
-    """The multiprocessing sweep must reproduce the serial sweep exactly.
-
-    ``elapsed_seconds`` is the one field measured in wall-clock time (it
-    times the algorithm run itself), so it is normalised to zero before
-    comparison; every other field -- seeds, qualities, correctness,
-    virtual-time convergence, message counts -- must be bit-identical.
-    """
-
-    @staticmethod
-    def _normalized(records):
-        from dataclasses import replace as dc_replace
-
-        return [dc_replace(r, elapsed_seconds=0.0) for r in records]
+    """The multiprocessing sweep must reproduce the serial sweep exactly
+    (the whole contract, for every sweep family: ``test_sweep_contract``)."""
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             EvaluationConfig(workers=-2)
 
-    def test_parallel_matches_serial(self, records):
-        from dataclasses import replace as dc_replace
-
-        parallel = run_evaluation(dc_replace(SMALL, workers=2))
-        assert self._normalized(parallel) == self._normalized(records)
+    def test_parallel_matches_serial(self):
+        same_records(*folds("evaluation"))
 
     def test_parallel_scalability_matches_serial(self):
-        from dataclasses import replace as dc_replace
-
-        config = EvaluationConfig(
-            network_sizes=(10,), trials=2, n_services=4, seed=3
-        )
-        serial = run_scalability(config)
-        parallel = run_scalability(dc_replace(config, workers=2))
-        assert self._normalized(parallel) == self._normalized(serial)
+        serial = run_scalability(SMALLER)
+        parallel = run_scalability(replace(SMALLER, workers=2))
+        assert comparable(parallel) == comparable(serial)
 
     def test_all_cpus_sentinel(self):
-        from repro.eval.experiments import resolve_workers
-
         assert resolve_workers(0, 10) == 0
         assert resolve_workers(1, 10) == 0
         assert resolve_workers(4, 2) == 2
@@ -182,65 +188,20 @@ class TestParallelDeterminism:
 class TestMergedMetrics:
     """Per-cell metric deltas merge identically across the worker split."""
 
-    @staticmethod
-    def _counters(snapshot):
-        return {
-            name: record["values"]
-            for name, record in snapshot.items()
-            if record["kind"] == "counter"
-        }
-
     def test_parallel_merged_counters_match_serial(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.eval.experiments import run_evaluation_with_metrics
-
-        config = EvaluationConfig(
-            network_sizes=(10,), trials=2, n_services=4, seed=3
-        )
-        serial_records, serial_metrics = run_evaluation_with_metrics(config)
-        parallel_records, parallel_metrics = run_evaluation_with_metrics(
-            dc_replace(config, workers=2)
-        )
-        normalize = TestParallelDeterminism._normalized
-        assert normalize(parallel_records) == normalize(serial_records)
-        assert self._counters(parallel_metrics) == self._counters(
-            serial_metrics
-        )
-        # Histogram integer series (count/buckets) must agree too; only the
-        # float sums may differ in the last bits.
-        for name, record in serial_metrics.items():
-            if record["kind"] != "histogram":
-                continue
-            twin = parallel_metrics[name]
-            for labels, series in record["values"].items():
-                assert twin["values"][labels]["count"] == series["count"]
-                assert twin["values"][labels]["buckets"] == series["buckets"]
+        same_integer_metrics(*folds("evaluation"))
 
     def test_sweep_counts_protocol_sessions(self):
-        from repro.eval.experiments import run_evaluation_with_metrics
-
-        config = EvaluationConfig(
-            network_sizes=(10,), trials=2, n_services=4, seed=3
-        )
-        _, metrics = run_evaluation_with_metrics(config)
+        metrics = observe_evaluation(SMALLER).metrics
         # One sflow federation per (size, trial) cell.
         sessions = sum(metrics["sflow.sessions"]["values"].values())
         assert sessions == 2
         assert sum(metrics["channel.messages"]["values"].values()) > 0
 
     def test_pooled_sweep_folds_worker_deltas_into_parent_registry(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.obs import metrics as obs_metrics
-        from repro.eval.experiments import run_evaluation_with_metrics
-
-        config = EvaluationConfig(
-            network_sizes=(10,), trials=2, n_services=4, seed=3, workers=2
-        )
-        counter = obs_metrics.registry().counter("sflow.sessions")
+        counter = obs.metrics.registry().counter("sflow.sessions")
         before = counter.total
-        _, metrics = run_evaluation_with_metrics(config)
+        metrics = observe_evaluation(replace(SMALLER, workers=2)).metrics
         gained = counter.total - before
         assert gained == sum(metrics["sflow.sessions"]["values"].values())
 
@@ -248,121 +209,51 @@ class TestMergedMetrics:
 class TestSweepTelemetry:
     """The sampled series bank folds identically across the worker split."""
 
-    CONFIG = EvaluationConfig(
-        network_sizes=(10,), trials=2, n_services=4, seed=3,
-        sample_interval=5.0,
-    )
-
     def test_parallel_series_bank_is_bit_identical_to_serial(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.eval.experiments import run_evaluation_with_observability
-
-        _, _, serial = run_evaluation_with_observability(self.CONFIG)
-        _, _, parallel = run_evaluation_with_observability(
-            dc_replace(self.CONFIG, workers=2)
-        )
-        assert serial.series  # the sampler actually produced points
-        assert sorted(parallel.series) == sorted(serial.series)
-        for key, expect in serial.series.items():
-            got = parallel.series[key]
-            if expect["kind"] != "histogram":
-                assert got == expect, key
-                continue
-            # Histogram float sums carry the same last-bit caveat as the
-            # snapshot algebra (serial cells subtract deltas off an
-            # accumulated registry; workers start from zero).  Everything
-            # integer -- times, counts, buckets -- must be bit-identical.
-            assert dict(got, points=None) == dict(expect, points=None)
-            assert len(got["points"]) == len(expect["points"])
-            for mine, theirs in zip(got["points"], expect["points"]):
-                t, count, total, buckets = theirs
-                assert mine[0] == t and mine[1] == count
-                assert mine[3] == buckets
-                assert mine[2] == pytest.approx(total)
+        same_series(*folds("evaluation"))
 
     def test_unset_interval_keeps_telemetry_empty(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.eval.experiments import run_evaluation_with_observability
-
-        _, _, telemetry = run_evaluation_with_observability(
-            dc_replace(self.CONFIG, sample_interval=None)
-        )
-        assert telemetry.series == {}
-        assert telemetry.slo_results == [] and telemetry.alerts == []
+        fold = observe_evaluation(SMALLER)
+        assert fold.series == {} and fold.profile is None
+        assert fold.slo_results == [] and fold.alerts == []
 
     def test_slos_are_graded_over_the_folded_bank(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.eval.experiments import run_evaluation_with_observability
-        from repro.obs.slo import SloSpec
-
         spec = SloSpec(
             name="no-handler-errors", metric="engine.handler_error",
             objective="<=", threshold=0.0, field="delta", window=100.0,
             error_budget=0.01, burn_rate_threshold=1.0,
         )
-        _, _, telemetry = run_evaluation_with_observability(
-            dc_replace(self.CONFIG, slos=(spec,))
-        )
-        (row,) = telemetry.slo_results
+        fold = observe_evaluation(SMALLER, sample_interval=5.0, slos=(spec,))
+        (row,) = fold.slo_results
         assert row["slo"] == "no-handler-errors" and row["pass"]
-        assert telemetry.alerts == []
+        assert fold.alerts == []
 
     def test_slos_without_interval_rejected(self):
-        from repro.obs.slo import DEFAULT_SLOS
-
         with pytest.raises(ValueError):
-            EvaluationConfig(slos=tuple(DEFAULT_SLOS))
+            observe_evaluation(SMALLER, slos=DEFAULT_SLOS)
 
 
 class TestSweepProfiles:
     """Campaign causal profiles fold identically across the worker split."""
 
-    CONFIG = EvaluationConfig(
-        network_sizes=(10,), trials=3, n_services=4, seed=3
-    )
-
     def test_parallel_campaign_profile_is_bit_identical_to_serial(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.eval.experiments import run_evaluation_with_profiles
-
-        serial_records, serial = run_evaluation_with_profiles(self.CONFIG)
-        parallel_records, parallel = run_evaluation_with_profiles(
-            dc_replace(self.CONFIG, workers=2)
-        )
+        serial, pooled = folds("evaluation")
+        same_profile(serial, pooled)
         # One traced session per sflow run (the baselines are untraced).
-        sflow = [r for r in serial_records if r.algorithm == "sflow"]
-        assert serial.sessions == len(sflow) > 0
-        assert serial.mean_path_duration > 0
-        # CampaignProfile carries only floats summed in submission order --
-        # no trace ids, no wall-clock -- so the whole dict matches exactly.
-        assert parallel.as_dict() == serial.as_dict()
+        sflow = [r for r in serial.records if r.algorithm == "sflow"]
+        assert serial.profile.sessions == len(sflow)
 
     def test_profiled_sweep_keeps_trial_records_unchanged(self):
-        from repro.eval.experiments import run_evaluation, run_evaluation_with_profiles
-
-        plain = run_evaluation(self.CONFIG)
-        profiled, campaign = run_evaluation_with_profiles(self.CONFIG)
-        assert [(r.algorithm, r.latency, r.convergence_time) for r in profiled] == [
-            (r.algorithm, r.latency, r.convergence_time) for r in plain
-        ]
+        plain = run_evaluation(SMALLER)
+        fold = observe_evaluation(SMALLER, profile=True)
+        assert comparable(fold.records) == comparable(plain)
         # The critical path *is* the convergence time, session by session.
-        assert campaign.path_duration_total == pytest.approx(
+        assert fold.profile.path_duration_total == pytest.approx(
             sum(r.convergence_time for r in plain if r.algorithm == "sflow")
         )
 
     def test_profiling_restores_an_outer_recording_sink(self):
-        import io
-
-        import repro.obs as obs
-        from repro.eval.experiments import run_evaluation_with_profiles
-        from repro.obs.trace import tracer as obs_tracer
-
-        sink = io.StringIO()
-        with obs.recording(sink):
+        with obs.recording(io.StringIO()):
             outer = obs_tracer().sink
-            run_evaluation_with_profiles(self.CONFIG)
+            observe_evaluation(SMALLER, profile=True)
             assert obs_tracer().sink is outer  # shadowed, never closed

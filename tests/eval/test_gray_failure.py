@@ -1,16 +1,20 @@
 """Tests for the gray-failure experiment sweep (detection + degradation)."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.eval.robustness import (
     GrayFailureConfig,
-    GrayFailureExperiment,
+    main,
     run_gray_failure,
     summarize_gray,
     write_gray_csv,
 )
+from tests.eval.contract import folds, same_integer_metrics, same_records
 
 SMALL = GrayFailureConfig(
     network_sizes=(10,),
@@ -119,55 +123,52 @@ class TestSweep:
 
 
 class TestParallelDeterminism:
-    """Satellite: same seed => bit-identical records and metric counters
-    between serial and multi-worker sweeps."""
+    """Same seed => bit-identical records and metric counters between
+    serial and multi-worker sweeps."""
 
     def test_parallel_records_bit_identical_to_serial(self):
-        serial = GrayFailureExperiment(
-            dataclasses.replace(SMALL, workers=0)
-        ).run()
-        pooled = GrayFailureExperiment(
-            dataclasses.replace(SMALL, workers=2)
-        ).run()
-        assert serial == pooled
+        same_records(*folds("gray"))
 
     def test_metric_snapshots_match_across_worker_split(self):
-        def counters(snapshot):
-            return {
-                name: record["values"]
-                for name, record in snapshot.items()
-                if record["kind"] == "counter"
-            }
-
-        def histogram_shapes(snapshot):
-            return {
-                name: {
-                    label: (series["count"], tuple(series["buckets"]))
-                    for label, series in record["values"].items()
-                }
-                for name, record in snapshot.items()
-                if record["kind"] == "histogram"
-            }
-
-        _, serial = GrayFailureExperiment(
-            dataclasses.replace(SMALL, workers=0)
-        ).run_with_metrics()
-        _, pooled = GrayFailureExperiment(
-            dataclasses.replace(SMALL, workers=2)
-        ).run_with_metrics()
-        assert counters(serial) == counters(pooled)
-        assert histogram_shapes(serial) == histogram_shapes(pooled)
+        same_integer_metrics(*folds("gray"))
 
     def test_recovery_event_logs_identical_across_worker_split(self):
-        """The raw RecoveryEvent streams, not just the summary records."""
-        config = dataclasses.replace(SMALL, intensities=(0.6,), trials=1)
-        serial = GrayFailureExperiment(
-            dataclasses.replace(config, workers=0)
-        ).run()
-        pooled = GrayFailureExperiment(
-            dataclasses.replace(config, workers=2)
-        ).run()
-        assert [r.recovery_events for r in serial] == [
-            r.recovery_events for r in pooled
+        """The gray arms actually recovered from something, and the pooled
+        run logged event for event what the serial one did."""
+        serial, pooled = folds("gray")
+        assert any(r.recovery_events > 0 for r in serial.records)
+        assert [r.recovery_events for r in serial.records] == [
+            r.recovery_events for r in pooled.records
         ]
-        assert serial == pooled
+
+
+class TestCli:
+    ARGS = ["--sizes", "10", "--intensities", "0.0", "--trials", "2"]
+
+    def test_recording_a_pooled_campaign_is_refused(self, tmp_path, capsys):
+        """``--record`` under ``--workers 2`` used to write a recording
+        with no worker span or event in it and exit 0."""
+        target = tmp_path / "flight.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--workers", "2", "--record", str(target)])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "--record" in error and "--workers" in error
+        assert not target.exists()
+
+    def test_recording_a_serial_campaign_works(self, tmp_path, capsys):
+        target = tmp_path / "flight.jsonl"
+        assert main(self.ARGS + ["--record", str(target)]) == 0
+        assert '"type":"span"' in target.read_text()
+        assert "flight recording written" in capsys.readouterr().out
+
+    def test_module_runs_without_import_warnings(self):
+        """``python -m repro.eval.robustness`` used to warn that the
+        package had already imported the module it was about to run."""
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.eval.robustness", "--help"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.eval.figures import fig_robustness, format_table, write_csv
-from repro.eval.robustness import (
-    RobustnessConfig,
-    RobustnessExperiment,
-    run_robustness,
-    summarize,
-)
+from repro.eval.robustness import RobustnessConfig, run_robustness, summarize
+from tests.eval.contract import FAMILIES, folds, same_integer_metrics, same_records
 
 SMALL = RobustnessConfig(
     network_sizes=(10, 14),
@@ -82,9 +78,7 @@ class TestSweep:
         config = RobustnessConfig(
             network_sizes=(10,), crash_rates=(0.2,), trials=2, seed=5
         )
-        first = RobustnessExperiment(config).run()
-        second = RobustnessExperiment(config).run()
-        assert first == second
+        assert run_robustness(config) == run_robustness(config)
 
 
 class TestSummaries:
@@ -113,50 +107,17 @@ class TestParallelDeterminism:
     def test_parallel_records_bit_identical_to_serial(self):
         """Every RobustnessRecord field is virtual-time or a counter, so
         the parallel sweep must equal the serial one bit for bit."""
-        from dataclasses import replace as dc_replace
-
-        config = RobustnessConfig(
-            network_sizes=(10,),
-            crash_rates=(0.0, 0.2),
-            trials=2,
-            n_services=4,
-            seed=5,
-        )
-        serial = run_robustness(config)
-        parallel = run_robustness(dc_replace(config, workers=2))
-        assert parallel == serial
+        same_records(*folds("crash"))
 
 
 class TestMergedMetrics:
     def test_run_with_metrics_counters_match_across_worker_split(self):
-        from dataclasses import replace as dc_replace
-
-        config = RobustnessConfig(
-            network_sizes=(10,),
-            crash_rates=(0.0, 0.2),
-            trials=2,
-            n_services=4,
-            seed=5,
-        )
-        serial_records, serial_metrics = RobustnessExperiment(
-            config
-        ).run_with_metrics()
-        parallel_records, parallel_metrics = RobustnessExperiment(
-            dc_replace(config, workers=2)
-        ).run_with_metrics()
-        assert parallel_records == serial_records
-
-        def counters(snapshot):
-            return {
-                name: record["values"]
-                for name, record in snapshot.items()
-                if record["kind"] == "counter"
-            }
-
-        assert counters(parallel_metrics) == counters(serial_metrics)
+        serial, pooled = folds("crash")
+        same_integer_metrics(serial, pooled)
+        config = FAMILIES["crash"][0]
         # Each cell runs 1 baseline + len(crash_rates) disturbed sessions.
-        sessions = sum(serial_metrics["sflow.sessions"]["values"].values())
-        assert sessions == 2 * (1 + 2)
+        sessions = sum(serial.metrics["sflow.sessions"]["values"].values())
+        assert sessions == config.trials * (1 + len(config.crash_rates))
         # The crash-rate-0.2 runs crashed instances; the registry saw them.
-        crashes = sum(serial_metrics["sflow.crashes"]["values"].values())
-        assert crashes == sum(r.crashes for r in serial_records)
+        crashes = sum(serial.metrics["sflow.crashes"]["values"].values())
+        assert crashes == sum(r.crashes for r in serial.records) > 0
