@@ -176,18 +176,18 @@ def _direct_abstract(instance: MsfgInstance):
     instance (two weight-2 hops), which the proof's semantics forbid, so the
     reduction prices each clause pair by its direct link alone.
     """
-    from repro.services.abstract_graph import AbstractEdge, AbstractGraph
+    from repro.routing.wang_crowcroft import RouteLabel
+    from repro.services.abstract_graph import AbstractGraph
 
     requirement, overlay = instance.requirement, instance.overlay
-    instances = {sid: overlay.instances_of(sid) for sid in requirement.services()}
-    edges = {}
-    for a_sid, b_sid in requirement.edges():
-        for a in instances[a_sid]:
-            for b in instances[b_sid]:
-                link = overlay.link(a, b)
-                if link is not None:
-                    edges[(a, b)] = AbstractEdge(a, b, link.metrics, (a, b))
-    return AbstractGraph(requirement, instances, edges)
+    return AbstractGraph(
+        requirement,
+        {sid: overlay.instances_of(sid) for sid in requirement.services()},
+        lambda a: {
+            link.dst: RouteLabel(link.metrics, 1, (a, link.dst))
+            for link in overlay.out_links(a)
+        },
+    )
 
 
 def solve_sat_via_msfg(sat: SatInstance) -> Optional[Dict[int, bool]]:

@@ -154,40 +154,27 @@ class ReservationManager:
         Releases (+) restore links that reservation had removed, taking
         the pristine metrics from the base overlay.
         """
-        result = OverlayGraph()
-        for inst in self._base.instances():
-            result.add_instance(inst)
-        seen: set = set()
-        for inst in overlay.instances():
-            for link in overlay.out_links(inst):
-                key = (link.src, link.dst)
-                seen.add(key)
-                delta = reservations.get(key, 0.0) * sign
-                capacity = link.metrics.bandwidth + delta
-                if capacity > 1e-12:
-                    result.add_link(
-                        link.src,
-                        link.dst,
-                        PathQuality(capacity, link.metrics.latency),
-                        link.underlay_path,
-                    )
+        changes: Dict[LinkKey, Optional[PathQuality]] = {}
+        absent: List[LinkKey] = []
+        for key, amount in reservations.items():
+            link = overlay.link(*key)
+            if link is None:
+                absent.append(key)
+                continue
+            capacity = link.metrics.bandwidth + amount * sign
+            changes[key] = (
+                PathQuality(capacity, link.metrics.latency) if capacity > 1e-12 else None
+            )
+        result = overlay.with_links(changes)
         if sign > 0:
             # Restore links that had been fully consumed (absent from the
             # residual overlay but present in the base).
-            for inst in self._base.instances():
-                for link in self._base.out_links(inst):
-                    key = (link.src, link.dst)
-                    if key in seen or key not in reservations:
-                        continue
-                    consumed = self._consumed(key)
-                    capacity = link.metrics.bandwidth - consumed
-                    if capacity > 1e-12:
-                        result.add_link(
-                            link.src,
-                            link.dst,
-                            PathQuality(capacity, link.metrics.latency),
-                            link.underlay_path,
-                        )
+            for key in absent:
+                link = self._base.link(*key)
+                capacity = link.metrics.bandwidth - self._consumed(key)
+                if capacity > 1e-12:
+                    restored = PathQuality(capacity, link.metrics.latency)
+                    result.add_link(link.src, link.dst, restored, link.underlay_path)
         return result
 
     def _consumed(self, key: LinkKey) -> float:

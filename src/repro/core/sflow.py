@@ -550,14 +550,10 @@ class _Federation:
         self.directory: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: overlay.instances_of(sid) for sid in requirement.services()
         }
-        for sid, pool in self.directory.items():
-            if not pool:
-                raise FederationError(
-                    f"required service {sid!r} has no instance in the overlay"
-                )
         _t1 = self.stopwatch.read()
         # Ground-truth abstract graph used only to realise committed edges
-        # (established routing state), never for decision making.
+        # (established routing state), never for decision making; building
+        # it rejects a requirement with an instance-less service.
         self.abstract = AbstractGraph.build(requirement, overlay)
         _t2 = self.stopwatch.read()
         #: Latency assumed for hops no committed route prices (acks, sends
@@ -774,6 +770,10 @@ class _Federation:
         )
         self.network.set_trace_span(None)
         self.span = NULL_SPAN
+        # Session over.  Nodes, recovery and the suspended DES processes keep
+        # this object in a reference cycle: let go of the overlay here, or it,
+        # its ego views and their trees outlive the caller until a full GC.
+        del self.views, self.abstract, self.overlay
         return result
 
 

@@ -70,16 +70,7 @@ def fail_links(
 ) -> OverlayGraph:
     """A copy of ``overlay`` without the given directed service links."""
     victim_set = set(victims)
-    for src, dst in victim_set:
-        if overlay.link(src, dst) is None:
-            raise KeyError(f"cannot fail unknown link {src} -> {dst}")
-    result = OverlayGraph()
-    for inst in overlay.instances():
-        result.add_instance(inst)
-    for inst in overlay.instances():
-        for link in overlay.out_links(inst):
-            if (link.src, link.dst) not in victim_set:
-                result.add_link(link.src, link.dst, link.metrics, link.underlay_path)
+    result = overlay.with_links(dict.fromkeys(victim_set))
     RouteOracle.default().derive(overlay, result, removed_links=victim_set)
     return result
 
@@ -104,21 +95,13 @@ def degrade_links(
     if latency_factor < 1:
         raise ValueError(f"latency_factor must be >= 1, got {latency_factor}")
     victim_set = set(victims)
+    scaled: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}
     for src, dst in victim_set:
-        if overlay.link(src, dst) is None:
-            raise KeyError(f"cannot degrade unknown link {src} -> {dst}")
-    result = OverlayGraph()
-    for inst in overlay.instances():
-        result.add_instance(inst)
-    for inst in overlay.instances():
-        for link in overlay.out_links(inst):
-            metrics = link.metrics
-            if (link.src, link.dst) in victim_set:
-                metrics = PathQuality(
-                    metrics.bandwidth * bandwidth_factor,
-                    metrics.latency * latency_factor,
-                )
-            result.add_link(link.src, link.dst, metrics, link.underlay_path)
+        old = overlay.link_quality(src, dst)  # an unknown link: with_links raises below
+        scaled[(src, dst)] = PathQuality(
+            old.bandwidth * bandwidth_factor, old.latency * latency_factor
+        )
+    result = overlay.with_links(scaled)
     # Degradation is restrictive (capacity can only shrink, delay only
     # grow), so trees avoiding the victim links carry over to the new
     # epoch; only sources routing across them recompute.
@@ -145,23 +128,15 @@ def revive_links(
     shrink back), so the route oracle cold-starts the new epoch instead of
     carrying trees forward.
     """
-    victim_set = set(victims)
-    for src, dst in victim_set:
-        if overlay.link(src, dst) is None:
-            raise KeyError(f"cannot revive unknown link {src} -> {dst}")
-        if reference.link(src, dst) is None:
+    restored: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}
+    for src, dst in set(victims):
+        original = reference.link(src, dst)
+        if original is None:
             raise KeyError(
                 f"reference overlay has no link {src} -> {dst} to restore from"
             )
-    result = OverlayGraph()
-    for inst in overlay.instances():
-        result.add_instance(inst)
-    for inst in overlay.instances():
-        for link in overlay.out_links(inst):
-            metrics = link.metrics
-            if (link.src, link.dst) in victim_set:
-                metrics = reference.link(link.src, link.dst).metrics
-            result.add_link(link.src, link.dst, metrics, link.underlay_path)
+        restored[(src, dst)] = original.metrics
+    result = overlay.with_links(restored)
     RouteOracle.default().derive(overlay, result, additive=True)
     return result
 

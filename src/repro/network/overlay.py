@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -33,6 +33,8 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -48,13 +50,16 @@ Nid = int
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True, order=True)
-class ServiceInstance:
+class ServiceInstance(NamedTuple):
     """A concrete instance of a service: the ``SID/NID`` pair of the paper.
 
     Instances of the same service share a SID and are distinguished by the
-    NID of the host they run on.  The dataclass ordering (sid, then nid)
-    gives algorithms a deterministic iteration order.
+    NID of the host they run on.  The tuple ordering (sid, then nid) gives
+    algorithms a deterministic iteration order, and hashing, comparing and
+    sorting run at C speed under every set, dict and sort of the routing
+    and planning layers.  Being a tuple, an instance equals (and hashes
+    like) the bare ``(sid, nid)`` pair and unpacks as one; it is immutable
+    (assignment raises ``AttributeError``) and not a dataclass.
     """
 
     sid: Sid
@@ -195,7 +200,6 @@ class OverlayGraph:
             WIDEST_SHORTEST,
             RouteOracle,
         )
-        from repro.routing.wang_crowcroft import extract_path
 
         if underlay_routing == "shortest":
             order = WIDEST_SHORTEST
@@ -228,8 +232,7 @@ class OverlayGraph:
                 label = labels.get(b.nid)
                 if label is None or not label.quality.reachable:
                     continue
-                path = extract_path(labels, a.nid, b.nid)
-                overlay.add_link(a, b, label.quality, path)
+                overlay.add_link(a, b, label.quality, label.path)
         return overlay
 
     # -- queries -----------------------------------------------------------
@@ -366,6 +369,27 @@ class OverlayGraph:
                     sub._in[dst][inst] = link
         return sub
 
+    def with_links(
+        self, changes: Mapping[Tuple[ServiceInstance, ServiceInstance], Optional[LinkMetrics]]
+    ) -> "OverlayGraph":
+        """A copy with the given links re-weighted, or removed (``None``).
+        Every other frozen :class:`ServiceLink` is shared, as in
+        :meth:`subgraph`; the rows are fresh, so ``add_link`` on the copy
+        never reaches this overlay or what it has memoised."""
+        copy = OverlayGraph()
+        copy._out = {inst: dict(row) for inst, row in self._out.items()}
+        copy._in = {inst: dict(row) for inst, row in self._in.items()}
+        copy._by_sid = {sid: list(pool) for sid, pool in self._by_sid.items()}
+        for (src, dst), metrics in changes.items():
+            link = self.link(src, dst)
+            if link is None:
+                raise KeyError(f"unknown service link {src} -> {dst}")
+            if metrics is None:
+                del copy._out[src][dst], copy._in[dst][src]
+            else:
+                copy._out[src][dst] = copy._in[dst][src] = replace(link, metrics=metrics)
+        return copy
+
     # -- link summaries (what a directory or gossip layer would carry) --------
 
     @_memoised
@@ -407,15 +431,13 @@ class OverlayGraph:
     def merged_with(self, other: "OverlayGraph") -> "OverlayGraph":
         """Union of two overlay views (used when a node combines knowledge
         received from link-state advertisements with its own view)."""
-        merged = OverlayGraph()
-        for graph in (self, other):
-            for inst in graph.instances():
-                merged.add_instance(inst)
-        for graph in (self, other):
-            for inst in graph.instances():
-                for dst, link in sorted(graph._out[inst].items()):
-                    if merged.link(inst, dst) is None:
-                        merged.add_link(link.src, link.dst, link.metrics, link.underlay_path)
+        merged = self.with_links({})
+        for inst in other.instances():
+            merged.add_instance(inst)
+        for inst in other.instances():
+            for link in other.out_links(inst):
+                if merged.link(link.src, link.dst) is None:
+                    merged.add_link(link.src, link.dst, link.metrics, link.underlay_path)
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,21 +12,30 @@ to an :class:`~repro.network.overlay.OverlayGraph`:
   graphs can later be expanded to concrete overlay routes (the relay
   instances that "bridge two required services").
 
-The abstract graph is also a routing substrate: ``successors`` yields the
-adjacency view consumed by :mod:`repro.routing.wang_crowcroft`, which is how
-the baseline algorithm computes the shortest-widest *abstract path*.
+An :class:`AbstractGraph` is a read-only *view*, not a copy: the abstract
+edges leaving instance ``a`` are one row of routing labels (for ``build``, the
+oracle's shortest-widest tree rooted at ``a``), fetched by the first query
+that touches ``a`` and then held; ``quality`` / ``edge`` read one label.  The
+graph is also a routing substrate -- ``successors`` is the adjacency view
+:mod:`repro.routing.wang_crowcroft` consumes when the baseline computes the
+shortest-widest *abstract path* -- and only that use (with ``edges`` and
+``num_edges``) pays for the sorted edge table, once.  Like the oracle's trees,
+a graph is valid for the overlay state it was built on: change that overlay
+in place and the view is undefined.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import FederationError
 from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import RouteLabel, extract_path
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.requirement import ServiceRequirement, Sid
 
 
@@ -45,20 +54,19 @@ class AbstractEdge:
 
 
 class AbstractGraph:
-    """Service abstract graph bridging a requirement and an overlay."""
+    """Service abstract graph bridging a requirement and an overlay: a view
+    over ``rows(a)``, the ``node -> RouteLabel`` row of each source ``a``."""
 
     def __init__(
         self,
         requirement: ServiceRequirement,
         instances: Dict[Sid, Tuple[ServiceInstance, ...]],
-        edges: Dict[Tuple[ServiceInstance, ServiceInstance], AbstractEdge],
+        rows: Callable[[ServiceInstance], Mapping[ServiceInstance, RouteLabel]],
     ) -> None:
         self._requirement = requirement
         self._instances = instances
-        self._edges = edges
-        self._succ: Dict[ServiceInstance, List[Tuple[ServiceInstance, LinkMetrics]]] = {}
-        for (src, dst), edge in sorted(edges.items()):
-            self._succ.setdefault(src, []).append((dst, edge.quality))
+        self._row_of = rows
+        self._rows: Dict[ServiceInstance, Mapping[ServiceInstance, RouteLabel]] = {}
 
     @classmethod
     def build(
@@ -70,13 +78,11 @@ class AbstractGraph:
     ) -> "AbstractGraph":
         """Construct the abstract graph for ``requirement`` over ``overlay``.
 
-        For every requirement edge ``A -> B`` and every instance pair
-        ``(a, b)``, the shortest-widest overlay path from ``a`` to ``b`` is
-        computed (one Wang-Crowcroft tree per distinct source instance,
-        served by the process-wide :class:`~repro.routing.oracle.RouteOracle`
-        and so shared across abstract edges, repeated builds *and* other
-        algorithms working on the same overlay).  Unreachable pairs get no
-        abstract edge.
+        Validates the pools and warms one Wang-Crowcroft tree per distinct
+        source instance, in one batch, on the process-wide
+        :class:`~repro.routing.oracle.RouteOracle` (so shared across repeated
+        builds *and* other algorithms working on the same overlay); nothing
+        is copied out of the trees.  Unreachable pairs get no abstract edge.
 
         Args:
             requirement: the service requirement.
@@ -98,38 +104,20 @@ class AbstractGraph:
                 )
             instances[sid] = found
 
-        edges: Dict[Tuple[ServiceInstance, ServiceInstance], AbstractEdge] = {}
         oracle = RouteOracle.default()
-        # Batched prefetch: every distinct source instance of the
-        # requirement's edges gets its tree from one kernel pass over a
-        # single CSR snapshot of the overlay; the lookups below then hit.
-        sources: List[ServiceInstance] = []
-        seen = set()
-        for a_sid, _ in requirement.edges():
-            for a in instances[a_sid]:
-                if a not in seen:
-                    seen.add(a)
-                    sources.append(a)
-        oracle.warm(overlay, sources)
-        for a_sid, b_sid in requirement.edges():
-            usable = False
-            for a in instances[a_sid]:
-                labels = oracle.tree(overlay, a)
-                for b in instances[b_sid]:
-                    if a == b:
-                        continue
-                    label = labels.get(b)
-                    if label is None or not label.quality.reachable:
-                        continue
-                    path = tuple(extract_path(labels, a, b))
-                    edges[(a, b)] = AbstractEdge(a, b, label.quality, path)
-                    usable = True
-            if require_usable and not usable:
-                raise FederationError(
-                    f"requirement edge {a_sid!r} -> {b_sid!r} has no usable "
-                    f"instance pair in the overlay"
-                )
-        return cls(requirement, instances, edges)
+        # Batched prefetch: one kernel pass over a single CSR snapshot of
+        # the overlay builds every source's tree; the row fetches then hit.
+        oracle.warm(overlay, (a for a_sid, _ in requirement.edges() for a in instances[a_sid]))
+        graph = cls(requirement, instances, functools.partial(oracle.tree, overlay))
+        if require_usable:
+            for a_sid, b_sid in requirement.edges():
+                pairs = itertools.product(instances[a_sid], instances[b_sid])
+                if not any(graph.quality(a, b).reachable for a, b in pairs):
+                    raise FederationError(
+                        f"requirement edge {a_sid!r} -> {b_sid!r} has no usable "
+                        f"instance pair in the overlay"
+                    )
+        return graph
 
     # -- queries -----------------------------------------------------------
 
@@ -157,22 +145,53 @@ class AbstractGraph:
         """
         return tuple(sorted(set(self.nodes())))
 
+    def _label(self, src: ServiceInstance, dst: ServiceInstance) -> Optional[RouteLabel]:
+        """The row entry behind the abstract edge ``src -> dst``, if any."""
+        if not self._requirement.has_edge(src.sid, dst.sid):
+            return None
+        row = self._rows.get(src)
+        if row is None:
+            if src not in self._instances[src.sid]:
+                return None
+            row = self._rows[src] = self._row_of(src)
+        label = row.get(dst)
+        return label if label is not None and label.quality.reachable else None
+
     def edge(
         self, src: ServiceInstance, dst: ServiceInstance
     ) -> Optional[AbstractEdge]:
-        return self._edges.get((src, dst))
+        label = self._label(src, dst)
+        return AbstractEdge(src, dst, label.quality, label.path) if label is not None else None
 
     def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
         """Edge quality, or UNREACHABLE when the pair has no abstract edge."""
-        found = self._edges.get((src, dst))
-        return found.quality if found is not None else UNREACHABLE
+        label = self._label(src, dst)
+        return label.quality if label is not None else UNREACHABLE
+
+    @functools.cached_property
+    def _table(self) -> Tuple[AbstractEdge, ...]:
+        """Every abstract edge in ``(src, dst)`` order: built once, for the
+        first caller that routes over the graph."""
+        pairs = sorted(
+            pair
+            for a_sid, b_sid in self._requirement.edges()
+            for pair in itertools.product(self._instances[a_sid], self._instances[b_sid])
+        )
+        found = (self.edge(a, b) for a, b in pairs)
+        return tuple(edge for edge in found if edge is not None)
+
+    @functools.cached_property
+    def _succ(self) -> Dict[ServiceInstance, List[Tuple[ServiceInstance, LinkMetrics]]]:
+        succ: Dict[ServiceInstance, List[Tuple[ServiceInstance, LinkMetrics]]] = {}
+        for edge in self._table:
+            succ.setdefault(edge.src, []).append((edge.dst, edge.quality))
+        return succ
 
     def edges(self) -> Iterator[AbstractEdge]:
-        for key in sorted(self._edges):
-            yield self._edges[key]
+        return iter(self._table)
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._table)
 
     def successors(
         self, instance: ServiceInstance
@@ -181,7 +200,4 @@ class AbstractGraph:
         return iter(self._succ.get(instance, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AbstractGraph(services={len(self._instances)}, "
-            f"edges={len(self._edges)})"
-        )
+        return f"AbstractGraph(services={len(self._instances)}, rows={len(self._rows)})"

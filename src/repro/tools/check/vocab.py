@@ -55,7 +55,7 @@ INVALIDATORS: Set[str] = {"derive", "invalidate"}
 #: Constructors whose results are *fresh* graphs: mutating a graph built
 #: inside the same function is initialisation, not topology mutation.
 FRESH_GRAPH_CALLS: Set[str] = {
-    "OverlayGraph", "Underlay", "UnderlayGraph", "subgraph", "copy",
+    "OverlayGraph", "Underlay", "UnderlayGraph", "subgraph", "with_links", "copy",
 }
 
 #: Modules that *implement* the graphs: their methods mutate ``self`` by

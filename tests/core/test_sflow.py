@@ -6,8 +6,10 @@ of the knowledge horizon, and the equivalence of ego-view and
 link-state-protocol knowledge models.
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import ReductionSolver
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _Federation, _PlanningView
 from repro.errors import FederationError
+from repro.network.failures import CrashEvent, degrade_links
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.obs.clock import Stopwatch
@@ -27,6 +30,7 @@ from repro.services.workloads import (
     media_pipeline_scenario,
     travel_agency_scenario,
 )
+from tests.core import test_sflow_crash as crash
 
 
 class TestConfig:
@@ -403,4 +407,54 @@ class TestKnowledgeModels:
         assert all(t >= 0 for t in result.per_node_compute.values())
         assert sum(result.per_node_compute.values()) == pytest.approx(
             result.local_compute_seconds
+        )
+
+
+class TestSessionRelease:
+    """A finished session lets go of the overlay it ran on.  Its nodes, its
+    recovery layer and the suspended DES processes reference each other in
+    a cycle; were the overlay part of it, the overlay, its ego views and
+    their routing trees would live until the next full collection."""
+
+    @pytest.mark.parametrize("disturbed", [False, True], ids=["calm", "crash"])
+    def test_the_overlay_dies_with_the_callers_last_reference(self, disturbed):
+        scenario = generate_scenario(crash.SCENARIO)
+        requirement, source = scenario.requirement, scenario.source_instance
+        algorithm = SFlowAlgorithm(crash.CONFIG)
+        chaos = None
+        if disturbed:
+            victim = crash.pick_victim(scenario, crash.federate(scenario))
+            chaos = crash.crash_plan(CrashEvent(victim, at=0.5))
+        expected = algorithm.federate(
+            requirement, scenario.overlay, source_instance=source, chaos=chaos
+        )
+        link = scenario.overlay.out_links(source)[0]
+        gc.collect()
+        gc.disable()
+        try:
+            # Same link state (factor 1), but an overlay only this test holds.
+            derived = degrade_links(
+                scenario.overlay, [(link.src, link.dst)], bandwidth_factor=1.0
+            )
+            alive = weakref.ref(derived)
+            result = algorithm.federate(
+                requirement, derived, source_instance=source, chaos=chaos
+            )
+            del derived
+            assert alive() is None
+        finally:
+            gc.enable()
+        # The ledger keeps everything it had.
+        assert result is algorithm.last_result
+        assert result.outcome is expected.outcome
+        assert result.flow_graph.assignment == expected.flow_graph.assignment
+        assert list(result.flow_graph.edges()) == list(expected.flow_graph.edges())
+        result.flow_graph.validate()
+        assert (result.messages, result.bytes, result.convergence_time) == (
+            expected.messages, expected.bytes, expected.convergence_time,
+        )
+        assert result.per_node_compute.keys() == expected.per_node_compute.keys()
+        assert result.recovery_log == expected.recovery_log
+        assert (result.crashes, result.failovers) == (
+            (1, expected.failovers) if disturbed else (0, 0)
         )

@@ -351,6 +351,28 @@ class TestReviveLinks:
         assert revived.link(MID1, DST).metrics == degraded.link(MID1, DST).metrics
 
 
+class TestLinkMutationsShareWhatDidNotChange:
+    """``fail_links`` / ``degrade_links`` / ``revive_links`` are one copy
+    primitive (``OverlayGraph.with_links``): every untouched frozen link
+    is the input's own object, and the input never changes."""
+
+    def test_untouched_links_are_the_inputs_own(self, overlay):
+        before = _link_state(overlay)
+        failed = fail_links(overlay, [(SRC, MID1)])
+        degraded = degrade_links(failed, [(SRC, MID2)], bandwidth_factor=0.3)
+        revived = revive_links(degraded, overlay, [(SRC, MID2)])
+        for after in (failed, degraded, revived):
+            assert after.link(SRC, MID1) is None
+            for src, dst in ((MID1, DST), (MID2, DST)):
+                assert after.link(src, dst) is overlay.link(src, dst)
+            assert list(after.predecessors(MID1)) == []
+        assert failed.link(SRC, MID2) is overlay.link(SRC, MID2)
+        assert degraded.link(SRC, MID2).metrics.bandwidth == 3.0
+        assert revived.link(SRC, MID2) == overlay.link(SRC, MID2)
+        assert _link_state(overlay) == before
+        assert _link_state(failed)[1].keys() == before[1].keys() - {(SRC, MID1)}
+
+
 class TestDegradeReviveRoundTrip:
     """Satellite property: degrade -> revive is the identity on overlay
     state, and every step moves the route oracle's epoch forward within

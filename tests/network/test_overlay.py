@@ -1,6 +1,8 @@
 """Tests for the service overlay graph."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -21,6 +23,48 @@ class TestServiceInstance:
 
     def test_hashable(self):
         assert ServiceInstance("a", 1) in {ServiceInstance("a", 1)}
+
+    def test_repr_is_what_the_kernel_interns_on(self):
+        """Pinned literally: the kernel ranks nodes by ``repr`` and the pure
+        reference breaks path ties on it, so a different text would move
+        label order and tie-breaks."""
+        assert repr(ServiceInstance("u3", 17)) == "ServiceInstance(sid='u3', nid=17)"
+
+    def test_hashes_like_the_pair(self):
+        """Same value as the generated dataclass hash it replaced, so sets
+        and dicts of instances iterate in the order they always did."""
+        for sid, nid in (("u3", 17), ("", 0), ("map", -1)):
+            assert hash(ServiceInstance(sid, nid)) == hash((sid, nid))
+
+    def test_sorted_on_a_mixed_list(self):
+        mixed = [
+            ServiceInstance("b", 0), ServiceInstance("a", 9), ServiceInstance("a", 10),
+            ServiceInstance("B", 3), ServiceInstance("a", 9),
+        ]
+        assert [str(inst) for inst in sorted(mixed)] == [
+            "B/3", "a/9", "a/9", "a/10", "b/0",
+        ]
+        assert max(mixed) == ServiceInstance("b", 0)
+
+    def test_immutable(self):
+        inst = ServiceInstance("a", 1)
+        for name, value in (("sid", "b"), ("nid", 2), ("other", 3)):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, value)
+
+    def test_is_a_plain_pair(self):
+        """What the tuple type adds to the dataclass it replaced."""
+        inst = ServiceInstance("a", 1)
+        sid, nid = inst
+        assert (sid, nid) == ("a", 1) == inst
+        assert inst != ("a", 2) and inst != ServiceInstance("b", 1)
+        assert not dataclasses.is_dataclass(inst)
+
+    def test_pickle_round_trip(self):
+        inst = ServiceInstance("u3", 17)
+        clone = pickle.loads(pickle.dumps(inst))
+        assert type(clone) is ServiceInstance and clone == inst
+        assert (clone.sid, clone.nid, str(clone)) == ("u3", 17, "u3/17")
 
 
 class TestServiceLink:
@@ -327,6 +371,87 @@ class TestSharedViewsAndSummaries:
         assert overlay.gossip_hints() == {}
         assert overlay.mean_link_quality() is None
         assert overlay.mean_link_latency() is None
+
+
+class TestWithLinks:
+    """The one copy primitive behind ``fail_links`` / ``degrade_links`` /
+    ``revive_links``: what did not change is shared, nothing is aliased."""
+
+    @pytest.fixture
+    def base(self):
+        scenario = generate_scenario(ScenarioConfig(network_size=40, n_services=5, seed=2))
+        overlay = scenario.overlay
+        links = [
+            link for inst in overlay.instances() for link in overlay.out_links(inst)
+        ]
+        return overlay, links
+
+    def test_untouched_links_are_shared_and_touched_ones_replaced(self, base):
+        overlay, links = base
+        sagging, gone = links[0], links[-1]
+        copy = overlay.with_links(
+            {
+                (sagging.src, sagging.dst): PathQuality(0.5, 99.0),
+                (gone.src, gone.dst): None,
+            }
+        )
+        assert list(copy.instances()) == list(overlay.instances())
+        assert copy.num_links() == overlay.num_links() - 1
+        for link in links[1:-1]:
+            assert copy.link(link.src, link.dst) is link
+        changed = copy.link(sagging.src, sagging.dst)
+        assert changed == ServiceLink(
+            sagging.src, sagging.dst, PathQuality(0.5, 99.0), sagging.underlay_path
+        )
+        assert overlay.link(sagging.src, sagging.dst) is sagging
+        # Both directions' tables agree, for the replaced and the dropped.
+        assert dict(copy.predecessors(sagging.dst))[sagging.src] == PathQuality(0.5, 99.0)
+        assert copy.link(gone.src, gone.dst) is None
+        assert gone.src not in dict(copy.predecessors(gone.dst))
+        assert overlay.link(gone.src, gone.dst) is gone
+
+    def test_no_change_is_an_equal_copy(self, base):
+        overlay, links = base
+        copy = overlay.with_links({})
+        assert copy is not overlay
+        assert [
+            link for inst in copy.instances() for link in copy.out_links(inst)
+        ] == links
+        assert list(copy.sids()) == list(overlay.sids())
+        for sid in overlay.sids():
+            assert copy.instances_of(sid) == overlay.instances_of(sid)
+
+    def test_growing_the_copy_leaves_the_original_and_its_memo_alone(self, base):
+        overlay, links = base
+        root = links[0].src
+        view, hints = overlay.ego_view(root, 1), overlay.gossip_hints()
+        assert view is not overlay
+        copy = overlay.with_links({(links[0].src, links[0].dst): None})
+        size, count = len(overlay), overlay.num_links()
+        newcomer = ServiceInstance(root.sid, 10_000)
+        copy.add_instance(newcomer)
+        copy.add_link(links[0].src, links[0].dst, PathQuality(1.0, 1.0))
+        copy.add_link(newcomer, links[0].dst, PathQuality(2.0, 2.0))
+        assert (len(overlay), overlay.num_links()) == (size, count)
+        assert newcomer not in overlay
+        assert newcomer not in overlay.instances_of(root.sid)
+        assert newcomer not in dict(overlay.predecessors(links[0].dst))
+        assert overlay.link(links[0].src, links[0].dst) is links[0]
+        assert overlay.ego_view(root, 1) is view
+        assert overlay.gossip_hints() is hints
+        # ... and the copy started without the original's memo.
+        assert copy.gossip_hints() is not hints
+        pool = copy.instances_of(root.sid)
+        assert newcomer in pool and list(pool) == sorted(pool)
+
+    def test_unknown_link_rejected(self, base):
+        overlay, links = base
+        ghost = ServiceInstance("ghost", 0)
+        for change in (PathQuality(1.0, 1.0), None):
+            with pytest.raises(KeyError):
+                overlay.with_links({(links[0].src, ghost): change})
+            with pytest.raises(KeyError):
+                overlay.with_links({(ghost, links[0].dst): change})
 
 
 class TestSubgraphAndMerge:

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.errors import FederationError
+from repro.network.failures import degrade_links, fail_instances
 from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
-from repro.services.abstract_graph import AbstractGraph
-from repro.services.requirement import ServiceRequirement
+from repro.routing.oracle import RouteOracle
+from repro.routing.wang_crowcroft import extract_path, shortest_widest_tree
+from repro.services import abstract_graph as abstract_graph_module
+from repro.services.abstract_graph import AbstractEdge, AbstractGraph
+from repro.services.requirement import RequirementClass, ServiceRequirement
+from repro.services.workloads import ScenarioConfig, generate_scenario
 
 
 @pytest.fixture
@@ -115,31 +120,87 @@ class TestQueries:
         assert keys == sorted(keys)
 
 
-class TestOracleEquivalence:
-    """Property: the oracle-backed build is invisible in the results.
+def eager_edge_table(requirement, overlay):
+    """The abstract graph as ``AbstractGraph.build`` materialised it before
+    it became a view over the oracle's trees: one edge object per usable
+    instance pair of every requirement edge, off one pure Wang-Crowcroft
+    tree per source -- the reference the view is compared against."""
+    edges = {}
+    for a_sid, b_sid in requirement.edges():
+        for a in overlay.instances_of(a_sid):
+            labels = shortest_widest_tree(overlay.successors, a)
+            for b in overlay.instances_of(b_sid):
+                if a == b:
+                    continue
+                label = labels.get(b)
+                if label is None or not label.quality.reachable:
+                    continue
+                path = tuple(extract_path(labels, a, b))
+                edges[(a, b)] = AbstractEdge(a, b, label.quality, path)
+    return dict(sorted(edges.items()))
 
-    For seeded random overlays -- including after link degradation and
-    crash/revive cycles -- ``AbstractGraph.build`` must produce the exact
-    edge set (qualities *and* expanded overlay paths) the direct
-    per-build tree computation yields.
-    """
 
-    @staticmethod
-    def _edge_table(abstract):
-        return [
-            (e.src, e.dst, e.quality, e.overlay_path) for e in abstract.edges()
+def _exact(edge):
+    """An edge with its floats as ``float.hex`` and its path as a tuple."""
+    if edge is None:
+        return None
+    quality = edge.quality
+    return (
+        edge.src, edge.dst, quality.bandwidth.hex(), quality.latency.hex(),
+        tuple(edge.overlay_path),
+    )
+
+
+def _exact_quality(quality):
+    return (quality.bandwidth.hex(), quality.latency.hex())
+
+
+def assert_view_equals_eager(requirement, overlay, abstract=None):
+    """Every query of the view answers what the eager table holds."""
+    expected = eager_edge_table(requirement, overlay)
+    if abstract is None:
+        abstract = AbstractGraph.build(requirement, overlay)
+    absent = ServiceInstance(requirement.source, 10**6)
+    assert absent not in overlay
+    everyone = list(overlay.instances()) + [absent]
+    # Point queries first (so they cannot lean on the table): every pair of
+    # instances -- pool pairs, non-requirement pairs, same-service pairs --
+    # and an instance the overlay does not hold, on either side.
+    for a in everyone:
+        for b in everyone:
+            want = expected.get((a, b))
+            assert _exact(abstract.edge(a, b)) == _exact(want)
+            assert _exact_quality(abstract.quality(a, b)) == _exact_quality(
+                want.quality if want is not None else UNREACHABLE
+            )
+    assert [_exact(e) for e in abstract.edges()] == [
+        _exact(e) for e in expected.values()
+    ]
+    assert abstract.num_edges() == len(expected)
+    for a in everyone:
+        assert [
+            (dst, _exact_quality(q)) for dst, q in abstract.successors(a)
+        ] == [
+            (dst, _exact_quality(e.quality))
+            for (src, dst), e in expected.items()
+            if src == a
         ]
+    return abstract
 
-    @pytest.mark.parametrize("seed", [0, 5, 11, 29])
-    def test_build_identical_across_mutation_cycle(self, seed):
-        from repro.network.failures import degrade_links, fail_instances
-        from repro.routing.oracle import RouteOracle
-        from repro.services.workloads import ScenarioConfig, generate_scenario
 
-        scenario = generate_scenario(
-            ScenarioConfig(network_size=16, n_services=4, seed=seed)
-        )
-        requirement, overlay = scenario.requirement, scenario.overlay
+def _mutation_cycle(seed, network_size=16, n_services=4):
+    """``(requirement, graphs)`` with ``graphs`` yielding base -> degraded ->
+    crashed -> base again.  Each mutation happens only when the next graph
+    is asked for -- after the caller queried the previous one -- so the
+    oracle carries, drops and repairs trees it really holds, and the last
+    step must answer for the pre-crash topology from whatever survived."""
+    scenario = generate_scenario(
+        ScenarioConfig(network_size=network_size, n_services=n_services, seed=seed)
+    )
+
+    def graphs():
+        overlay = scenario.overlay
+        yield overlay
         links = [
             (link.src, link.dst)
             for inst in overlay.instances()
@@ -148,6 +209,7 @@ class TestOracleEquivalence:
         degraded = degrade_links(
             overlay, links[: max(1, len(links) // 6)], bandwidth_factor=0.3
         )
+        yield degraded
         victims = []
         for inst in degraded.instances():
             if inst == scenario.source_instance or len(victims) == 2:
@@ -156,20 +218,183 @@ class TestOracleEquivalence:
                 v.sid == inst.sid for v in victims
             ):
                 victims.append(inst)
-        crashed = fail_instances(degraded, victims)
-        oracle = RouteOracle.reset_default()
+        yield fail_instances(degraded, victims)
+        yield overlay
+
+    return scenario.requirement, graphs()
+
+
+class TestOracleEquivalence:
+    """Property: the oracle-backed view is invisible in the results.
+
+    For seeded random overlays -- including after link degradation and
+    crash/revive cycles -- ``AbstractGraph.build`` must answer with the
+    exact edge set (qualities *and* expanded overlay paths) the eager,
+    per-build pure tree computation yields (``eager_edge_table``).
+    """
+
+    @pytest.fixture
+    def oracle(self):
         try:
-            # base -> degraded -> crashed -> base again (the revive step:
-            # the pre-crash topology must still build correctly from
-            # whatever the cache carried through the cycle).
-            for graph in (overlay, degraded, crashed, overlay):
-                oracle.enabled = False
-                direct = AbstractGraph.build(requirement, graph)
-                oracle.enabled = True
-                warm_miss = AbstractGraph.build(requirement, graph)
-                warm_hit = AbstractGraph.build(requirement, graph)
-                expected = self._edge_table(direct)
-                assert self._edge_table(warm_miss) == expected
-                assert self._edge_table(warm_hit) == expected
+            yield RouteOracle.reset_default()
         finally:
             RouteOracle.reset_default()
+
+    @pytest.mark.parametrize("seed", [0, 5, 11, 29])
+    def test_build_identical_across_mutation_cycle(self, seed, oracle):
+        requirement, graphs = _mutation_cycle(seed)
+        for graph in graphs:
+            oracle.enabled = False
+            assert_view_equals_eager(requirement, graph)
+            oracle.enabled = True
+            assert_view_equals_eager(requirement, graph)  # warm: misses
+            assert_view_equals_eager(requirement, graph)  # warm: hits
+
+    @pytest.mark.parametrize("network_size", [16, 40, 60])
+    @pytest.mark.parametrize(
+        "requirement_class",
+        [
+            RequirementClass.PATH, RequirementClass.DISJOINT_PATHS,
+            RequirementClass.SPLIT_MERGE, RequirementClass.GENERAL,
+        ],
+        ids=lambda clazz: clazz.value,
+    )
+    def test_every_query_equals_the_eager_table(
+        self, network_size, requirement_class, oracle
+    ):
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=network_size,
+                n_services=6,
+                requirement_class=requirement_class,
+                instances_per_service=(2, 4),
+                seed=1_000 + network_size,
+            )
+        )
+        assert_view_equals_eager(scenario.requirement, scenario.overlay)
+
+    def test_rows_evicted_between_build_and_query_rederive_identically(self, oracle):
+        """With room for one tree, every row but the last warmed is gone by
+        the time it is asked for; the view must not notice."""
+        oracle.max_entries = 1
+        requirement, graphs = _mutation_cycle(5, network_size=40, n_services=5)
+        for graph in graphs:
+            abstract = AbstractGraph.build(requirement, graph)
+            assert len(oracle) == 1
+            assert_view_equals_eager(requirement, graph, abstract)
+        assert oracle.stats().evictions > 0
+
+    def test_the_cycle_carries_drops_and_repairs_trees(self, oracle):
+        """What makes the cycle above a test of the oracle's write path."""
+        requirement, graphs = _mutation_cycle(5, network_size=40, n_services=5)
+        for graph in graphs:
+            assert_view_equals_eager(requirement, graph)
+        stats = oracle.stats()
+        assert min(stats.carried, stats.dropped, stats.repaired) > 0
+
+    def test_a_graph_keeps_answering_after_the_oracle_is_replaced(self, oracle):
+        requirement, graphs = _mutation_cycle(11)
+        for graph in graphs:
+            abstract = AbstractGraph.build(requirement, graph)
+            RouteOracle.reset_default()
+            assert_view_equals_eager(requirement, graph, abstract)
+
+
+class TestNothingIsMaterialised:
+    """The counting doubles: a build copies nothing out of the trees, a
+    point query builds the one edge asked for, and a federation session
+    reads no more ground-truth rows than it commits edges."""
+
+    @pytest.fixture
+    def built_edges(self, monkeypatch):
+        """Every ``AbstractEdge`` the module under test constructs."""
+        built = []
+
+        class CountingEdge(AbstractEdge):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(abstract_graph_module, "AbstractEdge", CountingEdge)
+        return built
+
+    @pytest.fixture
+    def fetched_rows(self, monkeypatch):
+        """The sources whose row a graph asked its provider for, in order."""
+        fetched = []
+        plain_init = AbstractGraph.__init__
+
+        def counting_init(self, requirement, instances, rows):
+            def counted(source):
+                fetched.append(source)
+                return rows(source)
+
+            plain_init(self, requirement, instances, counted)
+
+        monkeypatch.setattr(AbstractGraph, "__init__", counting_init)
+        return fetched
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=60,
+                n_services=6,
+                requirement_class=RequirementClass.SPLIT_MERGE,
+                instances_per_service=(3, 5),
+                seed=7,
+            )
+        )
+        RouteOracle.reset_default()
+        try:
+            yield scenario
+        finally:
+            RouteOracle.reset_default()
+
+    def test_a_build_over_a_warmed_overlay_copies_nothing(self, scenario, built_edges):
+        requirement, overlay = scenario.requirement, scenario.overlay
+        oracle = RouteOracle.default()
+        AbstractGraph.build(requirement, overlay)  # warms every source
+        warm = oracle.stats()
+        del built_edges[:]
+        abstract = AbstractGraph.build(requirement, overlay)
+        after = oracle.stats()
+        assert built_edges == []
+        assert (after.lookups, after.warmed) == (warm.lookups, warm.warmed)
+        # One point query: one row (an oracle hit), the one edge asked for.
+        a_sid, b_sid = requirement.edges()[0]
+        a, b = overlay.instances_of(a_sid)[0], overlay.instances_of(b_sid)[0]
+        edge = abstract.edge(a, b)
+        assert abstract.quality(a, b) == edge.quality
+        assert built_edges == [edge]
+        assert edge.overlay_path is oracle.tree(overlay, a)[b].path
+        assert oracle.stats().hits == warm.hits + 2  # the row, and the line above
+        assert oracle.stats().misses == warm.misses
+
+    def test_the_edge_table_is_built_once(self, scenario, built_edges, fetched_rows):
+        abstract = AbstractGraph.build(scenario.requirement, scenario.overlay)
+        assert (built_edges, fetched_rows) == ([], [])
+        total = abstract.num_edges()
+        assert len(built_edges) == total > 0
+        sources = list(fetched_rows)
+        assert len(sources) == len(set(sources)) > 0
+        assert list(abstract.edges()) == sorted(
+            built_edges, key=lambda edge: (edge.src, edge.dst)
+        )
+        for inst in abstract.nodes():
+            list(abstract.successors(inst))
+        assert (len(built_edges), fetched_rows) == (total, sources)
+
+    def test_a_federation_reads_one_ground_truth_row_per_committed_edge(
+        self, scenario, fetched_rows
+    ):
+        from repro.core.sflow import SFlowAlgorithm
+
+        requirement = scenario.requirement
+        result = SFlowAlgorithm().federate(
+            requirement, scenario.overlay, source_instance=scenario.source_instance
+        )
+        assert result.flow_graph is not None
+        assert 0 < len(fetched_rows) <= len(requirement.edges())
+        assert len(fetched_rows) == len(set(fetched_rows))
+        assert set(fetched_rows) <= set(result.flow_graph.assignment.values())

@@ -12,6 +12,8 @@ from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.services.serialization import (
     flow_graph_from_dict,
     flow_graph_to_dict,
+    instance_from_list,
+    instance_to_list,
     load_json,
     overlay_from_dict,
     overlay_to_dict,
@@ -53,6 +55,16 @@ class TestScalars:
     def test_unreachable_latency_roundtrip(self):
         q = PathQuality(0.0, math.inf)
         assert quality_from_dict(quality_to_dict(q)) == q
+
+    def test_instance_roundtrip_keeps_the_type(self):
+        """A tuple-typed instance must come back as an instance, not as the
+        two-element list JSON holds (``str`` and ``repr`` would differ)."""
+        inst = ServiceInstance("u3", 17)
+        encoded = instance_to_list(inst)
+        assert encoded == ["u3", 17] and type(encoded) is list
+        clone = instance_from_list(json.loads(json.dumps(encoded)))
+        assert type(clone) is ServiceInstance
+        assert (clone, str(clone), repr(clone)) == (inst, "u3/17", repr(inst))
 
 
 class TestRequirement:
