@@ -265,8 +265,8 @@ class MonitoredFederation:
         observations: Dict[Tuple[str, str], float] = {}
         # Probe trees come from the process-wide oracle: repeated probe
         # rounds on an unchanged overlay are cache hits, and mutations
-        # produce a new overlay object (new epoch), so a stale tree can
-        # never be observed.
+        # produce a new overlay object (its own oracle state), so a stale
+        # tree can never be observed.
         oracle = RouteOracle.default()
         for edge in self.graph.edges():
             src, dst = edge.src, edge.dst

@@ -42,7 +42,6 @@ from repro.obs.clock import Stopwatch
 from repro.obs.recorder import Recorder, parse_recording
 from repro.obs.trace import tracer as obs_tracer
 from repro.obs.slo import SloSpec, replay as slo_replay
-from repro.routing.oracle import RouteOracle
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass
 from repro.services.workloads import Scenario, ScenarioConfig, generate_scenario
@@ -316,35 +315,6 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _oracle_handoff() -> Tuple[bool, bool, int, int]:
-    """The parent oracle's configuration, shipped to pool initializers."""
-    oracle = RouteOracle.default()
-    return (
-        oracle.enabled,
-        oracle.use_kernel,
-        oracle.kernel_min_nodes,
-        oracle.max_entries,
-    )
-
-
-def _init_worker(handoff: Tuple[bool, bool, int, int]) -> None:
-    """Pool initializer: align the worker's oracle with the parent's.
-
-    Under fork the worker already inherits the parent's oracle object
-    (cache, snapshots and all); under spawn it starts fresh.  Either way
-    the parent's *configuration* -- the enabled/kernel switches the perf
-    harness A/Bs -- must override defaults, or a pooled sweep would
-    quietly measure the wrong arm while the serial one measured the
-    right one.
-    """
-    enabled, use_kernel, kernel_min_nodes, max_entries = handoff
-    oracle = RouteOracle.default()
-    oracle.enabled = enabled
-    oracle.use_kernel = use_kernel
-    oracle.kernel_min_nodes = kernel_min_nodes
-    oracle.max_entries = max_entries
-
-
 class _ObservedCell:
     """Picklable wrapper: run one cell and ship what it did to telemetry.
 
@@ -404,8 +374,7 @@ def sweep(
     same order the serial loop produces -- so the only difference between
     the two paths is wall-clock time.  Each cell reseeds from its payload,
     never from global state, which makes the fan-out bit-reproducible.
-    Pools fork (:func:`_pool_context`) and re-apply the parent oracle's
-    configuration in every worker (:func:`_init_worker`).
+    Pools fork (:func:`_pool_context`).
 
     The second element is the submission-order merge of every cell's
     metric-registry delta.  When a pool computed the cells, the merge is
@@ -433,9 +402,7 @@ def sweep(
     if pool_size == 0:
         outcomes = [observed(payload) for payload in payloads]
     else:
-        with _pool_context().Pool(
-            pool_size, initializer=_init_worker, initargs=(_oracle_handoff(),)
-        ) as pool:
+        with _pool_context().Pool(pool_size) as pool:
             outcomes = pool.map(observed, payloads, chunksize=1)
     metrics: Dict[str, dict] = {}
     campaign = CampaignProfile() if profile else None

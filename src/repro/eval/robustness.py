@@ -211,6 +211,11 @@ class ChaosExperiment:
         return observe_sweep(_chaos_cell, self, self.config, **observation)
 
 
+#: Crash times are drawn uniformly from ``[0, CRASH_WINDOW)`` -- inside the
+#: federation run, which is the whole point.
+CRASH_WINDOW = 40.0
+
+
 @dataclass
 class RobustnessConfig(ChaosSweepConfig):
     """Sweep parameters for the crash-tolerance experiment."""
@@ -218,9 +223,6 @@ class RobustnessConfig(ChaosSweepConfig):
     network_sizes: Tuple[int, ...] = (10, 20, 30)
     trials: int = 10
     crash_rates: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
-    #: Crash times are drawn uniformly from ``[0, crash_window)`` -- inside
-    #: the federation run, which is the whole point.
-    crash_window: float = 40.0
 
     @property
     def levels(self) -> Tuple[float, ...]:
@@ -281,7 +283,7 @@ class RobustnessExperiment(ChaosExperiment):
         return injector.chaos_plan(
             scenario.overlay,
             crash_rate=crash_rate,
-            window=self.config.crash_window,
+            window=CRASH_WINDOW,
             revive_after=self.config.revive_after,
             seed=seed,
         )
@@ -394,6 +396,13 @@ def summarize(records: List[RobustnessRecord]) -> List[RobustnessCell]:
 #: Recovery-log kinds that count as "the runtime noticed this instance".
 _DETECTION_KINDS = frozenset({"suspect", "retry_exhausted", "quarantine"})
 
+#: The adaptive-detection stack of a gray run: suspicion threshold and
+#: bootstrap heartbeat interval of the detector, failures that open the
+#: breaker, and the retry budget (attempts, backoff base).
+_DETECTOR = DetectorConfig(threshold=4.0, bootstrap_interval=15.0)
+_BREAKER = BreakerConfig(failure_threshold=2)
+_RETRY_POLICY = RetryPolicy(max_attempts=3, base=8.0)
+
 
 @dataclass
 class GrayFailureConfig(ChaosSweepConfig):
@@ -415,11 +424,6 @@ class GrayFailureConfig(ChaosSweepConfig):
     crash_fraction: float = 0.2
     required_fraction: float = 0.8
     refederate_hysteresis: float = 50.0
-    detector_threshold: float = 4.0
-    detector_poll: float = 15.0
-    breaker_failures: int = 2
-    retry_attempts: int = 3
-    retry_base: float = 8.0
 
     @property
     def levels(self) -> Tuple[float, ...]:
@@ -440,26 +444,9 @@ class GrayFailureConfig(ChaosSweepConfig):
         return super().protocol_config(
             required_bandwidth=required_bandwidth,
             refederate_hysteresis=self.refederate_hysteresis,
-            detector=(
-                DetectorConfig(
-                    threshold=self.detector_threshold,
-                    bootstrap_interval=self.detector_poll,
-                )
-                if adaptive
-                else None
-            ),
-            breaker=(
-                BreakerConfig(failure_threshold=self.breaker_failures)
-                if adaptive
-                else None
-            ),
-            retry_policy=(
-                RetryPolicy(
-                    max_attempts=self.retry_attempts, base=self.retry_base
-                )
-                if adaptive
-                else None
-            ),
+            detector=_DETECTOR if adaptive else None,
+            breaker=_BREAKER if adaptive else None,
+            retry_policy=_RETRY_POLICY if adaptive else None,
         )
 
 

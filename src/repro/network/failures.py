@@ -104,7 +104,7 @@ def degrade_links(
     result = overlay.with_links(scaled)
     # Degradation is restrictive (capacity can only shrink, delay only
     # grow), so trees avoiding the victim links carry over to the new
-    # epoch; only sources routing across them recompute.
+    # graph; only sources routing across them recompute.
     RouteOracle.default().derive(overlay, result, degraded_links=victim_set)
     return result
 
@@ -125,7 +125,7 @@ def revive_links(
     state, which the round-trip property test asserts.
 
     The restoration is additive (capacity can only grow back, latency only
-    shrink back), so the route oracle cold-starts the new epoch instead of
+    shrink back), so the route oracle cold-starts the new graph instead of
     carrying trees forward.
     """
     restored: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}

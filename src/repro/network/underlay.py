@@ -30,6 +30,12 @@ from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
 
 NodeId = int
 
+#: Waxman model shape parameters.
+WAXMAN_ALPHA = 0.4
+WAXMAN_BETA = 0.4
+#: Barabasi-Albert attachment count.
+BA_ATTACHMENTS = 2
+
 
 @dataclass(frozen=True)
 class UnderlayLink:
@@ -73,10 +79,6 @@ class UnderlayConfig:
         bandwidth_range: inclusive ``(low, high)`` for uniform link capacities.
         latency_range: inclusive ``(low, high)`` for uniform link delays.
         seed: RNG seed; every generation with the same config is identical.
-        waxman_alpha / waxman_beta: Waxman model shape parameters.
-        er_p: Erdos-Renyi edge probability (``None`` -> ``2 ln n / n``,
-            comfortably above the connectivity threshold).
-        ba_m: Barabasi-Albert attachment count.
         ensure_connected: if True (default) a random spanning tree is added
             first so the generated underlay is always connected.
     """
@@ -86,10 +88,6 @@ class UnderlayConfig:
     bandwidth_range: Tuple[float, float] = (10.0, 100.0)
     latency_range: Tuple[float, float] = (1.0, 10.0)
     seed: int = 0
-    waxman_alpha: float = 0.4
-    waxman_beta: float = 0.4
-    er_p: Optional[float] = None
-    ba_m: int = 2
     ensure_connected: bool = True
 
     def __post_init__(self) -> None:
@@ -243,18 +241,18 @@ class Underlay:
 def _topology_edges(config: UnderlayConfig, rng: random.Random) -> set:
     """Raw edge set for the requested model (may be disconnected)."""
     if config.model == "waxman":
-        return _waxman_edges(config.n, config.waxman_alpha, config.waxman_beta, rng)
+        return _waxman_edges(config.n, rng)
     if config.model == "erdos_renyi":
-        p = config.er_p
-        if p is None:
-            p = min(1.0, 2.0 * math.log(max(config.n, 2)) / config.n)
+        # Edge probability 2 ln n / n: comfortably above the connectivity
+        # threshold.
+        p = min(1.0, 2.0 * math.log(max(config.n, 2)) / config.n)
         return {
             (u, v)
             for u, v in itertools.combinations(range(config.n), 2)
             if rng.random() < p
         }
     if config.model == "barabasi_albert":
-        return _barabasi_albert_edges(config.n, config.ba_m, rng)
+        return _barabasi_albert_edges(config.n, rng)
     if config.model == "ring":
         return {(i, (i + 1) % config.n) if i + 1 < config.n else (0, i) for i in range(config.n)}
     if config.model == "grid":
@@ -262,23 +260,23 @@ def _topology_edges(config: UnderlayConfig, rng: random.Random) -> set:
     raise AssertionError(f"unreachable: model {config.model}")
 
 
-def _waxman_edges(n: int, alpha: float, beta: float, rng: random.Random) -> set:
+def _waxman_edges(n: int, rng: random.Random) -> set:
     """Waxman (1988) random graph: P(u,v) = beta * exp(-d(u,v) / (alpha * L))."""
     positions = [(rng.random(), rng.random()) for _ in range(n)]
-    scale = alpha * math.sqrt(2.0)  # sqrt(2) = max distance in the unit square
+    scale = WAXMAN_ALPHA * math.sqrt(2.0)  # sqrt(2) = max distance in the unit square
     edges = set()
     for u, v in itertools.combinations(range(n), 2):
         dx = positions[u][0] - positions[v][0]
         dy = positions[u][1] - positions[v][1]
         dist = math.hypot(dx, dy)
-        if rng.random() < beta * math.exp(-dist / scale):
+        if rng.random() < WAXMAN_BETA * math.exp(-dist / scale):
             edges.add((u, v))
     return edges
 
 
-def _barabasi_albert_edges(n: int, m: int, rng: random.Random) -> set:
+def _barabasi_albert_edges(n: int, rng: random.Random) -> set:
     """Preferential attachment: each new node attaches to ``m`` earlier nodes."""
-    m = max(1, min(m, n - 1))
+    m = max(1, min(BA_ATTACHMENTS, n - 1))
     edges = set()
     # Seed clique over the first m+1 nodes.
     targets: List[NodeId] = []

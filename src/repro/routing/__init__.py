@@ -6,9 +6,9 @@
 * :mod:`repro.routing.link_state` -- a distributed link-state protocol that
   runs on the discrete-event simulator and gives every overlay node its
   *k-hop local view* (the paper assumes a two-hop vicinity).
-* :mod:`repro.routing.oracle` -- the process-wide, topology-epoch-aware
-  cache of per-source routing trees that amortises the Wang-Crowcroft cost
-  across requests, probes and algorithms.
+* :mod:`repro.routing.oracle` -- the process-wide cache of per-source
+  routing trees, one state per graph object, that amortises the
+  Wang-Crowcroft cost across requests, probes and algorithms.
 * :mod:`repro.routing.kernel` -- the vectorized CSR kernel behind the
   oracle's cold path: batched, bit-identical Wang-Crowcroft tree builds
   over flattened numpy adjacency snapshots.

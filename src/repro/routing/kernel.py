@@ -74,7 +74,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -102,15 +101,15 @@ _Activation = Tuple[List[int], List[int], List[float]]
 
 
 class CSRGraph:
-    """A frozen CSR snapshot of one adjacency view of one graph epoch.
+    """A frozen CSR snapshot of one adjacency view of one graph object.
 
     Nodes are interned in ``repr``-sorted *rank order* (see the module
     docstring); ``index`` maps node -> rank and ``nodes[rank]`` maps
     back.  Edge slot ``j`` of node ``i`` lives at positions
     ``indptr[i] <= j < indptr[i + 1]`` of ``indices``/``bandwidth``/
-    ``latency``.  Instances are immutable once built; the oracle keys
-    them by ``(lineage, epoch, view)`` so a snapshot can never outlive
-    its topology epoch.
+    ``latency``.  Instances are immutable once built; the oracle keeps
+    them per view inside the graph's own state, so a snapshot can never
+    serve another graph or outlive its own.
     """
 
     __slots__ = (
@@ -584,29 +583,3 @@ def _widest_shortest_csr(
             tuple(nodes[i] for i in paths[v]),
         )
     return labels
-
-
-def affected_sources(
-    trees: Dict[Node, Dict[Node, RouteLabel]],
-    touched_nodes: Set[Node],
-    touched_edges: Set[Tuple[Node, Node]],
-) -> Set[Node]:
-    """Sources whose cached tree traverses any touched element.
-
-    A helper for incremental repair decisions: a source whose tree never
-    crosses a degraded/removed element keeps its tree verbatim under a
-    restrictive mutation (removing options cannot improve any label).
-    """
-    hit: Set[Node] = set()
-    for source, labels in trees.items():
-        for label in labels.values():
-            path = label.path
-            if touched_nodes and not touched_nodes.isdisjoint(path):
-                hit.add(source)
-                break
-            if touched_edges and any(
-                (a, b) in touched_edges for a, b in zip(path, path[1:])
-            ):
-                hit.add(source)
-                break
-    return hit

@@ -26,32 +26,15 @@ from repro.routing.kernel import (
     SHORTEST_WIDEST,
     WIDEST_SHORTEST,
     CSRGraph,
-    affected_sources,
     batched_trees,
     snapshot,
 )
-from repro.routing.wang_crowcroft import (
-    RouteLabel,
-    shortest_widest_tree,
-    widest_shortest_tree,
-)
+from repro.routing.oracle import RouteOracle
+from repro.routing.wang_crowcroft import RouteLabel, shortest_widest_tree
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.routing import assert_kernel_matches_pure
 
 MODELS = ("waxman", "erdos_renyi", "barabasi_albert")
-ORDERS = (
-    (SHORTEST_WIDEST, shortest_widest_tree),
-    (WIDEST_SHORTEST, widest_shortest_tree),
-)
-
-
-def assert_kernel_matches_pure(graph, neighbors, nodes):
-    """Every source's batched tree equals the pure per-source tree."""
-    csr = CSRGraph.from_adjacency(nodes, neighbors)
-    for order, pure in ORDERS:
-        batched = batched_trees(csr, nodes, order=order)
-        for source, labels in zip(nodes, batched):
-            expected = pure(neighbors, source)
-            assert labels == expected, (order, source)
 
 
 class TestUnderlayEquivalence:
@@ -356,12 +339,13 @@ class TestAffectedSources:
         overlay.add_link(a, b, PathQuality(10.0, 1.0))
         overlay.add_link(b, c, PathQuality(10.0, 1.0))
         overlay.add_link(c, a, PathQuality(10.0, 1.0))
-        trees = {
-            source: shortest_widest_tree(overlay.successors, source)
-            for source in (a, b, c)
-        }
-        hit = affected_sources(trees, set(), {(b, c)})
+        oracle = RouteOracle()
+        for source in (a, b, c):
+            oracle.tree(overlay, source)
+        cut = overlay.with_links({(b, c): None})
+        oracle.derive(overlay, cut, removed_links=[(b, c)])
+        kept = oracle.cached_sources(cut)
         # Every tree that routes through b -> c is affected; c's own tree
         # reaches a and b without that link.
-        assert a in hit and b in hit
-        assert c not in hit
+        assert a not in kept and b not in kept
+        assert c in kept

@@ -1,13 +1,16 @@
-"""Tests for the process-wide route oracle (epochs, scoped invalidation).
+"""Tests for the process-wide route oracle (per-graph state, scoped
+invalidation).
 
 The acceptance contract: a mutation must never let the oracle serve a
-stale tree -- after ``degrade_links`` / crash events the epoch bumps and
-scoped invalidation drops exactly the sources whose trees crossed the
-mutated elements, while every remaining source keeps its (still exact)
-cached tree.
+stale tree -- after ``degrade_links`` / crash events the new graph has its
+own state and scoped invalidation drops exactly the sources whose trees
+crossed the mutated elements, while every remaining source keeps its
+(still exact) cached tree.
 """
 
+import dataclasses
 import gc
+import inspect
 
 import pytest
 
@@ -20,7 +23,12 @@ from repro.network.failures import (
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing import kernel
-from repro.routing.oracle import RouteOracle, SHORTEST_WIDEST, WIDEST_SHORTEST
+from repro.routing.oracle import (
+    KERNEL_MIN_NODES,
+    RouteOracle,
+    SHORTEST_WIDEST,
+    WIDEST_SHORTEST,
+)
 from repro.routing.wang_crowcroft import (
     shortest_widest_tree,
     widest_shortest_tree,
@@ -33,6 +41,13 @@ def fresh_default_oracle():
     """Isolate every test from cache state left by other tests."""
     yield RouteOracle.reset_default()
     RouteOracle.reset_default()
+
+
+#: 21-25 instances: an overlay the oracle hands to the kernel, and still
+#: does after a crash or two.
+LARGE_ENOUGH_FOR_THE_KERNEL = ScenarioConfig(
+    network_size=30, n_services=5, instances_per_service=(5, 6), seed=3
+)
 
 
 def diamond_overlay() -> OverlayGraph:
@@ -87,23 +102,17 @@ class TestLookups:
         with pytest.raises(ValueError):
             oracle.tree(diamond_overlay(), ServiceInstance("A", 0), order="best")
 
-    def test_disabled_oracle_computes_directly(self):
-        overlay = diamond_overlay()
-        oracle = RouteOracle(enabled=False)
-        a = ServiceInstance("A", 0)
-        first = oracle.tree(overlay, a)
-        second = oracle.tree(overlay, a)
-        assert first == second and first is not second
-        assert len(oracle) == 0 and oracle.stats().lookups == 0
-
-    def test_lru_eviction_is_bounded(self):
-        overlay = diamond_overlay()
-        oracle = RouteOracle(max_entries=2)
-        instances = list(overlay.instances())
-        for inst in instances:
-            oracle.tree(overlay, inst)
-        assert len(oracle) == 2
-        assert oracle.stats().evictions == len(instances) - 2
+    def test_unknown_attributes_cannot_be_assigned(self):
+        """The oracle has no knobs: a left-over ``oracle.enabled = False``
+        must fail loudly, not create an attribute and measure the other
+        arm."""
+        oracle = RouteOracle()
+        for name in ("enabled", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(oracle, name, False)
+        assert list(inspect.signature(RouteOracle.__init__).parameters) == [
+            "self", "registry"
+        ]
 
     def test_dead_graph_entries_are_purged(self):
         oracle = RouteOracle()
@@ -127,14 +136,11 @@ class TestMutations:
         c = ServiceInstance("C", 3)
         for inst in (a, b1, b2):
             oracle.tree(overlay, inst)
-        old_epoch = oracle.epoch(overlay)
 
         # Degrading b1 -> c touches a's tree (a routes a->b2->c but the
         # label set also covers a->b1) and b1's tree, but never b2's.
         degraded = degrade_links(overlay, [(b1, c)], bandwidth_factor=0.5)
-        assert oracle.lineage(degraded) == oracle.lineage(overlay)
-        assert oracle.epoch(degraded) > old_epoch
-        assert oracle.epoch(overlay) == old_epoch  # old graph untouched
+        assert oracle.cached_sources(overlay) == {a, b1, b2}  # old graph untouched
 
         carried = oracle.cached_sources(degraded)
         assert b2 in carried and b1 not in carried
@@ -201,7 +207,6 @@ class TestMutations:
         oracle.tree(degraded, a)
         oracle.reset_stats()
         healed = revive_links(degraded, overlay, [link])
-        assert oracle.epoch(healed) > oracle.epoch(degraded)
         assert oracle.cached_sources(healed) == set()
         assert oracle.stats().invalidated == 1
         assert oracle.cached_sources(degraded) == {a}  # the old graph serves on
@@ -256,6 +261,66 @@ class TestMutationChains:
                     graph.successors, inst
                 ), f"stale tree served for {inst} (seed {seed})"
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fail_degrade_revive_rejoin_every_graph_keeps_serving(self, seed):
+        """The chain online admission will walk: every graph made so far,
+        the superseded ones included, answers for its own topology after
+        every step, and a dropped graph takes its trees with it."""
+        scenario = generate_scenario(
+            dataclasses.replace(LARGE_ENOUGH_FOR_THE_KERNEL, seed=seed)
+        )
+        oracle = RouteOracle.reset_default()
+        overlay = scenario.overlay
+        graphs = [overlay]
+
+        def every_graph_serves_pure_trees():
+            for graph in graphs:
+                for inst in graph.instances():
+                    assert sorted(oracle.tree(graph, inst).items()) == sorted(
+                        shortest_widest_tree(graph.successors, inst).items()
+                    ), f"graph {graphs.index(graph)}, {inst} (seed {seed})"
+
+        every_graph_serves_pure_trees()
+        victim = next(
+            inst
+            for inst in overlay.instances()
+            if inst != scenario.source_instance
+            and len(overlay.instances_of(inst.sid)) > 1
+        )
+        graphs.append(fail_instances(overlay, [victim]))
+        every_graph_serves_pure_trees()
+        failed = graphs[-1]
+        links = [
+            (link.src, link.dst)
+            for inst in failed.instances()
+            for link in failed.out_links(inst)
+        ]
+        sagging = links[:: max(1, len(links) // 6)]
+        graphs.append(degrade_links(failed, sagging, bandwidth_factor=0.3))
+        every_graph_serves_pure_trees()
+        graphs.append(revive_links(graphs[-1], failed, sagging))
+        every_graph_serves_pure_trees()
+        graphs.append(
+            OverlayGraph.build(
+                scenario.underlay,
+                list(failed.instances()) + [victim],
+                scenario.catalog.compatible,
+            )
+        )
+        every_graph_serves_pure_trees()
+        stats = oracle.stats()
+        assert min(stats.carried, stats.dropped, stats.repaired) > 0
+        assert stats.kernel_trees > 0  # these overlays are kernel-sized
+
+        rejoined = graphs[-1]
+        del graphs[1:], failed
+        gc.collect()
+        assert len(oracle) == (
+            len(oracle.cached_sources(overlay))
+            + len(oracle.cached_sources(rejoined))
+            + len(oracle.cached_sources(scenario.underlay, view="neighbors"))
+        )
+
 
 class TestLazyTraversedSets:
     """An entry's traversed node/edge sets are built by its first
@@ -268,7 +333,7 @@ class TestLazyTraversedSets:
         b1 = ServiceInstance("B", 1)
         c = ServiceInstance("C", 3)
         oracle.warm(overlay, overlay.instances())
-        entries = list(oracle._cache.values())
+        entries = list(oracle._graphs[overlay].trees.values())
         assert len(entries) == 4
         assert all(e.nodes is None and e.edges is None for e in entries)
         for inst in overlay.instances():
@@ -296,9 +361,10 @@ class TestLazyTraversedSets:
         oracle.warm(overlay, instances)
         before = {inst: oracle.tree(overlay, inst) for inst in instances}
         degraded, crashed = degrade_then_crash(scenario)
-        for pending in oracle._repairs.values():
-            assert isinstance(pending.nodes, frozenset)
-            assert isinstance(pending.edges, frozenset)
+        for graph in (degraded, crashed):
+            for pending in oracle._graphs[graph].repairs.values():
+                assert isinstance(pending.nodes, frozenset)
+                assert isinstance(pending.edges, frozenset)
         for graph in (degraded, crashed):
             for inst in graph.instances():
                 labels = oracle.tree(graph, inst)
@@ -348,15 +414,20 @@ class TestKernelCounters:
         assert oracle.stats().kernel_trees == len(instances) + 1
 
     def test_other_paths_leave_them_alone(self):
-        overlay = generate_scenario(
+        small = generate_scenario(
             ScenarioConfig(network_size=20, n_services=4, seed=3)
         ).overlay
-        instances = list(overlay.instances())
-        pure = RouteOracle(use_kernel=False)
-        pure.warm(overlay, instances)
+        instances = list(small.instances())
+        assert len(instances) < KERNEL_MIN_NODES  # served by the pure functions
+        pure = RouteOracle()
+        pure.warm(small, instances)
+        assert pure.stats().warmed == len(instances)
         assert pure.stats().kernel_trees == 0
-        dual = RouteOracle(kernel_min_nodes=1)
-        dual.warm(overlay, instances, order=WIDEST_SHORTEST)
+        large = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
+        instances = list(large.instances())
+        dual = RouteOracle()
+        dual.warm(large, instances, order=WIDEST_SHORTEST)
+        assert dual._graphs[large].snapshots["successors"] is not None
         stats = dual.stats()
         assert stats.warmed == len(instances)
         assert (stats.kernel_trees, stats.kernel_thresholds) == (0, 0)
@@ -432,26 +503,20 @@ class TestWarm:
         assert oracle.warm(overlay, overlay.instances()) == 3
         assert oracle.warm(overlay, overlay.instances()) == 0
 
-    def test_warm_disabled_oracle_is_a_noop(self):
-        overlay = diamond_overlay()
-        oracle = RouteOracle(enabled=False)
-        assert oracle.warm(overlay, overlay.instances()) == 0
-        assert len(oracle) == 0
-
     def test_warm_matches_pure_without_kernel(self):
         """The pure fallback arm of warm() fills the same labels."""
         scenario = generate_scenario(
             ScenarioConfig(network_size=20, n_services=4, seed=5)
         )
         overlay = scenario.overlay
-        with_kernel = RouteOracle()
-        without = RouteOracle(use_kernel=False)
         instances = list(overlay.instances())
-        with_kernel.warm(overlay, instances)
-        without.warm(overlay, instances)
+        assert len(instances) < KERNEL_MIN_NODES
+        oracle = RouteOracle()
+        assert oracle.warm(overlay, instances) == len(instances)
+        assert oracle.stats().kernel_trees == 0
         for inst in instances:
-            assert with_kernel.tree(overlay, inst) == without.tree(
-                overlay, inst
+            assert oracle.tree(overlay, inst) == shortest_widest_tree(
+                overlay.successors, inst
             )
 
 

@@ -7,11 +7,11 @@ from repro.network.failures import degrade_links, fail_instances
 from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import extract_path, shortest_widest_tree
 from repro.services import abstract_graph as abstract_graph_module
 from repro.services.abstract_graph import AbstractEdge, AbstractGraph
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.abstract_graph import assert_view_equals_eager
 
 
 @pytest.fixture
@@ -120,74 +120,6 @@ class TestQueries:
         assert keys == sorted(keys)
 
 
-def eager_edge_table(requirement, overlay):
-    """The abstract graph as ``AbstractGraph.build`` materialised it before
-    it became a view over the oracle's trees: one edge object per usable
-    instance pair of every requirement edge, off one pure Wang-Crowcroft
-    tree per source -- the reference the view is compared against."""
-    edges = {}
-    for a_sid, b_sid in requirement.edges():
-        for a in overlay.instances_of(a_sid):
-            labels = shortest_widest_tree(overlay.successors, a)
-            for b in overlay.instances_of(b_sid):
-                if a == b:
-                    continue
-                label = labels.get(b)
-                if label is None or not label.quality.reachable:
-                    continue
-                path = tuple(extract_path(labels, a, b))
-                edges[(a, b)] = AbstractEdge(a, b, label.quality, path)
-    return dict(sorted(edges.items()))
-
-
-def _exact(edge):
-    """An edge with its floats as ``float.hex`` and its path as a tuple."""
-    if edge is None:
-        return None
-    quality = edge.quality
-    return (
-        edge.src, edge.dst, quality.bandwidth.hex(), quality.latency.hex(),
-        tuple(edge.overlay_path),
-    )
-
-
-def _exact_quality(quality):
-    return (quality.bandwidth.hex(), quality.latency.hex())
-
-
-def assert_view_equals_eager(requirement, overlay, abstract=None):
-    """Every query of the view answers what the eager table holds."""
-    expected = eager_edge_table(requirement, overlay)
-    if abstract is None:
-        abstract = AbstractGraph.build(requirement, overlay)
-    absent = ServiceInstance(requirement.source, 10**6)
-    assert absent not in overlay
-    everyone = list(overlay.instances()) + [absent]
-    # Point queries first (so they cannot lean on the table): every pair of
-    # instances -- pool pairs, non-requirement pairs, same-service pairs --
-    # and an instance the overlay does not hold, on either side.
-    for a in everyone:
-        for b in everyone:
-            want = expected.get((a, b))
-            assert _exact(abstract.edge(a, b)) == _exact(want)
-            assert _exact_quality(abstract.quality(a, b)) == _exact_quality(
-                want.quality if want is not None else UNREACHABLE
-            )
-    assert [_exact(e) for e in abstract.edges()] == [
-        _exact(e) for e in expected.values()
-    ]
-    assert abstract.num_edges() == len(expected)
-    for a in everyone:
-        assert [
-            (dst, _exact_quality(q)) for dst, q in abstract.successors(a)
-        ] == [
-            (dst, _exact_quality(e.quality))
-            for (src, dst), e in expected.items()
-            if src == a
-        ]
-    return abstract
-
-
 def _mutation_cycle(seed, network_size=16, n_services=4):
     """``(requirement, graphs)`` with ``graphs`` yielding base -> degraded ->
     crashed -> base again.  Each mutation happens only when the next graph
@@ -244,11 +176,8 @@ class TestOracleEquivalence:
     def test_build_identical_across_mutation_cycle(self, seed, oracle):
         requirement, graphs = _mutation_cycle(seed)
         for graph in graphs:
-            oracle.enabled = False
-            assert_view_equals_eager(requirement, graph)
-            oracle.enabled = True
-            assert_view_equals_eager(requirement, graph)  # warm: misses
-            assert_view_equals_eager(requirement, graph)  # warm: hits
+            assert_view_equals_eager(requirement, graph)  # misses, repairs
+            assert_view_equals_eager(requirement, graph)  # hits
 
     @pytest.mark.parametrize("network_size", [16, 40, 60])
     @pytest.mark.parametrize(
@@ -274,15 +203,15 @@ class TestOracleEquivalence:
         assert_view_equals_eager(scenario.requirement, scenario.overlay)
 
     def test_rows_evicted_between_build_and_query_rederive_identically(self, oracle):
-        """With room for one tree, every row but the last warmed is gone by
-        the time it is asked for; the view must not notice."""
-        oracle.max_entries = 1
+        """Every row the build warmed is gone by the time it is asked for;
+        the view must not notice."""
         requirement, graphs = _mutation_cycle(5, network_size=40, n_services=5)
         for graph in graphs:
             abstract = AbstractGraph.build(requirement, graph)
-            assert len(oracle) == 1
+            oracle.invalidate(graph)
+            assert oracle.cached_sources(graph) == set()
             assert_view_equals_eager(requirement, graph, abstract)
-        assert oracle.stats().evictions > 0
+        assert oracle.stats().invalidated > 0
 
     def test_the_cycle_carries_drops_and_repairs_trees(self, oracle):
         """What makes the cycle above a test of the oracle's write path."""
