@@ -232,39 +232,43 @@ class ServicePathAlgorithm:
         chain = requirement.topological_order()
         oracle = RouteOracle.default()
         undirected = undirected_relaxation(overlay)
-
-        def hop_quality(a: ServiceInstance, b: ServiceInstance) -> PathQuality:
-            # The serialized-chain control plans over the *undirected*
-            # relaxation of the overlay; the oracle keys that adjacency
-            # separately via the view tag.
-            label = oracle.tree(
-                overlay, a, view="undirected", neighbors=undirected
-            ).get(b)
-            return label.quality if label is not None else UNREACHABLE
-
         first_pool = overlay.instances_of(chain[0])
         if source_instance is not None:
             if source_instance not in first_pool:
                 raise FederationError(f"bad pinned source {source_instance}")
             first_pool = (source_instance,)
-        # Every pool but the last is a source of hop_quality(): build
-        # those trees in one batch instead of one miss at a time.
-        inner = (i for sid in chain[1:-1] for i in overlay.instances_of(sid))
-        oracle.warm(
-            overlay, [*first_pool, *inner], view="undirected", neighbors=undirected
-        )
         # layer: instance -> (serialized quality so far, assignment)
         layer: Dict[ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]]
         layer = {inst: (IDEAL, {chain[0]: inst}) for inst in first_pool}
         for sid in chain[1:]:
+            pool = overlay.instances_of(sid)
+            # The layered graph of a chain needs the pair qualities between
+            # consecutive layers and nothing else: one batch per hop, this
+            # layer's rows asked for at the next pool only.  The control
+            # plans over the *undirected* relaxation of the overlay; the
+            # oracle keys that adjacency separately via the view tag.
+            targets = frozenset(pool)
+            oracle.warm(
+                overlay, layer, view="undirected", neighbors=undirected,
+                targets=targets,
+            )
+            rows = {
+                prev: oracle.tree(
+                    overlay, prev, view="undirected", neighbors=undirected,
+                    targets=targets,
+                )
+                for prev in layer
+            }
             nxt: Dict[
                 ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]
             ] = {}
-            for inst in overlay.instances_of(sid):
+            for inst in pool:
                 best: Optional[Tuple[PathQuality, Dict[Sid, ServiceInstance]]] = None
                 for prev_inst, (quality, assignment) in layer.items():
-                    hop = hop_quality(prev_inst, inst)
-                    extended = quality.extend(hop)
+                    label = rows[prev_inst].get(inst)
+                    extended = quality.extend(
+                        label.quality if label is not None else UNREACHABLE
+                    )
                     if best is None or extended.is_better_than(best[0]):
                         chosen = dict(assignment)
                         chosen[sid] = inst

@@ -27,7 +27,11 @@ dual) against primitive arrays:
   qualifying edges and drains one persistent heap only as far as that
   threshold's members need (:func:`_shortest_widest_csr`;
   ``docs/performance.md`` has the fixpoint argument and the restart rule
-  that keeps it exact under float addition).
+  that keeps it exact under float addition);
+* a caller that reads a row only at some ``targets`` says so, and the
+  tree steps through the *targets'* widths alone (``batched_trees``);
+* phase 1 of a bandwidth-symmetric snapshot is one Kruskal pass for
+  every source at once (:meth:`CSRGraph.pair_widths`).
 
 **Exactness contract.**  :func:`batched_trees` is bit-identical to
 per-source :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
@@ -74,6 +78,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -121,6 +126,8 @@ class CSRGraph:
         "latency",
         "_usable_view",
         "_activation",
+        "_symmetric",
+        "_pair_widths",
     )
 
     def __init__(
@@ -158,6 +165,8 @@ class CSRGraph:
             bandwidth[order].tolist(),
         )
         self._activation: Optional[_Activation] = None
+        self._symmetric: Optional[bool] = None  # not looked at yet
+        self._pair_widths: "Any" = None
 
     # -- construction ------------------------------------------------------
 
@@ -212,15 +221,6 @@ class CSRGraph:
     def num_edges(self) -> int:
         return int(self.indptr[-1])
 
-    def nbytes(self) -> int:
-        """Approximate array payload (observability, not accounting)."""
-        return int(
-            self.indptr.nbytes
-            + self.indices.nbytes
-            + self.bandwidth.nbytes
-            + self.latency.nbytes
-        )
-
     # -- threshold views ---------------------------------------------------
 
     def usable_view(self) -> _UsableCSR:
@@ -248,6 +248,66 @@ class CSRGraph:
             order = (tails.tolist(), slots.tolist(), neg_bw[slots].tolist())
             self._activation = order
         return order
+
+    def pair_widths(self) -> "Any":
+        """Phase 1 for every source at once -- an ``n x n`` array whose row
+        ``s`` equals ``_widest_widths(csr, s)`` -- or None when the usable
+        edges are not bandwidth-symmetric.
+
+        On a symmetric snapshot a pair's bottleneck width is the minimum
+        edge on its maximum-spanning-forest path: one Kruskal pass down
+        :meth:`activation_order` writes ``W[A x B] = W[B x A] = b`` at the
+        edge that merges components ``A`` and ``B`` -- a value *copied* from
+        an edge, so bit-identical to the heap's.  Symmetry is observed,
+        never declared; in-degree against out-degree rejects a directed
+        overlay in O(E) before anything is sorted.  Built by the first
+        shortest-widest tree, like the activation order.  (An incremental
+        closure that needs no symmetry was tried as the *one* phase 1 and
+        lost on the directed overlay, 60-79 ms against 4-22 ms of heap
+        sweeps -- in a layered DAG every edge extends reachability -- hence
+        a second phase 1, not a replacement.)
+        """
+        if self._symmetric is None:
+            indptr, indices, _, ebw = self._usable_view
+            n = len(self.nodes)
+            heads = _np.asarray(indices, dtype=_np.int64)
+            degrees = _np.diff(_np.asarray(indptr, dtype=_np.int64))
+            symmetric = bool((_np.bincount(heads, minlength=n) == degrees).all())
+            if symmetric:  # the edge multiset equals its own reversal
+                tails = _np.repeat(_np.arange(n), degrees)
+                bw = _np.asarray(ebw, dtype=_np.float64)
+                out = _np.lexsort((bw, heads, tails))
+                back = _np.lexsort((bw, tails, heads))
+                symmetric = bool(
+                    (tails[out] == heads[back]).all()
+                    and (heads[out] == tails[back]).all()
+                    and (bw[out] == bw[back]).all()
+                )
+            if symmetric:
+                self._pair_widths = self._kruskal_widths()
+            self._symmetric = symmetric  # last: set means the array is too
+        return self._pair_widths
+
+    def _kruskal_widths(self) -> "Any":
+        _, indices, _, ebw = self._usable_view
+        tails, slots, _ = self.activation_order()
+        n = len(self.nodes)
+        pairs = _np.zeros((n, n))
+        _np.fill_diagonal(pairs, _INF)
+        component = list(range(n))
+        members: List[List[int]] = [[v] for v in range(n)]
+        for u, j in zip(tails, slots):
+            a, b = component[u], component[indices[j]]
+            if a == b:
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            big, small = members[a], members[b]
+            pairs[_np.ix_(big, small)] = pairs[_np.ix_(small, big)] = ebw[j]
+            for v in small:
+                component[v] = a
+            big.extend(small)
+        return pairs
 
 
 def snapshot(
@@ -332,6 +392,7 @@ def batched_trees(
     sources: Sequence[Node],
     *,
     order: str = SHORTEST_WIDEST,
+    targets: Optional[Iterable[Node]] = None,
 ) -> TreeBatch:
     """Routing trees for many sources against one CSR snapshot.
 
@@ -339,24 +400,37 @@ def batched_trees(
     bit-identical to the pure per-source functions.  Sources missing
     from the snapshot raise ``KeyError`` -- the snapshot and the graph
     disagree, which callers must treat as a snapshot miss.
+
+    ``targets`` is the pure functions' contract: a row holds its source
+    plus the reachable targets, every label equal to the full tree's; a
+    target the snapshot does not know is simply absent.  A shortest-widest
+    tree then does only the work its targets need
+    (:func:`_shortest_widest_csr`).  A widest-shortest one stays a full
+    Dijkstra that materialises fewer labels: pruning it by latency (rows
+    latency-ascending, break above the largest tentative target label)
+    *lost*, 0.18-0.19 -> 0.21-0.26 s per 118 underlay trees.
     """
     if order == SHORTEST_WIDEST:
         builder: Callable[
-            [CSRGraph, int, _Scratch], Dict[Node, RouteLabel]
+            [CSRGraph, int, _Scratch, Optional[List[int]]], Dict[Node, RouteLabel]
         ] = _shortest_widest_csr
     elif order == WIDEST_SHORTEST:
         builder = _widest_shortest_csr
     else:
         raise ValueError(f"unknown tree order {order!r}")
+    index = csr.index
+    wanted: Optional[List[int]] = None
+    if targets is not None:
+        wanted = sorted({index[t] for t in targets if t in index})
     out = TreeBatch()
     scratch = _Scratch(csr.n, out)
     for source in sources:
-        out.append(builder(csr, csr.index[source], scratch))
+        out.append(builder(csr, index[source], scratch, wanted))
     return out
 
 
 def _shortest_widest_csr(
-    csr: CSRGraph, src: int, scratch: _Scratch
+    csr: CSRGraph, src: int, scratch: _Scratch, wanted: Optional[List[int]]
 ) -> Dict[Node, RouteLabel]:
     """The two-phase Wang-Crowcroft scheme on interned arrays.
 
@@ -379,8 +453,24 @@ def _shortest_widest_csr(
     node never changes, so at most once.  Ties break as
     :func:`repro.routing.wang_crowcroft._lat_better`: latency, hops, then
     smallest interned path.  (``docs/performance.md`` has the argument.)
+
+    With ``wanted`` (interned targets, ascending) only a target is a
+    *member*: the walk steps through the targets' distinct widths, stops
+    after the narrowest and labels nobody else.  Nothing above needs the
+    steps to be consecutive -- activation merges the skipped ones, the
+    bound is over this step's target members -- so labels are unchanged.
     """
-    width = _widest_widths(csr, src)
+    pairs = csr.pair_widths()
+    if pairs is not None:
+        width: List[float] = pairs[src].tolist()
+    else:
+        width = _widest_widths(csr, src, wanted)
+    if wanted is not None:
+        # A non-target's width is nobody's step (and may be tentative).
+        asked = [0.0] * csr.n
+        for v in wanted:
+            asked[v] = width[v]
+        width = asked
     nodes = csr.nodes
     labels: Dict[Node, RouteLabel] = {
         nodes[src]: RouteLabel(IDEAL, 0, (nodes[src],))
@@ -477,11 +567,24 @@ def _shortest_widest_csr(
     return labels
 
 
-def _widest_widths(csr: CSRGraph, src: int) -> List[float]:
-    """Phase 1: max-bottleneck bandwidth from ``src`` to every node."""
+def _widest_widths(
+    csr: CSRGraph, src: int, wanted: Optional[List[int]] = None
+) -> List[float]:
+    """Phase 1: max-bottleneck bandwidth from ``src`` to every node.
+
+    With ``wanted`` the sweep stops once those are settled; a node merely
+    reached by then holds a tentative underestimate, not a width (see the
+    pure :func:`~repro.routing.wang_crowcroft.widest_bandwidths`).
+    """
     indptr, indices, _, ebw = csr.usable_view()
     width = [0.0] * csr.n
     width[src] = _INF
+    remaining: Optional[Set[int]] = None
+    if wanted is not None:
+        remaining = set(wanted)
+        remaining.discard(src)
+        if not remaining:
+            return width
     settled = bytearray(csr.n)
     heap: List[Tuple[float, int]] = [(-_INF, src)]
     while heap:
@@ -489,6 +592,10 @@ def _widest_widths(csr: CSRGraph, src: int) -> List[float]:
         if settled[u] or -neg_w < width[u]:
             continue
         settled[u] = 1
+        if remaining is not None:
+            remaining.discard(u)
+            if not remaining:
+                break
         wu = width[u]
         for j in range(indptr[u], indptr[u + 1]):
             v = indices[j]
@@ -503,13 +610,15 @@ def _widest_widths(csr: CSRGraph, src: int) -> List[float]:
 
 
 def _widest_shortest_csr(
-    csr: CSRGraph, src: int, scratch: _Scratch
+    csr: CSRGraph, src: int, scratch: _Scratch, wanted: Optional[List[int]]
 ) -> Dict[Node, RouteLabel]:
     """Single-pass widest-shortest Dijkstra on interned arrays.
 
     Mirrors :func:`repro.routing.wang_crowcroft.widest_shortest_tree`:
     the sort key is ``(latency, -bandwidth)``, ties break on hops then
     smallest path.  Latency is primary, so one label per node is exact.
+    ``wanted`` restricts the labels returned, not the sweep (see
+    :func:`batched_trees`).
     """
     indptr, indices, elat, ebw = csr.usable_view()
     nodes = csr.nodes
@@ -572,6 +681,8 @@ def _widest_shortest_csr(
             hops[v] = chops
             paths[v] = upath + (v,)
             heappush(heap, (clat, -cbw, chops, v))
+    if wanted is not None:
+        reached = [src, *(v for v in wanted if v != src and mark[v] == g)]
     labels: Dict[Node, RouteLabel] = {}
     for v in reached:
         if v == src:

@@ -34,6 +34,12 @@ process-wide memo:
   can create *better* paths, so the new graph starts cold
   (``additive=True``).
 
+* **Coverage.**  A caller that reads a row only at some destinations
+  passes ``targets``; the row holds those labels alone and remembers what
+  it covers.  A row never answers for a destination outside its coverage
+  -- not through ``tree``, ``warm``, carry-forward or repair: such a
+  lookup is a miss and computes what is asked *now*.
+
 * **Lifetime.**  States sit in a ``WeakKeyDictionary``: a graph's trees,
   pending repairs and snapshots go when the graph does, so long-running
   campaigns cannot leak memory through dead overlays, and no finalizer
@@ -92,6 +98,8 @@ KERNEL_MIN_NODES = 16
 
 #: ``(view, order, source)`` -- a tree's key inside one graph's state.
 _TreeKey = Tuple[str, str, Hashable]
+#: What a row covers, or a lookup asks for: ``None`` is every destination.
+_Targets = Optional[FrozenSet[Node]]
 
 
 @dataclass
@@ -120,15 +128,30 @@ class OracleStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def _covers(covered: _Targets, asked: _Targets) -> bool:
+    """Whether a row covering ``covered`` answers a lookup for ``asked``."""
+    return covered is None or (asked is not None and asked <= covered)
+
+
+def _either_way(links: Iterable[Tuple[Node, Node]]) -> FrozenSet[Tuple[Node, Node]]:
+    """``links`` plus their reversals: a label path names an edge in the
+    direction the *view* walked it, which may be backwards (the undirected
+    relaxation).  What :meth:`_Entry.touches` and
+    :meth:`RouteOracle._repair_labels` match label paths against."""
+    return frozenset(pair for a, b in links for pair in ((a, b), (b, a)))
+
+
 class _Entry:
-    """One cached tree plus the elements its label paths traverse --
-    found by the first :meth:`touches` (only ``derive`` asks), so a tree
-    no mutation ever meets never pays for the sets."""
+    """One cached row, what it covers (``None``: every destination, else
+    the targets it was asked for) and the elements its label paths
+    traverse -- found by the first :meth:`touches` (only ``derive`` asks),
+    so a tree no mutation ever meets never pays for the sets."""
 
-    __slots__ = ("labels", "nodes", "edges")
+    __slots__ = ("labels", "covers", "nodes", "edges")
 
-    def __init__(self, labels: Dict[Node, RouteLabel]) -> None:
+    def __init__(self, labels: Dict[Node, RouteLabel], covers: _Targets) -> None:
         self.labels = labels
+        self.covers = covers
         self.nodes: Optional[FrozenSet[Node]] = None
         self.edges: Optional[FrozenSet[Tuple[Node, Node]]] = None
 
@@ -158,27 +181,32 @@ class _PendingRepair:
     sets).  Labels whose paths avoid all touched elements are still exact
     -- a restrictive mutation cannot improve any path -- so a repair
     recomputes only the affected destinations via the tree functions'
-    ``targets`` contract.
+    ``targets`` contract.  ``covers`` rides along: a partial row is
+    repaired as a partial row, never into one that claims to be complete.
     """
 
-    __slots__ = ("labels", "nodes", "edges")
+    __slots__ = ("labels", "nodes", "edges", "covers")
 
     def __init__(
         self,
         labels: Dict[Node, RouteLabel],
         nodes: FrozenSet[Node],
         edges: FrozenSet[Tuple[Node, Node]],
+        covers: _Targets,
     ) -> None:
         self.labels = labels
         self.nodes = nodes
         self.edges = edges
+        self.covers = covers
 
     def merged(
         self,
         nodes: FrozenSet[Node],
         edges: FrozenSet[Tuple[Node, Node]],
     ) -> "_PendingRepair":
-        return _PendingRepair(self.labels, self.nodes | nodes, self.edges | edges)
+        return _PendingRepair(
+            self.labels, self.nodes | nodes, self.edges | edges, self.covers
+        )
 
 
 class _GraphState:
@@ -309,6 +337,7 @@ class RouteOracle:
         order: str = SHORTEST_WIDEST,
         view: str = "successors",
         neighbors: Optional[NeighborFn] = None,
+        targets: _Targets = None,
     ) -> Dict[Node, RouteLabel]:
         """The single-source routing tree for ``source`` on ``graph``.
 
@@ -321,6 +350,9 @@ class RouteOracle:
                 same ``view`` string must always denote the same adjacency.
             neighbors: adjacency function; defaults to ``graph.successors``
                 (or ``graph.neighbors`` for underlay-style graphs).
+            targets: the destinations the caller will read (``None``: all).
+                The row holds the source and every reachable target -- more
+                when a cached row covers more; labels equal the full tree's.
 
         Returns the label dict of the underlying tree function.  **Treat it
         as immutable** -- it is shared across callers.
@@ -334,24 +366,29 @@ class RouteOracle:
         with self._lock:
             state = self._state_for(graph)
             entry = state.trees.get(key)
-            if entry is not None:
+            if entry is not None and (  # a full row answers without the call
+                entry.covers is None or _covers(entry.covers, targets)
+            ):
                 self._counters["hits"].inc()
                 return entry.labels
             self._counters["misses"].inc()
             pending = state.repairs.pop(key, None)
         labels: Optional[Dict[Node, RouteLabel]] = None
-        if pending is not None:
+        covers = targets
+        # A parked row that does not cover the ask is dropped, not widened.
+        if pending is not None and _covers(pending.covers, targets):
             labels = self._repair_labels(tree_fn, neighbors, source, pending)
             if labels is not None:
+                covers = pending.covers
                 self._counters["repaired"].inc()
         if labels is None:
             csr = self._snapshot_for(graph, state, view, neighbors)
             if csr is not None and source in csr.index:
-                labels = self._kernel_trees(csr, (source,), order)[0]
+                labels = self._kernel_trees(csr, (source,), order, targets)[0]
         if labels is None:
-            labels = tree_fn(neighbors, source)
+            labels = tree_fn(neighbors, source, targets=targets)
         with self._lock:
-            state.trees[key] = _Entry(labels)
+            state.trees[key] = _Entry(labels, covers)
         return labels
 
     def warm(
@@ -362,6 +399,7 @@ class RouteOracle:
         order: str = SHORTEST_WIDEST,
         view: str = "successors",
         neighbors: Optional[NeighborFn] = None,
+        targets: _Targets = None,
     ) -> int:
         """Batched prefetch: compute and cache trees for many sources.
 
@@ -371,7 +409,9 @@ class RouteOracle:
         against it in one batch -- one set of work arrays, one snapshot
         lookup and one lock round-trip for all of them.  Falls back to
         per-source pure computation when the graph cannot be snapshotted.
-        Subsequent :meth:`tree` calls for these sources are cache hits.
+        Subsequent :meth:`tree` calls for these sources *and targets* are
+        cache hits; a source whose cached row does not cover ``targets`` is
+        computed again, for exactly what is asked.
 
         Returns the number of trees actually computed (0 when everything
         was already cached).  Results are bit-identical to :meth:`tree`,
@@ -393,7 +433,8 @@ class RouteOracle:
                 key = (view, order, source)
                 # Sources with a pending repair are cheaper to repair at
                 # their first tree() lookup than to recompute here.
-                if key in state.trees or key in state.repairs:
+                held = state.trees.get(key) or state.repairs.get(key)
+                if held is not None and _covers(held.covers, targets):
                     continue
                 missing.append(source)
         if not missing:
@@ -401,14 +442,18 @@ class RouteOracle:
         trees: Optional[list] = None
         csr = self._snapshot_for(graph, state, view, neighbors)
         if csr is not None and all(s in csr.index for s in missing):
-            trees = self._kernel_trees(csr, missing, order)
+            trees = self._kernel_trees(csr, missing, order, targets)
         if trees is None:
-            trees = [tree_fn(neighbors, source) for source in missing]
+            trees = [
+                tree_fn(neighbors, source, targets=targets) for source in missing
+            ]
         with self._lock:
             if self._graphs.get(graph) is not state:
                 return 0  # state replaced mid-computation; trees are stale
             for source, labels in zip(missing, trees):
-                state.trees[(view, order, source)] = _Entry(labels)
+                key = (view, order, source)
+                state.trees[key] = _Entry(labels, targets)
+                state.repairs.pop(key, None)  # parked, but covered too little
             self._counters["warmed"].inc(len(missing))
         return len(missing)
 
@@ -432,12 +477,16 @@ class RouteOracle:
         graph alive and queryable); touched ones, and repairs still
         pending on ``old``, wait on ``new`` for targeted repair.
         ``additive=True`` marks mutations that can improve paths (revival,
-        join); nothing is carried then.
+        join); nothing is carried then.  A carried or parked row keeps its
+        coverage.  Touched links match label-path edges **in either
+        orientation**: the oracle cannot tell which views walk a link
+        backwards (``"undirected"`` does), so in every view a tree crossing
+        ``(y, x)`` is touched by a mutation of link ``(x, y)``.
         """
         if new is old:
             raise ValueError("derive() needs a distinct new graph")
         touched_nodes = frozenset(removed_instances)
-        touched_edges = frozenset(removed_links) | frozenset(degraded_links)
+        touched_edges = _either_way([*removed_links, *degraded_links])
         with self._lock:
             old_state = self._graphs.get(old)
             new_state = self._graphs[new] = _GraphState()
@@ -454,7 +503,7 @@ class RouteOracle:
                     # The tree is stale, but most of its labels usually are
                     # not: keep it aside for targeted repair at first lookup.
                     new_state.repairs[key] = _PendingRepair(
-                        entry.labels, touched_nodes, touched_edges
+                        entry.labels, touched_nodes, touched_edges, entry.covers
                     )
                     self._counters["dropped"].inc()
                 else:
@@ -520,10 +569,11 @@ class RouteOracle:
             self._counters["invalidated"].inc(len(state.trees))
 
     def _kernel_trees(
-        self, csr: _kernel.CSRGraph, sources: Sequence[Node], order: str
+        self, csr: _kernel.CSRGraph, sources: Sequence[Node], order: str,
+        targets: _Targets,
     ) -> _kernel.TreeBatch:
         """One kernel batch, its phase-2 work added to ``oracle.kernel_*``."""
-        batch = _kernel.batched_trees(csr, sources, order=order)
+        batch = _kernel.batched_trees(csr, sources, order=order, targets=targets)
         if order == SHORTEST_WIDEST:
             with self._lock:
                 self._counters["kernel_trees"].inc(len(batch))

@@ -12,8 +12,9 @@ from repro.core.alternatives import (
 from repro.core.baseline import solve_path_requirement
 from repro.core.optimal import optimal_flow_graph
 from repro.errors import FederationError
+from repro.network.failures import degrade_links, fail_links
 from repro.network.overlay import ServiceInstance
-from repro.routing.oracle import RouteOracle
+from repro.routing.oracle import SHORTEST_WIDEST, RouteOracle
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import ScenarioConfig, generate_scenario
 
@@ -212,9 +213,10 @@ class TestServicePathAlgorithm:
     def test_serialized_chain_prefetches_its_trees_in_one_batch(
         self, travel_scenario
     ):
-        """The DP reads a tree from the pinned source and from every pool
-        but the last: those are warmed once, so no lookup misses and no
-        tree is built that the DP does not read."""
+        """The DP reads a row from the pinned source and from every pool
+        but the last, each at the next pool only: one warm per hop asks for
+        exactly that, so no lookup misses, every source's row is fetched
+        once, and no label is built that the DP does not read."""
         requirement, overlay = travel_scenario.requirement, travel_scenario.overlay
         oracle = RouteOracle.reset_default()
         ServicePathAlgorithm()._serialize(
@@ -227,7 +229,47 @@ class TestServicePathAlgorithm:
         assert oracle.cached_sources(overlay, view="undirected") == sources
         stats = oracle.stats()
         assert (stats.misses, stats.warmed) == (0, len(sources))
-        assert stats.hits > 0
+        assert stats.hits == len(sources)
+        rows = oracle._graphs[overlay].trees
+        for source in sources:
+            row = rows[("undirected", SHORTEST_WIDEST, source)]
+            next_pool = overlay.instances_of(chain[chain.index(source.sid) + 1])
+            assert row.covers == frozenset(next_pool)
+            assert set(row.labels) <= row.covers | {source}
+
+    @pytest.mark.parametrize("mutate", [degrade_links, fail_links])
+    def test_serialized_chain_after_a_mutation_matches_a_cold_solve(self, mutate):
+        """The chain is planned over the undirected relaxation, which walks
+        links backwards: a row cached for the parent overlay that crosses a
+        mutated link against its direction must not be carried, nor its
+        stale labels kept by the repair.  (At the parent of the fix this
+        overlay's second solve reported the first one's chain.)"""
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=30, n_services=5, instances_per_service=(5, 6),
+                requirement_class=RequirementClass.SPLIT_MERGE, seed=0,
+            )
+        )
+        overlay = scenario.overlay
+        links = [
+            (link.src, link.dst)
+            for inst in overlay.instances()
+            for link in overlay.out_links(inst)
+        ]
+
+        def serialize(graph):
+            return ServicePathAlgorithm()._serialize(
+                scenario.requirement, graph, scenario.source_instance
+            )
+
+        oracle = RouteOracle.reset_default()
+        serialize(overlay)
+        mutated = mutate(overlay, links[::10])
+        warm = serialize(mutated)
+        stats = oracle.stats()
+        RouteOracle.reset_default()
+        assert warm == serialize(mutated)
+        assert min(stats.carried, stats.dropped) > 0  # both arms were walked
 
     def test_bad_pinned_source_rejected(self, travel_scenario):
         with pytest.raises(FederationError):

@@ -8,7 +8,9 @@ pure :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
 generated topologies including zero-bandwidth and unreachable links, a
 filled overlay of the workload's shape (directed and undirected), a
 hand-built case where float addition is not strictly monotone, and
-tie-heavy random digraphs.
+tie-heavy random digraphs -- as full trees and as ``targets=`` rows
+(``tests/oracles/routing.py`` draws the subsets).  Phase 1 of a
+bandwidth-symmetric snapshot (one Kruskal pass) is held to the heap's.
 """
 
 import math
@@ -32,7 +34,10 @@ from repro.routing.kernel import (
 from repro.routing.oracle import RouteOracle
 from repro.routing.wang_crowcroft import RouteLabel, shortest_widest_tree
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import assert_kernel_matches_pure
+from tests.oracles.routing import (
+    assert_kernel_matches_pure,
+    assert_pair_widths_match_heap,
+)
 
 MODELS = ("waxman", "erdos_renyi", "barabasi_albert")
 
@@ -130,6 +135,35 @@ class TestFilledOverlay:
         batch = self.assert_ordered_match(csr, neighbors)
         assert (len(batch), batch.thresholds) == (51, 807)
         assert batch.restarts >= 1
+        assert assert_pair_widths_match_heap(csr)
+
+    def test_undirected_hop_rows(self, overlay):
+        """What ``_serialize`` asks: every pool's rows at every other pool.
+        Same labels in the same order as the full tree's, fewer widths
+        stepped through, and the restart rule still fires."""
+        neighbors = undirected_relaxation(overlay)
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), neighbors)
+        pools = [overlay.instances_of(sid) for sid in overlay.sids()]
+        thresholds = restarts = 0
+        for sources in pools:
+            full = batched_trees(csr, sources, order=SHORTEST_WIDEST)
+            for pool in pools:
+                batch = batched_trees(
+                    csr, sources, order=SHORTEST_WIDEST, targets=pool
+                )
+                thresholds += batch.thresholds
+                restarts += batch.restarts
+                for source, row, tree in zip(sources, batch, full):
+                    assert list(row.items()) == [
+                        (node, label)
+                        for node, label in tree.items()
+                        if node == source or node in pool
+                    ], (source, pool[0].sid)
+                    assert row == shortest_widest_tree(
+                        neighbors, source, targets=pool
+                    )
+        assert thresholds < 6 * 807
+        assert restarts >= 1
 
 
 class TestIncrementalPhaseTwo:
@@ -163,6 +197,11 @@ class TestIncrementalPhaseTwo:
             PathQuality(5.0, (a + one) + one), 4, (s, x, u, v, t)
         )
         assert batch.restarts == 1
+        # Asked for t alone the walk has one step, width 5, and activates
+        # the width-10 edges with it: v still gets the stale label first.
+        batch = batched_trees(csr, (s,), order=SHORTEST_WIDEST, targets=(t,))
+        assert batch[0] == {s: labels[s], t: labels[t]}
+        assert (batch.thresholds, batch.restarts) == (1, 1)
 
     @given(
         st.integers(min_value=2, max_value=6).flatmap(
@@ -310,6 +349,101 @@ class TestCSRGraph:
         csr = CSRGraph.from_adjacency([a], lambda n: iter(()))
         with pytest.raises(ValueError, match="order"):
             batched_trees(csr, (a,), order="bogus")
+
+
+def symmetric_adjacency(n, links):
+    """``links``: ``(a, b, bandwidth a->b, bandwidth b->a, latency)``."""
+    adjacency = {node: [] for node in range(n)}
+    for a, b, there, back, latency in links:
+        adjacency[a].append((b, PathQuality(there, latency)))
+        adjacency[b].append((a, PathQuality(back, latency)))
+    return adjacency
+
+
+def fat_tree_links(k=4):
+    """A ``k``-ary fat-tree with one host per edge switch (the shape of
+    ``benchmarks/e2e/fattree.py``): three bandwidths, ties everywhere."""
+    half = k // 2
+    n_core = half * half
+    links = []
+    host = n_core + 2 * k * half
+    for pod in range(k):
+        first_agg = n_core + pod * k
+        first_edge = first_agg + half
+        for a in range(half):
+            for c in range(half):
+                links.append((a * half + c, first_agg + a, 100.0, 100.0, 1.0))
+            for e in range(half):
+                links.append((first_agg + a, first_edge + e, 40.0, 40.0, 1.0))
+        for e in range(half):
+            links.append((first_edge + e, host, 10.0, 10.0, 1.0))
+            host += 1
+    return host, links
+
+
+class TestPairWidths:
+    """Phase 1 of a bandwidth-symmetric snapshot from one Kruskal pass:
+    the matrix equals the heap's widths from every source, as lists."""
+
+    def test_fat_tree(self):
+        n, links = fat_tree_links()
+        adjacency = symmetric_adjacency(n, links)
+        csr = CSRGraph.from_adjacency(range(n), adjacency.__getitem__)
+        assert assert_pair_widths_match_heap(csr)
+        assert {w for row in csr.pair_widths().tolist() for w in row} == {
+            10.0, 40.0, 100.0, math.inf
+        }
+        assert_kernel_matches_pure(None, adjacency.__getitem__, range(n))
+
+    def test_disconnected_forest_and_colocated_links(self):
+        """Two trees and an isolated node (the pass runs out of edges with
+        components left over), one of them through a co-located pair: an
+        ``inf``-bandwidth link is the widest edge, not a missing one."""
+        inf = math.inf
+        links = [
+            (0, 1, 5.0, 5.0, 1.0), (1, 2, inf, inf, 0.0), (2, 3, 2.0, 2.0, 1.0),
+            (4, 5, 7.0, 7.0, 1.0), (5, 6, 7.0, 7.0, 2.0), (4, 6, 3.0, 3.0, 0.5),
+        ]
+        adjacency = symmetric_adjacency(8, links)
+        csr = CSRGraph.from_adjacency(range(8), adjacency.__getitem__)
+        assert assert_pair_widths_match_heap(csr)
+        widths = csr.pair_widths().tolist()
+        assert widths[1][2] == widths[2][1] == inf
+        assert widths[0][3] == 2.0 and widths[4][6] == 7.0
+        assert widths[0][4] == widths[7][0] == 0.0
+        assert_kernel_matches_pure(None, adjacency.__getitem__, range(8))
+
+    def test_symmetric_topology_asymmetric_bandwidth_takes_the_heap(self):
+        """Degrees and neighbour sets agree in both directions, one link is
+        wider one way: symmetry is observed on bandwidths, so no matrix."""
+        links = [(0, 1, 5.0, 5.0, 1.0), (1, 2, 5.0, 4.0, 1.0), (0, 2, 3.0, 3.0, 1.0)]
+        adjacency = symmetric_adjacency(3, links)
+        csr = CSRGraph.from_adjacency(range(3), adjacency.__getitem__)
+        assert csr.pair_widths() is None
+        assert [kernel._widest_widths(csr, s) for s in range(3)] == [
+            [math.inf, 5.0, 5.0], [5.0, math.inf, 5.0], [4.0, 4.0, math.inf]
+        ]
+        assert_kernel_matches_pure(None, adjacency.__getitem__, range(3))
+
+    def test_directed_overlay_is_rejected_on_degrees(self, monkeypatch):
+        """A layered overlay has sources without in-edges: the in-degree
+        test says no before anything is sorted."""
+        overlay = generate_scenario(TestFilledOverlay.CONFIG).overlay
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        monkeypatch.setattr(
+            kernel._np, "lexsort", lambda keys: pytest.fail("sorted a directed view")
+        )
+        assert csr.pair_widths() is None
+
+    def test_built_by_the_first_shortest_widest_tree_only(self):
+        underlay = Underlay.generate(UnderlayConfig(n=20, model="waxman", seed=7))
+        nodes = underlay.routing_nodes()
+        csr = CSRGraph.from_adjacency(nodes, underlay.neighbors)
+        batched_trees(csr, nodes, order=WIDEST_SHORTEST)
+        assert csr._symmetric is None and csr._pair_widths is None
+        batched_trees(csr, nodes[:1], order=SHORTEST_WIDEST, targets=nodes[1:3])
+        assert csr._symmetric is True
+        assert assert_pair_widths_match_heap(csr)
 
 
 class TestSnapshot:

@@ -14,6 +14,7 @@ import inspect
 
 import pytest
 
+from repro.core.alternatives import undirected_relaxation
 from repro.network.failures import (
     degrade_links,
     fail_instances,
@@ -23,6 +24,7 @@ from repro.network.failures import (
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing import kernel
+from repro.routing import oracle as oracle_module
 from repro.routing.oracle import (
     KERNEL_MIN_NODES,
     RouteOracle,
@@ -197,6 +199,39 @@ class TestMutations:
         assert stats.carried == 1 and stats.dropped == 1
         assert oracle.tree(cut, b1) == shortest_widest_tree(cut.successors, b1)
 
+    def test_link_crossed_backwards_drops_the_tree(self):
+        """The undirected view walks link ``a -> b`` from ``b`` to ``a``:
+        the label path names edge ``(b, a)``, the mutation names link
+        ``(a, b)``, and the tree is touched all the same -- carried, it
+        kept reading bandwidth 10 over a degraded (or missing) link."""
+        a, b, c = (ServiceInstance(sid, i) for i, sid in enumerate("ABC"))
+        overlay = OverlayGraph()
+        overlay.add_link(a, b, PathQuality(10.0, 1.0))
+        overlay.add_link(b, c, PathQuality(10.0, 1.0))
+        oracle = RouteOracle.default()
+
+        def lookup(graph):
+            return oracle.tree(
+                graph, b, view="undirected", neighbors=undirected_relaxation(graph)
+            )
+
+        assert lookup(overlay)[a].quality.bandwidth == 10.0
+        for mutate, bandwidth in (
+            (lambda: degrade_links(overlay, [(a, b)], bandwidth_factor=0.1), 1.0),
+            (lambda: fail_links(overlay, [(a, b)]), None),
+        ):
+            oracle.reset_stats()
+            mutated = mutate()
+            labels = lookup(mutated)
+            assert labels == shortest_widest_tree(undirected_relaxation(mutated), b)
+            if bandwidth is None:
+                assert a not in labels
+            else:
+                assert labels[a].quality.bandwidth == bandwidth
+            stats = oracle.stats()
+            assert (stats.carried, stats.dropped) == (0, 1)
+            assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 1)
+
     def test_additive_mutation_cold_starts_the_graph(self):
         overlay = diamond_overlay()
         oracle = RouteOracle.default()
@@ -243,6 +278,35 @@ def degrade_then_crash(scenario):
     return degraded, fail_instances(degraded, victims)
 
 
+def fail_degrade_revive_rejoin(scenario):
+    """The chain online admission will walk, one graph at a time: each
+    mutation is made when the next graph is asked for, so whatever the
+    caller looked up on the graphs so far is what the mutation meets."""
+    overlay = scenario.overlay
+    victim = next(
+        inst
+        for inst in overlay.instances()
+        if inst != scenario.source_instance
+        and len(overlay.instances_of(inst.sid)) > 1
+    )
+    failed = fail_instances(overlay, [victim])
+    yield failed
+    links = [
+        (link.src, link.dst)
+        for inst in failed.instances()
+        for link in failed.out_links(inst)
+    ]
+    sagging = links[:: max(1, len(links) // 6)]
+    degraded = degrade_links(failed, sagging, bandwidth_factor=0.3)
+    yield degraded
+    yield revive_links(degraded, failed, sagging)
+    yield OverlayGraph.build(
+        scenario.underlay,
+        list(failed.instances()) + [victim],
+        scenario.catalog.compatible,
+    )
+
+
 class TestMutationChains:
     """Carried trees stay exact through realistic mutation sequences."""
 
@@ -281,39 +345,15 @@ class TestMutationChains:
                     ), f"graph {graphs.index(graph)}, {inst} (seed {seed})"
 
         every_graph_serves_pure_trees()
-        victim = next(
-            inst
-            for inst in overlay.instances()
-            if inst != scenario.source_instance
-            and len(overlay.instances_of(inst.sid)) > 1
-        )
-        graphs.append(fail_instances(overlay, [victim]))
-        every_graph_serves_pure_trees()
-        failed = graphs[-1]
-        links = [
-            (link.src, link.dst)
-            for inst in failed.instances()
-            for link in failed.out_links(inst)
-        ]
-        sagging = links[:: max(1, len(links) // 6)]
-        graphs.append(degrade_links(failed, sagging, bandwidth_factor=0.3))
-        every_graph_serves_pure_trees()
-        graphs.append(revive_links(graphs[-1], failed, sagging))
-        every_graph_serves_pure_trees()
-        graphs.append(
-            OverlayGraph.build(
-                scenario.underlay,
-                list(failed.instances()) + [victim],
-                scenario.catalog.compatible,
-            )
-        )
-        every_graph_serves_pure_trees()
+        for graph in fail_degrade_revive_rejoin(scenario):
+            graphs.append(graph)
+            every_graph_serves_pure_trees()
         stats = oracle.stats()
         assert min(stats.carried, stats.dropped, stats.repaired) > 0
         assert stats.kernel_trees > 0  # these overlays are kernel-sized
 
         rejoined = graphs[-1]
-        del graphs[1:], failed
+        del graphs[1:], graph
         gc.collect()
         assert len(oracle) == (
             len(oracle.cached_sources(overlay))
@@ -615,3 +655,154 @@ class TestIncrementalRepair:
             assert oracle.tree(cut, inst) == shortest_widest_tree(
                 cut.successors, inst
             ), f"repair produced a wrong tree for {inst} (seed {seed})"
+
+
+def walk_coverage_chain(seed, view):
+    """Partial rows through fail -> degrade -> revive -> rejoin.
+
+    After every step, on every graph made so far: a targeted lookup equals
+    the pure ``targets=`` row; a narrower ask after it is a hit on the same
+    row; every fourth source (a different quarter on each graph) is then
+    asked for in full -- a miss while its row is partial -- and equals the
+    pure full tree, on odd graphs *before* anything targeted touches the
+    row parked by the mutation; and no cached or parked row holds a label
+    outside its coverage.  Returns how many *partial* rows the mutations
+    carried and dropped and the lookups repaired.
+    """
+    scenario = generate_scenario(
+        dataclasses.replace(LARGE_ENOUGH_FOR_THE_KERNEL, seed=seed)
+    )
+    oracle = RouteOracle.reset_default()
+    overlay = scenario.overlay
+    graphs = [overlay]
+    pure = {}  # (graph index, source, targets) -> the reference row
+    counts = {"carried": 0, "dropped": 0, "repaired": 0}
+
+    def adjacency(graph):
+        return undirected_relaxation(graph) if view == "undirected" else graph.successors
+
+    def lookup(graph, source, targets, expect_hit=None):
+        neighbors = adjacency(graph)
+        key = (graphs.index(graph), source, targets)
+        if key not in pure:
+            pure[key] = shortest_widest_tree(neighbors, source, targets=targets)
+        state = oracle._graphs.get(graph)
+        parked = state.repairs.get((view, SHORTEST_WIDEST, source)) if state else None
+        before = oracle.stats()
+        row = oracle.tree(
+            graph, source, view=view, neighbors=neighbors, targets=targets
+        )
+        after = oracle.stats()
+        if targets is None:
+            assert sorted(row.items()) == sorted(pure[key].items()), key
+        else:  # the row may cover more than was asked: read it at the targets
+            assert {n: row[n] for n in row if n == source or n in targets} == (
+                pure[key]
+            ), key
+        if expect_hit is not None:
+            assert (after.hits - before.hits, after.misses - before.misses) == (
+                (1, 0) if expect_hit else (0, 1)
+            ), key
+        if parked is not None and parked.covers is not None:
+            counts["repaired"] += after.repaired - before.repaired
+        return row
+
+    def covers_of(graph, source):
+        entry = oracle._graphs[graph].trees.get((view, SHORTEST_WIDEST, source))
+        return "absent" if entry is None else entry.covers
+
+    def check_every_graph():
+        for g, graph in enumerate(graphs):
+            instances = list(graph.instances())
+            sids = sorted(graph.sids())
+            by_wide = {}
+            for i, source in enumerate(instances):
+                near = graph.instances_of(sids[i % len(sids)])
+                far = graph.instances_of(sids[(i + 1) % len(sids)])
+                by_wide.setdefault(frozenset(near + far), []).append(
+                    (i, source, frozenset(near))
+                )
+            for wide, group in by_wide.items():
+                widened = [(i + g) % 4 == 3 for i, _, _ in group]
+                for (i, source, narrow), widen in zip(group, widened):
+                    if widen and g % 2:
+                        lookup(graph, source, None)
+                oracle.warm(
+                    graph, [source for _, source, _ in group], view=view,
+                    neighbors=adjacency(graph), targets=wide,
+                )
+                for (i, source, narrow), widen in zip(group, widened):
+                    row = lookup(graph, source, wide)
+                    assert lookup(graph, source, narrow, expect_hit=True) is row
+                    if widen:
+                        partial = covers_of(graph, source) is not None
+                        lookup(graph, source, None, expect_hit=not partial)
+                        assert covers_of(graph, source) is None
+                        lookup(graph, source, wide, expect_hit=True)
+            state = oracle._graphs[graph]
+            for held in (state.trees, state.repairs):
+                for (_, _, source), row in held.items():
+                    if row.covers is not None:
+                        assert set(row.labels) <= row.covers | {source}, source
+
+    def mutated(graph):
+        """Register ``graph`` and count the partial rows it was handed."""
+        state = oracle._graphs.get(graph)  # a rejoin is a fresh build: none
+        if state is not None:
+            counts["carried"] += sum(
+                e.covers is not None for e in state.trees.values()
+            )
+            counts["dropped"] += sum(
+                p.covers is not None for p in state.repairs.values()
+            )
+        graphs.append(graph)
+        check_every_graph()
+
+    check_every_graph()
+    for graph in fail_degrade_revive_rejoin(scenario):
+        mutated(graph)
+    assert oracle.stats().kernel_trees > 0  # these overlays are kernel-sized
+    return counts
+
+
+class TestCoverage:
+    """A row answers only for the destinations it covers -- through
+    ``tree``, ``warm``, carry-forward and repair."""
+
+    def test_a_partial_row_never_answers_a_wider_ask(self):
+        overlay = diamond_overlay()
+        oracle = RouteOracle()
+        a, b1, b2, c = overlay.routing_nodes()
+        pools = frozenset([b1, b2])
+        row = oracle.tree(overlay, a, targets=pools)
+        assert row == shortest_widest_tree(overlay.successors, a, targets=pools)
+        assert c not in row
+        assert oracle.tree(overlay, a, targets=frozenset([b2])) is row  # narrower
+        wider = oracle.tree(overlay, a, targets=frozenset([b2, c]))  # not covered
+        assert set(wider) == {a, b2, c}  # what is asked now, no union
+        assert oracle.warm(overlay, [a], targets=pools) == 1  # b1 is gone again
+        full = oracle.tree(overlay, a)
+        assert full == shortest_widest_tree(overlay.successors, a)
+        assert oracle.tree(overlay, a, targets=pools) is full
+        assert oracle.warm(overlay, [a], targets=pools) == 0
+        stats = oracle.stats()
+        assert (stats.hits, stats.misses, stats.warmed) == (2, 3, 1)
+
+    @pytest.mark.parametrize("view", ["successors", "undirected"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partial_rows_through_fail_degrade_revive_rejoin(self, seed, view):
+        counts = walk_coverage_chain(seed, view)
+        assert min(counts.values()) > 0, counts
+
+    def test_the_chain_kills_a_repair_that_forgets_its_coverage(self, monkeypatch):
+        """The mutant the prototype shipped: a touched partial row parked
+        without its coverage is 'repaired' into a row that claims to be
+        complete, and the next full lookup on the derived graph reads it."""
+        real = oracle_module._PendingRepair
+
+        def forgetful(labels, nodes, edges, covers):
+            return real(labels, nodes, edges, None)
+
+        monkeypatch.setattr(oracle_module, "_PendingRepair", forgetful)
+        with pytest.raises(AssertionError):
+            walk_coverage_chain(0, "undirected")
