@@ -16,13 +16,17 @@ this reproduction): lexicographically maximise
 2. the negated **critical-path latency** from the source to the slowest
    sink.
 
-Pruning: services are assigned in topological order.  For a partial
-assignment we maintain the bandwidth of the already-realised edges and an
-optimistic bound for the rest (each unassigned edge contributes the best
-bandwidth over all still-possible instance pairs).  A branch dies when its
-optimistic bandwidth falls below the incumbent's, or ties it while an
-optimistic latency bound (critical path over per-edge minimum latencies)
-cannot beat the incumbent's latency.
+Pruning: services are assigned in topological order, on one priced table
+(every instance pair of every requirement edge asked of the abstract graph
+once, before the search).  For a partial assignment we maintain the
+bandwidth of the already-realised edges and an optimistic bound for the
+rest: each unrealised edge contributes the best bandwidth over all its
+instance pairs, and because an edge ``(a, b)`` is realised exactly when
+``b`` is assigned, that bound is **one precomputed number per depth**.  A
+branch dies when its optimistic bandwidth falls below the incumbent's, or
+ties it while an optimistic latency bound (exact critical path down to the
+current depth, per-edge minimum latencies below it) cannot beat the
+incumbent's latency.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.reductions import Hop, _PricedEdges
 from repro.errors import FederationError
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -51,19 +56,21 @@ def optimal_flow_graph(
     Raises :class:`FederationError` when no complete feasible assignment
     exists (some requirement edge cannot be realised at all).
     """
-    if abstract is None:
-        abstract = AbstractGraph.build(requirement, overlay)
-    searcher = _Searcher(requirement, abstract, source_instance)
-    assignment = searcher.search()
-    if assignment is None:
-        raise FederationError(
-            f"requirement {requirement!r} has no feasible federation"
-        )
-    return ServiceFlowGraph.realize(abstract, assignment)
+    return GlobalOptimalAlgorithm()._federate(
+        requirement, overlay, source_instance, abstract
+    )
 
 
 class _Searcher:
-    """Depth-first branch-and-bound over instance assignments."""
+    """Depth-first branch-and-bound over instance assignments.
+
+    The abstract graph is asked once, for one
+    :class:`~repro.core.reductions._PricedEdges` table; from then on a
+    service is its *depth* in the topological order, an instance its pool
+    index, and the search reads plain floats.  ``chosen[d]`` is the index
+    picked at depth ``d`` and ``finish[d]`` the exact critical-path latency
+    up to it (every predecessor of an assigned service is assigned).
+    """
 
     def __init__(
         self,
@@ -71,158 +78,130 @@ class _Searcher:
         abstract: AbstractGraph,
         source_instance: Optional[ServiceInstance],
     ) -> None:
-        self.req = requirement
-        self.abstract = abstract
         self.order: Tuple[Sid, ...] = requirement.topological_order()
-        self.pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {}
+        priced = _PricedEdges(requirement, abstract)
+        self.pools = [priced.pools[sid] for sid in self.order]
+        hops = priced.hops
+        if source_instance is not None:
+            source = requirement.source
+            if source_instance.sid != source or source_instance not in self.pools[0]:
+                raise FederationError(
+                    f"pinned source {source_instance} is not an instance "
+                    f"of {source!r}"
+                )
+            row = self.pools[0].index(source_instance)
+            self.pools[0] = (source_instance,)
+            for successor in requirement.successors(source):
+                hops[(source, successor)] = [hops[(source, successor)][row]]
+        slot = {sid: depth for depth, sid in enumerate(self.order)}
+        self.sinks = [slot[sid] for sid in requirement.sinks]
+        # Per depth, the requirement edges into that service in predecessor
+        # order: ``(predecessor depth, hop table)`` prices a candidate and
+        # ``(predecessor depth, least latency in the table)`` is the
+        # admissible stand-in while the service is unassigned.
+        self.into: List[List[Tuple[int, List[List[Hop]]]]] = []
+        self.floor_into: List[List[Tuple[int, float]]] = []
+        widest: List[float] = []  # per depth, the worst of its edges' best bandwidths
         for sid in self.order:
-            pool = abstract.instances_of(sid)
-            if sid == requirement.source and source_instance is not None:
-                if source_instance.sid != sid or source_instance not in pool:
-                    raise FederationError(
-                        f"pinned source {source_instance} is not an instance "
-                        f"of {sid!r}"
-                    )
-                pool = (source_instance,)
-            self.pools[sid] = pool
-        # Per requirement edge: the best achievable bandwidth and least
-        # achievable latency over all instance pairs (admissible bounds).
-        self.edge_best_bw: Dict[Tuple[Sid, Sid], float] = {}
-        self.edge_min_lat: Dict[Tuple[Sid, Sid], float] = {}
-        for a_sid, b_sid in requirement.edges():
-            best_bw = 0.0
-            min_lat = math.inf
-            for a in self.pools[a_sid]:
-                for b in self.pools[b_sid]:
-                    quality = abstract.quality(a, b)
-                    if not quality.reachable:
-                        continue
-                    best_bw = max(best_bw, quality.bandwidth)
-                    min_lat = min(min_lat, quality.latency)
-            self.edge_best_bw[(a_sid, b_sid)] = best_bw
-            self.edge_min_lat[(a_sid, b_sid)] = min_lat
-        self.incumbent: Optional[Dict[Sid, ServiceInstance]] = None
+            into, floor, best_bw = [], [], math.inf
+            for pred in requirement.predecessors(sid):
+                table = hops[(pred, sid)]
+                reachable = [hop for row in table for hop in row if hop is not None]
+                best_bw = min(best_bw, max((bw for bw, _ in reachable), default=0.0))
+                least = min((lat for _, lat in reachable), default=math.inf)
+                into.append((slot[pred], table))
+                floor.append((slot[pred], least))
+            self.into.append(into)
+            self.floor_into.append(floor)
+            widest.append(best_bw)
+        self.realisable = min(widest) > 0  # else some edge has no usable pair
+        # Services are assigned in topological order, so an edge ``(a, b)``
+        # is realised iff ``slot[b] <= depth``: the best the still-open
+        # edges can do is one number per depth.
+        self.open_bw = [
+            min(widest[depth + 1 :], default=math.inf)
+            for depth in range(len(self.order))
+        ]
+        self.chosen = [0] * len(self.order)
+        self.finish = [0.0] * len(self.order)
+        self.incumbent: Optional[List[int]] = None
         self.incumbent_quality: Optional[PathQuality] = None
         self.nodes_explored = 0
 
     # -- search ------------------------------------------------------------
 
     def search(self) -> Optional[Dict[Sid, ServiceInstance]]:
-        if any(bw <= 0 for bw in self.edge_best_bw.values()):
-            return None  # some edge is unrealisable outright
-        self._descend(0, {}, math.inf)
-        return self.incumbent
+        if not self.realisable:
+            return None
+        self._descend(0, math.inf)
+        if self.incumbent is None:
+            return None
+        return {
+            sid: pool[index]
+            for sid, pool, index in zip(self.order, self.pools, self.incumbent)
+        }
 
-    def _descend(
-        self,
-        depth: int,
-        assignment: Dict[Sid, ServiceInstance],
-        bottleneck: float,
-    ) -> None:
+    def _descend(self, depth: int, bottleneck: float) -> None:
+        """``bottleneck``: the least bandwidth over the realised edges."""
         self.nodes_explored += 1
+        chosen, finish = self.chosen, self.finish
         if depth == len(self.order):
-            quality = self._evaluate(assignment)
-            if quality is not None and (
-                self.incumbent_quality is None
-                or quality.is_better_than(self.incumbent_quality)
+            quality = PathQuality(bottleneck, max(finish[s] for s in self.sinks))
+            if self.incumbent_quality is None or quality.is_better_than(
+                self.incumbent_quality
             ):
-                self.incumbent = dict(assignment)
+                self.incumbent = list(chosen)
                 self.incumbent_quality = quality
             return
-        sid = self.order[depth]
-        candidates: List[Tuple[float, float, ServiceInstance]] = []
-        for inst in self.pools[sid]:
+        into = self.into[depth]
+        candidates: List[Tuple[float, float, int, float]] = []
+        for index in range(len(self.pools[depth])):
             worst_bw = math.inf
-            lat_sum = 0.0
-            feasible = True
-            for pred in self.req.predecessors(sid):
-                quality = self.abstract.quality(assignment[pred], inst)
-                if not quality.reachable:
-                    feasible = False
+            lat_sum = done = 0.0
+            for pred, table in into:
+                hop = table[chosen[pred]][index]
+                if hop is None:
                     break
-                worst_bw = min(worst_bw, quality.bandwidth)
-                lat_sum += quality.latency
-            if feasible:
-                candidates.append((worst_bw, lat_sum, inst))
+                bw, lat = hop
+                if bw < worst_bw:
+                    worst_bw = bw
+                lat_sum += lat
+                end = finish[pred] + lat
+                if end > done:
+                    done = end
+            else:
+                candidates.append((-worst_bw, lat_sum, index, done))
         # Explore the widest-incoming instance first: good incumbents early
-        # make the bandwidth bound bite sooner.
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        for worst_bw, _lat, inst in candidates:
-            new_bottleneck = min(bottleneck, worst_bw)
-            if not self._promising(depth, new_bottleneck, assignment, sid, inst):
-                continue
-            assignment[sid] = inst
-            self._descend(depth + 1, assignment, new_bottleneck)
-            del assignment[sid]
+        # make the bandwidth bound bite sooner.  Pool order breaks ties.
+        candidates.sort()
+        for neg_bw, _lat, index, done in candidates:
+            new_bottleneck = min(bottleneck, -neg_bw)
+            chosen[depth] = index
+            finish[depth] = done
+            if self._promising(depth, new_bottleneck):
+                self._descend(depth + 1, new_bottleneck)
 
-    def _promising(
-        self,
-        depth: int,
-        bottleneck: float,
-        assignment: Dict[Sid, ServiceInstance],
-        sid: Sid,
-        inst: ServiceInstance,
-    ) -> bool:
+    def _promising(self, depth: int, bottleneck: float) -> bool:
         """Can this branch still strictly beat the incumbent?"""
-        if self.incumbent_quality is None:
-            return bottleneck > 0
-        # Optimistic bandwidth: edges among later services can at best
-        # achieve their precomputed maxima.
-        optimistic = bottleneck
-        assigned = set(assignment) | {sid}
-        for edge, best_bw in self.edge_best_bw.items():
-            if edge[0] in assigned and edge[1] in assigned:
-                continue
-            optimistic = min(optimistic, best_bw)
         target = self.incumbent_quality
-        if optimistic < target.bandwidth:
-            return False
-        if optimistic > target.bandwidth:
-            return True
+        if target is None:
+            return bottleneck > 0
+        optimistic = min(bottleneck, self.open_bw[depth])
+        if optimistic != target.bandwidth:
+            return optimistic > target.bandwidth
         # Bandwidth tie: compare an optimistic latency lower bound.
-        lower = self._latency_lower_bound(assignment, sid, inst)
-        return lower < target.latency
+        return self._latency_lower_bound(depth) < target.latency
 
-    def _latency_lower_bound(
-        self,
-        assignment: Dict[Sid, ServiceInstance],
-        sid: Sid,
-        inst: ServiceInstance,
-    ) -> float:
-        """Critical path with exact latencies where both ends are assigned
-        and per-edge minima elsewhere (admissible: never overestimates)."""
-        chosen = dict(assignment)
-        chosen[sid] = inst
-        finish: Dict[Sid, float] = {}
-        for service in self.order:
-            best = 0.0
-            for pred in self.req.predecessors(service):
-                a = chosen.get(pred)
-                b = chosen.get(service)
-                if a is not None and b is not None:
-                    lat = self.abstract.quality(a, b).latency
-                else:
-                    lat = self.edge_min_lat[(pred, service)]
-                best = max(best, finish[pred] + lat)
-            finish[service] = best
-        return max(finish[s] for s in self.req.sinks)
-
-    def _evaluate(
-        self, assignment: Dict[Sid, ServiceInstance]
-    ) -> Optional[PathQuality]:
-        bandwidth = math.inf
-        finish: Dict[Sid, float] = {self.req.source: 0.0}
-        for sid in self.order[1:]:
-            best = 0.0
-            for pred in self.req.predecessors(sid):
-                quality = self.abstract.quality(assignment[pred], assignment[sid])
-                if not quality.reachable:
-                    return None
-                bandwidth = min(bandwidth, quality.bandwidth)
-                best = max(best, finish[pred] + quality.latency)
-            finish[sid] = best
-        latency = max(finish[s] for s in self.req.sinks)
-        return PathQuality(bandwidth, latency)
+    def _latency_lower_bound(self, depth: int) -> float:
+        """Critical path with exact latencies down to ``depth`` and per-edge
+        minima below it (admissible: never overestimates)."""
+        finish = self.finish[: depth + 1]
+        for floor in self.floor_into[depth + 1 :]:
+            done = 0.0
+            for pred, lat in floor:
+                done = max(done, finish[pred] + lat)
+            finish.append(done)
+        return max(finish[s] for s in self.sinks)
 
 
 class GlobalOptimalAlgorithm:
@@ -242,7 +221,17 @@ class GlobalOptimalAlgorithm:
         source_instance: Optional[ServiceInstance] = None,
         rng: Optional[random.Random] = None,
     ) -> ServiceFlowGraph:
-        abstract = AbstractGraph.build(requirement, overlay)
+        return self._federate(requirement, overlay, source_instance, None)
+
+    def _federate(
+        self,
+        requirement: ServiceRequirement,
+        overlay: OverlayGraph,
+        source_instance: Optional[ServiceInstance],
+        abstract: Optional[AbstractGraph],
+    ) -> ServiceFlowGraph:
+        if abstract is None:
+            abstract = AbstractGraph.build(requirement, overlay)
         searcher = _Searcher(requirement, abstract, source_instance)
         assignment = searcher.search()
         self.last_nodes_explored = searcher.nodes_explored

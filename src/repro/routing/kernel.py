@@ -31,7 +31,11 @@ dual) against primitive arrays:
 * a caller that reads a row only at some ``targets`` says so, and the
   tree steps through the *targets'* widths alone (``batched_trees``);
 * phase 1 of a bandwidth-symmetric snapshot is one Kruskal pass for
-  every source at once (:meth:`CSRGraph.pair_widths`).
+  every source at once (:meth:`CSRGraph.pair_widths`);
+* a widest-shortest tree walks its rows as ``(head, latency, bandwidth)``
+  tuples (:meth:`CSRGraph.edge_rows`) and a label records its *parent*,
+  not its path -- exact because only a settled node extends a label;
+  paths are written once, after the sweep (:func:`_widest_shortest_csr`).
 
 **Exactness contract.**  :func:`batched_trees` is bit-identical to
 per-source :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
@@ -125,6 +129,7 @@ class CSRGraph:
         "bandwidth",
         "latency",
         "_usable_view",
+        "_edge_rows",
         "_activation",
         "_symmetric",
         "_pair_widths",
@@ -164,6 +169,7 @@ class CSRGraph:
             latency[order].tolist(),
             bandwidth[order].tolist(),
         )
+        self._edge_rows: Optional[List[List[Tuple[int, float, float]]]] = None
         self._activation: Optional[_Activation] = None
         self._symmetric: Optional[bool] = None  # not looked at yet
         self._pair_widths: "Any" = None
@@ -231,6 +237,22 @@ class CSRGraph:
         are always a prefix.
         """
         return self._usable_view
+
+    def edge_rows(self) -> List[List[Tuple[int, float, float]]]:
+        """The usable view row by row: ``rows[u]`` lists ``u``'s edges as
+        ``(head, latency, bandwidth)`` tuples, one unpack an edge.
+
+        Built by the first widest-shortest tree and paid for by those alone
+        -- the mirror image of :meth:`activation_order` (a concurrent
+        duplicate build is as harmless).
+        """
+        rows = self._edge_rows
+        if rows is None:
+            indptr, indices, elat, ebw = self._usable_view
+            edges = list(zip(indices, elat, ebw))
+            rows = [edges[i:j] for i, j in zip(indptr, indptr[1:])]
+            self._edge_rows = rows
+        return rows
 
     def activation_order(self) -> _Activation:
         """The usable edges, bandwidth-descending across all rows.
@@ -355,19 +377,25 @@ class _Scratch:
     this generation's label) so a new tree costs one integer bump instead
     of reallocating the n-sized lists.  ``sgen`` stamps the settled nodes
     of a widest-shortest pass and the *queued* ones of a shortest-widest
-    pass; ``via`` is the edge slot a shortest-widest label came in by.
+    pass.  A shortest-widest label carries its path as a tuple of interned
+    indices in ``paths`` and the edge slot it came in by in ``via``; a
+    widest-shortest one carries only its parent in ``parent``, and
+    ``paths`` receives the *node* paths when the tree is materialised.
     One instance per :func:`batched_trees` call -- never shared across
     threads.
     """
 
-    __slots__ = ("lat", "bw", "hops", "paths", "via", "mark", "sgen", "gen", "batch")
+    __slots__ = (
+        "lat", "bw", "hops", "paths", "via", "parent", "mark", "sgen", "gen", "batch",
+    )
 
     def __init__(self, n: int, batch: TreeBatch) -> None:
         self.lat: List[float] = [_INF] * n
         self.bw: List[float] = [0.0] * n
         self.hops: List[int] = [0] * n
-        self.paths: List[Tuple[int, ...]] = [()] * n
+        self.paths: List[Tuple[Any, ...]] = [()] * n
         self.via: List[int] = [-1] * n
+        self.parent: List[int] = [-1] * n
         self.mark: List[int] = [0] * n  # label-validity stamp
         self.sgen: List[int] = [0] * n  # settled / queued stamp
         self.gen = 0
@@ -409,6 +437,15 @@ def batched_trees(
     Dijkstra that materialises fewer labels: pruning it by latency (rows
     latency-ascending, break above the largest tentative target label)
     *lost*, 0.18-0.19 -> 0.21-0.26 s per 118 underlay trees.
+
+    Two more that were measured and dropped (PR 23): the row tuples of
+    :meth:`CSRGraph.edge_rows` in the shortest-widest drain loop and in
+    :func:`_widest_widths` read x0.96-1.02 -- that time is 66 000 pops and
+    237 000 label-correcting relaxations per 132 trees, not row indexing;
+    and ``RouteLabel`` as a ``NamedTuple`` saves a quarter of a label's
+    2.2 us here but cost ``general-dag-n40`` 3 % (5 of 6 pairs: on 3.11 a
+    tuple getter reads slower than an instance dict), so labels stay a
+    frozen dataclass.
     """
     if order == SHORTEST_WIDEST:
         builder: Callable[
@@ -459,6 +496,13 @@ def _shortest_widest_csr(
     after the narrowest and labels nobody else.  Nothing above needs the
     steps to be consecutive -- activation merges the skipped ones, the
     bound is over this step's target members -- so labels are unchanged.
+
+    Labels here keep their **path tuples**; the parent slots of
+    :func:`_widest_shortest_csr` would be wrong.  This pass is
+    label-correcting: a labelled node can improve in *path only* (same
+    latency and hops, smaller path) after its children were derived from
+    it, and such children are never re-queued -- a chain of parents would
+    silently change under them, a tuple cannot.
     """
     pairs = csr.pair_widths()
     if pairs is not None:
@@ -619,18 +663,25 @@ def _widest_shortest_csr(
     smallest path.  Latency is primary, so one label per node is exact.
     ``wanted`` restricts the labels returned, not the sweep (see
     :func:`batched_trees`).
+
+    A label records its **parent**, not its path.  That is exact here
+    because a label is only ever extended from a *settled* node, whose
+    chain of parents is final: the smallest-path tie-break walks the two
+    chains (equal hops, so equal length) back to where they meet, and the
+    last difference seen is the first one from the source.  Paths are
+    written once per settled node, parents first.
     """
-    indptr, indices, elat, ebw = csr.usable_view()
+    rows = csr.edge_rows()
     nodes = csr.nodes
     g = scratch.next_gen()
-    lat, bw, hops, paths = scratch.lat, scratch.bw, scratch.hops, scratch.paths
+    lat, bw, hops, parent = scratch.lat, scratch.bw, scratch.hops, scratch.parent
     mark, sgen = scratch.mark, scratch.sgen
     lat[src] = 0.0
     bw[src] = _INF
     hops[src] = 0
-    paths[src] = (src,)
     mark[src] = g
     reached: List[int] = [src]
+    settled: List[int] = []
     heap: List[Tuple[float, float, int, int]] = [(0.0, -_INF, 0, src)]
     while heap:
         ulat, uneg_bw, uhops, u = heappop(heap)
@@ -639,58 +690,50 @@ def _widest_shortest_csr(
         if ulat != lat[u] or -uneg_bw != bw[u] or uhops != hops[u]:
             continue  # stale
         sgen[u] = g
+        settled.append(u)
         ubw = bw[u]
-        upath = paths[u]
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            if sgen[v] == g:
-                continue
-            b = ebw[j]
-            cbw = ubw if ubw < b else b
-            clat = ulat + elat[j]
-            chops = uhops + 1
+        chops = uhops + 1
+        for v, l, b in rows[u]:
+            clat = ulat + l
             if mark[v] == g:
                 # better(): key (latency, -bandwidth), then hops, then
-                # smallest path.
+                # smallest path.  A settled v has lat[v] <= ulat <= clat,
+                # so only a latency tie needs the settled test.
                 vlat = lat[v]
-                vbw = bw[v]
-                if clat != vlat:
-                    if clat > vlat:
-                        continue
-                elif cbw != vbw:
-                    if cbw < vbw:
-                        continue
-                elif chops != hops[v]:
-                    if chops > hops[v]:
-                        continue
-                else:
-                    cpath = upath + (v,)
-                    if cpath >= paths[v]:
-                        continue
-                    lat[v] = clat
-                    bw[v] = cbw
-                    hops[v] = chops
-                    paths[v] = cpath
-                    heappush(heap, (clat, -cbw, chops, v))
+                if clat > vlat or sgen[v] == g:
                     continue
+                cbw = ubw if ubw < b else b
+                if clat == vlat:
+                    vbw = bw[v]
+                    if cbw != vbw:
+                        if cbw < vbw:
+                            continue
+                    elif chops != hops[v]:
+                        if chops > hops[v]:
+                            continue
+                    else:
+                        i, j, smaller = u, parent[v], False
+                        while i != j:
+                            smaller = i < j
+                            i, j = parent[i], parent[j]
+                        if not smaller:
+                            continue
             else:
                 mark[v] = g
                 reached.append(v)
+                cbw = ubw if ubw < b else b
             lat[v] = clat
             bw[v] = cbw
             hops[v] = chops
-            paths[v] = upath + (v,)
+            parent[v] = u
             heappush(heap, (clat, -cbw, chops, v))
+    paths = scratch.paths
+    paths[src] = (nodes[src],)
+    for v in settled[1:]:  # every reached node, parents first
+        paths[v] = paths[parent[v]] + (nodes[v],)
     if wanted is not None:
         reached = [src, *(v for v in wanted if v != src and mark[v] == g)]
-    labels: Dict[Node, RouteLabel] = {}
-    for v in reached:
-        if v == src:
-            labels[nodes[src]] = RouteLabel(IDEAL, 0, (nodes[src],))
-            continue
-        labels[nodes[v]] = RouteLabel(
-            PathQuality(bw[v], lat[v]),
-            hops[v],
-            tuple(nodes[i] for i in paths[v]),
-        )
+    labels: Dict[Node, RouteLabel] = {nodes[src]: RouteLabel(IDEAL, 0, paths[src])}
+    for v in reached[1:]:
+        labels[nodes[v]] = RouteLabel(PathQuality(bw[v], lat[v]), hops[v], paths[v])
     return labels

@@ -1,17 +1,27 @@
 """Tests for the global optimal branch-and-bound search."""
 
+import collections
 import itertools
+import math
+import random
 
 import pytest
 
-from repro.core.optimal import GlobalOptimalAlgorithm, optimal_flow_graph
+from repro.core.optimal import GlobalOptimalAlgorithm, _Searcher, optimal_flow_graph
 from repro.errors import FederationError
+from repro.eval.experiments import EvaluationConfig, _trial_seed
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import ServiceFlowGraph
-from repro.services.requirement import ServiceRequirement
-from repro.services.workloads import ScenarioConfig, generate_scenario
+from repro.services.requirement import RequirementClass, ServiceRequirement
+from repro.services.workloads import (
+    ScenarioConfig,
+    generate_scenario,
+    random_requirement,
+)
+from tests.oracles import optimal as oracle
 
 
 def brute_force_best(requirement, overlay):
@@ -112,3 +122,216 @@ class TestOptimal:
         pinned = ServiceInstance("src", 0)
         graph = optimal_flow_graph(req, small_overlay, source_instance=pinned)
         assert graph.instance_for("src") == pinned
+
+
+# -- the priced search against its references ---------------------------------
+
+CLASSES = (
+    RequirementClass.PATH,
+    RequirementClass.DISJOINT_PATHS,
+    RequirementClass.SPLIT_MERGE,
+    RequirementClass.GENERAL,
+)
+
+#: Two sinks, one of them fed by both branches.
+TWO_SINKS = ServiceRequirement(
+    edges=[("s", "a"), ("s", "b"), ("a", "t1"), ("a", "t2"), ("b", "t2")]
+)
+
+
+class CountingAbstractGraph(AbstractGraph):
+    """An abstract graph that counts the ``quality`` questions per pair."""
+
+    def __init__(self, requirement, instances, rows):
+        super().__init__(requirement, instances, rows)
+        self.asked = collections.Counter()
+
+    def quality(self, src, dst):
+        self.asked[(src, dst)] += 1
+        return super().quality(src, dst)
+
+
+def tie_heavy_view(requirement, seed, pool=(2, 4), dead_edge=None):
+    """A seeded abstract graph where ties are the rule: bandwidths from
+    {1, 2, 3}, integer latencies 0-4, a quarter of the pairs unreachable
+    (every pair of ``dead_edge``)."""
+    rng = random.Random(seed)
+    instances = {
+        sid: tuple(ServiceInstance(sid, nid) for nid in range(rng.randint(*pool)))
+        for sid in requirement.services()
+    }
+    rows = collections.defaultdict(dict)
+    for a_sid, b_sid in requirement.edges():
+        for a, b in itertools.product(instances[a_sid], instances[b_sid]):
+            quality = PathQuality(rng.choice((1.0, 2.0, 3.0)), float(rng.randrange(5)))
+            if rng.random() >= 0.25 and (a_sid, b_sid) != dead_edge:
+                rows[a][b] = RouteLabel(quality, 1, (a, b))
+    return CountingAbstractGraph(requirement, instances, lambda a: rows.get(a, {}))
+
+
+def outcome(searcher):
+    """Everything a search decides, floats as hex, dict order included."""
+    assignment = searcher.search()
+    quality = searcher.incumbent_quality
+    return (
+        None if assignment is None else list(assignment.items()),
+        None if quality is None else (quality.bandwidth.hex(), quality.latency.hex()),
+        searcher.nodes_explored,
+    )
+
+
+def assert_same_walk(requirement, view, source_instance=None):
+    args = (requirement, view, source_instance)
+    got = outcome(_Searcher(*args))
+    assert got == outcome(oracle.ReferenceSearcher(*args))
+    return got
+
+
+class TestPricedSearchEqualsReference:
+    """The priced search is the parent's search: same assignment in the same
+    dict order, same floats, same number of nodes."""
+
+    @pytest.mark.parametrize("clazz", CLASSES, ids=lambda c: c.value)
+    def test_generated_shapes(self, clazz):
+        found = pruned = 0
+        for seed in range(40):
+            requirement = random_requirement(random.Random(seed), 4 + seed % 4, clazz)
+            assignment, _, nodes = assert_same_walk(
+                requirement, tie_heavy_view(requirement, seed)
+            )
+            found += assignment is not None
+            pruned += nodes > 1 + len(requirement)
+        assert found >= 10 and pruned >= 10  # neither trivial nor all dead
+
+    def test_two_sinks(self):
+        for seed in range(40):
+            assert_same_walk(TWO_SINKS, tie_heavy_view(TWO_SINKS, seed))
+
+    def test_pinned_source(self):
+        for seed in range(40):
+            requirement = random_requirement(random.Random(seed), 5)
+            view = tie_heavy_view(requirement, seed, pool=(3, 4))
+            for pinned in view.instances_of(requirement.source):
+                assignment, _, _ = assert_same_walk(requirement, view, pinned)
+                assert assignment is None or assignment[0][1] == pinned
+
+    def test_pinned_source_outside_the_pool_is_refused_by_both(self):
+        requirement = random_requirement(random.Random(0), 4)
+        view = tie_heavy_view(requirement, 0)
+        for stranger in (ServiceInstance("s0", 99), view.instances_of("s1")[0]):
+            for searcher in (_Searcher, oracle.ReferenceSearcher):
+                with pytest.raises(FederationError, match="pinned source"):
+                    searcher(requirement, view, stranger)
+
+    def test_infeasible_edge(self):
+        requirement = random_requirement(random.Random(3), 5, RequirementClass.SPLIT_MERGE)
+        for edge in requirement.edges():
+            view = tie_heavy_view(requirement, 3, dead_edge=edge)
+            assert assert_same_walk(requirement, view) == (None, None, 0)
+
+    def test_single_service(self):
+        requirement = ServiceRequirement(nodes=["only"])
+        view = tie_heavy_view(requirement, 0, pool=(3, 3))
+        assignment, quality, nodes = assert_same_walk(requirement, view)
+        assert assignment == [("only", ServiceInstance("only", 0))]
+        assert quality == (math.inf.hex(), 0.0.hex()) and nodes == 2
+
+
+class TestBruteForce:
+    """``itertools.product`` and the definition of quality, sharing no code
+    with the search (ROADMAP 1c)."""
+
+    @pytest.mark.parametrize("clazz", CLASSES, ids=lambda c: c.value)
+    def test_generated_scenarios(self, clazz):
+        for seed in range(6):
+            scenario = generate_scenario(
+                ScenarioConfig(
+                    network_size=14,
+                    n_services=5,
+                    requirement_class=clazz,
+                    instances_per_service=(2, 4),
+                    seed=seed,
+                )
+            )
+            abstract = AbstractGraph.build(scenario.requirement, scenario.overlay)
+            for pinned in (None, scenario.source_instance):
+                graph = optimal_flow_graph(
+                    scenario.requirement, scenario.overlay, source_instance=pinned
+                )
+                assert graph.quality() == oracle.brute_force_best(
+                    scenario.requirement, abstract, pinned
+                )
+
+    def test_tie_heavy_views(self):
+        for seed in range(60):
+            requirement = random_requirement(random.Random(seed), 3 + seed % 4)
+            view = tie_heavy_view(requirement, seed)
+            best = oracle.brute_force_best(requirement, view)
+            searcher = _Searcher(requirement, view, None)
+            searcher.search()
+            assert searcher.incumbent_quality == best
+
+
+def fig10_cold_cell(network_size, index):
+    """``benchmarks/e2e/workloads.py``'s ``Fig10Cold._cell``."""
+    reducible = CLASSES[:3]
+    return ScenarioConfig(
+        network_size=network_size,
+        n_services=6,
+        instances_per_service=EvaluationConfig().instance_range(network_size),
+        requirement_class=reducible[index % 3],
+        seed=200_001 + index,
+    )
+
+
+class TestCountsThatRepeatExactly:
+    def test_each_pair_is_priced_once(self):
+        requirement = random_requirement(random.Random(5), 6, RequirementClass.GENERAL)
+        view = tie_heavy_view(requirement, 5, pool=(4, 4))
+        graph = optimal_flow_graph(requirement, None, abstract=view)
+        pairs = {
+            pair
+            for a, b in requirement.edges()
+            for pair in itertools.product(view.instances_of(a), view.instances_of(b))
+        }
+        assert set(view.asked) == pairs and set(view.asked.values()) == {1}
+        assert graph.quality() == oracle.brute_force_best(requirement, view)
+        # The same walk asking per candidate, as it did before the table.
+        view.asked.clear()
+        oracle.ReferenceSearcher(requirement, view, None).search()
+        assert (len(pairs), sum(view.asked.values())) == (112, 668)
+
+    @pytest.mark.parametrize("index, nodes", [(1, 56), (2, 67)])
+    def test_nodes_explored_on_the_cold_smoke_cells(self, index, nodes):
+        scenario = generate_scenario(fig10_cold_cell(50, index))
+        algorithm = GlobalOptimalAlgorithm()
+        algorithm.solve(
+            scenario.requirement, scenario.overlay,
+            source_instance=scenario.source_instance,
+        )
+        assert algorithm.last_nodes_explored == nodes
+
+    def test_nodes_explored_on_the_fig10b_sweep(self):
+        """``tests/test_integration.py``'s ``work_counts``: 37 -> 72."""
+        config = EvaluationConfig(network_sizes=(10, 18), trials=4, n_services=6, seed=7)
+        totals = []
+        for size in config.network_sizes:
+            nodes = 0
+            for trial in range(config.trials):
+                scenario = generate_scenario(
+                    ScenarioConfig(
+                        network_size=size,
+                        n_services=config.n_services,
+                        requirement_class=config.requirement_class,
+                        instances_per_service=config.instance_range(size),
+                        seed=_trial_seed(config.seed, size, trial),
+                    )
+                )
+                algorithm = GlobalOptimalAlgorithm()
+                algorithm.solve(
+                    scenario.requirement, scenario.overlay,
+                    source_instance=scenario.source_instance,
+                )
+                nodes += algorithm.last_nodes_explored
+            totals.append(nodes)
+        assert totals == [37, 72]

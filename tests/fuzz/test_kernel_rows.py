@@ -10,8 +10,9 @@ segments, which is where the restart rule lives), and the target subsets
 equal pure rows, full and targeted, both orders, every source, and a
 symmetric snapshot's Kruskal phase 1 equals the heap's.
 
-The first seeds of ROADMAP item 1b; tier-1, a fixed budget.  A seed that
-fails is a regression case: add it to ``SEEDS`` and keep it.
+The first seeds of ROADMAP item 1b; tier-1, a fixed budget (the file stays
+under six seconds).  A seed that fails is a regression case: add it to
+``SEEDS`` and keep it.
 """
 
 import math
@@ -23,8 +24,9 @@ from repro.core.alternatives import undirected_relaxation
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph
 from repro.network.underlay import Underlay, UnderlayConfig
+from repro.routing import kernel
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import assert_kernel_matches_pure
+from tests.oracles.routing import ORDERS, assert_kernel_matches_pure
 
 FAMILIES = ("waxman", "erdos_renyi", "barabasi_albert", "overlay")
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
@@ -34,8 +36,23 @@ BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
 #: search of seeds 0-399 found (50, 110, 151, 202, 251, 306; all undirected
 #: overlays).  The comparison is known to reach the restart rule.
 RESTART_SEEDS = (50, 151, 251)
-#: The budget, about four seconds: every seed runs on every tier-1 pass.
+#: The budget, about three seconds: every seed runs on every tier-1 pass.
 SEEDS = (*range(16), *RESTART_SEEDS)
+#: More seeds for the widest-shortest order alone (a thirtieth of a second
+#: each: its pure reference is one Dijkstra a source), added before its
+#: labels went from path tuples to parent slots.
+WIDEST_SHORTEST_SEEDS = tuple(range(16, 72))
+#: Seeds of either budget whose widest-shortest batches reach the smallest-
+#: path tie-break -- an exact (latency, bandwidth, hops) tie, settled by
+#: walking two parent chains -- found by making that walk raise; overlays
+#: all, where latencies are sums of shared underlay segments.  Outside this
+#: file ``TestTieBreaks::test_equal_cost_paths_pick_smallest_repr_path``,
+#: ``TestIncrementalPhaseTwo::test_tie_heavy_digraphs``,
+#: ``TestPairWidths::test_fat_tree`` and
+#: ``TestOverlayEquivalence::test_scenario_overlays[1]`` reach it too.
+CHAIN_WALK_SEEDS = (
+    0, 9, 11, 12, 17, 24, 25, 27, 38, 40, 44, 50, 61, 63, 64, 68, 151, 251,
+)
 
 
 def draw_case(seed):
@@ -82,11 +99,44 @@ def draw_case(seed):
     return f"{family}/{shape}/{len(nodes)} nodes/{sorted(palette)}", neighbors, nodes
 
 
+def chain_walk_reads(monkeypatch, neighbors, nodes):
+    """Parent-slot reads of one full widest-shortest batch beyond the one
+    read per materialised path: those made inside the tie-break's walk."""
+    reads = []
+
+    class Parents(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
+
+    class Scratch(kernel._Scratch):
+        def __init__(self, n, batch):
+            super().__init__(n, batch)
+            self.parent = Parents(self.parent)
+
+    monkeypatch.setattr(kernel, "_Scratch", Scratch)
+    csr = kernel.CSRGraph.from_adjacency(nodes, neighbors)
+    batch = kernel.batched_trees(csr, nodes, order=kernel.WIDEST_SHORTEST)
+    return len(reads) - sum(len(row) - 1 for row in batch)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kernel_rows_equal_pure_rows(seed):
+def test_kernel_rows_equal_pure_rows(seed, monkeypatch):
     description, neighbors, nodes = draw_case(seed)
     restarts = assert_kernel_matches_pure(description, neighbors, nodes, seed=seed)
     assert (restarts > 0) == (seed in RESTART_SEEDS), (description, restarts)
+    walked = chain_walk_reads(monkeypatch, neighbors, list(nodes))
+    assert (walked > 0) == (seed in CHAIN_WALK_SEEDS), (description, walked)
+
+
+@pytest.mark.parametrize("seed", WIDEST_SHORTEST_SEEDS)
+def test_widest_shortest_rows_equal_pure_rows(seed, monkeypatch):
+    description, neighbors, nodes = draw_case(seed)
+    assert_kernel_matches_pure(
+        description, neighbors, nodes, seed=seed, orders=ORDERS[1:]
+    )
+    walked = chain_walk_reads(monkeypatch, neighbors, list(nodes))
+    assert (walked > 0) == (seed in CHAIN_WALK_SEEDS), (description, walked)
 
 
 def test_the_budget_reaches_every_family_both_ways():

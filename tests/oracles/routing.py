@@ -26,13 +26,14 @@ ORDERS = (
 OUTSIDER = "a node outside the snapshot"
 
 
-def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0):
+def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0, orders=ORDERS):
     """Every source's batched row equals the pure per-source row: the full
     tree, and the ``targets=`` row for seeded subsets (each with a node
     outside the snapshot), the empty set, the source alone and -- where
     there is one -- an unreachable node beside a reachable one.  Phase 1
     of a symmetric snapshot is held to the heap on the way.  Returns how
-    many width steps the shortest-widest batches restarted."""
+    many width steps the shortest-widest batches restarted.  ``orders``
+    narrows the comparison to some of :data:`ORDERS`."""
     nodes = list(nodes)
     rng = random.Random(seed)
     csr = CSRGraph.from_adjacency(nodes, neighbors)
@@ -42,7 +43,7 @@ def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0):
         for _ in range(2)
     ]
     restarts = 0
-    for order, pure in ORDERS:
+    for order, pure in orders:
         batched = batched_trees(csr, nodes, order=order)
         restarts += batched.restarts
         for source, labels in zip(nodes, batched):
