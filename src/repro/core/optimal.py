@@ -23,10 +23,11 @@ bandwidth of the already-realised edges and an optimistic bound for the
 rest: each unrealised edge contributes the best bandwidth over all its
 instance pairs, and because an edge ``(a, b)`` is realised exactly when
 ``b`` is assigned, that bound is **one precomputed number per depth**.  A
-branch dies when its optimistic bandwidth falls below the incumbent's, or
-ties it while an optimistic latency bound (exact critical path down to the
-current depth, per-edge minimum latencies below it) cannot beat the
-incumbent's latency.
+branch dies when its optimistic bandwidth falls below the incumbent's --
+and takes its remaining siblings with it, since candidates are tried widest
+first -- or ties it while an optimistic latency bound (exact critical path
+down to the current depth, per-edge minimum latencies below it) cannot beat
+the incumbent's latency.
 """
 
 from __future__ import annotations
@@ -153,20 +154,21 @@ class _Searcher:
                 self.incumbent = list(chosen)
                 self.incumbent_quality = quality
             return
-        into = self.into[depth]
+        # The row of each hop table that the assigned predecessor selects.
+        rows = [(finish[pred], table[chosen[pred]]) for pred, table in self.into[depth]]
         candidates: List[Tuple[float, float, int, float]] = []
         for index in range(len(self.pools[depth])):
             worst_bw = math.inf
             lat_sum = done = 0.0
-            for pred, table in into:
-                hop = table[chosen[pred]][index]
+            for ready, row in rows:
+                hop = row[index]
                 if hop is None:
                     break
                 bw, lat = hop
                 if bw < worst_bw:
                     worst_bw = bw
                 lat_sum += lat
-                end = finish[pred] + lat
+                end = ready + lat
                 if end > done:
                     done = end
             else:
@@ -174,23 +176,24 @@ class _Searcher:
         # Explore the widest-incoming instance first: good incumbents early
         # make the bandwidth bound bite sooner.  Pool order breaks ties.
         candidates.sort()
+        open_bw = self.open_bw[depth]
         for neg_bw, _lat, index, done in candidates:
-            new_bottleneck = min(bottleneck, -neg_bw)
+            reach = min(bottleneck, -neg_bw)  # the bottleneck with this candidate
             chosen[depth] = index
             finish[depth] = done
-            if self._promising(depth, new_bottleneck):
-                self._descend(depth + 1, new_bottleneck)
-
-    def _promising(self, depth: int, bottleneck: float) -> bool:
-        """Can this branch still strictly beat the incumbent?"""
-        target = self.incumbent_quality
-        if target is None:
-            return bottleneck > 0
-        optimistic = min(bottleneck, self.open_bw[depth])
-        if optimistic != target.bandwidth:
-            return optimistic > target.bandwidth
-        # Bandwidth tie: compare an optimistic latency lower bound.
-        return self._latency_lower_bound(depth) < target.latency
+            # Can the branch still strictly beat the incumbent?  (Without
+            # one it can: a priced hop has positive bandwidth.)
+            target = self.incumbent_quality
+            if target is not None:
+                optimistic = min(reach, open_bw)
+                if optimistic < target.bandwidth:
+                    break  # widest first, and incumbents only improve
+                if (
+                    optimistic == target.bandwidth
+                    and self._latency_lower_bound(depth) >= target.latency
+                ):
+                    continue
+            self._descend(depth + 1, reach)
 
     def _latency_lower_bound(self, depth: int) -> float:
         """Critical path with exact latencies down to ``depth`` and per-edge
