@@ -9,12 +9,11 @@ import pytest
 
 from repro.core.optimal import GlobalOptimalAlgorithm, _Searcher, optimal_flow_graph
 from repro.errors import FederationError
-from repro.eval.experiments import EvaluationConfig, _trial_seed
+from repro.eval.experiments import EvaluationConfig
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.abstract_graph import AbstractGraph
-from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import (
     ScenarioConfig,
@@ -22,23 +21,6 @@ from repro.services.workloads import (
     random_requirement,
 )
 from tests.oracles import optimal as oracle
-
-
-def brute_force_best(requirement, overlay):
-    abstract = AbstractGraph.build(requirement, overlay)
-    sids = requirement.services()
-    pools = [abstract.instances_of(s) for s in sids]
-    best = None
-    for combo in itertools.product(*pools):
-        assignment = dict(zip(sids, combo))
-        try:
-            graph = ServiceFlowGraph.realize(abstract, assignment)
-        except FederationError:
-            continue
-        quality = graph.quality()
-        if best is None or quality.is_better_than(best):
-            best = quality
-    return best
 
 
 class TestOptimal:
@@ -79,8 +61,9 @@ class TestOptimal:
             )
         )
         graph = optimal_flow_graph(scenario.requirement, scenario.overlay)
-        assert graph.quality() == brute_force_best(
-            scenario.requirement, scenario.overlay
+        assert graph.quality() == oracle.brute_force_best(
+            scenario.requirement,
+            AbstractGraph.build(scenario.requirement, scenario.overlay),
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -310,28 +293,3 @@ class TestCountsThatRepeatExactly:
             source_instance=scenario.source_instance,
         )
         assert algorithm.last_nodes_explored == nodes
-
-    def test_nodes_explored_on_the_fig10b_sweep(self):
-        """``tests/test_integration.py``'s ``work_counts``: 37 -> 72."""
-        config = EvaluationConfig(network_sizes=(10, 18), trials=4, n_services=6, seed=7)
-        totals = []
-        for size in config.network_sizes:
-            nodes = 0
-            for trial in range(config.trials):
-                scenario = generate_scenario(
-                    ScenarioConfig(
-                        network_size=size,
-                        n_services=config.n_services,
-                        requirement_class=config.requirement_class,
-                        instances_per_service=config.instance_range(size),
-                        seed=_trial_seed(config.seed, size, trial),
-                    )
-                )
-                algorithm = GlobalOptimalAlgorithm()
-                algorithm.solve(
-                    scenario.requirement, scenario.overlay,
-                    source_instance=scenario.source_instance,
-                )
-                nodes += algorithm.last_nodes_explored
-            totals.append(nodes)
-        assert totals == [37, 72]

@@ -112,6 +112,8 @@ class TestFig10Shapes:
         small, large = (work_counts[size] for size in CONFIG.network_sizes)
         for kind in small:
             assert large[kind] > small[kind], (kind, work_counts)
+        # The optimal search's walk, node for node (it repeats exactly).
+        assert (small["nodes"], large["nodes"]) == (37, 72)
 
     def test_optimal_computation_cheaper_than_distributed(self, timing_table):
         """The paper: the global optimal 'is computed once at the sink', so
