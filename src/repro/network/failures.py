@@ -124,9 +124,14 @@ def revive_links(
     reference metrics makes degrade -> revive an *identity* on overlay
     state, which the round-trip property test asserts.
 
-    The restoration is additive (capacity can only grow back, latency only
-    shrink back), so the route oracle cold-starts the new graph instead of
-    carrying trees forward.
+    The result is described to the route oracle as what it also is:
+    ``reference``, restricted.  :meth:`OverlayGraph.restriction_of` names
+    what ``reference`` has and the result lacks -- nothing after a full
+    revive, the links still sagging after a partial one -- so the result
+    shares every tree of ``reference`` that avoids those and repairs the
+    rest; what was pending on the degraded ``overlay`` goes nowhere.  When
+    the result is not a restriction of ``reference`` (some other link is
+    better here than there) it starts with no trees at all.
     """
     restored: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}
     for src, dst in set(victims):
@@ -137,7 +142,9 @@ def revive_links(
             )
         restored[(src, dst)] = original.metrics
     result = overlay.with_links(restored)
-    RouteOracle.default().derive(overlay, result, additive=True)
+    taken_away = result.restriction_of(reference)
+    if taken_away is not None:
+        RouteOracle.default().derive(reference, result, **taken_away._asdict())
     return result
 
 

@@ -29,6 +29,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -86,6 +87,16 @@ class ServiceLink:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"self-loop service link at {self.src}")
+
+
+class Restriction(NamedTuple):
+    """What was taken away from one overlay to make another
+    (:meth:`OverlayGraph.restriction_of`); the fields are the touch sets of
+    :meth:`repro.routing.oracle.RouteOracle.derive`, by name."""
+
+    removed_instances: FrozenSet[ServiceInstance]
+    removed_links: FrozenSet[Tuple[ServiceInstance, ServiceInstance]]
+    degraded_links: FrozenSet[Tuple[ServiceInstance, ServiceInstance]]
 
 
 def _mean_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
@@ -218,21 +229,34 @@ class OverlayGraph:
             underlay, (a.nid for a in instances), order=order,
             view="neighbors", neighbors=underlay.neighbors,
         )
+        # The predicate speaks of services, so it is asked once per ordered
+        # sid pair -- when the first instance pair of that kind comes up, so
+        # never about a pair no two distinct instances make.
+        pools = sorted(overlay._by_sid.items())
+        feeds: Dict[Tuple[Sid, Sid], bool] = {}
         for a in instances:
             labels = oracle.tree(
                 underlay, a.nid, order=order, view="neighbors",
                 neighbors=underlay.neighbors,
             )
-            for b in instances:
-                if a == b or not compatible(a.sid, b.sid):
+            for sid, pool in pools:
+                if pool == [a]:
                     continue
-                if a.nid == b.nid:
-                    overlay.add_link(a, b, PathQuality(float("inf"), 0.0), (a.nid,))
+                kind = (a.sid, sid)
+                if kind not in feeds:
+                    feeds[kind] = compatible(*kind)
+                if not feeds[kind]:
                     continue
-                label = labels.get(b.nid)
-                if label is None or not label.quality.reachable:
-                    continue
-                overlay.add_link(a, b, label.quality, label.path)
+                for b in pool:
+                    if a == b:
+                        continue
+                    if a.nid == b.nid:
+                        overlay.add_link(a, b, PathQuality(float("inf"), 0.0), (a.nid,))
+                        continue
+                    label = labels.get(b.nid)
+                    if label is None or not label.quality.reachable:
+                        continue
+                    overlay.add_link(a, b, label.quality, label.path)
         return overlay
 
     # -- queries -----------------------------------------------------------
@@ -389,6 +413,46 @@ class OverlayGraph:
             else:
                 copy._out[src][dst] = copy._in[dst][src] = replace(link, metrics=metrics)
         return copy
+
+    def restriction_of(self, reference: "OverlayGraph") -> Optional[Restriction]:
+        """What turns ``reference`` into this overlay by taking away alone,
+        or ``None`` when something here is *better* than there: an instance
+        or a link ``reference`` lacks, a wider bandwidth or a shorter
+        latency on any link.
+
+        The removed links are those between surviving instances (the rest
+        left with their endpoint).  Links the two overlays share as one
+        :class:`ServiceLink` object -- everything :meth:`subgraph` and
+        :meth:`with_links` did not change -- are passed by identity, so the
+        comparison is one walk of the rows.
+        """
+        out, ref_out = self._out, reference._out
+        if not out.keys() <= ref_out.keys():
+            return None
+        removed_links: List[Tuple[ServiceInstance, ServiceInstance]] = []
+        degraded_links: List[Tuple[ServiceInstance, ServiceInstance]] = []
+        for src, row in out.items():
+            ref_row = ref_out[src]
+            for dst, link in row.items():
+                ref_link = ref_row.get(dst)
+                if ref_link is link:
+                    continue
+                if ref_link is None:
+                    return None
+                mine, theirs = link.metrics, ref_link.metrics
+                if mine.bandwidth > theirs.bandwidth or mine.latency < theirs.latency:
+                    return None
+                if mine != theirs:
+                    degraded_links.append((src, dst))
+            if len(row) != len(ref_row):  # row's links are all ref_row's
+                removed_links.extend(
+                    (src, dst) for dst in ref_row if dst not in row and dst in out
+                )
+        return Restriction(
+            frozenset(ref_out.keys() - out.keys()),
+            frozenset(removed_links),
+            frozenset(degraded_links),
+        )
 
     # -- link summaries (what a directory or gossip layer would carry) --------
 

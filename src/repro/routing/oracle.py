@@ -30,9 +30,16 @@ process-wide memo:
   tie-breaks -- and is shared with the new graph's state.  A single link
   failure therefore does not cold-start the new graph; only sources
   whose trees crossed the failed link recompute, and those repair just
-  the affected destinations.  Additive mutations (revival, churn join)
-  can create *better* paths, so the new graph starts cold
-  (``additive=True``).
+  the affected destinations.  ``derive`` has no other mode: a mutation
+  that can create *better* paths is not described to it as one.  Either
+  the result is also a restriction of some graph the oracle still holds
+  -- :func:`~repro.network.failures.revive_links` restores the metrics of
+  a reference overlay, so it derives its result from *that* graph, with
+  the touch sets :meth:`OverlayGraph.restriction_of
+  <repro.network.overlay.OverlayGraph.restriction_of>` reads off the two
+  graphs themselves -- or it is a new graph object nobody derived (a
+  churn join rebuilds the overlay from the underlay), which starts with
+  no state because nothing gave it any.
 
 * **Coverage.**  A caller that reads a row only at some destinations
   passes ``targets``; the row holds those labels alone and remembers what
@@ -110,7 +117,7 @@ class OracleStats:
     misses: int = 0
     carried: int = 0  # trees surviving a mutation via scoped carry-forward
     dropped: int = 0  # trees dropped by scoped invalidation
-    invalidated: int = 0  # trees dropped by full (additive) invalidation
+    invalidated: int = 0  # trees dropped by invalidate()
     evictions: int = 0  # always 0: nothing is evicted (benchmark records read it)
     warmed: int = 0  # trees computed by a batched warm() prefetch
     repaired: int = 0  # trees rebuilt by targeted repair, not full recompute
@@ -275,7 +282,7 @@ class RouteOracle:
             ),
             "invalidated": self._registry.counter(
                 "oracle.invalidated",
-                "trees dropped by full (additive) invalidation",
+                "trees dropped by invalidate()",
             ),
             "warmed": self._registry.counter(
                 "oracle.warmed", "trees computed by a batched warm() prefetch"
@@ -467,21 +474,19 @@ class RouteOracle:
         removed_instances: Iterable[Node] = (),
         removed_links: Iterable[Tuple[Node, Node]] = (),
         degraded_links: Iterable[Tuple[Node, Node]] = (),
-        additive: bool = False,
     ) -> None:
-        """Record that ``new`` is ``old`` after a mutation.
+        """Record that ``new`` is ``old`` with the named elements taken
+        away or made worse -- and nothing made better.
 
         ``new`` gets a fresh state.  Trees cached for ``old`` that do not
         traverse any touched element are *shared* with it (``old`` keeps
         its own entries -- the pure failure functions leave the input
         graph alive and queryable); touched ones, and repairs still
-        pending on ``old``, wait on ``new`` for targeted repair.
-        ``additive=True`` marks mutations that can improve paths (revival,
-        join); nothing is carried then.  A carried or parked row keeps its
-        coverage.  Touched links match label-path edges **in either
-        orientation**: the oracle cannot tell which views walk a link
-        backwards (``"undirected"`` does), so in every view a tree crossing
-        ``(y, x)`` is touched by a mutation of link ``(x, y)``.
+        pending on ``old``, wait on ``new`` for targeted repair.  A carried
+        or parked row keeps its coverage.  Touched links match label-path
+        edges **in either orientation**: the oracle cannot tell which views
+        walk a link backwards (``"undirected"`` does), so in every view a
+        tree crossing ``(y, x)`` is touched by a mutation of link ``(x, y)``.
         """
         if new is old:
             raise ValueError("derive() needs a distinct new graph")
@@ -491,12 +496,6 @@ class RouteOracle:
             old_state = self._graphs.get(old)
             new_state = self._graphs[new] = _GraphState()
             if old_state is None:
-                return
-            if additive:
-                # Additive mutations can create better paths anywhere: no
-                # tree and no pending repair is a safe starting point on
-                # the new graph.  (The old graph keeps its entries.)
-                self._count_invalidated(old_state)
                 return
             for key, entry in old_state.trees.items():
                 if entry.touches(touched_nodes, touched_edges):
@@ -519,8 +518,9 @@ class RouteOracle:
         """Drop every cached tree for ``graph`` (all views, all orders)."""
         with self._lock:
             state = self._graphs.pop(graph, None)
-            if state is not None:
-                self._count_invalidated(state)
+            if state is not None and state.trees:
+                # inc(0) would still create the series in the registry
+                self._counters["invalidated"].inc(len(state.trees))
 
     def clear(self) -> None:
         """Drop everything (stats survive; see :meth:`reset_stats`)."""
@@ -563,10 +563,6 @@ class RouteOracle:
         if state is None:
             state = self._graphs[graph] = _GraphState()
         return state
-
-    def _count_invalidated(self, state: _GraphState) -> None:
-        if state.trees:  # inc(0) would still create the series in the registry
-            self._counters["invalidated"].inc(len(state.trees))
 
     def _kernel_trees(
         self, csr: _kernel.CSRGraph, sources: Sequence[Node], order: str,

@@ -7,8 +7,14 @@ import pickle
 import pytest
 
 from repro.network.metrics import UNREACHABLE, PathQuality
-from repro.network.overlay import OverlayGraph, ServiceInstance, ServiceLink
+from repro.network.overlay import (
+    OverlayGraph,
+    Restriction,
+    ServiceInstance,
+    ServiceLink,
+)
 from repro.network.underlay import Underlay
+from repro.routing.wang_crowcroft import widest_shortest_tree
 from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import ScenarioConfig, generate_scenario
 
@@ -179,6 +185,45 @@ class TestBuildFromUnderlay:
         link = overlay.link(ServiceInstance("A", 2), ServiceInstance("B", 2))
         assert link.metrics.latency == 0.0
         assert link.metrics.bandwidth == math.inf
+
+    def test_predicate_asked_once_per_sid_pair_that_occurs(self, diamond_underlay):
+        """Services, not instances, are compatible or not: one call per
+        ordered sid pair, and none for a pair no two distinct instances make
+        -- ``("A", "A")`` with a single instance of ``A``."""
+        catalog = ServiceCatalog.from_edges([("A", "B"), ("B", "C")])
+        asked = []
+
+        def compatible(up, down):
+            asked.append((up, down))
+            return catalog.compatible(up, down)
+
+        placement = [
+            ServiceInstance("A", 0),
+            *(ServiceInstance("B", nid) for nid in (1, 2, 3)),
+            *(ServiceInstance("C", nid) for nid in (0, 3)),
+        ]
+        built = OverlayGraph.build(diamond_underlay, placement, compatible)
+        sids = "ABC"
+        assert sorted(asked) == sorted(
+            (up, down) for up in sids for down in sids if (up, down) != ("A", "A")
+        )
+        per_pair = OverlayGraph()
+        for a in sorted(placement):
+            per_pair.add_instance(a)
+        for a in sorted(placement):
+            labels = widest_shortest_tree(diamond_underlay.neighbors, a.nid)
+            for b in sorted(placement):
+                if a == b or not catalog.compatible(a.sid, b.sid):
+                    continue
+                if a.nid == b.nid:
+                    per_pair.add_link(a, b, PathQuality(math.inf, 0.0), (a.nid,))
+                else:
+                    per_pair.add_link(a, b, labels[b.nid].quality, labels[b.nid].path)
+        # Same links in the same row order: the order a CSR snapshot reads.
+        assert list(built._out) == list(per_pair._out)
+        for inst in placement:
+            assert list(built._out[inst].items()) == list(per_pair._out[inst].items())
+            assert list(built._in[inst].items()) == list(per_pair._in[inst].items())
 
     def test_unknown_host_rejected(self, diamond_underlay):
         catalog = ServiceCatalog.from_edges([("A", "B")])
@@ -452,6 +497,66 @@ class TestWithLinks:
                 overlay.with_links({(links[0].src, ghost): change})
             with pytest.raises(KeyError):
                 overlay.with_links({(ghost, links[0].dst): change})
+
+
+class TestRestrictionOf:
+    """The diff ``revive_links`` hands the route oracle: what was taken
+    away from ``reference``, or ``None`` when anything got better."""
+
+    @pytest.fixture
+    def base(self):
+        scenario = generate_scenario(ScenarioConfig(network_size=40, n_services=5, seed=2))
+        overlay = scenario.overlay
+        links = [
+            (link.src, link.dst)
+            for inst in overlay.instances()
+            for link in overlay.out_links(inst)
+        ]
+        return overlay, links
+
+    def test_a_copy_takes_nothing_away(self, base):
+        overlay, links = base
+        nothing = Restriction(frozenset(), frozenset(), frozenset())
+        assert overlay.restriction_of(overlay) == nothing
+        assert overlay.with_links({}).restriction_of(overlay) == nothing
+        # Equal metrics on a fresh ServiceLink object are no degradation.
+        same = overlay.with_links({links[0]: overlay.link_quality(*links[0])})
+        assert same.link(*links[0]) is not overlay.link(*links[0])
+        assert same.restriction_of(overlay) == nothing
+
+    def test_names_what_each_failure_model_took(self, base):
+        overlay, links = base
+        victim = links[0][0]
+        cut = [pair for pair in links if victim not in pair][:2]
+        sagging = [pair for pair in links if victim not in pair][5:8]
+        slowed = [pair for pair in links if victim not in pair][9]
+        changes = {pair: None for pair in cut}
+        for pair in sagging:
+            quality = overlay.link_quality(*pair)
+            changes[pair] = PathQuality(quality.bandwidth * 0.5, quality.latency)
+        quality = overlay.link_quality(*slowed)
+        changes[slowed] = PathQuality(quality.bandwidth, quality.latency * 2 + 1)
+        keep = [inst for inst in overlay.instances() if inst != victim]
+        result = overlay.with_links(changes).subgraph(keep)
+        # The victim's own links left with it: not named one by one.
+        assert result.restriction_of(overlay) == Restriction(
+            frozenset([victim]), frozenset(cut), frozenset([*sagging, slowed])
+        )
+
+    def test_refuses_anything_better_than_the_reference(self, base):
+        overlay, links = base
+        pair = next(  # not a co-located pair's ideal link: room both ways
+            pair for pair in links if overlay.link_quality(*pair).latency > 0
+        )
+        quality = overlay.link_quality(*pair)
+        wider = PathQuality(quality.bandwidth * 2, quality.latency + 1)
+        faster = PathQuality(quality.bandwidth / 2, quality.latency / 2)
+        assert overlay.with_links({pair: wider}).restriction_of(overlay) is None
+        assert overlay.with_links({pair: faster}).restriction_of(overlay) is None
+        # A link or an instance only the result has: seen from the other side.
+        assert overlay.restriction_of(overlay.with_links({pair: None})) is None
+        keep = [inst for inst in overlay.instances() if inst != pair[0]]
+        assert overlay.restriction_of(overlay.subgraph(keep)) is None
 
 
 class TestSubgraphAndMerge:

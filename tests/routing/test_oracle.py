@@ -233,18 +233,35 @@ class TestMutations:
             assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 1)
 
     def test_additive_mutation_cold_starts_the_graph(self):
+        """A revive whose result is *not* a restriction of its reference --
+        another link is wider here than there, or an instance is here and
+        not there -- says nothing to the oracle: no tree of the reference
+        (or of the degraded graph) is a safe start where paths got better."""
         overlay = diamond_overlay()
         oracle = RouteOracle.default()
         a = ServiceInstance("A", 0)
+        b1 = ServiceInstance("B", 1)
         link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
         oracle.tree(overlay, a)
         degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
         oracle.tree(degraded, a)
-        oracle.reset_stats()
-        healed = revive_links(degraded, overlay, [link])
-        assert oracle.cached_sources(healed) == set()
-        assert oracle.stats().invalidated == 1
-        assert oracle.cached_sources(degraded) == {a}  # the old graph serves on
+        for reference in (
+            degrade_links(overlay, [(a, b1)], bandwidth_factor=0.5),
+            degrade_links(overlay, [(a, b1)], latency_factor=2.0),
+            fail_instances(overlay, [b1]),
+        ):
+            oracle.tree(reference, a)
+            oracle.reset_stats()
+            healed = revive_links(degraded, reference, [link])
+            assert healed.restriction_of(reference) is None
+            assert oracle.cached_sources(healed) == set()
+            assert healed not in oracle._graphs
+            stats = oracle.stats()
+            assert (stats.carried, stats.dropped, stats.invalidated) == (0, 0, 0)
+            assert oracle.cached_sources(degraded) == {a}  # the old graph serves on
+            assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
+            stats = oracle.stats()
+            assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 0)
 
     def test_invalidate_drops_everything_for_graph(self):
         overlay = diamond_overlay()
@@ -635,6 +652,146 @@ class TestIncrementalRepair:
         oracle.reset_stats()
         assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
         assert oracle.stats().repaired == 0
+
+    def test_full_revive_returns_the_references_row(self, monkeypatch):
+        """Degrade -> revive is an identity on overlay state, so the healed
+        graph *is* its reference to the oracle: the same row object, and
+        nothing computed."""
+        overlay = diamond_overlay()
+        oracle = RouteOracle.default()
+        a = ServiceInstance("A", 0)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
+        row = oracle.tree(overlay, a)
+        degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
+        assert oracle.tree(degraded, a) is not row
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a full revive computes no tree")
+
+        monkeypatch.setattr(kernel, "batched_trees", computed)
+        monkeypatch.setitem(oracle_module._TREE_FN, SHORTEST_WIDEST, computed)
+        oracle.reset_stats()
+        healed = revive_links(degraded, overlay, [link])
+        assert oracle.warm(healed, [a]) == 0
+        assert oracle.tree(healed, a) is row
+        stats = oracle.stats()
+        assert (stats.carried, stats.dropped, stats.invalidated) == (1, 0, 0)
+        assert (stats.hits, stats.misses, stats.repaired, stats.warmed) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("view", ["successors", "undirected"])
+    def test_partial_revive_parks_only_rows_crossing_a_still_degraded_link(
+        self, view
+    ):
+        scenario = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL)
+        overlay = scenario.overlay
+        oracle = RouteOracle.default()
+
+        def adjacency(graph):
+            return undirected_relaxation(graph) if view == "undirected" else graph.successors
+
+        instances = list(overlay.instances())
+        oracle.warm(overlay, instances, view=view, neighbors=adjacency(overlay))
+        rows = {
+            inst: oracle.tree(overlay, inst, view=view, neighbors=adjacency(overlay))
+            for inst in instances
+        }
+
+        def crossing(pair):
+            either = {pair, pair[::-1]}
+            return {
+                inst
+                for inst, row in rows.items()
+                if any(either & set(zip(l.path, l.path[1:])) for l in row.values())
+            }
+
+        links = [
+            (link.src, link.dst) for inst in instances for link in overlay.out_links(inst)
+        ]
+        # Two links trees ride, one of them under a tree the other is not.
+        healing, sagging = next(
+            (one, other)
+            for one in links
+            for other in links
+            if crossing(other) and crossing(one) - crossing(other)
+        )
+        degraded = degrade_links(overlay, [healing, sagging], bandwidth_factor=0.3)
+        oracle.reset_stats()
+        healed = revive_links(degraded, overlay, [healing])
+        parked = {key[2] for key in oracle._graphs[healed].repairs}
+        assert parked == crossing(sagging)
+        assert oracle.cached_sources(healed, view=view) == set(instances) - parked
+        stats = oracle.stats()
+        assert (stats.carried, stats.dropped) == (
+            len(instances) - len(parked), len(parked),
+        )
+        for inst in instances:
+            labels = oracle.tree(healed, inst, view=view, neighbors=adjacency(healed))
+            assert sorted(labels.items()) == sorted(
+                shortest_widest_tree(adjacency(healed), inst).items()
+            )
+            assert (labels is rows[inst]) == (inst not in parked)
+        stats = oracle.stats()
+        assert (stats.repaired, stats.misses) == (len(parked), len(parked))
+        assert (stats.warmed, stats.kernel_trees) == (0, 0)
+
+    def test_revive_chains_the_references_pending_repairs(self):
+        """A row parked on the reference and never looked up there waits on
+        the healed graph with the touch set it had -- not the degraded
+        graph's, which named the link that came back."""
+        overlay = diamond_overlay()
+        oracle = RouteOracle.default()
+        a = ServiceInstance("A", 0)
+        b1 = ServiceInstance("B", 1)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
+        oracle.tree(overlay, a)
+        reference = fail_links(overlay, [(a, b1)])
+        degraded = degrade_links(reference, [link], bandwidth_factor=0.5)
+        healed = revive_links(degraded, reference, [link])
+        (pending,) = oracle._graphs[healed].repairs.values()
+        assert pending.edges == {(a, b1), (b1, a)} and not pending.nodes
+        oracle.reset_stats()
+        labels = oracle.tree(healed, a)
+        assert labels == shortest_widest_tree(healed.successors, a)
+        assert b1 not in labels
+        assert labels[link[1]].quality.bandwidth == 20.0
+        stats = oracle.stats()
+        assert (stats.repaired, stats.misses) == (1, 1)
+
+    @pytest.mark.parametrize("forget", ["never queried", "invalidated", "reset"])
+    def test_reference_without_state_is_a_cold_start(self, forget):
+        overlay = diamond_overlay()
+        oracle = RouteOracle.default()
+        a = ServiceInstance("A", 0)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
+        if forget != "never queried":
+            oracle.tree(overlay, a)
+        degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
+        oracle.tree(degraded, a)
+        if forget == "invalidated":
+            oracle.invalidate(overlay)
+        elif forget == "reset":
+            oracle = RouteOracle.reset_default()
+        oracle.reset_stats()
+        healed = revive_links(degraded, overlay, [link])
+        assert oracle.cached_sources(healed) == set()
+        assert not oracle._graphs[healed].repairs
+        assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
+        stats = oracle.stats()
+        assert (stats.carried, stats.dropped, stats.repaired) == (0, 0, 0)
+
+    def test_revive_of_a_link_the_reference_lacks_derives_nothing(self):
+        overlay = diamond_overlay()
+        oracle = RouteOracle.default()
+        a = ServiceInstance("A", 0)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
+        oracle.tree(overlay, a)
+        reference = fail_links(overlay, [link])
+        graphs = set(oracle._graphs)
+        oracle.reset_stats()
+        with pytest.raises(KeyError, match="reference"):
+            revive_links(overlay, reference, [link])
+        assert set(oracle._graphs) == graphs
+        assert oracle.stats() == type(oracle.stats())()
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_repaired_trees_exact_on_generated_overlays(self, seed):
