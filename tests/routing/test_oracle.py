@@ -27,6 +27,7 @@ from repro.routing import kernel
 from repro.routing import oracle as oracle_module
 from repro.routing.oracle import (
     KERNEL_MIN_NODES,
+    OracleStats,
     RouteOracle,
     SHORTEST_WIDEST,
     WIDEST_SHORTEST,
@@ -696,29 +697,28 @@ class TestIncrementalRepair:
             for inst in instances
         }
 
-        def crossing(pair):
-            either = {pair, pair[::-1]}
-            return {
-                inst
-                for inst, row in rows.items()
-                if any(either & set(zip(l.path, l.path[1:])) for l in row.values())
-            }
-
-        links = [
-            (link.src, link.dst) for inst in instances for link in overlay.out_links(inst)
-        ]
+        #: link -> the sources whose rows cross it, in either orientation
+        riders = {
+            (link.src, link.dst): set()
+            for inst in instances
+            for link in overlay.out_links(inst)
+        }
+        for inst, row in rows.items():
+            for label in row.values():
+                for hop in zip(label.path, label.path[1:]):
+                    riders[hop if hop in riders else hop[::-1]].add(inst)
         # Two links trees ride, one of them under a tree the other is not.
         healing, sagging = next(
             (one, other)
-            for one in links
-            for other in links
-            if crossing(other) and crossing(one) - crossing(other)
+            for one in riders
+            for other in riders
+            if riders[other] and riders[one] - riders[other]
         )
         degraded = degrade_links(overlay, [healing, sagging], bandwidth_factor=0.3)
         oracle.reset_stats()
         healed = revive_links(degraded, overlay, [healing])
         parked = {key[2] for key in oracle._graphs[healed].repairs}
-        assert parked == crossing(sagging)
+        assert parked == riders[sagging]
         assert oracle.cached_sources(healed, view=view) == set(instances) - parked
         stats = oracle.stats()
         assert (stats.carried, stats.dropped) == (
@@ -791,7 +791,7 @@ class TestIncrementalRepair:
         with pytest.raises(KeyError, match="reference"):
             revive_links(overlay, reference, [link])
         assert set(oracle._graphs) == graphs
-        assert oracle.stats() == type(oracle.stats())()
+        assert oracle.stats() == OracleStats()
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_repaired_trees_exact_on_generated_overlays(self, seed):
