@@ -39,7 +39,12 @@ against brute force in ``tests/core/test_reductions.py``.
 One :meth:`ReductionSolver.solve_assignment` call is one *planning step*:
 it asks the view for the price of every requirement edge's instance pairs
 once (:class:`_PricedEdges`) and the block solvers then read only that
-table -- the view is never called per candidate assignment.
+table -- the view is never called per candidate assignment.  From the
+table to the answer the DP is plain floats: an entry is a
+``(bandwidth, latency, assignment)`` triple compared by ``(bandwidth,
+-latency)``, a path block copies an assignment only for the candidates
+that survive :func:`pareto_prune`, and the one :class:`PathQuality` of a
+step is the one ``solve_assignment`` returns.
 """
 
 from __future__ import annotations
@@ -292,51 +297,43 @@ def _parallel_branches(
 # Pareto machinery
 # ---------------------------------------------------------------------------
 
-#: One DP entry: achievable quality plus the assignment realising it.
-Entry = Tuple[PathQuality, Dict[Sid, ServiceInstance]]
+#: One DP entry: the achievable bottleneck bandwidth and critical-path
+#: latency, then the assignment realising them.  Entries are compared by
+#: ``(bandwidth, -latency)``, :class:`PathQuality`'s order; an assignment is
+#: never mutated once in an entry, so entries may share one.
+Entry = Tuple[float, float, Dict[Sid, ServiceInstance]]
 
 
 def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
-    """Remove dominated entries.
+    """Remove dominated and unreachable entries.
 
     ``keep_all=True`` keeps the whole ``(bandwidth, latency)`` Pareto
     frontier; ``keep_all=False`` keeps only the lexicographically best entry
-    (the paper's pure shortest-widest heuristic).
+    (the paper's pure shortest-widest heuristic).  An entry is reachable
+    when its bandwidth is positive and its latency finite.
     """
-    candidates = [e for e in entries if e[0].reachable]
+    candidates = [e for e in entries if e[0] > 0 and e[1] < math.inf]
     if not candidates:
         return []
-    # Sort best-first: bandwidth desc, then latency asc.
-    candidates.sort(key=lambda e: (-e[0].bandwidth, e[0].latency))
+    # Sort best-first (stable): bandwidth desc, then latency asc.
+    candidates.sort(key=lambda e: (-e[0], e[1]))
     if not keep_all:
         return [candidates[0]]
     frontier: List[Entry] = []
     best_latency = math.inf
-    for quality, assignment in candidates:
-        if quality.latency < best_latency:
-            frontier.append((quality, assignment))
-            best_latency = quality.latency
+    for entry in candidates:
+        if entry[1] < best_latency:
+            frontier.append(entry)
+            best_latency = entry[1]
     return frontier
 
 
 def _combine_series(a: Entry, b: Entry) -> Entry:
-    qa, aa = a
-    qb, ab = b
-    quality = PathQuality(min(qa.bandwidth, qb.bandwidth), qa.latency + qb.latency)
-    merged = dict(aa)
-    merged.update(ab)
-    return (quality, merged)
+    return (min(a[0], b[0]), a[1] + b[1], {**a[2], **b[2]})
 
 
 def _combine_parallel(a: Entry, b: Entry) -> Entry:
-    qa, aa = a
-    qb, ab = b
-    quality = PathQuality(
-        min(qa.bandwidth, qb.bandwidth), max(qa.latency, qb.latency)
-    )
-    merged = dict(aa)
-    merged.update(ab)
-    return (quality, merged)
+    return (min(a[0], b[0]), max(a[1], b[1]), {**a[2], **b[2]})
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +398,10 @@ class _PricedEdges:
                 row: List[Hop] = []
                 for dst in self.pools[b]:
                     quality = view.quality(src, dst)
+                    bandwidth, latency = quality.bandwidth, quality.latency
                     row.append(
-                        (quality.bandwidth, quality.latency)
-                        if quality.reachable
+                        (bandwidth, latency)
+                        if bandwidth > 0 and latency < math.inf
                         else None
                     )
                 rows.append(row)
@@ -495,11 +493,11 @@ class ReductionSolver:
         best: Optional[Entry] = None
         for src in sources:
             for dst in priced.pools[work_req.sink]:
-                for quality, assignment in table.get((src, dst), ()):
-                    if latency_bound is not None and quality.latency > latency_bound:
+                for entry in table.get((src, dst), ()):
+                    if latency_bound is not None and entry[1] > latency_bound:
                         continue
-                    if best is None or quality.is_better_than(best[0]):
-                        best = (quality, assignment)
+                    if best is None or (entry[0], -entry[1]) > (best[0], -best[1]):
+                        best = entry
         if best is None:
             constraint = (
                 f" within latency bound {latency_bound}"
@@ -510,10 +508,9 @@ class ReductionSolver:
                 f"no feasible federation of {requirement!r}{constraint} "
                 f"(source candidates: {list(sources)})"
             )
-        assignment = {
-            sid: inst for sid, inst in best[1].items() if sid != VIRTUAL_SINK
-        }
-        return assignment, best[0]
+        bandwidth, latency, chosen = best
+        assignment = {sid: inst for sid, inst in chosen.items() if sid != VIRTUAL_SINK}
+        return assignment, PathQuality(bandwidth, latency)
 
     # -- setup -----------------------------------------------------------------
 
@@ -558,13 +555,18 @@ class ReductionSolver:
         raise AssertionError(f"unknown block type {type(block).__name__}")
 
     def _solve_path(self, block: PathBlock, priced: _PricedEdges) -> BlockTable:
-        """Layered DP along a chain -- the baseline algorithm, Pareto-ised."""
+        """Layered DP along a chain -- the baseline algorithm, Pareto-ised.
+
+        Every candidate into one instance extends by that same instance, so
+        a candidate carries its parent's assignment and only the survivors
+        of :func:`pareto_prune` get a copy that includes the instance.
+        """
         table: BlockTable = {}
         chain = block.chain
         pools = [priced.pools[sid] for sid in chain]
         for start, src in enumerate(pools[0]):
             # Pool index of the layer's instance -> its frontier.
-            layer: Dict[int, List[Entry]] = {start: [(IDEAL, {chain[0]: src})]}
+            layer: Dict[int, List[Entry]] = {start: [(math.inf, 0.0, {chain[0]: src})]}
             for prev_sid, sid, pool in zip(chain, chain[1:], pools[1:]):
                 hops = priced.hops[(prev_sid, sid)]
                 nxt: Dict[int, List[Entry]] = {}
@@ -574,18 +576,21 @@ class ReductionSolver:
                         hop = hops[i][j]
                         if hop is None:
                             continue
-                        bandwidth, latency = hop
-                        for quality, assignment in entries:
-                            extended = dict(assignment)
-                            extended[sid] = inst
-                            extended_quality = PathQuality(
-                                min(quality.bandwidth, bandwidth),
-                                quality.latency + latency,
+                        width, delay = hop
+                        for bandwidth, latency, assignment in entries:
+                            candidates.append(
+                                (
+                                    width if width < bandwidth else bandwidth,
+                                    delay + latency,
+                                    assignment,
+                                )
                             )
-                            candidates.append((extended_quality, extended))
                     pruned = pareto_prune(candidates, keep_all=self.pareto)
                     if pruned:
-                        nxt[j] = pruned
+                        nxt[j] = [
+                            (bandwidth, latency, {**assignment, sid: inst})
+                            for bandwidth, latency, assignment in pruned
+                        ]
                 layer = nxt
                 if not layer:
                     break
@@ -753,7 +758,7 @@ class ReductionSolver:
                 }
                 assignment[block.u] = u_pool[start]
                 assignment[block.v] = v_pool[sink]
-                entries.append((PathQuality(width, latency), assignment))
+                entries.append((width, latency, assignment))
             table[(u_pool[start], v_pool[sink])] = entries
         return table
 
@@ -765,7 +770,8 @@ class ReductionSolver:
         Walks the block in topological order and, for each service, picks
         the instance maximising the worst incoming quality from the already
         assigned predecessors -- the same policy as the fixed control
-        algorithm, applied block-locally.
+        algorithm, applied block-locally.  Qualities are compared as
+        ``(bandwidth, -latency)`` keys, an unreachable hop as ``(0, -inf)``.
         """
         req = block.requirement
         table: BlockTable = {}
@@ -775,22 +781,19 @@ class ReductionSolver:
                 if sid == block.u:
                     continue
                 best: Optional[int] = None
-                best_quality = UNREACHABLE
+                best_key = (0.0, -math.inf)
                 for i in range(len(priced.pools[sid])):
-                    worst = IDEAL
+                    worst = (math.inf, -0.0)
                     for pred in req.predecessors(sid):
                         if pred not in choice:
                             continue
                         price = priced.hops[(pred, sid)][choice[pred]][i]
-                        hop = UNREACHABLE if price is None else PathQuality(*price)
-                        if hop.bandwidth < worst.bandwidth or (
-                            hop.bandwidth == worst.bandwidth
-                            and hop.latency > worst.latency
-                        ):
+                        hop = (0.0, -math.inf) if price is None else (price[0], -price[1])
+                        if hop < worst:
                             worst = hop
-                    if best is None or worst.is_better_than(best_quality):
+                    if best is None or worst > best_key:
                         best = i
-                        best_quality = worst
+                        best_key = worst
                 if best is None:
                     break
                 choice[sid] = best
@@ -800,7 +803,7 @@ class ReductionSolver:
                     continue
                 assignment = {sid: priced.pools[sid][i] for sid, i in choice.items()}
                 table.setdefault((src, assignment[block.v]), []).append(
-                    (quality, assignment)
+                    (*quality, assignment)
                 )
         return {
             key: pareto_prune(entries, keep_all=self.pareto)
@@ -810,7 +813,7 @@ class ReductionSolver:
 
 def _evaluate_assignment(
     req: ServiceRequirement, choice: Dict[Sid, int], priced: _PricedEdges
-) -> Optional[PathQuality]:
+) -> Optional[Tuple[float, float]]:
     """Bottleneck bandwidth + critical-path latency of a full block
     assignment (a pool index per service); ``None`` when any edge is
     unreachable."""
@@ -825,5 +828,4 @@ def _evaluate_assignment(
             bandwidth = min(bandwidth, hop[0])
             worst_finish = max(worst_finish, finish[pred] + hop[1])
         finish[sid] = worst_finish
-    latency = max(finish[s] for s in req.sinks)
-    return PathQuality(bandwidth, latency)
+    return bandwidth, max(finish[s] for s in req.sinks)

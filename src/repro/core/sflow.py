@@ -45,6 +45,7 @@ convergence time and message counts are measured, not modelled.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -341,17 +342,23 @@ class _PlanningView(AbstractView):
         return self._pools.get(sid, ())
 
     def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
-        if src in self._local and dst in self._local:
-            tree = self._trees.get(src)
-            if tree is None:
-                # Views are shared by every planning step on an overlay
-                # (across nodes and sessions), so this is a hit on the
-                # process oracle.
-                tree = self._trees[src] = RouteOracle.default().tree(self._local, src)
+        # Only an in-view source has a row, and a row holds only in-view
+        # instances: a label answers without a membership test.
+        tree = self._trees.get(src)
+        if tree is None and src in self._local and dst in self._local:
+            # Views are shared by every planning step on an overlay
+            # (across nodes and sessions), so this is a hit on the
+            # process oracle.
+            tree = self._trees[src] = RouteOracle.default().tree(self._local, src)
+        if tree is not None:
             label = tree.get(dst)
-            if label is not None and label.quality.reachable:
-                return label.quality
-            return UNREACHABLE
+            if label is not None:
+                quality = label.quality
+                if quality.bandwidth > 0 and quality.latency < math.inf:
+                    return quality
+                return UNREACHABLE
+            if dst in self._local:
+                return UNREACHABLE
         # At least one endpoint is beyond the horizon: combine whatever
         # gossip hints exist, defaulting to the local-view prior.
         estimates = [

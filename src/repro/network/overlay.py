@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -100,17 +100,19 @@ class Restriction(NamedTuple):
 
 
 def _mean_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
-    """Mean bandwidth and latency of the usable links (``None`` if none)."""
-    usable = [
-        metrics
-        for metrics in links
-        if metrics.reachable and metrics.bandwidth != float("inf")
-    ]
-    if not usable:
+    """Mean bandwidth and latency of the usable links (``None`` if none):
+    those with a positive, finite bandwidth and a finite latency."""
+    bandwidths: List[float] = []
+    latencies: List[float] = []
+    for metrics in links:
+        bandwidth, latency = metrics.bandwidth, metrics.latency
+        if 0 < bandwidth < math.inf and latency < math.inf:
+            bandwidths.append(bandwidth)
+            latencies.append(latency)
+    if not bandwidths:
         return None
     return PathQuality(
-        sum(metrics.bandwidth for metrics in usable) / len(usable),
-        sum(metrics.latency for metrics in usable) / len(usable),
+        sum(bandwidths) / len(bandwidths), sum(latencies) / len(latencies)
     )
 
 
@@ -462,16 +464,16 @@ class OverlayGraph:
         an instance's usable incident service links -- constant-size state a
         membership record can carry -- for every instance that has one.
         Shared; treat as read-only."""
-        hints = {
-            inst: _mean_quality(
-                metrics
-                for _, metrics in itertools.chain(
-                    self.successors(inst), self.predecessors(inst)
-                )
+        hints: Dict[ServiceInstance, PathQuality] = {}
+        for inst in sorted(self._out):
+            out_row, in_row = self._out[inst], self._in[inst]
+            hint = _mean_quality(
+                [out_row[dst].metrics for dst in sorted(out_row)]
+                + [in_row[src].metrics for src in sorted(in_row)]
             )
-            for inst in self.instances()
-        }
-        return {inst: hint for inst, hint in hints.items() if hint is not None}
+            if hint is not None:
+                hints[inst] = hint
+        return hints
 
     @_memoised
     def mean_link_quality(self) -> Optional[PathQuality]:

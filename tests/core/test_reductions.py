@@ -9,6 +9,7 @@ Two layers of validation:
   heuristic) variant is never better.
 """
 
+import math
 import random
 
 import pytest
@@ -116,28 +117,29 @@ class TestDecompose:
 
 class TestParetoPrune:
     def entry(self, bw, lat):
-        return (PathQuality(bw, lat), {})
+        return (float(bw), float(lat), {})
 
     def test_keeps_frontier(self):
         entries = [self.entry(10, 10), self.entry(5, 1), self.entry(7, 3)]
         frontier = pareto_prune(entries, keep_all=True)
-        assert [e[0] for e in frontier] == [
-            PathQuality(10, 10), PathQuality(7, 3), PathQuality(5, 1)
-        ]
+        assert [e[:2] for e in frontier] == [(10.0, 10.0), (7.0, 3.0), (5.0, 1.0)]
 
     def test_drops_dominated(self):
         entries = [self.entry(10, 1), self.entry(5, 5), self.entry(10, 2)]
         frontier = pareto_prune(entries, keep_all=True)
-        assert [e[0] for e in frontier] == [PathQuality(10, 1)]
+        assert [e[:2] for e in frontier] == [(10.0, 1.0)]
 
     def test_single_best_mode(self):
         entries = [self.entry(10, 10), self.entry(5, 1)]
-        assert [e[0] for e in pareto_prune(entries, keep_all=False)] == [
-            PathQuality(10, 10)
+        assert [e[:2] for e in pareto_prune(entries, keep_all=False)] == [
+            (10.0, 10.0)
         ]
 
     def test_unreachable_dropped(self):
-        assert pareto_prune([(UNREACHABLE, {})], keep_all=True) == []
+        # No route (infinite latency) and no capacity (zero bandwidth).
+        for unreachable in [(0.0, math.inf, {}), (0.0, 5.0, {})]:
+            assert pareto_prune([unreachable], keep_all=True) == []
+            assert pareto_prune([unreachable], keep_all=False) == []
 
     def test_empty_input(self):
         assert pareto_prune([], keep_all=True) == []
@@ -439,11 +441,11 @@ def _pinned_table(table):
             (str(src), str(dst)),
             [
                 (
-                    quality.bandwidth.hex(),
-                    quality.latency.hex(),
+                    bandwidth.hex(),
+                    latency.hex(),
                     [(sid, str(inst)) for sid, inst in assignment.items()],
                 )
-                for quality, assignment in entries
+                for bandwidth, latency, assignment in entries
             ],
         )
         for (src, dst), entries in table.items()
@@ -570,3 +572,48 @@ class TestEnumerationLimit:
             ServiceRequirement(edges=_N_SHAPE), view
         )
         assert bool(fallbacks) is greedy
+
+
+class TestOneQualityPerSolve:
+    """The block DP runs on floats: a planning step builds exactly one
+    :class:`PathQuality`, the one ``solve_assignment`` returns."""
+
+    #: Seed 2 gives each class the block kind named after it.
+    SHAPES = {
+        RequirementClass.PATH: "PathBlock",
+        RequirementClass.DISJOINT_PATHS: "ParallelBlock",
+        RequirementClass.SPLIT_MERGE: "SeriesBlock",
+        RequirementClass.GENERAL: "GeneralBlock",
+        RequirementClass.TREE: "ParallelBlock",
+    }
+
+    @pytest.mark.parametrize("arm", ["pareto", "single-best", "bounded", "greedy"])
+    @pytest.mark.parametrize("clazz", list(SHAPES))
+    def test_exactly_one_path_quality(self, clazz, arm, monkeypatch):
+        from repro.services.abstract_graph import AbstractGraph
+
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=13, n_services=6, requirement_class=clazz, seed=2
+            )
+        )
+        requirement = scenario.requirement
+        abstract = AbstractGraph.build(requirement, scenario.overlay)
+        # At limit 1 the GENERAL block (an interior of 54) goes greedy.
+        options = {"single-best": {"pareto": False}, "greedy": {"enumeration_limit": 1}}
+        solver = ReductionSolver(**options.get(arm, {}))
+        block = decompose(solver._two_terminal(requirement, abstract)[0])
+        assert type(block).__name__ == self.SHAPES[clazz]
+        assert (len(requirement.sinks) > 1) is (clazz is RequirementClass.TREE)
+        # The unbounded solve warms the view's routing rows and sets the bound.
+        _, unbounded = solver.solve_assignment(requirement, abstract)
+        kwargs = {"latency_bound": unbounded.latency} if arm == "bounded" else {}
+
+        built = []
+        real = PathQuality.__post_init__
+        monkeypatch.setattr(
+            PathQuality, "__post_init__", lambda self: built.append(self) or real(self)
+        )
+        _, quality = solver.solve_assignment(requirement, abstract, **kwargs)
+        assert len(built) == 1 and built[0] is quality
+        assert quality == unbounded

@@ -184,8 +184,7 @@ class ReferenceSearcher:
 
 def brute_force_best(requirement, abstract, source_instance=None):
     """The best quality over every assignment, or None when none is
-    feasible: bottleneck = ``min`` over the requirement edges, latency =
-    the critical path to the slowest sink.  For pools of <= 4 instances."""
+    feasible (:func:`flow_quality` of each).  For pools of <= 4 instances."""
     order = requirement.topological_order()
     pools = [
         (source_instance,)
@@ -196,23 +195,30 @@ def brute_force_best(requirement, abstract, source_instance=None):
     assert all(len(pool) <= 4 for pool in pools), "brute force is for small pools"
     best = None
     for combo in itertools.product(*pools):
-        chosen = dict(zip(order, combo))
-        hops = {
-            (a, b): abstract.quality(chosen[a], chosen[b])
-            for a, b in requirement.edges()
-        }
-        if not all(hop.reachable for hop in hops.values()):
-            continue
-        finish = {}
-        for sid in order:
-            finish[sid] = max(
-                (finish[p] + hops[(p, sid)].latency for p in requirement.predecessors(sid)),
-                default=0.0,
-            )
-        quality = PathQuality(
-            min((hop.bandwidth for hop in hops.values()), default=math.inf),
-            max(finish[sink] for sink in requirement.sinks),
-        )
-        if best is None or quality > best:
+        quality = flow_quality(requirement, abstract, dict(zip(order, combo)))
+        if quality is not None and (best is None or quality > best):
             best = quality
     return best
+
+
+def flow_quality(requirement, abstract, chosen):
+    """The quality of one assignment, or None when an edge is unreachable:
+    bottleneck = ``min`` over the requirement edges, latency = the critical
+    path to the slowest sink, summed hop by hop in topological order."""
+    order = requirement.topological_order()
+    hops = {
+        (a, b): abstract.quality(chosen[a], chosen[b])
+        for a, b in requirement.edges()
+    }
+    if not all(hop.reachable for hop in hops.values()):
+        return None
+    finish = {}
+    for sid in order:
+        finish[sid] = max(
+            (finish[p] + hops[(p, sid)].latency for p in requirement.predecessors(sid)),
+            default=0.0,
+        )
+    return PathQuality(
+        min((hop.bandwidth for hop in hops.values()), default=math.inf),
+        max(finish[sink] for sink in requirement.sinks),
+    )

@@ -37,7 +37,9 @@ class ExhaustiveSolver(ReductionSolver):
                     assignment[block.v] = dst
                     quality = self.evaluate(req, assignment)
                     if quality is not None:
-                        table.setdefault((src, dst), []).append((quality, assignment))
+                        table.setdefault((src, dst), []).append(
+                            (quality.bandwidth, quality.latency, assignment)
+                        )
         return {
             key: pareto_prune(entries, keep_all=self.pareto)
             for key, entries in table.items()
