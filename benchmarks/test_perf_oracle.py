@@ -10,9 +10,9 @@ three measurements nothing there covers, one section each of
 
 * **kernel cold trees**: every source's shortest-widest tree of one
   overlay, :func:`repro.routing.kernel.batched_trees` on a fresh snapshot
-  against per-source :func:`~repro.routing.wang_crowcroft.shortest_widest_tree`
-  -- no oracle in either arm, labels compared equal, >= 5x asserted at
-  N >= 200;
+  against the per-source reference ``shortest_widest_tree`` of
+  ``tests/oracles/wang_crowcroft.py`` -- no route oracle in either arm,
+  labels compared equal, >= 5x asserted at N >= 200;
 * **scale probe**: a Fig. 10-style scenario and abstract-graph build at
   N = 1000 must complete (the kernel is what makes this size reachable);
 * **serial vs pooled campaign**: the same sweep through ``workers=0`` and
@@ -39,9 +39,9 @@ import pytest
 from repro.eval.experiments import EvaluationConfig, TrialRecord, run_evaluation
 from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import shortest_widest_tree
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.wang_crowcroft import shortest_widest_tree
 
 RECORD = "perf_oracle.json"
 

@@ -13,9 +13,8 @@ integer node identifiers (NIDs).  It knows how to
 
 * generate itself from an :class:`UnderlayConfig`,
 * answer neighbourhood queries for routing,
-* compute shortest-widest paths between hosts (delegating to
-  :mod:`repro.routing.wang_crowcroft`), which is how overlay edge weights
-  are derived.
+* compute shortest-widest paths between hosts (through the route oracle
+  of :mod:`repro.routing`), the quality an overlay edge can inherit.
 """
 
 from __future__ import annotations
@@ -204,14 +203,21 @@ class Underlay:
 
         Returns ``(quality, node_path)``.  If ``dst`` is unreachable the
         quality is :data:`~repro.network.metrics.UNREACHABLE` and the path is
-        empty.
+        empty.  The row comes from the process-wide route oracle.
         """
         # Imported lazily: repro.routing also imports this package.
-        from repro.routing.wang_crowcroft import shortest_widest_path
+        from repro.routing.oracle import RouteOracle
+        from repro.routing.wang_crowcroft import extract_path
 
         self._check_node(src)
         self._check_node(dst)
-        return shortest_widest_path(self.neighbors, src, dst)
+        labels = RouteOracle.default().tree(
+            self, src, view="neighbors", neighbors=self.neighbors,
+            targets=frozenset((dst,)),
+        )
+        if dst not in labels:
+            return UNREACHABLE, []
+        return labels[dst].quality, extract_path(labels, src, dst)
 
     def path_quality(self, path: Sequence[NodeId]) -> PathQuality:
         """Quality of an explicit host path; UNREACHABLE on a broken path."""

@@ -1,7 +1,7 @@
 """Distributed widest-path computation by distance-vector exchange.
 
-The Wang-Crowcroft module computes shortest-widest paths centrally from
-link state.  Real overlays in 2004 often ran *distance-vector* protocols
+The routing kernel computes shortest-widest paths centrally from link
+state.  Real overlays in 2004 often ran *distance-vector* protocols
 instead -- nodes exchange summaries with neighbours only and never learn
 the topology.  This module implements the widest-path (max-min bandwidth)
 Bellman-Ford on the simulator:
@@ -15,8 +15,9 @@ Bellman-Ford on the simulator:
   converges without count-to-infinity (no entry is ever withdrawn in a
   static overlay).
 
-Convergence is cross-checked against the centralised
-:func:`repro.routing.wang_crowcroft.widest_bandwidths` in
+Convergence is cross-checked against the centralised widest bandwidths
+of the pure reference (``widest_bandwidths`` in
+``tests/oracles/wang_crowcroft.py``) in
 ``tests/routing/test_distance_vector.py`` -- a second, independent
 implementation of the same quantity, computed by message passing.
 """

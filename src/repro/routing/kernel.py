@@ -1,16 +1,17 @@
-"""Vectorized CSR routing kernel: batched Wang-Crowcroft tree builds.
+"""Vectorized CSR routing kernel: every Wang-Crowcroft tree in the package.
 
-The pure-Python tree functions in :mod:`repro.routing.wang_crowcroft` pay
-for their generality on every relaxation: a frozen ``PathQuality``
-dataclass per candidate, ``repr``-based tie comparisons, generator-backed
-adjacency (``OverlayGraph.successors`` even re-sorts the neighbour dict on
-every visit) and hashing of rich node objects.  For the cold paths that
-dominate large campaigns -- every source of an abstract-graph build,
-every host of an overlay build -- that constant factor is the wall-clock.
+This is the one implementation of the routing trees: every tree the
+:class:`~repro.routing.oracle.RouteOracle` serves -- a miss, a batched
+prefetch, the targeted recompute of a repair -- is a :func:`batched_trees`
+call.  A textbook per-source implementation pays for its generality on
+every relaxation: a frozen ``PathQuality`` dataclass per candidate,
+``repr``-based tie comparisons, generator-backed adjacency
+(``OverlayGraph.successors`` even re-sorts the neighbour dict on every
+visit) and hashing of rich node objects.
 
-This module flattens one adjacency view into a **CSR snapshot**
+This module instead flattens one adjacency view into a **CSR snapshot**
 (:class:`CSRGraph`): ``indptr``/``indices``/``bandwidth``/``latency``
-numpy arrays plus a stable node-interning table, and re-runs the exact
+numpy arrays plus a stable node-interning table, and runs the exact
 two-phase shortest-widest scheme (and the single-pass widest-shortest
 dual) against primitive arrays:
 
@@ -37,14 +38,15 @@ dual) against primitive arrays:
   not its path -- exact because only a settled node extends a label;
   paths are written once, after the sweep (:func:`_widest_shortest_csr`).
 
-**Exactness contract.**  :func:`batched_trees` is bit-identical to
-per-source :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
-:func:`~repro.routing.wang_crowcroft.widest_shortest_tree` calls: same
-label values, same deterministic tie-breaks (bandwidth, latency, hops,
+**Exactness contract.**  :func:`batched_trees` is bit-identical to the
+pure per-source reference, the textbook two-phase Dijkstras kept with the
+tests (``tests/oracles/wang_crowcroft.py``, which shares nothing with this
+module but :class:`~repro.routing.wang_crowcroft.RouteLabel`): same label
+values, same deterministic tie-breaks (bandwidth, latency, hops,
 lexicographically smallest path under ``repr`` order).  Two facts make
 that possible without replicating heap insertion order:
 
-1. the pure functions' results are *intrinsic* -- every candidate that
+1. the reference's results are *intrinsic* -- every candidate that
    can improve a node's label is offered from a predecessor whose heap
    key is strictly smaller (latency extensions are non-negative and
    bandwidth ties are part of the key), so the final labels depend only
@@ -52,9 +54,10 @@ that possible without replicating heap insertion order:
    neighbour iteration order (which is why the bandwidth-descending
    row layout is sound); and
 2. nodes are interned in ``repr``-sorted rank order, so comparing
-   interned-index path tuples is equivalent to the pure functions'
-   ``[repr(n) for n in path]`` comparisons (the snapshot refuses to
-   build when ``repr`` is not injective over the node set).
+   interned-index path tuples is equivalent to comparing
+   ``[repr(n) for n in path]`` (the snapshot refuses to build when
+   ``repr`` is not injective over the node set: the tie-break is then
+   undefined, and no graph of the package has such nodes).
 
 Float arithmetic is identical because a path's latency accumulates
 left-to-right along the same edges in both implementations.
@@ -63,10 +66,11 @@ left-to-right along the same edges in both implementations.
 snapshot's array layout only; the kernel draws no random numbers (rule
 SFL010 guards the package against ambient numpy RNG use).
 
-Property-tested label-for-label against the pure implementations in
-``tests/routing/test_kernel.py`` over seeded Waxman/ER/BA underlays,
-filled overlays (directed and undirected), tie-heavy random digraphs and
-a hand-built case where float addition is not strictly monotone.
+Property-tested label-for-label against the reference in
+``tests/routing/test_kernel.py`` and ``tests/fuzz/test_kernel_rows.py``
+over seeded Waxman/ER/BA underlays, filled overlays (directed and
+undirected), tie-heavy random digraphs and a hand-built case where float
+addition is not strictly monotone.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ import numpy as _np
 from repro.network.metrics import IDEAL, PathQuality
 from repro.routing.wang_crowcroft import NeighborFn, Node, RouteLabel
 
-#: Orders the kernel can compute (mirrors :mod:`repro.routing.oracle`).
+#: Orders the kernel can compute (:mod:`repro.routing.oracle` re-exports them).
 SHORTEST_WIDEST = "shortest_widest"
 WIDEST_SHORTEST = "widest_shortest"
 
@@ -149,8 +153,8 @@ class CSRGraph:
         self.indices = indices
         self.bandwidth = bandwidth
         self.latency = latency
-        # An edge is usable iff a pure-Python relaxation would keep it:
-        # positive bandwidth and finite latency (PathQuality.reachable).
+        # An edge is usable iff it can carry a path: positive bandwidth
+        # and finite latency (PathQuality.reachable).
         usable = (bandwidth > 0.0) & _np.isfinite(latency)
         keep = _np.flatnonzero(usable)
         rows = _np.searchsorted(indptr, keep, side="right") - 1
@@ -332,30 +336,24 @@ class CSRGraph:
         return pairs
 
 
-def snapshot(
-    graph: "Any",
-    neighbors: Optional[NeighborFn] = None,
-) -> Optional[CSRGraph]:
-    """Best-effort CSR snapshot of ``graph``'s adjacency.
+def snapshot(graph: "Any", neighbors: Optional[NeighborFn] = None) -> CSRGraph:
+    """The CSR snapshot of ``graph``'s adjacency (``neighbors``, else its
+    ``successors`` or ``neighbors`` method).
 
     The node universe comes from the graph's ``routing_nodes()`` export
     hook (see :meth:`repro.network.overlay.OverlayGraph.routing_nodes`).
-    Returns ``None`` when the graph exports no universe or interning
-    fails -- callers fall back to the pure path.
+
+    Raises:
+        TypeError: when the graph exports no universe.
+        ValueError: from :meth:`CSRGraph.from_adjacency` -- node reprs that
+            are not unique, or a neighbour outside the universe.
     """
     export = getattr(graph, "routing_nodes", None)
     if export is None:
-        return None
+        raise TypeError(f"{type(graph).__name__} has no routing_nodes() to snapshot")
     if neighbors is None:
-        neighbors = getattr(graph, "successors", None)
-        if neighbors is None:
-            neighbors = getattr(graph, "neighbors", None)
-        if neighbors is None:
-            return None
-    try:
-        return CSRGraph.from_adjacency(export(), neighbors)
-    except (ValueError, KeyError, TypeError):
-        return None
+        neighbors = getattr(graph, "successors", None) or graph.neighbors
+    return CSRGraph.from_adjacency(export(), neighbors)
 
 
 # -- batched tree computation -------------------------------------------------
@@ -425,27 +423,18 @@ def batched_trees(
     """Routing trees for many sources against one CSR snapshot.
 
     Returns one label dict per source (same order as ``sources``),
-    bit-identical to the pure per-source functions.  Sources missing
-    from the snapshot raise ``KeyError`` -- the snapshot and the graph
-    disagree, which callers must treat as a snapshot miss.
+    bit-identical to the per-source reference.  Sources missing from the
+    snapshot raise ``KeyError`` (the oracle gives such a source its lone
+    row without asking).
 
-    ``targets`` is the pure functions' contract: a row holds its source
-    plus the reachable targets, every label equal to the full tree's; a
-    target the snapshot does not know is simply absent.  A shortest-widest
-    tree then does only the work its targets need
-    (:func:`_shortest_widest_csr`).  A widest-shortest one stays a full
-    Dijkstra that materialises fewer labels: pruning it by latency (rows
-    latency-ascending, break above the largest tentative target label)
-    *lost*, 0.18-0.19 -> 0.21-0.26 s per 118 underlay trees.
-
-    Two more that were measured and dropped (PR 23): the row tuples of
-    :meth:`CSRGraph.edge_rows` in the shortest-widest drain loop and in
-    :func:`_widest_widths` read x0.96-1.02 -- that time is 66 000 pops and
-    237 000 label-correcting relaxations per 132 trees, not row indexing;
-    and ``RouteLabel`` as a ``NamedTuple`` saves a quarter of a label's
-    2.2 us here but cost ``general-dag-n40`` 3 % (5 of 6 pairs: on 3.11 a
-    tuple getter reads slower than an instance dict), so labels stay a
-    frozen dataclass.
+    With ``targets`` a row holds its source plus the reachable targets,
+    every label equal to the full tree's; a target the snapshot does not
+    know is simply absent.  A shortest-widest tree then does only the work
+    its targets need (:func:`_shortest_widest_csr`); a widest-shortest one
+    stays a full Dijkstra that materialises fewer labels.  What was tried
+    here, measured and dropped -- latency pruning of widest-shortest rows,
+    row tuples in the shortest-widest loops, ``RouteLabel`` as a
+    ``NamedTuple`` -- is recorded in ``docs/performance.md``.
     """
     if order == SHORTEST_WIDEST:
         builder: Callable[
@@ -487,9 +476,9 @@ def _shortest_widest_csr(
     more hops).  ``via`` records the edge slot each label came in by; when
     that slot yields a strictly worse candidate the threshold **restarts**
     from the source alone -- a plain per-width Dijkstra, in which a popped
-    node never changes, so at most once.  Ties break as
-    :func:`repro.routing.wang_crowcroft._lat_better`: latency, hops, then
-    smallest interned path.  (``docs/performance.md`` has the argument.)
+    node never changes, so at most once.  Ties break on latency, hops,
+    then smallest interned path.  (``docs/performance.md`` has the
+    argument.)
 
     With ``wanted`` (interned targets, ascending) only a target is a
     *member*: the walk steps through the targets' distinct widths, stops
@@ -617,8 +606,7 @@ def _widest_widths(
     """Phase 1: max-bottleneck bandwidth from ``src`` to every node.
 
     With ``wanted`` the sweep stops once those are settled; a node merely
-    reached by then holds a tentative underestimate, not a width (see the
-    pure :func:`~repro.routing.wang_crowcroft.widest_bandwidths`).
+    reached by then holds a tentative underestimate, not a width.
     """
     indptr, indices, _, ebw = csr.usable_view()
     width = [0.0] * csr.n
@@ -658,8 +646,7 @@ def _widest_shortest_csr(
 ) -> Dict[Node, RouteLabel]:
     """Single-pass widest-shortest Dijkstra on interned arrays.
 
-    Mirrors :func:`repro.routing.wang_crowcroft.widest_shortest_tree`:
-    the sort key is ``(latency, -bandwidth)``, ties break on hops then
+    The sort key is ``(latency, -bandwidth)``, ties break on hops then
     smallest path.  Latency is primary, so one label per node is exact.
     ``wanted`` restricts the labels returned, not the sweep (see
     :func:`batched_trees`).

@@ -1,13 +1,10 @@
 """Process-wide routing-tree oracle: one state per graph object.
 
 The paper's baseline is dominated by Wang-Crowcroft shortest-widest tree
-computations -- the ``O(N^4)`` all-pairs step of Table 1.  Before this
-module, five independent call sites (abstract-graph construction, the
-distributed planner's local views, the QoS monitor's probes, the
-serialized-chain control, and the baseline's abstract-path search) each
-kept a throwaway per-call ``trees`` dict and recomputed identical trees
-from scratch.  :class:`RouteOracle` replaces all of them with one
-process-wide memo:
+computations -- the ``O(N^4)`` all-pairs step of Table 1.  Every caller
+(overlay and abstract-graph builds, the planner's local views, the QoS
+monitor's probes, the serialized-chain control, the baseline's path
+search) asks one process-wide memo, :class:`RouteOracle`:
 
 * **Keying.**  A graph object *is* its topology: nothing mutates a graph
   the oracle has seen (the failure models are pure, and rules
@@ -52,16 +49,24 @@ process-wide memo:
   campaigns cannot leak memory through dead overlays, and no finalizer
   runs oracle code.
 
+* **One compute path.**  Every label the oracle computes -- a miss, a
+  :meth:`~RouteOracle.warm` batch, the targeted recompute of a repair --
+  comes from one :func:`repro.routing.kernel.batched_trees` call on the
+  CSR snapshot of that graph's view.  The one exception is a source
+  outside the snapshot's universe, whose row is itself alone.
+
 Correctness contract: the oracle never changes results, only cost.  A
-cache hit returns exactly the labels :func:`shortest_widest_tree` /
-:func:`widest_shortest_tree` would compute on the same graph (property
-tested in ``tests/routing/test_oracle.py`` and
+cache hit returns exactly the labels a fresh kernel batch computes on the
+same graph, which are bit-identical to the test oracle, the pure
+per-source Wang-Crowcroft trees of ``tests/oracles/wang_crowcroft.py``
+(property tested in ``tests/routing/test_oracle.py`` and
 ``tests/services/test_abstract_graph.py``).  Returned label dicts are
 shared; callers must treat them as immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -72,36 +77,18 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
+    List,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
+from repro.network.metrics import IDEAL
 from repro.obs import metrics as obs_metrics
 from repro.routing import kernel as _kernel
-from repro.routing.wang_crowcroft import (
-    NeighborFn,
-    Node,
-    RouteLabel,
-    shortest_widest_tree,
-    widest_shortest_tree,
-)
-
-#: Tree orders the oracle can serve.
-SHORTEST_WIDEST = "shortest_widest"
-WIDEST_SHORTEST = "widest_shortest"
-
-_TREE_FN: Dict[str, Callable[..., Dict[Node, RouteLabel]]] = {
-    SHORTEST_WIDEST: shortest_widest_tree,
-    WIDEST_SHORTEST: widest_shortest_tree,
-}
-
-#: Below this node count a view is served by the pure tree functions (the
-#: snapshot build would dominate); tiny ego views skip the kernel
-#: entirely.  No benchmark workload sits below it, so the value is
-#: neither defended nor attacked by a measurement.
-KERNEL_MIN_NODES = 16
+from repro.routing.kernel import SHORTEST_WIDEST, WIDEST_SHORTEST
+from repro.routing.wang_crowcroft import NeighborFn, Node, RouteLabel
 
 #: ``(view, order, source)`` -- a tree's key inside one graph's state.
 _TreeKey = Tuple[str, str, Hashable]
@@ -133,6 +120,12 @@ class OracleStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when no lookups)."""
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+def _check_order(order: str) -> None:
+    """Refuse an order the kernel cannot build -- on hits too."""
+    if order not in (SHORTEST_WIDEST, WIDEST_SHORTEST):
+        raise ValueError(f"unknown tree order {order!r}")
 
 
 def _covers(covered: _Targets, asked: _Targets) -> bool:
@@ -187,8 +180,8 @@ class _PendingRepair:
     one the tree is repaired on (chained failures union their touch
     sets).  Labels whose paths avoid all touched elements are still exact
     -- a restrictive mutation cannot improve any path -- so a repair
-    recomputes only the affected destinations via the tree functions'
-    ``targets`` contract.  ``covers`` rides along: a partial row is
+    recomputes only the affected destinations, as one kernel row asked
+    for those ``targets``.  ``covers`` rides along: a partial row is
     repaired as a partial row, never into one that claims to be complete.
     """
 
@@ -221,9 +214,7 @@ class _GraphState:
 
     The CSR snapshots live here, not in a dict of their own: a snapshot
     table that outlives the graph (however bounded) keeps dead graphs'
-    whole tree sets reachable.  ``None`` marks a view that cannot be
-    snapshotted (no export hook, too small, non-injective reprs) so
-    misses stop retrying.
+    whole tree sets reachable.
     """
 
     __slots__ = ("trees", "repairs", "snapshots")
@@ -233,7 +224,7 @@ class _GraphState:
         #: Trees dropped by scoped invalidation, kept for targeted repair
         #: at their first lookup on this graph.
         self.repairs: Dict[_TreeKey, _PendingRepair] = {}
-        self.snapshots: Dict[str, Optional[_kernel.CSRGraph]] = {}
+        self.snapshots: Dict[str, _kernel.CSRGraph] = {}
 
 
 class RouteOracle:
@@ -361,14 +352,10 @@ class RouteOracle:
                 The row holds the source and every reachable target -- more
                 when a cached row covers more; labels equal the full tree's.
 
-        Returns the label dict of the underlying tree function.  **Treat it
-        as immutable** -- it is shared across callers.
+        Returns the kernel's label dict.  **Treat it as immutable** -- it is
+        shared across callers.
         """
-        tree_fn = _TREE_FN.get(order)
-        if tree_fn is None:
-            raise ValueError(f"unknown tree order {order!r}")
-        if neighbors is None:
-            neighbors = getattr(graph, "successors", None) or graph.neighbors
+        _check_order(order)
         key = (view, order, source)
         with self._lock:
             state = self._state_for(graph)
@@ -380,20 +367,17 @@ class RouteOracle:
                 return entry.labels
             self._counters["misses"].inc()
             pending = state.repairs.pop(key, None)
+        rows = functools.partial(self._rows, graph, state, view, neighbors, order)
         labels: Optional[Dict[Node, RouteLabel]] = None
         covers = targets
         # A parked row that does not cover the ask is dropped, not widened.
         if pending is not None and _covers(pending.covers, targets):
-            labels = self._repair_labels(tree_fn, neighbors, source, pending)
+            labels = self._repair_labels(rows, source, pending)
             if labels is not None:
                 covers = pending.covers
                 self._counters["repaired"].inc()
         if labels is None:
-            csr = self._snapshot_for(graph, state, view, neighbors)
-            if csr is not None and source in csr.index:
-                labels = self._kernel_trees(csr, (source,), order, targets)[0]
-        if labels is None:
-            labels = tree_fn(neighbors, source, targets=targets)
+            labels = rows((source,), targets)[0]
         with self._lock:
             state.trees[key] = _Entry(labels, covers)
         return labels
@@ -414,21 +398,15 @@ class RouteOracle:
         snapshot of ``graph`` is built (and kept per view in the graph's
         state), then every not-yet-cached source's tree is computed
         against it in one batch -- one set of work arrays, one snapshot
-        lookup and one lock round-trip for all of them.  Falls back to
-        per-source pure computation when the graph cannot be snapshotted.
+        lookup and one lock round-trip for all of them.
         Subsequent :meth:`tree` calls for these sources *and targets* are
         cache hits; a source whose cached row does not cover ``targets`` is
         computed again, for exactly what is asked.
 
         Returns the number of trees actually computed (0 when everything
-        was already cached).  Results are bit-identical to :meth:`tree`,
-        which is bit-identical to the pure functions.
+        was already cached).  Results are bit-identical to :meth:`tree`.
         """
-        tree_fn = _TREE_FN.get(order)
-        if tree_fn is None:
-            raise ValueError(f"unknown tree order {order!r}")
-        if neighbors is None:
-            neighbors = getattr(graph, "successors", None) or graph.neighbors
+        _check_order(order)
         with self._lock:
             state = self._state_for(graph)
             missing: list = []
@@ -446,14 +424,7 @@ class RouteOracle:
                 missing.append(source)
         if not missing:
             return 0
-        trees: Optional[list] = None
-        csr = self._snapshot_for(graph, state, view, neighbors)
-        if csr is not None and all(s in csr.index for s in missing):
-            trees = self._kernel_trees(csr, missing, order, targets)
-        if trees is None:
-            trees = [
-                tree_fn(neighbors, source, targets=targets) for source in missing
-            ]
+        trees = self._rows(graph, state, view, neighbors, order, missing, targets)
         with self._lock:
             if self._graphs.get(graph) is not state:
                 return 0  # state replaced mid-computation; trees are stale
@@ -564,48 +535,59 @@ class RouteOracle:
             state = self._graphs[graph] = _GraphState()
         return state
 
-    def _kernel_trees(
-        self, csr: _kernel.CSRGraph, sources: Sequence[Node], order: str,
-        targets: _Targets,
-    ) -> _kernel.TreeBatch:
-        """One kernel batch, its phase-2 work added to ``oracle.kernel_*``."""
-        batch = _kernel.batched_trees(csr, sources, order=order, targets=targets)
+    def _rows(
+        self,
+        graph: Any,
+        state: _GraphState,
+        view: str,
+        neighbors: Optional[NeighborFn],
+        order: str,
+        sources: Sequence[Node],
+        targets: Optional[Iterable[Node]],
+    ) -> List[Dict[Node, RouteLabel]]:
+        """The rows of ``sources``, one kernel batch on the view's snapshot,
+        its phase-2 work added to ``oracle.kernel_*``.  A source outside the
+        snapshot's universe reaches nothing: its row is itself alone."""
+        csr = self._snapshot_for(graph, state, view, neighbors)
+        inside = [source for source in sources if source in csr.index]
+        batch = _kernel.batched_trees(csr, inside, order=order, targets=targets)
         if order == SHORTEST_WIDEST:
             with self._lock:
                 self._counters["kernel_trees"].inc(len(batch))
                 self._counters["kernel_thresholds"].inc(batch.thresholds)
                 self._counters["kernel_restarts"].inc(batch.restarts)
-        return batch
+        computed = iter(batch)
+        return [
+            next(computed) if source in csr.index
+            else {source: RouteLabel(IDEAL, 0, (source,))}
+            for source in sources
+        ]
 
     def _snapshot_for(
         self,
         graph: Any,
         state: _GraphState,
         view: str,
-        neighbors: NeighborFn,
-    ) -> Optional[_kernel.CSRGraph]:
-        """The CSR snapshot of one view of ``graph``, or None.
+        neighbors: Optional[NeighborFn],
+    ) -> _kernel.CSRGraph:
+        """The CSR snapshot of one view of ``graph``, built at most once.
 
-        Built at most once per view (None is remembered for graphs that
-        cannot be snapshotted).  The build itself runs outside the lock;
-        a concurrent duplicate build is harmless (idempotent result).
+        The build itself runs outside the lock; a concurrent duplicate
+        build is harmless (idempotent result).
         """
         with self._lock:
-            if view in state.snapshots:
-                return state.snapshots[view]
-        csr = _kernel.snapshot(graph, neighbors)
-        if csr is not None and csr.n < KERNEL_MIN_NODES:
-            csr = None
-        with self._lock:
-            state.snapshots[view] = csr
+            csr = state.snapshots.get(view)
+        if csr is None:
+            csr = _kernel.snapshot(graph, neighbors)
+            with self._lock:
+                state.snapshots[view] = csr
         return csr
 
     # -- incremental repair ------------------------------------------------
 
     @staticmethod
     def _repair_labels(
-        tree_fn: Callable[..., Dict[Node, RouteLabel]],
-        neighbors: NeighborFn,
+        rows: Callable[..., List[Dict[Node, RouteLabel]]],
         source: Node,
         pending: _PendingRepair,
     ) -> Optional[Dict[Node, RouteLabel]]:
@@ -614,9 +596,9 @@ class RouteOracle:
         Labels whose paths avoid every touched element are exact verbatim
         (a restrictive mutation cannot improve any path, so the stored
         path is still the deterministic optimum).  Affected destinations
-        recompute through the tree functions' ``targets`` contract, which
-        returns exactly the labels a full run would.  Destinations that
-        became unreachable simply drop out, matching the full run.
+        recompute as one ``rows`` call asked for exactly them, which
+        returns the labels a full run would.  Destinations that became
+        unreachable simply drop out, matching the full run.
         """
         touched_nodes, touched_edges = pending.nodes, pending.edges
         if source in touched_nodes:
@@ -636,7 +618,7 @@ class RouteOracle:
             else:
                 repaired[dest] = label
         if affected:
-            recomputed = tree_fn(neighbors, source, targets=affected)
+            recomputed = rows((source,), affected)[0]
             for dest in affected:
                 label = recomputed.get(dest)
                 if label is not None:

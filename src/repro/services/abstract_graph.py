@@ -17,7 +17,7 @@ edges leaving instance ``a`` are one row of routing labels (for ``build``, the
 oracle's shortest-widest tree rooted at ``a``), fetched by the first query
 that touches ``a`` and then held; ``quality`` / ``edge`` read one label.  The
 graph is also a routing substrate -- ``successors`` is the adjacency view
-:mod:`repro.routing.wang_crowcroft` consumes when the baseline computes the
+the routing kernel snapshots when the baseline computes the
 shortest-widest *abstract path* -- and only that use (with ``edges`` and
 ``num_edges``) pays for the sorted edge table, once.  Like the oracle's trees,
 a graph is valid for the overlay state it was built on: change that overlay

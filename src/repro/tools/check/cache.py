@@ -35,8 +35,9 @@ from repro.tools.check.base import Violation
 from repro.tools.check.symbols import ModuleSummary
 
 #: Bump to invalidate every cache written by older engine layouts or rule
-#: vocabularies (2: ``mutate`` left :data:`~repro.tools.check.vocab.INVALIDATORS`).
-CACHE_SCHEMA = 2
+#: vocabularies (2: ``mutate`` left :data:`~repro.tools.check.vocab.INVALIDATORS`;
+#: 3: :data:`~repro.tools.check.vocab.TREE_FUNCTIONS` became the kernel's batch).
+CACHE_SCHEMA = 3
 
 CACHE_FILENAME = "cache.json"
 

@@ -41,8 +41,9 @@ AMBIENT_RANDOM: Set[str] = {
     "random.vonmisesvariate", "random.weibullvariate",
 }
 
-#: Routing-tree builders whose raw results bypass the RouteOracle.
-TREE_FUNCTIONS: Set[str] = {"shortest_widest_tree", "widest_shortest_tree"}
+#: Routing-tree builders whose raw results bypass the RouteOracle: the
+#: kernel's batch entry point, the one tree implementation in the package.
+TREE_FUNCTIONS: Set[str] = {"batched_trees"}
 
 #: Topology-mutating graph methods that stale any cached tree.
 GRAPH_MUTATORS: Set[str] = {

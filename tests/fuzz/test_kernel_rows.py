@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the routing kernel against the pure tree functions.
+"""Seeded fuzzing of the routing kernel against the pure reference trees
+(``tests/oracles/wang_crowcroft.py``).
 
 One integer seed draws a whole case -- a topology family (Waxman,
 Erdos-Renyi or Barabasi-Albert underlay, or a filled overlay), whether it
@@ -15,8 +16,10 @@ under six seconds).  A seed that fails is a regression case: add it to
 ``SEEDS`` and keep it.
 """
 
+import inspect
 import math
 import random
+import textwrap
 
 import pytest
 
@@ -144,3 +147,28 @@ def test_the_budget_reaches_every_family_both_ways():
     assert cases == {
         (family, shape) for family in FAMILIES for shape in ("directed", "undirected")
     }
+
+
+def test_a_flipped_path_tie_break_is_caught(monkeypatch):
+    """The budget kills a hand-made mutant against the reference: a
+    shortest-widest pass whose exact (latency, hops) ties keep the
+    *larger* path, in both places it compares a candidate with a label."""
+    source = textwrap.dedent(inspect.getsource(kernel._shortest_widest_csr))
+    for candidate in ("paths[u] + (v,)", "upath + (v,)"):
+        kept = f", {candidate}) >= (hops[v], paths[v])"
+        assert source.count(kept) == 1, kept
+        source = source.replace(kept, f", paths[v]) >= (hops[v], {candidate})")
+    namespace = dict(vars(kernel))
+    exec(compile(source, kernel.__file__, "exec"), namespace)
+    monkeypatch.setattr(kernel, "_shortest_widest_csr", namespace["_shortest_widest_csr"])
+    caught = []
+    for seed in SEEDS:
+        description, neighbors, nodes = draw_case(seed)
+        try:
+            assert_kernel_matches_pure(
+                description, neighbors, nodes, seed=seed, orders=ORDERS[:1]
+            )
+        except AssertionError:
+            caught.append(seed)
+    # Four of the nineteen budget seeds hold an exact shortest-widest tie.
+    assert caught == [9, 12, 50, 251]

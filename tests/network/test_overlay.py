@@ -14,9 +14,9 @@ from repro.network.overlay import (
     ServiceLink,
 )
 from repro.network.underlay import Underlay
-from repro.routing.wang_crowcroft import widest_shortest_tree
 from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.wang_crowcroft import widest_shortest_tree
 
 
 class TestServiceInstance:

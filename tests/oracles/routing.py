@@ -10,11 +10,8 @@ from repro.routing.kernel import (
     _widest_widths,
     batched_trees,
 )
-from repro.routing.wang_crowcroft import (
-    RouteLabel,
-    shortest_widest_tree,
-    widest_shortest_tree,
-)
+from repro.routing.wang_crowcroft import RouteLabel
+from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 #: Each tree order with the pure function that defines it.
 ORDERS = (

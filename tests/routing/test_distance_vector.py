@@ -5,8 +5,8 @@ import pytest
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.distance_vector import run_distance_vector
-from repro.routing.wang_crowcroft import widest_bandwidths
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.wang_crowcroft import widest_bandwidths
 
 
 @pytest.fixture

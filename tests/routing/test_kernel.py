@@ -3,8 +3,8 @@
 The exactness contract of :mod:`repro.routing.kernel`: for every source,
 :func:`~repro.routing.kernel.batched_trees` returns the same label dict
 (bandwidth, latency, hops, *and* the deterministic tie-break path) as the
-pure :func:`~repro.routing.wang_crowcroft.shortest_widest_tree` /
-:func:`~repro.routing.wang_crowcroft.widest_shortest_tree`, over seeded
+pure reference ``shortest_widest_tree`` / ``widest_shortest_tree`` of
+``tests/oracles/wang_crowcroft.py``, over seeded
 generated topologies including zero-bandwidth and unreachable links, a
 filled overlay of the workload's shape (directed and undirected), a
 hand-built case where float addition is not strictly monotone, and
@@ -32,12 +32,13 @@ from repro.routing.kernel import (
     snapshot,
 )
 from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import RouteLabel, shortest_widest_tree
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.routing import (
     assert_kernel_matches_pure,
     assert_pair_widths_match_heap,
 )
+from tests.oracles.wang_crowcroft import shortest_widest_tree
 
 MODELS = ("waxman", "erdos_renyi", "barabasi_albert")
 
@@ -452,16 +453,20 @@ class TestSnapshot:
             ScenarioConfig(network_size=20, n_services=3, seed=1)
         )
         csr = snapshot(scenario.overlay)
-        assert csr is not None
         assert csr.nodes == scenario.overlay.routing_nodes()
         assert csr.n == len(scenario.overlay.routing_nodes())
 
     def test_snapshot_without_export_hook(self):
+        """No universe, no snapshot -- and no second path to fall back to."""
+
         class Bare:
             def successors(self, node):
                 return iter(())
 
-        assert snapshot(Bare()) is None
+        with pytest.raises(TypeError, match="routing_nodes"):
+            snapshot(Bare())
+        with pytest.raises(TypeError, match="routing_nodes"):
+            RouteOracle().tree(Bare(), "a")
 
 
 class TestAffectedSources:

@@ -21,22 +21,19 @@ from repro.network.failures import (
     fail_links,
     revive_links,
 )
-from repro.network.metrics import PathQuality
+from repro.network.metrics import IDEAL, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing import kernel
 from repro.routing import oracle as oracle_module
 from repro.routing.oracle import (
-    KERNEL_MIN_NODES,
     OracleStats,
     RouteOracle,
     SHORTEST_WIDEST,
     WIDEST_SHORTEST,
 )
-from repro.routing.wang_crowcroft import (
-    shortest_widest_tree,
-    widest_shortest_tree,
-)
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 
 @pytest.fixture(autouse=True)
@@ -472,20 +469,21 @@ class TestKernelCounters:
         assert oracle.stats().kernel_trees == len(instances) + 1
 
     def test_other_paths_leave_them_alone(self):
+        """A small graph is a kernel batch like any other; widest-shortest
+        batches build no shortest-widest tree and leave the counters alone."""
         small = generate_scenario(
             ScenarioConfig(network_size=20, n_services=4, seed=3)
         ).overlay
         instances = list(small.instances())
-        assert len(instances) < KERNEL_MIN_NODES  # served by the pure functions
-        pure = RouteOracle()
-        pure.warm(small, instances)
-        assert pure.stats().warmed == len(instances)
-        assert pure.stats().kernel_trees == 0
+        assert len(instances) < 16  # once served by a second implementation
+        oracle = RouteOracle()
+        oracle.warm(small, instances)
+        assert oracle.stats().warmed == oracle.stats().kernel_trees == len(instances)
         large = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
         instances = list(large.instances())
         dual = RouteOracle()
         dual.warm(large, instances, order=WIDEST_SHORTEST)
-        assert dual._graphs[large].snapshots["successors"] is not None
+        assert isinstance(dual._graphs[large].snapshots["successors"], kernel.CSRGraph)
         stats = dual.stats()
         assert stats.warmed == len(instances)
         assert (stats.kernel_trees, stats.kernel_thresholds) == (0, 0)
@@ -562,20 +560,47 @@ class TestWarm:
         assert oracle.warm(overlay, overlay.instances()) == 0
 
     def test_warm_matches_pure_without_kernel(self):
-        """The pure fallback arm of warm() fills the same labels."""
+        """A graph below the size that once went to a second implementation
+        is one kernel batch like any other, equal to the reference."""
         scenario = generate_scenario(
             ScenarioConfig(network_size=20, n_services=4, seed=5)
         )
         overlay = scenario.overlay
         instances = list(overlay.instances())
-        assert len(instances) < KERNEL_MIN_NODES
+        assert len(instances) < 16
         oracle = RouteOracle()
         assert oracle.warm(overlay, instances) == len(instances)
-        assert oracle.stats().kernel_trees == 0
+        assert oracle.stats().kernel_trees == len(instances)
         for inst in instances:
             assert oracle.tree(overlay, inst) == shortest_widest_tree(
                 overlay.successors, inst
             )
+
+    def test_warm_gives_an_outsider_source_its_lone_row(self, monkeypatch):
+        """One source of the batch is not in the graph: it gets the row the
+        reference gives it, itself alone, and the others come from one
+        kernel batch without it."""
+        overlay = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
+        instances = list(overlay.instances())
+        outsider = ServiceInstance(instances[0].sid, 10**6)
+        batches = []
+        real = kernel.batched_trees
+        monkeypatch.setattr(
+            kernel, "batched_trees",
+            lambda csr, sources, **kw: batches.append(sources) or real(csr, sources, **kw),
+        )
+        oracle = RouteOracle()
+        sources = [*instances[:3], outsider, *instances[3:]]
+        assert oracle.warm(overlay, sources) == len(sources)
+        assert batches == [instances]
+        assert oracle.tree(overlay, outsider) == {outsider: RouteLabel(IDEAL, 0, (outsider,))}
+        for source in sources:
+            assert oracle.tree(overlay, source) == shortest_widest_tree(
+                overlay.successors, source
+            )
+        stats = oracle.stats()
+        assert (stats.hits, stats.misses) == (len(sources) + 1, 0)
+        assert stats.kernel_trees == len(instances)
 
 
 class TestIncrementalRepair:
@@ -670,7 +695,6 @@ class TestIncrementalRepair:
             raise AssertionError("a full revive computes no tree")
 
         monkeypatch.setattr(kernel, "batched_trees", computed)
-        monkeypatch.setitem(oracle_module._TREE_FN, SHORTEST_WIDEST, computed)
         oracle.reset_stats()
         healed = revive_links(degraded, overlay, [link])
         assert oracle.warm(healed, [a]) == 0
@@ -732,7 +756,8 @@ class TestIncrementalRepair:
             assert (labels is rows[inst]) == (inst not in parked)
         stats = oracle.stats()
         assert (stats.repaired, stats.misses) == (len(parked), len(parked))
-        assert (stats.warmed, stats.kernel_trees) == (0, 0)
+        # Each repair recomputes its crossing destinations as one kernel row.
+        assert (stats.warmed, stats.kernel_trees) == (0, len(parked))
 
     def test_revive_chains_the_references_pending_repairs(self):
         """A row parked on the reference and never looked up there waits on

@@ -1,27 +1,25 @@
 """Tests for shortest-widest (and widest-shortest) routing.
 
-The key test cross-validates the modified Dijkstra against brute-force path
+The key test cross-validates the pure reference trees the kernel is held
+to (``tests/oracles/wang_crowcroft.py``) against brute-force path
 enumeration on random graphs: for every reachable target, the label must
 equal the best quality over *all* simple paths under the corresponding
-lexicographic order.
+lexicographic order.  Single pairs and all pairs are asked of the route
+oracle, which is how the package answers them.
 """
 
-import itertools
-import math
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.metrics import IDEAL, UNREACHABLE, PathQuality
-from repro.routing.wang_crowcroft import (
-    all_pairs_shortest_widest,
-    extract_path,
-    shortest_widest_path,
-    shortest_widest_tree,
-    widest_path_bandwidth,
-    widest_shortest_tree,
-)
+from repro.routing.oracle import RouteOracle
+from repro.routing.wang_crowcroft import extract_path
+from tests.oracles import wang_crowcroft as reference
+from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 
 def adjacency(edges):
@@ -34,6 +32,22 @@ def adjacency(edges):
         return table.get(u, [])
 
     return neighbors
+
+
+class Graph:
+    """``edges`` as a graph the oracle can snapshot."""
+
+    def __init__(self, edges):
+        self.successors = adjacency(edges)
+        self.routing_nodes = lambda: tuple({node for pair in edges for node in pair})
+
+
+def shortest_widest_path(edges, source, target):
+    """``(quality, path)`` of one pair, read off the oracle's targeted row."""
+    labels = RouteOracle().tree(Graph(edges), source, targets=frozenset((target,)))
+    if target not in labels:
+        return UNREACHABLE, []
+    return labels[target].quality, extract_path(labels, source, target)
 
 
 def enumerate_paths(edges, src, dst, max_nodes):
@@ -65,13 +79,13 @@ class TestBasics:
 
     def test_single_edge(self):
         edges = {("s", "t"): PathQuality(5, 2)}
-        quality, path = shortest_widest_path(adjacency(edges), "s", "t")
+        quality, path = shortest_widest_path(edges, "s", "t")
         assert quality == PathQuality(5, 2)
         assert path == ["s", "t"]
 
     def test_unreachable_target(self):
         edges = {("s", "a"): PathQuality(5, 2)}
-        quality, path = shortest_widest_path(adjacency(edges), "s", "zzz")
+        quality, path = shortest_widest_path(edges, "s", "zzz")
         assert quality == UNREACHABLE
         assert path == []
 
@@ -81,7 +95,7 @@ class TestBasics:
             ("s", "m"): PathQuality(10, 5),
             ("m", "t"): PathQuality(10, 5),
         }
-        quality, path = shortest_widest_path(adjacency(edges), "s", "t")
+        quality, path = shortest_widest_path(edges, "s", "t")
         assert path == ["s", "m", "t"]
         assert quality == PathQuality(10, 10)
 
@@ -92,7 +106,7 @@ class TestBasics:
             ("s", "b"): PathQuality(10, 1),
             ("b", "t"): PathQuality(10, 1),
         }
-        quality, path = shortest_widest_path(adjacency(edges), "s", "t")
+        quality, path = shortest_widest_path(edges, "s", "t")
         assert path == ["s", "b", "t"]
         assert quality == PathQuality(10, 2)
 
@@ -102,13 +116,13 @@ class TestBasics:
             ("s", "m"): PathQuality(10, 1),
             ("m", "t"): PathQuality(10, 1),
         }
-        quality, path = shortest_widest_path(adjacency(edges), "s", "t")
+        quality, path = shortest_widest_path(edges, "s", "t")
         assert quality == PathQuality(10, 2)
         assert path == ["s", "t"]  # fewer hops wins the exact tie
 
     def test_zero_bandwidth_links_are_ignored(self):
         edges = {("s", "t"): PathQuality(0.0, 1)}
-        quality, path = shortest_widest_path(adjacency(edges), "s", "t")
+        quality, path = shortest_widest_path(edges, "s", "t")
         assert quality == UNREACHABLE
 
     def test_nodes_argument_adds_unreachable_labels(self):
@@ -129,7 +143,15 @@ class TestBasics:
             ("s", "m"): PathQuality(10, 5),
             ("m", "t"): PathQuality(7, 5),
         }
-        assert widest_path_bandwidth(adjacency(edges), "s", "t") == 7
+        quality, _ = shortest_widest_path(edges, "s", "t")
+        assert quality.bandwidth == 7
+
+
+def all_pairs(edges, nodes):
+    """Every source's row, warmed as one batch and then read back."""
+    graph, oracle = Graph(edges), RouteOracle()
+    assert oracle.warm(graph, nodes) == len(nodes)
+    return {src: oracle.tree(graph, src) for src in nodes}
 
 
 class TestAllPairs:
@@ -140,15 +162,18 @@ class TestAllPairs:
             ("a", "c"): PathQuality(2, 1),
         }
         nodes = ["a", "b", "c"]
-        table = all_pairs_shortest_widest(adjacency(edges), nodes)
+        table = all_pairs(edges, nodes)
         for src in nodes:
             single = shortest_widest_tree(adjacency(edges), src, nodes=nodes)
             for dst in nodes:
-                assert table[src][dst].quality == single[dst].quality
+                if single[dst].reachable:
+                    assert table[src][dst] == single[dst]
+                else:
+                    assert dst not in table[src]
 
     def test_all_pairs_includes_every_node(self):
         edges = {("a", "b"): PathQuality(3, 1)}
-        table = all_pairs_shortest_widest(adjacency(edges), ["a", "b"])
+        table = all_pairs(edges, ["a", "b"])
         assert set(table) == {"a", "b"}
         assert set(table["a"]) == {"a", "b"}
 
@@ -236,14 +261,12 @@ class TestTargetedSearches:
     }
 
     def test_widest_bandwidths_returns_only_settled_entries(self):
-        from repro.routing.wang_crowcroft import widest_bandwidths
-
-        width = widest_bandwidths(adjacency(self.EDGES), "a", targets=("b",))
+        width = reference.widest_bandwidths(adjacency(self.EDGES), "a", targets=("b",))
         assert width["b"] == 10.0
         # d was reached with tentative width 5.0 (true value: 8.0); the
         # truncated search must not expose it at all.
         assert "d" not in width
-        full = widest_bandwidths(adjacency(self.EDGES), "a")
+        full = reference.widest_bandwidths(adjacency(self.EDGES), "a")
         assert full["d"] == 8.0
         for node, w in width.items():
             assert full[node] == w
@@ -276,3 +299,20 @@ class TestTargetedSearches:
             full = shortest_widest_tree(adjacency(self.EDGES), "a")
             for node, label in labels.items():
                 assert label == full[node]
+
+
+def test_the_reference_shares_only_the_label_type_with_the_package():
+    """What the kernel is held to must not be built from the kernel: the
+    reference takes from ``repro`` the label and adjacency types and the
+    path metrics, nothing else."""
+    taken = {}
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            taken.update((alias.name, set()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = taken.setdefault("." * node.level + (node.module or ""), set())
+            names.update(alias.name for alias in node.names)
+    ours = {module: names for module, names in taken.items() if module.startswith("repro")}
+    assert ours.keys() == {"repro.routing.wang_crowcroft", "repro.network.metrics"}
+    assert ours["repro.routing.wang_crowcroft"] == {"RouteLabel", "Node", "NeighborFn"}
+    assert not any(module.startswith((".", "tests")) for module in taken)

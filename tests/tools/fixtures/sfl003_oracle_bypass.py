@@ -1,11 +1,11 @@
 # sflow: module=repro.core.fixture
 """Seeded fixture: SFL003 fires on raw tree computations outside repro.routing."""
 
-from repro.routing.wang_crowcroft import shortest_widest_tree
+from repro.routing.kernel import batched_trees
 
 
-def bad_direct(graph, root):
-    return shortest_widest_tree(graph, root)  # SFL003
+def bad_direct(csr, root):
+    return batched_trees(csr, (root,))  # SFL003
 
 
 def ok_via_oracle(oracle, graph, root):

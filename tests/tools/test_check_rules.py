@@ -169,8 +169,8 @@ def test_wall_clock_outside_sim_core_is_not_flagged():
 
 def test_tree_call_inside_routing_is_not_flagged():
     src = (
-        "from repro.routing.wang_crowcroft import shortest_widest_tree\n"
-        "def f(g, r):\n    return shortest_widest_tree(g, r)\n"
+        "from repro.routing.kernel import batched_trees\n"
+        "def f(csr, r):\n    return batched_trees(csr, (r,))\n"
     )
     assert check_source(src, module="repro.routing.oracle") == []
     # ... and tests are exempt too (oracle-equivalence property tests).
@@ -178,7 +178,7 @@ def test_tree_call_inside_routing_is_not_flagged():
 
 
 def test_method_style_tree_call_is_flagged_outside_routing():
-    src = "def f(router, g, r):\n    return router.shortest_widest_tree(g, r)\n"
+    src = "def f(kernel, csr, r):\n    return kernel.batched_trees(csr, (r,))\n"
     assert codes_in(check_source(src, module="repro.core.x")) == ["SFL003"]
 
 
