@@ -1,21 +1,13 @@
-"""Incremental-analysis benchmark for the ``sflow-check`` engine.
+"""Whole-program benchmark for the ``sflow-check`` engine.
 
-The whole-program refactor is only worth its complexity if warm runs are
-actually cheap: a single-file edit must re-analyse that file plus the
-reverse-dependency closure of its module, replaying everything else from
-the content-hash cache bit-identically.  This harness holds that to
-numbers:
-
-* **cold**: full analysis of ``src/`` + ``tests/`` with an empty cache;
-* **warm**: the same run after touching exactly one file -- required to
-  be at least 5x faster than cold (in practice it is far more, since one
-  module re-parses instead of ~150);
-* **identity**: the warm findings must equal the cold findings bit for
-  bit, which is the correctness half of the caching contract.
+One cold :func:`~repro.tools.check.run_project` over a throwaway copy of
+``src/`` + ``tests/`` -- the same work the CI gate does once per push.
+The run must parse every file and find nothing; its wall time is
+recorded, not gated (CI gates counts, not speeds).
 
 Numbers land in ``benchmarks/results/BENCH_static_analysis.json`` via
 the shared ``conftest.write_bench_record`` helper, so the linter's own
-performance trajectory is trackable across PRs like any other subsystem.
+cost is trackable across PRs like any other subsystem.
 
 Run: pytest benchmarks/test_static_analysis.py -s
 """
@@ -32,113 +24,30 @@ BENCH_FILE = "BENCH_static_analysis.json"
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Warm runs must beat cold by at least this factor after a 1-file edit.
-MIN_SPEEDUP = 5.0
 
-
-def _copy_tree(tmp_path: Path) -> list[Path]:
-    """A throwaway copy of src/ + tests/ so the edit never touches the repo."""
+def test_whole_program_pass(tmp_path, bench_record):
     roots = []
     for name in ("src", "tests"):
         dst = tmp_path / name
         shutil.copytree(
-            REPO_ROOT / name,
-            dst,
-            ignore=shutil.ignore_patterns("__pycache__"),
+            REPO_ROOT / name, dst, ignore=shutil.ignore_patterns("__pycache__")
         )
         roots.append(dst)
-    return roots
-
-
-def test_incremental_rerun_is_5x_faster_and_bit_identical(tmp_path, bench_record):
-    roots = _copy_tree(tmp_path)
-    cache_dir = tmp_path / ".sflow-check-cache"
 
     started = time.perf_counter()
-    cold = run_project(roots, cache_dir=cache_dir)
-    cold_seconds = time.perf_counter() - started
-    assert cold.errors == []
-    assert cold.stats.misses == cold.stats.files
+    result = run_project(roots)
+    seconds = time.perf_counter() - started
 
-    # one-line edit to a leaf-ish module with importers
-    target = tmp_path / "src" / "repro" / "obs" / "clock.py"
-    target.write_text(
-        target.read_text(encoding="utf-8") + "\n# bench edit\n",
-        encoding="utf-8",
-    )
-
-    started = time.perf_counter()
-    warm = run_project(roots, cache_dir=cache_dir)
-    warm_seconds = time.perf_counter() - started
-    assert warm.errors == []
-    assert warm.stats.misses == 1
-    assert warm.stats.hits == warm.stats.files - 1
-    assert warm.stats.changed_modules == ["repro.obs.clock"]
-    assert len(warm.stats.reverse_closure) >= 1
-
-    # correctness half of the contract: replayed findings are bit-identical
-    assert [v.as_dict() for v in warm.violations] == [
-        v.as_dict() for v in cold.violations
-    ]
-
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    print(
-        f"\ncold {cold_seconds * 1e3:.0f} ms ({cold.stats.files} files), "
-        f"warm {warm_seconds * 1e3:.0f} ms "
-        f"({warm.stats.hits} hits / {warm.stats.misses} miss), "
-        f"speedup {speedup:.1f}x"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm rerun only {speedup:.1f}x faster than cold "
-        f"({warm_seconds:.3f}s vs {cold_seconds:.3f}s)"
-    )
-
+    assert result.errors == []
+    assert result.violations == []
+    files = len(result.analysis.index.modules)  # one module per checked file
+    print(f"\n{files} files in {seconds * 1e3:.0f} ms, {len(result.violations)} findings")
     bench_record(
         BENCH_FILE,
-        "incremental",
+        "whole_program",
         {
-            "files": cold.stats.files,
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "speedup": round(speedup, 1),
-            "warm_cache_hits": warm.stats.hits,
-            "warm_misses": warm.stats.misses,
-            "reverse_closure": len(warm.stats.reverse_closure),
-            "findings_cold": len(cold.violations),
-            "findings_warm": len(warm.violations),
-            "findings_identical": True,
-            "min_speedup_gate": MIN_SPEEDUP,
-        },
-    )
-
-
-def test_parallel_fanout_matches_serial(tmp_path, bench_record):
-    roots = _copy_tree(tmp_path)
-
-    started = time.perf_counter()
-    serial = run_project(roots, jobs=1)
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = run_project(roots, jobs=0)  # 0 = cpu count
-    parallel_seconds = time.perf_counter() - started
-
-    assert [v.as_dict() for v in parallel.violations] == [
-        v.as_dict() for v in serial.violations
-    ]
-    print(
-        f"\nserial {serial_seconds * 1e3:.0f} ms, "
-        f"parallel {parallel_seconds * 1e3:.0f} ms "
-        f"({parallel.stats.workers} workers)"
-    )
-    bench_record(
-        BENCH_FILE,
-        "parallel",
-        {
-            "files": serial.stats.files,
-            "serial_seconds": round(serial_seconds, 4),
-            "parallel_seconds": round(parallel_seconds, 4),
-            "workers": parallel.stats.workers,
-            "findings_identical": True,
+            "files": files,
+            "seconds": round(seconds, 4),
+            "findings": len(result.violations),
         },
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -34,19 +35,6 @@ from repro.routing.wang_crowcroft import NeighborFn
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass, ServiceRequirement, Sid
-
-
-def _source_pool(
-    abstract: AbstractGraph,
-    source_sid: Sid,
-    pinned: Optional[ServiceInstance],
-) -> Tuple[ServiceInstance, ...]:
-    pool = abstract.instances_of(source_sid)
-    if pinned is None:
-        return pool
-    if pinned.sid != source_sid or pinned not in pool:
-        raise FederationError(f"bad pinned source instance {pinned}")
-    return (pinned,)
 
 
 class RandomAlgorithm:
@@ -67,7 +55,7 @@ class RandomAlgorithm:
         assignment: Dict[Sid, ServiceInstance] = {}
         for sid in requirement.topological_order():
             if sid == requirement.source:
-                pool = _source_pool(abstract, sid, source_instance)
+                pool = pinned_pool(abstract.instances_of(sid), sid, source_instance)
                 assignment[sid] = rng.choice(list(pool))
                 continue
             pool = list(abstract.instances_of(sid))
@@ -110,7 +98,7 @@ class FixedAlgorithm:
         assignment: Dict[Sid, ServiceInstance] = {}
         for sid in requirement.topological_order():
             if sid == requirement.source:
-                pool = _source_pool(abstract, sid, source_instance)
+                pool = pinned_pool(abstract.instances_of(sid), sid, source_instance)
                 # With no upstream edges to compare, take the instance whose
                 # best direct outgoing bandwidth is highest.
                 assignment[sid] = max(
@@ -232,11 +220,9 @@ class ServicePathAlgorithm:
         chain = requirement.topological_order()
         oracle = RouteOracle.default()
         undirected = undirected_relaxation(overlay)
-        first_pool = overlay.instances_of(chain[0])
-        if source_instance is not None:
-            if source_instance not in first_pool:
-                raise FederationError(f"bad pinned source {source_instance}")
-            first_pool = (source_instance,)
+        first_pool = pinned_pool(
+            overlay.instances_of(chain[0]), chain[0], source_instance
+        )
         # layer: instance -> (serialized quality so far, assignment)
         layer: Dict[ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]]
         layer = {inst: (IDEAL, {chain[0]: inst}) for inst in first_pool}

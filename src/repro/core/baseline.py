@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
+from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -74,7 +75,7 @@ def solve_path_requirement(
         abstract = AbstractGraph.build(requirement, overlay)
 
     chain = requirement.as_path()
-    sources = _source_candidates(abstract, chain[0], source_instance)
+    sources = pinned_pool(abstract.instances_of(chain[0]), chain[0], source_instance)
 
     if len(chain) == 1:
         # Degenerate single-service requirement: pick the pinned (or first)
@@ -113,23 +114,6 @@ def solve_path_requirement(
         )
     graph = ServiceFlowGraph.realize(abstract, best_assignment)
     return graph, best_quality
-
-
-def _source_candidates(
-    abstract: AbstractGraph,
-    source_sid: str,
-    pinned: Optional[ServiceInstance],
-) -> Tuple[ServiceInstance, ...]:
-    instances = abstract.instances_of(source_sid)
-    if pinned is None:
-        return instances
-    if pinned.sid != source_sid:
-        raise FederationError(
-            f"source instance {pinned} is not an instance of {source_sid!r}"
-        )
-    if pinned not in instances:
-        raise FederationError(f"source instance {pinned} is not in the overlay")
-    return (pinned,)
 
 
 class BaselineAlgorithm:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -66,11 +67,10 @@ class ServiceTreeAlgorithm:
         chains = self._root_to_sink_chains(requirement, parent)
         assignment: Dict[Sid, ServiceInstance] = {}
         if source_instance is not None:
-            if source_instance.sid != requirement.source or (
-                source_instance not in abstract.instances_of(requirement.source)
-            ):
-                raise FederationError(f"bad pinned source {source_instance}")
-            assignment[requirement.source] = source_instance
+            source = requirement.source
+            assignment[source] = pinned_pool(
+                abstract.instances_of(source), source, source_instance
+            )[0]
         for chain in chains:
             self._federate_chain(chain, abstract, assignment)
         if requirement.source not in assignment:

@@ -37,6 +37,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reductions import Hop, _PricedEdges
+from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -85,13 +86,9 @@ class _Searcher:
         hops = priced.hops
         if source_instance is not None:
             source = requirement.source
-            if source_instance.sid != source or source_instance not in self.pools[0]:
-                raise FederationError(
-                    f"pinned source {source_instance} is not an instance "
-                    f"of {source!r}"
-                )
+            pinned = pinned_pool(self.pools[0], source, source_instance)
             row = self.pools[0].index(source_instance)
-            self.pools[0] = (source_instance,)
+            self.pools[0] = pinned
             for successor in requirement.successors(source):
                 hops[(source, successor)] = [hops[(source, successor)][row]]
         slot = {sid: depth for depth, sid in enumerate(self.order)}

@@ -54,6 +54,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
+from repro.core.types import pinned_pool
 from repro.errors import FederationError, RequirementError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -487,9 +488,10 @@ class ReductionSolver:
         work_req, work_view = self._two_terminal(requirement, view)
         priced = _PricedEdges(work_req, work_view)
         table = self._solve_block(decompose(work_req), priced)
-        sources = self._source_candidates(
-            priced.pools[work_req.source], work_req.source, source_instance
-        )
+        source = work_req.source
+        if not priced.pools[source]:
+            raise FederationError(f"service {source!r} has no instances")
+        sources = pinned_pool(priced.pools[source], source, source_instance)
         best: Optional[Entry] = None
         for src in sources:
             for dst in priced.pools[work_req.sink]:
@@ -523,23 +525,6 @@ class ReductionSolver:
         edges.extend((sink, VIRTUAL_SINK) for sink in requirement.sinks)
         augmented = ServiceRequirement(edges=edges)
         return augmented, _AugmentedView(view, requirement.sinks)
-
-    def _source_candidates(
-        self,
-        instances: Tuple[ServiceInstance, ...],
-        source_sid: Sid,
-        pinned: Optional[ServiceInstance],
-    ) -> Tuple[ServiceInstance, ...]:
-        if not instances:
-            raise FederationError(f"service {source_sid!r} has no instances")
-        if pinned is None:
-            return instances
-        if pinned.sid != source_sid or pinned not in instances:
-            raise FederationError(
-                f"pinned source {pinned} is not an available instance of "
-                f"{source_sid!r}"
-            )
-        return (pinned,)
 
     # -- block dynamic program ----------------------------------------------------
 

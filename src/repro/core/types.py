@@ -12,12 +12,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
+from repro.errors import FederationError
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.obs.clock import Stopwatch
 from repro.services.flowgraph import ServiceFlowGraph
-from repro.services.requirement import ServiceRequirement
+from repro.services.requirement import ServiceRequirement, Sid
+
+
+def pinned_pool(
+    pool: Tuple[ServiceInstance, ...],
+    sid: Sid,
+    pinned: Optional[ServiceInstance],
+) -> Tuple[ServiceInstance, ...]:
+    """The source candidates of ``sid``: all of ``pool``, or the pin alone.
+
+    ``pool`` is ``instances_of(sid)``, so membership also rejects a pin
+    of another service.
+    """
+    if pinned is None:
+        return pool
+    if pinned not in pool:
+        raise FederationError(
+            f"pinned source {pinned} is not an available instance of {sid!r}"
+        )
+    return (pinned,)
 
 
 @runtime_checkable

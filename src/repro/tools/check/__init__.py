@@ -1,14 +1,12 @@
 """``sflow-check``: whole-program static analysis for the sFlow repo.
 
-The package grew out of a single-module per-file linter; the public API
-of that module is preserved here verbatim (``check_source``,
-``check_file``, ``check_paths``, ``main``, ``RULES``, ``rule_codes``,
-``Violation``, ``Rule``, ``FileContext``) so existing imports, the
-console script and ``python -m repro.tools.check`` keep working.  New
-surface: the whole-program engine (:mod:`.engine`), symbol/call-graph
-layers (:mod:`.symbols`, :mod:`.callgraph`), taint dataflow
-(:mod:`.dataflow`), the incremental cache (:mod:`.cache`) and SARIF /
-baseline output (:mod:`.sarif`).
+One serial pass per run: every file is parsed once, checked by the
+per-file rules and distilled into a module summary (:mod:`.engine`,
+:mod:`.symbols`); the summaries are stitched into a call graph
+(:mod:`.callgraph`) and a taint lattice (:mod:`.dataflow`) for the
+cross-module rules.  The rule catalogue lives in :mod:`.rules`.  The
+console script and ``python -m repro.tools.check`` both run
+:func:`main`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.tools.check.base import (
 )
 from repro.tools.check.engine import (
     CheckResult,
-    analyze_file_payload,
     check_file,
     check_paths,
     check_source,
@@ -38,10 +35,6 @@ from repro.tools.check.rules import (
     rule_codes,
 )
 
-# Back-compat alias: the scoping helper was private in the old module and
-# is white-box imported by the rule tests.
-_module_for = module_for
-
 __all__ = [
     "DEFAULT_EXCLUDES",
     "FileContext",
@@ -52,7 +45,6 @@ __all__ = [
     "PROJECT_RULES",
     "CheckResult",
     "all_rule_codes",
-    "analyze_file_payload",
     "check_file",
     "check_paths",
     "check_source",

@@ -1,14 +1,11 @@
-"""Import/call graph over the project's module summaries.
+"""Call graph over the project's module summaries.
 
 :class:`ProjectIndex` stitches the per-module symbol tables
 (:mod:`.symbols`) into one namespace: it resolves each
 :class:`~repro.tools.check.symbols.CallSite` to the
 :class:`~repro.tools.check.symbols.FunctionSummary` it targets (through
 import aliases, ``from``-imports, module-local names and ``self.``
-method calls), and maintains the module-level import graph whose
-*reverse* closure drives incremental re-analysis: when a module's
-content hash changes, every transitive importer's cross-module facts
-may change with it.
+method calls).
 
 Resolution is deliberately conservative and deterministic: a call that
 cannot be pinned to exactly one plausible project function resolves to
@@ -18,13 +15,13 @@ prefer false negatives over nondeterministic blame.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.tools.check.symbols import CallSite, FunctionSummary, ModuleSummary
 
 
 class ProjectIndex:
-    """Symbol table + import/call graph over every analysed module."""
+    """Symbol table + call graph over every analysed module."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
         #: module name -> summary (last write wins; module names are unique
@@ -45,35 +42,7 @@ class ProjectIndex:
             for qnames in per_name.values():
                 qnames.sort()
 
-    # -- module import graph -------------------------------------------------
-
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """``module -> imported project modules`` (non-project edges dropped)."""
-        graph: Dict[str, Set[str]] = {}
-        for summary in self.modules.values():
-            edges = set()
-            for imported in summary.imports:
-                target = self._project_module(imported)
-                if target is not None and target != summary.module:
-                    edges.add(target)
-            graph[summary.module] = edges
-        return graph
-
-    def reverse_closure(self, changed: Iterable[str]) -> Set[str]:
-        """Changed modules plus every module that transitively imports them."""
-        importers: Dict[str, Set[str]] = {}
-        for module, imports in self.import_graph().items():
-            for imported in imports:
-                importers.setdefault(imported, set()).add(module)
-        closure: Set[str] = set()
-        frontier = [m for m in changed if m in self.modules]
-        while frontier:
-            module = frontier.pop()
-            if module in closure:
-                continue
-            closure.add(module)
-            frontier.extend(sorted(importers.get(module, ())))
-        return closure
+    # -- call resolution -----------------------------------------------------
 
     def _project_module(self, dotted: str) -> Optional[str]:
         """Map a dotted import to a project module (or its parent package)."""
@@ -85,8 +54,6 @@ class ProjectIndex:
                 return None
             name = name.rsplit(".", 1)[0]
         return None
-
-    # -- call resolution -----------------------------------------------------
 
     def resolve_call(
         self, caller: FunctionSummary, site: CallSite

@@ -23,7 +23,7 @@ edges, each seeded from the per-function facts the symbol pass recorded:
 Every propagation is a breadth-first worklist over sorted seeds and
 sorted caller lists, with first-assignment-wins witnesses, so the blame
 chains -- and therefore the emitted findings -- are bit-identical run to
-run regardless of dict order or worker scheduling.
+run regardless of dict order.
 """
 
 from __future__ import annotations

@@ -1,26 +1,23 @@
-"""Orchestration for ``sflow-check``: per-file pass, whole-program pass,
-incremental cache, CLI.
+"""Orchestration for ``sflow-check``: one serial whole-program pass, CLI.
 
 The pipeline for a project run (:func:`run_project`):
 
 1. enumerate ``*.py`` files (directory walks honour the exclude globs;
    explicitly named files always lint);
-2. content-hash each file; cache hits replay their stored summary and
-   per-file findings, misses are (optionally in parallel) parsed and
-   pushed through the SFL001-SFL012 per-file rules plus the symbol
-   distillation of :mod:`.symbols`;
+2. read each file and hand it to :func:`_analyze`, which parses it, runs
+   the SFL001-SFL012 per-file rules under its ``noqa`` suppressions and
+   distils its :mod:`.symbols` summary;
 3. the whole-program pass stitches every module summary into the call
    graph + taint lattice of :mod:`.dataflow` and runs the SFL013-SFL015
    project rules, honouring per-line ``noqa`` suppressions in whichever
    file a finding lands;
 4. findings are filtered (``--select``/``--ignore``), sorted and
-   rendered -- human lines, ``--json``, or SARIF 2.1.0 -- optionally
-   diffed against a baseline so only *new* findings gate.
+   rendered -- human lines or ``--json``.
 
-:func:`check_source` / :func:`check_file` keep the historical per-file
-behaviour (no project context), which is also what makes the SFL013+
-fixture pairs demonstrable: the per-file API provably returns clean on
-files whose combination the project run flags.
+:func:`check_source` / :func:`check_file` run step 2 alone (no project
+context), which is also what makes the SFL013+ fixture pairs
+demonstrable: the per-file API provably returns clean on files whose
+combination the project run flags.
 
 Exit codes: 0 clean, 1 violations found, 2 usage or parse errors.
 """
@@ -30,7 +27,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -44,13 +40,6 @@ from repro.tools.check.base import (
     module_for,
     parse_suppressions,
 )
-from repro.tools.check.cache import (
-    AnalysisCache,
-    CacheEntry,
-    CacheStats,
-    analyze_files,
-    content_hash,
-)
 from repro.tools.check.dataflow import ProjectAnalysis, analyze_project
 from repro.tools.check.rules import (
     PROJECT_RULES,
@@ -58,16 +47,34 @@ from repro.tools.check.rules import (
     all_rule_codes,
     rule_codes,
 )
-from repro.tools.check import sarif as sarif_mod
-
-TOOL_VERSION = "2.0"
+from repro.tools.check.symbols import ModuleSummary, summarize_module
 
 _SORT_KEY = lambda v: (v.path, v.line, v.col, v.code)  # noqa: E731
 
 
 # ---------------------------------------------------------------------------
-# per-file analysis (the historical API)
+# per-file analysis
 # ---------------------------------------------------------------------------
+
+
+def _analyze(
+    path: str, source: str, module: str
+) -> Tuple[List[Violation], ModuleSummary]:
+    """Parse one file, run :data:`RULES` under its ``noqa`` suppressions
+    and summarise the module.
+
+    Findings are unfiltered: post-``noqa``, pre-``select``/``ignore``.
+    """
+    tree = ast.parse(source, filename=path)
+    ctx = FileContext(path, module, source, tree)
+    suppressed, findings = parse_suppressions(path, source, set(all_rule_codes()))
+    for rule in RULES:
+        if not rule.applies_to(ctx):
+            continue
+        for violation in rule.check(ctx):
+            if violation.code not in suppressed.get(violation.line, ()):
+                findings.append(violation)
+    return findings, summarize_module(ctx, suppressed)
 
 
 def check_source(
@@ -79,20 +86,7 @@ def check_source(
     ignore: Optional[Set[str]] = None,
 ) -> List[Violation]:
     """Run every applicable per-file rule over one source text."""
-    tree = ast.parse(source, filename=path)
-    ctx = FileContext(path, module, source, tree)
-    suppressed, findings = parse_suppressions(path, source, set(all_rule_codes()))
-    for rule in RULES:
-        if select is not None and rule.code not in select:
-            continue
-        if ignore is not None and rule.code in ignore:
-            continue
-        if not rule.applies_to(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if violation.code in suppressed.get(violation.line, ()):
-                continue
-            findings.append(violation)
+    findings, _ = _analyze(path, source, module)
     return _filter(findings, select, ignore)
 
 
@@ -126,61 +120,12 @@ def _filter(
 # ---------------------------------------------------------------------------
 
 
-def analyze_file_payload(
-    path_str: str,
-) -> Tuple[str, str, Dict[str, object], Optional[str]]:
-    """Fully analyse one file: per-file findings + module summary.
-
-    The worker body of the multiprocessing fan-out; everything returned
-    is picklable/JSON-able.  Findings are unfiltered (post-``noqa``,
-    pre-``select``/``ignore``) so the cache entry serves any CLI flags.
-    """
-    path = Path(path_str)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        return path_str, "", {}, f"{path_str}:0: read error: {exc}"
-    digest = content_hash(data)
-    try:
-        source = data.decode("utf-8")
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as exc:
-        return (
-            path_str,
-            digest,
-            {},
-            f"{path_str}:{exc.lineno or 0}: syntax error: {exc.msg}",
-        )
-    except UnicodeDecodeError as exc:
-        return path_str, digest, {}, f"{path_str}:0: decode error: {exc}"
-    module = module_for(path, source)
-    ctx = FileContext(path_str, module, source, tree)
-    suppressed, findings = parse_suppressions(
-        path_str, source, set(all_rule_codes())
-    )
-    for rule in RULES:
-        if not rule.applies_to(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if violation.code in suppressed.get(violation.line, ()):
-                continue
-            findings.append(violation)
-    from repro.tools.check.symbols import summarize_module
-
-    summary = summarize_module(ctx, suppressed)
-    entry = CacheEntry(
-        hash=digest, summary=summary, findings=sorted(findings, key=_SORT_KEY)
-    )
-    return path_str, digest, entry.as_dict(), None
-
-
 @dataclass
 class CheckResult:
     """Everything a project run produced."""
 
     violations: List[Violation] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
-    stats: CacheStats = field(default_factory=CacheStats)
     analysis: Optional[ProjectAnalysis] = None
 
 
@@ -207,92 +152,42 @@ def run_project(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     excludes: Sequence[str] = DEFAULT_EXCLUDES,
-    cache_dir: Optional[Path] = None,
-    jobs: int = 1,
-    project: bool = True,
 ) -> CheckResult:
     """Analyse every ``*.py`` under ``paths`` as one program."""
     result = CheckResult()
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    files: List[str] = []
+    violations: List[Violation] = []
+    summaries: List[ModuleSummary] = []
     seen: Set[str] = set()
     for path in _iter_python_files(paths, excludes):
-        key = str(path)
-        if key not in seen:
-            seen.add(key)
-            files.append(key)
-    result.stats.files = len(files)
-    result.stats.workers = jobs
-
-    cache = (
-        AnalysisCache(cache_dir, rule_signature=all_rule_codes())
-        if cache_dir is not None
-        else None
-    )
-    entries: Dict[str, CacheEntry] = {}
-    misses: List[str] = []
-    for file_path in files:
-        digest: Optional[str] = None
-        if cache is not None:
-            try:
-                digest = content_hash(Path(file_path).read_bytes())
-            except OSError as exc:
-                result.errors.append(f"{file_path}:0: read error: {exc}")
-                continue
-            hit = cache.lookup(file_path, digest)
-            if hit is not None:
-                entries[file_path] = hit
-                result.stats.hits += 1
-                continue
-        misses.append(file_path)
-    result.stats.misses = len(misses)
-
-    for path_str, digest, payload, error in analyze_files(misses, jobs):
-        if error is not None:
-            result.errors.append(error)
+        name = str(path)
+        if name in seen:
             continue
-        entry = CacheEntry.from_dict(payload)
-        entries[path_str] = entry
-        if cache is not None:
-            cache.store(path_str, entry)
-    if cache is not None:
-        cache.prune(files)
-        cache.save()
-
-    violations: List[Violation] = []
-    summaries = []
-    for file_path in files:
-        entry = entries.get(file_path)
-        if entry is None:
+        seen.add(name)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            result.errors.append(f"{name}:0: read error: {exc}")
             continue
-        violations.extend(entry.findings)
-        summaries.append(entry.summary)
+        try:
+            source = data.decode("utf-8")
+            findings, summary = _analyze(name, source, module_for(path, source))
+        except SyntaxError as exc:
+            result.errors.append(f"{name}:{exc.lineno or 0}: syntax error: {exc.msg}")
+            continue
+        except UnicodeDecodeError as exc:
+            result.errors.append(f"{name}:0: decode error: {exc}")
+            continue
+        violations.extend(findings)
+        summaries.append(summary)
 
-    if project:
-        analysis = analyze_project(summaries)
-        result.analysis = analysis
-        path_suppressions: Dict[str, Dict[int, List[str]]] = {
-            s.path: s.suppressions for s in summaries
-        }
-        for rule in PROJECT_RULES:
-            for violation in rule.check_project(analysis):
-                per_line = path_suppressions.get(violation.path, {})
-                if violation.code in per_line.get(violation.line, ()):
-                    continue
+    analysis = analyze_project(summaries)
+    result.analysis = analysis
+    suppressions = {s.path: s.suppressions for s in summaries}
+    for rule in PROJECT_RULES:
+        for violation in rule.check_project(analysis):
+            per_line = suppressions.get(violation.path, {})
+            if violation.code not in per_line.get(violation.line, ()):
                 violations.append(violation)
-        changed = sorted(
-            {entries[m].summary.module for m in misses if m in entries}
-        )
-        result.stats.changed_modules = changed
-        result.stats.reverse_closure = sorted(
-            analysis.index.reverse_closure(changed)
-        )
-    else:
-        result.stats.changed_modules = sorted(
-            {entries[m].summary.module for m in misses if m in entries}
-        )
-
     result.violations = _filter(violations, select, ignore)
     return result
 
@@ -375,55 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             + ", ".join(DEFAULT_EXCLUDES)
         ),
     )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        type=Path,
-        help=(
-            "incremental-analysis cache directory; warm runs re-analyse "
-            "only content-changed modules"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the file fan-out (0 = cpu count; default 1)",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program pass (SFL013+); per-file rules only",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="write findings as SARIF 2.1.0 ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        type=Path,
-        help=(
-            "record the current findings as a baseline snapshot and exit 0 "
-            "(2 on parse errors); use with --diff-against in CI"
-        ),
-    )
-    parser.add_argument(
-        "--diff-against",
-        metavar="PATH",
-        type=Path,
-        help=(
-            "differential mode: report and gate only on findings absent "
-            "from the given baseline snapshot"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/fan-out statistics to stderr (and into --json)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -448,61 +294,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    baseline: Optional[Dict[str, int]] = None
-    if args.diff_against is not None:
-        try:
-            baseline = sarif_mod.load_baseline(args.diff_against)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"sflow-check: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
     excludes = tuple(args.exclude) if args.exclude else DEFAULT_EXCLUDES
-    result = run_project(
-        args.paths,
-        select=select,
-        ignore=ignore,
-        excludes=excludes,
-        cache_dir=args.cache,
-        jobs=args.jobs,
-        project=not args.no_project,
+    violations, errors = check_paths(
+        args.paths, select=select, ignore=ignore, excludes=excludes
     )
-    violations, errors = result.violations, result.errors
-
-    preexisting: List[Violation] = []
-    if baseline is not None:
-        violations, preexisting = sarif_mod.diff_against_baseline(
-            violations, baseline
-        )
-
-    if args.baseline is not None:
-        sarif_mod.write_baseline(args.baseline, result.violations)
-
-    if args.sarif:
-        log = sarif_mod.sarif_log(
-            violations + preexisting,
-            rule_index=_rule_summaries(),
-            tool_version=TOOL_VERSION,
-            baseline_fingerprints={
-                sarif_mod.violation_fingerprint(v) for v in preexisting
-            },
-        )
-        rendered = json.dumps(log, indent=2)
-        if args.sarif == "-":
-            print(rendered)
-        else:
-            Path(args.sarif).write_text(rendered + "\n", encoding="utf-8")
 
     if args.json:
-        payload: Dict[str, object] = {
+        payload = {
             "violations": [v.as_dict() for v in violations],
             "errors": errors,
         }
-        if baseline is not None:
-            payload["preexisting"] = [v.as_dict() for v in preexisting]
-        if args.stats:
-            payload["stats"] = result.stats.as_dict()
         print(json.dumps(payload, indent=2))
-    elif args.sarif != "-":
+    else:
         for violation in violations:
             print(violation.render())
         for error in errors:
@@ -512,34 +315,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for violation in violations:
                 counts[violation.code] = counts.get(violation.code, 0) + 1
             summary = ", ".join(f"{c} x{n}" for c, n in sorted(counts.items()))
-            kind = "new " if baseline is not None else ""
-            print(f"found {len(violations)} {kind}violation(s): {summary}")
-        if baseline is not None and preexisting:
-            print(
-                f"{len(preexisting)} pre-existing finding(s) matched the "
-                "baseline and do not gate"
-            )
-
-    if args.stats:
-        stats = result.stats
-        print(
-            f"sflow-check: {stats.files} files, {stats.hits} cached, "
-            f"{stats.misses} analysed ({stats.workers} worker(s)); "
-            f"{len(stats.changed_modules)} changed module(s), "
-            f"reverse closure {len(stats.reverse_closure)}",
-            file=sys.stderr,
-        )
+            print(f"found {len(violations)} violation(s): {summary}")
 
     if errors:
         return 2
-    if args.baseline is not None and baseline is None:
-        return 0  # snapshot runs record debt; they do not gate on it
     return 1 if violations else 0
 
 
 __all__ = [
     "CheckResult",
-    "analyze_file_payload",
     "check_file",
     "check_paths",
     "check_source",

@@ -6,9 +6,7 @@ once into a :class:`ModuleSummary` -- functions, the calls they make
 wall-clock/RNG/tree calls, graph-parameter mutations, unprotected
 raises, spawned DES handlers) -- and everything downstream
 (:mod:`.callgraph`, :mod:`.dataflow`, the SFL013-SFL015 rules) works on
-these summaries.  Summaries are plain dataclasses of plain values, so
-they round-trip through JSON: that is what makes the content-hash cache
-(:mod:`.cache`) and the multiprocessing fan-out possible.
+these summaries.
 
 Scope discipline: a function's summary covers its *own* statements only
 -- nested ``def``/``class`` bodies get their own summaries (qualified
@@ -20,8 +18,8 @@ scope.  Module-level statements are collected under the pseudo-function
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.tools.check.base import FileContext
 from repro.tools.check.vocab import (
@@ -32,9 +30,6 @@ from repro.tools.check.vocab import (
     TREE_FUNCTIONS,
     WALL_CLOCK_CALLS,
 )
-
-#: Schema stamp embedded in cached summaries; bump on shape changes.
-SUMMARY_SCHEMA = 1
 
 MODULE_BODY = "<module>"
 
@@ -104,8 +99,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    #: modules this file imports (dotted), for the reverse-dependency closure
-    imports: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     #: line -> suppressed codes (``# sflow: noqa[...]``), for project rules
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
@@ -113,58 +106,6 @@ class ModuleSummary:
     def in_package(self, *prefixes: str) -> bool:
         return any(
             self.module == p or self.module.startswith(p + ".") for p in prefixes
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["schema"] = SUMMARY_SCHEMA
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ModuleSummary":
-        if payload.get("schema") != SUMMARY_SCHEMA:
-            raise ValueError("summary schema mismatch")
-        functions: Dict[str, FunctionSummary] = {}
-        for qname, raw in payload["functions"].items():
-            fn = FunctionSummary(
-                qname=raw["qname"],
-                name=raw["name"],
-                module=raw["module"],
-                path=raw["path"],
-                line=raw["line"],
-                col=raw["col"],
-                params=list(raw["params"]),
-                calls=[CallSite(
-                    resolved=c["resolved"],
-                    terminal=c["terminal"],
-                    line=c["line"],
-                    col=c["col"],
-                    receiver=c["receiver"],
-                    arg_names=tuple(c["arg_names"]),
-                    in_try=c["in_try"],
-                ) for c in raw["calls"]],
-                wall_clock_calls=[tuple(t) for t in raw["wall_clock_calls"]],
-                ambient_rng_calls=[tuple(t) for t in raw["ambient_rng_calls"]],
-                raw_tree_calls=[tuple(t) for t in raw["raw_tree_calls"]],
-                raises=[RaiseSite(**r) for r in raw["raises"]],
-                mutated_params={
-                    k: [tuple(t) for t in v]
-                    for k, v in raw["mutated_params"].items()
-                },
-                fresh_names=list(raw["fresh_names"]),
-                has_invalidator=raw["has_invalidator"],
-                is_generator=raw["is_generator"],
-                spawned_handlers=[tuple(t) for t in raw["spawned_handlers"]],
-            )
-            functions[qname] = fn
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            imports=list(payload["imports"]),
-            functions=functions,
-            suppressions={
-                int(k): list(v) for k, v in payload["suppressions"].items()
-            },
         )
 
 
@@ -311,13 +252,9 @@ def summarize_module(
     ctx: FileContext, suppressions: Mapping[int, Set[str]]
 ) -> ModuleSummary:
     """Distil one parsed file into its :class:`ModuleSummary`."""
-    imports: Set[str] = set(ctx.module_aliases.values())
-    for origin in ctx.imported_names.values():
-        imports.add(origin.rsplit(".", 1)[0])
     summary = ModuleSummary(
         module=ctx.module,
         path=ctx.path,
-        imports=sorted(imports),
         suppressions={
             line: sorted(codes) for line, codes in suppressions.items()
         },

@@ -65,7 +65,7 @@ def test_sdist_ships_the_checker(sdist: Path):
     with tarfile.open(sdist) as tar:
         names = tar.getnames()
     # the checker is a package now; every analysis layer must ship
-    for module in ("engine", "symbols", "callgraph", "dataflow", "cache", "sarif"):
+    for module in ("engine", "symbols", "callgraph", "dataflow"):
         assert any(
             n.endswith(f"src/repro/tools/check/{module}.py") for n in names
         ), module

@@ -165,73 +165,3 @@ def test_noqa_on_decorated_def_anchors_to_the_def_line(tmp_path):
     )
     proc = run_check(str(bad))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-# ---------------------------------------------------------------------------
-# SARIF + differential CLI
-# ---------------------------------------------------------------------------
-
-
-def test_sarif_output_validates_required_properties(tmp_path):
-    out = tmp_path / "findings.sarif"
-    proc = run_check(
-        str(FIXTURES / "sfl001_wall_clock.py"), "--sarif", str(out)
-    )
-    assert proc.returncode == 1  # findings still gate
-    log = json.loads(out.read_text())
-    assert log["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in log["$schema"]
-    (run,) = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "sflow-check"
-    assert all({"id", "shortDescription"} <= set(r) for r in driver["rules"])
-    assert len(run["results"]) == 3
-    for result in run["results"]:
-        assert result["ruleId"] == "SFL001"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] > 0 and region["startColumn"] > 0
-        assert result["partialFingerprints"]["sflowCheck/v1"]
-
-
-def test_baseline_then_diff_gates_only_new_findings(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text(
-        "# sflow: module=repro.sim.demo\n"
-        "import time\n"
-        "def f():\n"
-        "    return time.perf_counter()\n"
-    )
-    baseline = tmp_path / "baseline.json"
-    snap = run_check(str(bad), "--baseline", str(baseline))
-    assert snap.returncode == 0  # snapshot runs record debt, never gate
-    assert baseline.exists()
-    # unchanged tree: differential run is green
-    diff = run_check(str(bad), "--diff-against", str(baseline))
-    assert diff.returncode == 0
-    assert "pre-existing" in diff.stdout
-    # introduce a NEW finding: only it gates
-    bad.write_text(bad.read_text() + "def g(xs=[]):\n    return xs\n")
-    diff = run_check("--json", str(bad), "--diff-against", str(baseline))
-    assert diff.returncode == 1
-    payload = json.loads(diff.stdout)
-    assert [v["code"] for v in payload["violations"]] == ["SFL008"]
-    assert [v["code"] for v in payload["preexisting"]] == ["SFL001"]
-
-
-def test_stats_flag_reports_cache_counters(tmp_path):
-    cache = tmp_path / ".cache"
-    target = FIXTURES / "sfl013_sim_consumer.py"
-    helper = FIXTURES / "sfl013_clock_helper.py"
-    cold = run_check(
-        str(helper), str(target), "--cache", str(cache), "--stats", "--json"
-    )
-    warm = run_check(
-        str(helper), str(target), "--cache", str(cache), "--stats", "--json"
-    )
-    cold_stats = json.loads(cold.stdout)["stats"]
-    warm_stats = json.loads(warm.stdout)["stats"]
-    assert cold_stats["misses"] == 2 and cold_stats["hits"] == 0
-    assert warm_stats["hits"] == 2 and warm_stats["misses"] == 0
-    assert json.loads(cold.stdout)["violations"] == (
-        json.loads(warm.stdout)["violations"]
-    )

@@ -1,23 +1,15 @@
 """Whole-program engine tests: golden bit-identity across the package
-refactor, cross-module rules the per-file pass provably misses,
-incremental-cache correctness, parallel determinism, SARIF/baselines.
+refactor, and cross-module rules the per-file pass provably misses.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.tools.check import (
-    Violation,
-    check_file,
-    check_paths,
-    run_project,
-)
-from repro.tools.check import sarif as sarif_mod
+from repro.tools.check import check_file, check_paths, run_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "sfl_intrafile_findings.json"
@@ -114,11 +106,12 @@ def test_sfl015_handler_escape_names_spawner_and_chain():
 
 
 def test_no_project_flag_suppresses_cross_module_rules():
+    # Without the whole-program pass (the per-file API), neither half of
+    # the pair is flagged; the project run over both flags the consumer.
     helper, consumer = PAIRS["SFL013"]
-    result = run_project(
-        [FIXTURES / helper, FIXTURES / consumer], project=False
-    )
-    assert result.violations == []
+    assert check_file(FIXTURES / helper) == []
+    assert check_file(FIXTURES / consumer) == []
+    assert codes_in(run_pair("SFL013").violations) == ["SFL013", "SFL013"]
 
 
 def test_project_rule_respects_noqa_on_the_reported_line(tmp_path):
@@ -148,169 +141,3 @@ def test_project_rule_respects_noqa_on_the_reported_line(tmp_path):
     )
     result = run_project([helper, consumer])
     assert codes_in(result.violations) == ["SFL013"]
-
-
-# ---------------------------------------------------------------------------
-# incremental cache: warm == cold, bit for bit
-# ---------------------------------------------------------------------------
-
-
-def _copy_pair(tmp_path, code):
-    copies = []
-    for name in PAIRS[code]:
-        dst = tmp_path / name
-        shutil.copy(FIXTURES / name, dst)
-        copies.append(dst)
-    return copies
-
-
-def test_warm_run_is_bit_identical_and_all_hits(tmp_path):
-    files = _copy_pair(tmp_path, "SFL013")
-    cache_dir = tmp_path / ".cache"
-    cold = run_project(files, cache_dir=cache_dir)
-    assert cold.stats.misses == len(files) and cold.stats.hits == 0
-    warm = run_project(files, cache_dir=cache_dir)
-    assert warm.stats.hits == len(files) and warm.stats.misses == 0
-    assert [v.as_dict() for v in warm.violations] == [
-        v.as_dict() for v in cold.violations
-    ]
-
-
-def test_edit_invalidates_only_the_changed_module_but_closure_covers_importers(
-    tmp_path,
-):
-    helper, consumer = _copy_pair(tmp_path, "SFL013")
-    cache_dir = tmp_path / ".cache"
-    run_project([helper, consumer], cache_dir=cache_dir)
-    helper.write_text(
-        helper.read_text(encoding="utf-8") + "\n# touched\n", encoding="utf-8"
-    )
-    warm = run_project([helper, consumer], cache_dir=cache_dir)
-    assert warm.stats.misses == 1 and warm.stats.hits == 1
-    assert warm.stats.changed_modules == ["repro.util.hostclock"]
-    # the consumer imports the helper: cross-module findings for it may
-    # change, and the reverse closure records that
-    assert set(warm.stats.reverse_closure) == {
-        "repro.util.hostclock",
-        "repro.sim.consumer",
-    }
-    assert codes_in(warm.violations) == ["SFL013", "SFL013"]
-
-
-def test_suppression_comment_edit_invalidates_the_cache(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# sflow: module=repro.sim.cachecase\n"
-        "import time\n\n\n"
-        "def stamp():\n"
-        "    return time.perf_counter()\n",
-        encoding="utf-8",
-    )
-    cache_dir = tmp_path / ".cache"
-    cold = run_project([target], cache_dir=cache_dir)
-    assert codes_in(cold.violations) == ["SFL001"]
-    # add ONLY a suppression comment: same code, new content hash
-    target.write_text(
-        target.read_text(encoding="utf-8").replace(
-            "return time.perf_counter()",
-            "return time.perf_counter()  # sflow: noqa[SFL001] -- cache test",
-        ),
-        encoding="utf-8",
-    )
-    warm = run_project([target], cache_dir=cache_dir)
-    assert warm.stats.misses == 1
-    assert warm.violations == []
-
-
-def test_cache_survives_select_and_ignore_combinations(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# sflow: module=repro.sim.filtered\n"
-        "import time\n"
-        "import random\n\n\n"
-        "def stamp():\n"
-        "    return time.perf_counter() + random.random()\n",
-        encoding="utf-8",
-    )
-    cache_dir = tmp_path / ".cache"
-    cold = run_project([target], cache_dir=cache_dir)
-    assert codes_in(cold.violations) == ["SFL001", "SFL002"]
-    only_002 = run_project([target], cache_dir=cache_dir, select={"SFL002"})
-    assert only_002.stats.hits == 1
-    assert codes_in(only_002.violations) == ["SFL002"]
-    no_002 = run_project([target], cache_dir=cache_dir, ignore={"SFL002"})
-    assert codes_in(no_002.violations) == ["SFL001"]
-
-
-def test_parallel_fanout_matches_serial_bit_for_bit():
-    files = [FIXTURES / n for names in PAIRS.values() for n in names]
-    serial = run_project(files, jobs=1)
-    parallel = run_project(files, jobs=2)
-    assert [v.as_dict() for v in parallel.violations] == [
-        v.as_dict() for v in serial.violations
-    ]
-    assert codes_in(serial.violations) == [
-        "SFL013", "SFL013", "SFL014", "SFL015",
-    ]
-
-
-# ---------------------------------------------------------------------------
-# SARIF + baselines
-# ---------------------------------------------------------------------------
-
-
-def test_sarif_log_has_the_required_shape():
-    result = run_pair("SFL013")
-    log = sarif_mod.sarif_log(
-        result.violations,
-        rule_index={"SFL013": "transitive wall clock"},
-        tool_version="test",
-    )
-    assert log["version"] == "2.1.0"
-    assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-    (run,) = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "sflow-check"
-    rule_ids = [r["id"] for r in driver["rules"]]
-    assert "SFL013" in rule_ids
-    assert len(run["results"]) == len(result.violations)
-    for res, violation in zip(run["results"], result.violations):
-        assert res["ruleId"] == violation.code
-        assert driver["rules"][res["ruleIndex"]]["id"] == violation.code
-        assert res["level"] == "error"
-        assert res["message"]["text"] == violation.message
-        loc = res["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == Path(violation.path).as_posix()
-        assert loc["region"]["startLine"] == violation.line
-        assert loc["region"]["startColumn"] == violation.col + 1
-        assert res["partialFingerprints"]["sflowCheck/v1"]
-        assert res["baselineState"] == "new"
-
-
-def test_baseline_roundtrip_and_occurrence_aware_diff(tmp_path):
-    result = run_pair("SFL013")
-    assert len(result.violations) == 2
-    baseline_path = tmp_path / "baseline.json"
-    sarif_mod.write_baseline(baseline_path, result.violations[:1])
-    baseline = sarif_mod.load_baseline(baseline_path)
-    new, old = sarif_mod.diff_against_baseline(result.violations, baseline)
-    assert len(old) == 1 and len(new) == 1
-    # a second occurrence of an identical fingerprint is new
-    doubled = list(result.violations[:1]) * 2
-    new2, old2 = sarif_mod.diff_against_baseline(doubled, baseline)
-    assert len(old2) == 1 and len(new2) == 1
-
-
-def test_baseline_rejects_unknown_schema(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"schema": 99, "fingerprints": {}}))
-    with pytest.raises(ValueError):
-        sarif_mod.load_baseline(bad)
-
-
-def test_fingerprints_are_line_number_free():
-    a = Violation(path="x.py", line=3, col=0, code="SFL001", message="m")
-    b = Violation(path="x.py", line=30, col=4, code="SFL001", message="m")
-    assert sarif_mod.violation_fingerprint(a) == sarif_mod.violation_fingerprint(b)
-    c = Violation(path="x.py", line=3, col=0, code="SFL002", message="m")
-    assert sarif_mod.violation_fingerprint(a) != sarif_mod.violation_fingerprint(c)

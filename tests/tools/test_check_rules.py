@@ -19,9 +19,9 @@ from repro.tools.check import (
     check_file,
     check_paths,
     check_source,
+    module_for,
     rule_codes,
 )
-from repro.tools.check import _module_for  # white-box: scoping is load-bearing
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,15 +150,15 @@ def test_suppression_fixture_waives_with_justification_only():
 
 
 def test_module_mapping_from_paths():
-    assert _module_for(Path("src/repro/sim/engine.py"), "") == "repro.sim.engine"
-    assert _module_for(Path("src/repro/obs/__init__.py"), "") == "repro.obs"
-    assert _module_for(Path("tests/core/test_sflow.py"), "") == "tests.core.test_sflow"
-    assert _module_for(Path("scratch.py"), "") == "scratch"
+    assert module_for(Path("src/repro/sim/engine.py"), "") == "repro.sim.engine"
+    assert module_for(Path("src/repro/obs/__init__.py"), "") == "repro.obs"
+    assert module_for(Path("tests/core/test_sflow.py"), "") == "tests.core.test_sflow"
+    assert module_for(Path("scratch.py"), "") == "scratch"
 
 
 def test_module_directive_overrides_path():
     src = "# sflow: module=repro.sim.demo\nx = 1\n"
-    assert _module_for(Path("anything/else.py"), src) == "repro.sim.demo"
+    assert module_for(Path("anything/else.py"), src) == "repro.sim.demo"
 
 
 def test_wall_clock_outside_sim_core_is_not_flagged():
