@@ -306,7 +306,9 @@ class _Recovery:
 
     def _crash(self, instance: ServiceInstance) -> None:
         self.network.crash(instance)
-        self.fed.nodes[instance].reset()  # every overlay instance runs a node
+        node = self.fed.nodes.get(instance)
+        if node is not None:  # never addressed: no node, no state to lose
+            node.reset()
         self.result.crashes += 1
         _M_CRASHES.inc()
         # A crash-stop is silent: nothing tells the planners (their views
@@ -355,6 +357,7 @@ class _Recovery:
         the retry budget went unanswered.  Never raises: retry exhaustion
         is the *caller's* signal to start failing over."""
         ack_event = self._pending_acks[message.msg_id] = self.env.event()
+        self.fed.endpoint(dst)
         for attempt in range(self.retry.max_attempts):
             self.network.send(
                 src, dst, message, latency=latency, size=message.size

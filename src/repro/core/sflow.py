@@ -412,51 +412,49 @@ def _merge_decisions(
 
 
 class _SFlowNode:
-    """The per-instance protocol endpoint (a simulation process)."""
+    """The per-instance protocol endpoint: a callback on its mailbox."""
 
     def __init__(self, me: ServiceInstance, federation: "_Federation") -> None:
         self.me = me
         self.fed = federation
         self.recovery = federation.recovery
-        self.mailbox = federation.network.register(me)
         self.inbox: List[SFederate] = []
         self.generation = 0
         self._seen_ids: set = set()
+        federation.network.register(me).serve(self.receive)
 
     def reset(self) -> None:
         """Crash-stop: the node's volatile protocol state is lost."""
         self.inbox.clear()
         self._seen_ids.clear()
 
-    def run(self):
-        while True:
-            envelope: Envelope = yield self.mailbox.get()
-            payload = envelope.payload
-            self.recovery.observe_peer(envelope.src)
-            if isinstance(payload, Ack):
-                self.recovery.acknowledge(payload.msg_id)
-                continue
-            message: SFederate = payload
-            if message.msg_id:
-                # Reliable mode: always (re-)acknowledge -- the previous ack
-                # may have been lost, and a stale round's retransmitter
-                # must be silenced too.
-                self.recovery.send_ack(self.me, envelope.src, message.msg_id)
-            if message.generation < self.generation:
-                continue  # stale protocol round: never act on it
-            if message.generation > self.generation:
-                # A re-federation superseded everything this node had.
-                self.generation = message.generation
-                self.reset()
-            if message.msg_id:
-                if message.msg_id in self._seen_ids:
-                    continue  # process each message once
-                self._seen_ids.add(message.msg_id)
-            self.inbox.append(message)
-            expected = max(1, self.fed.requirement.in_degree(self.me.sid))
-            if len(self.inbox) < expected:
-                continue
-            self._activate(envelope.mid)
+    def receive(self, envelope: Envelope) -> None:  # sflow: noqa[SFL015] -- _activate's FederationError surfaces from Environment.step and _Federation.run catches it as "protocol error"
+        payload = envelope.payload
+        self.recovery.observe_peer(envelope.src)
+        if isinstance(payload, Ack):
+            self.recovery.acknowledge(payload.msg_id)
+            return
+        message: SFederate = payload
+        if message.msg_id:
+            # Reliable mode: always (re-)acknowledge -- the previous ack
+            # may have been lost, and a stale round's retransmitter
+            # must be silenced too.
+            self.recovery.send_ack(self.me, envelope.src, message.msg_id)
+        if message.generation < self.generation:
+            return  # stale protocol round: never act on it
+        if message.generation > self.generation:
+            # A re-federation superseded everything this node had.
+            self.generation = message.generation
+            self.reset()
+        if message.msg_id:
+            if message.msg_id in self._seen_ids:
+                return  # process each message once
+            self._seen_ids.add(message.msg_id)
+        self.inbox.append(message)
+        expected = max(1, self.fed.requirement.in_degree(self.me.sid))
+        if len(self.inbox) < expected:
+            return
+        self._activate(envelope.mid)
 
     def _activate(self, cause: int = 0) -> None:
         fed = self.fed
@@ -581,11 +579,22 @@ class _Federation:
             "abstract_graph": _t2 - _t1,
         }
         self._sink_parts: Dict[Sid, _Decisions] = {}
+        #: The protocol nodes so far: one per instance ever addressed.
         self.nodes: Dict[ServiceInstance, _SFlowNode] = {}
         #: Protocol round; bumped by every re-federation.
         self.generation = 0
 
     # -- services used by nodes (and by failover re-planning) --------------------
+
+    def endpoint(self, inst: ServiceInstance) -> _SFlowNode:
+        """The node of ``inst``, created -- its mailbox registered and
+        served -- when an ``sfederate`` is first addressed to it.  Arming a
+        getter schedules nothing, so a node born at its first send hears
+        exactly what one waiting since the start would have."""
+        node = self.nodes.get(inst)
+        if node is None:
+            node = self.nodes[inst] = _SFlowNode(inst, self)
+        return node
 
     def plan(
         self, me: ServiceInstance, residual: ServiceRequirement, pins: _Pins
@@ -657,6 +666,7 @@ class _Federation:
         safe, supervised (acks, retransmission, failover) otherwise."""
         _M_SFEDERATE.inc()
         if message.msg_id == 0:
+            self.endpoint(dst)
             self.network.send(src, dst, message, latency=latency, size=message.size)
             return
         self.env.process(self.recovery.supervise(src, dst, message, latency))
@@ -678,6 +688,7 @@ class _Federation:
             edges=(),
             generation=self.generation,
         )
+        self.endpoint(self.source_instance)
         self.network.send(
             "consumer",
             self.source_instance,
@@ -709,13 +720,11 @@ class _Federation:
 
     def run(self) -> SFlowResult:
         recovery = self.recovery
-        nodes = [_SFlowNode(inst, self) for inst in self.overlay.instances()]
-        self.nodes = {node.me: node for node in nodes}
         self.span = obs_tracer().session(
             "sflow.federate",
             clock=SimClock(self.env),
             services=len(self.directory),
-            instances=len(nodes),
+            instances=len(self.overlay),
             source=str(self.source_instance),
             chaos=recovery.chaos.active,
         )
@@ -731,8 +740,6 @@ class _Federation:
                 wall_seconds=self._setup_seconds[phase]
             )
         sampler = SeriesSampler.start(self.env, self.config.sample_interval)
-        for node in nodes:
-            self.env.process(node.run())
         recovery.start()
         negotiate = self.span.child("negotiate")
         self.start_round()
@@ -777,9 +784,10 @@ class _Federation:
         )
         self.network.set_trace_span(None)
         self.span = NULL_SPAN
-        # Session over.  Nodes, recovery and the suspended DES processes keep
-        # this object in a reference cycle: let go of the overlay here, or it,
-        # its ego views and their trees outlive the caller until a full GC.
+        # Session over.  The recovery layer and every node created point back
+        # at this object (and each node's armed mailbox getter at its node),
+        # a reference cycle: let go of the overlay here, or it, its ego views
+        # and their trees outlive the caller until a full GC.
         del self.views, self.abstract, self.overlay
         return result
 

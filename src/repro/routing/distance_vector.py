@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.sim.channels import Envelope, MessageNetwork
-from repro.sim.engine import Environment, ProcessGenerator
+from repro.sim.engine import Environment
 
 #: A node's advertised reachability: destination -> best bottleneck bandwidth.
 Vector = Dict[ServiceInstance, float]
@@ -65,7 +65,6 @@ class _DVNode:
         self.overlay = overlay
         self.network = network
         self.latency = advertisement_latency
-        self.mailbox = network.register(me)
         self.vector: Vector = {me: float("inf")}
         self.next_hop: Dict[ServiceInstance, ServiceInstance] = {}
         # Last vector heard from each out-neighbour.
@@ -76,6 +75,7 @@ class _DVNode:
         self.in_neighbors = tuple(
             src for src, _ in overlay.predecessors(me)
         )
+        network.register(me).serve(self.receive)
 
     def advertise(self) -> None:
         for upstream in self.in_neighbors:
@@ -87,12 +87,11 @@ class _DVNode:
                 size=len(self.vector),
             )
 
-    def run(self) -> ProcessGenerator:
-        while True:
-            envelope: Envelope = yield self.mailbox.get()
-            self.heard[envelope.src] = envelope.payload
-            if self._recompute():
-                self.advertise()
+    def receive(self, envelope: Envelope) -> None:
+        """Mailbox handler: fold a neighbour's vector in, re-advertise on gain."""
+        self.heard[envelope.src] = envelope.payload
+        if self._recompute():
+            self.advertise()
 
     def _recompute(self) -> bool:
         """Fold neighbour vectors into ours; True when anything improved."""
@@ -138,11 +137,8 @@ def run_distance_vector(
         for inst in overlay.instances()
     ]
     for node in nodes:
-        env.process(node.run())
-    for node in nodes:
         node.advertise()
-    while env.peek() != float("inf"):
-        env.step()
+    env.run()  # until no advertisement is in flight
     tables = {}
     next_hops = {}
     for node in nodes:

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.network.overlay import OverlayGraph, ServiceInstance, ServiceLink
 from repro.sim.channels import Envelope, MessageNetwork
-from repro.sim.engine import Environment, ProcessGenerator
+from repro.sim.engine import Environment
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class _LinkStateNode:
         self.me = me
         self.overlay = overlay
         self.network = network
-        self.mailbox = network.register(me)
         self.known: Dict[ServiceInstance, LinkStateAdvertisement] = {}
         # Undirected neighbourhood: out-neighbours plus in-neighbours.
         out_neighbors = [dst for dst, _ in overlay.successors(me)]
@@ -69,6 +68,7 @@ class _LinkStateNode:
         self.neighbors: Tuple[ServiceInstance, ...] = tuple(
             sorted(set(out_neighbors) | set(in_neighbors))
         )
+        network.register(me).serve(self.receive)
 
     def originate(self, horizon: int) -> None:
         lsa = LinkStateAdvertisement(self.me, self.overlay.out_links(self.me), horizon)
@@ -76,21 +76,19 @@ class _LinkStateNode:
         if horizon >= 1:
             self._flood(lsa, exclude=None)
 
-    def run(self) -> ProcessGenerator:
-        """Simulation process: absorb LSAs, re-flood fresh ones while TTL lasts."""
-        while True:
-            envelope: Envelope = yield self.mailbox.get()
-            lsa: LinkStateAdvertisement = envelope.payload
-            seen = self.known.get(lsa.origin)
-            if seen is not None and seen.ttl >= lsa.ttl:
-                continue  # an equally-fresh copy was already processed
-            # A higher-TTL copy must be re-flooded even if the origin is
-            # known: a low-TTL copy that raced ahead over a fast long path
-            # must not suppress coverage of the full hop horizon.
-            self.known[lsa.origin] = lsa
-            if lsa.ttl > 1:
-                forwarded = LinkStateAdvertisement(lsa.origin, lsa.links, lsa.ttl - 1)
-                self._flood(forwarded, exclude=envelope.src)
+    def receive(self, envelope: Envelope) -> None:
+        """Mailbox handler: absorb an LSA, re-flood it while its TTL lasts."""
+        lsa: LinkStateAdvertisement = envelope.payload
+        seen = self.known.get(lsa.origin)
+        if seen is not None and seen.ttl >= lsa.ttl:
+            return  # an equally-fresh copy was already processed
+        # A higher-TTL copy must be re-flooded even if the origin is
+        # known: a low-TTL copy that raced ahead over a fast long path
+        # must not suppress coverage of the full hop horizon.
+        self.known[lsa.origin] = lsa
+        if lsa.ttl > 1:
+            forwarded = LinkStateAdvertisement(lsa.origin, lsa.links, lsa.ttl - 1)
+            self._flood(forwarded, exclude=envelope.src)
 
     def _flood(
         self,
@@ -153,10 +151,8 @@ def collect_local_views(
     network = MessageNetwork(env)
     nodes = [_LinkStateNode(inst, overlay, network) for inst in overlay.instances()]
     for node in nodes:
-        env.process(node.run())
-    for node in nodes:
         node.originate(horizon)
-    _drain(env)
+    env.run()  # until no delivery remains
     views = {node.me: node.build_view() for node in nodes}
     return LinkStateReport(
         views=views,
@@ -164,9 +160,3 @@ def collect_local_views(
         bytes=network.stats.bytes,
         converged_at=env.now,
     )
-
-
-def _drain(env: Environment) -> None:
-    """Run until no deliveries remain (receiver processes block forever)."""
-    while env.peek() != float("inf"):
-        env.step()

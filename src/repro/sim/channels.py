@@ -12,7 +12,7 @@ Failure semantics (for chaos experiments):
 * a **crashed** address (:meth:`MessageNetwork.crash`) models crash-stop
   nodes: deliveries to it are silently discarded -- including messages
   already in flight when the crash happens -- and its queued mail is
-  drained, so the owning process never wakes up again until a
+  drained, so the owning endpoint never hears anything again until a
   :meth:`~MessageNetwork.revive`;
 * a **jitter function** adds per-message delivery delay on top of the
   nominal latency (seed the callable's RNG for reproducible runs);
@@ -35,7 +35,7 @@ from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
 from repro.errors import SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import NULL_SPAN
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, handler_failed
 
 Address = Hashable
 
@@ -135,6 +135,8 @@ class Mailbox:
     ``get()`` returns an :class:`~repro.sim.engine.Event` that fires with the
     next envelope -- immediately if one is queued, otherwise as soon as one
     arrives.  Multiple pending ``get()`` calls are served in FIFO order.
+    A protocol endpoint does not wait in a process: it :meth:`serve`\\ s its
+    mailbox with a callback.
     """
 
     def __init__(self, env: Environment, owner: Address = None) -> None:
@@ -160,6 +162,32 @@ class Mailbox:
         else:
             self._getters.append(event)
         return event
+
+    def serve(self, handler: Callable[[Envelope], None]) -> None:
+        """Call ``handler(envelope)`` on every envelope, in FIFO order.
+
+        What a process looping on ``yield box.get()`` does, minus the
+        process: one getter is armed at a time, and when it fires the
+        handler runs and the next getter is armed.  The handler runs in the
+        getter event's own slot, never inside the delivery callback that
+        filled it, so an event scheduled for the same instant between the
+        delivery and the getter (a timer, say) still runs first.  A raising
+        handler is accounted like a raising process step
+        (:func:`~repro.sim.engine.handler_failed`): its exception surfaces
+        from :meth:`~repro.sim.engine.Environment.step` at the same instant,
+        and the mailbox is not served again.
+        """
+        name = getattr(handler, "__name__", "handler")
+
+        def on_envelope(getter: Event) -> None:
+            try:
+                handler(getter.value)
+            except Exception as exc:  # sflow: noqa[SFL006] -- handler_failed counts engine.handler_error and the failed event raises it from Environment.step
+                handler_failed(Event(self.env), exc, name)
+                return
+            self.get().callbacks.append(on_envelope)
+
+        self.get().callbacks.append(on_envelope)
 
     def __len__(self) -> int:
         """Number of envelopes queued (excluding ones already claimed)."""

@@ -30,9 +30,10 @@ from repro.errors import SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import SimClock, tracer as obs_tracer
 
-#: Process-generator exceptions converted into event failures (labelled by
-#: exception class).  Counting them keeps "a process died" observable even
-#: when every waiter handles the failure silently.
+#: Handler exceptions (process steps and served mailbox handlers) converted
+#: into event failures, labelled by exception class.  Counting them keeps
+#: "a handler died" observable even when every waiter handles the failure
+#: silently.
 _M_HANDLER_ERRORS = obs_metrics.registry().counter(
     "engine.handler_error",
     "process-step exceptions converted into event failures",
@@ -40,6 +41,34 @@ _M_HANDLER_ERRORS = obs_metrics.registry().counter(
 
 #: Generators driving a :class:`Process` yield events and receive their values.
 ProcessGenerator = Generator["Event", Any, Any]
+
+
+def handler_failed(event: "Event", exc: Exception, name: str) -> None:
+    """Fail ``event`` with ``exc``, an exception a DES handler raised.
+
+    The one accounting path of both kinds of handler -- a :class:`Process`
+    step (which fails the process itself) and a served mailbox handler
+    (which fails a fresh event, see :meth:`repro.sim.channels.Mailbox.serve`).
+    The exception object keeps its ``__traceback__``, so whoever waits on
+    ``event`` re-raises with the original frames, and a failed event nobody
+    waits for raises out of :meth:`Environment.step` at the same instant;
+    the counter + trace event make the failure visible even if a waiter
+    swallows it.
+    """
+    _M_HANDLER_ERRORS.inc(kind=type(exc).__name__)
+    trace = obs_tracer()
+    if trace.enabled:
+        trace.event(  # sflow: noqa[SFL012] -- the DES kernel cannot know the protocol's span; this diagnostic must fire even with no session open
+            "engine.handler_error",
+            clock=SimClock(event.env),
+            process=name,
+            kind=type(exc).__name__,
+            message=str(exc),
+            traceback="".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+        )
+    event.fail(exc)
 
 
 class Event:
@@ -213,25 +242,8 @@ class Process(Event):
                 "process let an Interrupt escape; handle it or re-raise as "
                 "a normal exception"
             )
-        except Exception as exc:
-            # The exception object keeps its __traceback__, so whoever
-            # waits on this process re-raises with the original frames;
-            # the counter + trace event make the failure visible even if
-            # nobody does.
-            _M_HANDLER_ERRORS.inc(kind=type(exc).__name__)
-            trace = obs_tracer()
-            if trace.enabled:
-                trace.event(  # sflow: noqa[SFL012] -- the DES kernel cannot know the protocol's span; this diagnostic must fire even with no session open
-                    "engine.handler_error",
-                    clock=SimClock(self.env),
-                    process=getattr(self._generator, "__name__", "process"),
-                    kind=type(exc).__name__,
-                    message=str(exc),
-                    traceback="".join(
-                        traceback.format_exception(type(exc), exc, exc.__traceback__)
-                    ),
-                )
-            self.fail(exc)
+        except Exception as exc:  # sflow: noqa[SFL006] -- handler_failed counts engine.handler_error and fails the process with it
+            handler_failed(self, exc, getattr(self._generator, "__name__", "process"))
             return
         if not isinstance(target, Event):
             self.fail(

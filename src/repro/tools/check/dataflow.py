@@ -18,7 +18,7 @@ edges, each seeded from the per-function facts the symbol pass recorded:
   one.  Raises inside the DES kernel (``repro.sim.engine``) and the
   shared error hierarchy (``repro.errors``) are exempt: those are the
   engine's defensive programmer-error contract, converted into event
-  failures by ``Process._step``.  Feeds SFL015.
+  failures by ``handler_failed``.  Feeds SFL015.
 
 Every propagation is a breadth-first worklist over sorted seeds and
 sorted caller lists, with first-assignment-wins witnesses, so the blame

@@ -8,7 +8,7 @@ run once per analysis over the cross-module
 per-file, and exist precisely to catch the launderings the SFL001-SFL012
 per-file heuristics provably miss -- a wall clock hidden behind a helper
 in another module, a graph handed to a mutating helper in the
-graph-defining modules, an exception four calls deep under a DES process
+graph-defining modules, an exception four calls deep under a DES
 handler.
 """
 
@@ -136,23 +136,25 @@ class EscapedGraphMutation(ProjectRule):
 
 
 class HandlerEscape(ProjectRule):
-    """DES process handlers must not leak explicit raises to the kernel.
+    """DES handlers must not leak explicit raises to the kernel.
 
-    Every generator handed to ``env.process(...)`` runs under
-    ``Process._step``, whose broad except converts an escaped exception
-    into an event failure and an ``engine.handler_error`` count -- the
-    chaos CI gate then fails the build.  A handler that can reach an
+    A DES handler is a generator handed to ``env.process(...)`` or a
+    callable handed to ``<mailbox>.serve(...)``.  Both run under the
+    engine's ``handler_failed`` accounting, which converts an escaped
+    exception into an event failure and an ``engine.handler_error`` count
+    -- the chaos CI gate then fails the build.  A handler that can reach an
     explicit, ``try``-unshielded ``raise`` (its own, or transitively
     through unshielded call sites in any module) is therefore a latent
     gate failure: under the right fault timing the session dies instead
     of reaching a terminal FAILED/DEGRADED state.  Defensive raises
     inside the kernel itself (``repro.sim.engine``) and the shared error
     types are exempt; handlers that intentionally fail hard carry a
-    justified suppression on their ``def`` line.
+    justified suppression on their ``def`` line naming the site that
+    catches what escapes.
     """
 
     code = "SFL015"
-    summary = "DES process handler can let an explicit raise escape uncaught"
+    summary = "DES handler can let an explicit raise escape uncaught"
 
     def check_project(self, analysis: ProjectAnalysis) -> Iterator[Violation]:
         index = analysis.index
@@ -170,7 +172,7 @@ class HandlerEscape(ProjectRule):
                 col=handler.col,
                 code=self.code,
                 message=(
-                    f"process handler {handler.name}() (spawned by {spawner} "
+                    f"DES handler {handler.name}() (spawned by {spawner} "
                     f"at line {spawn_line}) can let '{witness.origin}' escape "
                     f"uncaught (call chain {witness.render_chain()}); the "
                     "engine would convert it into engine.handler_error and "

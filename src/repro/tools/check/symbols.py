@@ -89,7 +89,8 @@ class FunctionSummary:
     fresh_names: List[str] = field(default_factory=list)
     has_invalidator: bool = False
     is_generator: bool = False
-    #: resolved targets of ``<env>.process(target(...))`` spawns
+    #: resolved targets of ``<env>.process(target(...))`` spawns and
+    #: ``<mailbox>.serve(target)`` registrations
     spawned_handlers: List[Tuple[str, int, int]] = field(default_factory=list)
 
 
@@ -221,7 +222,8 @@ class _FunctionCollector:
             and receiver in s.params
         ):
             s.mutated_params.setdefault(receiver, []).append((terminal, *loc))
-        # DES handler spawns: <env>.process(target(...))
+        # DES handler spawns: <env>.process(target(...)), <expr>.serve(target)
+        handler: Optional[ast.expr] = None
         if (
             terminal == "process"
             and receiver is not None
@@ -229,9 +231,18 @@ class _FunctionCollector:
             and len(node.args) == 1
             and isinstance(node.args[0], ast.Call)
         ):
-            target = self.ctx.qualified_call_name(node.args[0].func)
+            handler = node.args[0].func
+        elif (
+            terminal == "serve"
+            and isinstance(node.func, ast.Attribute)
+            and len(node.args) == 1
+            and isinstance(node.args[0], (ast.Name, ast.Attribute))
+        ):
+            handler = node.args[0]
+        if handler is not None:
+            target = self.ctx.qualified_call_name(handler)
             if target is None:
-                target = _dotted_expr(node.args[0].func)
+                target = _dotted_expr(handler)
             if target is not None:
                 s.spawned_handlers.append((target, *loc))
         arg_names = tuple(_dotted_expr(a) for a in node.args)

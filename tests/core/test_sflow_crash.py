@@ -8,6 +8,7 @@ from repro.core.sflow import (
     FederationOutcome,
     SFlowAlgorithm,
     SFlowConfig,
+    _Federation,
 )
 from repro.errors import FederationError, SFlowError
 from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
@@ -208,6 +209,60 @@ class TestCrashedInstanceInCachedTrees:
         # ... and once more with the views kept but the trees dropped.
         RouteOracle.reset_default()
         assert _pin(federate(warm_scenario, subject)) == cold
+
+
+class TestNodesCreatedWhenFirstAddressed:
+    """A session creates the protocol node of an instance only when an
+    ``sfederate`` is first addressed to it; a crash of an instance nobody
+    ever addressed must leave the session exactly as it is with a node
+    created up front for every overlay instance."""
+
+    @staticmethod
+    def federate_with(monkeypatch, scenario, chaos, *, eager):
+        """The session's result and the instances it made nodes for."""
+        run = _Federation.run
+        made = {}
+
+        def wrapped(fed):
+            if eager:
+                for inst in fed.overlay.instances():
+                    fed.endpoint(inst)
+            result = run(fed)
+            made["nodes"] = set(fed.nodes)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Federation, "run", wrapped)
+            result = federate(scenario, chaos)
+        return result, made["nodes"]
+
+    def test_crash_of_a_never_addressed_instance_matches_eager_nodes(
+        self, scenario, monkeypatch
+    ):
+        baseline = federate(scenario)
+        victim = pick_victim(scenario, baseline)
+        used = set(baseline.flow_graph.assignment.values())
+        bystander = next(
+            inst
+            for inst in scenario.overlay.instances()
+            if inst not in used and inst.sid != victim.sid
+        )
+        chaos = crash_plan(
+            CrashEvent(bystander, at=0.2, revive_at=40.0),
+            CrashEvent(victim, at=0.5),
+            seed=21,
+        )
+        lazy, lazy_nodes = self.federate_with(
+            monkeypatch, scenario, chaos, eager=False
+        )
+        eager, eager_nodes = self.federate_with(
+            monkeypatch, scenario, chaos, eager=True
+        )
+        assert bystander not in lazy_nodes  # the premise: never addressed
+        assert victim in lazy_nodes
+        assert eager_nodes == set(scenario.overlay.instances())
+        assert lazy.crashes == 2 and lazy.failovers + lazy.refederations >= 1
+        assert _pin(lazy) == _pin(eager)
 
 
 class TestDeterminism:

@@ -93,6 +93,107 @@ class TestMailbox:
         assert box.received == 1
 
 
+def _get_loop(env, box, handler):
+    """The process form: a generator looping on ``yield box.get()``."""
+
+    def loop():
+        while True:
+            handler((yield box.get()))
+
+    env.process(loop())
+
+
+def _served(env, box, handler):
+    box.serve(handler)
+
+
+def _direct(env, box, handler):
+    """A handler called from inside the delivery callback itself."""
+    box.put = handler
+
+
+def _interleaving(attach):
+    """One script of sends and timers; the log of what ran, in order.
+
+    Everything happens at t=5: the delivery of "a", a timer scheduled
+    after that delivery, the delivery of "c", and -- from the handler of
+    "a" -- a zero-latency "b" and a zero-delay tick.
+    """
+    env = Environment()
+    net = MessageNetwork(env)
+    log = []
+
+    def handler(envelope):
+        log.append(("recv", envelope.payload))
+        if envelope.payload == "a":
+            net.send("node", "node", "b", latency=0.0)
+            env.timeout(0.0).callbacks.append(lambda _e: log.append(("tick",)))
+
+    attach(env, net.register("node"), handler)
+    net.send("src", "node", "a", latency=5.0)
+    env.timeout(5.0).callbacks.append(lambda _e: log.append(("timer",)))
+    net.send("src", "node", "c", latency=5.0)
+    env.run()
+    assert env.now == 5.0
+    return log
+
+
+class TestServe:
+    """``Mailbox.serve``: a process-free receive loop, same event order."""
+
+    def test_served_handler_interleaves_like_a_get_loop(self):
+        # The handler runs in its getter's slot, after the timer that was
+        # scheduled between the delivery and the getter.
+        expected = [
+            ("timer",),
+            ("recv", "a"),
+            ("tick",),
+            ("recv", "c"),
+            ("recv", "b"),
+        ]
+        assert _interleaving(_get_loop) == expected
+        assert _interleaving(_served) == expected
+
+    def test_the_script_tells_a_call_from_the_delivery_apart(self):
+        # Calling the handler inside the delivery callback skips the
+        # getter hop and reorders the tie; the script above must see it.
+        assert _interleaving(_direct) == [
+            ("recv", "a"),
+            ("timer",),
+            ("recv", "c"),
+            ("recv", "b"),
+            ("tick",),
+        ]
+
+    def test_envelopes_landing_at_one_instant_are_served_fifo(self):
+        env = Environment()
+        net = MessageNetwork(env)
+        got = []
+        net.register("node").serve(lambda e: got.append((env.now, e.payload)))
+        for payload in ("x", "y", "z"):
+            net.send("src", "node", payload, latency=2.0)
+        env.run()
+        assert got == [(2.0, "x"), (2.0, "y"), (2.0, "z")]
+
+    def test_queued_mail_is_served_in_order(self):
+        env = Environment()
+        box = Mailbox(env)
+        for i in range(3):
+            box.put(Envelope("a", "b", i, 0.0))
+        got = []
+        box.serve(lambda e: got.append(e.payload))
+        env.run()
+        assert got == [0, 1, 2]
+        assert len(box) == 0
+
+    def test_arming_schedules_nothing(self):
+        # Why a node created at its first send hears what one waiting
+        # since t=0 would have: serving an empty mailbox adds no event.
+        env = Environment()
+        MessageNetwork(env).register("node").serve(lambda e: None)
+        assert env.peek() == float("inf")
+
+
 class TestMessageNetwork:
     def test_send_with_latency(self):
         env = Environment()

@@ -1,4 +1,5 @@
-"""Process-step failures must keep their traceback and leave telemetry.
+"""Handler failures (process steps and served mailbox callbacks) must keep
+their traceback and leave telemetry.
 
 A generator process that raises used to be converted into a failed event
 with nothing else: waiters that handled the failure made the original
@@ -16,6 +17,7 @@ import pytest
 
 from repro.obs import metrics
 from repro.obs.trace import tracer
+from repro.sim.channels import MessageNetwork
 from repro.sim.engine import Environment
 
 _COUNTER = metrics.registry().counter("engine.handler_error")
@@ -99,6 +101,32 @@ def test_trace_event_records_kind_time_and_traceback():
     assert attrs["process"] == "explode"
     assert "deliberate failure" in attrs["message"]
     assert "raise ValueError" in attrs["traceback"]
+
+
+def test_raising_served_handler_is_counted_surfaces_and_stops():
+    # A mailbox callback is accounted like a process step: counted by
+    # kind, raised out of Environment.step at the instant it failed, and
+    # never called again.
+    before = _COUNTER.value(kind="KeyError")
+    env = Environment()
+    net = MessageNetwork(env)
+    calls = []
+
+    def receive(envelope):
+        calls.append(envelope.payload)
+        raise KeyError(envelope.payload)
+
+    box = net.register("node")
+    box.serve(receive)
+    net.send("src", "node", "first", latency=1.0)
+    net.send("src", "node", "second", latency=2.0)
+    with pytest.raises(KeyError, match="first"):
+        env.run()
+    assert env.now == 1.0
+    assert _COUNTER.value(kind="KeyError") == before + 1
+    env.run()
+    assert calls == ["first"]
+    assert len(box) == 1  # "second" arrived; nobody took it
 
 
 def test_no_tracing_cost_when_sink_detached():

@@ -19,6 +19,7 @@ PAIRS = {
     "SFL013": ("sfl013_clock_helper.py", "sfl013_sim_consumer.py"),
     "SFL014": ("sfl014_graph_helper.py", "sfl014_core_caller.py"),
     "SFL015": ("sfl015_fault_helper.py", "sfl015_handler.py"),
+    "SFL015-serve": ("sfl015_serve_codec.py", "sfl015_served_node.py"),
 }
 
 
@@ -103,6 +104,19 @@ def test_sfl015_handler_escape_names_spawner_and_chain():
     assert "_pump" in finding.message
     assert "Pump.install" in finding.message
     assert "repro.core.faultlib.check_pressure" in finding.message
+
+
+def test_sfl015_sees_a_callable_served_on_a_mailbox():
+    # <mailbox>.serve(handler) registers a DES handler just as
+    # <env>.process(handler(...)) spawns one; the shielded twin of the
+    # same name in another class stays clean.
+    result = run_pair("SFL015-serve")
+    assert codes_in(result.violations) == ["SFL015"]
+    finding = result.violations[0]
+    assert finding.path.endswith("sfl015_served_node.py")
+    assert "receive()" in finding.message
+    assert "Relay.__init__" in finding.message
+    assert "repro.core.codec.check_header" in finding.message
 
 
 def test_no_project_flag_suppresses_cross_module_rules():
