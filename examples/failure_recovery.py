@@ -12,7 +12,9 @@ Run:  python examples/failure_recovery.py
 
 Set ``SFLOW_RECORD=/path/to/run.jsonl`` to flight-record the run --
 ``python -m repro.tools.trace run.jsonl`` then renders the sim-time
-timeline (crash, retries, failover) and the protocol metric summary.
+timeline (crash, retries, failover) and the protocol metric summary, and
+``python -m repro.tools.trace profile run.jsonl`` says which hops the
+failover's recovery time went to.
 """
 
 import os

@@ -23,8 +23,8 @@ On top of the base layer sit the telemetry pipeline modules:
 * :mod:`repro.obs.slo` -- declarative :class:`SloSpec` objectives graded
   over series windows with SRE-style burn-rate alerting;
 * :mod:`repro.obs.export` -- Prometheus text exposition and
-  Chrome/Perfetto trace JSON exporters (CLI: ``repro.tools.trace
-  export``, reports: ``repro.tools.report``).
+  Chrome/Perfetto trace JSON exporters (CLI: ``sflow-trace export``;
+  ``sflow-trace report`` grades a recording against its SLOs).
 
 Typical use::
 

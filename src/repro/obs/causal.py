@@ -509,17 +509,14 @@ class CampaignProfile:
         return self.path_duration_total / self.sessions if self.sessions else 0.0
 
     def add(self, profile: SessionProfile) -> None:
-        self.sessions += 1
-        self.path_duration_total += profile.path_duration
-        self.duration_total += profile.duration
-        self.undelivered += profile.undelivered
-        for kind, (count, total) in profile.kind_blame.items():
-            base_count, base_total = self.kind_blame.get(kind, (0, 0.0))
-            self.kind_blame[kind] = (base_count + count, base_total + total)
-        for link, total in profile.link_blame.items():
-            self.link_blame[link] = self.link_blame.get(link, 0.0) + total
-        for node, total in profile.node_blame.items():
-            self.node_blame[node] = self.node_blame.get(node, 0.0) + total
+        """Fold one session in, as a one-session campaign."""
+        one = CampaignProfile(
+            sessions=1, path_duration_total=profile.path_duration,
+            duration_total=profile.duration, kind_blame=profile.kind_blame,
+            link_blame=profile.link_blame, node_blame=profile.node_blame,
+            undelivered=profile.undelivered,
+        )
+        merge_campaigns(self, one)
 
     def top_links(self, k: int = 5) -> List[Tuple[str, str, float]]:
         ranked = sorted(
@@ -561,9 +558,10 @@ def merge_campaigns(
 ) -> CampaignProfile:
     """Fold ``other`` into ``base`` (in place) and return ``base``.
 
-    Used by the evaluation fan-out to fold per-worker campaign profiles in
-    submission order -- the same order the serial path folds sessions, so
-    the merged floats are bit-identical.
+    The one campaign fold: :meth:`CampaignProfile.add` folds a session as
+    a one-session campaign, and the evaluation fan-out folds per-worker
+    campaign profiles in submission order -- the same order the serial
+    path folds sessions, so the merged floats are bit-identical.
     """
     base.sessions += other.sessions
     base.path_duration_total += other.path_duration_total

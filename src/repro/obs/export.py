@@ -22,8 +22,8 @@ Sim-time is mapped to trace microseconds 1:1 (one virtual time unit =
 timestamps the simulator produces.
 
 Both functions are pure: recording/snapshot dicts in, text/JSON-able
-dicts out.  The CLI wiring lives in :mod:`repro.tools.trace` (``export``
-subcommand) and :mod:`repro.tools.report`.
+dicts out.  The CLI wiring is the ``export`` subcommand of
+:mod:`repro.tools.trace`.
 """
 
 from __future__ import annotations

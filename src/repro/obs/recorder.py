@@ -11,7 +11,8 @@ JSON line, written in arrival order.  On :meth:`Recorder.close` it appends
 
 so a recording is self-describing: :func:`load_recording` rebuilds it and
 ``python -m repro.tools.trace`` renders per-session sim-time timelines and
-the metric table without touching the process that produced it.
+the metric table -- or grades, profiles, diffs and exports it through its
+subcommands -- without touching the process that produced it.
 
 Record types (one JSON object per line)::
 

@@ -18,7 +18,7 @@ firing, one ``slo.alert.resolved`` when it stops, both stamped in sim
 time and written to the active flight recording.  The engine also keeps
 ``slo.*`` metrics (evaluations, burn rates, alert count) so SLO health is
 itself observable, and :func:`replay` re-runs any spec set offline over a
-recorded series bank -- which is how ``repro.tools.report`` grades
+recorded series bank -- which is how ``sflow-trace report`` grades
 recordings made before (or without) a runtime engine.
 
 Evaluation is pure sim-time arithmetic over series points -- no wall
@@ -435,7 +435,7 @@ def replay(
     return engine
 
 
-#: The stock objectives ``repro.tools.report`` grades recordings against
+#: The stock objectives ``sflow-trace report`` grades recordings against
 #: when the recording carries no runtime ``slo`` record.  Thresholds are
 #: calibrated against the seeded chaos-smoke baseline (intensity 0.0): the
 #: baseline must pass every one -- CI gates on it.

@@ -1,29 +1,37 @@
-"""Render or export a federation flight recording from the command line.
+"""Read a federation flight recording: one CLI, one question per form.
 
-Usage::
+Usage (``python -m repro.tools.trace`` is the same program)::
 
-    python -m repro.tools.trace run.jsonl [--session N] [--metrics-only]
-        [--no-metrics]
-    python -m repro.tools.trace export run.jsonl [--prom [PATH]]
-        [--chrome-trace [PATH]]
+    sflow-trace REC [--session N] [--metrics-only] [--no-metrics]
+    sflow-trace export REC [--prom [PATH]] [--chrome-trace [PATH]]
+    sflow-trace report REC [--top-k N] [--fail-on-alerts] [--out PATH]
+    sflow-trace profile REC [--session N] [--top-k N] [--json] [--out PATH]
+    sflow-trace diff BASELINE CANDIDATE [--max-regression 0.2] [--json]
+        [--out PATH]
 
-Reads a JSONL recording written by :mod:`repro.obs.recorder` and prints,
-per session (root span): the sim-time window, the outcome attributes the
-protocol attached (messages, failovers, recovery latency, ...), and a
-merged timeline of child spans and point events in time order.  After the
-sessions comes the metric summary: every counter with its per-label
-totals, every histogram with count/mean.
+* bare -- *what happened?*  Per session (root span): the sim-time window,
+  the protocol's outcome attributes, and a merged timeline of child spans
+  and point events; then every counter, gauge and histogram.
+* ``export`` -- the metric snapshot as Prometheus text exposition
+  (``--prom``) and spans/events/series as Chrome trace-event JSON
+  (``--chrome-trace``, for ``ui.perfetto.dev``); no PATH means stdout.
+* ``report`` -- *is it healthy?*  SLO verdicts (the runtime ``slo``
+  record, else :data:`~repro.obs.slo.DEFAULT_SLOS` replayed over the
+  series bank, else ungradable), the alert timeline of that same source,
+  and the hottest span kinds by sim time and host seconds.
+  ``--fail-on-alerts`` exits 1 when an SLO fired (CI's baseline gate).
+* ``profile`` -- *where did the time go?*  Each session's causal critical
+  path (:mod:`repro.obs.causal`), blame by kind, link, node and phase,
+  off-path slack, and the campaign rollup of a multi-session recording.
+* ``diff`` -- *did it get slower?*  Per-kind mean critical-path deltas of
+  two recordings; exit 1 when the candidate's mean path exceeds the
+  baseline's by more than ``--max-regression``.
 
-The ``export`` subcommand converts a recording for external tooling
-instead of rendering it: ``--prom`` writes the recording's metric
-snapshot in the Prometheus text exposition format, ``--chrome-trace``
-writes spans/events/series as Chrome trace-event JSON (load it at
-``ui.perfetto.dev``).  Omitting the PATH writes to stdout.
-
-The recording is self-describing, so this tool never needs the process
-that produced it -- CI records a chaos run, uploads the JSONL, and this
-renderer is the replay.  Truncated or corrupt lines (a run killed
-mid-write) are skipped with a warning on stderr, never a traceback.
+``--session N`` counts from 1 in recording order and filters text and
+JSON alike; outside 1..M it exits 2.  ``--out`` also writes the output to
+PATH.  A recording is self-describing, so CI records a run, uploads the
+JSONL, and this tool is the replay; truncated or corrupt lines (a run
+killed mid-write) are skipped with a warning on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -32,30 +40,40 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.obs.causal import (
+    ProfileDiff,
+    SessionProfile,
+    aggregate_profiles,
+    diff_recordings,
+    profile_recording,
+)
 from repro.obs.export import chrome_trace, prometheus_exposition
 from repro.obs.recorder import Recording, load_recording
+from repro.obs.slo import DEFAULT_SLOS, SloSpec, replay as slo_replay
 
 
 def _fmt(value: Any) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:g}"
     return str(value)
 
 
 def _fmt_attrs(attrs: Dict[str, Any], *, skip: Sequence[str] = ()) -> str:
-    parts = [
+    return " ".join(
         f"{key}={_fmt(value)}"
         for key, value in attrs.items()
         if key not in skip and value not in (None, "")
-    ]
-    return " ".join(parts)
+    )
 
 
-def render_session(
-    recording: Recording, session: Dict[str, Any], ordinal: int
-) -> List[str]:
+# -- the bare form: sessions and metrics -------------------------------------
+
+
+def render_session(recording: Recording, session: Dict[str, Any], ordinal: int) -> List[str]:
     """The per-session block: header, attrs, merged sim-time timeline."""
     trace = session.get("trace")
     start = session.get("start") or 0.0
@@ -74,27 +92,18 @@ def render_session(
         if span.get("span") == root_id:
             continue
         s, e = span.get("start") or 0.0, span.get("end") or 0.0
-        rows.append(
-            (
-                s,
-                0,
-                f"span  {span.get('name')} ({e - s:g}) "
-                f"{_fmt_attrs(span.get('attrs') or {})}".rstrip(),
-            )
-        )
+        attrs = _fmt_attrs(span.get("attrs") or {})
+        rows.append((s, 0, f"span  {span.get('name')} ({e - s:g}) {attrs}"))
     for seq, event in enumerate(recording.events_of(trace)):
+        attrs = _fmt_attrs(event.get("attrs") or {})
+        # events after spans at equal times, in stream order
         rows.append(
-            (
-                event.get("time") or 0.0,
-                1 + seq,  # events after spans at equal times, stream order
-                f"event {event.get('name')} "
-                f"{_fmt_attrs(event.get('attrs') or {})}".rstrip(),
-            )
+            (event.get("time") or 0.0, 1 + seq, f"event {event.get('name')} {attrs}")
         )
     if rows:
         lines.append("  timeline:")
         for when, _, text in sorted(rows, key=lambda r: (r[0], r[1])):
-            lines.append(f"    {when:>10g}  {text}")
+            lines.append(f"    {when:>10g}  {text}".rstrip())
     return lines
 
 
@@ -112,36 +121,26 @@ def render_metrics(recording: Recording) -> List[str]:
             lines.append(f"  counter   {name:<28} total={_fmt(total)}")
             for labels in sorted(values):
                 if labels:
-                    lines.append(
-                        f"            {'':<28} {labels}: {_fmt(values[labels])}"
-                    )
+                    lines.append(f"            {'':<28} {labels}: {_fmt(values[labels])}")
         elif kind == "gauge":
             for labels in sorted(values):
                 suffix = f" {labels}" if labels else ""
-                lines.append(
-                    f"  gauge     {name:<28} {_fmt(values[labels])}{suffix}"
-                )
+                lines.append(f"  gauge     {name:<28} {_fmt(values[labels])}{suffix}")
         elif kind == "histogram":
             for labels in sorted(values):
                 series = values[labels]
                 count = series.get("count", 0)
                 mean = series.get("sum", 0.0) / count if count else 0.0
                 suffix = f" {labels}" if labels else ""
-                lines.append(
-                    f"  histogram {name:<28} count={count} "
-                    f"mean={mean:g}{suffix}"
-                )
+                lines.append(f"  histogram {name:<28} count={count} mean={mean:g}{suffix}")
     return lines
 
 
 def render(
-    recording: Recording,
-    *,
-    session: Optional[int] = None,
-    metrics: bool = True,
+    recording: Recording, *, session: Optional[int] = None, metrics: bool = True,
     metrics_only: bool = False,
 ) -> str:
-    """The full report as one printable string."""
+    """The full rendering as one printable string."""
     lines: List[str] = []
     meta = recording.meta
     header = f"flight recording ({meta.get('format', 'unknown format')})"
@@ -168,57 +167,264 @@ def render(
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        description="Render an sFlow flight recording (JSONL)."
-    )
-    parser.add_argument("recording", type=Path, help="recording JSONL file")
-    parser.add_argument(
-        "--session",
-        type=int,
-        default=None,
-        metavar="N",
-        help="only render the Nth session (1-based, recording order)",
-    )
-    parser.add_argument(
-        "--metrics-only",
-        action="store_true",
-        help="skip sessions, print just the metric summary",
-    )
-    parser.add_argument(
-        "--no-metrics",
-        action="store_true",
-        help="skip the metric summary",
-    )
-    return parser
+# -- report: SLO verdicts, alerts, hot spans ---------------------------------
 
 
-def build_export_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.trace export",
-        description="Export an sFlow flight recording for external tools.",
+def _span_profile(recording: Recording, top_k: int) -> List[Dict[str, Any]]:
+    """Aggregate spans by name: count, total sim time, total host seconds."""
+    profile: Dict[str, Dict[str, Any]] = {}
+    for span in recording.spans:
+        name = span.get("name", "span")
+        row = profile.setdefault(
+            name, {"name": name, "count": 0, "sim_time": 0.0, "wall_seconds": 0.0}
+        )
+        row["count"] += 1
+        start = float(span.get("start") or 0.0)
+        end = float(span.get("end") or start)
+        if span.get("clock") == "sim":
+            row["sim_time"] += end - start
+        wall = (span.get("attrs") or {}).get("wall_seconds")
+        if isinstance(wall, (int, float)):
+            row["wall_seconds"] += float(wall)
+    rows = sorted(
+        profile.values(), key=lambda r: (-r["sim_time"], -r["wall_seconds"], r["name"])
     )
-    parser.add_argument("recording", type=Path, help="recording JSONL file")
-    parser.add_argument(
-        "--prom",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
+    return rows[:top_k]
+
+
+def build_report(
+    recording: Recording, *, specs: Optional[Sequence[SloSpec]] = None, top_k: int = 10
+) -> Dict[str, Any]:
+    """Grade one recording into a plain-dict report.
+
+    Precedence for the SLO section: an explicit ``specs`` argument always
+    replays; otherwise a runtime ``slo`` record is used verbatim;
+    otherwise :data:`DEFAULT_SLOS` replay over the recorded series; a
+    ``/1`` recording with no series grades nothing (``source: "none"``).
+    The alert timeline comes from the same source as the verdicts.
+    """
+    if specs is None and recording.slo:
+        results = list(recording.slo.get("results", []))
+        alerts = list(recording.slo.get("alerts", []))
+        source = "runtime"
+    elif specs is not None or recording.series:
+        engine = slo_replay(recording.series, DEFAULT_SLOS if specs is None else specs)
+        results, alerts, source = engine.summary(), engine.alerts, "replay"
+    else:
+        results, alerts, source = [], [], "none"
+    return {
+        "format": recording.meta.get("format", "unknown"),
+        "source": source,
+        "slo": results,
+        "alerts": sorted(alerts, key=lambda a: (a["time"], a["slo"])),
+        "spans": _span_profile(recording, top_k),
+        "series_count": len(recording.series),
+    }
+
+
+def render_report(report: Dict[str, Any]) -> str:
+    """The report as one printable text block."""
+    lines: List[str] = [
+        f"campaign health report ({report['format']}, "
+        f"{report['series_count']} series)",
+        "",
+        f"SLOs ({report['source']}):",
+    ]
+    if not report["slo"]:
+        lines.append("  (nothing to grade: no slo record and no series in recording)")
+    else:
+        header = (
+            f"  {'verdict':<8} {'slo':<24} {'objective':<26} "
+            f"{'alerts':>6} {'last':>10} {'burn':>8}"
+        )
+        lines.append(header)
+        lines.append("  " + "-" * (len(header) - 2))
+        for row in report["slo"]:
+            verdict = "PASS" if row.get("pass") else "FAIL"
+            lines.append(
+                f"  {verdict:<8} {row.get('slo', '?'):<24} "
+                f"{row.get('objective', ''):<26} "
+                f"{row.get('alerts', 0):>6} "
+                f"{_fmt(row.get('last_value')):>10} "
+                f"{_fmt(row.get('last_burn_rate')):>8}"
+            )
+    lines.append("")
+    lines.append("alert timeline:")
+    if not report["alerts"]:
+        lines.append("  (no burn-rate alerts)")
+    else:
+        for alert in report["alerts"]:
+            lines.append(
+                f"  t={alert['time']:>10g}  {alert['state']:<9} "
+                f"{alert['slo']}  burn_rate={_fmt(alert.get('burn_rate'))}"
+            )
+    lines.append("")
+    lines.append(f"hottest span kinds (top {len(report['spans'])}):")
+    if not report["spans"]:
+        lines.append("  (no spans in recording)")
+    else:
+        lines.append(f"  {'span':<28} {'count':>6} {'sim_time':>12} {'host_s':>10}")
+        for row in report["spans"]:
+            lines.append(
+                f"  {row['name']:<28} {row['count']:>6} "
+                f"{row['sim_time']:>12g} {row['wall_seconds']:>10.4f}"
+            )
+    lines.append("")
+    lines.append("(critical path and blame: sflow-trace profile <recording>)")
+    return "\n".join(lines)
+
+
+# -- profile and diff: causal critical paths ---------------------------------
+
+
+def render_session_profile(
+    profile: SessionProfile, ordinal: int, *, top_k: int = 5
+) -> List[str]:
+    """One session's critical-path block as printable lines."""
+    lines = [
+        f"session {ordinal}: {profile.name} "
+        f"{profile.start:g} -> {profile.end:g} "
+        f"(duration {profile.duration:g}"
+        + (f", outcome {profile.outcome}" if profile.outcome else "")
+        + ")"
+    ]
+    if not profile.steps:
+        lines.append("  (no causally-stamped activity in this session)")
+        return lines
+    lines.append(
+        f"  critical path: {profile.path_duration:g} sim-time over "
+        f"{len(profile.steps)} steps"
+    )
+    for step in profile.steps:
+        where = (
+            f"{step.src} -> {step.dst}"
+            if step.kind in ("transmit", "initial") and step.src != step.dst
+            else step.dst
+        )
+        lines.append(f"    {step.start:>10g}  {step.kind:<9} {_fmt(step.duration):>10}  {where}")
+    lines.append("  blame by kind:")
+    for kind, (count, total) in sorted(
+        profile.kind_blame.items(), key=lambda kv: (-kv[1][1], kv[0])
+    ):
+        lines.append(f"    {kind:<9} {_fmt(total):>10}  ({count} steps)")
+    top_links = profile.top_links(top_k)
+    if top_links:
+        lines.append(f"  blame by link (top {len(top_links)}):")
+        for src, dst, total in top_links:
+            lines.append(f"    {_fmt(total):>10}  {src} -> {dst}")
+    top_nodes = profile.top_nodes(top_k)
+    if top_nodes:
+        lines.append(f"  blame by node (top {len(top_nodes)}):")
+        for node, total in top_nodes:
+            lines.append(f"    {_fmt(total):>10}  {node}")
+    if profile.link_slack:
+        ranked = sorted(profile.link_slack.items(), key=lambda kv: (kv[1], kv[0]))
+        lines.append(f"  off-path slack (tightest {min(top_k, len(ranked))}):")
+        for (src, dst), slack in ranked[:top_k]:
+            lines.append(f"    {_fmt(slack):>10}  {src} -> {dst}")
+    if profile.undelivered:
+        lines.append(f"  undelivered messages: {profile.undelivered}")
+    lines.append("  phases (self vs. total sim-time):")
+    for name, (count, total, self_time, wall) in sorted(
+        profile.span_table.items(), key=lambda kv: (-kv[1][1], kv[0])
+    ):
+        lines.append(
+            f"    {name:<22} total={_fmt(total):>8} self={_fmt(self_time):>8}"
+            f" count={count}"
+            + (f" wall={wall:.4f}s" if wall else "")
+        )
+    return lines
+
+
+def render_profiles(
+    profiles: List[SessionProfile], *, session: Optional[int] = None, top_k: int = 5
+) -> str:
+    """The full profile report (all sessions + campaign rollup)."""
+    lines: List[str] = ["causal critical-path profile"]
+    shown = 0
+    for ordinal, profile in enumerate(profiles, start=1):
+        if session is not None and ordinal != session:
+            continue
+        shown += 1
+        lines.append("")
+        lines.extend(render_session_profile(profile, ordinal, top_k=top_k))
+    if shown == 0:
+        lines.append("  (no sessions matched)")
+    if session is None and len(profiles) > 1:
+        campaign = aggregate_profiles(profiles)
+        lines.append("")
+        lines.append(
+            f"campaign: {campaign.sessions} sessions, "
+            f"mean critical path {campaign.mean_path_duration:g}"
+        )
+        for kind, (count, total) in sorted(
+            campaign.kind_blame.items(), key=lambda kv: (-kv[1][1], kv[0])
+        ):
+            mean = total / campaign.sessions
+            lines.append(
+                f"  {kind:<9} mean/session={_fmt(mean):>10}  "
+                f"total={_fmt(total):>10}  ({count} steps)"
+            )
+        for src, dst, total in campaign.top_links(top_k):
+            lines.append(f"  hot link {_fmt(total):>10}  {src} -> {dst}")
+    return "\n".join(lines)
+
+
+def render_diff(diff: ProfileDiff) -> str:
+    """The differential report as one printable block."""
+    lines = [
+        "differential critical-path profile",
+        f"  baseline : {diff.baseline_sessions} sessions, "
+        f"mean critical path {diff.baseline_mean:g}",
+        f"  candidate: {diff.candidate_sessions} sessions, "
+        f"mean critical path {diff.candidate_mean:g}",
+        f"  delta    : {diff.delta:+g} "
+        f"({diff.relative:+.1%} vs. threshold +{diff.threshold:.0%})",
+        "",
+        f"  {'kind':<9} {'baseline':>12} {'candidate':>12} {'delta':>12}",
+    ]
+    for kind, (a, b, d) in sorted(
+        diff.kind_deltas.items(), key=lambda kv: (-abs(kv[1][2]), kv[0])
+    ):
+        lines.append(f"  {kind:<9} {_fmt(a):>12} {_fmt(b):>12} {d:>+12g}")
+    lines.append("")
+    lines.append("verdict: REGRESSION" if diff.regression else "verdict: ok")
+    return "\n".join(lines)
+
+
+# -- command line ------------------------------------------------------------
+
+#: Every flag of every subcommand, declared once; ``_COMMANDS`` picks them.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--session": dict(
+        type=int, metavar="N", help="only the Nth session (1-based, recording order)"
+    ),
+    "--top-k": dict(type=int, metavar="N", help="rows per ranked table (default %(default)s)"),
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "--out": dict(type=Path, metavar="PATH", help="also write the output to PATH"),
+    "--metrics-only": dict(
+        action="store_true", help="skip sessions, print just the metric summary"
+    ),
+    "--no-metrics": dict(action="store_true", help="skip the metric summary"),
+    "--prom": dict(
+        nargs="?", const="-", metavar="PATH",
         help="write the metric snapshot as Prometheus text exposition "
         "(to PATH, or stdout when omitted)",
-    )
-    parser.add_argument(
-        "--chrome-trace",
-        dest="chrome_trace",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
+    ),
+    "--chrome-trace": dict(
+        nargs="?", const="-", metavar="PATH",
         help="write spans/events/series as Chrome trace-event JSON "
         "(to PATH, or stdout when omitted)",
-    )
-    return parser
+    ),
+    "--fail-on-alerts": dict(
+        action="store_true", help="exit 1 when any graded SLO fired a burn-rate alert"
+    ),
+    "--max-regression": dict(
+        type=float, default=0.2, metavar="FRAC",
+        help="fail (exit 1) when the candidate's mean critical path exceeds "
+        "the baseline by more than this fraction (default %(default)s)",
+    ),
+}
 
 
 def _load_checked(path: Path) -> Optional[Recording]:
@@ -228,59 +434,151 @@ def _load_checked(path: Path) -> Optional[Recording]:
         return None
     recording = load_recording(path)
     for lineno, message in recording.errors:
-        print(
-            f"warning: {path}:{lineno}: skipped {message}", file=sys.stderr
-        )
+        print(f"warning: {path}:{lineno}: skipped {message}", file=sys.stderr)
     return recording
 
 
-def _write_output(text: str, target: str) -> None:
-    if target == "-":
+def _emit(text: str, out: Optional[Path], *, echo: bool = True) -> None:
+    """Print ``text`` (when ``echo``) and also write it to ``out``."""
+    if echo:
         sys.stdout.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
-        print(f"wrote {target}", file=sys.stderr)
+    if out is not None:
+        out.write_text(text, encoding="utf-8")
+        print(f"wrote {out}", file=sys.stderr)
 
 
-def export_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_export_parser().parse_args(argv)
+def _render_cmd(args: argparse.Namespace, recording: Recording) -> int:
+    print(render(
+        recording, session=args.session, metrics=not args.no_metrics,
+        metrics_only=args.metrics_only,
+    ))
+    return 0
+
+
+def _export_cmd(args: argparse.Namespace, recording: Recording) -> int:
     if args.prom is None and args.chrome_trace is None:
+        print("error: nothing to export (pass --prom and/or --chrome-trace)", file=sys.stderr)
+        return 2
+    outputs = []
+    if args.prom is not None:
+        outputs.append((args.prom, prometheus_exposition(recording.metrics)))
+    if args.chrome_trace is not None:
+        payload = json.dumps(chrome_trace(recording), separators=(",", ":"))
+        outputs.append((args.chrome_trace, payload + "\n"))
+    for target, text in outputs:
+        path = None if target == "-" else Path(target)
+        _emit(text, path, echo=path is None)
+    return 0
+
+
+def _report_cmd(args: argparse.Namespace, recording: Recording) -> int:
+    report = build_report(recording, top_k=args.top_k)
+    _emit(render_report(report) + "\n", args.out)
+    if args.fail_on_alerts:
+        failed = [row["slo"] for row in report["slo"] if not row.get("pass")]
+        if failed:
+            print(f"FAIL: burn-rate alerts fired for: {', '.join(failed)}", file=sys.stderr)
+            return 1
+        print("all graded SLOs passed", file=sys.stderr)
+    return 0
+
+
+def _profile_cmd(args: argparse.Namespace, recording: Recording) -> int:
+    profiles = profile_recording(recording)
+    if args.json:
+        if args.session is not None:
+            profiles = profiles[args.session - 1 : args.session]
+        payload = {
+            "sessions": [p.as_dict() for p in profiles],
+            "campaign": aggregate_profiles(profiles).as_dict(),
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        text = render_profiles(profiles, session=args.session, top_k=args.top_k)
+    _emit(text + "\n", args.out)
+    return 0
+
+
+def _diff_cmd(args: argparse.Namespace, baseline: Recording, candidate: Recording) -> int:
+    diff = diff_recordings(baseline, candidate, threshold=args.max_regression)
+    if args.json:
+        text = json.dumps(diff.as_dict(), indent=2, sort_keys=True)
+    else:
+        text = render_diff(diff)
+    _emit(text + "\n", args.out)
+    if diff.regression:
         print(
-            "error: nothing to export (pass --prom and/or --chrome-trace)",
+            f"FAIL: mean critical path regressed {diff.relative:+.1%} "
+            f"(threshold +{diff.threshold:.0%})",
             file=sys.stderr,
         )
-        return 2
-    recording = _load_checked(args.recording)
-    if recording is None:
-        return 2
-    if args.prom is not None:
-        _write_output(prometheus_exposition(recording.metrics), args.prom)
-    if args.chrome_trace is not None:
-        payload = chrome_trace(recording)
-        _write_output(
-            json.dumps(payload, separators=(",", ":")) + "\n",
-            args.chrome_trace,
-        )
+        return 1
     return 0
+
+
+class _Command(NamedTuple):
+    description: str
+    run: Callable[..., int]
+    flags: Tuple[str, ...]
+    recordings: Tuple[str, ...] = ("recording",)
+    top_k: Optional[int] = None  # the --top-k default, when it is a flag
+
+
+#: The bare form ``sflow-trace REC`` is the ``""`` entry.
+_COMMANDS: Dict[str, _Command] = {
+    "": _Command(
+        "Render an sFlow flight recording (JSONL).  Subcommands: export, report, "
+        "profile, diff (sflow-trace SUBCOMMAND --help).",
+        _render_cmd, ("--session", "--metrics-only", "--no-metrics"),
+    ),
+    "export": _Command(
+        "Export an sFlow flight recording for external tools.",
+        _export_cmd, ("--prom", "--chrome-trace"),
+    ),
+    "report": _Command(
+        "Render a campaign health report from a flight recording.",
+        _report_cmd, ("--top-k", "--out", "--fail-on-alerts"), top_k=10,
+    ),
+    "profile": _Command(
+        "Causal critical-path profile of a flight recording.",
+        _profile_cmd, ("--session", "--top-k", "--json", "--out"), top_k=5,
+    ),
+    "diff": _Command(
+        "Compare the critical paths of two flight recordings.",
+        _diff_cmd, ("--max-regression", "--json", "--out"),
+        recordings=("baseline", "candidate"),
+    ),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "export":
-        return export_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    recording = _load_checked(args.recording)
-    if recording is None:
-        return 2
-    print(
-        render(
-            recording,
-            session=args.session,
-            metrics=not args.no_metrics,
-            metrics_only=args.metrics_only,
-        )
+    name = argv.pop(0) if argv and argv[0] in _COMMANDS else ""
+    command = _COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"sflow-trace {name}".rstrip(), description=command.description
     )
-    return 0
+    for positional in command.recordings:
+        parser.add_argument(positional, type=Path, help=f"{positional} JSONL file")
+    for flag in command.flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(top_k=command.top_k)
+    args = parser.parse_args(argv)
+    if args.top_k is not None and args.top_k < 1:
+        print("error: --top-k must be >= 1", file=sys.stderr)
+        return 2
+    recordings = [_load_checked(getattr(args, p)) for p in command.recordings]
+    if None in recordings:
+        return 2
+    session, count = getattr(args, "session", None), len(recordings[0].sessions())
+    if session is not None and not 1 <= session <= count:
+        print(
+            f"error: --session {session} is outside 1..{count} "
+            f"(the recording has {count} sessions)",
+            file=sys.stderr,
+        )
+        return 2
+    return command.run(args, *recordings)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI shim

@@ -9,6 +9,7 @@ temp dir, so the working tree stays clean.
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 import tarfile
@@ -27,6 +28,29 @@ def test_package_data_declares_py_typed():
     text = (REPO / "pyproject.toml").read_text()
     assert '[tool.setuptools.package-data]' in text
     assert 'py.typed' in text
+
+
+def _console_scripts() -> dict:
+    """``[project.scripts]`` as {name: "module:attr"}, read line by line
+    (Python 3.9 ships no TOML parser)."""
+    scripts = {}
+    in_table = False
+    for line in (REPO / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            in_table = line == "[project.scripts]"
+        elif in_table and "=" in line:
+            name, target = (part.strip().strip('"') for part in line.split("=", 1))
+            scripts[name] = target
+    return scripts
+
+
+def test_every_console_script_resolves_to_a_callable():
+    scripts = _console_scripts()
+    assert "sflow-trace" in scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ import pytest
 from repro import obs
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig
 from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
+from repro.obs.slo import SloSpec
 from repro.services.workloads import travel_agency_scenario
-from repro.tools.report import main as report_main
-from repro.tools.trace import main as trace_main, render
+from repro.tools.trace import build_report, main as trace_main, render
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +127,13 @@ class TestMain:
         assert trace_main([str(tmp_path / "nope.jsonl")]) == 2
         assert "no such recording" in capsys.readouterr().err
 
+    def test_session_out_of_range_is_an_error(self, recorded_run, capsys):
+        path, _, _ = recorded_run
+        assert trace_main([str(path), "--session", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside 1..2" in captured.err
+
 
 class TestDamagedRecordings:
     def test_truncated_line_warns_but_renders(self, tmp_path, capsys):
@@ -209,7 +216,7 @@ class TestReportCLI:
 
     def test_pass_renders_and_gate_exits_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, alerts=[])
-        assert report_main([str(path), "--fail-on-alerts"]) == 0
+        assert trace_main(["report", str(path), "--fail-on-alerts"]) == 0
         captured = capsys.readouterr()
         assert "PASS" in captured.out
         assert "SLOs (runtime):" in captured.out
@@ -219,7 +226,7 @@ class TestReportCLI:
         alert = {"slo": "latency", "state": "firing", "time": 5.0,
                  "burn_rate": 3.0}
         path = self._write(tmp_path, alerts=[alert])
-        assert report_main([str(path), "--fail-on-alerts"]) == 1
+        assert trace_main(["report", str(path), "--fail-on-alerts"]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "t=         5  firing" in captured.out
@@ -228,28 +235,48 @@ class TestReportCLI:
     def test_alerts_without_gate_flag_still_exit_zero(self, tmp_path):
         alert = {"slo": "latency", "state": "firing", "time": 5.0,
                  "burn_rate": 3.0}
-        assert report_main([str(self._write(tmp_path, alerts=[alert]))]) == 0
+        assert trace_main(["report", str(self._write(tmp_path, alerts=[alert]))]) == 0
 
     def test_top_k_must_be_positive(self, tmp_path, capsys):
         path = self._write(tmp_path, alerts=[])
-        assert report_main([str(path), "--top-k", "0"]) == 2
+        assert trace_main(["report", str(path), "--top-k", "0"]) == 2
         assert "--top-k" in capsys.readouterr().err
 
     def test_out_writes_the_rendered_report(self, tmp_path, capsys):
         path = self._write(tmp_path, alerts=[])
         out = tmp_path / "health.txt"
-        assert report_main([str(path), "--out", str(out)]) == 0
+        assert trace_main(["report", str(path), "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
-        assert report_main([str(tmp_path / "nope.jsonl")]) == 2
+        assert trace_main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such recording" in capsys.readouterr().err
 
     def test_replay_source_when_only_series_present(
         self, recorded_run, capsys
     ):
         path, _, _ = recorded_run
-        assert report_main([str(path)]) == 0
+        assert trace_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         # The CLI fixture records no sampler bank: nothing to grade.
         assert "SLOs (none):" in out or "SLOs (replay):" in out
+
+    def test_alert_timeline_comes_from_the_grading_source(self, tmp_path):
+        """Specs that replay over the series bank grade the table; the
+        runtime ``latency`` alert, in the slo record and as an event, is
+        not theirs and stays out of the timeline."""
+        alert = {"slo": "latency", "state": "firing", "time": 5.0,
+                 "burn_rate": 3.0}
+        path = self._write(tmp_path, alerts=[alert])
+        event = {"type": "event", "name": "slo.alert", "trace": 1, "span": 1,
+                 "time": 5.0, "clock": "sim",
+                 "attrs": {"slo": "latency", "burn_rate": 3.0}}
+        with path.open("a") as fh:
+            fh.write(json.dumps(event) + "\n")
+        other = SloSpec(name="other", metric="absent", objective="<=",
+                        threshold=1.0)
+        report = build_report(obs.load_recording(path), specs=(other,))
+        assert [row["slo"] for row in report["slo"]] == ["other"]
+        assert report["alerts"] == []
+        runtime = build_report(obs.load_recording(path))
+        assert [a["slo"] for a in runtime["alerts"]] == ["latency"]
