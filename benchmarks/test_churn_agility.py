@@ -8,8 +8,8 @@ bandwidth threshold), repair counts, and bandwidth retention.
 
 import pytest
 
+from benchmarks.churn import ChurnConfig, run_churn_experiment
 from repro.core.monitor import MonitorConfig
-from repro.eval.churn import ChurnConfig, run_churn_experiment
 from repro.eval.stats import mean
 from repro.services.workloads import ScenarioConfig, generate_scenario
 

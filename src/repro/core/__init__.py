@@ -12,8 +12,6 @@
   evaluation: random, fixed (greedy widest), and single service path.
 * :mod:`repro.core.sflow` -- the fully distributed sFlow algorithm running
   on the discrete-event simulator.
-* :mod:`repro.core.nphardness` -- the executable SAT reduction behind
-  Theorem 1 (Maximum Service Flow Graph is NP-complete).
 """
 
 from repro.core.baseline import BaselineAlgorithm, solve_path_requirement

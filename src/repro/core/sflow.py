@@ -136,9 +136,6 @@ class SFlowConfig:
 
     Attributes:
         horizon: overlay-hop radius of each node's local view (paper: 2).
-        pareto: whether local solvers keep Pareto frontiers (exact local
-            optimisation) or single shortest-widest-best entries (the
-            paper's pure heuristic).
         use_link_state: materialise local views by running the bounded
             link-state protocol on the simulator instead of reading them off
             the overlay directly (slower, but fully distributed end to end;
@@ -193,7 +190,6 @@ class SFlowConfig:
     """
 
     horizon: int = 2
-    pareto: bool = True
     use_link_state: bool = False
     loss_rate: float = 0.0
     loss_seed: int = 0
@@ -550,7 +546,7 @@ class _Federation:
         self.network = self.recovery.network
         self.idom = requirement.immediate_dominators()
         #: Every local planning step (and in-place repair) solves with this.
-        self.solver = ReductionSolver(pareto=config.pareto)
+        self.solver = ReductionSolver()
         _t0 = self.stopwatch.read()
         self.directory: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: overlay.instances_of(sid) for sid in requirement.services()

@@ -12,8 +12,6 @@ Import from the submodules; the package itself exports nothing.
   directory with a manifest (``python -m repro.eval.campaign --out DIR``).
 * :mod:`repro.eval.robustness` -- the crash-tolerance and gray-failure
   sweeps: fault level x network size under mid-protocol chaos plans.
-* :mod:`repro.eval.churn` -- availability of a monitored federation under
-  continuous leave/rejoin.
 * :mod:`repro.eval.stats` -- tiny statistics helpers (means, confidence
   intervals) so the harness has no plotting dependencies.
 """

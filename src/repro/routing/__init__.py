@@ -14,7 +14,6 @@
   *k-hop local view* (the paper assumes a two-hop vicinity).
 """
 
-from repro.routing.distance_vector import DistanceVectorReport, run_distance_vector
 from repro.routing.kernel import CSRGraph, batched_trees
 from repro.routing.link_state import LinkStateReport, collect_local_views
 from repro.routing.oracle import OracleStats, RouteOracle
@@ -22,12 +21,10 @@ from repro.routing.wang_crowcroft import RouteLabel
 
 __all__ = [
     "CSRGraph",
-    "DistanceVectorReport",
     "LinkStateReport",
     "OracleStats",
     "RouteOracle",
     "batched_trees",
     "collect_local_views",
-    "run_distance_vector",
     "RouteLabel",
 ]

@@ -25,25 +25,8 @@ package implements the subset we need from scratch (see DESIGN.md,
 
 from repro.sim.engine import AnyOf, AllOf, Environment, Event, Interrupt, Process, Timeout
 from repro.sim.channels import Mailbox, MessageNetwork, Envelope
-from repro.sim.resources import Request, Resource, Store
-
-
-def __getattr__(name):
-    # Lazy: repro.sim.dataplane imports the services layer, which in turn
-    # imports repro.routing -> repro.sim; importing it eagerly here would
-    # close that cycle during package initialisation.
-    if name == "simulate_stream_des":
-        from repro.sim.dataplane import simulate_stream_des
-
-        return simulate_stream_des
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
-    "Request",
-    "Resource",
-    "Store",
-    "simulate_stream_des",
     "AllOf",
     "AnyOf",
     "Environment",

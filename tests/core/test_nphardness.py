@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.nphardness import (
+from tests.oracles.nphardness import (
     BOUND_K,
     COMPATIBLE_WEIGHT,
     CONFLICT_WEIGHT,
@@ -148,7 +148,7 @@ class TestDecoding:
     def test_decode_sets_selected_literals(self):
         sat = SatInstance(((1,), (2,)))
         instance = msfg_from_sat(sat)
-        from repro.core.nphardness import _direct_abstract
+        from tests.oracles.nphardness import _direct_abstract
         from repro.core.optimal import optimal_flow_graph
 
         graph = optimal_flow_graph(
@@ -162,7 +162,7 @@ class TestDecoding:
     def test_flow_graph_min_weight_is_bottleneck(self):
         sat = SatInstance(((1,), (2,)))
         instance = msfg_from_sat(sat)
-        from repro.core.nphardness import _direct_abstract
+        from tests.oracles.nphardness import _direct_abstract
         from repro.core.optimal import optimal_flow_graph
 
         graph = optimal_flow_graph(

@@ -41,7 +41,6 @@ class TestConfig:
     def test_defaults(self):
         config = SFlowConfig()
         assert config.horizon == 2
-        assert config.pareto
 
 
 class TestProtocol:

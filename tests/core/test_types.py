@@ -106,11 +106,6 @@ class TestTimedSolve:
 
 
 class TestLazySimAttr:
-    def test_simulate_stream_des_lazy_import(self):
-        import repro.sim as sim
-
-        assert callable(sim.simulate_stream_des)
-
     def test_unknown_attribute_raises(self):
         import repro.sim as sim
 

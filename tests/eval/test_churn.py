@@ -2,9 +2,13 @@
 
 import pytest
 
+from benchmarks.churn import ChurnConfig, ChurnReport, run_churn_experiment
 from repro.core.monitor import MonitorConfig
-from repro.eval.churn import ChurnConfig, ChurnReport, run_churn_experiment
-from repro.services.workloads import travel_agency_scenario
+from repro.services.workloads import (
+    ScenarioConfig,
+    generate_scenario,
+    travel_agency_scenario,
+)
 
 
 @pytest.fixture
@@ -102,3 +106,29 @@ class TestRun:
         assert report.bandwidth_retention == pytest.approx(
             report.final_bandwidth / report.initial_bandwidth
         )
+
+    def test_availability_grades_against_required_bandwidth(self):
+        # With a requirement the monitor enforces that absolute floor, so
+        # availability counts the probes that meet it -- not 0.7x initial.
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=20, n_services=4, instances_per_service=(2, 4), seed=0
+            )
+        )
+        initial = run_churn_experiment(
+            scenario, ChurnConfig(duration=1, churn_interval=10)
+        ).initial_bandwidth
+        required = 0.95 * initial
+        report = run_churn_experiment(
+            scenario,
+            ChurnConfig(
+                duration=100,
+                churn_interval=10,
+                rejoin_delay=15,
+                monitor=MonitorConfig(probe_interval=2.0, required_bandwidth=required),
+            ),
+        )
+        probes = report.monitor_report.timeline
+        met = sum(1 for _, observed in probes if observed >= required)
+        assert report.availability == pytest.approx(met / len(probes))
+        assert report.availability < 1.0

@@ -4,8 +4,8 @@ import pytest
 
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
-from repro.routing.distance_vector import run_distance_vector
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.distance_vector import run_distance_vector
 from tests.oracles.wang_crowcroft import widest_bandwidths
 
 

@@ -16,8 +16,8 @@ from repro.network.overlay import ServiceInstance
 from repro.services.execution import StreamConfig, simulate_stream
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement
-from repro.sim.dataplane import simulate_stream_des
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.dataplane import simulate_stream_des
 
 
 def chain_graph(bandwidths, latencies):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
-from repro.sim.resources import Request, Resource, Store
+from tests.oracles.dataplane import Request, Resource, Store
 
 
 class TestResource:

@@ -9,6 +9,7 @@ temp dir, so the working tree stays clean.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -18,6 +19,10 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+#: Modules that stay in ``src/`` without a caller, each with its reason.
+UNCALLED = {"repro.core.reservation": "first caller is ROADMAP item 9b"}
 
 
 def test_py_typed_marker_exists_in_tree():
@@ -51,6 +56,53 @@ def test_every_console_script_resolves_to_a_callable():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
+def _imports(path: Path) -> set:
+    """Every dotted name ``path`` imports; ``from a import b`` yields both
+    ``a`` and ``a.b``, since ``b`` may be a submodule."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_in_src_has_a_caller():
+    """``src/`` is the system: a module no other module imports is a
+    demonstration or a test-side reference and lives beside its users.
+    Subpackage ``__init__`` re-exports do not count as callers; the
+    top-level ``repro`` API, console-script targets, ``python -m`` entry
+    points and the rule modules the checker's catalogue collects are
+    entered from outside."""
+    paths = sorted((SRC / "repro").rglob("*.py"))
+    called = {
+        name
+        for path in paths
+        if path.name != "__init__.py"
+        for name in _imports(path)
+    }
+    called.update(_imports(SRC / "repro" / "__init__.py"))
+    called.update(t.partition(":")[0] for t in _console_scripts().values())
+    called.update(
+        name
+        for name in _imports(SRC / "repro" / "tools" / "check" / "rules" / "__init__.py")
+        if name.startswith("repro.tools.check.rules.")
+    )
+    uncalled = {
+        _module_name(path)
+        for path in paths
+        if path.name not in ("__init__.py", "__main__.py")
+        and _module_name(path) not in called
+    }
+    assert uncalled == set(UNCALLED)
 
 
 @pytest.fixture(scope="module")
