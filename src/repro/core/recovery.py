@@ -478,7 +478,7 @@ class _Recovery:
             if inst not in self.suspected
         }
         pins[src.sid] = src
-        assignment = fed.plan(src, fed.requirement.downstream_closure(src.sid), pins)
+        assignment = fed.plan(src, fed.residual(src.sid), pins)
         replacement = assignment.get(dead.sid) if assignment is not None else None
         if replacement is None or replacement in self.suspected:
             replacement = self.live_instance(dead.sid)

@@ -37,14 +37,16 @@ edge is priced by its own shortest-widest overlay path); this is verified
 against brute force in ``tests/core/test_reductions.py``.
 
 One :meth:`ReductionSolver.solve_assignment` call is one *planning step*:
-it asks the view for the price of every requirement edge's instance pairs
-once (:class:`_PricedEdges`) and the block solvers then read only that
-table -- the view is never called per candidate assignment.  From the
-table to the answer the DP is plain floats: an entry is a
+it asks the view for one priced row per requirement edge and source
+instance (:meth:`AbstractView.price_row`, gathered in :class:`_PricedEdges`)
+and the block solvers then read only that table -- the view is never
+called per candidate assignment.  From the view to the answer the step is
+plain floats: a row is a list of :data:`Hop` pairs, an entry is a
 ``(bandwidth, latency, assignment)`` triple compared by ``(bandwidth,
 -latency)``, a path block copies an assignment only for the candidates
-that survive :func:`pareto_prune`, and the one :class:`PathQuality` of a
-step is the one ``solve_assignment`` returns.
+that survive :func:`pareto_prune`, a general block is searched once per
+``u`` instance for all of its ``v`` instances, and the one
+:class:`PathQuality` of a step is the one ``solve_assignment`` returns.
 """
 
 from __future__ import annotations
@@ -52,13 +54,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.types import pinned_pool
 from repro.errors import FederationError, RequirementError
-from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
+from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
-from repro.services.abstract_graph import AbstractGraph
+from repro.services.abstract_graph import AbstractGraph, Hop
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
 
@@ -72,7 +75,11 @@ class AbstractView(Protocol):
     def instances_of(self, sid: Sid) -> Tuple[ServiceInstance, ...]:
         ...  # pragma: no cover - protocol
 
-    def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
+    def price_row(
+        self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
+    ) -> List[Hop]:
+        """The :data:`Hop` from ``src`` to each of ``dsts`` (the pool of
+        one service), in order."""
         ...  # pragma: no cover - protocol
 
 
@@ -209,34 +216,19 @@ def _is_chain(req: ServiceRequirement) -> bool:
 
 
 def _cut_services(req: ServiceRequirement, u: Sid, v: Sid) -> List[Sid]:
-    """Services (other than the terminals) on *every* ``u -> v`` stream.
+    """Services (other than the terminals) on *every* ``u -> v`` stream,
+    in topological order.
 
-    A service ``w`` is a cut iff removing it disconnects ``v`` from ``u``.
-    Requirements are small (the paper's evaluation uses a handful of
-    services), so the quadratic removal test is plenty fast.
+    ``u`` is the block's source, so these are exactly ``v``'s strict
+    dominators below ``u``: the chain walked up from ``v``, reversed.
     """
+    idom = req.immediate_dominators()
     cuts = []
-    for w in req.topological_order():
-        if w in (u, v):
-            continue
-        if not _reaches(req, u, v, without=w):
-            cuts.append(w)
-    return cuts  # topological order is preserved
-
-
-def _reaches(req: ServiceRequirement, src: Sid, dst: Sid, *, without: Sid) -> bool:
-    seen = {src}
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        if node == dst:
-            return True
-        for nxt in req.successors(node):
-            if nxt == without or nxt in seen:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return False
+    w = idom[v]
+    while w != u:
+        cuts.append(w)
+        w = idom[w]
+    return cuts[::-1]
 
 
 def _segment(req: ServiceRequirement, a: Sid, b: Sid) -> ServiceRequirement:
@@ -316,8 +308,10 @@ def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
     candidates = [e for e in entries if e[0] > 0 and e[1] < math.inf]
     if not candidates:
         return []
-    # Sort best-first (stable): bandwidth desc, then latency asc.
-    candidates.sort(key=lambda e: (-e[0], e[1]))
+    # Sort best-first (stable, also under ``reverse``): bandwidth desc,
+    # then latency asc.
+    candidates.sort(key=itemgetter(1))
+    candidates.sort(key=itemgetter(0), reverse=True)
     if not keep_all:
         return [candidates[0]]
     frontier: List[Entry] = []
@@ -344,12 +338,13 @@ def _combine_parallel(a: Entry, b: Entry) -> Entry:
 #: DP table: (u_instance, v_instance) -> Pareto list of entries.
 BlockTable = Dict[Tuple[ServiceInstance, ServiceInstance], List[Entry]]
 
-#: One priced instance pair: ``(bandwidth, latency)``, ``None`` = unreachable.
-Hop = Optional[Tuple[float, float]]
-
 #: A terminal pair's frontier while its general block is searched, widest
 #: first: ``(bandwidth, latency, pool index per interior service)``.
 _Frontier = List[Tuple[float, float, Tuple[int, ...]]]
+
+#: A ``v`` instance still alive on a branch of a general-block search:
+#: ``(v pool index, bottleneck, latency bound, that pair's frontier)``.
+_Alive = Tuple[int, float, float, _Frontier]
 
 
 class _AugmentedView:
@@ -370,12 +365,14 @@ class _AugmentedView:
             return (self._virtual,)
         return self._base.instances_of(sid)
 
-    def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
-        if dst == self._virtual:
-            return IDEAL if src.sid in self._real_sinks else UNREACHABLE
-        if src == self._virtual:
-            return UNREACHABLE
-        return self._base.quality(src, dst)
+    def price_row(
+        self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
+    ) -> List[Hop]:
+        # Only a sink of the real requirement feeds the virtual sink, and
+        # it does so ideally; the virtual sink is never a row's source.
+        if dsts and dsts[0].sid == VIRTUAL_SINK:
+            return [(math.inf, 0.0) if src.sid in self._real_sinks else None] * len(dsts)
+        return self._base.price_row(src, dsts)
 
 
 class _PricedEdges:
@@ -383,30 +380,20 @@ class _PricedEdges:
 
     ``pools[sid]`` is the candidate pool of a service and ``hops[(a, b)]``
     the dense price table of a requirement edge: ``hops[(a, b)][i][j]`` is
-    the :data:`Hop` from ``pools[a][i]`` to ``pools[b][j]``.  Every
-    requirement edge lies in exactly one leaf block, so the block solvers
-    address instances by pool index and read plain floats.
+    the :data:`Hop` from ``pools[a][i]`` to ``pools[b][j]``, and row ``i``
+    is the one :meth:`AbstractView.price_row` answer for ``pools[a][i]``.
+    Every requirement edge lies in exactly one leaf block, so the block
+    solvers address instances by pool index and read plain floats.
     """
 
     def __init__(self, requirement: ServiceRequirement, view: AbstractView) -> None:
         self.pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: view.instances_of(sid) for sid in requirement.services()
         }
-        self.hops: Dict[Tuple[Sid, Sid], List[List[Hop]]] = {}
-        for a, b in requirement.edges():
-            rows: List[List[Hop]] = []
-            for src in self.pools[a]:
-                row: List[Hop] = []
-                for dst in self.pools[b]:
-                    quality = view.quality(src, dst)
-                    bandwidth, latency = quality.bandwidth, quality.latency
-                    row.append(
-                        (bandwidth, latency)
-                        if bandwidth > 0 and latency < math.inf
-                        else None
-                    )
-                rows.append(row)
-            self.hops[(a, b)] = rows
+        self.hops: Dict[Tuple[Sid, Sid], List[List[Hop]]] = {
+            (a, b): [view.price_row(src, self.pools[b]) for src in self.pools[a]]
+            for a, b in requirement.edges()
+        }
 
 
 class ReductionSolver:
@@ -631,23 +618,27 @@ class ReductionSolver:
     def _solve_general(self, block: GeneralBlock, priced: _PricedEdges) -> BlockTable:
         """Exact table of an irreducible block by branch-and-bound.
 
-        Per ``(u, v)`` instance pair the interior services are assigned
-        depth-first in topological order, each pool in order, carrying the
-        bottleneck bandwidth so far and a lower bound on the critical-path
-        latency (the latest finish time seen, the sink's included: hop
-        latencies are non-negative, so no completion finishes earlier).
-        A branch is abandoned at an unreachable hop, or once an entry
-        already on the pair's frontier is at least as wide as the
-        bottleneck and at most as slow as the bound: that entry
-        dominates-or-equals every completion of the branch.
+        Per ``u`` instance the interior services are assigned depth-first
+        in topological order, each pool in order, once for every ``v``
+        instance.  A branch carries the ``v`` instances still alive on it,
+        each with the pair's bottleneck bandwidth so far and a lower bound
+        on its critical-path latency (the latest finish time seen, the
+        sink's included: hop latencies are non-negative, so no completion
+        finishes earlier).  A node reads its interior hop rows once; per
+        alive ``v`` it prices the hop into ``v``, and that ``v`` leaves the
+        subtree at an unreachable hop or once an entry already on the
+        pair's frontier is at least as wide as the bottleneck and at most
+        as slow as the bound: that entry dominates-or-equals every
+        completion of the branch.  The branch dies with its last ``v``.
 
         The result is the one :func:`pareto_prune` (a stable sort) gives on
         the full ``interior x u x v`` product walked interior-major -- same
-        floats, same winner on ties, same key order: within a pair the walk
-        is in product order and only an *earlier* entry ever prunes, so the
-        first assignment reaching a frontier point keeps it; pairs are
-        returned in the order of their first feasible assignment in that
-        product, which is what :meth:`_solve_series` buckets by.
+        floats, same winner on ties, same key order: ``min`` and ``max`` do
+        not depend on the order they see hops in; each pair meets its
+        leaves in product order and only an *earlier* entry ever prunes,
+        so the first assignment reaching a frontier point keeps it; pairs
+        are returned in the order of their first feasible assignment in
+        that product, which is what :meth:`_solve_series` buckets by.
         """
         req = block.requirement
         interior = [s for s in req.topological_order() if s not in (block.u, block.v)]
@@ -660,8 +651,8 @@ class ReductionSolver:
         if combos > self.enumeration_limit:
             return self._solve_general_greedy(block, priced)
 
-        # Slot 0 is ``u``, slot k + 1 the k-th interior service.  ``v`` is
-        # fixed per pair, so a hop into it is priced with its tail.
+        # Slot 0 is ``u``, slot k + 1 the k-th interior service.  A hop
+        # into ``v`` is priced with its tail, per alive ``v`` instance.
         slot = {sid: k for k, sid in enumerate([block.u, *interior])}
         incoming = [
             [(slot[pred], priced.hops[(pred, sid)]) for pred in req.predecessors(sid)]
@@ -681,58 +672,65 @@ class ReductionSolver:
         #: its first one, its ``u`` and ``v`` pool indices, its frontier.
         feasible: List[Tuple[Tuple[int, ...], int, int, _Frontier]] = []
 
-        def descend(
-            depth: int, bottleneck: float, bound: float, sink: int, frontier: _Frontier
-        ) -> None:
+        def descend(depth: int, alive: List[_Alive]) -> None:
             if depth == len(interior):
                 # A full assignment nothing found earlier dominates-or-equals.
                 choice = tuple(chosen[1:])
-                if not frontier:
-                    feasible.append((choice, chosen[0], sink, frontier))
-                frontier[:] = (
-                    [e for e in frontier if e[0] > bottleneck]
-                    + [(bottleneck, bound, choice)]
-                    + [e for e in frontier if e[0] < bottleneck and e[1] < bound]
-                )
+                for sink, bottleneck, bound, frontier in alive:
+                    if not frontier:
+                        feasible.append((choice, chosen[0], sink, frontier))
+                    frontier[:] = (
+                        [e for e in frontier if e[0] > bottleneck]
+                        + [(bottleneck, bound, choice)]
+                        + [e for e in frontier if e[0] < bottleneck and e[1] < bound]
+                    )
                 return
             rows = [(finish[pred], hops[chosen[pred]]) for pred, hops in incoming[depth]]
             last = into_sink[depth]
             for i in range(len(pools[depth])):
-                width, done = bottleneck, 0.0
+                narrowest, done = math.inf, 0.0
                 for ready, row in rows:
                     hop = row[i]
                     if hop is None:
                         break
                     bandwidth, latency = hop
-                    if bandwidth < width:
-                        width = bandwidth
+                    if bandwidth < narrowest:
+                        narrowest = bandwidth
                     if ready + latency > done:
                         done = ready + latency
                 else:
-                    latest = done if done > bound else bound
-                    if last is not None:
-                        hop = last[i][sink]
-                        if hop is None:
-                            continue
-                        bandwidth, latency = hop
-                        if bandwidth < width:
-                            width = bandwidth
-                        if done + latency > latest:
-                            latest = done + latency
-                    for found_width, found_latency, _ in frontier:
-                        if found_width >= width and found_latency <= latest:
-                            break
-                    else:
+                    survivors: List[_Alive] = []
+                    for sink, bottleneck, bound, frontier in alive:
+                        width = narrowest if narrowest < bottleneck else bottleneck
+                        latest = done if done > bound else bound
+                        if last is not None:
+                            hop = last[i][sink]
+                            if hop is None:
+                                continue
+                            bandwidth, latency = hop
+                            if bandwidth < width:
+                                width = bandwidth
+                            if done + latency > latest:
+                                latest = done + latency
+                        for found_width, found_latency, _ in frontier:
+                            if found_width >= width and found_latency <= latest:
+                                break
+                        else:
+                            survivors.append((sink, width, latest, frontier))
+                    if survivors:
                         chosen[depth + 1] = i
                         finish[depth + 1] = done
-                        descend(depth + 1, width, latest, sink, frontier)
+                        descend(depth + 1, survivors)
 
         for start in range(len(u_pool)):
             chosen[0] = start
+            alive: List[_Alive] = []
             for sink in range(len(v_pool)):
                 hop = (math.inf, 0.0) if direct is None else direct[start][sink]
                 if hop is not None:
-                    descend(0, hop[0], finish[0] + hop[1], sink, [])
+                    alive.append((sink, hop[0], finish[0] + hop[1], []))
+            if alive:
+                descend(0, alive)
 
         table: BlockTable = {}
         for _first, start, sink, frontier in sorted(feasible, key=lambda f: f[:3]):

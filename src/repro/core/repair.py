@@ -27,12 +27,12 @@ against from-scratch re-federation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.reductions import AbstractView, ReductionSolver
 from repro.errors import FederationError
 from repro.network.overlay import OverlayGraph, ServiceInstance
-from repro.services.abstract_graph import AbstractGraph
+from repro.services.abstract_graph import AbstractGraph, Hop
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
 
@@ -68,8 +68,10 @@ class _PinnedView(AbstractView):
             return (pinned,)
         return self._base.instances_of(sid)
 
-    def quality(self, src: ServiceInstance, dst: ServiceInstance):
-        return self._base.quality(src, dst)
+    def price_row(
+        self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
+    ) -> List[Hop]:
+        return self._base.price_row(src, dsts)
 
 
 def diagnose(

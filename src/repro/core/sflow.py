@@ -48,7 +48,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import FederationError, SimulationError
 from repro.network.failures import ChaosPlan
@@ -61,7 +61,7 @@ from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
 from repro.routing.oracle import RouteOracle
 from repro.routing.wang_crowcroft import RouteLabel
-from repro.services.abstract_graph import AbstractGraph
+from repro.services.abstract_graph import AbstractGraph, Hop
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
 from repro.core.degradation import DegradationRecord, SessionState
@@ -337,33 +337,38 @@ class _PlanningView(AbstractView):
     def instances_of(self, sid: Sid) -> Tuple[ServiceInstance, ...]:
         return self._pools.get(sid, ())
 
-    def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
-        # Only an in-view source has a row, and a row holds only in-view
-        # instances: a label answers without a membership test.
+    def price_row(
+        self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
+    ) -> List[Hop]:
+        # Only an in-view source has a tree, fetched once some destination
+        # is in view too, and a tree holds only in-view instances: a label
+        # answers without a membership test.
+        local = self._local
         tree = self._trees.get(src)
-        if tree is None and src in self._local and dst in self._local:
+        if tree is None and src in local and any(dst in local for dst in dsts):
             # Views are shared by every planning step on an overlay
             # (across nodes and sessions), so this is a hit on the
             # process oracle.
-            tree = self._trees[src] = RouteOracle.default().tree(self._local, src)
-        if tree is not None:
-            label = tree.get(dst)
-            if label is not None:
-                quality = label.quality
-                if quality.bandwidth > 0 and quality.latency < math.inf:
-                    return quality
-                return UNREACHABLE
-            if dst in self._local:
-                return UNREACHABLE
-        # At least one endpoint is beyond the horizon: combine whatever
+            tree = self._trees[src] = RouteOracle.default().tree(local, src)
+        # A pair with an endpoint beyond the horizon combines whatever
         # gossip hints exist, defaulting to the local-view prior.
-        estimates = [
-            self._hints.get(inst, self._prior) for inst in (src, dst)
-        ]
-        return PathQuality(
-            min(e.bandwidth for e in estimates),
-            sum(e.latency for e in estimates) / 2.0,
-        )
+        hint = self._hints.get(src, self._prior)
+        row: List[Hop] = []
+        for dst in dsts:
+            label = None if tree is None else tree.get(dst)
+            if label is not None:
+                bandwidth, latency = label.quality.bandwidth, label.quality.latency
+            elif tree is not None and dst in local:
+                row.append(None)
+                continue
+            else:
+                other = self._hints.get(dst, self._prior)
+                bandwidth = min(hint.bandwidth, other.bandwidth)
+                latency = (hint.latency + other.latency) / 2.0
+            row.append(
+                (bandwidth, latency) if bandwidth > 0 and latency < math.inf else None
+            )
+        return row
 
 
 _Pins = Dict[Sid, ServiceInstance]
@@ -477,7 +482,7 @@ class _SFlowNode:
             fed.complete_sink(my_sid, self.generation, decisions)
             return
 
-        residual = fed.requirement.downstream_closure(my_sid)
+        residual = fed.residual(my_sid)
         assignment = fed.plan(self.me, residual, pins)
         if assignment is None:
             # The local view offers no feasible plan (e.g. a partitioned
@@ -579,6 +584,7 @@ class _Federation:
         self.nodes: Dict[ServiceInstance, _SFlowNode] = {}
         #: Protocol round; bumped by every re-federation.
         self.generation = 0
+        self._residuals: Dict[Sid, ServiceRequirement] = {}
 
     # -- services used by nodes (and by failover re-planning) --------------------
 
@@ -591,6 +597,14 @@ class _Federation:
         if node is None:
             node = self.nodes[inst] = _SFlowNode(inst, self)
         return node
+
+    def residual(self, sid: Sid) -> ServiceRequirement:
+        """The requirement rooted at ``sid`` -- what its node plans and an
+        ``sfederate`` to it carries -- built once per session."""
+        found = self._residuals.get(sid)
+        if found is None:
+            found = self._residuals[sid] = self.requirement.downstream_closure(sid)
+        return found
 
     def plan(
         self, me: ServiceInstance, residual: ServiceRequirement, pins: _Pins
@@ -637,7 +651,7 @@ class _Federation:
         out_edges = dict(edges)
         out_edges[flow_edge.requirement_edge] = flow_edge
         message = SFederate(
-            residual=self.requirement.downstream_closure(dst.sid),
+            residual=self.residual(dst.sid),
             pins=tuple(sorted(pins.items())),
             edges=tuple(out_edges[k] for k in sorted(out_edges)),
             msg_id=self.recovery.next_msg_id(),

@@ -15,7 +15,8 @@ to an :class:`~repro.network.overlay.OverlayGraph`:
 An :class:`AbstractGraph` is a read-only *view*, not a copy: the abstract
 edges leaving instance ``a`` are one row of routing labels (for ``build``, the
 oracle's shortest-widest tree rooted at ``a``), fetched by the first query
-that touches ``a`` and then held; ``quality`` / ``edge`` read one label.  The
+that touches ``a`` and then held; ``quality`` / ``edge`` read one label, and
+``price_row`` one per destination, as plain floats.  The
 graph is also a routing substrate -- ``successors`` is the adjacency view
 the routing kernel snapshots when the baseline computes the
 shortest-widest *abstract path* -- and only that use (with ``edges`` and
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FederationError
 from repro.network.metrics import LinkMetrics, PathQuality, UNREACHABLE
@@ -37,6 +38,9 @@ from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle
 from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.requirement import ServiceRequirement, Sid
+
+#: One priced instance pair: ``(bandwidth, latency)``, ``None`` = unreachable.
+Hop = Optional[Tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,16 @@ class AbstractGraph:
         """Edge quality, or UNREACHABLE when the pair has no abstract edge."""
         label = self._label(src, dst)
         return label.quality if label is not None else UNREACHABLE
+
+    def price_row(
+        self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
+    ) -> List[Hop]:
+        """``quality`` from ``src`` to each of ``dsts`` as float pairs."""
+        labels = [self._label(src, dst) for dst in dsts]
+        return [
+            None if label is None else (label.quality.bandwidth, label.quality.latency)
+            for label in labels
+        ]
 
     @functools.cached_property
     def _table(self) -> Tuple[AbstractEdge, ...]:

@@ -123,15 +123,21 @@ TWO_SINKS = ServiceRequirement(
 
 
 class CountingAbstractGraph(AbstractGraph):
-    """An abstract graph that counts the ``quality`` questions per pair."""
+    """An abstract graph that counts the ``quality`` questions per pair and
+    the priced rows per ``(source instance, destination service)``."""
 
     def __init__(self, requirement, instances, rows):
         super().__init__(requirement, instances, rows)
         self.asked = collections.Counter()
+        self.rows = collections.Counter()
 
     def quality(self, src, dst):
         self.asked[(src, dst)] += 1
         return super().quality(src, dst)
+
+    def price_row(self, src, dsts):
+        self.rows[(src, dsts[0].sid)] += 1
+        return super().price_row(src, dsts)
 
 
 def tie_heavy_view(requirement, seed, pool=(2, 4), dead_edge=None):
@@ -272,13 +278,14 @@ class TestCountsThatRepeatExactly:
         requirement = random_requirement(random.Random(5), 6, RequirementClass.GENERAL)
         view = tie_heavy_view(requirement, 5, pool=(4, 4))
         graph = optimal_flow_graph(requirement, None, abstract=view)
+        rows = {(src, b) for a, b in requirement.edges() for src in view.instances_of(a)}
+        assert set(view.rows) == rows and set(view.rows.values()) == {1}
+        assert graph.quality() == oracle.brute_force_best(requirement, view)
         pairs = {
             pair
             for a, b in requirement.edges()
             for pair in itertools.product(view.instances_of(a), view.instances_of(b))
         }
-        assert set(view.asked) == pairs and set(view.asked.values()) == {1}
-        assert graph.quality() == oracle.brute_force_best(requirement, view)
         # The same walk asking per candidate, as it did before the table.
         view.asked.clear()
         oracle.ReferenceSearcher(requirement, view, None).search()

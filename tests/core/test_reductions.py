@@ -9,12 +9,14 @@ Two layers of validation:
   heuristic) variant is never better.
 """
 
+import collections
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import reductions
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import (
     VIRTUAL_SINK,
@@ -36,7 +38,7 @@ from repro.services.workloads import (
     random_requirement,
     travel_agency_requirement,
 )
-from tests.oracles.reductions import ExhaustiveSolver
+from tests.oracles.reductions import ExhaustiveSolver, cut_services_by_removal
 
 
 class TestDecompose:
@@ -114,6 +116,23 @@ class TestDecompose:
             block = decompose(req)
             assert set(block.services()) == set(req.services())
 
+    @pytest.mark.parametrize("clazz", list(RequirementClass), ids=lambda c: c.value)
+    def test_cuts_are_the_sinks_dominator_chain(self, clazz, monkeypatch):
+        """Reading ``v``'s dominators finds the cuts the removal test did,
+        so every block tree is the one ``decompose`` built before."""
+        rng = random.Random(31)
+        shapes = [
+            ReductionSolver()._two_terminal(random_requirement(rng, n, clazz), None)[0]
+            for n in [*range(1, 9)] * 3
+        ]
+        trees = [decompose(req).describe() for req in shapes]
+        monkeypatch.setattr(reductions, "_cut_services", cut_services_by_removal)
+        assert trees == [decompose(req).describe() for req in shapes]
+        if clazz is RequirementClass.TREE:
+            assert any(VIRTUAL_SINK in tree for tree in trees)
+        if clazz is RequirementClass.SPLIT_MERGE:
+            assert any("Series" in tree for tree in trees)
+
 
 class TestParetoPrune:
     def entry(self, bw, lat):
@@ -143,6 +162,33 @@ class TestParetoPrune:
 
     def test_empty_input(self):
         assert pareto_prune([], keep_all=True) == []
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf]),
+                st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+            ),
+            max_size=12,
+        ),
+        keep_all=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_two_key_sorts_order_as_the_composite_key(self, entries, keep_all):
+        """Ties, infinite bandwidths and unreachable entries included, the
+        survivors are the same entry objects in the same order."""
+        entries = [(bw, lat, {"id": i}) for i, (bw, lat) in enumerate(entries)]
+        reachable = [e for e in entries if e[0] > 0 and e[1] < math.inf]
+        reachable.sort(key=lambda e: (-e[0], e[1]))
+        expected = reachable[:1]
+        if keep_all:
+            expected = [
+                e
+                for k, e in enumerate(reachable)
+                if all(e[1] < f[1] for f in reachable[:k])
+            ]
+        found = pareto_prune(entries, keep_all=keep_all)
+        assert [id(e) for e in found] == [id(e) for e in expected]
 
 
 class TestSolver:
@@ -361,19 +407,21 @@ class TestLatencyBound:
 
 
 class TableView:
-    """An ``AbstractView`` read off two dicts; counts its ``quality`` calls."""
+    """An ``AbstractView`` read off two dicts; counts the rows it prices
+    per ``(source instance, destination service)``."""
 
     def __init__(self, pools, prices):
         self.pools = pools
         self.prices = prices
-        self.calls = {}
+        self.rows = collections.Counter()
 
     def instances_of(self, sid):
         return self.pools[sid]
 
-    def quality(self, src, dst):
-        self.calls[(src, dst)] = self.calls.get((src, dst), 0) + 1
-        return self.prices.get((src, dst), UNREACHABLE)
+    def price_row(self, src, dsts):
+        self.rows[(src, dsts[0].sid)] += 1
+        qualities = [self.prices.get((src, dst), UNREACHABLE) for dst in dsts]
+        return [(q.bandwidth, q.latency) if q.reachable else None for q in qualities]
 
 
 #: A requirement no reduction applies to (TestDecompose pins it GENERAL).
@@ -532,9 +580,63 @@ class TestOnePricePerPair:
     @given(case=general_cases)
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_quality_is_asked_at_most_once_per_pair(self, case):
+        """Each ``(edge, source)`` row is asked once, and only those."""
         requirement, view = case
         _outcome(ReductionSolver(), requirement, view)
-        assert view.calls and max(view.calls.values()) == 1
+        assert set(view.rows.values()) == {1}
+        assert set(view.rows) == {
+            (src, b) for a, b in requirement.edges() for src in view.pools[a]
+        }
+
+
+class _CountingTable(list):
+    """A hop table that counts the rows read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountingTable.reads += 1
+        return super().__getitem__(index)
+
+
+class TestOneWalkPerSource:
+    """A general block is searched once per ``u`` instance for all of its
+    ``v`` instances: ``v`` instances that price alike share every node."""
+
+    def interior_row_reads(self, k, monkeypatch):
+        rng = random.Random(7)
+        pools = {
+            sid: tuple(ServiceInstance(sid, nid) for nid in range(k if sid == "t" else 3))
+            for sid in "sabxyt"
+        }
+        prices, into_v = {}, {}
+        for a, b in _N_SHAPE:
+            for src in pools[a]:
+                if b == "t":
+                    into_v[src] = PathQuality(float(rng.randint(1, 3)), float(rng.randrange(5)))
+                for dst in pools[b]:
+                    quality = into_v[src] if b == "t" else PathQuality(
+                        float(rng.randint(1, 3)), float(rng.randrange(5))
+                    )
+                    if b == "t" or rng.random() >= 0.2:
+                        prices[(src, dst)] = quality
+        requirement = ServiceRequirement(edges=_N_SHAPE)
+        reference = ExhaustiveSolver()
+        _, priced = reference.work(requirement, TableView(pools, prices))
+        expected = reference._solve_general(decompose(requirement), priced)
+        for a, b in _N_SHAPE:
+            if b != "t":
+                priced.hops[(a, b)] = _CountingTable(priced.hops[(a, b)])
+        monkeypatch.setattr(_CountingTable, "reads", 0)
+        table = ReductionSolver()._solve_general(decompose(requirement), priced)
+        assert _pinned_table(table) == _pinned_table(expected)
+        assert table and len(table) == k * len({src for src, _ in table})
+        return _CountingTable.reads
+
+    def test_interior_rows_are_read_once_for_every_v(self, monkeypatch):
+        once = self.interior_row_reads(1, monkeypatch)
+        assert once > 0
+        assert self.interior_row_reads(4, monkeypatch) == once
 
 
 class TestEnumerationLimit:

@@ -18,7 +18,6 @@ from repro.core.reductions import ReductionSolver
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _Federation, _PlanningView
 from repro.errors import FederationError
 from repro.network.failures import CrashEvent, degrade_links
-from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.obs.clock import Stopwatch
 from repro.routing import kernel
@@ -376,15 +375,15 @@ class TestKnowledgeModels:
         hints = dict(overlay.gossip_hints())
         planning = _PlanningView(requirement, view, directory, {}, dict(hints))
         hint, prior = hints.pop(outside), view.mean_link_quality()
-        assert planning.quality(root, outside) == PathQuality(
+        assert planning.price_row(root, (outside,)) == [(
             min(hints[root].bandwidth, hint.bandwidth),
             (hints[root].latency + hint.latency) / 2.0,
-        )
+        )]
         unhinted = _PlanningView(requirement, view, directory, {}, hints)
-        assert unhinted.quality(root, outside) == PathQuality(
+        assert unhinted.price_row(root, (outside,)) == [(
             min(hints[root].bandwidth, prior.bandwidth),
             (hints[root].latency + prior.latency) / 2.0,
-        )
+        )]
 
     def test_horizon_zero_still_terminates(self, media_scenario):
         graph = SFlowAlgorithm(SFlowConfig(horizon=0)).solve(

@@ -60,6 +60,11 @@ def assert_view_equals_eager(requirement, overlay, abstract=None):
             assert _exact_quality(abstract.quality(a, b)) == _exact_quality(
                 want.quality if want is not None else UNREACHABLE
             )
+    for a in everyone:
+        assert abstract.price_row(a, everyone) == [
+            None if e is None else (e.quality.bandwidth, e.quality.latency)
+            for e in (expected.get((a, b)) for b in everyone)
+        ]
     assert [_exact(e) for e in abstract.edges()] == [
         _exact(e) for e in expected.values()
     ]

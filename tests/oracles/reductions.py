@@ -1,4 +1,5 @@
-"""The exhaustive general-block walk the branch-and-bound search replaced."""
+"""The exhaustive general-block walk the branch-and-bound search replaced,
+and the cut-service test ``decompose`` used before dominator chains."""
 
 import itertools
 import math
@@ -51,10 +52,36 @@ class ExhaustiveSolver(ReductionSolver):
         for sid in req.topological_order()[1:]:
             worst_finish = 0.0
             for pred in req.predecessors(sid):
-                hop = self.view.quality(assignment[pred], assignment[sid])
-                if not hop.reachable:
+                [hop] = self.view.price_row(assignment[pred], (assignment[sid],))
+                if hop is None:
                     return None
-                bandwidth = min(bandwidth, hop.bandwidth)
-                worst_finish = max(worst_finish, finish[pred] + hop.latency)
+                bandwidth = min(bandwidth, hop[0])
+                worst_finish = max(worst_finish, finish[pred] + hop[1])
             finish[sid] = worst_finish
         return PathQuality(bandwidth, max(finish[s] for s in req.sinks))
+
+
+def cut_services_by_removal(req, u, v):
+    """The cut services of a block the way ``decompose`` found them before
+    it read ``v``'s dominator chain: every service but the terminals whose
+    removal disconnects ``v`` from ``u``, in topological order."""
+    return [
+        w
+        for w in req.topological_order()
+        if w not in (u, v) and not _reaches(req, u, v, without=w)
+    ]
+
+
+def _reaches(req, src, dst, *, without):
+    seen = {src}
+    stack = [src]
+    while stack:
+        node = stack.pop()
+        if node == dst:
+            return True
+        for nxt in req.successors(node):
+            if nxt == without or nxt in seen:
+                continue
+            seen.add(nxt)
+            stack.append(nxt)
+    return False
