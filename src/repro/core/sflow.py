@@ -59,8 +59,6 @@ from repro.obs.trace import NULL_SPAN, SimClock, tracer as obs_tracer
 from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
-from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.abstract_graph import AbstractGraph, Hop
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
@@ -291,7 +289,9 @@ class _PlanningView(AbstractView):
     """What one node knows when it plans: its local view plus the directory.
 
     * Instances inside the local view are priced by shortest-widest routing
-      *within the view*.
+      *within the view*, read off the view's memoised
+      :meth:`~repro.network.overlay.OverlayGraph.hop_row` (one oracle
+      lookup per view and source, shared by every step that plans on it).
     * Services invisible from here fall back to the global instance
       directory (SID listings are assumed discoverable, path qualities are
       not).  Edges touching out-of-view instances are priced with the
@@ -317,8 +317,6 @@ class _PlanningView(AbstractView):
     ) -> None:
         self._local = local_view
         self._hints = hints
-        #: Routing trees of this planning step, one oracle lookup per source.
-        self._trees: Dict[ServiceInstance, Dict[ServiceInstance, RouteLabel]] = {}
         self._pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {}
         for sid in residual.services():
             pinned = pins.get(sid)
@@ -340,31 +338,28 @@ class _PlanningView(AbstractView):
     def price_row(
         self, src: ServiceInstance, dsts: Sequence[ServiceInstance]
     ) -> List[Hop]:
-        # Only an in-view source has a tree, fetched once some destination
-        # is in view too, and a tree holds only in-view instances: a label
-        # answers without a membership test.
+        # Only an in-view source has a row, read once some destination is
+        # in view too, and a row holds only in-view instances: a found hop
+        # needs no membership test.  Rows are memoised on the view, which
+        # every planning step on an overlay shares.
         local = self._local
-        tree = self._trees.get(src)
-        if tree is None and src in local and any(dst in local for dst in dsts):
-            # Views are shared by every planning step on an overlay
-            # (across nodes and sessions), so this is a hit on the
-            # process oracle.
-            tree = self._trees[src] = RouteOracle.default().tree(local, src)
+        if src in local and any(dst in local for dst in dsts):
+            priced = local.hop_row(src)
+        else:
+            priced = None
         # A pair with an endpoint beyond the horizon combines whatever
         # gossip hints exist, defaulting to the local-view prior.
         hint = self._hints.get(src, self._prior)
         row: List[Hop] = []
         for dst in dsts:
-            label = None if tree is None else tree.get(dst)
-            if label is not None:
-                bandwidth, latency = label.quality.bandwidth, label.quality.latency
-            elif tree is not None and dst in local:
-                row.append(None)
-                continue
-            else:
-                other = self._hints.get(dst, self._prior)
-                bandwidth = min(hint.bandwidth, other.bandwidth)
-                latency = (hint.latency + other.latency) / 2.0
+            if priced is not None:
+                hop = priced.get(dst)
+                if hop is not None or dst in local:
+                    row.append(hop)
+                    continue
+            other = self._hints.get(dst, self._prior)
+            bandwidth = min(hint.bandwidth, other.bandwidth)
+            latency = (hint.latency + other.latency) / 2.0
             row.append(
                 (bandwidth, latency) if bandwidth > 0 and latency < math.inf else None
             )
@@ -565,8 +560,8 @@ class _Federation:
         #: Latency assumed for hops no committed route prices (acks, sends
         #: over an unreachable edge): the overlay's mean link latency.
         self.fallback_latency = overlay.mean_link_latency() or 1.0
-        #: The ego view each node plans on (all earned by protocol under
-        #: link-state; otherwise read off the overlay, which shares them).
+        #: The views nodes earned by protocol under link-state; otherwise a
+        #: node plans on its ego view, which the overlay memoises.
         self.views: Dict[ServiceInstance, OverlayGraph] = {}
         if config.use_link_state:
             report = collect_local_views(overlay, config.horizon)
@@ -613,11 +608,12 @@ class _Federation:
         its local view, pins honoured and suspects excluded.  ``None`` when
         the view offers no feasible plan."""
         started = self.stopwatch.read()
-        if me not in self.views:
-            self.views[me] = self.overlay.ego_view(me, self.config.horizon)
+        view = self.views.get(me)
+        if view is None:
+            view = self.overlay.ego_view(me, self.config.horizon)
         planning = _PlanningView(
             residual,
-            self.views[me],
+            view,
             self.directory,
             pins,
             self.overlay.gossip_hints(),

@@ -135,9 +135,10 @@ class OverlayGraph:
         self._out: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._in: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._by_sid: Dict[Sid, List[ServiceInstance]] = {}
-        #: What planners derive from the topology alone (ego views by reached
-        #: node set, the link summaries): computed once, shared read-only,
-        #: dropped by ``add_instance`` / ``add_link`` and nothing else.
+        #: What planners derive from the topology alone (ego views by root
+        #: and by reached node set, priced hop rows, the link summaries):
+        #: computed once, shared read-only, dropped by ``add_instance`` /
+        #: ``add_link`` and nothing else.
         self._memo: Dict[Hashable, Any] = {}
 
     # -- construction ------------------------------------------------------
@@ -349,8 +350,15 @@ class OverlayGraph:
         links of this overlay among them.  Views are **read-only and
         shared**: roots that reach the same node set get the same object
         (so its routing trees are computed once), and a vicinity covering
-        the whole overlay is this overlay itself.
+        the whole overlay is this overlay itself.  The reach is memoised
+        per ``(root, hops, direction)``, so a repeat call walks nothing.
         """
+        key = (root, hops, direction)
+        if key in self._memo:
+            # ``None`` marks the whole overlay: memoising ``self`` would make
+            # every overlay a reference cycle, freed only by a full GC.
+            nodes = self._memo[key]
+            return self if nodes is None else self._memo[nodes]
         if root not in self._out:
             raise KeyError(f"unknown instance {root}")
         if hops < 0:
@@ -372,11 +380,35 @@ class OverlayGraph:
                             nxt.append(other)
             frontier = nxt
         if len(reached) == len(self._out):
+            self._memo[key] = None
             return self
-        nodes = frozenset(reached)
+        nodes = self._memo[key] = frozenset(reached)
         if nodes not in self._memo:
             self._memo[nodes] = self.subgraph(nodes)
         return self._memo[nodes]
+
+    def hop_row(
+        self, src: ServiceInstance
+    ) -> Dict[ServiceInstance, Optional[Tuple[float, float]]]:
+        """``src``'s shortest-widest routes within this overlay, as floats:
+        every instance a usable route reaches maps to the route's
+        ``(bandwidth, latency)``; an instance of this overlay missing from
+        the row is unreachable.  One oracle lookup per source and overlay
+        state; shared, treat as read-only."""
+        key = ("hop_row", src)
+        row = self._memo.get(key)
+        if row is None:
+            from repro.routing.oracle import RouteOracle
+
+            tree = RouteOracle.default().tree(self, src)
+            # Reached instances only: a row per source and view stays
+            # alive as long as the view does.
+            row = self._memo[key] = {}
+            for dst, label in tree.items():
+                bandwidth, latency = label.quality.bandwidth, label.quality.latency
+                if bandwidth > 0 and latency < math.inf:
+                    row[dst] = (bandwidth, latency)
+        return row
 
     def subgraph(self, keep: Iterable[ServiceInstance]) -> "OverlayGraph":
         """Induced sub-overlay over ``keep`` (links with both ends kept;

@@ -330,8 +330,9 @@ class TestKnowledgeModels:
 
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_a_planning_step_asks_the_oracle_once_per_source(self, horizon):
-        """One ``plan`` prices every edge once and reads all of a source's
-        destinations off one tree, however many assignments it searches."""
+        """The first ``plan`` reads all of a source's destinations off one
+        memoised row, however many assignments it searches; a repeat on the
+        same view reads the rows it left and asks the oracle nothing."""
         scenario = generate_scenario(
             ScenarioConfig(
                 network_size=40,
@@ -349,17 +350,103 @@ class TestKnowledgeModels:
             SFlowConfig(horizon=horizon), None, Stopwatch(),
         )
         pins = {requirement.source: source}
+
+        def lookups() -> int:
+            stats = oracle.stats()
+            return stats.hits + stats.misses
+
+        before = lookups()
         first = federation.plan(source, requirement, pins)
-        warm = oracle.stats()
-        assert federation.plan(source, requirement, pins) == first
         tails = [
             inst
             for sid in requirement.services()
             if requirement.successors(sid)
             for inst in scenario.overlay.instances_of(sid)
         ]
-        assert oracle.stats().misses == warm.misses
-        assert 0 < oracle.stats().hits - warm.hits <= len(tails)
+        assert 0 < lookups() - before <= len(tails)
+        warm = lookups()
+        assert federation.plan(source, requirement, pins) == first
+        assert lookups() == warm
+
+    def test_two_requirements_on_one_overlay_share_rows(self, monkeypatch):
+        """Rows are keyed on view and source, not on the request: planning
+        the whole requirement after a residual of it looks up only the
+        sources the residual never priced."""
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=40, n_services=6, instances_per_service=(4, 6), seed=3
+            )
+        )
+        overlay, source = scenario.overlay, scenario.source_instance
+        whole = scenario.requirement
+        middle = whole.topological_order()[1]
+        residual = whole.downstream_closure(middle)
+        assert len(residual) < len(whole)
+        first = _Federation(
+            residual, overlay, overlay.instances_of(middle)[0], SFlowConfig(),
+            None, Stopwatch(),
+        )
+        second = _Federation(
+            whole, overlay, source, SFlowConfig(), None, Stopwatch()
+        )
+        asked = []
+        real_tree = RouteOracle.tree
+        monkeypatch.setattr(
+            RouteOracle, "tree",
+            lambda self, graph, src, **kw: (
+                asked.append(src) or real_tree(self, graph, src, **kw)
+            ),
+        )
+        me = first.source_instance
+        # Both steps plan on one view: the whole overlay.
+        assert overlay.ego_view(me, 2) is overlay is overlay.ego_view(source, 2)
+        assert first.plan(me, residual, {middle: me}) is not None
+        by_residual, asked[:] = set(asked), []
+        assert second.plan(source, whole, {whole.source: source}) is not None
+        assert by_residual and asked
+        assert by_residual.isdisjoint(asked)
+        assert len(asked) == len(set(asked))
+
+    def test_memoised_rows_price_as_the_per_step_conversion(self):
+        """As ``float.hex``: a planning view's row equals converting its
+        view's routing tree label by label, as one planning step once did --
+        in-view pairs, in-view pairs no route joins, and pairs beyond the
+        horizon priced from the gossip hints."""
+        scenario = generate_scenario(
+            ScenarioConfig(network_size=40, n_services=6, seed=12)
+        )
+        overlay, requirement = scenario.overlay, scenario.requirement
+        view = overlay.ego_view(scenario.source_instance, 1)
+        directory = {sid: overlay.instances_of(sid) for sid in requirement.services()}
+        hints = overlay.gossip_hints()
+        prior = view.mean_link_quality()
+        planning = _PlanningView(requirement, view, directory, {}, hints)
+        dsts = list(overlay.instances())
+        kinds = {"route": 0, "no route": 0, "hinted": 0}
+        for src in view.instances():
+            tree = RouteOracle.default().tree(view, src)
+            hint = hints.get(src, prior)
+            for dst, hop in zip(dsts, planning.price_row(src, dsts)):
+                quality = tree[dst].quality if dst in tree else None
+                if (
+                    quality is not None
+                    and quality.bandwidth > 0 and quality.latency < math.inf
+                ):
+                    kind, pair = "route", (quality.bandwidth, quality.latency)
+                    assert hop is view.hop_row(src)[dst]
+                elif dst in view:
+                    kind, pair = "no route", None
+                else:
+                    other = hints.get(dst, prior)
+                    kind = "hinted"
+                    pair = (
+                        min(hint.bandwidth, other.bandwidth),
+                        (hint.latency + other.latency) / 2.0,
+                    )
+                kinds[kind] += 1
+                expected = None if pair is None else tuple(map(float.hex, pair))
+                assert (None if hop is None else tuple(map(float.hex, hop))) == expected
+        assert all(kinds.values()), kinds
 
     def test_blind_edges_are_priced_from_the_overlays_summaries(self):
         """Beyond the horizon a planner has the gossip hints (published

@@ -1,8 +1,10 @@
 """Tests for the service overlay graph."""
 
 import dataclasses
+import gc
 import math
 import pickle
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.network.overlay import (
     ServiceLink,
 )
 from repro.network.underlay import Underlay
+from repro.routing.oracle import RouteOracle
 from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.wang_crowcroft import widest_shortest_tree
@@ -353,6 +356,43 @@ class TestSharedViewsAndSummaries:
         overlay.add_instance(ServiceInstance("a", 9))
         assert overlay.ego_view(insts[1], 1) is not fresh
         assert overlay.ego_view(insts[2], 2) is not overlay
+
+    def test_add_link_drops_the_memoised_views_and_rows(self, line_overlay):
+        overlay, insts = line_overlay
+        whole, part = overlay.ego_view(insts[2], 2), overlay.ego_view(insts[1], 1)
+        row = overlay.hop_row(insts[0])
+        assert whole is overlay and overlay.hop_row(insts[0]) is row
+        assert row[insts[2]] == (5.0, 3.0) and row[insts[4]] == (5.0, 10.0)
+        assert part.hop_row(insts[1]) == {
+            insts[1]: (math.inf, 0.0), insts[2]: (6.0, 2.0),
+        }
+        overlay.add_link(insts[0], insts[2], PathQuality(50, 10))
+        RouteOracle.default().invalidate(overlay)  # the oracle's trees are ours to drop
+        assert overlay.ego_view(insts[1], 1) is not part
+        fresh = overlay.hop_row(insts[0])
+        assert fresh is not row and fresh[insts[2]] == (50.0, 10.0)
+        overlay.add_instance(ServiceInstance("f", 5))
+        assert overlay.ego_view(insts[2], 2) is not overlay
+        assert ServiceInstance("f", 5) not in overlay.hop_row(insts[0])
+
+    def test_an_overlay_with_memoised_views_is_freed_without_a_full_gc(self):
+        """The memo marks a whole-overlay view instead of holding the overlay
+        itself, which would make every queried overlay a reference cycle."""
+        insts = [ServiceInstance(s, i) for i, s in enumerate("abcde")]
+        gc.collect()
+        gc.disable()
+        try:
+            overlay = OverlayGraph()
+            for u, v in zip(insts, insts[1:]):
+                overlay.add_link(u, v, PathQuality(5.0, 1.0))
+            assert overlay.ego_view(insts[2], 2) is overlay
+            assert overlay.ego_view(insts[1], 1) is not overlay
+            overlay.hop_row(insts[0])
+            alive = weakref.ref(overlay)
+            del overlay
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_instances_of_stays_sorted_whatever_the_insertion_order(self):
         overlay = OverlayGraph()
