@@ -78,7 +78,7 @@ def main() -> None:
     print(f"  link-state messages: {result.link_state_messages}")
     print(f"  node activations   : {result.node_activations}")
     print(f"  virtual convergence: {result.convergence_time:.2f}")
-    print("  per-node compute   :")
+    print("  per-node compute (the nodes that planned):")
     for inst, seconds in sorted(result.per_node_compute.items()):
         print(f"    {str(inst):<12} {seconds * 1e3:7.2f} ms")
 

@@ -42,11 +42,13 @@ instance (:meth:`AbstractView.price_row`, gathered in :class:`_PricedEdges`)
 and the block solvers then read only that table -- the view is never
 called per candidate assignment.  From the view to the answer the step is
 plain floats: a row is a list of :data:`Hop` pairs, an entry is a
-``(bandwidth, latency, assignment)`` triple compared by ``(bandwidth,
--latency)``, a path block copies an assignment only for the candidates
-that survive :func:`pareto_prune`, a general block is searched once per
-``u`` instance for all of its ``v`` instances, and the one
-:class:`PathQuality` of a step is the one ``solve_assignment`` returns.
+``(bandwidth, latency, trail)`` triple compared by ``(bandwidth,
+-latency)``, a general block is searched once per ``u`` instance for all
+of its ``v`` instances, and the one :class:`PathQuality` of a step is the
+one ``solve_assignment`` returns.  No candidate carries an assignment of
+its own: a path block extends its survivors by a path step and a
+combination joins two trails, and only the winner's trail is spelled out
+into an assignment, once.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.core.types import pinned_pool
 from repro.errors import FederationError, RequirementError
@@ -182,7 +184,7 @@ def decompose(requirement: ServiceRequirement) -> Block:
 
 
 def _decompose(req: ServiceRequirement, u: Sid, v: Sid) -> Block:
-    if _is_chain(req):
+    if req.is_path():
         return PathBlock(u, v, req.topological_order())
 
     cuts = _cut_services(req, u, v)
@@ -207,12 +209,6 @@ def _decompose(req: ServiceRequirement, u: Sid, v: Sid) -> Block:
         return ParallelBlock(u, v, tuple(children))
 
     return GeneralBlock(u, v, req)
-
-
-def _is_chain(req: ServiceRequirement) -> bool:
-    return all(
-        req.out_degree(s) <= 1 and req.in_degree(s) <= 1 for s in req.services()
-    )
 
 
 def _cut_services(req: ServiceRequirement, u: Sid, v: Sid) -> List[Sid]:
@@ -290,11 +286,37 @@ def _parallel_branches(
 # Pareto machinery
 # ---------------------------------------------------------------------------
 
+#: How an entry records its assignment until a step has a winner: a path
+#: step ``(parent, sid, inst)`` (``parent`` is ``None`` at a chain's start),
+#: a join ``(left, right)`` of two trails, or a dict leaf, which is never
+#: mutated once in an entry.  :func:`spell` turns a trail into its dict.
+Trail = Union[Dict[Sid, ServiceInstance], Tuple[Any, ...]]
+
 #: One DP entry: the achievable bottleneck bandwidth and critical-path
-#: latency, then the assignment realising them.  Entries are compared by
-#: ``(bandwidth, -latency)``, :class:`PathQuality`'s order; an assignment is
-#: never mutated once in an entry, so entries may share one.
-Entry = Tuple[float, float, Dict[Sid, ServiceInstance]]
+#: latency, then the trail of the assignment realising them.  Entries are
+#: compared by ``(bandwidth, -latency)``, :class:`PathQuality`'s order.
+Entry = Tuple[float, float, Trail]
+
+
+def spell(
+    trail: Trail, into: Optional[Dict[Sid, ServiceInstance]] = None
+) -> Dict[Sid, ServiceInstance]:
+    """The assignment ``trail`` stands for, written into ``into``: left
+    before right, a later write updating an earlier key in place -- the
+    keys, order and values of the eager ``{**left, **right}`` and
+    ``{**parent, sid: inst}`` copies."""
+    into = {} if into is None else into
+    if isinstance(trail, dict):
+        into.update(trail)
+    elif len(trail) == 2:
+        spell(trail[1], spell(trail[0], into))
+    else:
+        steps = []
+        while trail is not None:
+            trail, sid, inst = trail
+            steps.append((sid, inst))
+        into.update(reversed(steps))
+    return into
 
 
 def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
@@ -306,8 +328,8 @@ def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
     when its bandwidth is positive and its latency finite.
     """
     candidates = [e for e in entries if e[0] > 0 and e[1] < math.inf]
-    if not candidates:
-        return []
+    if len(candidates) < 2:
+        return candidates
     # Sort best-first (stable, also under ``reverse``): bandwidth desc,
     # then latency asc.
     candidates.sort(key=itemgetter(1))
@@ -324,11 +346,11 @@ def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
 
 
 def _combine_series(a: Entry, b: Entry) -> Entry:
-    return (min(a[0], b[0]), a[1] + b[1], {**a[2], **b[2]})
+    return (min(a[0], b[0]), a[1] + b[1], (a[2], b[2]))
 
 
 def _combine_parallel(a: Entry, b: Entry) -> Entry:
-    return (min(a[0], b[0]), max(a[1], b[1]), {**a[2], **b[2]})
+    return (min(a[0], b[0]), max(a[1], b[1]), (a[2], b[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +519,9 @@ class ReductionSolver:
                 f"no feasible federation of {requirement!r}{constraint} "
                 f"(source candidates: {list(sources)})"
             )
-        bandwidth, latency, chosen = best
-        assignment = {sid: inst for sid, inst in chosen.items() if sid != VIRTUAL_SINK}
+        bandwidth, latency, trail = best
+        assignment = spell(trail)
+        assignment.pop(VIRTUAL_SINK, None)
         return assignment, PathQuality(bandwidth, latency)
 
     # -- setup -----------------------------------------------------------------
@@ -530,15 +553,15 @@ class ReductionSolver:
         """Layered DP along a chain -- the baseline algorithm, Pareto-ised.
 
         Every candidate into one instance extends by that same instance, so
-        a candidate carries its parent's assignment and only the survivors
-        of :func:`pareto_prune` get a copy that includes the instance.
+        a candidate carries its parent's trail and only the survivors of
+        :func:`pareto_prune` get a path step naming the instance.
         """
         table: BlockTable = {}
         chain = block.chain
         pools = [priced.pools[sid] for sid in chain]
         for start, src in enumerate(pools[0]):
             # Pool index of the layer's instance -> its frontier.
-            layer: Dict[int, List[Entry]] = {start: [(math.inf, 0.0, {chain[0]: src})]}
+            layer: Dict[int, List[Entry]] = {start: [(math.inf, 0.0, (None, chain[0], src))]}
             for prev_sid, sid, pool in zip(chain, chain[1:], pools[1:]):
                 hops = priced.hops[(prev_sid, sid)]
                 nxt: Dict[int, List[Entry]] = {}
@@ -549,19 +572,19 @@ class ReductionSolver:
                         if hop is None:
                             continue
                         width, delay = hop
-                        for bandwidth, latency, assignment in entries:
+                        for bandwidth, latency, trail in entries:
                             candidates.append(
                                 (
                                     width if width < bandwidth else bandwidth,
                                     delay + latency,
-                                    assignment,
+                                    trail,
                                 )
                             )
                     pruned = pareto_prune(candidates, keep_all=self.pareto)
                     if pruned:
                         nxt[j] = [
-                            (bandwidth, latency, {**assignment, sid: inst})
-                            for bandwidth, latency, assignment in pruned
+                            (bandwidth, latency, (trail, sid, inst))
+                            for bandwidth, latency, trail in pruned
                         ]
                 layer = nxt
                 if not layer:

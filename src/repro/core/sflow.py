@@ -76,7 +76,7 @@ _REGISTRY = obs_metrics.registry()
 _M_SESSIONS = _REGISTRY.counter("sflow.sessions", "federation runs by outcome")
 _M_SFEDERATE = _REGISTRY.counter("sflow.sfederate.sent", "sfederate dispatches")
 _M_ACTIVATIONS = _REGISTRY.counter(
-    "sflow.node.activations", "local planning steps executed"
+    "sflow.node.activations", "node activations: inboxes completed"
 )
 _H_FEDERATION_TIME = _REGISTRY.histogram(
     "sflow.federation.sim_time", "per-session federation latency (virtual time)"
@@ -477,25 +477,22 @@ class _SFlowNode:
             fed.complete_sink(my_sid, self.generation, decisions)
             return
 
-        residual = fed.residual(my_sid)
-        assignment = fed.plan(self.me, residual, pins)
-        if assignment is None:
-            # The local view offers no feasible plan (e.g. a partitioned
-            # vicinity); fall back to blind directory choices so the
-            # federation still terminates -- with poor quality, as it should.
-            assignment = {
-                sid: pins.get(sid)
-                or self.recovery.live_instance(sid)
-                or fed.directory[sid][0]
-                for sid in residual.services()
-            }
-
-        # Pin every service whose decision responsibility lies here.
+        # Pin every service whose decision responsibility lies here: the
+        # node's dominator-tree children not pinned yet.  A plan is read
+        # for nothing else, so a node with none of them plans nothing.
         new_pins = dict(pins)
-        for sid in residual.services():
-            if sid == my_sid or sid in new_pins:
-                continue
-            if fed.idom[sid] == my_sid:
+        undecided = [sid for sid in fed.children[my_sid] if sid not in pins]
+        if undecided:
+            assignment = fed.plan(self.me, fed.residual(my_sid), pins)
+            if assignment is None:
+                # The local view offers no feasible plan (e.g. a partitioned
+                # vicinity); fall back to blind directory choices so the
+                # federation still terminates -- with poor quality, as it should.
+                assignment = {
+                    sid: self.recovery.live_instance(sid) or fed.directory[sid][0]
+                    for sid in undecided
+                }
+            for sid in undecided:
                 new_pins[sid] = assignment[sid]
 
         for succ_sid in successors:
@@ -545,6 +542,11 @@ class _Federation:
         self.recovery = _Recovery(self, chaos)
         self.network = self.recovery.network
         self.idom = requirement.immediate_dominators()
+        #: Each service's dominator-tree children: the services its node pins.
+        self.children: Dict[Sid, List[Sid]] = {sid: [] for sid in requirement.services()}
+        for sid in requirement.services():
+            if self.idom[sid] != sid:
+                self.children[self.idom[sid]].append(sid)
         #: Every local planning step (and in-place repair) solves with this.
         self.solver = ReductionSolver()
         _t0 = self.stopwatch.read()

@@ -333,7 +333,7 @@ class ServiceRequirement:
         """Which of the paper's topology classes this requirement falls in."""
         if len(self) == 1:
             return RequirementClass.SINGLE
-        if self._is_path():
+        if self.is_path():
             return RequirementClass.PATH
         if self._is_tree():
             return RequirementClass.TREE
@@ -343,7 +343,8 @@ class ServiceRequirement:
             return RequirementClass.SPLIT_MERGE
         return RequirementClass.GENERAL
 
-    def _is_path(self) -> bool:
+    def is_path(self) -> bool:
+        """Whether the requirement is one chain: no service forks or merges."""
         return all(
             len(self._succ[s]) <= 1 and len(self._pred[s]) <= 1 for s in self._succ
         )

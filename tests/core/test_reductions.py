@@ -25,8 +25,10 @@ from repro.core.reductions import (
     PathBlock,
     ReductionSolver,
     SeriesBlock,
+    _PricedEdges,
     decompose,
     pareto_prune,
+    spell,
 )
 from repro.errors import FederationError
 from repro.network.metrics import PathQuality, UNREACHABLE
@@ -38,7 +40,11 @@ from repro.services.workloads import (
     random_requirement,
     travel_agency_requirement,
 )
-from tests.oracles.reductions import ExhaustiveSolver, cut_services_by_removal
+from tests.oracles.reductions import (
+    EagerSolver,
+    ExhaustiveSolver,
+    cut_services_by_removal,
+)
 
 
 class TestDecompose:
@@ -483,7 +489,8 @@ general_cases = st.sampled_from(sorted(GENERAL_SHAPES)).flatmap(
 
 
 def _pinned_table(table):
-    """A block table with nothing left to tolerance or dict equality."""
+    """A block table with nothing left to tolerance or dict equality; each
+    entry's trail spelled out into its assignment."""
     return [
         (
             (str(src), str(dst)),
@@ -491,9 +498,9 @@ def _pinned_table(table):
                 (
                     bandwidth.hex(),
                     latency.hex(),
-                    [(sid, str(inst)) for sid, inst in assignment.items()],
+                    [(sid, str(inst)) for sid, inst in spell(trail).items()],
                 )
-                for bandwidth, latency, assignment in entries
+                for bandwidth, latency, trail in entries
             ],
         )
         for (src, dst), entries in table.items()
@@ -574,6 +581,54 @@ class TestGeneralSearchEqualsExhaustive:
         assert _pinned_table(
             ReductionSolver()._solve_general(block, priced)
         ) == _pinned_table(reference._solve_general(block, priced))
+
+
+#: Shapes every other block kind decomposes into: a path, parallel paths
+#: with a direct edge, split-merge lobes in series, and a multi-sink tree.
+REDUCIBLE_SHAPES = {
+    "path": ServiceRequirement.from_path(["s", "a", "b", "t"]),
+    "parallel": ServiceRequirement(
+        edges=[("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "t")]
+    ),
+    "lobes": ServiceRequirement(
+        edges=[
+            ("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"),
+            ("m", "c"), ("m", "d"), ("c", "t"), ("d", "t"),
+        ]
+    ),
+    "tree": ServiceRequirement(edges=[("s", "a"), ("a", "b"), ("a", "c"), ("s", "d")]),
+}
+
+reducible_cases = st.sampled_from(sorted(REDUCIBLE_SHAPES)).flatmap(
+    lambda name: st.tuples(
+        st.just(REDUCIBLE_SHAPES[name]), priced_views(REDUCIBLE_SHAPES[name])
+    )
+)
+
+
+class TestTrailsSpellTheEagerTables:
+    """Entries carry trails: spelled out, a block table is the one the
+    eager DP built by copying an assignment into every entry -- keys in
+    order, every float bit for bit, every assignment in item order."""
+
+    @pytest.mark.parametrize("pareto", [True, False])
+    @given(case=st.one_of(general_cases, reducible_cases))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_block_tables_are_identical(self, pareto, case):
+        requirement, view = case
+        work_req, view = ReductionSolver()._two_terminal(requirement, view)
+        priced = _PricedEdges(work_req, view)
+        block = decompose(work_req)
+        expected = EagerSolver(pareto=pareto)._solve_block(block, priced)
+        found = ReductionSolver(pareto=pareto)._solve_block(block, priced)
+        assert _pinned_table(found) == _pinned_table(expected)
+
+    def test_a_join_spells_left_before_right(self):
+        a, b, c = (ServiceInstance(sid, 0) for sid in "abc")
+        b2 = ServiceInstance("b", 1)
+        left = ((None, "a", a), "b", b)
+        right = ({"b": b2}, (None, "c", c))
+        assert list(spell((left, right)).items()) == [("a", a), ("b", b2), ("c", c)]
 
 
 class TestOnePricePerPair:

@@ -15,7 +15,13 @@ import pytest
 
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import ReductionSolver
-from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _Federation, _PlanningView
+from repro.core.sflow import (
+    SFederate,
+    SFlowAlgorithm,
+    SFlowConfig,
+    _Federation,
+    _PlanningView,
+)
 from repro.errors import FederationError
 from repro.network.failures import CrashEvent, degrade_links
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -493,6 +499,90 @@ class TestKnowledgeModels:
         assert sum(result.per_node_compute.values()) == pytest.approx(
             result.local_compute_seconds
         )
+
+
+class TestPlanningWhereTheAnswerIsRead:
+    """A node plans only when it has a service to decide: an unpinned
+    dominator-tree child.  Every other activation forwards the pins it was
+    sent, and the session comes out as before (the golden sessions)."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = ReductionSolver.solve_assignment
+
+        def counting(self, requirement, view, **kwargs):
+            calls.append(kwargs.get("source_instance"))
+            return real(self, requirement, view, **kwargs)
+
+        monkeypatch.setattr(ReductionSolver, "solve_assignment", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "clazz, n_services, seed, planners",
+        [
+            (RequirementClass.PATH, 5, 0, ["s0", "s1", "s2", "s3"]),
+            # s0 -> {s1, s2} -> s3 -> {s4, s5} -> s6: the splits decide.
+            (RequirementClass.SPLIT_MERGE, 7, 4, ["s0", "s3"]),
+        ],
+        ids=["chain", "split-merge"],
+    )
+    def test_only_nodes_with_a_child_to_pin_plan(
+        self, clazz, n_services, seed, planners, monkeypatch
+    ):
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=14, n_services=n_services, requirement_class=clazz, seed=seed
+            )
+        )
+        requirement = scenario.requirement
+        assert requirement.classify() is clazz
+        calls = self.counted(monkeypatch)
+        algorithm = SFlowAlgorithm()
+        graph = algorithm.solve(
+            requirement, scenario.overlay, source_instance=scenario.source_instance
+        )
+        result = algorithm.last_result
+        idom = requirement.immediate_dominators()
+        # Undisturbed, a service is pinned by its dominator alone, so every
+        # node with a dominator-tree child has that child unpinned.
+        deciders = {
+            graph.instance_for(idom[sid]) for sid in requirement.services() if idom[sid] != sid
+        }
+        assert {inst.sid for inst in deciders} == set(planners)
+        assert result.node_activations == len(requirement)
+        assert sorted(calls) == sorted(deciders)
+        assert result.per_node_compute.keys() == deciders
+
+    def test_a_node_plans_for_its_one_unpinned_child(self, monkeypatch):
+        """``s0`` decides ``s1``, ``s2`` and ``s3``; sent ``s1`` already
+        pinned, it still plans for the other two and keeps the pin."""
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=14, n_services=7,
+                requirement_class=RequirementClass.SPLIT_MERGE, seed=4,
+            )
+        )
+        requirement, source = scenario.requirement, scenario.source_instance
+        federation = _Federation(
+            requirement, scenario.overlay, source, SFlowConfig(), None, Stopwatch()
+        )
+        pinned = federation.directory["s1"][-1]
+        sent = []
+        monkeypatch.setattr(
+            federation, "dispatch", lambda src, dst, message, latency: sent.append(message)
+        )
+        calls = self.counted(monkeypatch)
+        node = federation.endpoint(source)
+        node.inbox.append(
+            SFederate(residual=requirement, pins=(("s0", source), ("s1", pinned)), edges=())
+        )
+        node._activate()
+        assert calls == [source]
+        assert federation.result.per_node_compute.keys() == {source}
+        pins = [dict(message.pins) for message in sent]
+        assert [sorted(p) for p in pins] == [["s0", "s1", "s2", "s3"]] * 2
+        assert all(p["s1"] == pinned for p in pins)
 
 
 class TestSessionRelease:

@@ -140,7 +140,7 @@ def test_the_ulp_seeds_are_an_ulp_off():
 
 
 def summed_parallel(a, b):
-    return (min(a[0], b[0]), a[1] + b[1], {**a[2], **b[2]})
+    return (min(a[0], b[0]), a[1] + b[1], (a[2], b[2]))
 
 
 def single_best_prune(entries, *, keep_all, prune=reductions.pareto_prune):

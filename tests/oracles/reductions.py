@@ -1,11 +1,89 @@
 """The exhaustive general-block walk the branch-and-bound search replaced,
-and the cut-service test ``decompose`` used before dominator chains."""
+the eager block DP that copied an assignment into every entry before
+entries carried trails, and the cut-service test ``decompose`` used before
+dominator chains."""
 
 import itertools
 import math
 
 from repro.core.reductions import ReductionSolver, _PricedEdges, pareto_prune
 from repro.network.metrics import PathQuality
+
+
+class EagerSolver(ReductionSolver):
+    """The reference: path, series and parallel blocks solved the way they
+    were before entries carried trails -- a path block's survivors each get
+    ``{**assignment, sid: inst}``, a combination ``{**left, **right}``."""
+
+    def _solve_path(self, block, priced):
+        table = {}
+        chain = block.chain
+        pools = [priced.pools[sid] for sid in chain]
+        for start, src in enumerate(pools[0]):
+            layer = {start: [(math.inf, 0.0, {chain[0]: src})]}
+            for prev_sid, sid, pool in zip(chain, chain[1:], pools[1:]):
+                hops = priced.hops[(prev_sid, sid)]
+                nxt = {}
+                for j, inst in enumerate(pool):
+                    candidates = [
+                        (width if width < bandwidth else bandwidth, delay + latency, assignment)
+                        for i, entries in layer.items()
+                        if hops[i][j] is not None
+                        for width, delay in [hops[i][j]]
+                        for bandwidth, latency, assignment in entries
+                    ]
+                    pruned = pareto_prune(candidates, keep_all=self.pareto)
+                    if pruned:
+                        nxt[j] = [
+                            (bandwidth, latency, {**assignment, sid: inst})
+                            for bandwidth, latency, assignment in pruned
+                        ]
+                layer = nxt
+                if not layer:
+                    break
+            for j, entries in layer.items():
+                table[(src, pools[-1][j])] = entries
+        return table
+
+    def _solve_series(self, block, priced):
+        tables = [self._solve_block(child, priced) for child in block.children]
+        result = tables[0]
+        for nxt in tables[1:]:
+            by_src = {}
+            for (cut, dst), entries in nxt.items():
+                by_src.setdefault(cut, []).append((dst, entries))
+            accum = {}
+            for (src, cut), left_entries in result.items():
+                for dst, right_entries in by_src.get(cut, ()):
+                    accum.setdefault((src, dst), []).extend(
+                        (min(a[0], b[0]), a[1] + b[1], {**a[2], **b[2]})
+                        for a in left_entries
+                        for b in right_entries
+                    )
+            result = self._pruned(accum)
+        return result
+
+    def _solve_parallel(self, block, priced):
+        tables = [self._solve_block(child, priced) for child in block.children]
+        result = tables[0]
+        for nxt in tables[1:]:
+            result = self._pruned({
+                key: [
+                    (min(a[0], b[0]), max(a[1], b[1]), {**a[2], **b[2]})
+                    for a in left_entries
+                    for b in nxt[key]
+                ]
+                for key, left_entries in result.items()
+                if nxt.get(key)
+            })
+        return result
+
+    def _pruned(self, table):
+        pruned = {
+            key: pareto_prune(entries, keep_all=self.pareto)
+            for key, entries in table.items()
+        }
+        return {key: entries for key, entries in pruned.items() if entries}
 
 
 class ExhaustiveSolver(ReductionSolver):
