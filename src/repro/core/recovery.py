@@ -139,13 +139,18 @@ class _Recovery:
         #: Acknowledged transport is needed whenever messages can vanish --
         #: seeded loss or a chaos plan; the undisturbed path sends no acks.
         self.reliable = config.loss_rate > 0 or self.chaos.active
-        self._loss_rng = random.Random(config.loss_seed)
-        self._chaos_rng = random.Random(self.chaos.seed)
-        self._jitter_rng = random.Random(self.chaos.seed ^ 0x9E3779B9)
-        self._retry_rng = random.Random(config.loss_seed ^ 0x5F3759DF)
-        self.network = MessageNetwork(
-            self.env, loss_fn=self._lose, jitter_fn=self._jitter
-        )
+        if self.reliable:
+            self._loss_rng = random.Random(config.loss_seed)
+            self._chaos_rng = random.Random(self.chaos.seed)
+            self._jitter_rng = random.Random(self.chaos.seed ^ 0x9E3779B9)
+            self._retry_rng = random.Random(config.loss_seed ^ 0x5F3759DF)
+            self.network = MessageNetwork(
+                self.env, loss_fn=self._lose, jitter_fn=self._jitter
+            )
+        else:
+            # Nothing can lose or delay a message (``chaos.active`` covers
+            # loss, jitter, crashes and gray faults): no RNG, no send hook.
+            self.network = MessageNetwork(self.env)
         if self.gray.active:
             self.network.install_gray(self.gray.channel_model())
         self.detector = (

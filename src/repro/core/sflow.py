@@ -9,7 +9,7 @@ The federation process is message-driven:
    vicinity of the paper, generalised to a configurable ``horizon``), runs
    the baseline algorithm plus the reduction heuristics on the residual
    requirement, commits its local decisions, and forwards new ``sfederate``
-   messages -- carrying the shrunken residual requirement, the accumulated
+   messages -- carrying the residual requirement's services, the accumulated
    *pins* (service -> instance decisions) and the partial flow graph -- to
    the chosen instances of its immediate downstream services.
 3. The sink service node(s) finalise the complete service flow graph.
@@ -88,9 +88,11 @@ _INITIAL_LATENCY = 0.0
 
 @dataclass(frozen=True)
 class SFederate:
-    """The ``sfederate`` message: residual requirement + decisions so far."""
+    """The ``sfederate`` message: the residual's services + decisions so far."""
 
-    residual: ServiceRequirement
+    #: The receiver's service and everything downstream of it; the residual
+    #: requirement is the session's requirement induced on them.
+    services: FrozenSet[Sid]
     pins: Tuple[Tuple[Sid, ServiceInstance], ...]
     edges: Tuple[FlowEdge, ...]
     #: Non-zero when the transport is lossy: retransmission/dedup handle.
@@ -106,7 +108,7 @@ class SFederate:
         """Abstract wire size used for byte accounting."""
         return (
             1
-            + len(self.residual)
+            + len(self.services)
             + len(self.pins)
             + 3 * len(self.edges)
             + len(self.repins)
@@ -542,6 +544,8 @@ class _Federation:
         self.recovery = _Recovery(self, chaos)
         self.network = self.recovery.network
         self.idom = requirement.immediate_dominators()
+        #: Each service's residual services, as every ``sfederate`` to it carries.
+        self.downstream = {sid: requirement.downstream(sid) for sid in requirement.services()}
         #: Each service's dominator-tree children: the services its node pins.
         self.children: Dict[Sid, List[Sid]] = {sid: [] for sid in requirement.services()}
         for sid in requirement.services():
@@ -596,11 +600,11 @@ class _Federation:
         return node
 
     def residual(self, sid: Sid) -> ServiceRequirement:
-        """The requirement rooted at ``sid`` -- what its node plans and an
-        ``sfederate`` to it carries -- built once per session."""
+        """The requirement rooted at ``sid`` -- what its node plans on --
+        built once per session, and only for a node that plans."""
         found = self._residuals.get(sid)
         if found is None:
-            found = self._residuals[sid] = self.requirement.downstream_closure(sid)
+            found = self._residuals[sid] = self.requirement.subrequirement(self.downstream[sid])
         return found
 
     def plan(
@@ -649,7 +653,7 @@ class _Federation:
         out_edges = dict(edges)
         out_edges[flow_edge.requirement_edge] = flow_edge
         message = SFederate(
-            residual=self.residual(dst.sid),
+            services=self.downstream[dst.sid],
             pins=tuple(sorted(pins.items())),
             edges=tuple(out_edges[k] for k in sorted(out_edges)),
             msg_id=self.recovery.next_msg_id(),
@@ -691,7 +695,7 @@ class _Federation:
         reliable) -- at the start, and again on every re-federation."""
         self._sink_parts.clear()
         initial = SFederate(
-            residual=self.requirement,
+            services=self.downstream[self.requirement.source],
             pins=((self.requirement.source, self.source_instance),),
             edges=(),
             generation=self.generation,

@@ -250,10 +250,14 @@ class ServiceRequirement:
 
     # -- reachability ----------------------------------------------------------
 
+    def downstream(self, sid: Sid) -> FrozenSet[Sid]:
+        """``sid`` and every service downstream of it."""
+        self._check(sid)
+        return self._closure(sid, self._succ)
+
     def descendants(self, sid: Sid) -> FrozenSet[Sid]:
         """Services strictly downstream of ``sid``."""
-        self._check(sid)
-        return self._closure(sid, self._succ) - {sid}
+        return self.downstream(sid) - {sid}
 
     def ancestors(self, sid: Sid) -> FrozenSet[Sid]:
         """Services strictly upstream of ``sid``."""
@@ -276,12 +280,11 @@ class ServiceRequirement:
     def downstream_closure(self, sid: Sid) -> "ServiceRequirement":
         """The residual requirement rooted at ``sid``.
 
-        This is exactly what an sFlow node forwards downstream: the
-        sub-requirement induced on ``sid`` and everything reachable from it.
+        This is exactly what an sFlow node plans on: the sub-requirement
+        induced on ``sid`` and everything reachable from it.
         ``sid`` becomes the (single) source of the result.
         """
-        keep = self._closure(sid, self._succ)
-        return self.subrequirement(keep)
+        return self.subrequirement(self.downstream(sid))
 
     def subrequirement(self, keep: Iterable[Sid]) -> "ServiceRequirement":
         """Induced sub-requirement on ``keep`` (must stay a valid requirement)."""

@@ -35,6 +35,7 @@ from repro.services.workloads import (
     media_pipeline_scenario,
     travel_agency_scenario,
 )
+from repro.sim.channels import MessageNetwork
 from tests.core import test_sflow_crash as crash
 
 
@@ -575,7 +576,11 @@ class TestPlanningWhereTheAnswerIsRead:
         calls = self.counted(monkeypatch)
         node = federation.endpoint(source)
         node.inbox.append(
-            SFederate(residual=requirement, pins=(("s0", source), ("s1", pinned)), edges=())
+            SFederate(
+                services=frozenset(requirement.services()),
+                pins=(("s0", source), ("s1", pinned)),
+                edges=(),
+            )
         )
         node._activate()
         assert calls == [source]
@@ -583,6 +588,65 @@ class TestPlanningWhereTheAnswerIsRead:
         pins = [dict(message.pins) for message in sent]
         assert [sorted(p) for p in pins] == [["s0", "s1", "s2", "s3"]] * 2
         assert all(p["s1"] == pinned for p in pins)
+
+
+class TestWhatAHopCarries:
+    """An ``sfederate`` carries its residual's services -- the receiver's
+    service and everything downstream of it -- not a built requirement; a
+    residual requirement is built only for a node that plans, once."""
+
+    @pytest.mark.parametrize(
+        "clazz, n_services, seed",
+        [
+            (RequirementClass.PATH, 5, 0),
+            (RequirementClass.SPLIT_MERGE, 7, 4),
+            (RequirementClass.TREE, 6, 3),
+        ],
+        ids=["chain", "split-merge", "multi-sink"],
+    )
+    def test_every_hop_carries_the_receivers_downstream(
+        self, clazz, n_services, seed, monkeypatch
+    ):
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=14, n_services=n_services, requirement_class=clazz, seed=seed
+            )
+        )
+        requirement = scenario.requirement
+        assert requirement.classify() is clazz
+        sent = []
+        real_send = MessageNetwork.send
+
+        def recording(self, src, dst, payload, **kwargs):
+            sent.append((dst, payload, kwargs["size"]))
+            return real_send(self, src, dst, payload, **kwargs)
+
+        monkeypatch.setattr(MessageNetwork, "send", recording)
+        built = []
+        real_residual = _Federation.residual
+        monkeypatch.setattr(
+            _Federation, "residual",
+            lambda self, sid: built.append(sid) or real_residual(self, sid),
+        )
+        planned = TestPlanningWhereTheAnswerIsRead.counted(monkeypatch)
+        result = SFlowAlgorithm().federate(
+            requirement, scenario.overlay, source_instance=scenario.source_instance
+        )
+        assert result.succeeded
+        # The consumer's request plus one message per requirement edge.
+        assert len(sent) == len(requirement.edges()) + 1
+        for dst, message, size in sent:
+            assert message.services == requirement.downstream(dst.sid)
+            # The wire size is the one a whole residual requirement gave.
+            residual = requirement.downstream_closure(dst.sid)
+            assert size == message.size == (
+                1
+                + len(residual)
+                + len(message.pins)
+                + 3 * len(message.edges)
+                + len(message.repins)
+            )
+        assert planned and sorted(built) == sorted(inst.sid for inst in planned)
 
 
 class TestSessionRelease:

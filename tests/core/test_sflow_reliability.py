@@ -1,10 +1,15 @@
 """Tests for the sFlow reliability layer (acks + retransmission) under a
 lossy transport."""
 
+import random
+
 import pytest
 
-from repro.core.sflow import SFlowAlgorithm, SFlowConfig
+from repro.core import recovery
+from repro.core.sflow import SFlowAlgorithm, SFlowConfig, _Federation
 from repro.errors import SFlowError
+from repro.network.failures import ChaosPlan
+from repro.obs.clock import Stopwatch
 from repro.services.workloads import (
     ScenarioConfig,
     generate_scenario,
@@ -54,6 +59,63 @@ class TestLossyTransportPrimitive:
         env.run()
         assert len(box) == 1
         assert network.stats.lost == 0
+
+
+class TestAFaultFreeSessionArmsNothing:
+    """A session whose messages can be neither lost nor delayed seeds no
+    RNG and hands the transport no loss or jitter hook; one that can gets
+    both, whichever of the config and the chaos plan makes it so."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, *seed):
+                built.append(seed)
+                super().__init__(*seed)
+
+        monkeypatch.setattr(recovery.random, "Random", Counted)
+        return built
+
+    def test_the_default_session_seeds_no_rng_and_hooks_nothing(
+        self, scenario, monkeypatch
+    ):
+        built = self.counted(monkeypatch)
+        result = SFlowAlgorithm().federate(
+            scenario.requirement, scenario.overlay,
+            source_instance=scenario.source_instance,
+        )
+        assert result.succeeded
+        assert built == []
+        federation = _Federation(
+            scenario.requirement, scenario.overlay, scenario.source_instance,
+            SFlowConfig(), None, Stopwatch(),
+        )
+        assert federation.network._loss_fn is None
+        assert federation.network._jitter_fn is None
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "config, chaos",
+        [
+            (SFlowConfig(loss_rate=0.1), None),
+            (SFlowConfig(), ChaosPlan(delay_jitter=0.5, seed=3)),
+        ],
+        ids=["lossy-config", "jitter-only-chaos"],
+    )
+    def test_a_session_that_can_lose_or_delay_arms_both_hooks(
+        self, scenario, config, chaos, monkeypatch
+    ):
+        built = self.counted(monkeypatch)
+        federation = _Federation(
+            scenario.requirement, scenario.overlay, scenario.source_instance,
+            config, chaos, Stopwatch(),
+        )
+        assert federation.network._loss_fn is not None
+        assert federation.network._jitter_fn is not None
+        assert len(built) == 4
+        assert federation.run().flow_graph is not None
 
 
 class TestLossyFederation:

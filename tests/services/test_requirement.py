@@ -79,6 +79,8 @@ class TestTopology:
         assert diamond.descendants("s") == {"a", "b", "t"}
         assert diamond.ancestors("t") == {"s", "a", "b"}
         assert diamond.descendants("t") == frozenset()
+        assert diamond.downstream("a") == {"a", "t"}
+        assert diamond.downstream("s") == frozenset(diamond.services())
 
     def test_contains_and_len(self, diamond):
         assert "a" in diamond
