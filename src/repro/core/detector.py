@@ -17,8 +17,8 @@ runtime composes instead:
   its own observed cadence.
 * :class:`RetryPolicy` -- a bounded retry budget with exponential backoff
   and seeded jitter.  Every retry loop in the runtime draws its delays
-  from one of these (``sflow-check`` rule SFL009 flags unbounded
-  ``while True`` retry loops), so retry storms cannot synchronise and no
+  from one of these (``test_gives_up_after_max_retries`` checks that a
+  sender stops at the bound), so retry storms cannot synchronise and no
   sender retries forever.
 * :class:`CircuitBreaker` -- per-peer quarantine.  Repeated send failures
   open the breaker: further traffic to the peer fails *fast* (no retry

@@ -1,10 +1,10 @@
 """Injectable host-time measurement: the :class:`Stopwatch`.
 
 Protocol and simulation code (``repro.sim`` / ``repro.core``) is banned
-from reading wall clocks directly -- rule SFL001 of
-:mod:`repro.tools.check` enforces it -- because an ambient
-``time.perf_counter()`` call hard-wires host timing into code whose
-*results* must be pure functions of the DES clock and the inputs.  The
+from reading wall clocks directly -- nothing it imports short of
+``repro.obs`` imports ``time`` (``tests/test_packaging.py``) -- because
+an ambient ``time.perf_counter()`` call hard-wires host timing into code
+whose *results* must be pure functions of the DES clock and the inputs.  The
 one legitimate use of host time there is *measuring our own compute
 cost* (the solver-timing columns of Fig. 10(b)), and that goes through a
 :class:`Stopwatch`:

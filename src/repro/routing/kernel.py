@@ -63,8 +63,8 @@ Float arithmetic is identical because a path's latency accumulates
 left-to-right along the same edges in both implementations.
 
 ``numpy`` is a declared dependency of the package and is used for the
-snapshot's array layout only; the kernel draws no random numbers (rule
-SFL010 guards the package against ambient numpy RNG use).
+snapshot's array layout only; the kernel draws no random numbers (a
+packaging test keeps ambient numpy RNG use out of the package).
 
 Property-tested label-for-label against the reference in
 ``tests/routing/test_kernel.py`` and ``tests/fuzz/test_kernel_rows.py``

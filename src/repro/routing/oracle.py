@@ -7,9 +7,9 @@ monitor's probes, the serialized-chain control, the baseline's path
 search) asks one process-wide memo, :class:`RouteOracle`:
 
 * **Keying.**  A graph object *is* its topology: nothing mutates a graph
-  the oracle has seen (the failure models are pure, and rules
-  SFL004/SFL014 reject an in-place mutation that does not
-  :meth:`~RouteOracle.invalidate`).  So the oracle holds one state per
+  the oracle has seen (the failure models are pure and return a new
+  graph, and ``tests/fuzz/test_mutation_chains.py`` checks every derived
+  graph's trees against the pure rows).  So the oracle holds one state per
   graph object -- its trees keyed ``(view, order, source)``, the repairs
   pending under the same key, one CSR snapshot per view -- and a tree of
   one graph is unreachable from any other.  ``view`` distinguishes

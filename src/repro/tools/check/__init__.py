@@ -3,8 +3,8 @@
 One serial pass per run: every file is parsed once, checked by the
 per-file rules and distilled into a module summary (:mod:`.engine`,
 :mod:`.symbols`); the summaries are stitched into a call graph
-(:mod:`.callgraph`) and a taint lattice (:mod:`.dataflow`) for the
-cross-module rules.  The rule catalogue lives in :mod:`.rules`.  The
+(:mod:`.callgraph`) and a may-raise fixpoint (:mod:`.dataflow`) for
+the cross-module rule.  The rule catalogue lives in :mod:`.rules`.  The
 console script and ``python -m repro.tools.check`` both run
 :func:`main`.
 """

@@ -143,7 +143,7 @@ class ProjectRule:
 
     Unlike :class:`Rule`, which sees one :class:`FileContext` at a time,
     a project rule receives the :class:`~repro.tools.check.dataflow.
-    ProjectAnalysis` -- symbol table, call graph and taint lattice over
+    ProjectAnalysis` -- symbol table, call graph and may-raise facts over
     every file in the run -- and yields findings anchored in whichever
     file the hazard surfaces in.  Per-line ``noqa`` suppression still
     applies at the reported line.

@@ -9,13 +9,13 @@ method calls).
 
 Resolution is deliberately conservative and deterministic: a call that
 cannot be pinned to exactly one plausible project function resolves to
-``None`` and simply does not propagate taint -- the whole-program rules
-prefer false negatives over nondeterministic blame.
+``None`` and simply does not propagate a fact -- the whole-program rule
+prefers false negatives over nondeterministic blame.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.tools.check.symbols import CallSite, FunctionSummary, ModuleSummary
 
@@ -112,7 +112,3 @@ class ProjectIndex:
     def iter_functions(self) -> List[FunctionSummary]:
         """All functions in deterministic (qname) order."""
         return [self.functions[q] for q in sorted(self.functions)]
-
-    def suppressions_for(self, module: str) -> Mapping[int, List[str]]:
-        summary = self.modules.get(module)
-        return summary.suppressions if summary is not None else {}

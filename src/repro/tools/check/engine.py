@@ -5,17 +5,17 @@ The pipeline for a project run (:func:`run_project`):
 1. enumerate ``*.py`` files (directory walks honour the exclude globs;
    explicitly named files always lint);
 2. read each file and hand it to :func:`_analyze`, which parses it, runs
-   the SFL001-SFL012 per-file rules under its ``noqa`` suppressions and
-   distils its :mod:`.symbols` summary;
+   the per-file rules under its ``noqa`` suppressions and distils its
+   :mod:`.symbols` summary;
 3. the whole-program pass stitches every module summary into the call
-   graph + taint lattice of :mod:`.dataflow` and runs the SFL013-SFL015
-   project rules, honouring per-line ``noqa`` suppressions in whichever
+   graph + may-raise facts of :mod:`.dataflow` and runs the project
+   rule (SFL015), honouring per-line ``noqa`` suppressions in whichever
    file a finding lands;
 4. findings are filtered (``--select``/``--ignore``), sorted and
    rendered -- human lines or ``--json``.
 
 :func:`check_source` / :func:`check_file` run step 2 alone (no project
-context), which is also what makes the SFL013+ fixture pairs
+context), which is also what makes the SFL015 fixture pairs
 demonstrable: the per-file API provably returns clean on files whose
 combination the project run flags.
 
@@ -241,8 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sflow-check",
         description=(
-            "Repo-specific static analysis: determinism, sim-time purity "
-            "and oracle/metrics discipline for the sFlow reproduction."
+            "Repo-specific static analysis for the sFlow reproduction: "
+            "metrics and event hygiene, swallowed exceptions, float "
+            "equality in tests and uncaught DES-handler escapes."
         ),
     )
     parser.add_argument(

@@ -1,11 +1,13 @@
 """The ``sflow-check`` rule catalogue.
 
-Per-file rules (:data:`RULES`, SFL001-SFL012) see one
+Per-file rules (:data:`RULES`) see one
 :class:`~repro.tools.check.base.FileContext` at a time; project rules
-(:data:`PROJECT_RULES`, SFL013-SFL015) run once over the whole-program
-:class:`~repro.tools.check.dataflow.ProjectAnalysis`.  Keep both tuples
-sorted by code -- ``test_rule_codes_are_unique_and_stable`` pins the
-numbering.
+(:data:`PROJECT_RULES`) run once over the whole-program
+:class:`~repro.tools.check.dataflow.ProjectAnalysis`.  Codes are never
+renumbered, so the catalogue has gaps where rules were retired
+(``docs/static_analysis.md`` says where each property lives now).  Keep
+both tuples sorted by code -- ``test_rule_codes_are_unique_and_stable``
+pins the catalogue.
 """
 
 from __future__ import annotations
@@ -13,24 +15,10 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.tools.check.base import ProjectRule, Rule
-from repro.tools.check.rules.determinism import (
-    AmbientNumpyRandomness,
-    InjectedRandomness,
-    SimTimePurity,
-)
-from repro.tools.check.rules.hygiene import FloatEquality, MutableDefault
-from repro.tools.check.rules.interprocedural import (
-    EscapedGraphMutation,
-    HandlerEscape,
-    TransitiveWallClock,
-)
-from repro.tools.check.rules.oracle import EpochDiscipline, OracleBypass
-from repro.tools.check.rules.robustness import SwallowedException, UnboundedRetry
-from repro.tools.check.rules.telemetry import (
-    MetricsHygiene,
-    OrphanEvent,
-    SpanLifecycle,
-)
+from repro.tools.check.rules.hygiene import FloatEquality
+from repro.tools.check.rules.interprocedural import HandlerEscape
+from repro.tools.check.rules.robustness import SwallowedException
+from repro.tools.check.rules.telemetry import MetricsHygiene, OrphanEvent
 
 __all__ = [
     "RULES",
@@ -40,25 +28,13 @@ __all__ = [
 ]
 
 RULES: Tuple[Rule, ...] = (
-    SimTimePurity(),
-    InjectedRandomness(),
-    OracleBypass(),
-    EpochDiscipline(),
     MetricsHygiene(),
     SwallowedException(),
     FloatEquality(),
-    MutableDefault(),
-    UnboundedRetry(),
-    AmbientNumpyRandomness(),
-    SpanLifecycle(),
     OrphanEvent(),
 )
 
-PROJECT_RULES: Tuple[ProjectRule, ...] = (
-    TransitiveWallClock(),
-    EscapedGraphMutation(),
-    HandlerEscape(),
-)
+PROJECT_RULES: Tuple[ProjectRule, ...] = (HandlerEscape(),)
 
 
 def rule_codes() -> List[str]:

@@ -1,17 +1,12 @@
-"""General-hygiene rules: SFL007 (computed-float equality in tests),
-SFL008 (mutable default arguments)."""
+"""General-hygiene rule: SFL007 (computed-float equality in tests)."""
 
 from __future__ import annotations
 
 import ast
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional
 
 from repro.tools.check.base import FileContext, Rule, Violation
-
-MUTABLE_FACTORIES: Set[str] = {
-    "list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "deque",
-}
 
 
 class FloatEquality(Rule):
@@ -88,47 +83,3 @@ class FloatEquality(Rule):
         except (InvalidOperation, ValueError):
             return True
 
-
-class MutableDefault(Rule):
-    """No mutable default arguments, anywhere.
-
-    A ``def f(x=[])`` default is created once and shared across calls --
-    in a simulator that is cross-run state leakage, the exact class of
-    bug the determinism tests exist to catch.  Use ``None`` plus an
-    in-body default (or ``dataclasses.field(default_factory=...)``).
-    """
-
-    code = "SFL008"
-    summary = "mutable default argument"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            for default in list(args.defaults) + [
-                d for d in args.kw_defaults if d is not None
-            ]:
-                if self._is_mutable(default):
-                    yield self.violation(
-                        ctx,
-                        default,
-                        f"mutable default argument in {node.name}(); the "
-                        "object is shared across calls -- default to None "
-                        "and construct inside the body",
-                    )
-
-    @staticmethod
-    def _is_mutable(node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else None
-            )
-            return name in MUTABLE_FACTORIES
-        return False

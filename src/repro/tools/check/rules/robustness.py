@@ -1,10 +1,9 @@
-"""Robustness rules: SFL006 (swallowed exceptions), SFL009 (unbounded
-retry loops)."""
+"""Robustness rule: SFL006 (swallowed exceptions)."""
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set
 
 from repro.tools.check.base import FileContext, Rule, Violation
 
@@ -12,11 +11,6 @@ BROAD_EXCEPTIONS: Set[str] = {"Exception", "BaseException"}
 #: Handler calls that count as structured handling: metric increments,
 #: histogram observations, trace events.
 EMISSION_CALLS: Set[str] = {"inc", "observe", "event"}
-
-#: Terminal call-name fragments that mark a loop iteration as a (re)send
-#: attempt.  Matched case-insensitively as substrings: ``_send``,
-#: ``retransmit_pin``, ``retry_once`` all qualify.
-RETRY_CALL_MARKERS: Tuple[str, ...] = ("send", "retransmit", "retry")
 
 
 class SwallowedException(Rule):
@@ -87,75 +81,3 @@ class SwallowedException(Rule):
                 return True
         return False
 
-
-class UnboundedRetry(Rule):
-    """Retry loops in ``repro.core``/``repro.sim`` must bound attempts.
-
-    A ``while True:`` whose body both performs a send-like call and waits
-    on a ``timeout(...)`` is a retransmission loop.  Without a ``break``
-    or ``return`` escape, its attempt count is unbounded -- under a gray
-    fault (a silently dead peer, a partitioned link) it spins forever and
-    the session never reaches a terminal state.  Bound it with a ``for``
-    over a :class:`repro.core.detector.RetryPolicy` (attempt cap +
-    exponential backoff) or add an explicit escape.
-
-    Heuristic scope note: nested function/class bodies are skipped, but a
-    ``break`` anywhere in the (non-nested) loop body counts as an escape
-    even if it belongs to an inner loop -- the rule prefers false
-    negatives over noise.
-    """
-
-    code = "SFL009"
-    summary = "unbounded retry loop (while True sends + waits, no escape)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_package("repro.core", "repro.sim")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.While):
-                continue
-            test = node.test
-            if not (isinstance(test, ast.Constant) and test.value is True):
-                continue
-            sends = waits = escapes = False
-            for child in self._loop_body(node):
-                if isinstance(child, ast.Call):
-                    name = self._terminal_name(child.func)
-                    if name is not None:
-                        lowered = name.lower()
-                        if any(m in lowered for m in RETRY_CALL_MARKERS):
-                            sends = True
-                        if lowered == "timeout":
-                            waits = True
-                elif isinstance(child, (ast.Break, ast.Return)):
-                    escapes = True
-            if sends and waits and not escapes:
-                yield self.violation(
-                    ctx,
-                    node,
-                    "while True retry loop with no break/return: bound the "
-                    "attempt count (RetryPolicy / for-loop) so a gray-failed "
-                    "peer cannot wedge the session",
-                )
-
-    @staticmethod
-    def _loop_body(loop: ast.While) -> Iterator[ast.AST]:
-        """Walk the loop body, skipping nested function/class scopes."""
-        stack: List[ast.AST] = list(loop.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _terminal_name(func: ast.expr) -> Optional[str]:
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None

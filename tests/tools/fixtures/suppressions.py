@@ -1,16 +1,16 @@
 # sflow: module=repro.sim.fixture_suppressed
 """Seeded fixture: suppression hygiene (SFL000) and justified waivers."""
 
-import time
+from repro.obs import tracer
 
 
-def waived() -> float:
+def waived() -> None:
     # A justified waiver: suppressed, and no SFL000.
-    return time.perf_counter()  # sflow: noqa[SFL001] -- fixture demonstrating a justified waiver
+    tracer().event("x")  # sflow: noqa[SFL012] -- fixture demonstrating a justified waiver
 
 
-def bare_waiver() -> float:
-    return time.perf_counter()  # sflow: noqa[SFL001]
+def bare_waiver() -> None:
+    return tracer().event("x")  # sflow: noqa[SFL012]
 
 
 def unknown_code() -> None:

@@ -33,8 +33,8 @@ def run_check(*args: str, cwd: Path = REPO):
 def test_list_rules_prints_the_catalogue():
     proc = run_check("--list-rules")
     assert proc.returncode == 0
-    for code in ["SFL000"] + [f"SFL{n:03d}" for n in range(1, 9)]:
-        assert code in proc.stdout
+    codes = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert codes == ["SFL000", "SFL005", "SFL006", "SFL007", "SFL012", "SFL015"]
 
 
 def test_no_paths_is_a_usage_error():
@@ -66,19 +66,19 @@ def test_clean_file_exits_zero(tmp_path):
 
 
 def test_violations_exit_one_with_summary():
-    proc = run_check(str(FIXTURES / "sfl008_mutable_default.py"))
+    proc = run_check(str(FIXTURES / "sfl006_swallowed.py"))
     assert proc.returncode == 1
-    assert "SFL008" in proc.stdout
+    assert "SFL006" in proc.stdout
     assert "found 2 violation(s)" in proc.stdout
 
 
 def test_json_output_is_machine_readable():
-    proc = run_check("--json", str(FIXTURES / "sfl001_wall_clock.py"))
+    proc = run_check("--json", str(FIXTURES / "sfl005_metrics.py"))
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["errors"] == []
     codes = [v["code"] for v in payload["violations"]]
-    assert codes == ["SFL001"] * 3
+    assert codes == ["SFL005"] * 2
     for violation in payload["violations"]:
         assert set(violation) == {"path", "line", "col", "code", "message"}
 
@@ -87,16 +87,17 @@ def test_select_and_ignore_filter_rules(tmp_path):
     bad = tmp_path / "both.py"
     bad.write_text(
         "# sflow: module=repro.sim.demo\n"
-        "import time\n"
-        "def f(xs=[]):\n"
-        "    return time.perf_counter()\n"
+        "from repro.obs import tracer\n"
+        "def f(reg, name):\n"
+        "    tracer().event('x')\n"
+        "    return reg.counter(name)\n"
     )
-    only_008 = run_check("--select", "SFL008", "--json", str(bad))
-    codes = [v["code"] for v in json.loads(only_008.stdout)["violations"]]
-    assert codes == ["SFL008"]
-    without_008 = run_check("--ignore", "SFL008", "--json", str(bad))
-    codes = [v["code"] for v in json.loads(without_008.stdout)["violations"]]
-    assert codes == ["SFL001"]
+    only_005 = run_check("--select", "SFL005", "--json", str(bad))
+    codes = [v["code"] for v in json.loads(only_005.stdout)["violations"]]
+    assert codes == ["SFL005"]
+    without_005 = run_check("--ignore", "SFL005", "--json", str(bad))
+    codes = [v["code"] for v in json.loads(without_005.stdout)["violations"]]
+    assert codes == ["SFL012"]
 
 
 def test_syntax_error_exits_two(tmp_path):
@@ -110,7 +111,12 @@ def test_syntax_error_exits_two(tmp_path):
 def test_fixture_directories_are_excluded_from_directory_walks(tmp_path):
     tree = tmp_path / "pkg" / "fixtures"
     tree.mkdir(parents=True)
-    (tree / "bad.py").write_text("def f(xs=[]):\n    return xs\n")
+    (tree / "bad.py").write_text(
+        "# sflow: module=repro.demo\n"
+        "def f(work):\n"
+        "    try:\n        work()\n"
+        "    except Exception:\n        pass\n"
+    )
     proc = run_check(str(tmp_path))
     assert proc.returncode == 0
     # ... unless the caller overrides the exclude list.
@@ -138,20 +144,19 @@ def test_multi_code_noqa_suppresses_every_listed_code(tmp_path):
     bad = tmp_path / "multi.py"
     bad.write_text(
         "# sflow: module=repro.sim.demo\n"
-        "import time\n"
-        "import random\n"
-        "def f():\n"
-        "    return time.perf_counter() + random.random()"
-        "  # sflow: noqa[SFL001, SFL002] -- demo waiver\n"
+        "from repro.obs import tracer\n"
+        "def f(reg, name):\n"
+        "    return reg.counter(name), tracer().event('x')"
+        "  # sflow: noqa[SFL005, SFL012] -- demo waiver\n"
     )
     proc = run_check(str(bad))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # listing only one code keeps the other finding alive
-    bad.write_text(bad.read_text().replace("[SFL001, SFL002]", "[SFL001]"))
+    bad.write_text(bad.read_text().replace("[SFL005, SFL012]", "[SFL005]"))
     proc = run_check("--json", str(bad))
     assert proc.returncode == 1
     codes = [v["code"] for v in json.loads(proc.stdout)["violations"]]
-    assert codes == ["SFL002"]
+    assert codes == ["SFL012"]
 
 
 def test_noqa_on_decorated_def_anchors_to_the_def_line(tmp_path):
@@ -159,9 +164,18 @@ def test_noqa_on_decorated_def_anchors_to_the_def_line(tmp_path):
     bad.write_text(
         "# sflow: module=repro.sim.demo\n"
         "import functools\n"
-        "@functools.lru_cache\n"
-        "def f(xs=[]):  # sflow: noqa[SFL008] -- findings anchor to the def\n"
-        "    return xs\n"
+        "def start(env):\n"
+        "    env.process(pump(env))\n"
+        "@functools.wraps(start)\n"
+        "def pump(env):  # sflow: noqa[SFL015] -- findings anchor to the def\n"
+        "    yield env.timeout(1.0)\n"
+        "    raise ValueError('boom')\n"
     )
     proc = run_check(str(bad))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the finding is the def line's, not the decorator's
+    bad.write_text(bad.read_text().replace("  # sflow: noqa[SFL015] --", "  #"))
+    proc = run_check("--json", str(bad))
+    assert proc.returncode == 1
+    (finding,) = json.loads(proc.stdout)["violations"]
+    assert (finding["code"], finding["line"]) == ("SFL015", 6)

@@ -1,5 +1,5 @@
-"""Whole-program engine tests: golden bit-identity across the package
-refactor, and cross-module rules the per-file pass provably misses.
+"""Whole-program engine tests: golden bit-identity of the per-file
+findings, and the cross-module rule the per-file pass provably misses.
 """
 
 from __future__ import annotations
@@ -9,15 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.check import check_file, check_paths, run_project
+from repro.tools.check import check_file, run_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "sfl_intrafile_findings.json"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PAIRS = {
-    "SFL013": ("sfl013_clock_helper.py", "sfl013_sim_consumer.py"),
-    "SFL014": ("sfl014_graph_helper.py", "sfl014_core_caller.py"),
     "SFL015": ("sfl015_fault_helper.py", "sfl015_handler.py"),
     "SFL015-serve": ("sfl015_serve_codec.py", "sfl015_served_node.py"),
 }
@@ -33,7 +31,7 @@ def run_pair(code, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# golden bit-identity: the package refactor must not move a single finding
+# golden bit-identity: no engine change may move a single per-file finding
 # ---------------------------------------------------------------------------
 
 
@@ -48,23 +46,12 @@ def _repo_relative(finding):
 def test_golden_fixture_findings_are_bit_identical():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for name, expected in golden.items():
-        if name == "__repo_src_tests__":
-            continue
         actual = [_repo_relative(v.as_dict()) for v in check_file(FIXTURES / name)]
         assert actual == expected, f"per-file findings moved for {name}"
 
 
-def test_golden_repo_gate_still_clean():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    violations, errors = check_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
-    assert errors == []
-    # The golden capture predates the whole-program rules; the repo must
-    # be clean under the old set bit-for-bit *and* under SFL013-SFL015.
-    assert [v.as_dict() for v in violations] == golden["__repo_src_tests__"] == []
-
-
 # ---------------------------------------------------------------------------
-# SFL013-SFL015: cross-module hazards the per-file pass cannot see
+# SFL015: cross-module hazards the per-file pass cannot see
 # ---------------------------------------------------------------------------
 
 
@@ -74,26 +61,6 @@ def test_per_file_scan_is_provably_blind_on_the_pair(code):
         assert check_file(FIXTURES / name) == [], (
             f"{name} must be clean per-file; only the project pass may flag it"
         )
-
-
-def test_sfl013_transitive_wall_clock_fires_in_sim_consumer():
-    result = run_pair("SFL013")
-    assert codes_in(result.violations) == ["SFL013", "SFL013"]
-    direct, relayed = result.violations
-    assert direct.path.endswith("sfl013_sim_consumer.py")
-    assert "time.perf_counter" in direct.message
-    assert "repro.util.hostclock.elapsed_ms" in direct.message
-    # the two-hop laundering names the full chain
-    assert "relay_elapsed -> repro.util.hostclock.elapsed_ms" in relayed.message
-
-
-def test_sfl014_escape_fires_at_the_caller_only_for_preexisting_graphs():
-    result = run_pair("SFL014")
-    assert codes_in(result.violations) == ["SFL014"]
-    finding = result.violations[0]
-    assert finding.path.endswith("sfl014_core_caller.py")
-    assert "repro.network.overlay.rewire" in finding.message
-    assert "add_link" in finding.message
 
 
 def test_sfl015_handler_escape_names_spawner_and_chain():
@@ -122,36 +89,40 @@ def test_sfl015_sees_a_callable_served_on_a_mailbox():
 def test_no_project_flag_suppresses_cross_module_rules():
     # Without the whole-program pass (the per-file API), neither half of
     # the pair is flagged; the project run over both flags the consumer.
-    helper, consumer = PAIRS["SFL013"]
+    helper, consumer = PAIRS["SFL015"]
     assert check_file(FIXTURES / helper) == []
     assert check_file(FIXTURES / consumer) == []
-    assert codes_in(run_pair("SFL013").violations) == ["SFL013", "SFL013"]
+    assert codes_in(run_pair("SFL015").violations) == ["SFL015"]
 
 
 def test_project_rule_respects_noqa_on_the_reported_line(tmp_path):
     helper = tmp_path / "helper.py"
     helper.write_text(
-        "# sflow: module=repro.util.clockish\n"
-        "import time\n\n\n"
-        "def stamp():\n"
-        "    return time.perf_counter()\n",
+        "# sflow: module=repro.util.checks\n\n\n"
+        "def check(level):\n"
+        "    if level < 0:\n"
+        "        raise ValueError(level)\n",
         encoding="utf-8",
     )
-    consumer = tmp_path / "consumer.py"
-    consumer.write_text(
+    handler = tmp_path / "handler.py"
+    handler.write_text(
         "# sflow: module=repro.sim.thing\n"
-        "from repro.util.clockish import stamp\n\n\n"
-        "def run():\n"
-        "    return stamp()  # sflow: noqa[SFL013] -- test-only waiver\n",
+        "from repro.util.checks import check\n\n\n"
+        "def start(env):\n"
+        "    env.process(run(env))\n\n\n"
+        "def run(env):  # sflow: noqa[SFL015] -- test-only waiver\n"
+        "    yield env.timeout(1.0)\n"
+        "    check(-1)\n",
         encoding="utf-8",
     )
-    result = run_project([helper, consumer])
+    result = run_project([helper, handler])
     assert result.violations == []
-    consumer.write_text(
-        consumer.read_text(encoding="utf-8").replace(
-            "  # sflow: noqa[SFL013] -- test-only waiver", ""
+    handler.write_text(
+        handler.read_text(encoding="utf-8").replace(
+            "  # sflow: noqa[SFL015] -- test-only waiver", ""
         ),
         encoding="utf-8",
     )
-    result = run_project([helper, consumer])
-    assert codes_in(result.violations) == ["SFL013"]
+    result = run_project([helper, handler])
+    assert codes_in(result.violations) == ["SFL015"]
+    assert result.violations[0].line == 9
