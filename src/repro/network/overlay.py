@@ -224,31 +224,32 @@ class OverlayGraph:
                 f"underlay_routing must be 'shortest' or 'widest', "
                 f"got {underlay_routing!r}"
             )
-        oracle = RouteOracle.default()
-        # Batched prefetch: one CSR snapshot of the underlay serves every
-        # distinct host in one kernel pass; the per-instance lookups below
-        # then hit the cache.
-        oracle.warm(
-            underlay, (a.nid for a in instances), order=order,
-            view="neighbors", neighbors=underlay.neighbors,
-        )
         # The predicate speaks of services, so it is asked once per ordered
         # sid pair -- when the first instance pair of that kind comes up, so
         # never about a pair no two distinct instances make.
         pools = sorted(overlay._by_sid.items())
         feeds: Dict[Tuple[Sid, Sid], bool] = {}
         for a in instances:
-            labels = oracle.tree(
-                underlay, a.nid, order=order, view="neighbors",
-                neighbors=underlay.neighbors,
-            )
             for sid, pool in pools:
-                if pool == [a]:
-                    continue
-                kind = (a.sid, sid)
-                if kind not in feeds:
-                    feeds[kind] = compatible(*kind)
-                if not feeds[kind]:
+                if pool != [a] and (a.sid, sid) not in feeds:
+                    feeds[a.sid, sid] = compatible(a.sid, sid)
+        # Only a link reads an underlay row, and only at its fed end: one
+        # batched prefetch on one CSR snapshot of the underlay warms a row
+        # per host that feeds somebody, every row asked at the fed hosts
+        # (a sink-only host routes nothing); the lookups below then hit.
+        fed = {sid for (_, sid), yes in feeds.items() if yes}
+        targets = frozenset(b.nid for sid in fed for b in overlay._by_sid[sid])
+        oracle = RouteOracle.default()
+        route: Dict[str, Any] = dict(
+            order=order, view="neighbors", neighbors=underlay.neighbors,
+            targets=targets,
+        )
+        feeding = [a for a in instances if any(feeds.get((a.sid, sid)) for sid in fed)]
+        oracle.warm(underlay, (a.nid for a in feeding), **route)
+        for a in feeding:
+            labels = oracle.tree(underlay, a.nid, **route)
+            for sid, pool in pools:
+                if pool == [a] or not feeds[a.sid, sid]:
                     continue
                 for b in pool:
                     if a == b:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import random
 import weakref
 
 import pytest
@@ -15,11 +16,11 @@ from repro.network.overlay import (
     ServiceInstance,
     ServiceLink,
 )
-from repro.network.underlay import Underlay
+from repro.network.underlay import Underlay, UnderlayConfig
 from repro.routing.oracle import RouteOracle
 from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.wang_crowcroft import widest_shortest_tree
+from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 
 class TestServiceInstance:
@@ -227,6 +228,90 @@ class TestBuildFromUnderlay:
         for inst in placement:
             assert list(built._out[inst].items()) == list(per_pair._out[inst].items())
             assert list(built._in[inst].items()) == list(per_pair._in[inst].items())
+
+    @staticmethod
+    def built_from_full_trees(underlay, placement, compatible, tree):
+        """The overlay as a build made it from one full pure row per
+        instance, every instance pair asked in ``(src, dst)`` order."""
+        overlay = OverlayGraph()
+        for a in sorted(placement):
+            overlay.add_instance(a)
+        for a in sorted(placement):
+            labels = tree(underlay.neighbors, a.nid)
+            for b in sorted(placement):
+                if a == b or not compatible(a.sid, b.sid):
+                    continue
+                if a.nid == b.nid:
+                    overlay.add_link(a, b, PathQuality(math.inf, 0.0), (a.nid,))
+                elif b.nid in labels and labels[b.nid].quality.reachable:
+                    overlay.add_link(a, b, labels[b.nid].quality, labels[b.nid].path)
+        return overlay
+
+    @pytest.mark.parametrize(
+        "routing, tree",
+        [("shortest", widest_shortest_tree), ("widest", shortest_widest_tree)],
+    )
+    @pytest.mark.parametrize(
+        "model", ["waxman", "erdos_renyi", "barabasi_albert", "ring", "grid"]
+    )
+    def test_links_equal_a_build_from_full_pure_rows(self, model, routing, tree):
+        """Rows asked at the fed hosts alone, none for a sink-only host, and
+        widest-shortest rows without their dominated edges: the same links,
+        metrics and underlay paths in the same row order."""
+        underlay = Underlay.generate(UnderlayConfig(n=24, model=model, seed=5))
+        catalog = ServiceCatalog.from_edges(
+            [("A", "B"), ("A", "C"), ("B", "C"), ("C", "D"), ("B", "E")]
+        )
+        rng = random.Random(model)
+        placement = {
+            ServiceInstance(sid, rng.randrange(24)) for sid in "ABCDE" for _ in range(4)
+        }
+        RouteOracle.reset_default()
+        built = OverlayGraph.build(
+            underlay, placement, catalog.compatible, underlay_routing=routing
+        )
+        expected = self.built_from_full_trees(
+            underlay, placement, catalog.compatible, tree
+        )
+        assert built.num_links() == expected.num_links() > 0
+        assert list(built._out) == list(expected._out)
+        for inst in placement:
+            assert list(built._out[inst].items()) == list(expected._out[inst].items())
+            assert list(built._in[inst].items()) == list(expected._in[inst].items())
+
+    def test_no_row_for_a_host_that_feeds_nothing(self, monkeypatch):
+        """Hosts 4 and 5 run only the sink ``C``: no row is warmed or read
+        for them, and every row, warmed or read, is asked at the hosts of
+        the fed instances -- the hosts of ``B`` and ``C``."""
+        underlay = Underlay.generate(UnderlayConfig(n=12, seed=3))
+        catalog = ServiceCatalog.from_edges([("A", "B"), ("B", "C")])
+        placement = [
+            ServiceInstance("A", 0), ServiceInstance("A", 1),
+            ServiceInstance("B", 2), ServiceInstance("B", 3),
+            ServiceInstance("C", 1), ServiceInstance("C", 4), ServiceInstance("C", 5),
+        ]
+        asked = []
+        warm, tree = RouteOracle.warm, RouteOracle.tree
+
+        def spy_warm(self, graph, sources, **kwargs):
+            sources = list(sources)
+            asked.extend((source, kwargs["targets"]) for source in sources)
+            return warm(self, graph, sources, **kwargs)
+
+        def spy_tree(self, graph, source, **kwargs):
+            asked.append((source, kwargs["targets"]))
+            return tree(self, graph, source, **kwargs)
+
+        monkeypatch.setattr(RouteOracle, "warm", spy_warm)
+        monkeypatch.setattr(RouteOracle, "tree", spy_tree)
+        oracle = RouteOracle.reset_default()
+        OverlayGraph.build(underlay, placement, catalog.compatible)
+        fed = frozenset({1, 2, 3, 4, 5})
+        assert {source for source, _ in asked} == {0, 1, 2, 3}
+        assert {targets for _, targets in asked} == {fed}
+        rows = oracle._graphs[underlay].trees
+        assert {key[2] for key in rows} == {0, 1, 2, 3}
+        assert {entry.covers for entry in rows.values()} == {fed}
 
     def test_unknown_host_rejected(self, diamond_underlay):
         catalog = ServiceCatalog.from_edges([("A", "B")])
