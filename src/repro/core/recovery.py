@@ -41,7 +41,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FederationError
-from repro.network.failures import ChaosPlan, CrashEvent, GrayFaultPlan
+from repro.network.failures import (
+    ChaosPlan,
+    CrashEvent,
+    GrayFaultPlan,
+    fail_instances,
+)
 from repro.network.overlay import ServiceInstance
 from repro.obs import metrics as obs_metrics
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
@@ -579,13 +584,21 @@ class _Recovery:
         self, graph: ServiceFlowGraph, required: float
     ) -> Optional[ServiceFlowGraph]:
         """Rung 1 of the ladder: re-decide only the weak services against
-        alternative instances, suspects excluded, survivors pinned."""
+        alternative instances, suspects excluded, survivors pinned.
+
+        Every suspect but the pinned source leaves the overlay through
+        :func:`~repro.network.failures.fail_instances`, so the oracle derives
+        the suspect-free graph from the session's: trees that avoid every
+        suspect carry over, and touched ones repair at first lookup.  A
+        removal only takes paths away, so on a session overlay nobody derived
+        (a fresh scenario's) the repair routes exactly as on a cold copy; on a
+        derived one, carried labels follow the oracle's carried-label
+        contract (ROADMAP item 3)."""
         fed = self.fed
         overlay = fed.overlay
-        if self.suspected and fed.source_instance not in self.suspected:
-            overlay = overlay.subgraph(
-                inst for inst in overlay.instances() if inst not in self.suspected
-            )
+        suspects = self.suspected - {fed.source_instance}
+        if suspects:
+            overlay = fail_instances(overlay, suspects)
         weak: Set[Sid] = set()
         for edge in graph.edges():
             if self._edge_bandwidth(edge) < required:

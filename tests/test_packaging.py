@@ -9,8 +9,8 @@ temp dir, so the working tree stays clean.
 
 The architecture checks read ``src/`` with :mod:`ast`: every module has a
 caller, the simulation imports no host clock, the deterministic packages
-draw only from seeded generators, and only the ``RouteOracle`` builds
-routing trees.
+draw only from seeded generators, only the ``RouteOracle`` builds
+routing trees, and only ``repro.network`` restricts an overlay.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ SRC = REPO / "src"
 
 #: Modules that stay in ``src/`` without a caller, each with its reason.
 UNCALLED = {"repro.core.reservation": "first caller is ROADMAP item 9b"}
+
+#: Modules outside ``repro.network`` that restrict an overlay themselves.
+RESTRICTS_OVERLAYS = {"repro.core.reservation": "leaves src/ under ROADMAP item 5"}
 
 #: Packages whose results are a function of the seed and the inputs alone.
 DETERMINISTIC = ("repro.sim", "repro.core", "repro.eval", "repro.routing")
@@ -238,6 +241,22 @@ def test_only_the_route_oracle_calls_batched_trees():
         and "batched_trees" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     }
     assert callers == {"repro.routing.oracle"}
+
+
+def test_only_the_failure_models_restrict_an_overlay():
+    """A restricted overlay reaches the oracle through
+    ``repro.network.failures``, which reports it to ``RouteOracle.derive``
+    so it starts from its parent's trees.  Outside ``repro.network`` no
+    module calls ``.subgraph(`` or ``.with_links(``."""
+    callers = {
+        module
+        for module, path in _modules().items()
+        if not _in(module, ("repro.network",))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("subgraph", "with_links")
+    }
+    assert callers == set(RESTRICTS_OVERLAYS)
 
 
 @pytest.fixture(scope="module")
