@@ -172,46 +172,3 @@ def test_disabled_channel_stamping_costs_nothing(bench_record):
         },
     )
     assert disabled < enabled * 3
-
-
-def test_disabled_sampler_adds_no_measurable_federation_overhead(bench_record):
-    """The series pipeline inherits the same off-switch contract.
-
-    ``SFlowConfig.sample_interval=None`` (the default) must spawn no
-    sampler process and perturb nothing -- held to the same macro budget
-    as the tracing off switch: the unsampled run must not be slower than
-    the run that actually scrapes series every sim-time unit.
-    """
-    scenario = generate_scenario(
-        ScenarioConfig(network_size=30, n_services=6, seed=11)
-    )
-
-    def federate(config: SFlowConfig):
-        def run() -> None:
-            SFlowAlgorithm(config).federate(
-                scenario.requirement,
-                scenario.overlay,
-                source_instance=scenario.source_instance,
-            )
-
-        return run
-
-    unsampled = federate(SFlowConfig())
-    sampled = federate(SFlowConfig(sample_interval=1.0))
-    unsampled()  # warm caches (route oracle, imports)
-    rounds = 5
-    off = min(_time(unsampled, 1) for _ in range(rounds))
-    on = min(_time(sampled, 1) for _ in range(rounds))
-    print(
-        f"\n  federation: unsampled {off * 1e3:.2f} ms, "
-        f"sampled {on * 1e3:.2f} ms"
-    )
-    bench_record(
-        BENCH_FILE,
-        "sampler_macro",
-        {
-            "unsampled_ms": off * 1e3,
-            "sampled_ms": on * 1e3,
-        },
-    )
-    assert off < on * 3

@@ -20,19 +20,16 @@ Overlay dynamics are injected by the experimenter through
 to overlay (the combinators in :mod:`repro.network.failures` compose
 directly).
 
-With :attr:`MonitorConfig.sample_interval` set, a
-:class:`~repro.obs.timeseries.SeriesSampler` additionally scrapes metric
-series during the run, and :attr:`MonitorConfig.slos` objectives are
-graded after every scrape; :attr:`MonitorConfig.refederate_on_alert`
-(default off) lets a firing burn-rate alert drive the same
-hysteresis-bounded re-federation rung the probe ladder uses.  All three
-default to the legacy bit-compatible behaviour.
+With :attr:`MonitorConfig.required_bandwidth` unset the monitor runs the
+legacy relative-threshold repair loop bit for bit; set, a probe below it
+climbs the degradation ladder (in-place repair, hysteresis-bounded
+re-federation, serve degraded), the only trigger of re-federation here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.degradation import DegradationRecord, SessionState
@@ -41,8 +38,6 @@ from repro.core.repair import repair_flow_graph
 from repro.errors import FederationError
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.obs import metrics as obs_metrics
-from repro.obs.slo import SloEngine, SloSpec, SloStatus
-from repro.obs.timeseries import SeriesSampler
 from repro.obs.trace import NULL_SPAN, SimClock, tracer as obs_tracer
 from repro.routing.oracle import RouteOracle
 from repro.services.flowgraph import ServiceFlowGraph
@@ -81,15 +76,6 @@ class MonitorConfig:
         refederate_hysteresis: minimum virtual time between two
             degradation-triggered full re-federations.
         max_refederations: budget of full re-federations per run.
-        sample_interval: optional sim-time interval at which a
-            :class:`~repro.obs.timeseries.SeriesSampler` scrapes metric
-            series during the run.  ``None`` (default) disables sampling
-            and keeps the legacy event schedule bit for bit.
-        slos: declarative :class:`~repro.obs.slo.SloSpec` objectives
-            evaluated after every scrape (requires ``sample_interval``).
-        refederate_on_alert: treat a firing burn-rate alert as a
-            re-federation trigger, reusing the same hysteresis and budget
-            as the probe-driven ladder.  Off by default.
     """
 
     probe_interval: float = 5.0
@@ -99,9 +85,6 @@ class MonitorConfig:
     recovery_probes: int = 2
     refederate_hysteresis: float = 30.0
     max_refederations: int = 1
-    sample_interval: Optional[float] = None
-    slos: Tuple[SloSpec, ...] = ()
-    refederate_on_alert: bool = False
 
     def __post_init__(self) -> None:
         if self.probe_interval <= 0:
@@ -118,13 +101,6 @@ class MonitorConfig:
             raise ValueError("refederate_hysteresis must be >= 0")
         if self.max_refederations < 0:
             raise ValueError("max_refederations must be >= 0")
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0 (or None)")
-        self.slos = tuple(self.slos)
-        if self.slos and self.sample_interval is None:
-            raise ValueError("slos need sample_interval to be evaluated")
-        if self.refederate_on_alert and not self.slos:
-            raise ValueError("refederate_on_alert needs at least one SloSpec")
 
 
 @dataclass(frozen=True)
@@ -139,7 +115,7 @@ class MonitorEvent:
 
     time: float
     #: "probe" | "violation" | "repair" | "repair_failed" | "mutation"
-    #: | "degrade" | "recover" | "refederate" | "failed" | "slo_alert"
+    #: | "degrade" | "recover" | "refederate" | "failed"
     kind: str
     bottleneck: float
     detail: str = ""
@@ -163,10 +139,6 @@ class MonitorReport:
     final_state: SessionState = SessionState.COMMITTED
     degradations: Tuple[DegradationRecord, ...] = ()
     refederations: int = 0
-    #: Telemetry-pipeline outputs (empty unless sampling/SLOs configured).
-    series: Dict[str, dict] = field(default_factory=dict)
-    slo_results: List[dict] = field(default_factory=list)
-    slo_alerts: List[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.events = sorted(self.events, key=lambda e: (e.time, e.seq))
@@ -415,13 +387,11 @@ class MonitoredFederation:
                     "failed", 0.0, "no bandwidth deliverable on any edge"
                 )
 
-    def _try_refederate(self, observed: float, reason: str = "") -> bool:
-        """One hysteresis- and budget-bounded full re-federation attempt.
-
-        Shared by the probe-driven ladder (rung 2) and the SLO alert
-        trigger; returns True when this rung consumed the opportunity
-        (whether or not the re-solve succeeded), False when hysteresis or
-        the budget suppressed it.
+    def _try_refederate(self, observed: float) -> bool:
+        """One hysteresis- and budget-bounded full re-federation attempt
+        (rung 2 of the ladder); returns True when this rung consumed the
+        opportunity (whether or not the re-solve succeeded), False when
+        hysteresis or the budget suppressed it.
         """
         if not (
             self.env.now - self._last_refederate
@@ -450,22 +420,9 @@ class MonitoredFederation:
                 "refederate",
                 self._probe(),
                 f"round {self._refederations}: full re-solve on the "
-                "current overlay" + (f" ({reason})" if reason else ""),
+                "current overlay",
             )
         return True
-
-    def _on_slo_alert(self, spec: SloSpec, status: SloStatus) -> None:
-        """A burn-rate alert fired mid-run: log it and, when the config
-        opts in, treat it exactly like a rung-2 degradation signal."""
-        observed = self._probe()
-        self._record(
-            "slo_alert",
-            observed,
-            f"{spec.name} burn rate {status.burn_rate:.2f} "
-            f"(>= {spec.burn_rate_threshold:g})",
-        )
-        if self.config.refederate_on_alert:
-            self._try_refederate(observed, reason=f"slo {spec.name}")
 
     # -- driving -----------------------------------------------------------------
 
@@ -479,17 +436,8 @@ class MonitoredFederation:
             until=until,
             probe_interval=self.config.probe_interval,
         )
-        sampler = SeriesSampler.start(self.env, self.config.sample_interval)
-        engine: Optional[SloEngine] = None
-        if self.config.slos:  # validated: slos come with a sample_interval
-            engine = SloEngine(self.config.slos, on_alert=self._on_slo_alert)
-            sampler.add_observer(engine.observe)
         self.env.process(self._monitor_process(until))
         self.env.run(until=until)
-        sink = obs_tracer().sink
-        series_bank = sampler.finish(sink)
-        if sink is not None and engine is not None:
-            engine.emit(sink)
         self._span.end(
             repairs=self._repairs,
             baseline=self._baseline,
@@ -503,7 +451,4 @@ class MonitoredFederation:
             final_state=self._state,
             degradations=tuple(self._degradations),
             refederations=self._refederations,
-            series=series_bank,
-            slo_results=engine.summary() if engine is not None else [],
-            slo_alerts=list(engine.alerts) if engine is not None else [],
         )

@@ -54,7 +54,6 @@ from repro.errors import FederationError, SimulationError
 from repro.network.failures import ChaosPlan
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import Stopwatch
-from repro.obs.timeseries import SeriesSampler
 from repro.obs.trace import NULL_SPAN, SimClock, tracer as obs_tracer
 from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
@@ -183,10 +182,6 @@ class SFlowConfig:
             backoff + jitter.  ``None`` (default) is the fixed schedule
             ``RetryPolicy(max_attempts=max_retries + 1,
             base=cap=retransmit_timeout, multiplier=1, jitter=0)``.
-        sample_interval: optional sim-time interval at which a
-            :class:`~repro.obs.timeseries.SeriesSampler` scrapes the
-            metrics registry during the run.  ``None`` (default) disables
-            sampling entirely -- no sampler process is created.
     """
 
     horizon: int = 2
@@ -204,7 +199,6 @@ class SFlowConfig:
     detector: Optional[DetectorConfig] = None
     breaker: Optional[BreakerConfig] = None
     retry_policy: Optional[RetryPolicy] = None
-    sample_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
@@ -227,8 +221,6 @@ class SFlowConfig:
             raise ValueError("required_bandwidth must be > 0 (or None)")
         if self.refederate_hysteresis < 0:
             raise ValueError("refederate_hysteresis must be >= 0")
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0 (or None)")
 
 
 @dataclass
@@ -268,10 +260,6 @@ class SFlowResult:
     degradation: Optional[DegradationRecord] = None
     achieved_bandwidth: Optional[float] = None
     suspected: Tuple[str, ...] = ()
-    #: Sampled metric series over the run (empty unless
-    #: :attr:`SFlowConfig.sample_interval` was set); a plain-dict bank --
-    #: see :mod:`repro.obs.timeseries`.
-    series: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
@@ -751,7 +739,6 @@ class _Federation:
             self.span.child(phase).end(
                 wall_seconds=self._setup_seconds[phase]
             )
-        sampler = SeriesSampler.start(self.env, self.config.sample_interval)
         recovery.start()
         negotiate = self.span.child("negotiate")
         self.start_round()
@@ -776,9 +763,6 @@ class _Federation:
             result.outcome = FederationOutcome.DEGRADED
         _M_SESSIONS.inc(outcome=result.outcome.value)
         _H_FEDERATION_TIME.observe(self.env.now)
-        # After the outcome metrics, so they land in the series even when
-        # the run ended mid-interval.
-        result.series = sampler.finish(obs_tracer().sink)
         result.convergence_time = self.env.now
         result.messages, result.bytes = stats.messages, stats.bytes
         result.lost_messages = stats.lost

@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.alternatives import (
     FixedAlgorithm,
@@ -31,7 +31,6 @@ from repro.core.sflow import SFlowAlgorithm, SFlowConfig
 from repro.errors import FederationError
 from repro.obs import active_recorder
 from repro.obs import metrics as obs_metrics
-from repro.obs import timeseries as obs_timeseries
 from repro.obs.causal import (
     CampaignProfile,
     aggregate_profiles,
@@ -41,7 +40,6 @@ from repro.obs.causal import (
 from repro.obs.clock import Stopwatch
 from repro.obs.recorder import Recorder, parse_recording
 from repro.obs.trace import tracer as obs_tracer
-from repro.obs.slo import SloSpec, replay as slo_replay
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass
 from repro.services.workloads import Scenario, ScenarioConfig, generate_scenario
@@ -130,8 +128,6 @@ def run_trial(
     horizon: int = 2,
     rng: Optional[random.Random] = None,
     stopwatch: Optional[Stopwatch] = None,
-    sample_interval: Optional[float] = None,
-    series: Optional[Dict[str, dict]] = None,
 ) -> List[TrialRecord]:
     """Run the full algorithm line-up on one scenario.
 
@@ -139,11 +135,6 @@ def run_trial(
     (it defines the correctness coefficient); if the scenario is infeasible
     even for it, every record is marked infeasible.  ``stopwatch``
     injects the host clock behind ``elapsed_seconds`` (tests script it).
-
-    With ``sample_interval`` set, the sflow arm of the line-up runs under
-    a :class:`~repro.obs.timeseries.SeriesSampler`, and ``series`` (a dict
-    the caller owns) receives its plain-dict bank; the centralized
-    baselines have no simulation to sample.
     """
     rng = rng or random.Random(scenario.seed)
     stopwatch = stopwatch if stopwatch is not None else Stopwatch()
@@ -208,9 +199,7 @@ def run_trial(
         optimal = None
     optimal_elapsed = stopwatch.read() - started
 
-    sflow_alg = SFlowAlgorithm(
-        SFlowConfig(horizon=horizon, sample_interval=sample_interval)
-    )
+    sflow_alg = SFlowAlgorithm(SFlowConfig(horizon=horizon))
     service_path_alg = ServicePathAlgorithm()
     for name, algorithm in (
         ("sflow", sflow_alg),
@@ -231,8 +220,6 @@ def run_trial(
         if name == "sflow" and sflow_alg.last_result is not None:
             messages = sflow_alg.last_result.messages
             convergence = sflow_alg.last_result.convergence_time
-            if series is not None:
-                series.update(sflow_alg.last_result.series)
         rec = record(
             name,
             graph,
@@ -261,12 +248,10 @@ def run_trial(
     return records
 
 
-def _trial_cell(
-    payload: Tuple[EvaluationConfig, int, int, Optional[float]]
-) -> Tuple[List[TrialRecord], Dict[str, dict]]:
-    """One (size, trial) sweep cell: its records and its sampled series
-    bank.  Self-seeded, so it is safe in a worker process."""
-    config, size, trial, sample_interval = payload
+def _trial_cell(payload: Tuple[EvaluationConfig, int, int]) -> List[TrialRecord]:
+    """One (size, trial) sweep cell's records.  Self-seeded, so it is safe
+    in a worker process."""
+    config, size, trial = payload
     scenario_seed = _trial_seed(config.seed, size, trial)
     scenario = generate_scenario(
         ScenarioConfig(
@@ -277,15 +262,11 @@ def _trial_cell(
             seed=scenario_seed,
         )
     )
-    bank: Dict[str, dict] = {}
-    records = run_trial(
+    return run_trial(
         scenario,
         horizon=config.horizon,
         rng=random.Random(scenario_seed ^ 0x5F5F),
-        sample_interval=sample_interval,
-        series=bank,
     )
-    return records, bank
 
 
 def resolve_workers(workers: int, cells: int) -> int:
@@ -421,22 +402,12 @@ class SweepFold:
 
     ``metrics`` is the registry delta the whole sweep caused -- protocol
     counters, oracle hit/miss counts, channel histograms (see
-    :func:`sweep`).  ``series`` is the fold of every cell's sampled bank
-    (:func:`repro.obs.timeseries.merge_banks`): per-sim-time aggregates
-    across cells, empty unless the sweep sampled.  All integer series
-    content (sample times, counter deltas, histogram counts and buckets)
-    is bit-identical between serial and pooled runs; histogram float
-    *sums* carry the same last-bit rounding caveat as ``metrics``.
-    ``slo_results``/``alerts`` come from replaying the requested SLOs over
-    that folded bank (empty when none were requested), and ``profile`` is
-    the campaign-level causal profile (``None`` unless requested).
+    :func:`sweep`), and ``profile`` is the campaign-level causal profile
+    (``None`` unless requested).
     """
 
     records: List = field(default_factory=list)
     metrics: Dict[str, dict] = field(default_factory=dict)
-    series: Dict[str, dict] = field(default_factory=dict)
-    slo_results: List[dict] = field(default_factory=list)
-    alerts: List[dict] = field(default_factory=list)
     profile: Optional[CampaignProfile] = None
 
 
@@ -445,47 +416,36 @@ def observe_sweep(
     subject: object,
     config: SweepConfig,
     *,
-    sample_interval: Optional[float] = None,
-    slos: Sequence[SloSpec] = (),
     profile: bool = False,
 ) -> SweepFold:
-    """Run one ``(subject, size, trial, sample_interval)`` cell per size
-    and trial of ``config`` through :func:`sweep` and flatten the outcome.
+    """Run one ``(subject, size, trial)`` cell per size and trial of
+    ``config`` through :func:`sweep` and flatten the outcome.
 
-    Every cell returns ``(records, series bank)``.  With
-    ``sample_interval`` set, every sflow run samples series in sim time
-    (see :attr:`repro.core.sflow.SFlowConfig.sample_interval`) and any
-    ``slos`` are graded over the folded bank; with ``profile``, every
-    run is flight-recorded in memory and reduced to critical-path
-    aggregates (:mod:`repro.obs.causal`).  Neither changes a record --
-    sampling adds a read-only process, tracing stamps message ids -- so
-    they are arguments of the observation, not of the experiment.
+    Every cell returns its records.  With ``profile``, every run is
+    flight-recorded in memory and reduced to critical-path aggregates
+    (:mod:`repro.obs.causal`).  That changes no record -- tracing only
+    stamps message ids -- so it is an argument of the observation, not
+    of the experiment.
     """
-    if slos and sample_interval is None:
-        raise ValueError("slos need sample_interval to be evaluated")
     payloads = [
-        (subject, size, trial, sample_interval)
+        (subject, size, trial)
         for size in config.network_sizes
         for trial in range(config.trials)
     ]
     cells, metrics, campaign = sweep(
         cell, payloads, config.workers, profile=profile
     )
-    fold = SweepFold(metrics=metrics, profile=campaign)
-    for records, bank in cells:
-        fold.records.extend(records)
-        fold.series = obs_timeseries.merge_banks(fold.series, bank)
-    if slos:
-        engine = slo_replay(fold.series, slos)
-        fold.slo_results = engine.summary()
-        fold.alerts = list(engine.alerts)
-    return fold
+    return SweepFold(
+        records=[record for records in cells for record in records],
+        metrics=metrics,
+        profile=campaign,
+    )
 
 
 def observe_evaluation(config: EvaluationConfig, **observation) -> SweepFold:
     """The fully observed quality sweep: :func:`run_evaluation`'s records
-    plus merged metrics, folded series, SLO verdicts and causal profile.
-    The keyword arguments are :func:`observe_sweep`'s."""
+    plus merged metrics and causal profile.  The keyword arguments are
+    :func:`observe_sweep`'s."""
     return observe_sweep(_trial_cell, config, config, **observation)
 
 

@@ -46,7 +46,6 @@ from repro.eval.experiments import (
 )
 from repro.eval.stats import mean
 from repro.network.failures import ChaosPlan, FailureInjector
-from repro.obs import timeseries as obs_timeseries
 from repro.services.workloads import Scenario, ScenarioConfig, generate_scenario
 
 
@@ -101,10 +100,10 @@ class ChaosSweepConfig(SweepConfig):
         )
 
 
-def _chaos_cell(payload: Tuple["ChaosExperiment", int, int, Optional[float]]):
+def _chaos_cell(payload: Tuple["ChaosExperiment", int, int]) -> List:
     """Top-level (picklable) worker for one (size, trial) sweep cell."""
-    experiment, size, trial, sample_interval = payload
-    return experiment._cell(size, trial, sample_interval)
+    experiment, size, trial = payload
+    return experiment._cell(size, trial)
 
 
 def _reproduces(baseline: SFlowResult, result: SFlowResult) -> bool:
@@ -161,19 +160,16 @@ class ChaosExperiment:
         """The protocol of a cell's runs under chaos: the baseline's."""
         return self.config.protocol_config()
 
-    def _cell(self, size: int, trial: int, sample_interval: Optional[float]):
-        """One (size, trial) cell: the baseline run plus every fault level,
-        as ``(records, sampled series bank)``.  Level 0 re-runs the
-        baseline configuration and must reproduce it bit for bit."""
+    def _cell(self, size: int, trial: int) -> List:
+        """One (size, trial) cell's records: the baseline run plus every
+        fault level.  Level 0 re-runs the baseline configuration and must
+        reproduce it bit for bit."""
         scenario = self._scenario(size, trial)
 
         def federate(
             protocol: SFlowConfig, chaos: Optional[ChaosPlan] = None
         ) -> SFlowResult:
-            # Sampling rides on the baseline and the disturbed arms alike,
-            # so level 0 still reproduces the baseline.
-            sampled = dataclasses.replace(protocol, sample_interval=sample_interval)
-            return SFlowAlgorithm(sampled).federate(
+            return SFlowAlgorithm(protocol).federate(
                 scenario.requirement,
                 scenario.overlay,
                 source_instance=scenario.source_instance,
@@ -184,15 +180,13 @@ class ChaosExperiment:
         baseline = federate(calm)
         disturbed = self._disturbed_protocol(size, trial, baseline)
         records = []
-        bank = baseline.series
         for level in self.config.levels:
             chaos = self._chaos(scenario, level)
             result = federate(calm if chaos is None else disturbed, chaos)
             records.append(
                 self._record(size, level, trial, baseline, result, chaos)
             )
-            bank = obs_timeseries.merge_banks(bank, result.series)
-        return records, bank
+        return records
 
     def run(self) -> List:
         """The sweep; cells fan out over ``config.workers`` processes.
@@ -205,9 +199,8 @@ class ChaosExperiment:
 
     def observe(self, **observation) -> SweepFold:
         """:meth:`run` plus everything observed on the way: the merged
-        metric-registry delta, the folded series bank with its SLO verdicts
-        and the campaign profile.  The keyword arguments are
-        :func:`repro.eval.experiments.observe_sweep`'s."""
+        metric-registry delta and the campaign profile.  The keyword
+        arguments are :func:`repro.eval.experiments.observe_sweep`'s."""
         return observe_sweep(_chaos_cell, self, self.config, **observation)
 
 
@@ -731,13 +724,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="capture a flight recording (JSONL) of the campaign",
     )
-    parser.add_argument(
-        "--sample-interval",
-        type=float,
-        default=None,
-        help="sim-time metric sampling interval (default: sampling off); "
-        "sampled series land in the recording as /2 'series' records",
-    )
     args = parser.parse_args(argv)
     if args.record is not None and resolve_workers(
         args.workers, len(args.sizes) * args.trials
@@ -764,11 +750,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else contextlib.nullcontext()
     )
     with context:
-        records = (
-            GrayFailureExperiment(config)
-            .observe(sample_interval=args.sample_interval)
-            .records
-        )
+        records = GrayFailureExperiment(config).run()
     errors_after = obs_metrics.registry().counter("engine.handler_error").total
 
     if args.csv is not None:

@@ -15,16 +15,10 @@ one process-wide layer with three parts:
 * :mod:`repro.obs.recorder` -- the JSONL "flight recorder" sink plus its
   loader; ``python -m repro.tools.trace`` renders recordings.
 
-On top of the base layer sit the telemetry pipeline modules:
-
-* :mod:`repro.obs.timeseries` -- a :class:`SeriesSampler` sim process
-  scraping registry deltas into per-metric ring-buffer series, with
-  downsampling and a parallel-safe bank merge;
-* :mod:`repro.obs.slo` -- declarative :class:`SloSpec` objectives graded
-  over series windows with SRE-style burn-rate alerting;
-* :mod:`repro.obs.export` -- Prometheus text exposition and
-  Chrome/Perfetto trace JSON exporters (CLI: ``sflow-trace export``;
-  ``sflow-trace report`` grades a recording against its SLOs).
+On top of the base layer, :mod:`repro.obs.export` holds the Prometheus
+text exposition and Chrome/Perfetto trace JSON exporters (CLI:
+``sflow-trace export``) and :mod:`repro.obs.causal` the sim-time causal
+profiler (``sflow-trace profile``).
 
 Typical use::
 
@@ -47,7 +41,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.obs import causal, export, metrics, slo, timeseries, trace
+from repro.obs import causal, export, metrics, trace
 from repro.obs.causal import (
     CampaignProfile,
     CriticalStep,
@@ -68,14 +62,11 @@ from repro.obs.metrics import (
     registry,
 )
 from repro.obs.recorder import Recorder, Recording, load_recording
-from repro.obs.slo import DEFAULT_SLOS, SloEngine, SloSpec, SloStatus
-from repro.obs.timeseries import Series, SeriesSampler, merge_banks
 from repro.obs.trace import NULL_SPAN, SimClock, Span, Tracer, tracer
 
 __all__ = [
     "CampaignProfile",
     "CriticalStep",
-    "DEFAULT_SLOS",
     "Lap",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -83,13 +74,8 @@ __all__ = [
     "ProfileDiff",
     "Recorder",
     "Recording",
-    "Series",
-    "SeriesSampler",
     "SessionProfile",
     "SimClock",
-    "SloEngine",
-    "SloSpec",
-    "SloStatus",
     "Span",
     "Stopwatch",
     "Tracer",
@@ -101,7 +87,6 @@ __all__ = [
     "diff_snapshots",
     "export",
     "load_recording",
-    "merge_banks",
     "merge_campaigns",
     "merge_snapshots",
     "metrics",
@@ -110,10 +95,8 @@ __all__ = [
     "prometheus_exposition",
     "recording",
     "registry",
-    "slo",
     "start_recording",
     "stop_recording",
-    "timeseries",
     "trace",
     "tracer",
 ]

@@ -10,12 +10,11 @@ ecosystems an operator already lives in:
   ``_sum``/``_count``, dots mangled to underscores, label values escaped
   per the spec.  The output can be scraped, pushed to a Pushgateway, or
   diffed against a PromQL recording rule.
-* :func:`chrome_trace` converts spans, point events and (``/2``) sampled
-  series into the Chrome/Perfetto trace-event JSON format: complete
-  ``"X"`` slices per span, ``"i"`` instants per event, ``"C"`` counter
-  tracks per series, one named thread per federation session.  Load the
-  file at ``ui.perfetto.dev`` and the whole campaign becomes a zoomable
-  timeline.
+* :func:`chrome_trace` converts spans and point events into the
+  Chrome/Perfetto trace-event JSON format: complete ``"X"`` slices per
+  span, ``"i"`` instants per event, one named thread per federation
+  session.  Load the file at ``ui.perfetto.dev`` and the whole campaign
+  becomes a zoomable timeline.
 
 Sim-time is mapped to trace microseconds 1:1 (one virtual time unit =
 1 µs), keeping slice arithmetic exact for the integer-friendly virtual
@@ -160,10 +159,8 @@ def chrome_trace(recording: Recording) -> Dict[str, Any]:
 
     Layout: one process (pid 1, named after the recording format), one
     thread per trace id named after its root session span.  Spans become
-    complete ``"X"`` slices, point events ``"i"`` instants (free-standing
-    events land on tid 0), and sampled counter/gauge series become
-    ``"C"`` counter tracks so protocol rates render as area charts under
-    the timeline.
+    complete ``"X"`` slices and point events ``"i"`` instants
+    (free-standing events land on tid 0).
     """
     events: List[Dict[str, Any]] = []
     events.append(
@@ -220,20 +217,4 @@ def chrome_trace(recording: Recording) -> Dict[str, Any]:
                 "args": dict(event.get("attrs") or {}),
             }
         )
-    for key in sorted(recording.series):
-        record = recording.series[key]
-        kind = record.get("kind")
-        if kind not in ("counter", "gauge"):
-            continue  # histogram tracks need quantile choices; report covers them
-        for point in record.get("points", ()):
-            events.append(
-                {
-                    "name": key,
-                    "ph": "C",
-                    "ts": _ts(float(point[0])),
-                    "pid": 1,
-                    "tid": 0,
-                    "args": {"value": float(point[1])},
-                }
-            )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -11,7 +11,7 @@ JSON line, written in arrival order.  On :meth:`Recorder.close` it appends
 
 so a recording is self-describing: :func:`load_recording` rebuilds it and
 ``python -m repro.tools.trace`` renders per-session sim-time timelines and
-the metric table -- or grades, profiles, diffs and exports it through its
+the metric table -- or reports, profiles, diffs and exports it through its
 subcommands -- without touching the process that produced it.
 
 Record types (one JSON object per line)::
@@ -20,15 +20,12 @@ Record types (one JSON object per line)::
     {"type": "span",    "name", "trace", "span", "parent",
                         "start", "end", "clock", "attrs"}
     {"type": "event",   "name", "trace", "span", "time", "clock", "attrs"}
-    {"type": "series",  "interval", "series": {key: {...}}}  # samplers
-    {"type": "slo",     "specs", "results", "alerts"}        # SLO engines
     {"type": "metrics", "snapshot": {...}}                # at close
     {"type": "summary", "spans", "events", "sessions": [...]}  # at close
 
-Format ``/2`` adds the ``series`` and ``slo`` record types (written by
-:class:`~repro.obs.timeseries.SeriesSampler` and
-:class:`~repro.obs.slo.SloEngine` when a recording is active).  ``/1``
-recordings simply lack them; :func:`load_recording` reads both.
+Recordings written under format ``/2`` by older versions may also carry
+``series`` and ``slo`` records; :func:`load_recording` skips them like any
+other unknown record type, so ``/1`` and ``/2`` recordings both load.
 
 Recording is strictly per-process: a recorder must never be shared with
 multiprocessing workers (forked children would interleave writes).  The
@@ -148,10 +145,6 @@ class Recording:
     events: List[Dict[str, Any]] = field(default_factory=list)
     metrics: Dict[str, dict] = field(default_factory=dict)
     summary: Dict[str, Any] = field(default_factory=dict)
-    #: Folded series bank from every ``series`` record (``/2``; empty on ``/1``).
-    series: Dict[str, dict] = field(default_factory=dict)
-    #: The last ``slo`` record (specs/results/alerts), if any.
-    slo: Dict[str, Any] = field(default_factory=dict)
     #: ``(line_number, message)`` for lines the loader had to skip.
     errors: List[Any] = field(default_factory=list)
 
@@ -182,8 +175,7 @@ def load_recording(path: Union[str, Path]) -> Recording:
     Malformed lines -- the usual cause is a process killed mid-write, so
     the damage is a truncated *final* line -- are skipped and reported via
     :attr:`Recording.errors` rather than aborting the whole parse.
-    Both ``/1`` and ``/2`` recordings load; ``/1`` just has no
-    series/slo sections.
+    Both ``/1`` and ``/2`` recordings load.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         return parse_recording(fh)
@@ -216,14 +208,6 @@ def parse_recording(lines: Any) -> Recording:
             recording.spans.append(record)
         elif kind == "event":
             recording.events.append(record)
-        elif kind == "series":
-            from repro.obs.timeseries import merge_banks
-
-            recording.series = merge_banks(
-                recording.series, record.get("series", {})
-            )
-        elif kind == "slo":
-            recording.slo = record
         elif kind == "metrics":
             recording.metrics = record.get("snapshot", {})
         elif kind == "summary":

@@ -13,7 +13,7 @@ METRIC_FACTORIES: Set[str] = {"counter", "gauge", "histogram"}
 #: authority for extending this list.
 METRIC_NAMESPACES: Tuple[str, ...] = (
     "sflow.", "channel.", "monitor.", "dataflow.", "oracle.", "engine.",
-    "detector.", "degrade.", "slo.",
+    "detector.", "degrade.",
 )
 
 #: Dotted resolutions of the process-tracer factory.
@@ -89,8 +89,8 @@ class OrphanEvent(Rule):
     summary = "free-standing tracer().event(); orphan events break causal joins"
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # The obs layer itself legitimately emits span-less plumbing
-        # events (SLO alert edges, replay); everything above it must not.
+        # The obs layer owns the tracer and may emit span-less plumbing
+        # events; everything above it must not.
         return ctx.in_package("repro") and not ctx.in_package("repro.obs")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

@@ -4,7 +4,7 @@ Usage (``python -m repro.tools.trace`` is the same program)::
 
     sflow-trace REC [--session N] [--metrics-only] [--no-metrics]
     sflow-trace export REC [--prom [PATH]] [--chrome-trace [PATH]]
-    sflow-trace report REC [--top-k N] [--fail-on-alerts] [--out PATH]
+    sflow-trace report REC [--top-k N] [--out PATH]
     sflow-trace profile REC [--session N] [--top-k N] [--json] [--out PATH]
     sflow-trace diff BASELINE CANDIDATE [--max-regression 0.2] [--json]
         [--out PATH]
@@ -13,13 +13,10 @@ Usage (``python -m repro.tools.trace`` is the same program)::
   the protocol's outcome attributes, and a merged timeline of child spans
   and point events; then every counter, gauge and histogram.
 * ``export`` -- the metric snapshot as Prometheus text exposition
-  (``--prom``) and spans/events/series as Chrome trace-event JSON
+  (``--prom``) and spans/events as Chrome trace-event JSON
   (``--chrome-trace``, for ``ui.perfetto.dev``); no PATH means stdout.
-* ``report`` -- *is it healthy?*  SLO verdicts (the runtime ``slo``
-  record, else :data:`~repro.obs.slo.DEFAULT_SLOS` replayed over the
-  series bank, else ungradable), the alert timeline of that same source,
-  and the hottest span kinds by sim time and host seconds.
-  ``--fail-on-alerts`` exits 1 when an SLO fired (CI's baseline gate).
+* ``report`` -- *which phases were hot?*  The hottest span kinds by sim
+  time and host seconds.
 * ``profile`` -- *where did the time go?*  Each session's causal critical
   path (:mod:`repro.obs.causal`), blame by kind, link, node and phase,
   off-path slack, and the campaign rollup of a multi-session recording.
@@ -51,7 +48,6 @@ from repro.obs.causal import (
 )
 from repro.obs.export import chrome_trace, prometheus_exposition
 from repro.obs.recorder import Recording, load_recording
-from repro.obs.slo import DEFAULT_SLOS, SloSpec, replay as slo_replay
 
 
 def _fmt(value: Any) -> str:
@@ -167,7 +163,7 @@ def render(
     return "\n".join(lines)
 
 
-# -- report: SLO verdicts, alerts, hot spans ---------------------------------
+# -- report: hot spans -------------------------------------------------------
 
 
 def _span_profile(recording: Recording, top_k: int) -> List[Dict[str, Any]]:
@@ -192,74 +188,21 @@ def _span_profile(recording: Recording, top_k: int) -> List[Dict[str, Any]]:
     return rows[:top_k]
 
 
-def build_report(
-    recording: Recording, *, specs: Optional[Sequence[SloSpec]] = None, top_k: int = 10
-) -> Dict[str, Any]:
-    """Grade one recording into a plain-dict report.
-
-    Precedence for the SLO section: an explicit ``specs`` argument always
-    replays; otherwise a runtime ``slo`` record is used verbatim;
-    otherwise :data:`DEFAULT_SLOS` replay over the recorded series; a
-    ``/1`` recording with no series grades nothing (``source: "none"``).
-    The alert timeline comes from the same source as the verdicts.
-    """
-    if specs is None and recording.slo:
-        results = list(recording.slo.get("results", []))
-        alerts = list(recording.slo.get("alerts", []))
-        source = "runtime"
-    elif specs is not None or recording.series:
-        engine = slo_replay(recording.series, DEFAULT_SLOS if specs is None else specs)
-        results, alerts, source = engine.summary(), engine.alerts, "replay"
-    else:
-        results, alerts, source = [], [], "none"
+def build_report(recording: Recording, *, top_k: int = 10) -> Dict[str, Any]:
+    """Summarise one recording into a plain-dict report."""
     return {
         "format": recording.meta.get("format", "unknown"),
-        "source": source,
-        "slo": results,
-        "alerts": sorted(alerts, key=lambda a: (a["time"], a["slo"])),
         "spans": _span_profile(recording, top_k),
-        "series_count": len(recording.series),
     }
 
 
 def render_report(report: Dict[str, Any]) -> str:
     """The report as one printable text block."""
     lines: List[str] = [
-        f"campaign health report ({report['format']}, "
-        f"{report['series_count']} series)",
+        f"campaign report ({report['format']})",
         "",
-        f"SLOs ({report['source']}):",
+        f"hottest span kinds (top {len(report['spans'])}):",
     ]
-    if not report["slo"]:
-        lines.append("  (nothing to grade: no slo record and no series in recording)")
-    else:
-        header = (
-            f"  {'verdict':<8} {'slo':<24} {'objective':<26} "
-            f"{'alerts':>6} {'last':>10} {'burn':>8}"
-        )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for row in report["slo"]:
-            verdict = "PASS" if row.get("pass") else "FAIL"
-            lines.append(
-                f"  {verdict:<8} {row.get('slo', '?'):<24} "
-                f"{row.get('objective', ''):<26} "
-                f"{row.get('alerts', 0):>6} "
-                f"{_fmt(row.get('last_value')):>10} "
-                f"{_fmt(row.get('last_burn_rate')):>8}"
-            )
-    lines.append("")
-    lines.append("alert timeline:")
-    if not report["alerts"]:
-        lines.append("  (no burn-rate alerts)")
-    else:
-        for alert in report["alerts"]:
-            lines.append(
-                f"  t={alert['time']:>10g}  {alert['state']:<9} "
-                f"{alert['slo']}  burn_rate={_fmt(alert.get('burn_rate'))}"
-            )
-    lines.append("")
-    lines.append(f"hottest span kinds (top {len(report['spans'])}):")
     if not report["spans"]:
         lines.append("  (no spans in recording)")
     else:
@@ -413,11 +356,8 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
     ),
     "--chrome-trace": dict(
         nargs="?", const="-", metavar="PATH",
-        help="write spans/events/series as Chrome trace-event JSON "
+        help="write spans/events as Chrome trace-event JSON "
         "(to PATH, or stdout when omitted)",
-    ),
-    "--fail-on-alerts": dict(
-        action="store_true", help="exit 1 when any graded SLO fired a burn-rate alert"
     ),
     "--max-regression": dict(
         type=float, default=0.2, metavar="FRAC",
@@ -474,12 +414,6 @@ def _export_cmd(args: argparse.Namespace, recording: Recording) -> int:
 def _report_cmd(args: argparse.Namespace, recording: Recording) -> int:
     report = build_report(recording, top_k=args.top_k)
     _emit(render_report(report) + "\n", args.out)
-    if args.fail_on_alerts:
-        failed = [row["slo"] for row in report["slo"] if not row.get("pass")]
-        if failed:
-            print(f"FAIL: burn-rate alerts fired for: {', '.join(failed)}", file=sys.stderr)
-            return 1
-        print("all graded SLOs passed", file=sys.stderr)
     return 0
 
 
@@ -536,8 +470,8 @@ _COMMANDS: Dict[str, _Command] = {
         _export_cmd, ("--prom", "--chrome-trace"),
     ),
     "report": _Command(
-        "Render a campaign health report from a flight recording.",
-        _report_cmd, ("--top-k", "--out", "--fail-on-alerts"), top_k=10,
+        "Rank the hottest span kinds of a flight recording.",
+        _report_cmd, ("--top-k", "--out"), top_k=10,
     ),
     "profile": _Command(
         "Causal critical-path profile of a flight recording.",

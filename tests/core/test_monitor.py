@@ -369,91 +369,3 @@ class TestSessionStateMachine:
         assert report.final_state is SessionState.COMMITTED
         assert report.degradations == ()
         assert report.refederations == 0
-
-
-class TestSloMonitoring:
-    """Burn-rate alerts graded mid-run and the opt-in repair trigger."""
-
-    def _spec(self, threshold):
-        from repro.obs.slo import SloSpec
-
-        return SloSpec(
-            name="bandwidth-floor", metric="monitor.bottleneck",
-            objective=">=", threshold=threshold, field="value",
-            window=10.0, error_budget=0.25, burn_rate_threshold=2.0,
-        )
-
-    def _degraded(self, scenario, **extra):
-        """A run whose probes start violating the SLO at t=10.
-
-        ``bandwidth_threshold`` is set low enough that the legacy
-        violation ladder never engages: any re-federation can only come
-        from the SLO alert path.
-        """
-        baseline = monitored(scenario).graph.bottleneck_bandwidth()
-        fed = monitored(
-            scenario,
-            bandwidth_threshold=0.01,
-            sample_interval=1.0,
-            refederate_hysteresis=0.0,
-            slos=(self._spec(baseline * 0.5),),
-            **extra,
-        )
-        live = [
-            (e.src, e.dst)
-            for e in fed.graph.edges()
-            if fed.overlay.link(e.src, e.dst) is not None
-        ]
-
-        def mutation(overlay):
-            targets = [
-                (src, dst) for src, dst in live
-                if overlay.link(src, dst) is not None
-            ]
-            return degrade_links(overlay, targets, bandwidth_factor=0.05)
-
-        fed.schedule_mutation(7.0, mutation, "slo-bait")
-        return fed
-
-    def test_alert_fires_and_is_logged_without_repairing(self, scenario):
-        report = self._degraded(scenario).run(until=40)
-        assert report.slo_alerts
-        assert report.slo_alerts[0]["state"] == "firing"
-        alerts = report.events_of("slo_alert")
-        assert alerts and "bandwidth-floor" in alerts[0].detail
-        (row,) = report.slo_results
-        assert row["pass"] is False
-        # The flag defaults off: alerts observe, they never mutate.
-        assert report.refederations == 0 and report.repairs == 0
-        assert report.series  # the sampler bank rides along in the report
-
-    def test_alert_triggers_refederation_behind_the_flag(self, scenario):
-        fed = self._degraded(scenario, refederate_on_alert=True)
-        report = fed.run(until=40)
-        assert report.events_of("slo_alert")
-        assert report.refederations == 1  # budget default caps it there
-        refederate = report.events_of("refederate")[0]
-        assert "slo bandwidth-floor" in refederate.detail
-
-    def test_healthy_run_never_alerts(self, scenario):
-        from repro.obs import metrics as obs_metrics
-
-        baseline = monitored(scenario).graph.bottleneck_bandwidth()
-        # The bottleneck gauge is process-wide: flush any stale value a
-        # previous (degraded) run left behind before the first probe.
-        obs_metrics.registry().gauge("monitor.bottleneck").set(baseline)
-        fed = monitored(
-            scenario,
-            sample_interval=1.0,
-            slos=(self._spec(baseline * 0.5),),
-        )
-        report = fed.run(until=30)
-        assert report.slo_alerts == []
-        (row,) = report.slo_results
-        assert row["pass"] is True and row["evaluations"] > 0
-
-    def test_config_cross_field_validation(self):
-        with pytest.raises(ValueError):
-            MonitorConfig(slos=(self._spec(1.0),))  # needs sample_interval
-        with pytest.raises(ValueError):
-            MonitorConfig(refederate_on_alert=True)  # needs slos

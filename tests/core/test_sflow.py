@@ -33,7 +33,6 @@ from repro.services.workloads import (
     ScenarioConfig,
     generate_scenario,
     media_pipeline_scenario,
-    travel_agency_scenario,
 )
 from repro.sim.channels import MessageNetwork
 from tests.core import test_sflow_crash as crash
@@ -215,22 +214,36 @@ class TestQuality:
 
     def test_full_knowledge_matches_centralised_reducer(self):
         """With an unbounded horizon every node sees the whole overlay, so
-        the distributed run reproduces the centralised solution quality."""
-        scenario = travel_agency_scenario()
-        sflow = SFlowAlgorithm(SFlowConfig(horizon=100))
-        graph = sflow.solve(
-            scenario.requirement,
-            scenario.overlay,
-            source_instance=scenario.source_instance,
-        )
-        central = ReductionSolver().solve(
-            scenario.requirement,
-            scenario.overlay,
-            source_instance=scenario.source_instance,
-        )
-        assert graph.quality().bandwidth == pytest.approx(
-            central.quality().bandwidth
-        )
+        the distributed run reaches exactly the centralised reducer's
+        bandwidth -- on 96 seeded cells that span every requirement class.
+
+        Latency is not compared: a node that re-plans its residual
+        optimises it as if it were the whole flow graph, and the
+        shortest-widest order does not compose, so some cells reach the
+        same bandwidth at a higher latency (an open item of ROADMAP.md).
+        """
+        classes = set()
+        for size in (10, 20, 30, 50):
+            for seed in range(24):
+                scenario = generate_scenario(
+                    ScenarioConfig(network_size=size, seed=seed)
+                )
+                classes.add(scenario.requirement.classify())
+                args = (scenario.requirement, scenario.overlay)
+                source = scenario.source_instance
+                graph = SFlowAlgorithm(SFlowConfig(horizon=100)).solve(
+                    *args, source_instance=source
+                )
+                central = ReductionSolver().solve(*args, source_instance=source)
+                assert (
+                    graph.quality().bandwidth == central.quality().bandwidth
+                ), (size, seed)
+        assert classes == {
+            RequirementClass.PATH,
+            RequirementClass.DISJOINT_PATHS,
+            RequirementClass.SPLIT_MERGE,
+            RequirementClass.GENERAL,
+        }
 
     def test_correctness_reasonable_at_default_horizon(self):
         total = 0.0

@@ -1,7 +1,7 @@
 """The serial == pooled contract every sweep family is held to.
 
 ``folds(family)`` runs one small sweep of the family through its observed
-entry point -- sampled and profiled, so every fold is populated -- once
+entry point -- profiled, so every fold is populated -- once
 serially and once over two worker processes, and caches the pair for the
 whole test session.  The ``same_*`` helpers compare one aspect of the two
 folds each; ``test_sweep_contract`` applies all of them to every family.
@@ -10,8 +10,6 @@ folds each; ``test_sweep_contract`` applies all of them to every family.
 import functools
 from dataclasses import replace
 from typing import Tuple
-
-import pytest
 
 from repro.eval.experiments import (
     EvaluationConfig,
@@ -65,7 +63,7 @@ def folds(family: str) -> Tuple[SweepFold, SweepFold]:
     """The family's fully observed fold at ``workers=0`` and ``workers=2``."""
     config, observe, _ = FAMILIES[family]
     serial, pooled = (
-        observe(replace(config, workers=workers), sample_interval=5.0, profile=True)
+        observe(replace(config, workers=workers), profile=True)
         for workers in (0, 2)
     )
     return serial, pooled
@@ -106,27 +104,6 @@ def integer_content(snapshot):
 def same_integer_metrics(serial: SweepFold, pooled: SweepFold) -> None:
     assert sum(serial.metrics["sflow.sessions"]["values"].values()) > 0
     assert integer_content(pooled.metrics) == integer_content(serial.metrics)
-
-
-def same_series(serial: SweepFold, pooled: SweepFold) -> None:
-    assert serial.series  # the sampler actually produced points
-    assert sorted(pooled.series) == sorted(serial.series)
-    for key, expect in serial.series.items():
-        got = pooled.series[key]
-        if expect["kind"] != "histogram":
-            assert got == expect, key
-            continue
-        # Histogram float sums carry the same last-bit caveat as the
-        # snapshot algebra (serial cells subtract deltas off an
-        # accumulated registry; workers start from zero).  Everything
-        # integer -- times, counts, buckets -- must be bit-identical.
-        assert dict(got, points=None) == dict(expect, points=None)
-        assert len(got["points"]) == len(expect["points"])
-        for mine, theirs in zip(got["points"], expect["points"]):
-            t, count, total, buckets = theirs
-            assert mine[0] == t and mine[1] == count
-            assert mine[3] == buckets
-            assert mine[2] == pytest.approx(total)
 
 
 def same_profile(serial: SweepFold, pooled: SweepFold) -> None:

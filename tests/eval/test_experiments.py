@@ -17,7 +17,6 @@ from repro.eval.experiments import (
     run_trial,
 )
 from repro.eval.figures import _series
-from repro.obs.slo import DEFAULT_SLOS, SloSpec
 from repro.obs.trace import tracer as obs_tracer
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.eval.contract import (
@@ -26,7 +25,6 @@ from tests.eval.contract import (
     same_integer_metrics,
     same_profile,
     same_records,
-    same_series,
 )
 
 SMALL = EvaluationConfig(network_sizes=(10, 14), trials=2, n_services=5, seed=1)
@@ -192,7 +190,9 @@ class TestMergedMetrics:
         same_integer_metrics(*folds("evaluation"))
 
     def test_sweep_counts_protocol_sessions(self):
-        metrics = observe_evaluation(SMALLER).metrics
+        fold = observe_evaluation(SMALLER)
+        assert fold.profile is None  # profiling is opt-in
+        metrics = fold.metrics
         # One sflow federation per (size, trial) cell.
         sessions = sum(metrics["sflow.sessions"]["values"].values())
         assert sessions == 2
@@ -204,33 +204,6 @@ class TestMergedMetrics:
         metrics = observe_evaluation(replace(SMALLER, workers=2)).metrics
         gained = counter.total - before
         assert gained == sum(metrics["sflow.sessions"]["values"].values())
-
-
-class TestSweepTelemetry:
-    """The sampled series bank folds identically across the worker split."""
-
-    def test_parallel_series_bank_is_bit_identical_to_serial(self):
-        same_series(*folds("evaluation"))
-
-    def test_unset_interval_keeps_telemetry_empty(self):
-        fold = observe_evaluation(SMALLER)
-        assert fold.series == {} and fold.profile is None
-        assert fold.slo_results == [] and fold.alerts == []
-
-    def test_slos_are_graded_over_the_folded_bank(self):
-        spec = SloSpec(
-            name="no-handler-errors", metric="engine.handler_error",
-            objective="<=", threshold=0.0, field="delta", window=100.0,
-            error_budget=0.01, burn_rate_threshold=1.0,
-        )
-        fold = observe_evaluation(SMALLER, sample_interval=5.0, slos=(spec,))
-        (row,) = fold.slo_results
-        assert row["slo"] == "no-handler-errors" and row["pass"]
-        assert fold.alerts == []
-
-    def test_slos_without_interval_rejected(self):
-        with pytest.raises(ValueError):
-            observe_evaluation(SMALLER, slos=DEFAULT_SLOS)
 
 
 class TestSweepProfiles:

@@ -122,6 +122,32 @@ class TestSweep:
         assert "false_suspicion_rate" in header
 
 
+class TestBaselineCampaign:
+    """CI's fault-free campaign meets the service objectives it is held to:
+    federation latency, no recovery, delivered bandwidth and no exception
+    escaping a simulation handler, read straight off its records."""
+
+    ARGS = ["--sizes", "10", "16", "--intensities", "0.0", "--trials", "3",
+            "--seed", "0"]
+    CONFIG = GrayFailureConfig(
+        network_sizes=(10, 16), intensities=(0.0,), trials=3, seed=0
+    )
+
+    def test_baseline_campaign_meets_its_objectives(self, capsys):
+        records = run_gray_failure(self.CONFIG)
+        assert len(records) == 6
+        for record in records:
+            key = (record.network_size, record.trial)
+            assert record.outcome == "succeeded", key
+            assert record.identical_to_baseline, key
+            assert record.convergence_time <= 600.0, key
+            assert record.recovery_latency == 0.0, key
+            assert record.delivered_fraction >= 0.5, key
+        # The CLI exits 0 only when engine.handler_error did not grow.
+        assert main(self.ARGS) == 0
+        assert "engine.handler_error: 0" in capsys.readouterr().out
+
+
 class TestParallelDeterminism:
     """Same seed => bit-identical records and metric counters between
     serial and multi-worker sweeps."""

@@ -9,7 +9,6 @@ from repro import obs
 from repro.obs.export import chrome_trace, prometheus_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recording, load_recording
-from repro.obs.timeseries import Series
 
 # The text-format grammar, per the Prometheus exposition-format spec.
 _SAMPLE_RE = re.compile(
@@ -87,41 +86,39 @@ class TestPrometheus:
 class TestChromeTrace:
     def _recording(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with obs.recording(path) as recorder:
+        with obs.recording(path):
             from repro.obs.trace import tracer
 
             session = tracer().session("sflow.federate")
             session.child("negotiate").end(generations=1)
             session.event("recovery.crash", detail="x")
             session.end(outcome="succeeded")
-            counter = Series("channel.messages", "counter")
-            counter.append((2.0, 4.0))
-            recorder.emit(
-                {"type": "series", "interval": 2.0,
-                 "series": {counter.key: counter.as_dict()}}
-            )
         return load_recording(path)
 
     def test_payload_is_json_and_has_all_phases(self, tmp_path):
         payload = chrome_trace(self._recording(tmp_path))
         assert json.loads(json.dumps(payload)) == payload
         phases = {e["ph"] for e in payload["traceEvents"]}
-        assert phases == {"M", "X", "i", "C"}
+        assert phases == {"M", "X", "i"}
         assert payload["displayTimeUnit"] == "ms"
 
     def test_required_keys_per_phase(self, tmp_path):
         for event in chrome_trace(self._recording(tmp_path))["traceEvents"]:
             assert {"name", "ph", "pid"} <= set(event)
-            if event["ph"] in ("X", "i", "C"):
+            if event["ph"] in ("X", "i"):
                 assert "ts" in event
             if event["ph"] == "X":
                 assert event["dur"] >= 0
 
     def test_sim_time_maps_to_microseconds(self, tmp_path):
-        payload = chrome_trace(self._recording(tmp_path))
-        counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]
-        assert counters[0]["ts"] == 2_000_000.0  # 2.0 sim units in µs
-        assert counters[0]["args"]["value"] == 4.0
+        recording = Recording()
+        recording.spans.append(
+            {"name": "negotiate", "trace": 1, "span": 2, "parent": 1,
+             "start": 2.0, "end": 5.0, "clock": "sim", "attrs": {}}
+        )
+        (span,) = [e for e in chrome_trace(recording)["traceEvents"] if e["ph"] == "X"]
+        assert span["ts"] == 2_000_000.0  # 2.0 sim units in µs
+        assert span["dur"] == 3_000_000.0
 
     def test_process_and_thread_metadata(self, tmp_path):
         payload = chrome_trace(self._recording(tmp_path))
@@ -145,14 +142,6 @@ class TestChromeTrace:
         payload = chrome_trace(recording)
         instant = next(e for e in payload["traceEvents"] if e["ph"] == "i")
         assert instant["s"] == "p" and instant["tid"] == 0
-
-    def test_histogram_series_are_skipped(self):
-        recording = Recording()
-        hist = Series("sflow.test.lat", "histogram", bounds=(1.0,))
-        hist.append((1.0, 1, 0.5, [1, 0]))
-        recording.series[hist.key] = hist.as_dict()
-        payload = chrome_trace(recording)
-        assert not [e for e in payload["traceEvents"] if e["ph"] == "C"]
 
 
 if __name__ == "__main__":  # pragma: no cover

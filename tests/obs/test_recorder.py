@@ -128,7 +128,6 @@ class TestLoader:
         )
         recording = load_recording(path)
         assert len(recording.events) == 1
-        assert recording.series == {} and recording.slo == {}
         assert recording.errors == []
 
     def test_malformed_lines_collect_into_errors(self, tmp_path):
@@ -146,31 +145,6 @@ class TestLoader:
         assert linenos == [3, 4]
         assert "malformed JSON" in recording.errors[0][1]
         assert "not an object" in recording.errors[1][1]
-
-    def test_multiple_series_records_fold_via_merge(self, tmp_path):
-        path = tmp_path / "series.jsonl"
-        bank = {
-            "c|": {"name": "c", "labels": "", "kind": "counter",
-                   "interval": 1.0, "points": [[1.0, 2.0]]}
-        }
-        path.write_text(
-            '{"type":"meta","format":"sflow-flight-recorder/2"}\n'
-            + json.dumps({"type": "series", "interval": 1.0, "series": bank})
-            + "\n"
-            + json.dumps({"type": "series", "interval": 1.0, "series": bank})
-            + "\n"
-        )
-        recording = load_recording(path)
-        assert recording.series["c|"]["points"] == [[1.0, 4.0]]
-
-    def test_last_slo_record_wins(self, tmp_path):
-        path = tmp_path / "slo.jsonl"
-        path.write_text(
-            '{"type":"meta","format":"sflow-flight-recorder/2"}\n'
-            '{"type":"slo","specs":[],"results":[],"alerts":["first"]}\n'
-            '{"type":"slo","specs":[],"results":[],"alerts":["last"]}\n'
-        )
-        assert load_recording(path).slo["alerts"] == ["last"]
 
 
 class TestObsFrontDoor:

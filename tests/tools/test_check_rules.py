@@ -81,10 +81,10 @@ def test_sfl012_fixture_fires_on_orphan_events_only():
 def test_sfl012_obs_layer_is_exempt():
     source = (
         "from repro.obs.trace import tracer\n"
-        "def alert():\n"
-        "    tracer().event('slo.alert')\n"
+        "def flush():\n"
+        "    tracer().event('recorder.flush')\n"
     )
-    assert check_source(source, module="repro.obs.slo") == []
+    assert check_source(source, module="repro.obs.recorder") == []
     found = check_source(source, module="repro.core.monitor")
     assert codes_in(found) == ["SFL012"]
 

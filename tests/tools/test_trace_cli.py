@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig
 from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
-from repro.obs.slo import SloSpec
 from repro.services.workloads import travel_agency_scenario
 from repro.tools.trace import build_report, main as trace_main, render
 
@@ -199,51 +198,42 @@ class TestExportCLI:
 
 
 class TestReportCLI:
-    def _write(self, tmp_path, *, alerts):
-        """A /2 recording whose runtime slo record passes or fails."""
+    def _write(self, tmp_path):
+        """A /2 recording with two span kinds and the ``series``/``slo``
+        records older versions wrote, which the report ignores."""
         path = tmp_path / "run.jsonl"
-        row = {
-            "slo": "latency", "objective": "value <= 10.0",
-            "pass": not alerts, "alerts": len(alerts),
-            "evaluations": 4, "last_value": 2.0, "last_burn_rate": 0.0,
-        }
+        span = {"type": "span", "trace": 1, "parent": None, "clock": "sim"}
         lines = [
             {"type": "meta", "format": "sflow-flight-recorder/2"},
-            {"type": "slo", "specs": [], "results": [row], "alerts": alerts},
+            dict(span, name="sflow.federate", span=1, start=0.0, end=40.0,
+                 attrs={}),
+            dict(span, name="negotiate", span=2, parent=1, start=0.0,
+                 end=30.0, attrs={"wall_seconds": 0.25}),
+            {"type": "series", "interval": 5.0, "series": {}},
+            {"type": "slo", "specs": [], "results": [], "alerts": []},
         ]
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         return path
 
-    def test_pass_renders_and_gate_exits_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, alerts=[])
-        assert trace_main(["report", str(path), "--fail-on-alerts"]) == 0
-        captured = capsys.readouterr()
-        assert "PASS" in captured.out
-        assert "SLOs (runtime):" in captured.out
-        assert "all graded SLOs passed" in captured.err
-
-    def test_fail_on_alerts_exits_one(self, tmp_path, capsys):
-        alert = {"slo": "latency", "state": "firing", "time": 5.0,
-                 "burn_rate": 3.0}
-        path = self._write(tmp_path, alerts=[alert])
-        assert trace_main(["report", str(path), "--fail-on-alerts"]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.out
-        assert "t=         5  firing" in captured.out
-        assert "burn-rate alerts fired for: latency" in captured.err
-
-    def test_alerts_without_gate_flag_still_exit_zero(self, tmp_path):
-        alert = {"slo": "latency", "state": "firing", "time": 5.0,
-                 "burn_rate": 3.0}
-        assert trace_main(["report", str(self._write(tmp_path, alerts=[alert]))]) == 0
+    def test_ranks_span_kinds_by_sim_time(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        report = build_report(obs.load_recording(path))
+        assert [row["name"] for row in report["spans"]] == [
+            "sflow.federate", "negotiate",
+        ]
+        assert report["spans"][1]["wall_seconds"] == 0.25
+        assert trace_main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "hottest span kinds (top 2):" in out
+        assert "SLO" not in out
 
     def test_top_k_must_be_positive(self, tmp_path, capsys):
-        path = self._write(tmp_path, alerts=[])
+        path = self._write(tmp_path)
         assert trace_main(["report", str(path), "--top-k", "0"]) == 2
         assert "--top-k" in capsys.readouterr().err
 
     def test_out_writes_the_rendered_report(self, tmp_path, capsys):
-        path = self._write(tmp_path, alerts=[])
+        path = self._write(tmp_path)
         out = tmp_path / "health.txt"
         assert trace_main(["report", str(path), "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
@@ -251,32 +241,3 @@ class TestReportCLI:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert trace_main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such recording" in capsys.readouterr().err
-
-    def test_replay_source_when_only_series_present(
-        self, recorded_run, capsys
-    ):
-        path, _, _ = recorded_run
-        assert trace_main(["report", str(path)]) == 0
-        out = capsys.readouterr().out
-        # The CLI fixture records no sampler bank: nothing to grade.
-        assert "SLOs (none):" in out or "SLOs (replay):" in out
-
-    def test_alert_timeline_comes_from_the_grading_source(self, tmp_path):
-        """Specs that replay over the series bank grade the table; the
-        runtime ``latency`` alert, in the slo record and as an event, is
-        not theirs and stays out of the timeline."""
-        alert = {"slo": "latency", "state": "firing", "time": 5.0,
-                 "burn_rate": 3.0}
-        path = self._write(tmp_path, alerts=[alert])
-        event = {"type": "event", "name": "slo.alert", "trace": 1, "span": 1,
-                 "time": 5.0, "clock": "sim",
-                 "attrs": {"slo": "latency", "burn_rate": 3.0}}
-        with path.open("a") as fh:
-            fh.write(json.dumps(event) + "\n")
-        other = SloSpec(name="other", metric="absent", objective="<=",
-                        threshold=1.0)
-        report = build_report(obs.load_recording(path), specs=(other,))
-        assert [row["slo"] for row in report["slo"]] == ["other"]
-        assert report["alerts"] == []
-        runtime = build_report(obs.load_recording(path))
-        assert [a["slo"] for a in runtime["alerts"]] == ["latency"]
