@@ -126,8 +126,9 @@ class CSRGraph:
     back.  Edge slot ``j`` of node ``i`` lives at positions
     ``indptr[i] <= j < indptr[i + 1]`` of ``indices``/``bandwidth``/
     ``latency``.  Instances are immutable once built; the oracle keeps
-    them per view inside the graph's own state, so a snapshot can never
-    serve another graph or outlive its own.
+    them per view inside the graph's own state, so a snapshot never serves
+    another graph.  It outlives its graph only as the parent a derived
+    graph's snapshot is built from (:meth:`restricted`), until that build.
     """
 
     __slots__ = (
@@ -228,6 +229,43 @@ class CSRGraph:
             _np.asarray(out_indices, dtype=_np.int64),
             _np.asarray(out_bw, dtype=_np.float64),
             _np.asarray(out_lat, dtype=_np.float64),
+        )
+
+    def restricted(
+        self,
+        removed: Iterable[Node],
+        links: Dict[Tuple[Node, Node], Optional[Tuple[float, float]]],
+    ) -> "CSRGraph":
+        """This snapshot less the ``removed`` nodes and every entry at them,
+        each of ``links`` re-weighted to its ``(bandwidth, latency)`` or
+        dropped (``None``): array for array what :meth:`from_adjacency`
+        builds of the graph so restricted.  Surviving nodes keep their rank
+        order and rows their entry order, so interning again is a monotone
+        re-index."""
+        index = self.index
+        gone = _np.zeros(len(self.nodes), dtype=bool)
+        gone[[index[node] for node in removed if node in index]] = True
+        tails = _np.repeat(_np.arange(len(self.nodes)), _np.diff(self.indptr))
+        keep = ~(gone[tails] | gone[self.indices])
+        bandwidth, latency = self.bandwidth.copy(), self.latency.copy()
+        for (a, b), metrics in links.items():
+            i, j = index[a], index[b]
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            slots = lo + _np.flatnonzero(self.indices[lo:hi] == j)
+            if metrics is None:
+                keep[slots] = False
+            else:
+                bandwidth[slots], latency[slots] = metrics
+        alive = ~gone
+        rank = _np.cumsum(alive) - 1
+        indptr = _np.zeros(int(alive.sum()) + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(tails[keep], minlength=len(self.nodes))[alive], out=indptr[1:])
+        return CSRGraph(
+            tuple(compress(self.nodes, alive.tolist())),
+            indptr,
+            rank[self.indices[keep]],
+            bandwidth[keep],
+            latency[keep],
         )
 
     @property

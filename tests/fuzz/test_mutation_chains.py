@@ -16,7 +16,10 @@ graph's trees throughout.  After each step
   chained its pending repairs until then);
 * ``OverlayGraph.restriction_of`` equals a comparison written over the
   public queries alone, and, against every graph the new one descends
-  from, the touch sets the chain accumulated on the way.
+  from, the touch sets the chain accumulated on the way;
+* and at the end every graph's ``"successors"`` CSR snapshot -- derived
+  from an ancestor's where the oracle held one, or a pending derivation of
+  one -- equals ``kernel.snapshot`` of that graph, array for array.
 
 Generated overlays never link a pair both ways, so the undirected view's
 "better of the two directions" is never a choice here.
@@ -35,6 +38,7 @@ import pytest
 from repro.core.alternatives import undirected_relaxation
 from repro.network import failures
 from repro.network.overlay import OverlayGraph, Restriction
+from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.routing import ORDERS
@@ -51,11 +55,15 @@ KINDS = (
 )
 #: A seed of the budget each hand-made mutant fails, found by running seeds
 #: 0-39 under each: the two blind diffs die at two of them each (23 and 36;
-#: 34 and 37), the misdirected derive at twenty-nine.
+#: 34 and 37), the misdirected derive at twenty-nine.  The two snapshot
+#: mutants die at 23 and 38 of the forty seeds, and the array comparison
+#: alone, with no row compared, kills them at 7 and 12 of seeds 0-13.
 MUTANT_SEEDS = {
     "blind to a shorter latency": 23,
     "blind to a new link": 34,
     "derives from the overlay": 0,
+    "keeps a removed link's entry": 4,
+    "keeps the parent's metrics on a degraded link": 0,
 }
 #: Found by this file (one seed of 0-399) and older than it -- the chain is
 #: degrade, fail, degrade, no revive: a *carried* row whose label is as good
@@ -72,7 +80,11 @@ KNOWN_FAILURES = {
     127: "a restriction elsewhere re-settles an exact (latency, hops) tie: ROADMAP 1b",
 }
 #: The budget, about four seconds: every seed runs on every tier-1 pass.
-SEEDS = (*range(14), *sorted(MUTANT_SEEDS.values())[1:], *KNOWN_FAILURES)
+SEEDS = (
+    *range(14),
+    *sorted({seed for seed in MUTANT_SEEDS.values() if seed >= 14}),
+    *KNOWN_FAILURES,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -156,6 +168,9 @@ class Chain:
         #: Revives the diff accepted against a graph their overlay does not
         #: descend from.
         self.strangers = 0
+        #: Graphs born with a snapshot to derive, and those of them whose
+        #: origin held only a pending derivation itself.
+        self.derived = self.chained = 0
         self.stats = None
 
     def run(self):
@@ -170,6 +185,11 @@ class Chain:
                 kind = "degrade_links"
             origin, graph, taken_away = getattr(self, kind)(base)
             self.kinds.append(kind if taken_away is not None else "cold revive")
+            state = self.oracle._graphs.get(graph)
+            if state is not None and state.derivation is not None:
+                self.derived += 1
+                origin_state = self.oracle._graphs[self.graphs[origin]]
+                self.chained += "successors" not in origin_state.snapshots
             self.graphs.append(graph)
             descent = {}
             if taken_away is not None:
@@ -184,8 +204,25 @@ class Chain:
             self.read(graph, share=rng.choice((0.3, 0.7, 1.0)))
         for graph in self.graphs:
             self.read(graph, share=1.0, both=True)
+        for number, graph in enumerate(self.graphs):
+            self.compare_snapshot(number, graph)
         self.stats = self.oracle.stats()
         return self
+
+    def compare_snapshot(self, number, graph):
+        """The oracle's ``"successors"`` snapshot of ``graph`` -- derived or
+        walked, built now if nothing asked for it yet -- equals a fresh
+        one."""
+        state = self.oracle._graphs.get(graph)
+        if state is None:
+            return
+        held = self.oracle._snapshot_for(graph, state, "successors", None)
+        fresh = kernel.snapshot(graph)
+        assert held.nodes == fresh.nodes, number
+        for field in ("indptr", "indices", "bandwidth", "latency"):
+            mine, theirs = getattr(held, field), getattr(fresh, field)
+            assert mine.dtype == theirs.dtype, (number, field)
+            assert mine.tolist() == theirs.tolist(), (number, field)
 
     # -- the four mutations: (graph it derives from, result, what was taken) --
 
@@ -304,6 +341,8 @@ def test_the_budget_reaches_every_kind_of_step():
         "fail_instances", "fail_links", "degrade_links", "revive_links", "cold revive",
     }
     assert sum(chain.strangers for chain in chains) > 0
+    assert sum(chain.chained for chain in chains) > 0
+    assert sum(chain.derived for chain in chains) > sum(chain.chained for chain in chains)
     for counter in ("carried", "dropped", "repaired", "warmed", "kernel_trees", "hits"):
         assert sum(getattr(chain.stats, counter) for chain in chains) > 0, counter
     assert sum(chain.stats.invalidated for chain in chains) == 0
@@ -326,13 +365,35 @@ def revive_deriving_from_the_overlay(overlay, reference, victims):
     return result
 
 
+def restricted_keeping(kept):
+    """``CSRGraph.restricted`` with the links ``kept`` picks left as the
+    parent has them."""
+    restricted = kernel.CSRGraph.restricted
+
+    def mutant(self, removed, links):
+        return restricted(
+            self, removed, {pair: m for pair, m in links.items() if not kept(m)}
+        )
+
+    return mutant
+
+
 @pytest.mark.parametrize("mutant", sorted(MUTANT_SEEDS))
 def test_the_chain_kills_the_mutant(mutant, monkeypatch):
-    """Three ways to get the revive wrong, each caught: a diff that lets a
+    """Five ways to get a derivation wrong, each caught: a diff that lets a
     latency improvement through, a diff that lets through a link only the
-    result has, and a revive that derives its result from the degraded
-    overlay it was handed instead of from the reference."""
-    if mutant == "blind to a shorter latency":
+    result has, a revive that derives its result from the degraded overlay
+    it was handed instead of from the reference, and a derived snapshot
+    that keeps a removed link's entry or a degraded link's old metrics."""
+    if mutant == "keeps a removed link's entry":
+        monkeypatch.setattr(
+            kernel.CSRGraph, "restricted", restricted_keeping(lambda m: m is None)
+        )
+    elif mutant == "keeps the parent's metrics on a degraded link":
+        monkeypatch.setattr(
+            kernel.CSRGraph, "restricted", restricted_keeping(lambda m: m is not None)
+        )
+    elif mutant == "blind to a shorter latency":
         monkeypatch.setattr(
             OverlayGraph, "restriction_of", blind_restriction(sees_latency=False)
         )
