@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.reductions import Trail, spell
 from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
@@ -125,6 +126,10 @@ class FixedAlgorithm:
         return max(qualities, default=0.0)
 
 
+#: What an unreachable pair is priced at: :data:`UNREACHABLE`'s floats.
+_NO_PRICE = (UNREACHABLE.bandwidth, UNREACHABLE.latency)
+
+
 def undirected_relaxation(overlay: OverlayGraph) -> NeighborFn:
     """``overlay``'s adjacency with link direction ignored: each neighbour
     once, under the better of the two directions' metrics."""
@@ -216,55 +221,52 @@ class ServicePathAlgorithm:
         overlay: OverlayGraph,
         source_instance: Optional[ServiceInstance],
     ) -> Tuple[Dict[Sid, ServiceInstance], PathQuality]:
-        """Layered shortest-widest DP along the serialized service chain."""
+        """Layered shortest-widest DP along the serialized service chain.
+
+        The layered graph of a chain needs the prices of instance pairs
+        between consecutive layers and nothing else -- no route, no hop
+        count -- so each hop is one :meth:`RouteOracle.prices` call: this
+        layer's instances priced at the next pool only, over the
+        *undirected* relaxation of the overlay.  A layer entry is
+        ``(instance, bandwidth, latency, trail)``, compared as
+        :class:`PathQuality` orders them; the winner's trail is spelled
+        into the assignment once.
+        """
         chain = requirement.topological_order()
         oracle = RouteOracle.default()
         undirected = undirected_relaxation(overlay)
         first_pool = pinned_pool(
             overlay.instances_of(chain[0]), chain[0], source_instance
         )
-        # layer: instance -> (serialized quality so far, assignment)
-        layer: Dict[ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]]
-        layer = {inst: (IDEAL, {chain[0]: inst}) for inst in first_pool}
+        layer: List[Tuple[ServiceInstance, float, float, Trail]] = [
+            (inst, IDEAL.bandwidth, IDEAL.latency, (None, chain[0], inst))
+            for inst in first_pool
+        ]
         for sid in chain[1:]:
             pool = overlay.instances_of(sid)
-            # The layered graph of a chain needs the pair qualities between
-            # consecutive layers and nothing else: one batch per hop, this
-            # layer's rows asked for at the next pool only.  The control
-            # plans over the *undirected* relaxation of the overlay; the
-            # oracle keys that adjacency separately via the view tag.
-            targets = frozenset(pool)
-            oracle.warm(
-                overlay, layer, view="undirected", neighbors=undirected,
-                targets=targets,
+            rows = oracle.prices(
+                overlay, [entry[0] for entry in layer], targets=frozenset(pool),
+                view="undirected", neighbors=undirected,
             )
-            rows = {
-                prev: oracle.tree(
-                    overlay, prev, view="undirected", neighbors=undirected,
-                    targets=targets,
-                )
-                for prev in layer
-            }
-            nxt: Dict[
-                ServiceInstance, Tuple[PathQuality, Dict[Sid, ServiceInstance]]
-            ] = {}
+            nxt: List[Tuple[ServiceInstance, float, float, Trail]] = []
             for inst in pool:
-                best: Optional[Tuple[PathQuality, Dict[Sid, ServiceInstance]]] = None
-                for prev_inst, (quality, assignment) in layer.items():
-                    label = rows[prev_inst].get(inst)
-                    extended = quality.extend(
-                        label.quality if label is not None else UNREACHABLE
-                    )
-                    if best is None or extended.is_better_than(best[0]):
-                        chosen = dict(assignment)
-                        chosen[sid] = inst
-                        best = (extended, chosen)
+                best: Optional[Tuple[float, float, Trail]] = None
+                for (_, bandwidth, latency, trail), row in zip(layer, rows):
+                    price = row.get(inst, _NO_PRICE)
+                    cbw = min(bandwidth, price[0])
+                    clat = latency + price[1]
+                    if best is None or cbw > best[0] or (
+                        cbw == best[0] and clat < best[1]
+                    ):
+                        best = (cbw, clat, trail)
                 if best is not None:
-                    nxt[inst] = best
+                    nxt.append((inst, best[0], best[1], (best[2], sid, inst)))
             if not nxt:
                 raise FederationError(
                     f"serialized chain breaks at service {sid!r}"
                 )
             layer = nxt
-        quality, assignment = max(layer.values(), key=lambda entry: entry[0])
-        return assignment, quality
+        _, bandwidth, latency, trail = max(
+            layer, key=lambda entry: (entry[1], -entry[2])
+        )
+        return spell(trail), PathQuality(bandwidth, latency)

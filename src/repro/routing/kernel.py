@@ -31,6 +31,10 @@ dual) against primitive arrays:
   that keeps it exact under float addition);
 * a caller that reads a row only at some ``targets`` says so, and the
   tree steps through the *targets'* widths alone (``batched_trees``);
+* a caller that reads only the ``(bandwidth, latency)`` of pairs -- the
+  serialized-chain control -- asks :func:`batched_prices`, the same
+  targeted walk on latencies alone: no hop count, path or label, and no
+  restart rule (:func:`_prices_csr` has the argument);
 * phase 1 of a bandwidth-symmetric snapshot is one Kruskal pass for
   every source at once (:meth:`CSRGraph.pair_widths`);
 * when phase 1 ran to the end, the activation walk visits only the edges
@@ -808,3 +812,117 @@ def _widest_shortest_csr(
     for v in reached[1:]:
         labels[nodes[v]] = RouteLabel(PathQuality(bw[v], lat[v]), hops[v], paths[v])
     return labels
+
+
+# -- prices without routes -----------------------------------------------------
+
+
+def batched_prices(
+    csr: CSRGraph, sources: Sequence[Node], targets: Iterable[Node]
+) -> List[Dict[Node, Tuple[float, float]]]:
+    """The shortest-widest *prices* of many sources at some targets.
+
+    Returns, per source (same order as ``sources``), ``{target:
+    (bandwidth, latency)}`` for every target the source reaches -- the
+    source itself at ``(inf, 0.0)`` when it is a target -- each pair the
+    very floats of the :func:`batched_trees` label's quality.  No hop
+    count, path or :class:`RouteLabel` is built.  Sources missing from the
+    snapshot raise ``KeyError``; a target the snapshot does not know is
+    simply absent.  Phase 2 is :func:`_prices_csr`.
+    """
+    index = csr.index
+    wanted = sorted({index[t] for t in targets if t in index})
+    return [_prices_csr(csr, index[source], wanted) for source in sources]
+
+
+def _prices_csr(
+    csr: CSRGraph, src: int, wanted: List[int]
+) -> Dict[Node, Tuple[float, float]]:
+    """The targeted walk of :func:`_shortest_widest_csr` on latencies alone.
+
+    Phase 1 is the same: the Kruskal matrix of a symmetric snapshot (and
+    then only reached tails are activated), else the heap stopped at the
+    targets.  Phase 2 steps down the targets' distinct widths, activates
+    the newly qualifying edges from every labelled tail, and drains one
+    persistent heap up to the largest latency among the step's targets.
+
+    It needs no restart rule.  A target's price latency is the minimum,
+    over the paths of the threshold subgraph, of the left-to-right float
+    sum -- which is the latency of the tree's label, whatever path its
+    tie-breaks then pick.  Float addition with rounding is monotone and
+    never falls (``a <= b`` gives ``a + l <= b + l``, and ``a <= a + l``),
+    so that minimum obeys the Bellman equations and a label-correcting
+    walk reaches it.  A label that is a latency alone never compares worse
+    when it is re-derived from an improved parent: the parent fell, so the
+    candidate did not rise.  What breaks the tree pass -- ``a < b`` yet
+    ``a + l == b + l``, the child tying at one hop more -- is a tie here,
+    not a worsening, so no carried label is ever stale.  Each drain then
+    ends with every node whose minimum is at most the bound labelled with
+    it: the first wrong label on a shortest path would sit behind a right
+    one that is either still queued below the bound or already relaxed
+    into it.  ``inf`` marks an unlabelled node; each push is a strict
+    improvement, so an entry whose key is the node's latency is its only
+    live one.
+    """
+    pairs = csr.pair_widths()
+    if pairs is not None:
+        width: List[float] = pairs[src].tolist()
+        if 0.0 in width:
+            tails, slots, neg_bw = csr.reached_activation(width)
+        else:
+            tails, slots, neg_bw = csr.activation_order()
+    else:
+        width = _widest_widths(csr, src, wanted)
+        tails, slots, neg_bw = csr.activation_order()
+    nodes = csr.nodes
+    prices: Dict[Node, Tuple[float, float]] = {}
+    step = [0.0] * csr.n  # a target's width; nobody else's is a step
+    by_width: Dict[float, List[int]] = {}
+    for v in wanted:
+        if v == src:
+            prices[nodes[v]] = (_INF, 0.0)
+        elif width[v] > 0.0:
+            step[v] = width[v]
+            by_width.setdefault(width[v], []).append(v)
+    indptr, indices, elat, ebw = csr.usable_view()
+    lat = [_INF] * csr.n
+    lat[src] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, src)]
+    pos = 0
+    for w in sorted(by_width, reverse=True):
+        members = by_width[w]
+        end = bisect_right(neg_bw, -w, pos)
+        for u, j in zip(tails[pos:end], slots[pos:end]):
+            clat = lat[u] + elat[j]
+            v = indices[j]
+            if clat < lat[v]:
+                lat[v] = clat
+                heappush(heap, (clat, v))
+        pos = end
+        unlabelled = sum(1 for v in members if lat[v] == _INF)
+        bound = _INF
+        while heap and heap[0][0] <= bound:
+            if bound == _INF and not unlabelled:
+                bound = max(lat[v] for v in members)
+                continue
+            ulat, u = heappop(heap)
+            if ulat != lat[u]:
+                continue  # stale entry
+            for j in range(indptr[u], indptr[u + 1]):
+                if ebw[j] < w:
+                    break  # rows are bandwidth-descending
+                v = indices[j]
+                clat = ulat + elat[j]
+                if clat < lat[v]:
+                    if lat[v] == _INF and step[v] == w:
+                        unlabelled -= 1
+                    lat[v] = clat
+                    heappush(heap, (clat, v))
+        for v in members:
+            if lat[v] == _INF:
+                raise RuntimeError(
+                    f"kernel invariant broken: phase 1 reached {nodes[v]!r} "
+                    f"at width {w!r} but phase 2 left it unpriced"
+                )
+            prices[nodes[v]] = (w, lat[v])
+    return prices

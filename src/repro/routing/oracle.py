@@ -3,8 +3,8 @@
 The paper's baseline is dominated by Wang-Crowcroft shortest-widest tree
 computations -- the ``O(N^4)`` all-pairs step of Table 1.  Every caller
 (overlay and abstract-graph builds, the planner's local views, the QoS
-monitor's probes, the serialized-chain control, the baseline's path
-search) asks one process-wide memo, :class:`RouteOracle`:
+monitor's probes, the baseline's path search) asks one process-wide memo,
+:class:`RouteOracle`, and the serialized-chain control asks it for prices:
 
 * **Keying.**  A graph object *is* its topology: nothing mutates a graph
   the oracle has seen (the failure models are pure and return a new
@@ -18,9 +18,11 @@ search) asks one process-wide memo, :class:`RouteOracle`:
   (removed instances dropped, touched links re-read from the new graph)
   instead of walking itself; the same test checks every such snapshot
   against a fresh one, array for array.  ``view`` distinguishes
-  adjacency views of the same graph (e.g. the directed overlay vs. the
-  undirected relaxation the serialized-chain control plans over);
-  ``order`` selects shortest-widest or widest-shortest trees.
+  adjacency views of the same graph (e.g. the directed overlay vs. its
+  undirected relaxation, which walks links backwards); ``order`` selects
+  shortest-widest or widest-shortest trees.  The serialized-chain control
+  prices the undirected view (:meth:`~RouteOracle.prices`): it shares the
+  view's snapshot and caches no row.
 
 * **Scoped invalidation.**  The failure models
   (:func:`repro.network.failures.degrade_links` and friends) return a
@@ -64,7 +66,10 @@ search) asks one process-wide memo, :class:`RouteOracle`:
   :meth:`~RouteOracle.warm` batch, the targeted recompute of a repair --
   comes from one :func:`repro.routing.kernel.batched_trees` call on the
   CSR snapshot of that graph's view.  The one exception is a source
-  outside the snapshot's universe, whose row is itself alone.
+  outside the snapshot's universe, whose row is itself alone.  A price
+  is not a label: :meth:`~RouteOracle.prices` is one
+  :func:`~repro.routing.kernel.batched_prices` pass, and no tree is ever
+  built from one.
 
 Correctness contract: the oracle never changes results, only cost.  A
 cache hit returns exactly the labels a fresh kernel batch computes on the
@@ -84,6 +89,7 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -487,6 +493,40 @@ class RouteOracle:
                 state.repairs.pop(key, None)  # parked, but covered too little
             self._counters["warmed"].inc(len(missing))
         return len(missing)
+
+    def prices(
+        self,
+        graph: Any,
+        sources: Sequence[Node],
+        *,
+        targets: Collection[Node],
+        view: str = "successors",
+        neighbors: Optional[NeighborFn] = None,
+    ) -> List[Dict[Node, Tuple[float, float]]]:
+        """The shortest-widest prices of ``sources`` at ``targets``: per
+        source, ``{target: (bandwidth, latency)}`` for every target it
+        reaches, the floats of the label :meth:`tree` would return there.
+
+        One :func:`repro.routing.kernel.batched_prices` pass on the view's
+        snapshot, which is built at most once per graph state as for the
+        trees.  Nothing is cached and no counter moves: a price has no
+        path, so there is no row to carry, repair or hit later.  A source
+        outside the snapshot's universe reaches only itself.
+        """
+        with self._lock:
+            state = self._state_for(graph)
+        csr = self._snapshot_for(graph, state, view, neighbors)
+        index = csr.index
+        computed = iter(
+            _kernel.batched_prices(
+                csr, [source for source in sources if source in index], targets
+            )
+        )
+        return [
+            next(computed) if source in index
+            else ({source: (IDEAL.bandwidth, IDEAL.latency)} if source in targets else {})
+            for source in sources
+        ]
 
     # -- mutation protocol -------------------------------------------------
 

@@ -9,7 +9,9 @@ latencies are kept: overlay ones are float sums of shared underlay
 segments, which is where the restart rule lives), and the target subsets
 -- and the one invariant is ``tests/oracles/routing.py``'s: kernel rows
 equal pure rows, full and targeted, both orders, every source, and a
-symmetric snapshot's Kruskal phase 1 equals the heap's.
+symmetric snapshot's Kruskal phase 1 equals the heap's.  The pathless
+prices of ``kernel.batched_prices`` are held to the pure rows' qualities
+on the same cases, under either phase 1.
 
 The first seeds of ROADMAP item 1b; tier-1, a fixed budget (the file stays
 under six seconds).  A seed that fails is a regression case: add it to
@@ -29,7 +31,11 @@ from repro.network.overlay import OverlayGraph
 from repro.network.underlay import Underlay, UnderlayConfig
 from repro.routing import kernel
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import ORDERS, assert_kernel_matches_pure
+from tests.oracles.routing import (
+    ORDERS,
+    assert_kernel_matches_pure,
+    assert_prices_match_pure,
+)
 
 FAMILIES = ("waxman", "erdos_renyi", "barabasi_albert", "overlay")
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
@@ -172,3 +178,82 @@ def test_a_flipped_path_tie_break_is_caught(monkeypatch):
             caught.append(seed)
     # Four of the nineteen budget seeds hold an exact shortest-widest tie.
     assert caught == [9, 12, 50, 251]
+
+
+#: How a price pass finds its widths: as the snapshot allows (the Kruskal
+#: matrix where the bandwidths are symmetric), or the heap always.
+PHASE_ONES = ("as-built", "heap")
+
+
+def heap_phase_one(monkeypatch):
+    """Make every snapshot take the heap's phase 1, as a directed one does."""
+    monkeypatch.setattr(kernel.CSRGraph, "pair_widths", lambda self: None)
+
+
+@pytest.mark.parametrize("phase_one", PHASE_ONES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prices_equal_pure_qualities(seed, phase_one, monkeypatch):
+    if phase_one == "heap":
+        heap_phase_one(monkeypatch)
+    description, neighbors, nodes = draw_case(seed)
+    assert assert_prices_match_pure(neighbors, nodes, seed=seed) > 0, description
+
+
+#: Two hand-made mutants of the price pass, as source edits, with the
+#: budget seeds that kill each (the same under either phase 1): the drain's
+#: bound taken from the first labelled member instead of the largest, and
+#: an activation that relaxes no edge whose tail was labelled at a wider
+#: step (the source included).
+PRICE_MUTANTS = {
+    "bound from the first labelled member": (
+        (
+            "if bound == _INF and not unlabelled:",
+            "if bound == _INF and unlabelled < len(members):",
+        ),
+        (
+            "bound = max(lat[v] for v in members)",
+            "bound = next(lat[v] for v in members if lat[v] < _INF)",
+        ),
+    ),
+    "activation skips tails labelled at a wider step": (
+        (
+            "        for u, j in zip(tails[pos:end], slots[pos:end]):\n",
+            "        wider = [x < _INF for x in lat]\n"
+            "        for u, j in zip(tails[pos:end], slots[pos:end]):\n"
+            "            if wider[u]:\n"
+            "                continue\n",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("phase_one", PHASE_ONES)
+@pytest.mark.parametrize("mutant", sorted(PRICE_MUTANTS))
+def test_a_price_mutant_is_caught(mutant, phase_one, monkeypatch):
+    """The budget kills each mutant against the reference, under either
+    phase 1 -- by a wrong price, or by the pass refusing to return one."""
+    source = textwrap.dedent(inspect.getsource(kernel._prices_csr))
+    for kept, broken in PRICE_MUTANTS[mutant]:
+        assert source.count(kept) == 1, kept
+        source = source.replace(kept, broken)
+    namespace = dict(vars(kernel))
+    exec(compile(source, kernel.__file__, "exec"), namespace)
+    monkeypatch.setattr(kernel, "_prices_csr", namespace["_prices_csr"])
+    if phase_one == "heap":
+        heap_phase_one(monkeypatch)
+    caught = []
+    for seed in SEEDS:
+        _, neighbors, nodes = draw_case(seed)
+        try:
+            assert_prices_match_pure(neighbors, nodes, seed=seed)
+        except (AssertionError, RuntimeError):
+            caught.append(seed)
+    assert caught == CAUGHT[mutant]
+
+
+CAUGHT = {
+    "bound from the first labelled member": list(SEEDS),
+    "activation skips tails labelled at a wider step": [
+        1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 251,
+    ],
+}

@@ -8,9 +8,9 @@ made so far, ancestors and non-ancestors alike.  The oracle keeps every
 graph's trees throughout.  After each step
 
 * the rows a seeded share of the sources are asked for on the new graph --
-  full and at one service's pool, in the two views their production readers
-  use (``AbstractGraph.build``: ``"successors"``, full rows;
-  ``_serialize``: ``"undirected"``, rows at the next pool) -- equal the
+  full and at one service's pool, in two adjacency views as kernel inputs
+  (``"successors"``, what ``AbstractGraph.build`` reads, and
+  ``"undirected"``, a view that walks links backwards) -- equal the
   pure rows of ``tests/oracles/routing.py`` on that graph, and at the end
   every row of every graph does (what was not asked for on the way has
   chained its pending repairs until then);
@@ -43,7 +43,7 @@ from repro.routing.oracle import RouteOracle
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.routing import ORDERS
 
-ORDER, PURE_TREE = ORDERS[0]  # shortest-widest: what both readers ask for
+ORDER, PURE_TREE = ORDERS[0]  # shortest-widest: what the oracle's readers ask for
 VIEWS = (
     ("successors", lambda graph: graph.successors),
     ("undirected", undirected_relaxation),
@@ -278,8 +278,8 @@ class Chain:
     # -- the contract -------------------------------------------------------
 
     def read(self, graph, *, share, both=False):
-        """Ask for a share of ``graph``'s rows the way the readers do and
-        hold each to the pure row."""
+        """Ask for a share of ``graph``'s rows, full and targeted, in both
+        views, and hold each to the pure row."""
         rng, oracle = self.rng, self.oracle
         number = self.graphs.index(graph)
         sids = sorted(graph.sids())

@@ -1,4 +1,5 @@
-"""The pure Wang-Crowcroft tree functions as the routing kernel's reference."""
+"""The pure Wang-Crowcroft tree functions as the routing kernel's reference:
+its trees' labels, and its prices' ``(bandwidth, latency)`` floats."""
 
 import random
 
@@ -8,6 +9,7 @@ from repro.routing.kernel import (
     WIDEST_SHORTEST,
     CSRGraph,
     _widest_widths,
+    batched_prices,
     batched_trees,
 )
 from repro.routing.wang_crowcroft import RouteLabel
@@ -74,3 +76,39 @@ def assert_pair_widths_match_heap(csr):
         return False
     assert pairs.tolist() == [_widest_widths(csr, s) for s in range(csr.n)]
     return True
+
+
+def assert_prices_match_pure(neighbors, nodes, *, seed=0):
+    """Every source's :func:`batched_prices` row equals the qualities of
+    the pure targeted row, ``(bandwidth, latency)`` per reached target (the
+    source only when it is one): for every node as a target, seeded
+    subsets with a node outside the snapshot, the empty set, the source
+    alone and -- where there is one -- an unreachable node beside a
+    reachable one.  Returns how many prices were compared."""
+    nodes = list(nodes)
+    rng = random.Random(seed)
+    csr = CSRGraph.from_adjacency(nodes, neighbors)
+    compared = 0
+
+    def check(sources, targets):
+        nonlocal compared
+        for source, row in zip(sources, batched_prices(csr, sources, targets)):
+            pure = shortest_widest_tree(neighbors, source, targets=targets)
+            expected = {
+                node: (label.quality.bandwidth, label.quality.latency)
+                for node, label in pure.items()
+                if node in targets
+            }
+            assert row == expected, (source, sorted(map(repr, targets)))
+            compared += len(row)
+
+    check(nodes, frozenset(nodes))
+    for _ in range(2):
+        check(nodes, frozenset(rng.sample(nodes, rng.randrange(1, len(nodes) + 1))) | {OUTSIDER})
+    for source in nodes:
+        reached = shortest_widest_tree(neighbors, source)
+        missed = [node for node in nodes if node not in reached][:1]
+        nearest = list(reached)[:2]  # the source and one it reaches
+        for targets in ((), (source,), missed, missed + nearest):
+            check([source], frozenset(targets))
+    return compared

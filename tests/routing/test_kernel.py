@@ -31,6 +31,7 @@ from repro.routing.kernel import (
     SHORTEST_WIDEST,
     WIDEST_SHORTEST,
     CSRGraph,
+    batched_prices,
     batched_trees,
     snapshot,
 )
@@ -40,6 +41,7 @@ from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.routing import (
     assert_kernel_matches_pure,
     assert_pair_widths_match_heap,
+    assert_prices_match_pure,
 )
 from tests.oracles.wang_crowcroft import shortest_widest_tree
 
@@ -129,9 +131,9 @@ class TestFilledOverlay:
         assert (len(batch), batch.thresholds, batch.restarts) == (51, 405, 0)
 
     def test_undirected_relaxation(self, overlay):
-        """The adjacency ``ServicePathAlgorithm._serialize`` plans over:
-        twice the edges, everything reachable, and overlay latencies that
-        are sums of shared underlay segments -- so the restart rule of the
+        """The overlay's undirected relaxation as a kernel input: twice
+        the edges, everything reachable, and overlay latencies that are
+        sums of shared underlay segments -- so the restart rule of the
         incremental phase 2 fires on a real input."""
         neighbors = undirected_relaxation(overlay)
         csr = CSRGraph.from_adjacency(overlay.routing_nodes(), neighbors)
@@ -142,9 +144,9 @@ class TestFilledOverlay:
         assert assert_pair_widths_match_heap(csr)
 
     def test_undirected_hop_rows(self, overlay):
-        """What ``_serialize`` asks: every pool's rows at every other pool.
-        Same labels in the same order as the full tree's, fewer widths
-        stepped through, and the restart rule still fires."""
+        """The undirected relaxation's rows, every pool's at every other
+        pool.  Same labels in the same order as the full tree's, fewer
+        widths stepped through, and the restart rule still fires."""
         neighbors = undirected_relaxation(overlay)
         csr = CSRGraph.from_adjacency(overlay.routing_nodes(), neighbors)
         pools = [overlay.instances_of(sid) for sid in overlay.sids()]
@@ -170,6 +172,24 @@ class TestFilledOverlay:
         assert restarts >= 1
 
 
+def non_isotone_overlay():
+    """Where float addition is not strictly monotone: ``a < b`` yet
+    ``a + one == b + one``.  Returns the overlay, its nodes ``(s, t, u, v,
+    x)`` and ``(a, b, one)``."""
+    s, t, u, v, x = (ServiceInstance("N", i) for i in range(5))
+    a1, a2, one = 0.25, 0.05, 1.0
+    a = a1 + a2
+    b = math.nextafter(a, math.inf)
+    assert a < b and a + one == b + one
+    overlay = OverlayGraph()
+    overlay.add_link(s, u, PathQuality(10.0, b))
+    overlay.add_link(u, v, PathQuality(10.0, one))
+    overlay.add_link(s, x, PathQuality(10.0, a1))
+    overlay.add_link(x, u, PathQuality(5.0, a2))
+    overlay.add_link(v, t, PathQuality(5.0, one))
+    return overlay, (s, t, u, v, x), (a, b, one)
+
+
 class TestIncrementalPhaseTwo:
     """The carried-label pass against pure, where carrying is hardest."""
 
@@ -180,17 +200,7 @@ class TestIncrementalPhaseTwo:
         and one hop more.  Dijkstra on the width-5 subgraph knows only the
         detour, so ``v`` and ``t`` must take the longer path; a pass that
         kept ``v``'s carried label would be one hop short."""
-        s, t, u, v, x = (ServiceInstance("N", i) for i in range(5))
-        a1, a2, one = 0.25, 0.05, 1.0
-        a = a1 + a2
-        b = math.nextafter(a, math.inf)
-        assert a < b and a + one == b + one
-        overlay = OverlayGraph()
-        overlay.add_link(s, u, PathQuality(10.0, b))
-        overlay.add_link(u, v, PathQuality(10.0, one))
-        overlay.add_link(s, x, PathQuality(10.0, a1))
-        overlay.add_link(x, u, PathQuality(5.0, a2))
-        overlay.add_link(v, t, PathQuality(5.0, one))
+        overlay, (s, t, u, v, x), (a, b, one) = non_isotone_overlay()
         nodes = overlay.routing_nodes()
         assert_kernel_matches_pure(overlay, overlay.successors, nodes)
         csr = CSRGraph.from_adjacency(nodes, overlay.successors)
@@ -285,6 +295,80 @@ class TestTieBreaks:
         for order in (SHORTEST_WIDEST, WIDEST_SHORTEST):
             labels = batched_trees(csr, (a,), order=order)[0]
             assert labels[z].path == (a, m1, z), order
+
+
+class TestPrices:
+    """``batched_prices`` -- the pathless pass -- against the pure rows'
+    qualities, where the tree pass needs its restart rule and at the edges
+    of the contract."""
+
+    def test_parent_improves_but_child_compares_worse(self):
+        """The case that restarts the tree pass is a tie for a latency: the
+        carried labels are the prices, with nothing redone."""
+        overlay, (s, t, u, v, x), (a, b, one) = non_isotone_overlay()
+        nodes = overlay.routing_nodes()
+        assert assert_prices_match_pure(overlay.successors, nodes) > 0
+        csr = CSRGraph.from_adjacency(nodes, overlay.successors)
+        assert batched_trees(csr, (s,), targets=(v, t)).restarts == 1
+        assert batched_prices(csr, (s,), (v, t)) == [
+            {v: (10.0, b + one), t: (5.0, (a + one) + one)}
+        ]
+
+    def test_a_source_that_is_a_target(self):
+        """Priced at its own label's quality, ``IDEAL``; not priced when
+        it is not asked for, though a tree row always holds it."""
+        overlay, (s, t, *_), _ = non_isotone_overlay()
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        tree = batched_trees(csr, (s,), targets=(s, t))[0]
+        (row,) = batched_prices(csr, (s,), (s, t))
+        assert row == {
+            node: (label.quality.bandwidth, label.quality.latency)
+            for node, label in tree.items()
+        }
+        assert row[s] == (math.inf, 0.0)
+        assert batched_prices(csr, (s,), (t,))[0] == {t: row[t]}
+        assert batched_prices(csr, (s,), ()) == [{}]
+
+    def test_a_source_outside_the_snapshot(self):
+        """The kernel refuses it, as ``batched_trees`` does; the oracle
+        gives it its lone price (``tests/routing/test_oracle.py``)."""
+        overlay, (s, t, *_), _ = non_isotone_overlay()
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        with pytest.raises(KeyError):
+            batched_prices(csr, (s, ServiceInstance("Q", 0)), (t,))
+
+    def test_unreachable_targets_are_absent(self):
+        """A target behind unusable links only, an isolated one, a target
+        the snapshot does not know and one the source reaches only
+        against link direction get no price; a reachable one still does,
+        and under either phase 1."""
+        insts = [ServiceInstance("S", i) for i in range(6)]
+        a, b, c, d, e, f = insts
+        overlay = OverlayGraph()
+        overlay.add_link(a, b, PathQuality(10.0, 1.0))
+        overlay.add_link(b, c, PathQuality(0.0, 1.0))  # zero bandwidth
+        overlay.add_link(a, c, PathQuality(5.0, math.inf))  # infinite latency
+        overlay.add_link(c, d, PathQuality(8.0, 2.0))
+        overlay.add_link(a, e, PathQuality(3.0, 4.0))
+        overlay.add_link(e, d, PathQuality(3.0, 1.0))
+        overlay.add_instance(f)  # isolated
+        nodes = overlay.routing_nodes()
+        csr = CSRGraph.from_adjacency(nodes, overlay.successors)
+        assert csr.pair_widths() is None  # directed: the heap's phase 1
+        outsider = ServiceInstance("Q", 0)
+        asked = (b, c, d, f, outsider)
+        assert batched_prices(csr, (a, e), asked) == [
+            {b: (10.0, 1.0), d: (3.0, 5.0)},
+            {d: (3.0, 1.0)},
+        ]
+        undirected = undirected_relaxation(overlay)
+        csr = CSRGraph.from_adjacency(nodes, undirected)
+        assert csr.pair_widths() is not None  # symmetric: the Kruskal matrix
+        assert batched_prices(csr, (e,), asked) == [  # c, b backwards now
+            {b: (3.0, 5.0), c: (3.0, 3.0), d: (3.0, 1.0)},
+        ]
+        assert assert_prices_match_pure(overlay.successors, nodes) > 0
+        assert assert_prices_match_pure(undirected, nodes) > 0
 
 
 class TestCSRGraph:

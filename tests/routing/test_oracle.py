@@ -125,6 +125,42 @@ class TestLookups:
         assert len(oracle) == 0
 
 
+def assert_crossed_backwards_drops_the_tree(oracle):
+    """``a -> b -> c`` and a separate ``d -> e``, looked up through the
+    undirected view from ``b`` and ``d``, then each of a degradation and a
+    failure of link ``(a, b)``: ``b``'s tree is dropped and repaired to the
+    mutated graph's pure row, ``d``'s is carried."""
+    a, b, c, d, e = (ServiceInstance(sid, i) for i, sid in enumerate("ABCDE"))
+    overlay = OverlayGraph()
+    overlay.add_link(a, b, PathQuality(10.0, 1.0))
+    overlay.add_link(b, c, PathQuality(10.0, 1.0))
+    overlay.add_link(d, e, PathQuality(10.0, 1.0))
+
+    def lookup(graph, source):
+        return oracle.tree(
+            graph, source, view="undirected", neighbors=undirected_relaxation(graph)
+        )
+
+    assert lookup(overlay, b)[a].quality.bandwidth == 10.0
+    assert lookup(overlay, d)[e].quality.bandwidth == 10.0
+    for mutate, bandwidth in (
+        (lambda: degrade_links(overlay, [(a, b)], bandwidth_factor=0.1), 1.0),
+        (lambda: fail_links(overlay, [(a, b)]), None),
+    ):
+        oracle.reset_stats()
+        mutated = mutate()
+        stats = oracle.stats()
+        assert (stats.carried, stats.dropped) == (1, 1)
+        labels = lookup(mutated, b)
+        assert labels == shortest_widest_tree(undirected_relaxation(mutated), b)
+        if bandwidth is None:
+            assert a not in labels
+        else:
+            assert labels[a].quality.bandwidth == bandwidth
+        stats = oracle.stats()
+        assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 1)
+
+
 class TestMutations:
     """Stale trees are never served; invalidation is scoped."""
 
@@ -202,34 +238,17 @@ class TestMutations:
         """The undirected view walks link ``a -> b`` from ``b`` to ``a``:
         the label path names edge ``(b, a)``, the mutation names link
         ``(a, b)``, and the tree is touched all the same -- carried, it
-        kept reading bandwidth 10 over a degraded (or missing) link."""
-        a, b, c = (ServiceInstance(sid, i) for i, sid in enumerate("ABC"))
-        overlay = OverlayGraph()
-        overlay.add_link(a, b, PathQuality(10.0, 1.0))
-        overlay.add_link(b, c, PathQuality(10.0, 1.0))
-        oracle = RouteOracle.default()
+        kept reading bandwidth 10 over a degraded (or missing) link.  A
+        tree of another component, ``d``'s, is carried: the mutation walks
+        both arms."""
+        assert_crossed_backwards_drops_the_tree(RouteOracle.default())
 
-        def lookup(graph):
-            return oracle.tree(
-                graph, b, view="undirected", neighbors=undirected_relaxation(graph)
-            )
-
-        assert lookup(overlay)[a].quality.bandwidth == 10.0
-        for mutate, bandwidth in (
-            (lambda: degrade_links(overlay, [(a, b)], bandwidth_factor=0.1), 1.0),
-            (lambda: fail_links(overlay, [(a, b)]), None),
-        ):
-            oracle.reset_stats()
-            mutated = mutate()
-            labels = lookup(mutated)
-            assert labels == shortest_widest_tree(undirected_relaxation(mutated), b)
-            if bandwidth is None:
-                assert a not in labels
-            else:
-                assert labels[a].quality.bandwidth == bandwidth
-            stats = oracle.stats()
-            assert (stats.carried, stats.dropped) == (0, 1)
-            assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 1)
+    def test_a_one_way_touch_match_is_caught(self, monkeypatch):
+        """The test above fails a mutant that matches touched links in
+        their own direction only."""
+        monkeypatch.setattr(oracle_module, "_either_way", frozenset)
+        with pytest.raises(AssertionError):
+            assert_crossed_backwards_drops_the_tree(RouteOracle.default())
 
     def test_additive_mutation_cold_starts_the_graph(self):
         """A revive whose result is *not* a restriction of its reference --
@@ -668,6 +687,60 @@ class TestWarm:
         stats = oracle.stats()
         assert (stats.hits, stats.misses) == (len(sources) + 1, 0)
         assert stats.kernel_trees == len(instances)
+
+
+class TestPrices:
+    """``RouteOracle.prices``: the kernel's pathless pass on the view's
+    snapshot, cached nowhere."""
+
+    def test_prices_are_the_trees_qualities(self):
+        overlay = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
+        undirected = undirected_relaxation(overlay)
+        instances = list(overlay.instances())
+        targets = frozenset(instances[::3])
+        oracle = RouteOracle()
+        rows = oracle.prices(
+            overlay, instances, targets=targets, view="undirected", neighbors=undirected
+        )
+        for source, row in zip(instances, rows):
+            pure = shortest_widest_tree(undirected, source, targets=targets)
+            assert row == {
+                node: (label.quality.bandwidth, label.quality.latency)
+                for node, label in pure.items()
+                if node in targets
+            }, source
+
+    def test_prices_cache_nothing_and_build_one_snapshot(self, monkeypatch):
+        """No row is cached, no counter moves, and the view's snapshot is
+        built once -- and read by the trees of the same view after it."""
+        overlay = diamond_overlay()
+        built = []
+        real = kernel.snapshot
+        monkeypatch.setattr(
+            kernel, "snapshot", lambda *args: built.append(args) or real(*args)
+        )
+        oracle = RouteOracle()
+        a, b1, b2, c = overlay.instances()
+        for _ in range(2):
+            assert oracle.prices(overlay, (a, b1), targets=(b2, c)) == [
+                {b2: (20.0, 2.0), c: (20.0, 3.0)},
+                {c: (10.0, 1.0)},
+            ]
+        assert len(oracle) == 0
+        assert oracle.stats() == OracleStats()
+        oracle.tree(overlay, a)
+        assert len(built) == 1
+
+    def test_a_source_outside_the_snapshot_reaches_itself(self):
+        overlay = diamond_overlay()
+        a, _, _, c = overlay.instances()
+        outsider = ServiceInstance("Q", 0)
+        oracle = RouteOracle()
+        assert oracle.prices(overlay, (outsider, a), targets=(outsider, c)) == [
+            {outsider: (IDEAL.bandwidth, IDEAL.latency)},
+            {c: (20.0, 3.0)},
+        ]
+        assert oracle.prices(overlay, (outsider,), targets=(c,)) == [{}]
 
 
 class TestIncrementalRepair:
