@@ -144,6 +144,7 @@ class CSRGraph:
         "latency",
         "_usable_view",
         "_edge_rows",
+        "_price_rows",
         "_activation",
         "_activation_arrays",
         "_symmetric",
@@ -185,6 +186,7 @@ class CSRGraph:
             bandwidth[order].tolist(),
         )
         self._edge_rows: Optional[List[List[Tuple[int, float, float]]]] = None
+        self._price_rows: Optional[List[List[Tuple[float, int, float]]]] = None
         self._activation: Optional[_Activation] = None
         self._activation_arrays: "Any" = None  # the same order, as ndarrays
         self._symmetric: Optional[bool] = None  # not looked at yet
@@ -328,6 +330,22 @@ class CSRGraph:
             ends = _np.concatenate(([0], _np.cumsum(keep)))[indptr].tolist()
             rows = [edges[i:j] for i, j in zip(ends, ends[1:])]
             self._edge_rows = rows
+        return rows
+
+    def price_rows(self) -> List[List[Tuple[float, int, float]]]:
+        """The usable view row by row as ``(bandwidth, head, latency)``
+        tuples, bandwidth-descending: one unpack an edge for the drains of
+        :func:`_prices_csr`, which break out of a row at its first edge
+        below the threshold.  Built by the first price pass and paid for
+        by those alone, like :meth:`edge_rows`."""
+        rows = self._price_rows
+        if rows is None:
+            indptr, indices, elat, ebw = self._usable_view
+            rows = [
+                list(zip(ebw[i:j], indices[i:j], elat[i:j]))
+                for i, j in zip(indptr, indptr[1:])
+            ]
+            self._price_rows = rows
         return rows
 
     def activation_order(self) -> _Activation:
@@ -844,7 +862,9 @@ def _prices_csr(
     then only reached tails are activated), else the heap stopped at the
     targets.  Phase 2 steps down the targets' distinct widths, activates
     the newly qualifying edges from every labelled tail, and drains one
-    persistent heap up to the largest latency among the step's targets.
+    persistent heap up to the largest latency among the step's targets; a
+    popped node relaxes the prefix ``>= w`` of its
+    :meth:`CSRGraph.price_rows` row.
 
     It needs no restart rule.  A target's price latency is the minimum,
     over the paths of the threshold subgraph, of the left-to-right float
@@ -884,7 +904,8 @@ def _prices_csr(
         elif width[v] > 0.0:
             step[v] = width[v]
             by_width.setdefault(width[v], []).append(v)
-    indptr, indices, elat, ebw = csr.usable_view()
+    _, indices, elat, _ = csr.usable_view()
+    rows = csr.price_rows()
     lat = [_INF] * csr.n
     lat[src] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, src)]
@@ -908,11 +929,10 @@ def _prices_csr(
             ulat, u = heappop(heap)
             if ulat != lat[u]:
                 continue  # stale entry
-            for j in range(indptr[u], indptr[u + 1]):
-                if ebw[j] < w:
+            for b, v, l in rows[u]:
+                if b < w:
                     break  # rows are bandwidth-descending
-                v = indices[j]
-                clat = ulat + elat[j]
+                clat = ulat + l
                 if clat < lat[v]:
                     if lat[v] == _INF and step[v] == w:
                         unlabelled -= 1
