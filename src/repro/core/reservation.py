@@ -174,7 +174,7 @@ class ReservationManager:
                 capacity = link.metrics.bandwidth - self._consumed(key)
                 if capacity > 1e-12:
                     restored = PathQuality(capacity, link.metrics.latency)
-                    result.add_link(link.src, link.dst, restored, link.underlay_path)
+                    result.add_link(link.src, link.dst, restored)
         return result
 
     def _consumed(self, key: LinkKey) -> float:

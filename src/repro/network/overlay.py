@@ -6,7 +6,9 @@ Fig. 4 of the paper labels them ``SID/NID``.  A directed *service link*
 connects two instances when their services are **compatible** (the upstream
 service's output feeds the downstream service's input) and the underlay
 offers a path between their hosts; the link is weighted with the
-shortest-widest quality of that underlay path.
+widest-shortest quality of that underlay path -- the minimum latency, the
+widest bandwidth among the paths that reach it -- as plain IP routing
+forwards it.
 
 :class:`OverlayGraph` supports
 
@@ -37,7 +39,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -74,15 +75,14 @@ class ServiceInstance(NamedTuple):
 class ServiceLink:
     """A directed overlay edge between two compatible service instances.
 
-    ``metrics`` is the shortest-widest quality of the underlay path realising
-    the link; ``underlay_path`` records that path's hosts (may be empty when
-    the link was added manually with explicit metrics).
+    ``metrics`` is the widest-shortest quality of the underlay path
+    realising the link (:meth:`OverlayGraph.build`), or whatever a caller
+    gave :meth:`OverlayGraph.add_link`.
     """
 
     src: ServiceInstance
     dst: ServiceInstance
     metrics: LinkMetrics
-    underlay_path: Tuple[Nid, ...] = ()
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -157,14 +157,13 @@ class OverlayGraph:
         src: ServiceInstance,
         dst: ServiceInstance,
         metrics: LinkMetrics,
-        underlay_path: Sequence[Nid] = (),
     ) -> ServiceLink:
         """Add a directed service link (endpoints are auto-registered)."""
         self.add_instance(src)
         self.add_instance(dst)
         if dst in self._out[src]:
             raise ValueError(f"service link {src} -> {dst} already exists")
-        link = ServiceLink(src, dst, metrics, tuple(underlay_path))
+        link = ServiceLink(src, dst, metrics)
         self._out[src][dst] = link
         self._in[dst][src] = link
         self._memo.clear()
@@ -176,29 +175,24 @@ class OverlayGraph:
         underlay: Underlay,
         placement: Iterable[ServiceInstance],
         compatible: Callable[[Sid, Sid], bool],
-        *,
-        underlay_routing: str = "shortest",
     ) -> "OverlayGraph":
         """Derive the overlay from an underlay, a placement and compatibility.
 
         For every ordered pair of placed instances ``(a, b)`` with
         ``compatible(a.sid, b.sid)`` and a usable underlay path between their
-        hosts, a service link is added with the quality of that path.
-        Instances co-located on one host are connected with an ideal
-        zero-latency local link when compatible.
+        hosts, a service link is added with the widest-shortest quality of
+        that path: minimum latency, widest as tie-break -- the plain-IP
+        model, where the overlay has no say in the physical route.  A link
+        carries that ``(bandwidth, latency)`` pair alone; all
+        federation-level optimisation happens on top, at the overlay and
+        abstract level.  Instances co-located on one host are connected
+        with an ideal zero-latency local link when compatible.
 
         Args:
             underlay: the physical network.
             placement: the service instances to install (hosts must exist).
             compatible: directed predicate -- ``compatible(up, down)`` is True
                 when service ``up``'s output feeds service ``down``'s input.
-            underlay_routing: how the underlay forwards overlay traffic.
-                ``"shortest"`` (default) takes minimum-latency paths (widest
-                as tie-break) -- the plain-IP model, where the overlay has no
-                say in the physical route; ``"widest"`` takes shortest-widest
-                paths -- an idealised QoS-routed underlay.  The choice only
-                affects link *weights*; all federation-level optimisation
-                happens on top, at the overlay/abstract level.
         """
         overlay = cls()
         instances = sorted(set(placement))
@@ -206,24 +200,11 @@ class OverlayGraph:
             if not (0 <= inst.nid < underlay.n):
                 raise KeyError(f"instance {inst} placed on unknown host {inst.nid}")
             overlay.add_instance(inst)
-        # Per-host routing trees come from the process-wide oracle keyed on
-        # the underlay, so rebuilding an overlay (churn join, experiment
-        # re-runs) over an unchanged underlay reuses the trees.
-        from repro.routing.oracle import (
-            SHORTEST_WIDEST,
-            WIDEST_SHORTEST,
-            RouteOracle,
-        )
+        # Per-host prices come from the process-wide oracle keyed on the
+        # underlay, so rebuilding an overlay (churn join, experiment
+        # re-runs) over an unchanged underlay reuses the rows.
+        from repro.routing.oracle import WIDEST_SHORTEST, RouteOracle
 
-        if underlay_routing == "shortest":
-            order = WIDEST_SHORTEST
-        elif underlay_routing == "widest":
-            order = SHORTEST_WIDEST
-        else:
-            raise ValueError(
-                f"underlay_routing must be 'shortest' or 'widest', "
-                f"got {underlay_routing!r}"
-            )
         # The predicate speaks of services, so it is asked once per ordered
         # sid pair -- when the first instance pair of that kind comes up, so
         # never about a pair no two distinct instances make.
@@ -233,21 +214,18 @@ class OverlayGraph:
             for sid, pool in pools:
                 if pool != [a] and (a.sid, sid) not in feeds:
                     feeds[a.sid, sid] = compatible(a.sid, sid)
-        # Only a link reads an underlay row, and only at its fed end: one
-        # batched prefetch on one CSR snapshot of the underlay warms a row
-        # per host that feeds somebody, every row asked at the fed hosts
-        # (a sink-only host routes nothing); the lookups below then hit.
+        # Only a link reads an underlay price, and only at its fed end: one
+        # price pass on one CSR snapshot of the underlay prices each host
+        # that feeds somebody at the fed hosts (a sink-only host prices
+        # nothing).
         fed = {sid for (_, sid), yes in feeds.items() if yes}
         targets = frozenset(b.nid for sid in fed for b in overlay._by_sid[sid])
-        oracle = RouteOracle.default()
-        route: Dict[str, Any] = dict(
-            order=order, view="neighbors", neighbors=underlay.neighbors,
-            targets=targets,
-        )
         feeding = [a for a in instances if any(feeds.get((a.sid, sid)) for sid in fed)]
-        oracle.warm(underlay, (a.nid for a in feeding), **route)
-        for a in feeding:
-            labels = oracle.tree(underlay, a.nid, **route)
+        rows = RouteOracle.default().prices(
+            underlay, [a.nid for a in feeding], targets=targets,
+            order=WIDEST_SHORTEST, view="neighbors", neighbors=underlay.neighbors,
+        )
+        for a, row in zip(feeding, rows):
             for sid, pool in pools:
                 if pool == [a] or not feeds[a.sid, sid]:
                     continue
@@ -255,12 +233,11 @@ class OverlayGraph:
                     if a == b:
                         continue
                     if a.nid == b.nid:
-                        overlay.add_link(a, b, PathQuality(float("inf"), 0.0), (a.nid,))
+                        overlay.add_link(a, b, PathQuality(float("inf"), 0.0))
                         continue
-                    label = labels.get(b.nid)
-                    if label is None or not label.quality.reachable:
-                        continue
-                    overlay.add_link(a, b, label.quality, label.path)
+                    price = row.get(b.nid)
+                    if price is not None:  # every priced path is usable
+                        overlay.add_link(a, b, PathQuality(*price))
         return overlay
 
     # -- queries -----------------------------------------------------------
@@ -538,7 +515,7 @@ class OverlayGraph:
         for inst in other.instances():
             for link in other.out_links(inst):
                 if merged.link(link.src, link.dst) is None:
-                    merged.add_link(link.src, link.dst, link.metrics, link.underlay_path)
+                    merged.add_link(link.src, link.dst, link.metrics)
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -3,9 +3,9 @@
 * :mod:`repro.routing.wang_crowcroft` -- the Wang-Crowcroft orders and the
   route label every tree is made of.
 * :mod:`repro.routing.kernel` -- the one implementation of those trees:
-  batched shortest-widest and widest-shortest builds over flattened numpy
-  adjacency snapshots, held label for label to the pure reference in
-  ``tests/oracles/wang_crowcroft.py``.
+  batched shortest-widest builds, and pathless prices in either order,
+  over flattened numpy adjacency snapshots, held label for label and price
+  for price to the pure reference in ``tests/oracles/wang_crowcroft.py``.
 * :mod:`repro.routing.oracle` -- the process-wide cache of per-source
   routing trees, one state per graph object, that amortises the kernel's
   cost across requests, probes, repairs and algorithms.

@@ -12,8 +12,7 @@ visit) and hashing of rich node objects.
 This module instead flattens one adjacency view into a **CSR snapshot**
 (:class:`CSRGraph`): ``indptr``/``indices``/``bandwidth``/``latency``
 numpy arrays plus a stable node-interning table, and runs the exact
-two-phase shortest-widest scheme (and the single-pass widest-shortest
-dual) against primitive arrays:
+two-phase shortest-widest scheme against primitive arrays:
 
 * per-source Dijkstras still use a binary heap, but heap entries are
   plain ``(float, int, int)`` tuples over interned node indices;
@@ -31,20 +30,23 @@ dual) against primitive arrays:
   that keeps it exact under float addition);
 * a caller that reads a row only at some ``targets`` says so, and the
   tree steps through the *targets'* widths alone (``batched_trees``);
-* a caller that reads only the ``(bandwidth, latency)`` of pairs -- the
-  serialized-chain control -- asks :func:`batched_prices`, the same
-  targeted walk on latencies alone: no hop count, path or label, and no
-  restart rule (:func:`_prices_csr` has the argument);
+* a caller that reads only the ``(bandwidth, latency)`` of
+  shortest-widest pairs -- the serialized-chain control -- asks
+  :func:`batched_prices`, the same targeted walk on latencies alone: no
+  hop count, path or label, and no restart rule (:func:`_prices_csr` has
+  the argument);
 * phase 1 of a bandwidth-symmetric snapshot is one Kruskal pass for
   every source at once (:meth:`CSRGraph.pair_widths`);
 * when phase 1 ran to the end, the activation walk visits only the edges
   whose tail the source reaches (:meth:`CSRGraph.reached_activation`): an
   unreached tail is never labelled, so the relaxations are the same;
-* a widest-shortest tree walks its rows as ``(head, latency, bandwidth)``
-  tuples, less the edges a two-hop detour beats by more than float error
-  (:meth:`CSRGraph.edge_rows`), and a label records its *parent*,
-  not its path -- exact because only a settled node extends a label;
-  paths are written once, after the sweep (:func:`_widest_shortest_csr`).
+* a caller that reads only the ``(bandwidth, latency)`` of widest-shortest
+  pairs -- the overlay build, pricing its underlay -- asks
+  :func:`batched_prices` for that order: one Dijkstra on ``(latency,
+  -bandwidth)`` over ``(head, latency, bandwidth)`` row tuples, less the
+  edges a two-hop detour beats by more than float error
+  (:meth:`CSRGraph.edge_rows`), stopped once its targets are settled
+  (:func:`_widest_shortest_prices` has the argument).
 
 **Exactness contract.**  :func:`batched_trees` is bit-identical to the
 pure per-source reference, the textbook two-phase Dijkstras kept with the
@@ -68,13 +70,15 @@ that possible without replicating heap insertion order:
    undefined, and no graph of the package has such nodes).
 
 Float arithmetic is identical because a path's latency accumulates
-left-to-right along the same edges in both implementations.
+left-to-right along the same edges in both implementations.  Each
+:func:`batched_prices` pair is the very floats of the reference label's
+quality, in either order.
 
 ``numpy`` is a declared dependency of the package and is used for the
 snapshot's array layout only; the kernel draws no random numbers (a
 packaging test keeps ambient numpy RNG use out of the package).
 
-Property-tested label-for-label against the reference in
+Property-tested label-for-label and price-for-price against the reference in
 ``tests/routing/test_kernel.py`` and ``tests/fuzz/test_kernel_rows.py``
 over seeded Waxman/ER/BA underlays, filled overlays (directed and
 undirected), tie-heavy random digraphs and a hand-built case where float
@@ -89,7 +93,6 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -304,12 +307,12 @@ class CSRGraph:
         latencies, which bounds every label's.  That margin outweighs the
         rounding of both sums, so from every source the edge offers ``v`` a
         latency strictly above the detour's: it is never tight and never
-        ties, and every widest-shortest label, hop count and tie-broken path
-        is the full graph's (``docs/performance.md``, "Reach and
-        dominance").  Only widest-shortest trees read these rows.
+        ties, and every widest-shortest price is the full graph's
+        (``docs/performance.md``, "Reach and dominance").  Only
+        widest-shortest prices read these rows.
 
-        Built by the first widest-shortest tree and paid for by those alone
-        -- the mirror image of :meth:`activation_order` (a concurrent
+        Built by the first widest-shortest price pass and paid for by those
+        alone -- the mirror image of :meth:`activation_order` (a concurrent
         duplicate build is as harmless as there).
         """
         rows = self._edge_rows
@@ -351,9 +354,10 @@ class CSRGraph:
     def activation_order(self) -> _Activation:
         """The usable edges, bandwidth-descending across all rows.
 
-        Built by the first shortest-widest tree, so a snapshot that only
-        serves widest-shortest ones (the underlay's) never pays for it; a
-        concurrent duplicate build is harmless (same result, one store).
+        Built by the first shortest-widest tree or price pass, so a snapshot
+        that only serves widest-shortest prices (the underlay's) never pays
+        for it; a concurrent duplicate build is harmless (same result, one
+        store).
         """
         order = self._activation
         if order is None:
@@ -473,35 +477,23 @@ class _Scratch:
 
     Validity is generation-stamped (``mark[v] == gen`` -> the slot holds
     this generation's label) so a new tree costs one integer bump instead
-    of reallocating the n-sized lists.  ``sgen`` stamps the settled nodes
-    of a widest-shortest pass and the *queued* ones of a shortest-widest
-    pass.  A shortest-widest label carries its path as a tuple of interned
-    indices in ``paths`` and the edge slot it came in by in ``via``; a
-    widest-shortest one carries only its parent in ``parent``, and
-    ``paths`` receives the *node* paths when the tree is materialised.
-    One instance per :func:`batched_trees` call -- never shared across
-    threads.
+    of reallocating the n-sized lists.  ``sgen`` stamps the *queued*
+    nodes.  A label carries its path as a tuple of interned indices in
+    ``paths`` and the edge slot it came in by in ``via``.  One instance
+    per :func:`batched_trees` call -- never shared across threads.
     """
 
-    __slots__ = (
-        "lat", "bw", "hops", "paths", "via", "parent", "mark", "sgen", "gen", "batch",
-    )
+    __slots__ = ("lat", "hops", "paths", "via", "mark", "sgen", "gen", "batch")
 
     def __init__(self, n: int, batch: TreeBatch) -> None:
         self.lat: List[float] = [_INF] * n
-        self.bw: List[float] = [0.0] * n
         self.hops: List[int] = [0] * n
-        self.paths: List[Tuple[Any, ...]] = [()] * n
+        self.paths: List[Tuple[int, ...]] = [()] * n
         self.via: List[int] = [-1] * n
-        self.parent: List[int] = [-1] * n
         self.mark: List[int] = [0] * n  # label-validity stamp
-        self.sgen: List[int] = [0] * n  # settled / queued stamp
+        self.sgen: List[int] = [0] * n  # queued stamp
         self.gen = 0
         self.batch = batch
-
-    def next_gen(self) -> int:
-        self.gen += 1
-        return self.gen
 
     def seed(self, src: int) -> int:
         """A new generation in which only ``src`` is labelled and queued."""
@@ -509,7 +501,8 @@ class _Scratch:
         self.hops[src] = 0
         self.paths[src] = (src,)
         self.via[src] = -1
-        self.mark[src] = self.sgen[src] = self.next_gen()
+        self.gen += 1
+        self.mark[src] = self.sgen[src] = self.gen
         return self.gen
 
 
@@ -520,30 +513,24 @@ def batched_trees(
     order: str = SHORTEST_WIDEST,
     targets: Optional[Iterable[Node]] = None,
 ) -> TreeBatch:
-    """Routing trees for many sources against one CSR snapshot.
+    """Shortest-widest routing trees for many sources against one CSR
+    snapshot.
 
     Returns one label dict per source (same order as ``sources``),
     bit-identical to the per-source reference.  Sources missing from the
     snapshot raise ``KeyError`` (the oracle gives such a source its lone
-    row without asking).
+    row without asking).  ``order`` admits :data:`SHORTEST_WIDEST` alone
+    (anything else raises ``ValueError``): a widest-shortest caller reads
+    prices, not routes (:func:`batched_prices`).
 
     With ``targets`` a row holds its source plus the reachable targets,
     every label equal to the full tree's; a target the snapshot does not
-    know is simply absent.  A shortest-widest tree then does only the work
-    its targets need (:func:`_shortest_widest_csr`); a widest-shortest one
-    stays a full Dijkstra, over rows without their dominated edges
-    (:meth:`CSRGraph.edge_rows`), that materialises fewer labels.  What was tried
-    here, measured and dropped -- latency pruning of widest-shortest rows,
-    row tuples in the shortest-widest loops, ``RouteLabel`` as a
+    know is simply absent.  The tree then does only the work its targets
+    need (:func:`_shortest_widest_csr`).  What was tried here, measured and
+    dropped -- row tuples in the shortest-widest loops, ``RouteLabel`` as a
     ``NamedTuple`` -- is recorded in ``docs/performance.md``.
     """
-    if order == SHORTEST_WIDEST:
-        builder: Callable[
-            [CSRGraph, int, _Scratch, Optional[List[int]]], Dict[Node, RouteLabel]
-        ] = _shortest_widest_csr
-    elif order == WIDEST_SHORTEST:
-        builder = _widest_shortest_csr
-    else:
+    if order != SHORTEST_WIDEST:
         raise ValueError(f"unknown tree order {order!r}")
     index = csr.index
     wanted: Optional[List[int]] = None
@@ -552,7 +539,7 @@ def batched_trees(
     out = TreeBatch()
     scratch = _Scratch(csr.n, out)
     for source in sources:
-        out.append(builder(csr, index[source], scratch, wanted))
+        out.append(_shortest_widest_csr(csr, index[source], scratch, wanted))
     return out
 
 
@@ -587,9 +574,8 @@ def _shortest_widest_csr(
     steps to be consecutive -- activation merges the skipped ones, the
     bound is over this step's target members -- so labels are unchanged.
 
-    Labels here keep their **path tuples**; the parent slots of
-    :func:`_widest_shortest_csr` would be wrong.  This pass is
-    label-correcting: a labelled node can improve in *path only* (same
+    Labels here keep their **path tuples**, not parent slots.  This pass
+    is label-correcting: a labelled node can improve in *path only* (same
     latency and hops, smaller path) after its children were derived from
     it, and such children are never re-queued -- a chain of parents would
     silently change under them, a tuple cannot.
@@ -747,110 +733,38 @@ def _widest_widths(
     return width
 
 
-def _widest_shortest_csr(
-    csr: CSRGraph, src: int, scratch: _Scratch, wanted: Optional[List[int]]
-) -> Dict[Node, RouteLabel]:
-    """Single-pass widest-shortest Dijkstra on interned arrays.
-
-    The sort key is ``(latency, -bandwidth)``, ties break on hops then
-    smallest path.  Latency is primary, so one label per node is exact.
-    ``wanted`` restricts the labels returned, not the sweep (see
-    :func:`batched_trees`).
-
-    A label records its **parent**, not its path.  That is exact here
-    because a label is only ever extended from a *settled* node, whose
-    chain of parents is final: the smallest-path tie-break walks the two
-    chains (equal hops, so equal length) back to where they meet, and the
-    last difference seen is the first one from the source.  Paths are
-    written once per settled node, parents first.
-    """
-    rows = csr.edge_rows()
-    nodes = csr.nodes
-    g = scratch.next_gen()
-    lat, bw, hops, parent = scratch.lat, scratch.bw, scratch.hops, scratch.parent
-    mark, sgen = scratch.mark, scratch.sgen
-    lat[src] = 0.0
-    bw[src] = _INF
-    hops[src] = 0
-    mark[src] = g
-    reached: List[int] = [src]
-    settled: List[int] = []
-    heap: List[Tuple[float, float, int, int]] = [(0.0, -_INF, 0, src)]
-    while heap:
-        ulat, uneg_bw, uhops, u = heappop(heap)
-        if sgen[u] == g:
-            continue
-        if ulat != lat[u] or -uneg_bw != bw[u] or uhops != hops[u]:
-            continue  # stale
-        sgen[u] = g
-        settled.append(u)
-        ubw = bw[u]
-        chops = uhops + 1
-        for v, l, b in rows[u]:
-            clat = ulat + l
-            if mark[v] == g:
-                # better(): key (latency, -bandwidth), then hops, then
-                # smallest path.  A settled v has lat[v] <= ulat <= clat,
-                # so only a latency tie needs the settled test.
-                vlat = lat[v]
-                if clat > vlat or sgen[v] == g:
-                    continue
-                cbw = ubw if ubw < b else b
-                if clat == vlat:
-                    vbw = bw[v]
-                    if cbw != vbw:
-                        if cbw < vbw:
-                            continue
-                    elif chops != hops[v]:
-                        if chops > hops[v]:
-                            continue
-                    else:
-                        i, j, smaller = u, parent[v], False
-                        while i != j:
-                            smaller = i < j
-                            i, j = parent[i], parent[j]
-                        if not smaller:
-                            continue
-            else:
-                mark[v] = g
-                reached.append(v)
-                cbw = ubw if ubw < b else b
-            lat[v] = clat
-            bw[v] = cbw
-            hops[v] = chops
-            parent[v] = u
-            heappush(heap, (clat, -cbw, chops, v))
-    paths = scratch.paths
-    paths[src] = (nodes[src],)
-    for v in settled[1:]:  # every reached node, parents first
-        paths[v] = paths[parent[v]] + (nodes[v],)
-    if wanted is not None:
-        reached = [src, *(v for v in wanted if v != src and mark[v] == g)]
-    labels: Dict[Node, RouteLabel] = {nodes[src]: RouteLabel(IDEAL, 0, paths[src])}
-    for v in reached[1:]:
-        labels[nodes[v]] = RouteLabel(PathQuality(bw[v], lat[v]), hops[v], paths[v])
-    return labels
-
-
 # -- prices without routes -----------------------------------------------------
 
 
 def batched_prices(
-    csr: CSRGraph, sources: Sequence[Node], targets: Iterable[Node]
+    csr: CSRGraph,
+    sources: Sequence[Node],
+    targets: Iterable[Node],
+    *,
+    order: str = SHORTEST_WIDEST,
 ) -> List[Dict[Node, Tuple[float, float]]]:
-    """The shortest-widest *prices* of many sources at some targets.
+    """The *prices* of many sources at some targets, in ``order``.
 
     Returns, per source (same order as ``sources``), ``{target:
     (bandwidth, latency)}`` for every target the source reaches -- the
     source itself at ``(inf, 0.0)`` when it is a target -- each pair the
-    very floats of the :func:`batched_trees` label's quality.  No hop
-    count, path or :class:`RouteLabel` is built.  Sources missing from the
-    snapshot raise ``KeyError``; a target the snapshot does not know is
-    simply absent.  Phase 2 is :func:`_prices_csr`.
+    very floats of the quality of the reference tree's label in that
+    order.  No hop count, path or :class:`RouteLabel` is built.  Sources
+    missing from the snapshot raise ``KeyError``; a target the snapshot
+    does not know is simply absent.  A shortest-widest pass is
+    :func:`_prices_csr`, a widest-shortest one
+    :func:`_widest_shortest_prices`; any other order raises
+    ``ValueError``.
     """
+    if order == SHORTEST_WIDEST:
+        walk = _prices_csr
+    elif order == WIDEST_SHORTEST:
+        walk = _widest_shortest_prices
+    else:
+        raise ValueError(f"unknown price order {order!r}")
     index = csr.index
     wanted = sorted({index[t] for t in targets if t in index})
-    return [_prices_csr(csr, index[source], wanted) for source in sources]
+    return [walk(csr, index[source], wanted) for source in sources]
 
 
 def _prices_csr(
@@ -946,3 +860,58 @@ def _prices_csr(
                 )
             prices[nodes[v]] = (w, lat[v])
     return prices
+
+
+def _widest_shortest_prices(
+    csr: CSRGraph, src: int, wanted: List[int]
+) -> Dict[Node, Tuple[float, float]]:
+    """One Dijkstra on ``(latency, -bandwidth)`` over
+    :meth:`CSRGraph.edge_rows`, stopped once every target is settled.
+
+    The reference's widest-shortest tree sorts on ``(latency, -bandwidth,
+    hops, path)``; this pass keeps the first two keys and drops the rest,
+    and still settles every node at its label's quality.  An extension
+    never ranks a label above its origin's (``a <= a + l`` in floats, and
+    ``min`` never widens), so both passes settle in non-decreasing key
+    order, and each ends with every node at the best ``(latency,
+    -bandwidth)`` offer over its in-edges: a node settled earlier made its
+    offer, one settled later ranks no better than the node.  Two such
+    solutions are one.  Where they differ, take the best differing value,
+    say ``x[v]`` better than ``y[v]``, where ``x``'s label of ``v`` extends
+    a chain of settled parents back to the source.  Every node on that
+    chain has ``x`` no worse than ``x[v]``, so ``y`` there equals ``x`` or
+    ranks worse; at the first node where it ranks worse, the parent agrees
+    and offers ``x``'s value, so ``y`` is not the best offer.  The order
+    is *not* isotone in floats (``a < b`` yet ``a + l == b + l``, and the
+    wider of two tied extensions comes from the worse origin), which is
+    why the argument runs along settled parents, not along paths: the
+    price is the tree label's quality, not the best path's.
+    """
+    rows = csr.edge_rows()
+    lat = [_INF] * csr.n
+    bw = [0.0] * csr.n
+    settled = bytearray(csr.n)
+    lat[src] = 0.0
+    bw[src] = _INF
+    remaining = set(wanted)
+    heap: List[Tuple[float, float, int]] = [(0.0, -_INF, src)]
+    while heap and remaining:
+        ulat, _, u = heappop(heap)
+        if settled[u]:
+            continue  # the first entry popped is the node's final label
+        settled[u] = 1
+        remaining.discard(u)
+        ubw = bw[u]
+        for v, l, b in rows[u]:
+            clat = ulat + l
+            vlat = lat[v]
+            if clat > vlat:
+                continue
+            cbw = ubw if ubw < b else b
+            if clat == vlat and cbw <= bw[v]:
+                continue
+            lat[v] = clat
+            bw[v] = cbw
+            heappush(heap, (clat, -cbw, v))
+    nodes = csr.nodes
+    return {nodes[v]: (bw[v], lat[v]) for v in wanted if settled[v]}

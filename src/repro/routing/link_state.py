@@ -124,7 +124,7 @@ class _LinkStateNode:
         for origin in sorted(self.known):
             for link in self.known[origin].links:
                 if link.dst in self.known:
-                    view.add_link(link.src, link.dst, link.metrics, link.underlay_path)
+                    view.add_link(link.src, link.dst, link.metrics)
         return view
 
 

@@ -10,19 +10,20 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   the oracle has seen (the failure models are pure and return a new
   graph, and ``tests/fuzz/test_mutation_chains.py`` checks every derived
   graph's trees against the pure rows).  So the oracle holds one state per
-  graph object -- its trees keyed ``(view, order, source)``, the repairs
-  pending under the same key, one CSR snapshot per view -- and a tree of
-  one graph is unreachable from any other.  Snapshots derive as trees do:
+  graph object -- its trees keyed ``(view, source)``, the repairs pending
+  under the same key, its price rows keyed ``(view, order, source)``, one
+  CSR snapshot per view -- and a row of one graph is unreachable from any
+  other.  Snapshots derive as trees do:
   a graph :meth:`~RouteOracle.derive` made from one that holds its
   ``"successors"`` snapshot builds its own from that snapshot's arrays
   (removed instances dropped, touched links re-read from the new graph)
   instead of walking itself; the same test checks every such snapshot
   against a fresh one, array for array.  ``view`` distinguishes
   adjacency views of the same graph (e.g. the directed overlay vs. its
-  undirected relaxation, which walks links backwards); ``order`` selects
-  shortest-widest or widest-shortest trees.  The serialized-chain control
-  prices the undirected view (:meth:`~RouteOracle.prices`): it shares the
-  view's snapshot and caches no row.
+  undirected relaxation, which walks links backwards).  Every tree is
+  shortest-widest.  A price (:meth:`~RouteOracle.prices`) is either order:
+  the overlay build prices the underlay widest-shortest, the
+  serialized-chain control the overlay's undirected view shortest-widest.
 
 * **Scoped invalidation.**  The failure models
   (:func:`repro.network.failures.degrade_links` and friends) return a
@@ -50,13 +51,14 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   no state because nothing gave it any.
 
 * **Coverage.**  A caller that reads a row only at some destinations
-  passes ``targets``; the row holds those labels alone and remembers what
-  it covers.  A row never answers for a destination outside its coverage
-  -- not through ``tree``, ``warm``, carry-forward or repair: such a
-  lookup is a miss and computes what is asked *now*.
+  passes ``targets``; the row holds those labels (or prices) alone and
+  remembers what it covers.  A row never answers for a destination outside
+  its coverage -- not through ``tree``, ``warm``, ``prices``,
+  carry-forward or repair: such a lookup is a miss and computes what is
+  asked *now*.
 
 * **Lifetime.**  States sit in a ``WeakKeyDictionary``: a graph's trees,
-  pending repairs and snapshots go when the graph does, so long-running
+  pending repairs, price rows and snapshots go when the graph does, so long-running
   campaigns cannot leak memory through dead overlays, and no finalizer
   runs oracle code.  A snapshot still to derive holds its ancestor's
   immutable snapshot, never the ancestor graph, and lets go of it once
@@ -67,9 +69,10 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   comes from one :func:`repro.routing.kernel.batched_trees` call on the
   CSR snapshot of that graph's view.  The one exception is a source
   outside the snapshot's universe, whose row is itself alone.  A price
-  is not a label: :meth:`~RouteOracle.prices` is one
-  :func:`~repro.routing.kernel.batched_prices` pass, and no tree is ever
-  built from one.
+  is not a label: :meth:`~RouteOracle.prices` computes its missing rows in
+  one :func:`~repro.routing.kernel.batched_prices` pass, and no tree is
+  ever built from one.  :meth:`~RouteOracle.derive` carries no price row;
+  the derived graph prices afresh.
 
 Correctness contract: the oracle never changes results, only cost.  A
 cache hit returns exactly the labels a fresh kernel batch computes on the
@@ -107,8 +110,12 @@ from repro.routing import kernel as _kernel
 from repro.routing.kernel import SHORTEST_WIDEST, WIDEST_SHORTEST
 from repro.routing.wang_crowcroft import NeighborFn, Node, RouteLabel
 
-#: ``(view, order, source)`` -- a tree's key inside one graph's state.
-_TreeKey = Tuple[str, str, Hashable]
+#: ``(view, source)`` -- a tree's key inside one graph's state.
+_TreeKey = Tuple[str, Hashable]
+#: ``(view, order, source)`` -- a price row's key inside one graph's state.
+_PriceKey = Tuple[str, str, Hashable]
+#: One source's prices, ``{target: (bandwidth, latency)}``.
+_Prices = Dict[Node, Tuple[float, float]]
 #: What a row covers, or a lookup asks for: ``None`` is every destination.
 _Targets = Optional[FrozenSet[Node]]
 
@@ -137,12 +144,6 @@ class OracleStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when no lookups)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-def _check_order(order: str) -> None:
-    """Refuse an order the kernel cannot build -- on hits too."""
-    if order not in (SHORTEST_WIDEST, WIDEST_SHORTEST):
-        raise ValueError(f"unknown tree order {order!r}")
 
 
 def _covers(covered: _Targets, asked: _Targets) -> bool:
@@ -274,13 +275,15 @@ class _GraphState:
     whole tree sets reachable.
     """
 
-    __slots__ = ("trees", "repairs", "snapshots", "derivation")
+    __slots__ = ("trees", "repairs", "prices", "snapshots", "derivation")
 
     def __init__(self) -> None:
         self.trees: Dict[_TreeKey, _Entry] = {}
         #: Trees dropped by scoped invalidation, kept for targeted repair
         #: at their first lookup on this graph.
         self.repairs: Dict[_TreeKey, _PendingRepair] = {}
+        #: Price rows, each with the targets it covers.
+        self.prices: Dict[_PriceKey, Tuple[_Prices, FrozenSet[Node]]] = {}
         self.snapshots: Dict[str, _kernel.CSRGraph] = {}
         #: How to derive the ``"successors"`` snapshot, until it is built.
         self.derivation: Optional[_PendingSnapshot] = None
@@ -391,18 +394,17 @@ class RouteOracle:
         graph: Any,
         source: Node,
         *,
-        order: str = SHORTEST_WIDEST,
         view: str = "successors",
         neighbors: Optional[NeighborFn] = None,
         targets: _Targets = None,
     ) -> Dict[Node, RouteLabel]:
-        """The single-source routing tree for ``source`` on ``graph``.
+        """The single-source shortest-widest routing tree for ``source`` on
+        ``graph``.
 
         Args:
             graph: any object whose topology the trees describe; used only
                 as the cache identity (weakly referenced).
             source: tree root.
-            order: :data:`SHORTEST_WIDEST` or :data:`WIDEST_SHORTEST`.
             view: distinguishes multiple adjacency views of one graph; the
                 same ``view`` string must always denote the same adjacency.
             neighbors: adjacency function; defaults to ``graph.successors``
@@ -414,8 +416,7 @@ class RouteOracle:
         Returns the kernel's label dict.  **Treat it as immutable** -- it is
         shared across callers.
         """
-        _check_order(order)
-        key = (view, order, source)
+        key = (view, source)
         with self._lock:
             state = self._state_for(graph)
             entry = state.trees.get(key)
@@ -426,7 +427,7 @@ class RouteOracle:
                 return entry.labels
             self._counters["misses"].inc()
             pending = state.repairs.pop(key, None)
-        rows = functools.partial(self._rows, graph, state, view, neighbors, order)
+        rows = functools.partial(self._rows, graph, state, view, neighbors)
         labels: Optional[Dict[Node, RouteLabel]] = None
         covers = targets
         # A parked row that does not cover the ask is dropped, not widened.
@@ -446,7 +447,6 @@ class RouteOracle:
         graph: Any,
         sources: Iterable[Node],
         *,
-        order: str = SHORTEST_WIDEST,
         view: str = "successors",
         neighbors: Optional[NeighborFn] = None,
         targets: _Targets = None,
@@ -465,7 +465,6 @@ class RouteOracle:
         Returns the number of trees actually computed (0 when everything
         was already cached).  Results are bit-identical to :meth:`tree`.
         """
-        _check_order(order)
         with self._lock:
             state = self._state_for(graph)
             missing: list = []
@@ -474,7 +473,7 @@ class RouteOracle:
                 if source in seen:
                     continue
                 seen.add(source)
-                key = (view, order, source)
+                key = (view, source)
                 # Sources with a pending repair are cheaper to repair at
                 # their first tree() lookup than to recompute here.
                 held = state.trees.get(key) or state.repairs.get(key)
@@ -483,12 +482,12 @@ class RouteOracle:
                 missing.append(source)
         if not missing:
             return 0
-        trees = self._rows(graph, state, view, neighbors, order, missing, targets)
+        trees = self._rows(graph, state, view, neighbors, missing, targets)
         with self._lock:
             if self._graphs.get(graph) is not state:
                 return 0  # state replaced mid-computation; trees are stale
             for source, labels in zip(missing, trees):
-                key = (view, order, source)
+                key = (view, source)
                 state.trees[key] = _Entry(labels, targets)
                 state.repairs.pop(key, None)  # parked, but covered too little
             self._counters["warmed"].inc(len(missing))
@@ -500,32 +499,50 @@ class RouteOracle:
         sources: Sequence[Node],
         *,
         targets: Collection[Node],
+        order: str = SHORTEST_WIDEST,
         view: str = "successors",
         neighbors: Optional[NeighborFn] = None,
-    ) -> List[Dict[Node, Tuple[float, float]]]:
-        """The shortest-widest prices of ``sources`` at ``targets``: per
-        source, ``{target: (bandwidth, latency)}`` for every target it
-        reaches, the floats of the label :meth:`tree` would return there.
+    ) -> List[_Prices]:
+        """The prices of ``sources`` at ``targets``: per source, ``{target:
+        (bandwidth, latency)}`` for every target it reaches, the floats of
+        the quality of the reference tree's label in ``order``
+        (:data:`SHORTEST_WIDEST`, the label :meth:`tree` returns, or
+        :data:`WIDEST_SHORTEST`).
 
-        One :func:`repro.routing.kernel.batched_prices` pass on the view's
+        Rows are cached in the graph's state under ``(view, order,
+        source)`` and answer a later ask they cover, as trees do (read at
+        the asked targets alone); the sources without one are priced in one
+        :func:`repro.routing.kernel.batched_prices` pass on the view's
         snapshot, which is built at most once per graph state as for the
-        trees.  Nothing is cached and no counter moves: a price has no
-        path, so there is no row to carry, repair or hit later.  A source
-        outside the snapshot's universe reaches only itself.
+        trees.  No counter moves.  A price has no path, so :meth:`derive`
+        carries no price row: the derived graph starts without one.  A
+        source outside the snapshot's universe reaches only itself.
         """
+        asked = frozenset(targets)
         with self._lock:
             state = self._state_for(graph)
-        csr = self._snapshot_for(graph, state, view, neighbors)
-        index = csr.index
-        computed = iter(
-            _kernel.batched_prices(
-                csr, [source for source in sources if source in index], targets
+            held = {source: state.prices.get((view, order, source)) for source in sources}
+        missing = [
+            source for source, row in held.items() if row is None or not asked <= row[1]
+        ]
+        if missing:
+            csr = self._snapshot_for(graph, state, view, neighbors)
+            index = csr.index
+            computed = iter(
+                _kernel.batched_prices(
+                    csr, [source for source in missing if source in index], asked,
+                    order=order,
+                )
             )
-        )
+            with self._lock:
+                for source in missing:
+                    row = next(computed) if source in index else (
+                        {source: (IDEAL.bandwidth, IDEAL.latency)} if source in asked else {}
+                    )
+                    held[source] = state.prices[view, order, source] = (row, asked)
         return [
-            next(computed) if source in index
-            else ({source: (IDEAL.bandwidth, IDEAL.latency)} if source in targets else {})
-            for source in sources
+            row if covers == asked else {t: p for t, p in row.items() if t in asked}
+            for row, covers in (held[source] for source in sources)
         ]
 
     # -- mutation protocol -------------------------------------------------
@@ -588,7 +605,7 @@ class RouteOracle:
                 new_state.repairs[key] = pending.merged(touched_nodes, touched_edges)
 
     def invalidate(self, graph: Any) -> None:
-        """Drop every cached tree for ``graph`` (all views, all orders)."""
+        """Drop every cached tree and price row for ``graph``."""
         with self._lock:
             state = self._graphs.pop(graph, None)
             if state is not None and state.trees:
@@ -623,7 +640,7 @@ class RouteOracle:
             state = self._graphs.get(graph)
             if state is None:
                 return set()
-            return {key[2] for key in state.trees if key[0] == view}
+            return {key[1] for key in state.trees if key[0] == view}
 
     def __len__(self) -> int:
         with self._lock:
@@ -643,7 +660,6 @@ class RouteOracle:
         state: _GraphState,
         view: str,
         neighbors: Optional[NeighborFn],
-        order: str,
         sources: Sequence[Node],
         targets: Optional[Iterable[Node]],
     ) -> List[Dict[Node, RouteLabel]]:
@@ -652,12 +668,11 @@ class RouteOracle:
         snapshot's universe reaches nothing: its row is itself alone."""
         csr = self._snapshot_for(graph, state, view, neighbors)
         inside = [source for source in sources if source in csr.index]
-        batch = _kernel.batched_trees(csr, inside, order=order, targets=targets)
-        if order == SHORTEST_WIDEST:
-            with self._lock:
-                self._counters["kernel_trees"].inc(len(batch))
-                self._counters["kernel_thresholds"].inc(batch.thresholds)
-                self._counters["kernel_restarts"].inc(batch.restarts)
+        batch = _kernel.batched_trees(csr, inside, targets=targets)
+        with self._lock:
+            self._counters["kernel_trees"].inc(len(batch))
+            self._counters["kernel_thresholds"].inc(batch.thresholds)
+            self._counters["kernel_restarts"].inc(batch.restarts)
         computed = iter(batch)
         return [
             next(computed) if source in csr.index

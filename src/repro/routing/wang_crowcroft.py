@@ -33,7 +33,9 @@ class RouteLabel:
 
     Attributes:
         quality: best quality of a path from the source under the
-            algorithm's order (shortest-widest or widest-shortest).
+            tree's order (shortest-widest; the test reference also builds
+            widest-shortest trees, whose qualities the kernel's
+            widest-shortest prices equal).
         hops: number of edges on the selected path (-1 when unreachable).
         path: the full node path source..node (empty when unreachable).
     """

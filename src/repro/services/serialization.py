@@ -150,7 +150,6 @@ def overlay_to_dict(overlay: OverlayGraph) -> JsonDict:
                 "src": instance_to_list(link.src),
                 "dst": instance_to_list(link.dst),
                 "quality": quality_to_dict(link.metrics),
-                "underlay_path": list(link.underlay_path),
             }
             for inst in overlay.instances()
             for link in overlay.out_links(inst)
@@ -167,7 +166,6 @@ def overlay_from_dict(data: JsonDict) -> OverlayGraph:
             instance_from_list(link["src"]),
             instance_from_list(link["dst"]),
             quality_from_dict(link["quality"]),
-            tuple(int(n) for n in link.get("underlay_path", ())),
         )
     return overlay
 

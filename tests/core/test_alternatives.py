@@ -295,15 +295,15 @@ class TestServicePathAlgorithm:
         """The DP reads only the prices of instance pairs between
         consecutive layers, so it asks for those alone: one pathless kernel
         pass per hop, this layer's instances priced at the next pool only,
-        on one undirected snapshot -- no tree is looked up or warmed, and
-        no ``"undirected"`` row is cached."""
+        on one undirected snapshot -- no tree is looked up, warmed or
+        cached."""
         requirement, overlay = travel_scenario.requirement, travel_scenario.overlay
         passes, snapshots = [], []
         real_prices, real_snapshot = kernel.batched_prices, kernel.snapshot
         monkeypatch.setattr(
             kernel, "batched_prices",
-            lambda csr, sources, targets: passes.append((list(sources), targets))
-            or real_prices(csr, sources, targets),
+            lambda csr, sources, targets, **kwargs: passes.append((list(sources), targets))
+            or real_prices(csr, sources, targets, **kwargs),
         )
         monkeypatch.setattr(
             kernel, "snapshot",
@@ -334,8 +334,8 @@ class TestServicePathAlgorithm:
         one from a fresh oracle.  (The oracle's carry-or-drop of a tree
         crossing a mutated link backwards is
         ``tests/routing/test_oracle.py::TestMutations::
-        test_link_crossed_backwards_drops_the_tree``: the control caches no
-        row left to carry.)"""
+        test_link_crossed_backwards_drops_the_tree``: the control caches
+        price rows alone, and a derivation carries none.)"""
         scenario = generate_scenario(
             ScenarioConfig(
                 network_size=30, n_services=5, instances_per_service=(5, 6),

@@ -8,10 +8,11 @@ or four bandwidths re-drawn over its links so ties dominate (generated
 latencies are kept: overlay ones are float sums of shared underlay
 segments, which is where the restart rule lives), and the target subsets
 -- and the one invariant is ``tests/oracles/routing.py``'s: kernel rows
-equal pure rows, full and targeted, both orders, every source, and a
-symmetric snapshot's Kruskal phase 1 equals the heap's.  The pathless
-prices of ``kernel.batched_prices`` are held to the pure rows' qualities
-on the same cases, under either phase 1.
+equal pure rows, full and targeted, every source, and a symmetric
+snapshot's Kruskal phase 1 equals the heap's.  The pathless prices of
+``kernel.batched_prices`` are held to the pure rows' qualities on the same
+cases: shortest-widest ones under either phase 1, widest-shortest ones on
+more seeds.
 
 The first seeds of ROADMAP item 1b; tier-1, a fixed budget (the file stays
 under six seconds).  A seed that fails is a regression case: add it to
@@ -31,11 +32,7 @@ from repro.network.overlay import OverlayGraph
 from repro.network.underlay import Underlay, UnderlayConfig
 from repro.routing import kernel
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import (
-    ORDERS,
-    assert_kernel_matches_pure,
-    assert_prices_match_pure,
-)
+from tests.oracles.routing import assert_kernel_matches_pure, assert_prices_match_pure
 
 FAMILIES = ("waxman", "erdos_renyi", "barabasi_albert", "overlay")
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
@@ -47,21 +44,9 @@ BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
 RESTART_SEEDS = (50, 151, 251)
 #: The budget, about three seconds: every seed runs on every tier-1 pass.
 SEEDS = (*range(16), *RESTART_SEEDS)
-#: More seeds for the widest-shortest order alone (a thirtieth of a second
-#: each: its pure reference is one Dijkstra a source), added before its
-#: labels went from path tuples to parent slots.
+#: More seeds for the widest-shortest prices alone (their pure reference
+#: is one Dijkstra a source, so each seed is cheap).
 WIDEST_SHORTEST_SEEDS = tuple(range(16, 72))
-#: Seeds of either budget whose widest-shortest batches reach the smallest-
-#: path tie-break -- an exact (latency, bandwidth, hops) tie, settled by
-#: walking two parent chains -- found by making that walk raise; overlays
-#: all, where latencies are sums of shared underlay segments.  Outside this
-#: file ``TestTieBreaks::test_equal_cost_paths_pick_smallest_repr_path``,
-#: ``TestIncrementalPhaseTwo::test_tie_heavy_digraphs``,
-#: ``TestPairWidths::test_fat_tree`` and
-#: ``TestOverlayEquivalence::test_scenario_overlays[1]`` reach it too.
-CHAIN_WALK_SEEDS = (
-    0, 9, 11, 12, 17, 24, 25, 27, 38, 40, 44, 50, 61, 63, 64, 68, 151, 251,
-)
 
 
 def draw_case(seed):
@@ -108,44 +93,22 @@ def draw_case(seed):
     return f"{family}/{shape}/{len(nodes)} nodes/{sorted(palette)}", neighbors, nodes
 
 
-def chain_walk_reads(monkeypatch, neighbors, nodes):
-    """Parent-slot reads of one full widest-shortest batch beyond the one
-    read per materialised path: those made inside the tie-break's walk."""
-    reads = []
-
-    class Parents(list):
-        def __getitem__(self, v):
-            reads.append(v)
-            return super().__getitem__(v)
-
-    class Scratch(kernel._Scratch):
-        def __init__(self, n, batch):
-            super().__init__(n, batch)
-            self.parent = Parents(self.parent)
-
-    monkeypatch.setattr(kernel, "_Scratch", Scratch)
-    csr = kernel.CSRGraph.from_adjacency(nodes, neighbors)
-    batch = kernel.batched_trees(csr, nodes, order=kernel.WIDEST_SHORTEST)
-    return len(reads) - sum(len(row) - 1 for row in batch)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kernel_rows_equal_pure_rows(seed, monkeypatch):
+def test_kernel_rows_equal_pure_rows(seed):
     description, neighbors, nodes = draw_case(seed)
     restarts = assert_kernel_matches_pure(description, neighbors, nodes, seed=seed)
     assert (restarts > 0) == (seed in RESTART_SEEDS), (description, restarts)
-    walked = chain_walk_reads(monkeypatch, neighbors, list(nodes))
-    assert (walked > 0) == (seed in CHAIN_WALK_SEEDS), (description, walked)
 
 
 @pytest.mark.parametrize("seed", WIDEST_SHORTEST_SEEDS)
-def test_widest_shortest_rows_equal_pure_rows(seed, monkeypatch):
+def test_widest_shortest_rows_equal_pure_rows(seed):
+    """Each widest-shortest price row equals the ``(bandwidth, latency)``
+    of the pure widest-shortest labels, full and targeted."""
     description, neighbors, nodes = draw_case(seed)
-    assert_kernel_matches_pure(
-        description, neighbors, nodes, seed=seed, orders=ORDERS[1:]
+    compared = assert_prices_match_pure(
+        neighbors, nodes, seed=seed, order=kernel.WIDEST_SHORTEST
     )
-    walked = chain_walk_reads(monkeypatch, neighbors, list(nodes))
-    assert (walked > 0) == (seed in CHAIN_WALK_SEEDS), (description, walked)
+    assert compared > 0, description
 
 
 def test_the_budget_reaches_every_family_both_ways():
@@ -171,9 +134,7 @@ def test_a_flipped_path_tie_break_is_caught(monkeypatch):
     for seed in SEEDS:
         description, neighbors, nodes = draw_case(seed)
         try:
-            assert_kernel_matches_pure(
-                description, neighbors, nodes, seed=seed, orders=ORDERS[:1]
-            )
+            assert_kernel_matches_pure(description, neighbors, nodes, seed=seed)
         except AssertionError:
             caught.append(seed)
     # Four of the nineteen budget seeds hold an exact shortest-widest tie.
@@ -257,3 +218,30 @@ CAUGHT = {
         1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 251,
     ],
 }
+
+
+def test_a_widest_shortest_price_mutant_is_caught(monkeypatch):
+    """The budget kills a hand-made mutant against the reference: a
+    widest-shortest pass that drops the bandwidth tie-break, keeping the
+    first offer of an exact latency tie however narrow."""
+    source = textwrap.dedent(inspect.getsource(kernel._widest_shortest_prices))
+    kept = "if clat == vlat and cbw <= bw[v]:"
+    assert source.count(kept) == 1, kept
+    source = source.replace(kept, "if clat == vlat:")
+    namespace = dict(vars(kernel))
+    exec(compile(source, kernel.__file__, "exec"), namespace)
+    monkeypatch.setattr(
+        kernel, "_widest_shortest_prices", namespace["_widest_shortest_prices"]
+    )
+    caught = []
+    for seed in SEEDS:
+        _, neighbors, nodes = draw_case(seed)
+        try:
+            assert_prices_match_pure(
+                neighbors, nodes, seed=seed, order=kernel.WIDEST_SHORTEST
+            )
+        except AssertionError:
+            caught.append(seed)
+    # Overlays all: their latencies are sums of shared underlay segments,
+    # so exact ties between paths of different widths occur.
+    assert caught == [0, 9, 11, 12, 50, 151, 251]

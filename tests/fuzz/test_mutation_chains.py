@@ -41,9 +41,8 @@ from repro.network.overlay import OverlayGraph, Restriction
 from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import ORDERS
+from tests.oracles.wang_crowcroft import shortest_widest_tree
 
-ORDER, PURE_TREE = ORDERS[0]  # shortest-widest: what the oracle's readers ask for
 VIEWS = (
     ("successors", lambda graph: graph.successors),
     ("undirected", undirected_relaxation),
@@ -292,16 +291,16 @@ class Chain:
                 asks = rng.choice(((pool,), (None,), (None, pool), asks))
             if rng.random() < 0.5:
                 oracle.warm(
-                    graph, sources, order=ORDER, view=view, neighbors=neighbors,
+                    graph, sources, view=view, neighbors=neighbors,
                     targets=asks[0],
                 )
             for source in sources:
                 for targets in asks:
                     key = (number, view, source, targets)
                     if key not in self.pure:
-                        self.pure[key] = PURE_TREE(neighbors, source, targets=targets)
+                        self.pure[key] = shortest_widest_tree(neighbors, source, targets=targets)
                     row = oracle.tree(
-                        graph, source, order=ORDER, view=view, neighbors=neighbors,
+                        graph, source, view=view, neighbors=neighbors,
                         targets=targets,
                     )
                     if targets is not None:  # the row may cover more: read it there

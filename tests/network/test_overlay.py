@@ -17,10 +17,11 @@ from repro.network.overlay import (
     ServiceLink,
 )
 from repro.network.underlay import Underlay, UnderlayConfig
-from repro.routing.oracle import RouteOracle
+from repro.routing import kernel
+from repro.routing.oracle import OracleStats, RouteOracle
 from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
+from tests.oracles.wang_crowcroft import widest_shortest_tree
 
 
 class TestServiceInstance:
@@ -151,36 +152,17 @@ class TestBuildFromUnderlay:
         assert built.link(ServiceInstance("B", 1), ServiceInstance("B", 3)) is None
 
     def test_link_weight_is_shortest_underlay_path(self, diamond_underlay):
-        # Default routing = plain shortest (latency) paths: 0 -> 3 via host 1.
+        # Plain shortest (latency) paths: 0 -> 3 via host 1, not the wide
+        # and slow detour via host 2.
         catalog = ServiceCatalog.from_edges([("A", "B")])
         placement = [ServiceInstance("A", 0), ServiceInstance("B", 3)]
         overlay = OverlayGraph.build(
             diamond_underlay, placement, catalog.compatible
         )
         link = overlay.link(ServiceInstance("A", 0), ServiceInstance("B", 3))
-        assert link.metrics == PathQuality(10.0, 2.0)
-        assert link.underlay_path == (0, 1, 3)
-
-    def test_widest_routing_option(self, diamond_underlay):
-        catalog = ServiceCatalog.from_edges([("A", "B")])
-        placement = [ServiceInstance("A", 0), ServiceInstance("B", 3)]
-        overlay = OverlayGraph.build(
-            diamond_underlay, placement, catalog.compatible,
-            underlay_routing="widest",
+        assert link == ServiceLink(
+            ServiceInstance("A", 0), ServiceInstance("B", 3), PathQuality(10.0, 2.0)
         )
-        link = overlay.link(ServiceInstance("A", 0), ServiceInstance("B", 3))
-        assert link.metrics == PathQuality(50.0, 10.0)
-        assert link.underlay_path == (0, 2, 3)
-
-    def test_bad_routing_mode_rejected(self, diamond_underlay):
-        catalog = ServiceCatalog.from_edges([("A", "B")])
-        with pytest.raises(ValueError):
-            OverlayGraph.build(
-                diamond_underlay,
-                [ServiceInstance("A", 0), ServiceInstance("B", 1)],
-                catalog.compatible,
-                underlay_routing="fastest",
-            )
 
     def test_colocated_instances_get_ideal_link(self, diamond_underlay):
         catalog = ServiceCatalog.from_edges([("A", "B")])
@@ -220,9 +202,9 @@ class TestBuildFromUnderlay:
                 if a == b or not catalog.compatible(a.sid, b.sid):
                     continue
                 if a.nid == b.nid:
-                    per_pair.add_link(a, b, PathQuality(math.inf, 0.0), (a.nid,))
+                    per_pair.add_link(a, b, PathQuality(math.inf, 0.0))
                 else:
-                    per_pair.add_link(a, b, labels[b.nid].quality, labels[b.nid].path)
+                    per_pair.add_link(a, b, labels[b.nid].quality)
         # Same links in the same row order: the order a CSR snapshot reads.
         assert list(built._out) == list(per_pair._out)
         for inst in placement:
@@ -230,34 +212,34 @@ class TestBuildFromUnderlay:
             assert list(built._in[inst].items()) == list(per_pair._in[inst].items())
 
     @staticmethod
-    def built_from_full_trees(underlay, placement, compatible, tree):
-        """The overlay as a build made it from one full pure row per
-        instance, every instance pair asked in ``(src, dst)`` order."""
+    def built_from_full_trees(underlay, placement, compatible):
+        """The overlay as a build made it from one full pure widest-shortest
+        row per instance, every instance pair asked in ``(src, dst)``
+        order."""
         overlay = OverlayGraph()
         for a in sorted(placement):
             overlay.add_instance(a)
         for a in sorted(placement):
-            labels = tree(underlay.neighbors, a.nid)
+            labels = widest_shortest_tree(underlay.neighbors, a.nid)
             for b in sorted(placement):
                 if a == b or not compatible(a.sid, b.sid):
                     continue
                 if a.nid == b.nid:
-                    overlay.add_link(a, b, PathQuality(math.inf, 0.0), (a.nid,))
+                    overlay.add_link(a, b, PathQuality(math.inf, 0.0))
                 elif b.nid in labels and labels[b.nid].quality.reachable:
-                    overlay.add_link(a, b, labels[b.nid].quality, labels[b.nid].path)
+                    overlay.add_link(a, b, labels[b.nid].quality)
         return overlay
 
     @pytest.mark.parametrize(
-        "routing, tree",
-        [("shortest", widest_shortest_tree), ("widest", shortest_widest_tree)],
+        "model",
+        ["waxman", "erdos_renyi", "barabasi_albert", "ring", "grid"],
+        # The suffix names the underlay order the links are priced in.
+        ids=lambda model: f"{model}-shortest-widest_shortest_tree",
     )
-    @pytest.mark.parametrize(
-        "model", ["waxman", "erdos_renyi", "barabasi_albert", "ring", "grid"]
-    )
-    def test_links_equal_a_build_from_full_pure_rows(self, model, routing, tree):
-        """Rows asked at the fed hosts alone, none for a sink-only host, and
-        widest-shortest rows without their dominated edges: the same links,
-        metrics and underlay paths in the same row order."""
+    def test_links_equal_a_build_from_full_pure_rows(self, model):
+        """Prices asked at the fed hosts alone, none for a sink-only host,
+        over rows without their dominated edges: the same links and
+        metrics in the same row order."""
         underlay = Underlay.generate(UnderlayConfig(n=24, model=model, seed=5))
         catalog = ServiceCatalog.from_edges(
             [("A", "B"), ("A", "C"), ("B", "C"), ("C", "D"), ("B", "E")]
@@ -267,12 +249,8 @@ class TestBuildFromUnderlay:
             ServiceInstance(sid, rng.randrange(24)) for sid in "ABCDE" for _ in range(4)
         }
         RouteOracle.reset_default()
-        built = OverlayGraph.build(
-            underlay, placement, catalog.compatible, underlay_routing=routing
-        )
-        expected = self.built_from_full_trees(
-            underlay, placement, catalog.compatible, tree
-        )
+        built = OverlayGraph.build(underlay, placement, catalog.compatible)
+        expected = self.built_from_full_trees(underlay, placement, catalog.compatible)
         assert built.num_links() == expected.num_links() > 0
         assert list(built._out) == list(expected._out)
         for inst in placement:
@@ -280,9 +258,9 @@ class TestBuildFromUnderlay:
             assert list(built._in[inst].items()) == list(expected._in[inst].items())
 
     def test_no_row_for_a_host_that_feeds_nothing(self, monkeypatch):
-        """Hosts 4 and 5 run only the sink ``C``: no row is warmed or read
-        for them, and every row, warmed or read, is asked at the hosts of
-        the fed instances -- the hosts of ``B`` and ``C``."""
+        """Hosts 4 and 5 run only the sink ``C``: no row is priced for
+        them, and every row is priced at the hosts of the fed instances --
+        the hosts of ``B`` and ``C`` -- in one pass, and no tree is built."""
         underlay = Underlay.generate(UnderlayConfig(n=12, seed=3))
         catalog = ServiceCatalog.from_edges([("A", "B"), ("B", "C")])
         placement = [
@@ -290,28 +268,42 @@ class TestBuildFromUnderlay:
             ServiceInstance("B", 2), ServiceInstance("B", 3),
             ServiceInstance("C", 1), ServiceInstance("C", 4), ServiceInstance("C", 5),
         ]
-        asked = []
-        warm, tree = RouteOracle.warm, RouteOracle.tree
+        passes = []
+        real = kernel.batched_prices
 
-        def spy_warm(self, graph, sources, **kwargs):
-            sources = list(sources)
-            asked.extend((source, kwargs["targets"]) for source in sources)
-            return warm(self, graph, sources, **kwargs)
+        def spy(csr, sources, targets, **kwargs):
+            passes.append((list(sources), set(targets)))
+            return real(csr, sources, targets, **kwargs)
 
-        def spy_tree(self, graph, source, **kwargs):
-            asked.append((source, kwargs["targets"]))
-            return tree(self, graph, source, **kwargs)
-
-        monkeypatch.setattr(RouteOracle, "warm", spy_warm)
-        monkeypatch.setattr(RouteOracle, "tree", spy_tree)
+        monkeypatch.setattr(kernel, "batched_prices", spy)
         oracle = RouteOracle.reset_default()
         OverlayGraph.build(underlay, placement, catalog.compatible)
         fed = frozenset({1, 2, 3, 4, 5})
-        assert {source for source, _ in asked} == {0, 1, 2, 3}
-        assert {targets for _, targets in asked} == {fed}
-        rows = oracle._graphs[underlay].trees
-        assert {key[2] for key in rows} == {0, 1, 2, 3}
-        assert {entry.covers for entry in rows.values()} == {fed}
+        assert passes == [([0, 1, 2, 3], fed)]
+        state = oracle._graphs[underlay]
+        assert {key[2] for key in state.prices} == {0, 1, 2, 3}
+        assert {covers for _, covers in state.prices.values()} == {fed}
+        assert not state.trees and oracle.stats() == OracleStats()
+
+    def test_a_rebuild_over_the_same_underlay_prices_nothing(self, monkeypatch):
+        """A churn rejoin rebuilds the overlay over the unchanged underlay
+        with the same placement: every price row is cached, so no price
+        pass runs and the links are the first build's."""
+        scenario = generate_scenario(ScenarioConfig(network_size=40, n_services=5, seed=2))
+        placement = list(scenario.overlay.instances())
+        compatible = scenario.catalog.compatible
+        RouteOracle.reset_default()
+        first = OverlayGraph.build(scenario.underlay, placement, compatible)
+        passes = []
+        real = kernel.batched_prices
+        monkeypatch.setattr(
+            kernel, "batched_prices", lambda *a, **k: passes.append(a) or real(*a, **k)
+        )
+        again = OverlayGraph.build(scenario.underlay, placement, compatible)
+        assert passes == []
+        assert again.num_links() == first.num_links() > 0
+        for inst in placement:
+            assert again.out_links(inst) == first.out_links(inst)
 
     def test_unknown_host_rejected(self, diamond_underlay):
         catalog = ServiceCatalog.from_edges([("A", "B")])
@@ -570,9 +562,7 @@ class TestWithLinks:
         for link in links[1:-1]:
             assert copy.link(link.src, link.dst) is link
         changed = copy.link(sagging.src, sagging.dst)
-        assert changed == ServiceLink(
-            sagging.src, sagging.dst, PathQuality(0.5, 99.0), sagging.underlay_path
-        )
+        assert changed == ServiceLink(sagging.src, sagging.dst, PathQuality(0.5, 99.0))
         assert overlay.link(sagging.src, sagging.dst) is sagging
         # Both directions' tables agree, for the replaced and the dropped.
         assert dict(copy.predecessors(sagging.dst))[sagging.src] == PathQuality(0.5, 99.0)

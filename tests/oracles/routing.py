@@ -1,5 +1,6 @@
 """The pure Wang-Crowcroft tree functions as the routing kernel's reference:
-its trees' labels, and its prices' ``(bandwidth, latency)`` floats."""
+its shortest-widest trees' labels, and its prices' ``(bandwidth, latency)``
+floats in either order."""
 
 import random
 
@@ -15,24 +16,25 @@ from repro.routing.kernel import (
 from repro.routing.wang_crowcroft import RouteLabel
 from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
-#: Each tree order with the pure function that defines it.
-ORDERS = (
-    (SHORTEST_WIDEST, shortest_widest_tree),
-    (WIDEST_SHORTEST, widest_shortest_tree),
-)
+#: Each order with the pure tree function that defines its prices.
+ORDERS = {
+    SHORTEST_WIDEST: shortest_widest_tree,
+    WIDEST_SHORTEST: widest_shortest_tree,
+}
 
 #: A target no snapshot knows: simply absent from every row.
 OUTSIDER = "a node outside the snapshot"
 
 
-def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0, orders=ORDERS):
-    """Every source's batched row equals the pure per-source row: the full
-    tree, and the ``targets=`` row for seeded subsets (each with a node
-    outside the snapshot), the empty set, the source alone and -- where
-    there is one -- an unreachable node beside a reachable one.  Phase 1
-    of a symmetric snapshot is held to the heap on the way.  Returns how
-    many width steps the shortest-widest batches restarted.  ``orders``
-    narrows the comparison to some of :data:`ORDERS`."""
+def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0):
+    """Every source's batched shortest-widest row equals the pure
+    per-source row: the full tree, and the ``targets=`` row for seeded
+    subsets (each with a node outside the snapshot), the empty set, the
+    source alone and -- where there is one -- an unreachable node beside a
+    reachable one.  Phase 1 of a symmetric snapshot is held to the heap on
+    the way.  The widest-shortest prices are then held to the pure
+    widest-shortest rows on the same asks (:func:`assert_prices_match_pure`).
+    Returns how many width steps the batches restarted."""
     nodes = list(nodes)
     rng = random.Random(seed)
     csr = CSRGraph.from_adjacency(nodes, neighbors)
@@ -41,29 +43,28 @@ def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0, orders=ORDERS
         frozenset(rng.sample(nodes, rng.randrange(1, len(nodes) + 1))) | {OUTSIDER}
         for _ in range(2)
     ]
-    restarts = 0
-    for order, pure in orders:
-        batched = batched_trees(csr, nodes, order=order)
+    batched = batched_trees(csr, nodes)
+    restarts = batched.restarts
+    for source, labels in zip(nodes, batched):
+        expected = shortest_widest_tree(neighbors, source)
+        assert labels == expected, source
+        alone = {source: RouteLabel(IDEAL, 0, (source,))}
+        missed = [node for node in nodes if node not in expected][:1]
+        nearest = list(expected)[:2]  # the source and one it reaches
+        for targets in ((), (source,), missed, missed + nearest):
+            row = batched_trees(csr, (source,), targets=targets)[0]
+            assert row == shortest_widest_tree(neighbors, source, targets=targets), (
+                source, targets,
+            )
+            if set(targets) <= {source, *missed}:
+                assert row == alone, (source, targets)
+    for targets in subsets:
+        batched = batched_trees(csr, nodes, targets=targets)
         restarts += batched.restarts
         for source, labels in zip(nodes, batched):
-            expected = pure(neighbors, source)
-            assert labels == expected, (order, source)
-            alone = {source: RouteLabel(IDEAL, 0, (source,))}
-            missed = [node for node in nodes if node not in expected][:1]
-            nearest = list(expected)[:2]  # the source and one it reaches
-            for targets in ((), (source,), missed, missed + nearest):
-                row = batched_trees(csr, (source,), order=order, targets=targets)[0]
-                assert row == pure(neighbors, source, targets=targets), (
-                    order, source, targets,
-                )
-                if set(targets) <= {source, *missed}:
-                    assert row == alone, (order, source, targets)
-        for targets in subsets:
-            batched = batched_trees(csr, nodes, order=order, targets=targets)
-            restarts += batched.restarts
-            for source, labels in zip(nodes, batched):
-                expected = pure(neighbors, source, targets=targets)
-                assert labels == expected, (order, source, sorted(map(repr, targets)))
+            expected = shortest_widest_tree(neighbors, source, targets=targets)
+            assert labels == expected, (source, sorted(map(repr, targets)))
+    assert_prices_match_pure(neighbors, nodes, seed=seed, order=WIDEST_SHORTEST)
     return restarts
 
 
@@ -78,35 +79,38 @@ def assert_pair_widths_match_heap(csr):
     return True
 
 
-def assert_prices_match_pure(neighbors, nodes, *, seed=0):
-    """Every source's :func:`batched_prices` row equals the qualities of
-    the pure targeted row, ``(bandwidth, latency)`` per reached target (the
-    source only when it is one): for every node as a target, seeded
-    subsets with a node outside the snapshot, the empty set, the source
-    alone and -- where there is one -- an unreachable node beside a
-    reachable one.  Returns how many prices were compared."""
+def assert_prices_match_pure(neighbors, nodes, *, seed=0, order=SHORTEST_WIDEST):
+    """Every source's :func:`batched_prices` row in ``order`` equals the
+    qualities of the pure targeted row of that order, ``(bandwidth,
+    latency)`` per reached target (the source only when it is one): for
+    every node as a target, seeded subsets with a node outside the
+    snapshot, the empty set, the source alone and -- where there is one --
+    an unreachable node beside a reachable one.  Returns how many prices
+    were compared."""
     nodes = list(nodes)
     rng = random.Random(seed)
     csr = CSRGraph.from_adjacency(nodes, neighbors)
+    tree = ORDERS[order]
     compared = 0
 
     def check(sources, targets):
         nonlocal compared
-        for source, row in zip(sources, batched_prices(csr, sources, targets)):
-            pure = shortest_widest_tree(neighbors, source, targets=targets)
+        rows = batched_prices(csr, sources, targets, order=order)
+        for source, row in zip(sources, rows):
+            pure = tree(neighbors, source, targets=targets)
             expected = {
                 node: (label.quality.bandwidth, label.quality.latency)
                 for node, label in pure.items()
                 if node in targets
             }
-            assert row == expected, (source, sorted(map(repr, targets)))
+            assert row == expected, (order, source, sorted(map(repr, targets)))
             compared += len(row)
 
     check(nodes, frozenset(nodes))
     for _ in range(2):
         check(nodes, frozenset(rng.sample(nodes, rng.randrange(1, len(nodes) + 1))) | {OUTSIDER})
     for source in nodes:
-        reached = shortest_widest_tree(neighbors, source)
+        reached = tree(neighbors, source)
         missed = [node for node in nodes if node not in reached][:1]
         nearest = list(reached)[:2]  # the source and one it reaches
         for targets in ((), (source,), missed, missed + nearest):

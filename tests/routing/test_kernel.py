@@ -3,17 +3,19 @@
 The exactness contract of :mod:`repro.routing.kernel`: for every source,
 :func:`~repro.routing.kernel.batched_trees` returns the same label dict
 (bandwidth, latency, hops, *and* the deterministic tie-break path) as the
-pure reference ``shortest_widest_tree`` / ``widest_shortest_tree`` of
-``tests/oracles/wang_crowcroft.py``, over seeded
+pure reference ``shortest_widest_tree`` of
+``tests/oracles/wang_crowcroft.py``, and
+:func:`~repro.routing.kernel.batched_prices` the qualities of the pure
+``shortest_widest_tree`` / ``widest_shortest_tree`` labels, over seeded
 generated topologies including zero-bandwidth and unreachable links, a
 filled overlay of the workload's shape (directed and undirected), a
 hand-built case where float addition is not strictly monotone, and
-tie-heavy random digraphs -- as full trees and as ``targets=`` rows
+tie-heavy random digraphs -- as full rows and as ``targets=`` rows
 (``tests/oracles/routing.py`` draws the subsets).  Phase 1 of a
 bandwidth-symmetric snapshot (one Kruskal pass) is held to the heap's, and
-the two cuts that must not move a label -- the reach-filtered activation
-walk and widest-shortest rows without their dominated edges -- are held to
-pure on hand-built graphs at their edges.
+the two cuts that must not move a label or a price -- the reach-filtered
+activation walk and widest-shortest rows without their dominated edges --
+are held to pure on hand-built graphs at their edges.
 """
 
 import math
@@ -43,7 +45,7 @@ from tests.oracles.routing import (
     assert_pair_widths_match_heap,
     assert_prices_match_pure,
 )
-from tests.oracles.wang_crowcroft import shortest_widest_tree
+from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 MODELS = ("waxman", "erdos_renyi", "barabasi_albert")
 
@@ -292,9 +294,10 @@ class TestTieBreaks:
         nodes = overlay.routing_nodes()
         assert_kernel_matches_pure(overlay, overlay.successors, nodes)
         csr = CSRGraph.from_adjacency(nodes, overlay.successors)
+        labels = batched_trees(csr, (a,), order=SHORTEST_WIDEST)[0]
+        assert labels[z].path == (a, m1, z)
         for order in (SHORTEST_WIDEST, WIDEST_SHORTEST):
-            labels = batched_trees(csr, (a,), order=order)[0]
-            assert labels[z].path == (a, m1, z), order
+            assert batched_prices(csr, (a,), (z,), order=order) == [{z: (10.0, 2.0)}]
 
 
 class TestPrices:
@@ -314,6 +317,23 @@ class TestPrices:
             {v: (10.0, b + one), t: (5.0, (a + one) + one)}
         ]
 
+    def test_widest_shortest_prices_are_the_trees_not_the_best_paths(self):
+        """The same float case in the widest-shortest order: ``u`` settles
+        on the detour (latency ``a``, width 5), so ``v`` is priced from it
+        at width 5 -- though the direct route reaches ``v`` at the very
+        same latency and width 10.  The price is the tree label's quality,
+        which no pass that compared whole paths would return."""
+        overlay, (s, t, u, v, x), (a, b, one) = non_isotone_overlay()
+        nodes = overlay.routing_nodes()
+        assert b + one == a + one
+        csr = CSRGraph.from_adjacency(nodes, overlay.successors)
+        assert batched_prices(csr, (s,), (u, v, t), order=WIDEST_SHORTEST) == [
+            {u: (5.0, a), v: (5.0, a + one), t: (5.0, (a + one) + one)}
+        ]
+        assert assert_prices_match_pure(
+            overlay.successors, nodes, order=WIDEST_SHORTEST
+        ) > 0
+
     def test_a_source_that_is_a_target(self):
         """Priced at its own label's quality, ``IDEAL``; not priced when
         it is not asked for, though a tree row always holds it."""
@@ -328,14 +348,25 @@ class TestPrices:
         assert row[s] == (math.inf, 0.0)
         assert batched_prices(csr, (s,), (t,))[0] == {t: row[t]}
         assert batched_prices(csr, (s,), ()) == [{}]
+        for targets in ((s, t), (s,), ()):
+            assert batched_prices(csr, (s,), targets, order=WIDEST_SHORTEST) == [
+                {
+                    node: (label.quality.bandwidth, label.quality.latency)
+                    for node, label in widest_shortest_tree(
+                        overlay.successors, s, targets=targets
+                    ).items()
+                    if node in targets
+                }
+            ]
 
     def test_a_source_outside_the_snapshot(self):
         """The kernel refuses it, as ``batched_trees`` does; the oracle
         gives it its lone price (``tests/routing/test_oracle.py``)."""
         overlay, (s, t, *_), _ = non_isotone_overlay()
         csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
-        with pytest.raises(KeyError):
-            batched_prices(csr, (s, ServiceInstance("Q", 0)), (t,))
+        for order in (SHORTEST_WIDEST, WIDEST_SHORTEST):
+            with pytest.raises(KeyError):
+                batched_prices(csr, (s, ServiceInstance("Q", 0)), (t,), order=order)
 
     def test_unreachable_targets_are_absent(self):
         """A target behind unusable links only, an isolated one, a target
@@ -369,6 +400,11 @@ class TestPrices:
         ]
         assert assert_prices_match_pure(overlay.successors, nodes) > 0
         assert assert_prices_match_pure(undirected, nodes) > 0
+        assert batched_prices(csr, (e,), asked, order=WIDEST_SHORTEST) == [
+            {b: (3.0, 5.0), c: (3.0, 3.0), d: (3.0, 1.0)},
+        ]
+        for neighbors in (overlay.successors, undirected):
+            assert assert_prices_match_pure(neighbors, nodes, order=WIDEST_SHORTEST) > 0
 
 
 class TestCSRGraph:
@@ -388,13 +424,14 @@ class TestCSRGraph:
 
     def test_activation_order_is_lazy_and_descending(self):
         """Every usable edge once, widest first, each with its own tail;
-        built by the first shortest-widest tree and by nothing else."""
+        built by the first shortest-widest tree, never by widest-shortest
+        prices."""
         underlay = Underlay.generate(
             UnderlayConfig(n=20, model="waxman", seed=7)
         )
         nodes = underlay.routing_nodes()
         csr = CSRGraph.from_adjacency(nodes, underlay.neighbors)
-        batched_trees(csr, nodes, order=WIDEST_SHORTEST)
+        batched_prices(csr, nodes, nodes, order=WIDEST_SHORTEST)
         assert csr._activation is None
         batched_trees(csr, nodes[:1], order=SHORTEST_WIDEST)
         tails, slots, neg_bw = csr._activation
@@ -433,10 +470,15 @@ class TestCSRGraph:
             batched_trees(csr, (stranger,))
 
     def test_batched_trees_unknown_order(self):
+        """Every tree is shortest-widest; a widest-shortest caller reads
+        prices.  An order neither pass knows is refused by both."""
         a = ServiceInstance("A", 0)
         csr = CSRGraph.from_adjacency([a], lambda n: iter(()))
+        for order in ("bogus", WIDEST_SHORTEST):
+            with pytest.raises(ValueError, match="order"):
+                batched_trees(csr, (a,), order=order)
         with pytest.raises(ValueError, match="order"):
-            batched_trees(csr, (a,), order="bogus")
+            batched_prices(csr, (a,), (a,), order="bogus")
 
 
 def symmetric_adjacency(n, links):
@@ -527,7 +569,7 @@ class TestPairWidths:
         underlay = Underlay.generate(UnderlayConfig(n=20, model="waxman", seed=7))
         nodes = underlay.routing_nodes()
         csr = CSRGraph.from_adjacency(nodes, underlay.neighbors)
-        batched_trees(csr, nodes, order=WIDEST_SHORTEST)
+        batched_prices(csr, nodes, nodes, order=WIDEST_SHORTEST)
         assert csr._symmetric is None and csr._pair_widths is None
         batched_trees(csr, nodes[:1], order=SHORTEST_WIDEST, targets=nodes[1:3])
         assert csr._symmetric is True
@@ -535,9 +577,10 @@ class TestPairWidths:
 
 
 class TestReachAndDominance:
-    """Two cuts of the cold path that must not move a label: the activation
-    walk skips the tails phase 1 never reached, and widest-shortest rows
-    leave out the edges a two-hop detour beats by more than float error."""
+    """Two cuts of the cold path that must not move a label or a price: the
+    activation walk skips the tails phase 1 never reached, and
+    widest-shortest rows leave out the edges a two-hop detour beats by more
+    than float error."""
 
     @staticmethod
     def adjacency(edges):
@@ -603,8 +646,9 @@ class TestReachAndDominance:
 
     @staticmethod
     def assert_rows(edges, source_latency=1.0):
-        """Labels equal pure's from every source on ``edges`` led into by a
-        ``("s", "u")`` edge of ``source_latency``; returns ``u``'s row."""
+        """Labels and prices equal pure's from every source on ``edges`` led
+        into by a ``("s", "u")`` edge of ``source_latency``; returns ``u``'s
+        row."""
         rows = TestReachAndDominance.adjacency(
             [("s", "u", 100.0, source_latency), *edges]
         )

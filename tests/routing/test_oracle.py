@@ -80,28 +80,66 @@ class TestLookups:
     def test_matches_direct_computation(self):
         overlay = diamond_overlay()
         oracle = RouteOracle()
-        for inst in overlay.instances():
+        instances = list(overlay.instances())
+        for inst in instances:
             assert oracle.tree(overlay, inst) == shortest_widest_tree(
                 overlay.successors, inst
             )
-            assert oracle.tree(
-                overlay, inst, order=WIDEST_SHORTEST
-            ) == widest_shortest_tree(overlay.successors, inst)
+        rows = oracle.prices(
+            overlay, instances, targets=instances, order=WIDEST_SHORTEST
+        )
+        for inst, row in zip(instances, rows):
+            assert row == {
+                node: (label.quality.bandwidth, label.quality.latency)
+                for node, label in widest_shortest_tree(overlay.successors, inst).items()
+            }
 
-    def test_orders_and_views_are_keyed_separately(self):
+    def test_orders_and_views_are_keyed_separately(self, monkeypatch):
+        """Trees are keyed by view and source, price rows by view, order
+        and source: each ask below computes once, then hits."""
         overlay = diamond_overlay()
+        undirected = undirected_relaxation(overlay)
         oracle = RouteOracle()
-        a = ServiceInstance("A", 0)
-        sw = oracle.tree(overlay, a, order=SHORTEST_WIDEST)
-        ws = oracle.tree(overlay, a, order=WIDEST_SHORTEST)
-        assert oracle.stats().misses == 2
-        assert sw is oracle.tree(overlay, a, order=SHORTEST_WIDEST)
-        assert ws is oracle.tree(overlay, a, order=WIDEST_SHORTEST)
+        a, _, _, c = overlay.instances()
+        orders = []
+        real = kernel.batched_prices
+        monkeypatch.setattr(
+            kernel,
+            "batched_prices",
+            lambda *args, order: orders.append(order) or real(*args, order=order),
+        )
+        for _ in range(2):
+            directed = oracle.tree(overlay, a)
+            backwards = oracle.tree(overlay, c, view="undirected", neighbors=undirected)
+            sw = oracle.prices(overlay, (a,), targets=(c,))
+            ws = oracle.prices(overlay, (a,), targets=(c,), order=WIDEST_SHORTEST)
+            flipped = oracle.prices(
+                overlay, (c,), targets=(a,), view="undirected", neighbors=undirected
+            )
+        assert (oracle.stats().misses, oracle.stats().hits) == (2, 2)
+        assert directed is oracle.tree(overlay, a)
+        b2 = ServiceInstance("B", 2)
+        assert (directed[c].path, backwards[a].path) == ((a, b2, c), (c, b2, a))
+        assert orders == [SHORTEST_WIDEST, WIDEST_SHORTEST, SHORTEST_WIDEST]
+        assert (sw, ws, flipped) == (
+            [{c: (20.0, 3.0)}], [{c: (10.0, 2.0)}], [{a: (20.0, 3.0)}]
+        )
+        assert set(oracle._graphs[overlay].prices) == {
+            ("successors", SHORTEST_WIDEST, a),
+            ("successors", WIDEST_SHORTEST, a),
+            ("undirected", SHORTEST_WIDEST, c),
+        }
 
     def test_unknown_order_rejected(self):
+        """Trees have no order to ask for; prices refuse one they do not
+        know."""
         oracle = RouteOracle()
-        with pytest.raises(ValueError):
-            oracle.tree(diamond_overlay(), ServiceInstance("A", 0), order="best")
+        overlay = diamond_overlay()
+        a = ServiceInstance("A", 0)
+        with pytest.raises(TypeError):
+            oracle.tree(overlay, a, order=WIDEST_SHORTEST)
+        with pytest.raises(ValueError, match="order"):
+            oracle.prices(overlay, (a,), targets=(a,), order="best")
 
     def test_unknown_attributes_cannot_be_assigned(self):
         """The oracle has no knobs: a left-over ``oracle.enabled = False``
@@ -555,8 +593,8 @@ class TestKernelCounters:
         assert oracle.stats().kernel_trees == len(instances) + 1
 
     def test_other_paths_leave_them_alone(self):
-        """A small graph is a kernel batch like any other; widest-shortest
-        batches build no shortest-widest tree and leave the counters alone."""
+        """A small graph is a kernel batch like any other; price passes, of
+        either order, build no tree and leave every counter alone."""
         small = generate_scenario(
             ScenarioConfig(network_size=20, n_services=4, seed=3)
         ).overlay
@@ -568,11 +606,10 @@ class TestKernelCounters:
         large = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
         instances = list(large.instances())
         dual = RouteOracle()
-        dual.warm(large, instances, order=WIDEST_SHORTEST)
+        for order in (SHORTEST_WIDEST, WIDEST_SHORTEST):
+            dual.prices(large, instances, targets=instances, order=order)
         assert isinstance(dual._graphs[large].snapshots["successors"], kernel.CSRGraph)
-        stats = dual.stats()
-        assert stats.warmed == len(instances)
-        assert (stats.kernel_trees, stats.kernel_thresholds) == (0, 0)
+        assert dual.stats() == OracleStats()
 
 
 class TestRegistryExport:
@@ -691,7 +728,7 @@ class TestWarm:
 
 class TestPrices:
     """``RouteOracle.prices``: the kernel's pathless pass on the view's
-    snapshot, cached nowhere."""
+    snapshot, its rows cached apart from the trees."""
 
     def test_prices_are_the_trees_qualities(self):
         overlay = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL).overlay
@@ -710,8 +747,8 @@ class TestPrices:
                 if node in targets
             }, source
 
-    def test_prices_cache_nothing_and_build_one_snapshot(self, monkeypatch):
-        """No row is cached, no counter moves, and the view's snapshot is
+    def test_prices_move_no_counter_and_build_one_snapshot(self, monkeypatch):
+        """No tree is cached, no counter moves, and the view's snapshot is
         built once -- and read by the trees of the same view after it."""
         overlay = diamond_overlay()
         built = []
@@ -730,6 +767,40 @@ class TestPrices:
         assert oracle.stats() == OracleStats()
         oracle.tree(overlay, a)
         assert len(built) == 1
+
+    def test_a_price_row_answers_what_it_covers(self, monkeypatch):
+        """A cached row answers an ask inside its coverage, read at the
+        asked targets alone, with no pass; a wider ask prices again; a
+        derived graph and an invalidated one price afresh."""
+        overlay = diamond_overlay()
+        a, b1, b2, c = overlay.instances()
+        oracle = RouteOracle()
+        passes = []
+        real = kernel.batched_prices
+        monkeypatch.setattr(
+            kernel,
+            "batched_prices",
+            lambda csr, sources, *args, **kwargs: (
+                passes.append(list(sources)) or real(csr, sources, *args, **kwargs)
+            ),
+        )
+        assert oracle.prices(overlay, (a, b1), targets=(b2, c)) == [
+            {b2: (20.0, 2.0), c: (20.0, 3.0)},
+            {c: (10.0, 1.0)},
+        ]
+        to_c = {c: (20.0, 3.0)}
+        assert oracle.prices(overlay, (a, a), targets=(c,)) == [to_c, to_c]
+        assert passes == [[a, b1]]
+        assert oracle.prices(overlay, (a, b1), targets=(b1, c)) == [
+            {b1: (10.0, 1.0), c: (20.0, 3.0)},
+            {b1: (IDEAL.bandwidth, IDEAL.latency), c: (10.0, 1.0)},
+        ]
+        assert passes == [[a, b1]] * 2  # neither row covered b1
+        cut = fail_links(overlay, [(b2, c)])
+        assert oracle.prices(cut, (a,), targets=(c,)) == [{c: (10.0, 2.0)}]
+        oracle.invalidate(overlay)
+        assert oracle.prices(overlay, (a,), targets=(c,)) == [{c: (20.0, 3.0)}]
+        assert passes == [[a, b1]] * 2 + [[a]] * 2
 
     def test_a_source_outside_the_snapshot_reaches_itself(self):
         overlay = diamond_overlay()
@@ -881,7 +952,7 @@ class TestIncrementalRepair:
         degraded = degrade_links(overlay, [healing, sagging], bandwidth_factor=0.3)
         oracle.reset_stats()
         healed = revive_links(degraded, overlay, [healing])
-        parked = {key[2] for key in oracle._graphs[healed].repairs}
+        parked = {key[1] for key in oracle._graphs[healed].repairs}
         assert parked == riders[sagging]
         assert oracle.cached_sources(healed, view=view) == set(instances) - parked
         stats = oracle.stats()
@@ -1009,7 +1080,7 @@ def walk_coverage_chain(seed, view):
         if key not in pure:
             pure[key] = shortest_widest_tree(neighbors, source, targets=targets)
         state = oracle._graphs.get(graph)
-        parked = state.repairs.get((view, SHORTEST_WIDEST, source)) if state else None
+        parked = state.repairs.get((view, source)) if state else None
         before = oracle.stats()
         row = oracle.tree(
             graph, source, view=view, neighbors=neighbors, targets=targets
@@ -1030,7 +1101,7 @@ def walk_coverage_chain(seed, view):
         return row
 
     def covers_of(graph, source):
-        entry = oracle._graphs[graph].trees.get((view, SHORTEST_WIDEST, source))
+        entry = oracle._graphs[graph].trees.get((view, source))
         return "absent" if entry is None else entry.covers
 
     def check_every_graph():
@@ -1063,7 +1134,7 @@ def walk_coverage_chain(seed, view):
                         lookup(graph, source, wide, expect_hit=True)
             state = oracle._graphs[graph]
             for held in (state.trees, state.repairs):
-                for (_, _, source), row in held.items():
+                for (_, source), row in held.items():
                     if row.covers is not None:
                         assert set(row.labels) <= row.covers | {source}, source
 

@@ -35,7 +35,7 @@ def overlay_signature(view):
     return (
         tuple(view.instances()),
         tuple(
-            (link.src, link.dst, link.metrics, link.underlay_path)
+            (link.src, link.dst, link.metrics)
             for inst in view.instances()
             for link in view.out_links(inst)
         ),
@@ -95,6 +95,19 @@ class TestNetworks:
     def test_overlay_roundtrip(self, small_overlay):
         again = overlay_from_dict(overlay_to_dict(small_overlay))
         assert overlay_signature(again) == overlay_signature(small_overlay)
+
+    def test_an_old_file_with_underlay_paths_still_loads(self, small_overlay):
+        """Files written while links carried their underlay hosts hold an
+        ``underlay_path`` per link: it is ignored on load, and no longer
+        written."""
+        data = overlay_to_dict(small_overlay)
+        assert all(set(link) == {"src", "dst", "quality"} for link in data["links"])
+        old = json.loads(json.dumps(data))
+        for hosts, link in enumerate(old["links"]):
+            link["underlay_path"] = list(range(hosts + 2))
+        assert overlay_signature(overlay_from_dict(old)) == overlay_signature(
+            overlay_from_dict(data)
+        )
 
 
 class TestFlowGraph:

@@ -28,7 +28,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
 #: Modules that stay in ``src/`` without a caller, each with its reason.
-UNCALLED = {"repro.core.reservation": "first caller is ROADMAP item 9b"}
+UNCALLED = {"repro.core.reservation": "leaves src/ under ROADMAP item 5"}
 
 #: Modules outside ``repro.network`` that restrict an overlay themselves.
 RESTRICTS_OVERLAYS = {"repro.core.reservation": "leaves src/ under ROADMAP item 5"}
