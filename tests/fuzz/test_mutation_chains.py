@@ -4,8 +4,12 @@ One integer seed draws a scenario and a chain of ``fail_instances`` /
 ``fail_links`` / ``degrade_links`` / ``revive_links`` steps.  A step starts
 from the newest graph or from any earlier one (so the chain branches), and
 a revive -- full or partial -- takes its reference from *any* other graph
-made so far, ancestors and non-ancestors alike.  The oracle keeps every
-graph's trees throughout.  After each step
+made so far, ancestors and non-ancestors alike.  Two rebuilds close the
+chain: the overlay built again from the underlay, and the newest graph
+through a serialization round trip -- new graphs nobody derived, equal to
+graphs the oracle holds, which adopt the rows of the first one only where
+that one is underived too.  The oracle keeps every graph's trees
+throughout.  After each step
 
 * the rows a seeded share of the sources are asked for on the new graph --
   full and at one service's pool, in two adjacency views as kernel inputs
@@ -40,6 +44,7 @@ from repro.network import failures
 from repro.network.overlay import OverlayGraph, Restriction
 from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
+from repro.services.serialization import overlay_from_dict, overlay_to_dict
 from repro.services.workloads import ScenarioConfig, generate_scenario
 from tests.oracles.wang_crowcroft import shortest_widest_tree
 
@@ -158,6 +163,7 @@ class Chain:
             )
         )
         self.oracle = RouteOracle.reset_default()
+        self.scenario = scenario
         self.graphs = [scenario.overlay]
         #: Per graph: ``{index of a graph it descends from: what was taken
         #: away since}``.
@@ -201,6 +207,18 @@ class Chain:
                     kind, ancestor,
                 )
             self.read(graph, share=rng.choice((0.3, 0.7, 1.0)))
+        # The rebuilds draw nothing from ``rng``: every step before them
+        # reads as it did without them.
+        scenario = self.scenario
+        for graph in (
+            OverlayGraph.build(
+                scenario.underlay, self.graphs[0].instances(), scenario.catalog.compatible
+            ),
+            overlay_from_dict(overlay_to_dict(self.graphs[-1])),
+        ):
+            self.kinds.append("rebuild")
+            self.graphs.append(graph)
+            self.lineage.append({})
         for graph in self.graphs:
             self.read(graph, share=1.0, both=True)
         for number, graph in enumerate(self.graphs):
@@ -333,16 +351,19 @@ def test_every_row_of_every_graph_equals_the_pure_row(seed):
 
 def test_the_budget_reaches_every_kind_of_step():
     """Each mutation, revives the diff refuses, revives it accepts against
-    a graph the overlay does not descend from, and every way the oracle
-    comes by a row."""
+    a graph the overlay does not descend from, rebuilds, and every way the
+    oracle comes by a row."""
     chains = [finished(seed) for seed in SEEDS if seed not in KNOWN_FAILURES]
     assert {kind for chain in chains for kind in chain.kinds} == {
         "fail_instances", "fail_links", "degrade_links", "revive_links", "cold revive",
+        "rebuild",
     }
     assert sum(chain.strangers for chain in chains) > 0
     assert sum(chain.chained for chain in chains) > 0
     assert sum(chain.derived for chain in chains) > sum(chain.chained for chain in chains)
-    for counter in ("carried", "dropped", "repaired", "warmed", "kernel_trees", "hits"):
+    for counter in (
+        "carried", "dropped", "repaired", "warmed", "kernel_trees", "hits", "adopted",
+    ):
         assert sum(getattr(chain.stats, counter) for chain in chains) > 0, counter
     assert sum(chain.stats.invalidated for chain in chains) == 0
 
