@@ -135,12 +135,12 @@ def revive_links(
     """
     restored: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}
     for src, dst in set(victims):
-        original = reference.link(src, dst)
+        original = reference.link_metrics(src, dst)
         if original is None:
             raise KeyError(
                 f"reference overlay has no link {src} -> {dst} to restore from"
             )
-        restored[(src, dst)] = original.metrics
+        restored[(src, dst)] = original
     result = overlay.with_links(restored)
     taken_away = result.restriction_of(reference)
     if taken_away is not None:
@@ -168,7 +168,7 @@ class FailurePlan:
         unknown_links = [
             (src, dst)
             for src, dst in self.failed_links
-            if overlay.link(src, dst) is None
+            if overlay.link_metrics(src, dst) is None
         ]
         problems = []
         if unknown_instances:
@@ -254,9 +254,9 @@ class FailureInjector:
         if count < 0:
             raise ValueError("count must be >= 0")
         links = [
-            (link.src, link.dst)
+            (inst, dst)
             for inst in overlay.instances()
-            for link in overlay.out_links(inst)
+            for dst, _ in overlay.successors(inst)
         ]
         self._rng.shuffle(links)
         return FailurePlan(failed_links=tuple(sorted(links[:count])))
@@ -417,9 +417,9 @@ class FailureInjector:
         )
 
         links = sorted(
-            (link.src, link.dst)
+            (inst, dst)
             for inst in overlay.instances()
-            for link in overlay.out_links(inst)
+            for dst, _ in overlay.successors(inst)
         )
         self._rng.shuffle(links)
         ramp_count = min(len(links), int(math.ceil(0.15 * intensity * len(links))))
@@ -798,10 +798,10 @@ class GrayFaultPlan:
                 if endpoint is not None and endpoint not in overlay:
                     problems.append(f"unknown channel endpoint {endpoint}")
         for ramp in self.ramps:
-            if overlay.link(ramp.src, ramp.dst) is None:
+            if overlay.link_metrics(ramp.src, ramp.dst) is None:
                 problems.append(f"unknown ramp link {ramp.src} -> {ramp.dst}")
         for flap in self.flaps:
-            if overlay.link(flap.src, flap.dst) is None:
+            if overlay.link_metrics(flap.src, flap.dst) is None:
                 problems.append(f"unknown flap link {flap.src} -> {flap.dst}")
         for partition in self.partitions:
             for member in partition.members:

@@ -8,7 +8,8 @@ service's output feeds the downstream service's input) and the underlay
 offers a path between their hosts; the link is weighted with the
 widest-shortest quality of that underlay path -- the minimum latency, the
 widest bandwidth among the paths that reach it -- as plain IP routing
-forwards it.
+forwards it.  The graph stores a link as that weight alone; a
+:class:`ServiceLink` is the value handed out when a caller asks for one.
 
 :class:`OverlayGraph` supports
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -77,7 +78,11 @@ class ServiceLink:
 
     ``metrics`` is the widest-shortest quality of the underlay path
     realising the link (:meth:`OverlayGraph.build`), or whatever a caller
-    gave :meth:`OverlayGraph.add_link`.
+    gave :meth:`OverlayGraph.add_link`.  This is the public value type
+    only: an :class:`OverlayGraph` keeps each link as its ``metrics``
+    object alone and builds a ``ServiceLink`` when :meth:`~OverlayGraph.link`,
+    :meth:`~OverlayGraph.out_links` or :meth:`~OverlayGraph.add_link`
+    returns one, so two calls give equal, not identical, links.
     """
 
     src: ServiceInstance
@@ -129,11 +134,17 @@ def _memoised(query: Callable[["OverlayGraph"], _T]) -> Callable[["OverlayGraph"
 
 
 class OverlayGraph:
-    """A directed weighted graph over :class:`ServiceInstance` nodes."""
+    """A directed weighted graph over :class:`ServiceInstance` nodes.
+
+    ``_out[src][dst]`` and ``_in[dst][src]`` hold the same
+    :class:`~repro.network.metrics.LinkMetrics` object of the link ``src
+    -> dst``: a link is its metrics, and the graphs :meth:`subgraph` and
+    :meth:`with_links` make share those objects with their source.
+    """
 
     def __init__(self) -> None:
-        self._out: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
-        self._in: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
+        self._out: Dict[ServiceInstance, Dict[ServiceInstance, LinkMetrics]] = {}
+        self._in: Dict[ServiceInstance, Dict[ServiceInstance, LinkMetrics]] = {}
         self._by_sid: Dict[Sid, List[ServiceInstance]] = {}
         #: What planners derive from the topology alone (ego views by root
         #: and by reached node set, priced hop rows, the link summaries):
@@ -158,14 +169,14 @@ class OverlayGraph:
         dst: ServiceInstance,
         metrics: LinkMetrics,
     ) -> ServiceLink:
-        """Add a directed service link (endpoints are auto-registered)."""
+        """Add a directed service link (endpoints are auto-registered) and
+        return it as a :class:`ServiceLink`."""
         self.add_instance(src)
         self.add_instance(dst)
         if dst in self._out[src]:
             raise ValueError(f"service link {src} -> {dst} already exists")
-        link = ServiceLink(src, dst, metrics)
-        self._out[src][dst] = link
-        self._in[dst][src] = link
+        link = ServiceLink(src, dst, metrics)  # rejects a self-loop
+        self._out[src][dst] = self._in[dst][src] = metrics
         self._memo.clear()
         return link
 
@@ -186,7 +197,10 @@ class OverlayGraph:
         carries that ``(bandwidth, latency)`` pair alone; all
         federation-level optimisation happens on top, at the overlay and
         abstract level.  Instances co-located on one host are connected
-        with an ideal zero-latency local link when compatible.
+        with an ideal zero-latency local link when compatible; every such
+        link shares one metrics object.  The rows are filled in place, in
+        the order ``add_link`` per pair would fill them, and no
+        :class:`ServiceLink` is made.
 
         Args:
             underlay: the physical network.
@@ -225,19 +239,21 @@ class OverlayGraph:
             underlay, [a.nid for a in feeding], targets=targets,
             order=WIDEST_SHORTEST, view="neighbors", neighbors=underlay.neighbors,
         )
+        local = PathQuality(math.inf, 0.0)
+        into = overlay._in
         for a, row in zip(feeding, rows):
+            out_row = overlay._out[a]
             for sid, pool in pools:
                 if pool == [a] or not feeds[a.sid, sid]:
                     continue
                 for b in pool:
-                    if a == b:
-                        continue
-                    if a.nid == b.nid:
-                        overlay.add_link(a, b, PathQuality(float("inf"), 0.0))
+                    if b.nid == a.nid:
+                        if b != a:
+                            out_row[b] = into[b][a] = local
                         continue
                     price = row.get(b.nid)
                     if price is not None:  # every priced path is usable
-                        overlay.add_link(a, b, PathQuality(*price))
+                        out_row[b] = into[b][a] = PathQuality(*price)
         return overlay
 
     # -- queries -----------------------------------------------------------
@@ -272,14 +288,21 @@ class OverlayGraph:
         return tuple(self._by_sid.get(sid, ()))
 
     def link(self, src: ServiceInstance, dst: ServiceInstance) -> Optional[ServiceLink]:
-        if src not in self._out:
-            return None
-        return self._out[src].get(dst)
+        """The link ``src -> dst`` as a fresh :class:`ServiceLink`, or None."""
+        metrics = self.link_metrics(src, dst)
+        return None if metrics is None else ServiceLink(src, dst, metrics)
+
+    def link_metrics(
+        self, src: ServiceInstance, dst: ServiceInstance
+    ) -> Optional[LinkMetrics]:
+        """The stored metrics of the link ``src -> dst``, or None."""
+        row = self._out.get(src)
+        return None if row is None else row.get(dst)
 
     def link_quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
         """Quality of the direct link, or UNREACHABLE when absent."""
-        found = self.link(src, dst)
-        return found.metrics if found is not None else UNREACHABLE
+        metrics = self.link_metrics(src, dst)
+        return UNREACHABLE if metrics is None else metrics
 
     def successors(
         self, instance: ServiceInstance
@@ -287,23 +310,21 @@ class OverlayGraph:
         """Outgoing adjacency -- plugs directly into the routing module."""
         if instance not in self._out:
             return iter(())
-        return iter(
-            (dst, link.metrics) for dst, link in sorted(self._out[instance].items())
-        )
+        return iter(sorted(self._out[instance].items()))
 
     def predecessors(
         self, instance: ServiceInstance
     ) -> Iterator[Tuple[ServiceInstance, LinkMetrics]]:
         if instance not in self._in:
             return iter(())
-        return iter(
-            (src, link.metrics) for src, link in sorted(self._in[instance].items())
-        )
+        return iter(sorted(self._in[instance].items()))
 
     def out_links(self, instance: ServiceInstance) -> Tuple[ServiceLink, ...]:
-        if instance not in self._out:
-            return ()
-        return tuple(link for _, link in sorted(self._out[instance].items()))
+        """``instance``'s outgoing links as fresh :class:`ServiceLink`
+        values, in destination order."""
+        return tuple(
+            ServiceLink(instance, dst, metrics) for dst, metrics in self.successors(instance)
+        )
 
     # -- local knowledge ----------------------------------------------------
 
@@ -390,7 +411,7 @@ class OverlayGraph:
 
     def subgraph(self, keep: Iterable[ServiceInstance]) -> "OverlayGraph":
         """Induced sub-overlay over ``keep`` (links with both ends kept;
-        the frozen :class:`ServiceLink` objects are shared, not copied)."""
+        their metrics objects are shared, not copied)."""
         keep_set = set(keep)
         ordered = sorted(keep_set)
         sub = OverlayGraph()
@@ -399,31 +420,30 @@ class OverlayGraph:
                 raise KeyError(f"unknown instance {inst}")
             sub.add_instance(inst)
         for inst in ordered:
-            for dst, link in sorted(self._out[inst].items()):
+            for dst, metrics in sorted(self._out[inst].items()):
                 if dst in keep_set:
-                    sub._out[inst][dst] = link
-                    sub._in[dst][inst] = link
+                    sub._out[inst][dst] = sub._in[dst][inst] = metrics
         return sub
 
     def with_links(
         self, changes: Mapping[Tuple[ServiceInstance, ServiceInstance], Optional[LinkMetrics]]
     ) -> "OverlayGraph":
         """A copy with the given links re-weighted, or removed (``None``).
-        Every other frozen :class:`ServiceLink` is shared, as in
-        :meth:`subgraph`; the rows are fresh, so ``add_link`` on the copy
-        never reaches this overlay or what it has memoised."""
+        Every other link's metrics object is shared, as in :meth:`subgraph`,
+        and a re-weighted link holds the object given; the rows are fresh,
+        so ``add_link`` on the copy never reaches this overlay or what it
+        has memoised."""
         copy = OverlayGraph()
         copy._out = {inst: dict(row) for inst, row in self._out.items()}
         copy._in = {inst: dict(row) for inst, row in self._in.items()}
         copy._by_sid = {sid: list(pool) for sid, pool in self._by_sid.items()}
         for (src, dst), metrics in changes.items():
-            link = self.link(src, dst)
-            if link is None:
+            if self.link_metrics(src, dst) is None:
                 raise KeyError(f"unknown service link {src} -> {dst}")
             if metrics is None:
                 del copy._out[src][dst], copy._in[dst][src]
             else:
-                copy._out[src][dst] = copy._in[dst][src] = replace(link, metrics=metrics)
+                copy._out[src][dst] = copy._in[dst][src] = metrics
         return copy
 
     def restriction_of(self, reference: "OverlayGraph") -> Optional[Restriction]:
@@ -434,9 +454,9 @@ class OverlayGraph:
 
         The removed links are those between surviving instances (the rest
         left with their endpoint).  Links the two overlays share as one
-        :class:`ServiceLink` object -- everything :meth:`subgraph` and
-        :meth:`with_links` did not change -- are passed by identity, so the
-        comparison is one walk of the rows.
+        metrics object -- everything :meth:`subgraph` and :meth:`with_links`
+        did not change -- are passed by identity, so the comparison is one
+        walk of the rows.
         """
         out, ref_out = self._out, reference._out
         if not out.keys() <= ref_out.keys():
@@ -445,13 +465,12 @@ class OverlayGraph:
         degraded_links: List[Tuple[ServiceInstance, ServiceInstance]] = []
         for src, row in out.items():
             ref_row = ref_out[src]
-            for dst, link in row.items():
-                ref_link = ref_row.get(dst)
-                if ref_link is link:
+            for dst, mine in row.items():
+                theirs = ref_row.get(dst)
+                if theirs is mine:
                     continue
-                if ref_link is None:
+                if theirs is None:
                     return None
-                mine, theirs = link.metrics, ref_link.metrics
                 if mine.bandwidth > theirs.bandwidth or mine.latency < theirs.latency:
                     return None
                 if mine != theirs:
@@ -478,8 +497,8 @@ class OverlayGraph:
         for inst in sorted(self._out):
             out_row, in_row = self._out[inst], self._in[inst]
             hint = _mean_quality(
-                [out_row[dst].metrics for dst in sorted(out_row)]
-                + [in_row[src].metrics for src in sorted(in_row)]
+                [out_row[dst] for dst in sorted(out_row)]
+                + [in_row[src] for src in sorted(in_row)]
             )
             if hint is not None:
                 hints[inst] = hint
@@ -498,9 +517,9 @@ class OverlayGraph:
         """Both link means, from one walk of the links in ``(src, dst)``
         order."""
         every = [
-            link.metrics
+            metrics
             for inst in sorted(self._out)
-            for _, link in sorted(self._out[inst].items())
+            for _, metrics in sorted(self._out[inst].items())
         ]
         latencies = [metrics.latency for metrics in every if metrics.reachable]
         latency = sum(latencies) / len(latencies) if latencies else None
@@ -513,9 +532,9 @@ class OverlayGraph:
         for inst in other.instances():
             merged.add_instance(inst)
         for inst in other.instances():
-            for link in other.out_links(inst):
-                if merged.link(link.src, link.dst) is None:
-                    merged.add_link(link.src, link.dst, link.metrics)
+            for dst, metrics in other.successors(inst):
+                if merged.link_metrics(inst, dst) is None:
+                    merged.add_link(inst, dst, metrics)
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

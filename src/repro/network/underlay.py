@@ -19,6 +19,7 @@ integer node identifiers (NIDs).  It knows how to
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -58,9 +59,9 @@ class UnderlayLink:
         if self.latency < 0:
             raise ValueError(f"link latency must be >= 0, got {self.latency}")
 
-    @property
+    @functools.cached_property
     def metrics(self) -> LinkMetrics:
-        """The link's quality as a :class:`PathQuality` value."""
+        """The link's quality as a :class:`PathQuality` value, made once."""
         return PathQuality(self.bandwidth, self.latency)
 
     def endpoints(self) -> Tuple[NodeId, NodeId]:

@@ -91,6 +91,7 @@ import math
 from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import compress
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -105,6 +106,7 @@ from typing import (
 import numpy as _np
 
 from repro.network.metrics import IDEAL, PathQuality
+from repro.network.underlay import Underlay, UnderlayLink
 from repro.routing.wang_crowcroft import NeighborFn, Node, RouteLabel
 
 #: Orders the kernel can compute (:mod:`repro.routing.oracle` re-exports them).
@@ -239,6 +241,39 @@ class CSRGraph:
             _np.asarray(out_indices, dtype=_np.int64),
             _np.asarray(out_bw, dtype=_np.float64),
             _np.asarray(out_lat, dtype=_np.float64),
+        )
+
+    @classmethod
+    def from_links(cls, n: int, links: Sequence[UnderlayLink]) -> "CSRGraph":
+        """Snapshot the undirected graph over ``0 .. n-1`` whose link table
+        is ``links``, in insertion order: array for array what
+        :meth:`from_adjacency` builds from an adjacency that lists each
+        node's links in that order (an :class:`Underlay`'s ``neighbors``).
+        Ranks follow ``repr`` order; a node's row holds the other end of
+        each of its links, earliest link first."""
+        nodes = tuple(sorted(range(n), key=repr))
+        rank = _np.empty(n, dtype=_np.int64)
+        rank[list(nodes)] = _np.arange(n)
+        u, v, bandwidth, latency = (
+            _np.array(list(map(attrgetter(name), links)), dtype=dtype)
+            for name, dtype in (
+                ("u", _np.int64), ("v", _np.int64),
+                ("bandwidth", _np.float64), ("latency", _np.float64),
+            )
+        )
+        # Each link is one entry at either end; a node meets a link once
+        # (no self-loops), so (tail rank, link number) orders the entries.
+        tails = rank[_np.concatenate((u, v))]
+        heads = rank[_np.concatenate((v, u))]
+        order = _np.lexsort((_np.tile(_np.arange(len(u)), 2), tails))
+        indptr = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(tails, minlength=n), out=indptr[1:])
+        return cls(
+            nodes,
+            indptr,
+            heads[order],
+            _np.tile(bandwidth, 2)[order],
+            _np.tile(latency, 2)[order],
         )
 
     def restricted(
@@ -447,6 +482,8 @@ def snapshot(graph: "Any", neighbors: Optional[NeighborFn] = None) -> CSRGraph:
 
     The node universe comes from the graph's ``routing_nodes()`` export
     hook (see :meth:`repro.network.overlay.OverlayGraph.routing_nodes`).
+    An :class:`Underlay`'s ``neighbors`` view is read off its link table
+    (:meth:`CSRGraph.from_links`), equal to the walk of the adjacency.
 
     Raises:
         TypeError: when the graph exports no universe.
@@ -458,6 +495,8 @@ def snapshot(graph: "Any", neighbors: Optional[NeighborFn] = None) -> CSRGraph:
         raise TypeError(f"{type(graph).__name__} has no routing_nodes() to snapshot")
     if neighbors is None:
         neighbors = getattr(graph, "successors", None) or graph.neighbors
+    if isinstance(graph, Underlay) and neighbors == graph.neighbors:
+        return CSRGraph.from_links(graph.n, graph.links())
     return CSRGraph.from_adjacency(export(), neighbors)
 
 

@@ -257,7 +257,7 @@ class _PendingSnapshot:
     chain alive with all its trees.  ``nodes`` and ``links`` accumulate
     what each mutation since took away or made worse, as the touch sets of
     :class:`_PendingRepair` do: the snapshot drops the nodes, and re-reads
-    through ``graph.link`` each of the links whose two ends both survive.
+    through ``graph.link_metrics`` each of the links whose two ends both survive.
     """
 
     __slots__ = ("parent", "nodes", "links")
@@ -281,9 +281,9 @@ class _PendingSnapshot:
         reread: Dict[Tuple[Node, Node], Optional[Tuple[float, float]]] = {}
         for a, b in self.links:
             if a not in self.nodes and b not in self.nodes:
-                link = graph.link(a, b)
-                reread[a, b] = None if link is None else (
-                    link.metrics.bandwidth, link.metrics.latency
+                metrics = graph.link_metrics(a, b)
+                reread[a, b] = None if metrics is None else (
+                    metrics.bandwidth, metrics.latency
                 )
         return self.parent.restricted(self.nodes, reread)
 
@@ -595,7 +595,7 @@ class RouteOracle:
         tree crossing ``(y, x)`` is touched by a mutation of link ``(x, y)``.
         When ``old`` holds its ``"successors"`` snapshot, or a pending
         derivation of one, ``new`` derives its own from it at first use (it
-        re-reads the touched links through ``new.link``).
+        re-reads the touched links through ``new.link_metrics``).
         """
         if new is old:
             raise ValueError("derive() needs a distinct new graph")

@@ -352,8 +352,8 @@ class TestReviveLinks:
 
 class TestLinkMutationsShareWhatDidNotChange:
     """``fail_links`` / ``degrade_links`` / ``revive_links`` are one copy
-    primitive (``OverlayGraph.with_links``): every untouched frozen link
-    is the input's own object, and the input never changes."""
+    primitive (``OverlayGraph.with_links``): every untouched link's
+    metrics are the input's own object, and the input never changes."""
 
     def test_untouched_links_are_the_inputs_own(self, overlay):
         before = _link_state(overlay)
@@ -363,9 +363,11 @@ class TestLinkMutationsShareWhatDidNotChange:
         for after in (failed, degraded, revived):
             assert after.link(SRC, MID1) is None
             for src, dst in ((MID1, DST), (MID2, DST)):
-                assert after.link(src, dst) is overlay.link(src, dst)
+                assert after.link_metrics(src, dst) is overlay.link_metrics(src, dst)
             assert list(after.predecessors(MID1)) == []
-        assert failed.link(SRC, MID2) is overlay.link(SRC, MID2)
+        assert failed.link_metrics(SRC, MID2) is overlay.link_metrics(SRC, MID2)
+        # A revive restores the reference's own metrics object.
+        assert revived.link_metrics(SRC, MID2) is overlay.link_metrics(SRC, MID2)
         assert degraded.link(SRC, MID2).metrics.bandwidth == 3.0
         assert revived.link(SRC, MID2) == overlay.link(SRC, MID2)
         assert _link_state(overlay) == before

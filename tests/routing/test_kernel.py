@@ -20,6 +20,7 @@ are held to pure on hand-built graphs at their edges.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -695,6 +696,48 @@ class TestSnapshot:
         csr = snapshot(scenario.overlay)
         assert csr.nodes == scenario.overlay.routing_nodes()
         assert csr.n == len(scenario.overlay.routing_nodes())
+
+    @staticmethod
+    def assert_equal_arrays(csr, walked):
+        assert csr.nodes == walked.nodes
+        for name in ("indptr", "indices", "bandwidth", "latency"):
+            got, want = getattr(csr, name), getattr(walked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("model", ["waxman", "erdos_renyi", "barabasi_albert", "ring", "grid"])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_underlay_snapshot_is_the_adjacency_walk(self, model, seed, monkeypatch):
+        """An underlay's ``neighbors`` snapshot is read off its link table,
+        array for array the walk of its adjacency: ranks in ``repr`` order
+        (``10`` before ``2``), each row in link insertion order."""
+        underlay = Underlay.generate(UnderlayConfig(n=23, model=model, seed=seed))
+        walked = CSRGraph.from_adjacency(underlay.routing_nodes(), underlay.neighbors)
+        monkeypatch.setattr(CSRGraph, "from_adjacency", None)  # not walked again
+        for csr in (snapshot(underlay), snapshot(underlay, underlay.neighbors)):
+            self.assert_equal_arrays(csr, walked)
+
+    def test_underlay_rows_keep_link_insertion_order(self):
+        underlay = Underlay(12)
+        for u, v, bandwidth in ((11, 3, 1.0), (3, 0, 2.0), (10, 3, 3.0), (0, 11, 4.0)):
+            underlay.add_link(u, v, bandwidth, float(u + v))
+        csr = snapshot(underlay)
+        self.assert_equal_arrays(
+            csr, CSRGraph.from_adjacency(underlay.routing_nodes(), underlay.neighbors)
+        )
+        row = csr.index[3]
+        heads = csr.indices[csr.indptr[row]:csr.indptr[row + 1]]
+        assert [csr.nodes[j] for j in heads] == [11, 0, 10]
+
+    def test_another_view_of_an_underlay_is_walked(self):
+        underlay = Underlay.generate(UnderlayConfig(n=12, seed=2))
+
+        def sparse(node):
+            return ((other, m) for other, m in underlay.neighbors(node) if other > node)
+
+        self.assert_equal_arrays(
+            snapshot(underlay, sparse),
+            CSRGraph.from_adjacency(underlay.routing_nodes(), sparse),
+        )
 
     def test_snapshot_without_export_hook(self):
         """No universe, no snapshot -- and no second path to fall back to."""
