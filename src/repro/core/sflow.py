@@ -419,7 +419,7 @@ class _SFlowNode:
         self.inbox.clear()
         self._seen_ids.clear()
 
-    def receive(self, envelope: Envelope) -> None:  # sflow: noqa[SFL015] -- _activate's FederationError surfaces from Environment.step and _Federation.run catches it as "protocol error"
+    def receive(self, envelope: Envelope) -> None:  # _Federation.run fails the session on a FederationError
         payload = envelope.payload
         self.recovery.observe_peer(envelope.src)
         if isinstance(payload, Ack):

@@ -337,7 +337,7 @@ class RouteOracle:
         self._registry = registry if registry is not None else (
             obs_metrics.MetricsRegistry()
         )
-        # Registered one by one with literal names (rule SFL005): the
+        # Registered one by one with literal names (tests/test_source_rules.py): the
         # registry is the single backing store, so a registry snapshot and
         # :meth:`stats` can never disagree, and every ``oracle.*`` series
         # stays grep-able.

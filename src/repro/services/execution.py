@@ -182,7 +182,7 @@ def simulate_stream(
     _M_UNITS.inc(n)
     # The sweep above is analytic (no DES clock), so the data-flow phase is
     # a point event on the wall clock, not a sim-time span.
-    obs_tracer().event(  # sflow: noqa[SFL012] -- the stream sweep is analytic (no DES run, no session span exists); tests/export pin the span-less shape
+    obs_tracer().event(  # span-less by design (ORPHAN_EVENTS)
         "dataflow.stream",
         units=n,
         throughput=throughput,

@@ -182,7 +182,7 @@ class Mailbox:
         def on_envelope(getter: Event) -> None:
             try:
                 handler(getter.value)
-            except Exception as exc:  # sflow: noqa[SFL006] -- handler_failed counts engine.handler_error and the failed event raises it from Environment.step
+            except Exception as exc:  # handler_failed counts it (SILENT_EXCEPTS)
                 handler_failed(Event(self.env), exc, name)
                 return
             self.get().callbacks.append(on_envelope)

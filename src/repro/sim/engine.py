@@ -58,7 +58,7 @@ def handler_failed(event: "Event", exc: Exception, name: str) -> None:
     _M_HANDLER_ERRORS.inc(kind=type(exc).__name__)
     trace = obs_tracer()
     if trace.enabled:
-        trace.event(  # sflow: noqa[SFL012] -- the DES kernel cannot know the protocol's span; this diagnostic must fire even with no session open
+        trace.event(  # span-less by design (ORPHAN_EVENTS in tests/test_source_rules.py)
             "engine.handler_error",
             clock=SimClock(event.env),
             process=name,
@@ -242,7 +242,7 @@ class Process(Event):
                 "process let an Interrupt escape; handle it or re-raise as "
                 "a normal exception"
             )
-        except Exception as exc:  # sflow: noqa[SFL006] -- handler_failed counts engine.handler_error and fails the process with it
+        except Exception as exc:  # handler_failed counts it (SILENT_EXCEPTS)
             handler_failed(self, exc, getattr(self._generator, "__name__", "process"))
             return
         if not isinstance(target, Event):

@@ -228,7 +228,7 @@ class TestPricedSearchEqualsReference:
 
 class TestBruteForce:
     """``itertools.product`` and the definition of quality, sharing no code
-    with the search (ROADMAP 1c)."""
+    with the search: the optimum is exact, not only self-consistent."""
 
     @pytest.mark.parametrize("clazz", CLASSES, ids=lambda c: c.value)
     def test_generated_scenarios(self, clazz):

@@ -14,8 +14,8 @@ snapshot's Kruskal phase 1 equals the heap's.  The pathless prices of
 cases: shortest-widest ones under either phase 1, widest-shortest ones on
 more seeds.
 
-The first seeds of ROADMAP item 1b; tier-1, a fixed budget (the file stays
-under six seconds).  A seed that fails is a regression case: add it to
+The contract: kernel rows equal the pure Wang-Crowcroft rows bit for bit.
+Tier-1, a fixed budget (the file stays under six seconds).  A seed that fails is a regression case: add it to
 ``SEEDS`` and keep it.
 """
 

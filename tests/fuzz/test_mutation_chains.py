@@ -28,8 +28,9 @@ throughout.  After each step
 Generated overlays never link a pair both ways, so the undirected view's
 "better of the two directions" is never a choice here.
 
-ROADMAP item 1b; tier-1, a fixed budget (the file stays under five
-seconds; a chain takes about a fifth of one, some 310 seeds a minute).  A
+The contract: every routing row the oracle carries, repairs, derives or
+adopts through any chain of mutations is the pure row of the graph it
+belongs to.  Tier-1, a fixed budget (the file stays under five seconds; a chain takes about a fifth of one, some 310 seeds a minute).  A
 seed that fails is a regression case: add it to ``SEEDS`` and keep it --
 ``KNOWN_FAILURES`` holds the one found so far, which is not a revive's.
 """
@@ -81,7 +82,7 @@ MUTANT_SEEDS = {
 #: candidate better, and carry-forward cannot see it.  Overlay latencies are
 #: float sums of shared underlay segments, so exact ties are there to find.
 KNOWN_FAILURES = {
-    127: "a restriction elsewhere re-settles an exact (latency, hops) tie: ROADMAP 1b",
+    127: "a carried label ties the pure one on (latency, hops) by another path",
 }
 #: The budget, about four seconds: every seed runs on every tier-1 pass.
 SEEDS = (

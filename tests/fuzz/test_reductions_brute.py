@@ -29,8 +29,9 @@ definition then break the tie apart.  In the first 1 000 seeds the
 reported latency is an ulp off on 14 (TREE and SPLIT_MERGE, never PATH or
 DISJOINT_PATHS), the pick on one; bandwidths are minima and never do.
 
-ROADMAP item 1c; tier-1, a fixed budget (``SEEDS`` runs in about 1.5 s,
-some 4 000 seeds a minute).  A seed that fails is a regression case: add
+The contract: on a series-parallel requirement the Pareto block DP is
+exact, held to a reference that shares no code with it.  Tier-1, a fixed
+budget (``SEEDS`` runs in about 1.5 s, some 4 000 seeds a minute).  A seed that fails is a regression case: add
 it to ``SEEDS`` and keep it.
 """
 

@@ -1,4 +1,4 @@
-"""Packaging checks: the type marker and tools actually ship, and the
+"""Packaging checks: the type marker actually ships, and the
 package keeps its architecture.
 
 ``src/repro/py.typed`` is what lets downstream type checkers see our
@@ -108,9 +108,8 @@ def test_every_module_in_src_has_a_caller():
     """``src/`` is the system: a module no other module imports is a
     demonstration or a test-side reference and lives beside its users.
     Subpackage ``__init__`` re-exports do not count as callers; the
-    top-level ``repro`` API, console-script targets, ``python -m`` entry
-    points and the rule modules the checker's catalogue collects are
-    entered from outside."""
+    top-level ``repro`` API, console-script targets and ``python -m`` entry
+    points are entered from outside."""
     paths = sorted((SRC / "repro").rglob("*.py"))
     called = {
         name
@@ -120,11 +119,6 @@ def test_every_module_in_src_has_a_caller():
     }
     called.update(_imports(SRC / "repro" / "__init__.py"))
     called.update(t.partition(":")[0] for t in _console_scripts().values())
-    called.update(
-        name
-        for name in _imports(SRC / "repro" / "tools" / "check" / "rules" / "__init__.py")
-        if name.startswith("repro.tools.check.rules.")
-    )
     uncalled = {
         _module_name(path)
         for path in paths
@@ -289,19 +283,6 @@ def test_sdist_ships_py_typed(sdist: Path):
     with tarfile.open(sdist) as tar:
         names = tar.getnames()
     assert any(n.endswith("src/repro/py.typed") for n in names), names[:20]
-
-
-def test_sdist_ships_the_checker(sdist: Path):
-    with tarfile.open(sdist) as tar:
-        names = tar.getnames()
-    # the checker is a package now; every analysis layer must ship
-    for module in ("engine", "symbols", "callgraph", "dataflow"):
-        assert any(
-            n.endswith(f"src/repro/tools/check/{module}.py") for n in names
-        ), module
-    assert any(
-        n.endswith("src/repro/tools/check/rules/interprocedural.py") for n in names
-    )
 
 
 def test_wheel_ships_py_typed(tmp_path):
