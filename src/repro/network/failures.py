@@ -51,13 +51,14 @@ from repro.sim.channels import Address, ChannelEffect, Envelope, NO_EFFECT
 def fail_instances(
     overlay: OverlayGraph, victims: Iterable[ServiceInstance]
 ) -> OverlayGraph:
-    """A copy of ``overlay`` without ``victims`` (and their links)."""
+    """A copy of ``overlay`` without ``victims`` (and their links): like
+    :func:`fail_links`, a row copy that shares every metrics object
+    (:meth:`~repro.network.overlay.OverlayGraph.without`)."""
     victim_set = set(victims)
     for victim in victim_set:
         if victim not in overlay:
             raise KeyError(f"cannot fail unknown instance {victim}")
-    keep = [inst for inst in overlay.instances() if inst not in victim_set]
-    result = overlay.subgraph(keep)
+    result = overlay.without(victim_set)
     RouteOracle.default().derive(
         overlay, result, removed_instances=victim_set
     )

@@ -23,7 +23,10 @@ from repro.network.failures import (
     fail_links,
     revive_links,
 )
-from repro.network.overlay import ServiceInstance
+from repro.network.overlay import OverlayGraph, ServiceInstance
+from repro.network.underlay import Underlay, UnderlayConfig
+from repro.routing.oracle import RouteOracle
+from repro.services.catalog import ServiceCatalog
 from repro.services.workloads import travel_agency_scenario
 
 
@@ -59,6 +62,52 @@ class TestFailInstances:
         after = fail_instances(overlay, [])
         assert len(after) == len(overlay)
         assert after.num_links() == overlay.num_links()
+
+
+def _induced_subgraph(overlay, victims):
+    """The induced sub-overlay over the survivors, derived as
+    ``fail_instances`` derives its copy."""
+    result = overlay.subgraph(inst for inst in overlay.instances() if inst not in victims)
+    RouteOracle.default().derive(overlay, result, removed_instances=victims)
+    return result
+
+
+class TestFailInstancesCopiesRows:
+    """``fail_instances`` copies the rows and drops the victims'; the result
+    is the induced sub-overlay over the survivors, link object for link
+    object, and the oracle carries, drops and repairs the same trees."""
+
+    @pytest.mark.parametrize("model", ["waxman", "erdos_renyi", "barabasi_albert", "ring", "grid"])
+    def test_equals_the_induced_subgraph(self, model):
+        underlay = Underlay.generate(UnderlayConfig(n=24, model=model, seed=7))
+        catalog = ServiceCatalog.from_edges(
+            [("A", "B"), ("A", "C"), ("B", "C"), ("C", "D"), ("B", "E")]
+        )
+        rng = random.Random(model)
+        placement = {
+            ServiceInstance(sid, rng.randrange(24)) for sid in "ABCD" for _ in range(4)
+        }
+        lonely = ServiceInstance("E", rng.randrange(24))  # E's only instance
+        victims = {lonely, *rng.sample(sorted(placement), 4)}
+        overlay = OverlayGraph.build(underlay, placement | {lonely}, catalog.compatible)
+        sides = []
+        for fail in (_induced_subgraph, fail_instances):
+            oracle = RouteOracle.reset_default()
+            oracle.warm(overlay, list(overlay.instances()))
+            failed = fail(overlay, victims)
+            derived = oracle.stats()
+            trees = {src: oracle.tree(failed, src) for src in failed.instances()}
+            sides.append((failed, derived, trees, oracle.stats()))
+        (old, *old_counts), (new, *new_counts) = sides
+        assert new_counts == old_counts
+        assert old_counts[0].carried and old_counts[0].dropped and old_counts[2].repaired
+        assert set(new.instances()) == set(old.instances()) == set(overlay.instances()) - victims
+        assert new._by_sid == old._by_sid and "E" not in new._by_sid
+        for rows, old_rows in ((new._out, old._out), (new._in, old._in)):
+            assert rows.keys() == old_rows.keys()
+            for inst, row in rows.items():
+                assert row.keys() == old_rows[inst].keys()
+                assert all(row[peer] is old_rows[inst][peer] for peer in row)
 
 
 class TestFailLinks:

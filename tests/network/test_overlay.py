@@ -313,6 +313,111 @@ class TestBuildFromUnderlay:
             )
 
 
+class TestRepeatBuild:
+    """``build`` holds the last link table per underlay, with the price rows
+    and predicate answers it was made from; a repeat build over the same
+    rows returns a copy of that table."""
+
+    @pytest.fixture
+    def scenario(self):
+        return generate_scenario(ScenarioConfig(network_size=40, n_services=5, seed=2))
+
+    @staticmethod
+    def spy_on_path_qualities(monkeypatch):
+        made = []
+        real = PathQuality.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PathQuality, "__init__", counted)
+        return made
+
+    @staticmethod
+    def table(overlay):
+        """Everything a link table holds, in row order."""
+        return (
+            [(inst, list(row.items())) for inst, row in overlay._out.items()],
+            [(inst, list(row.items())) for inst, row in overlay._in.items()],
+            overlay._by_sid,
+        )
+
+    def test_a_repeat_build_in_any_order_makes_no_metrics(self, scenario, monkeypatch):
+        placement = list(scenario.overlay.instances())
+        compatible = scenario.catalog.compatible
+        RouteOracle.reset_default()
+        first = OverlayGraph.build(scenario.underlay, placement, compatible)
+        made = self.spy_on_path_qualities(monkeypatch)
+        shuffled = placement + placement[:3]
+        random.Random(0).shuffle(shuffled)
+        again = OverlayGraph.build(scenario.underlay, shuffled, compatible)
+        assert made == []
+        assert again is not first and again.num_links() == first.num_links() > 0
+        for src in placement:
+            assert again._out[src] is not first._out[src]
+            for dst, metrics in first.successors(src):
+                assert again.link_metrics(src, dst) is metrics
+        RouteOracle.reset_default()
+        fresh = OverlayGraph.build(scenario.underlay, placement, compatible)
+        assert made and self.table(again) == self.table(fresh)
+
+    def test_growing_a_built_graph_reaches_no_later_build(self, scenario):
+        placement = list(scenario.overlay.instances())
+        compatible = scenario.catalog.compatible
+        RouteOracle.reset_default()
+        first = OverlayGraph.build(scenario.underlay, placement, compatible)
+        expected = self.table(first.with_links({}))
+        src, dst = next(
+            (a, b) for a in placement for b in placement
+            if a != b and first.link_metrics(a, b) is None
+        )
+        ghost = ServiceInstance("ghost", 0)
+        for built in (first, OverlayGraph.build(scenario.underlay, placement, compatible)):
+            built.add_link(src, dst, PathQuality(1.0, 1.0))
+            built.add_instance(ghost)
+            later = OverlayGraph.build(scenario.underlay, placement, compatible)
+            assert self.table(later) == expected
+            assert later.link_metrics(src, dst) is None and ghost not in later
+
+    @pytest.mark.parametrize("change", ["placement", "predicate", "reset_default", "clear", "invalidate"])
+    def test_each_input_forces_a_rebuild(self, scenario, monkeypatch, change):
+        underlay, placement = scenario.underlay, list(scenario.overlay.instances())
+        compatible = scenario.catalog.compatible
+        RouteOracle.reset_default()
+        first = OverlayGraph.build(underlay, placement, compatible)
+        if change == "placement":
+            placement = placement[1:]
+        elif change == "predicate":
+            flipped = next(
+                (a.sid, b.sid) for a in placement for b in placement if a.sid != b.sid
+            )
+            real = compatible
+
+            def compatible(up, down):
+                return real(up, down) != ((up, down) == flipped)
+        elif change == "invalidate":
+            RouteOracle.default().invalidate(underlay)
+        else:
+            getattr(RouteOracle.default() if change == "clear" else RouteOracle, change)()
+        made = self.spy_on_path_qualities(monkeypatch)
+        rebuilt = OverlayGraph.build(underlay, placement, compatible)
+        assert made
+        expected = TestBuildFromUnderlay.built_from_full_trees(underlay, placement, compatible)
+        assert self.table(rebuilt) == self.table(expected)
+        assert (self.table(rebuilt) == self.table(first)) == (
+            change not in ("placement", "predicate")
+        )
+
+    def test_a_host_out_of_range_is_refused_after_a_build(self, scenario):
+        placement = list(scenario.overlay.instances())
+        compatible = scenario.catalog.compatible
+        OverlayGraph.build(scenario.underlay, placement, compatible)
+        stray = ServiceInstance(placement[0].sid, scenario.underlay.n)
+        with pytest.raises(KeyError, match="unknown host"):
+            OverlayGraph.build(scenario.underlay, placement + [stray], compatible)
+
+
 class TestLinkStorage:
     """A link is stored as its metrics; a :class:`ServiceLink` is made only
     when a caller asks for one."""
