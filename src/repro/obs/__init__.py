@@ -15,10 +15,10 @@ one process-wide layer with three parts:
 * :mod:`repro.obs.recorder` -- the JSONL "flight recorder" sink plus its
   loader; ``python -m repro.tools.trace`` renders recordings.
 
-On top of the base layer, :mod:`repro.obs.export` holds the Prometheus
-text exposition and Chrome/Perfetto trace JSON exporters (CLI:
-``sflow-trace export``) and :mod:`repro.obs.causal` the sim-time causal
-profiler (``sflow-trace profile``).
+On top of the base layer, :mod:`repro.obs.causal` holds the sim-time
+causal profiler (``sflow-trace profile``).  The JSONL flight recording is
+the one recording format; a seeded run replays to an equal recording,
+bar host (``wall*``) timings.
 
 Typical use::
 
@@ -41,20 +41,17 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.obs import causal, export, metrics, trace
+from repro.obs import causal, metrics, trace
 from repro.obs.causal import (
     CampaignProfile,
     CriticalStep,
-    ProfileDiff,
     SessionProfile,
     aggregate_profiles,
-    diff_recordings,
     merge_campaigns,
     profile_recording,
     profile_session,
 )
 from repro.obs.clock import PERF_CLOCK, Lap, Stopwatch
-from repro.obs.export import chrome_trace, prometheus_exposition
 from repro.obs.metrics import (
     MetricsRegistry,
     diff_snapshots,
@@ -71,7 +68,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "PERF_CLOCK",
-    "ProfileDiff",
     "Recorder",
     "Recording",
     "SessionProfile",
@@ -82,17 +78,13 @@ __all__ = [
     "active_recorder",
     "aggregate_profiles",
     "causal",
-    "chrome_trace",
-    "diff_recordings",
     "diff_snapshots",
-    "export",
     "load_recording",
     "merge_campaigns",
     "merge_snapshots",
     "metrics",
     "profile_recording",
     "profile_session",
-    "prometheus_exposition",
     "recording",
     "registry",
     "start_recording",

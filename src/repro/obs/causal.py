@@ -42,10 +42,8 @@ from repro.obs.recorder import Recording
 __all__ = [
     "CampaignProfile",
     "CriticalStep",
-    "ProfileDiff",
     "SessionProfile",
     "aggregate_profiles",
-    "diff_recordings",
     "merge_campaigns",
     "profile_recording",
     "profile_session",
@@ -576,89 +574,3 @@ def merge_campaigns(
         base.node_blame[node] = base.node_blame.get(node, 0.0) + total
     return base
 
-
-# -- differential comparison ------------------------------------------------------
-
-
-@dataclass
-class ProfileDiff:
-    """Per-phase comparison of two recordings (baseline A vs. candidate B)."""
-
-    baseline_sessions: int
-    candidate_sessions: int
-    baseline_mean: float
-    candidate_mean: float
-    #: kind -> (A mean per session, B mean per session, delta).
-    kind_deltas: Dict[str, Tuple[float, float, float]]
-    threshold: float
-    #: Relative critical-path change ((B - A) / A); ``inf`` when A is 0
-    #: and B is not.
-    relative: float
-
-    @property
-    def delta(self) -> float:
-        return self.candidate_mean - self.baseline_mean
-
-    @property
-    def regression(self) -> bool:
-        """True when the candidate's mean critical path regressed past the
-        threshold (e.g. 0.2 = +20%)."""
-        return self.relative > self.threshold
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "baseline_sessions": self.baseline_sessions,
-            "candidate_sessions": self.candidate_sessions,
-            "baseline_mean": self.baseline_mean,
-            "candidate_mean": self.candidate_mean,
-            "delta": self.delta,
-            "relative": self.relative,
-            "threshold": self.threshold,
-            "regression": self.regression,
-            "kind_deltas": {
-                kind: {"baseline": a, "candidate": b, "delta": d}
-                for kind, (a, b, d) in sorted(self.kind_deltas.items())
-            },
-        }
-
-
-def diff_recordings(
-    baseline: Recording,
-    candidate: Recording,
-    *,
-    threshold: float = 0.2,
-) -> ProfileDiff:
-    """Align two recordings and compare their critical-path structure.
-
-    Sessions are aggregated per recording (means are per-session), so the
-    two recordings need not contain the same number of sessions -- e.g. a
-    fault-free baseline arm against a full chaos campaign, or the same
-    seeded campaign before and after an optimization.
-    """
-    a = aggregate_profiles(profile_recording(baseline))
-    b = aggregate_profiles(profile_recording(candidate))
-    kinds = sorted(set(a.kind_blame) | set(b.kind_blame))
-    kind_deltas: Dict[str, Tuple[float, float, float]] = {}
-    for kind in kinds:
-        a_total = a.kind_blame.get(kind, (0, 0.0))[1]
-        b_total = b.kind_blame.get(kind, (0, 0.0))[1]
-        a_mean = a_total / a.sessions if a.sessions else 0.0
-        b_mean = b_total / b.sessions if b.sessions else 0.0
-        kind_deltas[kind] = (a_mean, b_mean, b_mean - a_mean)
-    a_mean = a.mean_path_duration
-    b_mean = b.mean_path_duration
-    if a_mean > 0:
-        relative = (b_mean - a_mean) / a_mean
-    elif b_mean > 0:
-        relative = math.inf
-    else:
-        relative = 0.0
-    return ProfileDiff(
-        baseline_sessions=a.sessions,
-        candidate_sessions=b.sessions,
-        baseline_mean=a_mean,
-        candidate_mean=b_mean,
-        kind_deltas=kind_deltas,
-        threshold=threshold,
-        relative=relative,
-    )

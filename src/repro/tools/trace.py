@@ -3,26 +3,17 @@
 Usage (``python -m repro.tools.trace`` is the same program)::
 
     sflow-trace REC [--session N] [--metrics-only] [--no-metrics]
-    sflow-trace export REC [--prom [PATH]] [--chrome-trace [PATH]]
     sflow-trace report REC [--top-k N] [--out PATH]
     sflow-trace profile REC [--session N] [--top-k N] [--json] [--out PATH]
-    sflow-trace diff BASELINE CANDIDATE [--max-regression 0.2] [--json]
-        [--out PATH]
 
 * bare -- *what happened?*  Per session (root span): the sim-time window,
   the protocol's outcome attributes, and a merged timeline of child spans
   and point events; then every counter, gauge and histogram.
-* ``export`` -- the metric snapshot as Prometheus text exposition
-  (``--prom``) and spans/events as Chrome trace-event JSON
-  (``--chrome-trace``, for ``ui.perfetto.dev``); no PATH means stdout.
 * ``report`` -- *which phases were hot?*  The hottest span kinds by sim
   time and host seconds.
 * ``profile`` -- *where did the time go?*  Each session's causal critical
   path (:mod:`repro.obs.causal`), blame by kind, link, node and phase,
   off-path slack, and the campaign rollup of a multi-session recording.
-* ``diff`` -- *did it get slower?*  Per-kind mean critical-path deltas of
-  two recordings; exit 1 when the candidate's mean path exceeds the
-  baseline's by more than ``--max-regression``.
 
 ``--session N`` counts from 1 in recording order and filters text and
 JSON alike; outside 1..M it exits 2.  ``--out`` also writes the output to
@@ -39,14 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.causal import (
-    ProfileDiff,
-    SessionProfile,
-    aggregate_profiles,
-    diff_recordings,
-    profile_recording,
-)
-from repro.obs.export import chrome_trace, prometheus_exposition
+from repro.obs.causal import SessionProfile, aggregate_profiles, profile_recording
 from repro.obs.recorder import Recording, load_recording
 
 
@@ -217,7 +201,7 @@ def render_report(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# -- profile and diff: causal critical paths ---------------------------------
+# -- profile: causal critical paths ------------------------------------------
 
 
 def render_session_profile(
@@ -313,28 +297,6 @@ def render_profiles(
     return "\n".join(lines)
 
 
-def render_diff(diff: ProfileDiff) -> str:
-    """The differential report as one printable block."""
-    lines = [
-        "differential critical-path profile",
-        f"  baseline : {diff.baseline_sessions} sessions, "
-        f"mean critical path {diff.baseline_mean:g}",
-        f"  candidate: {diff.candidate_sessions} sessions, "
-        f"mean critical path {diff.candidate_mean:g}",
-        f"  delta    : {diff.delta:+g} "
-        f"({diff.relative:+.1%} vs. threshold +{diff.threshold:.0%})",
-        "",
-        f"  {'kind':<9} {'baseline':>12} {'candidate':>12} {'delta':>12}",
-    ]
-    for kind, (a, b, d) in sorted(
-        diff.kind_deltas.items(), key=lambda kv: (-abs(kv[1][2]), kv[0])
-    ):
-        lines.append(f"  {kind:<9} {_fmt(a):>12} {_fmt(b):>12} {d:>+12g}")
-    lines.append("")
-    lines.append("verdict: REGRESSION" if diff.regression else "verdict: ok")
-    return "\n".join(lines)
-
-
 # -- command line ------------------------------------------------------------
 
 #: Every flag of every subcommand, declared once; ``_COMMANDS`` picks them.
@@ -349,21 +311,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         action="store_true", help="skip sessions, print just the metric summary"
     ),
     "--no-metrics": dict(action="store_true", help="skip the metric summary"),
-    "--prom": dict(
-        nargs="?", const="-", metavar="PATH",
-        help="write the metric snapshot as Prometheus text exposition "
-        "(to PATH, or stdout when omitted)",
-    ),
-    "--chrome-trace": dict(
-        nargs="?", const="-", metavar="PATH",
-        help="write spans/events as Chrome trace-event JSON "
-        "(to PATH, or stdout when omitted)",
-    ),
-    "--max-regression": dict(
-        type=float, default=0.2, metavar="FRAC",
-        help="fail (exit 1) when the candidate's mean critical path exceeds "
-        "the baseline by more than this fraction (default %(default)s)",
-    ),
 }
 
 
@@ -378,10 +325,9 @@ def _load_checked(path: Path) -> Optional[Recording]:
     return recording
 
 
-def _emit(text: str, out: Optional[Path], *, echo: bool = True) -> None:
-    """Print ``text`` (when ``echo``) and also write it to ``out``."""
-    if echo:
-        sys.stdout.write(text)
+def _emit(text: str, out: Optional[Path]) -> None:
+    """Print ``text`` and also write it to ``out``."""
+    sys.stdout.write(text)
     if out is not None:
         out.write_text(text, encoding="utf-8")
         print(f"wrote {out}", file=sys.stderr)
@@ -392,22 +338,6 @@ def _render_cmd(args: argparse.Namespace, recording: Recording) -> int:
         recording, session=args.session, metrics=not args.no_metrics,
         metrics_only=args.metrics_only,
     ))
-    return 0
-
-
-def _export_cmd(args: argparse.Namespace, recording: Recording) -> int:
-    if args.prom is None and args.chrome_trace is None:
-        print("error: nothing to export (pass --prom and/or --chrome-trace)", file=sys.stderr)
-        return 2
-    outputs = []
-    if args.prom is not None:
-        outputs.append((args.prom, prometheus_exposition(recording.metrics)))
-    if args.chrome_trace is not None:
-        payload = json.dumps(chrome_trace(recording), separators=(",", ":"))
-        outputs.append((args.chrome_trace, payload + "\n"))
-    for target, text in outputs:
-        path = None if target == "-" else Path(target)
-        _emit(text, path, echo=path is None)
     return 0
 
 
@@ -433,41 +363,19 @@ def _profile_cmd(args: argparse.Namespace, recording: Recording) -> int:
     return 0
 
 
-def _diff_cmd(args: argparse.Namespace, baseline: Recording, candidate: Recording) -> int:
-    diff = diff_recordings(baseline, candidate, threshold=args.max_regression)
-    if args.json:
-        text = json.dumps(diff.as_dict(), indent=2, sort_keys=True)
-    else:
-        text = render_diff(diff)
-    _emit(text + "\n", args.out)
-    if diff.regression:
-        print(
-            f"FAIL: mean critical path regressed {diff.relative:+.1%} "
-            f"(threshold +{diff.threshold:.0%})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 class _Command(NamedTuple):
     description: str
-    run: Callable[..., int]
+    run: Callable[[argparse.Namespace, Recording], int]
     flags: Tuple[str, ...]
-    recordings: Tuple[str, ...] = ("recording",)
     top_k: Optional[int] = None  # the --top-k default, when it is a flag
 
 
 #: The bare form ``sflow-trace REC`` is the ``""`` entry.
 _COMMANDS: Dict[str, _Command] = {
     "": _Command(
-        "Render an sFlow flight recording (JSONL).  Subcommands: export, report, "
-        "profile, diff (sflow-trace SUBCOMMAND --help).",
+        "Render an sFlow flight recording (JSONL).  Subcommands: report, "
+        "profile (sflow-trace SUBCOMMAND --help).",
         _render_cmd, ("--session", "--metrics-only", "--no-metrics"),
-    ),
-    "export": _Command(
-        "Export an sFlow flight recording for external tools.",
-        _export_cmd, ("--prom", "--chrome-trace"),
     ),
     "report": _Command(
         "Rank the hottest span kinds of a flight recording.",
@@ -476,11 +384,6 @@ _COMMANDS: Dict[str, _Command] = {
     "profile": _Command(
         "Causal critical-path profile of a flight recording.",
         _profile_cmd, ("--session", "--top-k", "--json", "--out"), top_k=5,
-    ),
-    "diff": _Command(
-        "Compare the critical paths of two flight recordings.",
-        _diff_cmd, ("--max-regression", "--json", "--out"),
-        recordings=("baseline", "candidate"),
     ),
 }
 
@@ -492,8 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog=f"sflow-trace {name}".rstrip(), description=command.description
     )
-    for positional in command.recordings:
-        parser.add_argument(positional, type=Path, help=f"{positional} JSONL file")
+    parser.add_argument("recording", type=Path, help="recording JSONL file")
     for flag in command.flags:
         parser.add_argument(flag, **_FLAGS[flag])
     parser.set_defaults(top_k=command.top_k)
@@ -501,10 +403,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.top_k is not None and args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return 2
-    recordings = [_load_checked(getattr(args, p)) for p in command.recordings]
-    if None in recordings:
+    recording = _load_checked(args.recording)
+    if recording is None:
         return 2
-    session, count = getattr(args, "session", None), len(recordings[0].sessions())
+    session, count = getattr(args, "session", None), len(recording.sessions())
     if session is not None and not 1 <= session <= count:
         print(
             f"error: --session {session} is outside 1..{count} "
@@ -512,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    return command.run(args, *recordings)
+    return command.run(args, recording)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI shim

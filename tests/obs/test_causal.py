@@ -1,4 +1,4 @@
-"""Causal profiler: critical paths, blame, slack, diffs.
+"""Causal profiler: critical paths, blame, slack.
 
 Unit coverage drives hand-built recordings through
 :func:`repro.obs.causal.profile_session` so every hop kind and edge case
@@ -19,7 +19,6 @@ from repro.core.sflow import SFlowAlgorithm
 from repro.obs.causal import (
     STEP_KINDS,
     aggregate_profiles,
-    diff_recordings,
     merge_campaigns,
     profile_recording,
     profile_session,
@@ -240,56 +239,6 @@ class TestCampaignAggregation:
         campaign = aggregate_profiles([])
         assert campaign.sessions == 0
         assert campaign.mean_path_duration == 0.0
-
-
-class TestDiff:
-    def _scaled(self, scale):
-        records = [
-            _span(1, 1, "sflow.session", 0.0, 10.0 * scale),
-            _send(1, 1.0 * scale, 1, "a", "b"),
-            _deliver(1, 3.0 * scale, 1, "a", "b"),
-            _activate(1, 4.0 * scale, "b", cause=1),
-        ]
-        return _recording(records)
-
-    def test_regression_past_threshold_flags(self):
-        diff = diff_recordings(self._scaled(1.0), self._scaled(2.0))
-        assert diff.baseline_mean == 4.0
-        assert diff.candidate_mean == 8.0
-        assert diff.relative == pytest.approx(1.0)
-        assert diff.regression  # +100% > 20%
-
-    def test_improvement_is_not_a_regression(self):
-        diff = diff_recordings(self._scaled(2.0), self._scaled(1.0))
-        assert diff.relative == pytest.approx(-0.5)
-        assert not diff.regression
-
-    def test_within_threshold_passes(self):
-        diff = diff_recordings(
-            self._scaled(1.0), self._scaled(1.1), threshold=0.2
-        )
-        assert not diff.regression
-
-    def test_kind_deltas_are_per_session_means(self):
-        diff = diff_recordings(self._scaled(1.0), self._scaled(2.0))
-        base, cand, delta = diff.kind_deltas["transmit"]
-        assert (base, cand, delta) == (2.0, 4.0, 2.0)
-
-    def test_zero_baseline_against_nonzero_is_infinite(self):
-        empty = _recording([_span(1, 1, "sflow.session", 0.0, 1.0)])
-        diff = diff_recordings(empty, self._scaled(1.0))
-        assert diff.relative == float("inf")
-        assert diff.regression
-
-    def test_two_empty_recordings_are_flat(self):
-        empty = _recording([_span(1, 1, "sflow.session", 0.0, 1.0)])
-        diff = diff_recordings(empty, empty)
-        assert diff.relative == 0.0
-        assert not diff.regression
-
-    def test_as_dict_is_json_clean(self):
-        payload = diff_recordings(self._scaled(1.0), self._scaled(2.0)).as_dict()
-        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestEndToEnd:

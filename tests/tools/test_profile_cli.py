@@ -1,4 +1,4 @@
-"""Tests for the causal profiler subcommands (sflow-trace profile / diff)."""
+"""Tests for the causal profiler subcommand (sflow-trace profile)."""
 
 import json
 
@@ -37,7 +37,7 @@ def _record_campaign(path, seeds):
 
 @pytest.fixture(scope="module")
 def recorded_pair(tmp_path_factory):
-    """A fast recording and a slower one (bigger campaign) to diff."""
+    """A one-session recording and a three-session campaign."""
     root = tmp_path_factory.mktemp("profile")
     fast = root / "fast.jsonl"
     slow = root / "slow.jsonl"
@@ -118,57 +118,3 @@ class TestProfile:
     def test_bad_top_k_is_an_error(self, recorded_pair, capsys):
         fast, _, _, _ = recorded_pair
         assert trace_main(["profile", str(fast), "--top-k", "0"]) == 2
-
-
-class TestDiff:
-    def test_identical_recordings_are_flat(self, recorded_pair, capsys):
-        fast, _, _, _ = recorded_pair
-        assert trace_main(["diff", str(fast), str(fast)]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: ok" in out
-        assert "+0.0%" in out
-
-    def test_regression_fails_with_exit_one(self, recorded_pair, capsys):
-        single, campaign, single_results, campaign_results = recorded_pair
-        single_mean = single_results[0].convergence_time
-        campaign_mean = sum(
-            r.convergence_time for r in campaign_results
-        ) / len(campaign_results)
-        # The seed-11 scenario converges well above the campaign mean, so
-        # campaign -> single is a genuine critical-path regression.
-        assert single_mean > campaign_mean * 1.2
-        assert trace_main(["diff", str(campaign), str(single)]) == 1
-        captured = capsys.readouterr()
-        assert "verdict: REGRESSION" in captured.out
-        assert "FAIL: mean critical path regressed" in captured.err
-
-    def test_threshold_is_tunable(self, recorded_pair, capsys):
-        single, campaign, _, _ = recorded_pair
-        assert (
-            trace_main(
-                ["diff", str(campaign), str(single), "--max-regression", "10.0"]
-            )
-            == 0
-        )
-        assert "verdict: ok" in capsys.readouterr().out
-
-    def test_json_diff_payload(self, recorded_pair, capsys):
-        single, campaign, single_results, campaign_results = recorded_pair
-        assert (
-            trace_main(["diff", str(campaign), str(single), "--json"]) == 1
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regression"] is True
-        assert payload["baseline_sessions"] == 3
-        assert payload["candidate_sessions"] == 1
-        assert payload["candidate_mean"] == pytest.approx(
-            single_results[0].convergence_time
-        )
-        assert set(payload["kind_deltas"]) <= {
-            "initial", "transmit", "process", "emit", "backoff",
-        }
-
-    def test_missing_candidate_is_an_error(self, recorded_pair, tmp_path):
-        fast, _, _, _ = recorded_pair
-        missing = tmp_path / "absent.jsonl"
-        assert trace_main(["diff", str(fast), str(missing)]) == 2

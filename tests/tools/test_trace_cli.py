@@ -8,7 +8,7 @@ from repro import obs
 from repro.core.sflow import SFlowAlgorithm, SFlowConfig
 from repro.network.failures import ChaosPlan, CrashEvent, CrashSchedule
 from repro.services.workloads import travel_agency_scenario
-from repro.tools.trace import build_report, main as trace_main, render
+from repro.tools.trace import _COMMANDS, build_report, main as trace_main, render
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +134,25 @@ class TestMain:
         assert "outside 1..2" in captured.err
 
 
+class TestCommands:
+    def test_three_forms(self):
+        assert set(_COMMANDS) == {"", "report", "profile"}
+
+    @pytest.mark.parametrize(
+        "extra", [["export"], ["diff", "A"]], ids=["export", "diff"]
+    )
+    def test_retired_subcommands_are_usage_errors(
+        self, recorded_run, capsys, extra
+    ):
+        path, _, _ = recorded_run
+        with pytest.raises(SystemExit) as exit_:
+            trace_main([*extra, str(path)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sflow-trace ")
+        assert "unrecognized arguments" in err
+
+
 class TestDamagedRecordings:
     def test_truncated_line_warns_but_renders(self, tmp_path, capsys):
         path = tmp_path / "trunc.jsonl"
@@ -155,46 +174,6 @@ class TestDamagedRecordings:
         path.write_text("")
         assert trace_main([str(path)]) == 0
         assert capsys.readouterr().err == ""
-
-
-class TestExportCLI:
-    def test_prom_to_file(self, recorded_run, tmp_path, capsys):
-        path, _, _ = recorded_run
-        out = tmp_path / "metrics.prom"
-        assert trace_main(["export", str(path), "--prom", str(out)]) == 0
-        text = out.read_text()
-        assert "channel_messages_total" in text
-        assert "# TYPE" in text
-        assert f"wrote {out}" in capsys.readouterr().err
-
-    def test_chrome_trace_to_stdout_is_valid_json(self, recorded_run, capsys):
-        path, _, _ = recorded_run
-        assert trace_main(["export", str(path), "--chrome-trace"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        names = {e["name"] for e in payload["traceEvents"]}
-        assert "sflow.federate" in names
-
-    def test_both_exports_in_one_call(self, recorded_run, tmp_path):
-        path, _, _ = recorded_run
-        prom = tmp_path / "m.prom"
-        chrome = tmp_path / "t.json"
-        assert trace_main(
-            ["export", str(path), "--prom", str(prom),
-             "--chrome-trace", str(chrome)]
-        ) == 0
-        assert prom.exists() and chrome.exists()
-        json.loads(chrome.read_text())
-
-    def test_no_format_flag_is_an_error(self, recorded_run, capsys):
-        path, _, _ = recorded_run
-        assert trace_main(["export", str(path)]) == 2
-        assert "nothing to export" in capsys.readouterr().err
-
-    def test_missing_file_is_an_error(self, tmp_path, capsys):
-        assert trace_main(
-            ["export", str(tmp_path / "nope.jsonl"), "--prom"]
-        ) == 2
-        assert "no such recording" in capsys.readouterr().err
 
 
 class TestReportCLI:
