@@ -54,7 +54,7 @@ Nid = int
 _T = TypeVar("_T")
 
 #: Per underlay, the last build's placement, predicate answers and price
-#: rows (held, so identity matches them soundly) and a copy of its links.
+#: rows (held, so identity matches them soundly) and the graph it returned.
 _BUILDS: "weakref.WeakKeyDictionary[Underlay, Tuple[Any, ...]]" = weakref.WeakKeyDictionary()
 
 
@@ -155,13 +155,22 @@ class OverlayGraph:
         #: What planners derive from the topology alone (ego views by root
         #: and by reached node set, priced hop rows, the link summaries):
         #: computed once, shared read-only, dropped by ``add_instance`` /
-        #: ``add_link`` and nothing else.
+        #: ``add_link`` and nothing else -- so never, on a built graph.
         self._memo: Dict[Hashable, Any] = {}
+        #: Set by :meth:`build` alone: its graphs are shared, so they refuse
+        #: to grow.
+        self._frozen = False
 
     # -- construction ------------------------------------------------------
 
     def add_instance(self, instance: ServiceInstance) -> ServiceInstance:
-        """Register a service instance; idempotent."""
+        """Register a service instance; idempotent.  A graph :meth:`build`
+        returned raises ``TypeError``."""
+        if self._frozen:  # add_link comes through here first
+            raise TypeError(
+                "a built overlay is shared and immutable; "
+                "grow a copy made by with_links({})"
+            )
         if instance not in self._out:
             self._out[instance] = {}
             self._in[instance] = {}
@@ -176,7 +185,8 @@ class OverlayGraph:
         metrics: LinkMetrics,
     ) -> ServiceLink:
         """Add a directed service link (endpoints are auto-registered) and
-        return it as a :class:`ServiceLink`."""
+        return it as a :class:`ServiceLink`.  A graph :meth:`build` returned
+        raises ``TypeError``."""
         self.add_instance(src)
         self.add_instance(dst)
         if dst in self._out[src]:
@@ -211,8 +221,12 @@ class OverlayGraph:
         The links are a function of the placement, the predicate's answers
         and the oracle's price row objects (``reset_default``, ``clear`` and
         ``invalidate(underlay)`` hand out new ones), so a repeat build -- a
-        churn rejoin -- returns a :meth:`with_links` copy of the last table
-        made over this underlay from the same three, sharing its metrics.
+        churn rejoin -- returns the very graph the last build over this
+        underlay returned when it was made from the same three, with the
+        routing rows and memo it has gathered since.  A built graph is
+        therefore shared and immutable: ``add_instance`` and ``add_link``
+        raise ``TypeError``, and :meth:`with_links` ``({})`` (or
+        :meth:`subgraph`, :meth:`without`) gives a growable copy.
 
         Args:
             underlay: the physical network.
@@ -255,7 +269,7 @@ class OverlayGraph:
         if held is not None and held[:2] == (instances, feeds) and all(
             mine is theirs for mine, theirs in zip(held[2], rows)  # one per feeding host
         ):
-            return held[3].with_links({})
+            return held[3]
         local = PathQuality(math.inf, 0.0)
         into = overlay._in
         for a, row in zip(feeding, rows):
@@ -271,7 +285,8 @@ class OverlayGraph:
                     price = row.get(b.nid)
                     if price is not None:  # every priced path is usable
                         out_row[b] = into[b][a] = PathQuality(*price)
-        _BUILDS[underlay] = (instances, feeds, rows, overlay.with_links({}))
+        overlay._frozen = True
+        _BUILDS[underlay] = (instances, feeds, rows, overlay)
         return overlay
 
     # -- queries -----------------------------------------------------------

@@ -135,10 +135,9 @@ class CSRGraph:
     back.  Edge slot ``j`` of node ``i`` lives at positions
     ``indptr[i] <= j < indptr[i + 1]`` of ``indices``/``bandwidth``/
     ``latency``.  Instances are immutable once built; the oracle keeps
-    them per view inside the graph's own state, so a snapshot serves
-    another graph only one nobody derived that adopted it, being equal.
-    It outlives its graphs only as the parent a derived graph's snapshot
-    is built from (:meth:`restricted`), until that build.
+    them per view inside the graph's own state, so a snapshot serves its
+    graph alone.  It outlives that graph only as the parent a derived
+    graph's snapshot is built from (:meth:`restricted`), until that build.
     """
 
     __slots__ = (

@@ -12,11 +12,11 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   graph's trees against the pure rows).  So the oracle holds one state per
   graph object -- its trees keyed ``(view, source)``, the repairs pending
   under the same key, its price rows keyed ``(view, order, source)``, one
-  CSR snapshot per view.  A graph nobody derived whose snapshot of a view
-  equals a live one's, also underived, adopts that snapshot and its rows
-  of the view (:meth:`~RouteOracle._adopt`); a derived graph neither
-  adopts nor lends, so a carried or repaired row never leaves its graph,
-  and no other row is shared.  Snapshots derive as trees do: a graph
+  CSR snapshot per view -- and no row is shared between two graphs but by
+  :meth:`~RouteOracle.derive`.  Equal graphs share rows by being one
+  object: a repeat :meth:`OverlayGraph.build
+  <repro.network.overlay.OverlayGraph.build>` returns the graph it built
+  before, which is immutable.  Snapshots derive as trees do: a graph
   :meth:`~RouteOracle.derive` made from one that holds its
   ``"successors"`` snapshot builds its own from that snapshot's arrays
   (removed instances dropped, touched links re-read from the new graph)
@@ -49,9 +49,9 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   a reference overlay, so it derives its result from *that* graph, with
   the touch sets :meth:`OverlayGraph.restriction_of
   <repro.network.overlay.OverlayGraph.restriction_of>` reads off the two
-  graphs themselves -- or it is a new graph object nobody derived (a
-  churn join rebuilds the overlay from the underlay), which adopts the
-  rows of an equal graph nobody derived, or else starts with none.
+  graphs themselves -- or it is a new graph object nobody derived, which
+  starts with no row.  (A churn rejoin rebuilds the overlay from the
+  underlay, and that repeat build is the pristine overlay itself.)
 
 * **Coverage.**  A caller that reads a row only at some destinations
   passes ``targets``; the row holds those labels (or prices) alone and
@@ -63,10 +63,11 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
 * **Lifetime.**  States sit in a ``WeakKeyDictionary``: a graph's trees,
   pending repairs, price rows and snapshots go when the graph does, so long-running
   campaigns cannot leak memory through dead overlays, and no finalizer
-  runs oracle code.  The oracle's table of states that lend rows holds
-  them weakly.  A snapshot still to derive holds its ancestor's
-  immutable snapshot, never the ancestor graph, and lets go of it once
-  built: a mutation chain does not keep its earlier graphs alive.
+  runs oracle code.  The last overlay built over an underlay lives as
+  long as that underlay: the build holds it for a repeat build to return.
+  A snapshot still to derive holds its ancestor's immutable snapshot,
+  never the ancestor graph, and lets go of it once built: a mutation
+  chain does not keep its earlier graphs alive.
 
 * **One compute path.**  Every label the oracle computes -- a miss, a
   :meth:`~RouteOracle.warm` batch, the targeted recompute of a repair --
@@ -108,8 +109,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as _np
-
 from repro.network.metrics import IDEAL
 from repro.obs import metrics as obs_metrics
 from repro.routing import kernel as _kernel
@@ -138,7 +137,6 @@ class OracleStats:
     evictions: int = 0  # always 0: nothing is evicted (benchmark records read it)
     warmed: int = 0  # trees computed by a batched warm() prefetch
     repaired: int = 0  # trees rebuilt by targeted repair, not full recompute
-    adopted: int = 0  # trees taken from an equal graph nobody derived
     kernel_trees: int = 0  # shortest-widest trees the CSR kernel built
     kernel_thresholds: int = 0  # distinct widths those trees stepped through
     kernel_restarts: int = 0  # width steps the kernel redid from scratch
@@ -156,20 +154,6 @@ class OracleStats:
 def _covers(covered: _Targets, asked: _Targets) -> bool:
     """Whether a row covering ``covered`` answers a lookup for ``asked``."""
     return covered is None or (asked is not None and asked <= covered)
-
-
-_ARRAYS = ("indptr", "indices", "bandwidth", "latency")
-
-
-def _fingerprint(csr: _kernel.CSRGraph) -> int:
-    """Finds a snapshot's twin; only :func:`_same_snapshot` proves one."""
-    return hash((csr.nodes, *(getattr(csr, name).tobytes() for name in _ARRAYS)))
-
-
-def _same_snapshot(a: _kernel.CSRGraph, b: _kernel.CSRGraph) -> bool:
-    return a.nodes == b.nodes and all(
-        _np.array_equal(getattr(a, name), getattr(b, name)) for name in _ARRAYS
-    )
 
 
 def _either_way(links: Iterable[Tuple[Node, Node]]) -> FrozenSet[Tuple[Node, Node]]:
@@ -296,10 +280,9 @@ class _GraphState:
     whole tree sets reachable.
     """
 
-    __slots__ = ("trees", "repairs", "prices", "snapshots", "derivation", "derived", "__weakref__")
+    __slots__ = ("trees", "repairs", "prices", "snapshots", "derivation")
 
-    def __init__(self, derived: bool) -> None:
-        self.derived = derived
+    def __init__(self) -> None:
         self.trees: Dict[_TreeKey, _Entry] = {}
         #: Trees dropped by scoped invalidation, kept for targeted repair
         #: at their first lookup on this graph.
@@ -321,7 +304,7 @@ class RouteOracle:
 
     # The oracle has no knobs; slots make assigning an unknown attribute
     # (``oracle.enabled = False``) raise instead of silently creating it.
-    __slots__ = ("_registry", "_counters", "_lock", "_graphs", "_twins")
+    __slots__ = ("_registry", "_counters", "_lock", "_graphs")
 
     _default: Optional["RouteOracle"] = None
     _default_lock = threading.Lock()
@@ -366,7 +349,6 @@ class RouteOracle:
                 "oracle.repaired",
                 "trees rebuilt by targeted repair instead of full recompute",
             ),
-            "adopted": self._registry.counter("oracle.adopted", "trees taken from an equal graph"),
             "kernel_trees": self._registry.counter(
                 "oracle.kernel_trees", "shortest-widest trees the kernel built"
             ),
@@ -383,8 +365,6 @@ class RouteOracle:
         self._graphs: "weakref.WeakKeyDictionary[Any, _GraphState]" = (
             weakref.WeakKeyDictionary()
         )
-        #: ``(view, fingerprint)`` -> the underived state that lends its rows.
-        self._twins: "weakref.WeakValueDictionary[Any, _GraphState]" = weakref.WeakValueDictionary()
 
     # -- singleton ---------------------------------------------------------
 
@@ -442,7 +422,7 @@ class RouteOracle:
         shared across callers.
         """
         key = (view, source)
-        state = self._state_for(graph, view, neighbors)
+        state = self._state_for(graph)
         with self._lock:
             entry = state.trees.get(key)
             if entry is not None and (  # a full row answers without the call
@@ -490,7 +470,7 @@ class RouteOracle:
         Returns the number of trees actually computed (0 when everything
         was already cached).  Results are bit-identical to :meth:`tree`.
         """
-        state = self._state_for(graph, view, neighbors)
+        state = self._state_for(graph)
         with self._lock:
             missing: list = []
             seen: Set[Node] = set()
@@ -544,7 +524,7 @@ class RouteOracle:
         source outside the snapshot's universe reaches only itself.
         """
         asked = frozenset(targets)
-        state = self._state_for(graph, view, neighbors)
+        state = self._state_for(graph)
         with self._lock:
             held = {source: state.prices.get((view, order, source)) for source in sources}
         missing = [
@@ -604,7 +584,7 @@ class RouteOracle:
         touched_edges = _either_way(touched_links)
         with self._lock:
             old_state = self._graphs.get(old)
-            new_state = self._graphs[new] = _GraphState(derived=True)
+            new_state = self._graphs[new] = _GraphState()
             if old_state is None:
                 return
             parent = old_state.snapshots.get("successors")
@@ -641,7 +621,6 @@ class RouteOracle:
         """Drop everything (stats survive; see :meth:`reset_stats`)."""
         with self._lock:
             self._graphs.clear()
-            self._twins.clear()
 
     # -- introspection -----------------------------------------------------
 
@@ -674,17 +653,13 @@ class RouteOracle:
 
     # -- internals ---------------------------------------------------------
 
-    def _state_for(self, graph: Any, view: str, neighbors: Optional[NeighborFn]) -> _GraphState:
-        """The graph's state; an underived one builds (or adopts) the view's
-        snapshot before the first lookup there reads its rows."""
+    def _state_for(self, graph: Any) -> _GraphState:
+        """The graph's state, made empty at the first lookup."""
         with self._lock:
             state = self._graphs.get(graph)
             if state is None:
-                state = self._graphs[graph] = _GraphState(derived=False)
-            if state.derived or view in state.snapshots:
-                return state
-        self._snapshot_for(graph, state, view, neighbors)
-        return state
+                state = self._graphs[graph] = _GraphState()
+            return state
 
     def _rows(
         self,
@@ -721,7 +696,7 @@ class RouteOracle:
     ) -> _kernel.CSRGraph:
         """The CSR snapshot of one view of ``graph``, built at most once:
         derived from an ancestor's when :meth:`derive` left one pending,
-        else walked from the graph (and maybe adopted: :meth:`_adopt`).
+        else walked from the graph.
 
         The build itself runs outside the lock; a concurrent duplicate
         build is harmless (idempotent result).
@@ -734,37 +709,11 @@ class RouteOracle:
                 csr = pending.build(graph)
             else:
                 csr = _kernel.snapshot(graph, neighbors)
-            twin_key = None if state.derived else (view, _fingerprint(csr))
             with self._lock:
-                if twin_key is not None:
-                    csr = self._adopt(state, twin_key, csr)
                 state.snapshots[view] = csr
                 if pending is not None:
                     state.derivation = None  # lets go of the parent snapshot
         return csr
-
-    def _adopt(
-        self, state: _GraphState, key: Tuple[str, int], csr: _kernel.CSRGraph
-    ) -> _kernel.CSRGraph:
-        """The snapshot an underived ``state`` keeps for view ``key[0]``:
-        a live underived twin's equal one, with the twin's tree and price
-        rows of the view (fresh kernel rows on equal arrays), else ``csr``,
-        ``state`` then lending to the graphs to come.  Runs under the lock.
-        """
-        twin = self._twins.get(key)
-        if twin is None:
-            self._twins[key] = state
-            return csr
-        view = key[0]
-        held = twin.snapshots[view]
-        if twin is state or not _same_snapshot(held, csr):
-            return csr
-        trees = {k: entry for k, entry in twin.trees.items() if k[0] == view}
-        state.trees.update(trees)
-        state.prices.update((k, row) for k, row in twin.prices.items() if k[0] == view)
-        if trees:
-            self._counters["adopted"].inc(len(trees))
-        return held
 
     # -- incremental repair ------------------------------------------------
 

@@ -314,9 +314,9 @@ class TestBuildFromUnderlay:
 
 
 class TestRepeatBuild:
-    """``build`` holds the last link table per underlay, with the price rows
-    and predicate answers it was made from; a repeat build over the same
-    rows returns a copy of that table."""
+    """``build`` holds the last graph it built per underlay, with the price
+    rows and predicate answers it was made from; a repeat build over the
+    same rows returns that graph, which is immutable."""
 
     @pytest.fixture
     def scenario(self):
@@ -353,16 +353,14 @@ class TestRepeatBuild:
         random.Random(0).shuffle(shuffled)
         again = OverlayGraph.build(scenario.underlay, shuffled, compatible)
         assert made == []
-        assert again is not first and again.num_links() == first.num_links() > 0
-        for src in placement:
-            assert again._out[src] is not first._out[src]
-            for dst, metrics in first.successors(src):
-                assert again.link_metrics(src, dst) is metrics
+        assert again is first and again.num_links() > 0
         RouteOracle.reset_default()
         fresh = OverlayGraph.build(scenario.underlay, placement, compatible)
         assert made and self.table(again) == self.table(fresh)
 
     def test_growing_a_built_graph_reaches_no_later_build(self, scenario):
+        """A first or a repeat result refuses to grow and stays what the
+        slot holds; a :meth:`with_links` copy grows without reaching it."""
         placement = list(scenario.overlay.instances())
         compatible = scenario.catalog.compatible
         RouteOracle.reset_default()
@@ -374,11 +372,18 @@ class TestRepeatBuild:
         )
         ghost = ServiceInstance("ghost", 0)
         for built in (first, OverlayGraph.build(scenario.underlay, placement, compatible)):
-            built.add_link(src, dst, PathQuality(1.0, 1.0))
-            built.add_instance(ghost)
-            later = OverlayGraph.build(scenario.underlay, placement, compatible)
-            assert self.table(later) == expected
-            assert later.link_metrics(src, dst) is None and ghost not in later
+            with pytest.raises(TypeError, match=r"with_links\(\{\}\)"):
+                built.add_link(src, dst, PathQuality(1.0, 1.0))
+            with pytest.raises(TypeError, match=r"with_links\(\{\}\)"):
+                built.add_instance(ghost)
+            assert OverlayGraph.build(scenario.underlay, placement, compatible) is first
+            assert self.table(first) == expected
+        grown = first.with_links({})
+        grown.add_link(src, dst, PathQuality(1.0, 1.0))
+        grown.add_instance(ghost)
+        later = OverlayGraph.build(scenario.underlay, placement, compatible)
+        assert later is first and self.table(later) == expected
+        assert later.link_metrics(src, dst) is None and ghost not in later
 
     @pytest.mark.parametrize("change", ["placement", "predicate", "reset_default", "clear", "invalidate"])
     def test_each_input_forces_a_rebuild(self, scenario, monkeypatch, change):
@@ -416,6 +421,47 @@ class TestRepeatBuild:
         stray = ServiceInstance(placement[0].sid, scenario.underlay.n)
         with pytest.raises(KeyError, match="unknown host"):
             OverlayGraph.build(scenario.underlay, placement + [stray], compatible)
+
+
+class TestABuiltGraphIsImmutable:
+    """What ``build`` returns is shared by every repeat build, so it refuses
+    to grow; a copy made from it is the caller's own and grows."""
+
+    @pytest.fixture
+    def built(self):
+        return generate_scenario(ScenarioConfig(network_size=30, n_services=4, seed=1)).overlay
+
+    @staticmethod
+    def unlinked_pair(graph):
+        instances = list(graph.instances())
+        return next(
+            (a, b) for a in instances for b in instances
+            if a != b and graph.link_metrics(a, b) is None
+        )
+
+    def test_add_link_and_add_instance_raise(self, built):
+        src, dst = self.unlinked_pair(built)
+        before = TestRepeatBuild.table(built)
+        with pytest.raises(TypeError, match=r"with_links\(\{\}\)"):
+            built.add_link(src, dst, PathQuality(1.0, 1.0))
+        with pytest.raises(TypeError, match=r"with_links\(\{\}\)"):
+            built.add_instance(ServiceInstance("ghost", 0))
+        assert TestRepeatBuild.table(built) == before
+
+    @pytest.mark.parametrize("copy", ["with_links", "without", "subgraph"])
+    def test_its_copies_grow(self, built, copy):
+        instances = list(built.instances())
+        grown = {
+            "with_links": lambda: built.with_links({}),
+            "without": lambda: built.without(instances[:1]),
+            "subgraph": lambda: built.subgraph(instances[1:]),
+        }[copy]()
+        src, dst = self.unlinked_pair(grown)
+        ghost = ServiceInstance("ghost", 0)
+        grown.add_link(src, dst, PathQuality(1.0, 1.0))
+        grown.add_instance(ghost)
+        assert grown.link_metrics(src, dst) == PathQuality(1.0, 1.0) and ghost in grown
+        assert built.link_metrics(src, dst) is None and ghost not in built
 
 
 class TestLinkStorage:

@@ -17,6 +17,7 @@ import weakref
 import pytest
 
 from repro.core.alternatives import undirected_relaxation
+from repro.core.sflow import SFlowAlgorithm
 from repro.network.failures import (
     degrade_links,
     fail_instances,
@@ -294,10 +295,8 @@ class TestMutations:
         another link is wider here than there, or an instance is here and
         not there -- says nothing to the oracle: no tree of the reference
         (or of the degraded graph) is a safe start where paths got better.
-        Each healed graph equals ``overlay`` all the same, a graph nobody
-        derived, so it adopts ``overlay``'s row; once ``overlay`` is
-        invalidated a healed graph equals no graph the oracle holds and
-        computes its row cold."""
+        Each healed graph equals ``overlay`` all the same, but is a graph
+        nobody derived, and computes its row cold."""
         overlay = diamond_overlay()
         oracle = RouteOracle.default()
         a = ServiceInstance("A", 0)
@@ -322,13 +321,7 @@ class TestMutations:
             assert oracle.cached_sources(degraded) == {a}  # the old graph serves on
             assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
             stats = oracle.stats()
-            assert (stats.hits, stats.misses, stats.repaired, stats.adopted) == (1, 0, 0, 1)
-        oracle.invalidate(overlay)
-        oracle.reset_stats()
-        healed = revive_links(degraded, reference, [link])
-        assert oracle.tree(healed, a) == shortest_widest_tree(healed.successors, a)
-        stats = oracle.stats()
-        assert (stats.hits, stats.misses, stats.repaired, stats.adopted) == (0, 1, 0, 0)
+            assert (stats.hits, stats.misses, stats.repaired) == (0, 1, 0)
 
     def test_invalidate_drops_everything_for_graph(self):
         overlay = diamond_overlay()
@@ -454,7 +447,7 @@ class TestDerivedSnapshots:
     def snapshot_of(oracle, graph):
         """The oracle's ``"successors"`` snapshot of ``graph``, built now if
         no lookup has needed it yet."""
-        state = oracle._state_for(graph, "successors", None)
+        state = oracle._state_for(graph)
         return oracle._snapshot_for(graph, state, "successors", None)
 
     @pytest.mark.parametrize("read", [False, True], ids=["pending", "built"])
@@ -514,8 +507,8 @@ class TestDerivedSnapshots:
 
 
 class TestEqualGraphs:
-    """A graph nobody derived adopts the snapshot and rows of an equal live
-    graph nobody derived; the arrays, not the fingerprint, prove equal."""
+    """Equal graphs share rows by being one object: a repeat build returns
+    the overlay it built, with everything the oracle holds for it."""
 
     def test_a_rebuilt_overlay_warms_no_tree(self):
         scenario = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL)
@@ -527,6 +520,7 @@ class TestEqualGraphs:
         rebuilt = OverlayGraph.build(
             scenario.underlay, instances, scenario.catalog.compatible
         )
+        assert rebuilt is overlay
         assert oracle.warm(rebuilt, rebuilt.instances()) == 0
         for inst in instances:
             assert oracle.tree(rebuilt, inst) == shortest_widest_tree(
@@ -534,114 +528,102 @@ class TestEqualGraphs:
             )
         stats = oracle.stats()
         assert (stats.warmed, stats.kernel_trees, stats.misses) == (0, 0, 0)
-        assert stats.adopted == stats.hits == len(instances)
-        held = oracle._graphs[overlay].snapshots["successors"]
-        assert oracle._graphs[rebuilt].snapshots["successors"] is held
+        assert stats.hits == len(instances)
 
-    def test_graphs_an_ulp_apart_share_nothing(self, monkeypatch):
-        """Every snapshot collides here, so only the arrays tell the two
-        overlays apart."""
-        monkeypatch.setattr(oracle_module, "_fingerprint", lambda csr: 0)
-        assert_an_ulp_apart_shares_nothing(RouteOracle())
+    def test_a_rejoin_federates_on_the_overlay_it_left(self, monkeypatch):
+        """A churn cycle's end: an instance of the flow graph leaves, comes
+        back, and the overlay is built again.  The rebuild is the overlay
+        it left, so a session federated on it walks no snapshot and builds
+        no kernel tree."""
+        scenario = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL)
+        overlay, source = scenario.overlay, scenario.source_instance
+        algorithm = SFlowAlgorithm()
+        first = algorithm.federate(scenario.requirement, overlay, source_instance=source)
+        victim = next(
+            inst for _, inst in sorted(first.flow_graph.assignment.items())
+            if inst != source and len(overlay.instances_of(inst.sid)) > 1
+        )
+        failed = fail_instances(overlay, [victim])
+        rejoined = OverlayGraph.build(
+            scenario.underlay, [*failed.instances(), victim], scenario.catalog.compatible
+        )
+        assert rejoined is overlay
+        walked = []
+        snapshot = kernel.snapshot
+        monkeypatch.setattr(
+            kernel, "snapshot", lambda *args: walked.append(args[0]) or snapshot(*args)
+        )
+        oracle = RouteOracle.default()
+        built = oracle.stats().kernel_trees
+        again = algorithm.federate(scenario.requirement, rejoined, source_instance=source)
+        assert walked == [] and oracle.stats().kernel_trees == built
+        assert again.flow_graph.assignment == first.flow_graph.assignment
 
-    def test_a_trusted_fingerprint_is_caught(self, monkeypatch):
-        """The test above fails the mutant that trusts the hash."""
-        monkeypatch.setattr(oracle_module, "_fingerprint", lambda csr: 0)
-        monkeypatch.setattr(oracle_module, "_same_snapshot", lambda a, b: True)
-        with pytest.raises(AssertionError):
-            assert_an_ulp_apart_shares_nothing(RouteOracle())
+    def test_graphs_an_ulp_apart_share_nothing(self):
+        """Rows are keyed by the graph object, so a copy whose one link is
+        an ulp longer computes its own rows, never the original's."""
+        oracle = RouteOracle()
+        overlay = diamond_overlay()
+        a, b2 = ServiceInstance("A", 0), ServiceInstance("B", 2)
+        wide = overlay.link(a, b2).metrics
+        longer = math.nextafter(wide.latency, math.inf)
+        apart = overlay.with_links({(a, b2): dataclasses.replace(wide, latency=longer)})
+        oracle.tree(overlay, a)
+        oracle.prices(overlay, (a,), targets=(b2,))
+        assert oracle.tree(apart, a) == shortest_widest_tree(apart.successors, a)
+        assert oracle.prices(apart, (a,), targets=(b2,)) == [{b2: (wide.bandwidth, longer)}]
+        assert oracle.prices(overlay, (a,), targets=(b2,)) == [
+            {b2: (wide.bandwidth, wide.latency)}
+        ]
+        assert oracle.stats().misses == 2
 
     def test_a_derived_graph_neither_adopts_nor_lends(self):
-        assert_derived_graphs_stay_apart()
-
-    def test_registered_derived_states_are_caught(self, monkeypatch):
-        """The test above fails the mutant that lets derived states adopt
-        and lend as underived ones do."""
-        init = oracle_module._GraphState.__init__
-        monkeypatch.setattr(
-            oracle_module._GraphState, "__init__", lambda self, derived: init(self, False)
-        )
-        with pytest.raises(AssertionError):
-            assert_derived_graphs_stay_apart()
+        """An underived copy of a derived graph, and a derived graph equal
+        to a held underived one, each get their own pure rows."""
+        oracle = RouteOracle.default()  # the one the failure models report to
+        overlay = diamond_overlay()
+        a, b1 = ServiceInstance("A", 0), ServiceInstance("B", 1)
+        link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
+        oracle.tree(overlay, a)
+        degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
+        oracle.tree(degraded, a)
+        copy = degraded.with_links({})
+        assert oracle.tree(copy, a) == shortest_widest_tree(copy.successors, a)
+        assert oracle.tree(copy, a) is not oracle.tree(degraded, a)
+        healed = revive_links(degraded, overlay, [link])
+        assert healed.restriction_of(overlay) is not None  # derived, equal to overlay
+        assert oracle.tree(healed, b1) == shortest_widest_tree(healed.successors, b1)
+        assert oracle.cached_sources(overlay) == {a}  # nothing was lent to it
 
     def test_reset_default_forgets_the_twins(self):
-        assert_reset_default_forgets_the_twins()
-
-    def test_a_twin_table_outliving_its_oracle_is_caught(self, monkeypatch):
-        """The test above fails the mutant whose oracles share one table."""
-        shared = weakref.WeakValueDictionary()
-        init = RouteOracle.__init__
-
-        def sharing(self, **kwargs):
-            init(self, **kwargs)
-            self._twins = shared
-
-        monkeypatch.setattr(RouteOracle, "__init__", sharing)
-        with pytest.raises(AssertionError):
-            assert_reset_default_forgets_the_twins()
+        """The oracle ``reset_default`` hands out holds nothing of the one
+        before: an equal copy and the overlay itself both warm cold."""
+        scenario = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL)
+        overlay = scenario.overlay
+        instances = list(overlay.instances())
+        first = RouteOracle.reset_default()
+        first.warm(overlay, instances)
+        oracle = RouteOracle.reset_default()
+        assert oracle is not first
+        assert oracle.warm(overlay.with_links({}), instances) == len(instances)
+        assert oracle.warm(overlay, instances) == len(instances)
 
     def test_a_dead_twin_leaves_the_table(self):
+        """An equal copy holds its own rows, which outlive the graph it was
+        copied from; the dead graph leaves the oracle's table."""
         overlay = diamond_overlay()
         a = ServiceInstance("A", 0)
         oracle = RouteOracle()
         oracle.tree(overlay, a)
         copy = overlay.with_links({})
-        assert oracle.tree(copy, a) is oracle.tree(overlay, a)
-        assert len(oracle._twins) == 1
+        assert oracle.tree(copy, a) == oracle.tree(overlay, a)
+        assert len(oracle._graphs) == 2
         ref = weakref.ref(overlay)
         del overlay
         gc.collect()
         assert ref() is None
-        assert len(oracle._twins) == 0
-        assert oracle.cached_sources(copy) == {a}  # the adopter keeps its rows
-
-
-def assert_an_ulp_apart_shares_nothing(oracle):
-    overlay = diamond_overlay()
-    a, b2 = ServiceInstance("A", 0), ServiceInstance("B", 2)
-    wide = overlay.link(a, b2).metrics
-    apart = overlay.with_links(
-        {(a, b2): dataclasses.replace(wide, latency=math.nextafter(wide.latency, math.inf))}
-    )
-    oracle.tree(overlay, a)
-    oracle.prices(overlay, (a,), targets=(b2,))
-    assert oracle.tree(apart, a) == shortest_widest_tree(apart.successors, a)
-    assert oracle.prices(apart, (a,), targets=(b2,)) == [
-        {b2: (wide.bandwidth, math.nextafter(wide.latency, math.inf))}
-    ]
-    stats = oracle.stats()
-    assert (stats.adopted, stats.misses) == (0, 2)
-
-
-def assert_derived_graphs_stay_apart():
-    """An underived copy of a derived graph adopts nothing from it, and a
-    derived graph equal to a held underived one keeps its own rows."""
-    oracle = RouteOracle.default()  # the one the failure models report to
-    overlay = diamond_overlay()
-    a, b1 = ServiceInstance("A", 0), ServiceInstance("B", 1)
-    link = (ServiceInstance("B", 2), ServiceInstance("C", 3))
-    oracle.tree(overlay, a)
-    degraded = degrade_links(overlay, [link], bandwidth_factor=0.5)
-    oracle.tree(degraded, a)
-    copy = degraded.with_links({})
-    assert oracle.tree(copy, a) == shortest_widest_tree(copy.successors, a)
-    healed = revive_links(degraded, overlay, [link])
-    assert healed.restriction_of(overlay) is not None  # derived, equal to overlay
-    assert oracle.tree(healed, b1) == shortest_widest_tree(healed.successors, b1)
-    assert oracle.stats().adopted == 0
-
-
-def assert_reset_default_forgets_the_twins():
-    scenario = generate_scenario(LARGE_ENOUGH_FOR_THE_KERNEL)
-    overlay = scenario.overlay
-    instances = list(overlay.instances())
-    first = RouteOracle.reset_default()
-    first.warm(overlay, instances)
-    oracle = RouteOracle.reset_default()
-    assert oracle is not first
-    rebuilt = overlay.with_links({})
-    assert oracle.warm(rebuilt, instances) == len(instances)
-    assert oracle.stats().adopted == 0
+        assert len(oracle._graphs) == 1
+        assert oracle.cached_sources(copy) == {a}  # the copy keeps its rows
 
 
 class TestLazyTraversedSets:
