@@ -31,8 +31,7 @@ from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
-from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import NeighborFn
+from repro.routing.oracle import UNDIRECTED, RouteOracle
 from repro.services.abstract_graph import AbstractGraph
 from repro.services.flowgraph import ServiceFlowGraph
 from repro.services.requirement import RequirementClass, ServiceRequirement, Sid
@@ -130,22 +129,6 @@ class FixedAlgorithm:
 _NO_PRICE = (UNREACHABLE.bandwidth, UNREACHABLE.latency)
 
 
-def undirected_relaxation(overlay: OverlayGraph) -> NeighborFn:
-    """``overlay``'s adjacency with link direction ignored: each neighbour
-    once, under the better of the two directions' metrics."""
-
-    def undirected(inst: ServiceInstance):
-        seen = {}
-        for nbr, metrics in overlay.successors(inst):
-            seen[nbr] = metrics
-        for nbr, metrics in overlay.predecessors(inst):
-            if nbr not in seen or metrics.is_better_than(seen[nbr]):
-                seen[nbr] = metrics
-        return sorted(seen.items())
-
-    return undirected
-
-
 class ServicePathAlgorithm:
     """End-to-end single service path federation (Gu et al. style).
 
@@ -227,14 +210,15 @@ class ServicePathAlgorithm:
         between consecutive layers and nothing else -- no route, no hop
         count -- so each hop is one :meth:`RouteOracle.prices` call: this
         layer's instances priced at the next pool only, over the
-        *undirected* relaxation of the overlay.  A layer entry is
+        *undirected* relaxation of the overlay (the oracle's
+        :data:`~repro.routing.oracle.UNDIRECTED` view, derived from the
+        overlay's own snapshot).  A layer entry is
         ``(instance, bandwidth, latency, trail)``, compared as
         :class:`PathQuality` orders them; the winner's trail is spelled
         into the assignment once.
         """
         chain = requirement.topological_order()
         oracle = RouteOracle.default()
-        undirected = undirected_relaxation(overlay)
         first_pool = pinned_pool(
             overlay.instances_of(chain[0]), chain[0], source_instance
         )
@@ -246,7 +230,7 @@ class ServicePathAlgorithm:
             pool = overlay.instances_of(sid)
             rows = oracle.prices(
                 overlay, [entry[0] for entry in layer], targets=frozenset(pool),
-                view="undirected", neighbors=undirected,
+                view=UNDIRECTED,
             )
             nxt: List[Tuple[ServiceInstance, float, float, Trail]] = []
             for inst in pool:

@@ -49,10 +49,23 @@ class PathQuality:
     latency is in abstract time units.  Both must be non-negative;
     ``bandwidth`` may be ``math.inf`` (ideal label) and ``latency`` may be
     ``math.inf`` (unreachable label).
+
+    Slotted, so an instance carries no ``__dict__`` (fewer objects for the
+    cyclic collector to track); the state methods let a frozen instance
+    pickle across processes.
     """
+
+    __slots__ = ("bandwidth", "latency")
 
     bandwidth: float
     latency: float
+
+    def __getstate__(self) -> Tuple[float, float]:
+        return (self.bandwidth, self.latency)
+
+    def __setstate__(self, state: Tuple[float, float]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         if self.bandwidth < 0:

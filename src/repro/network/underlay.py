@@ -268,15 +268,21 @@ def _topology_edges(config: UnderlayConfig, rng: random.Random) -> set:
 
 
 def _waxman_edges(n: int, rng: random.Random) -> set:
-    """Waxman (1988) random graph: P(u,v) = beta * exp(-d(u,v) / (alpha * L))."""
+    """Waxman (1988) random graph: P(u,v) = beta * exp(-d(u,v) / (alpha * L)).
+
+    Each pair draws first: a draw ``>= beta`` fails whatever the distance
+    (``exp(-d / s) <= 1``), so it skips the arithmetic -- the same draws,
+    in the same order, and the same edges."""
     positions = [(rng.random(), rng.random()) for _ in range(n)]
     scale = WAXMAN_ALPHA * math.sqrt(2.0)  # sqrt(2) = max distance in the unit square
     edges = set()
     for u, v in itertools.combinations(range(n), 2):
+        draw = rng.random()
+        if draw >= WAXMAN_BETA:
+            continue
         dx = positions[u][0] - positions[v][0]
         dy = positions[u][1] - positions[v][1]
-        dist = math.hypot(dx, dy)
-        if rng.random() < WAXMAN_BETA * math.exp(-dist / scale):
+        if draw < WAXMAN_BETA * math.exp(-math.hypot(dx, dy) / scale):
             edges.add((u, v))
     return edges
 

@@ -36,7 +36,11 @@ two-phase shortest-widest scheme against primitive arrays:
   hop count, path or label, and no restart rule (:func:`_prices_csr` has
   the argument);
 * phase 1 of a bandwidth-symmetric snapshot is one Kruskal pass for
-  every source at once (:meth:`CSRGraph.pair_widths`);
+  every source at once (:meth:`CSRGraph.pair_widths`), and so is that of
+  an acyclic one, as one topological sweep, for a batch that asks for at
+  least :data:`BULK_SHARE` of its nodes (:meth:`CSRGraph.swept_widths`);
+* the undirected view of a graph is derived from its directed snapshot's
+  arrays, symmetric by construction (:meth:`CSRGraph.undirected`);
 * when phase 1 ran to the end, the activation walk visits only the edges
   whose tail the source reaches (:meth:`CSRGraph.reached_activation`): an
   unreached tail is never labelled, so the relaxations are the same;
@@ -115,6 +119,15 @@ WIDEST_SHORTEST = "widest_shortest"
 
 _INF = math.inf
 
+#: The share of a snapshot's nodes a tree batch must ask for before an
+#: acyclic snapshot sweeps phase 1 for every source at once; a smaller
+#: batch takes a heap a source.  The two batches of a cold campaign cell
+#: that reach it are the abstract graphs' warms (132 and 134 sources of
+#: 166); the N = 1000 scale probe's (667 of 834) does too.  Churn and chaos
+#: batches ask for at most 3.3 % of their snapshots, and sweeping for them
+#: cost ``churn-n100`` about 15 % of its speed.
+BULK_SHARE = 0.25
+
 #: The usable-edge adjacency: ``(indptr, indices, latency, bandwidth)``
 #: python lists (lists, not ndarrays: the per-source heap loops index
 #: them far faster than boxed numpy scalars).  Within each row, edges
@@ -154,6 +167,8 @@ class CSRGraph:
         "_activation_arrays",
         "_symmetric",
         "_pair_widths",
+        "_acyclic",
+        "_swept_widths",
     )
 
     def __init__(
@@ -196,6 +211,8 @@ class CSRGraph:
         self._activation_arrays: "Any" = None  # the same order, as ndarrays
         self._symmetric: Optional[bool] = None  # not looked at yet
         self._pair_widths: "Any" = None
+        self._acyclic: Optional[bool] = None  # not looked at yet
+        self._swept_widths: "Any" = None
 
     # -- construction ------------------------------------------------------
 
@@ -312,6 +329,47 @@ class CSRGraph:
             latency[keep],
         )
 
+    def undirected(self) -> "CSRGraph":
+        """This directed snapshot with link direction ignored: array for
+        array what :meth:`from_adjacency` builds from the neighbours that
+        list, for each node, every node it links to either way, once, in
+        the nodes' sort order -- a pair linked both ways under the row
+        owner's own link's metrics unless the reverse link's are strictly
+        better (wider, or as wide and shorter).  It takes the snapshot of
+        a graph with no self-loop and at most one link per ordered pair,
+        as an overlay's ``"successors"`` snapshot is.
+
+        Both rows of a pair hold one link's metrics, or two that tie and
+        so are equal floats: the result is bandwidth-symmetric by
+        construction, and built marked so."""
+        n = len(self.nodes)
+        tails = _np.repeat(_np.arange(n), _np.diff(self.indptr))
+        nodes: List[Any] = list(self.nodes)
+        position = _np.empty(n, dtype=_np.int64)  # a node's place in sort order
+        position[sorted(range(n), key=nodes.__getitem__)] = _np.arange(n)
+        rows = _np.concatenate((tails, self.indices))
+        others = _np.concatenate((self.indices, tails))
+        backward = _np.arange(len(rows)) >= len(tails)  # an in-edge, read back
+        order = _np.lexsort((backward, position[others], rows))
+        rows, others = rows[order], others[order]
+        bandwidth = _np.tile(self.bandwidth, 2)[order]
+        latency = _np.tile(self.latency, 2)[order]
+        # A pair linked both ways: its out-edge entry, then its in-edge one.
+        own = _np.flatnonzero((rows[1:] == rows[:-1]) & (others[1:] == others[:-1]))
+        back = own + 1
+        wins = (bandwidth[back] > bandwidth[own]) | (
+            (bandwidth[back] == bandwidth[own]) & (latency[back] < latency[own])
+        )
+        bandwidth[own[wins]] = bandwidth[back[wins]]
+        latency[own[wins]] = latency[back[wins]]
+        keep = _np.ones(len(rows), dtype=bool)
+        keep[back] = False
+        indptr = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(rows[keep], minlength=n), out=indptr[1:])
+        view = CSRGraph(self.nodes, indptr, others[keep], bandwidth[keep], latency[keep])
+        view._symmetric = True
+        return view
+
     @property
     def n(self) -> int:
         return len(self.nodes)
@@ -424,34 +482,88 @@ class CSRGraph:
         :meth:`activation_order` writes ``W[A x B] = W[B x A] = b`` at the
         edge that merges components ``A`` and ``B`` -- a value *copied* from
         an edge, so bit-identical to the heap's.  Symmetry is observed,
-        never declared; in-degree against out-degree rejects a directed
+        unless the snapshot was built symmetric (:meth:`undirected`); the
+        observation's in-degree against out-degree rejects a directed
         overlay in O(E) before anything is sorted.  Built by the first
         shortest-widest tree, like the activation order.  (An incremental
         closure that needs no symmetry was tried as the *one* phase 1 and
         lost on the directed overlay, 60-79 ms against 4-22 ms of heap
-        sweeps -- in a layered DAG every edge extends reachability -- hence
-        a second phase 1, not a replacement.)
+        sweeps -- in a layered DAG every edge extends reachability; a
+        directed snapshot's bulk phase 1 is the topological sweep of
+        :meth:`swept_widths`, for acyclic ones and large batches only.)
         """
         if self._symmetric is None:
-            indptr, indices, _, ebw = self._usable_view
-            n = len(self.nodes)
-            heads = _np.asarray(indices, dtype=_np.int64)
-            degrees = _np.diff(_np.asarray(indptr, dtype=_np.int64))
-            symmetric = bool((_np.bincount(heads, minlength=n) == degrees).all())
-            if symmetric:  # the edge multiset equals its own reversal
-                tails = _np.repeat(_np.arange(n), degrees)
-                bw = _np.asarray(ebw, dtype=_np.float64)
-                out = _np.lexsort((bw, heads, tails))
-                back = _np.lexsort((bw, tails, heads))
-                symmetric = bool(
-                    (tails[out] == heads[back]).all()
-                    and (heads[out] == tails[back]).all()
-                    and (bw[out] == bw[back]).all()
-                )
-            if symmetric:
-                self._pair_widths = self._kruskal_widths()
-            self._symmetric = symmetric  # last: set means the array is too
+            self._symmetric = self._observed_symmetric()
+        if self._symmetric and self._pair_widths is None:
+            self._pair_widths = self._kruskal_widths()
         return self._pair_widths
+
+    def _observed_symmetric(self) -> bool:
+        """Whether the usable edges' multiset equals its own reversal."""
+        indptr, indices, _, ebw = self._usable_view
+        n = len(self.nodes)
+        heads = _np.asarray(indices, dtype=_np.int64)
+        degrees = _np.diff(_np.asarray(indptr, dtype=_np.int64))
+        if not (_np.bincount(heads, minlength=n) == degrees).all():
+            return False
+        tails = _np.repeat(_np.arange(n), degrees)
+        bw = _np.asarray(ebw, dtype=_np.float64)
+        out = _np.lexsort((bw, heads, tails))
+        back = _np.lexsort((bw, tails, heads))
+        return bool(
+            (tails[out] == heads[back]).all()
+            and (heads[out] == tails[back]).all()
+            and (bw[out] == bw[back]).all()
+        )
+
+    def swept_widths(self) -> "Any":
+        """Phase 1 for every source at once on an acyclic snapshot -- an
+        ``n x n`` array whose row ``s`` equals ``_widest_widths(csr, s)`` --
+        or None when the usable edges hold a cycle.
+
+        One sweep in topological order: a node's widths from every source
+        are the maximum, over its usable in-edges ``(u, v)`` of bandwidth
+        ``b``, of ``min(u's widths, b)``, one numpy row operation an in-edge
+        group; a node's own width is ``inf``.  Every entry is a bandwidth
+        *copied* from an edge (or 0.0, or ``inf``), so bit-identical to the
+        heap's.  Built by the first tree batch that asks for
+        :data:`BULK_SHARE` of the nodes (:func:`batched_trees`).
+        """
+        if self._acyclic is None:
+            indptr, indices, _, _ = self._usable_view
+            n = len(self.nodes)
+            waiting = _np.bincount(_np.asarray(indices, dtype=_np.int64), minlength=n).tolist()
+            order = [v for v in range(n) if not waiting[v]]
+            for u in order:  # Kahn's: grows while it is walked
+                for v in indices[indptr[u]:indptr[u + 1]]:
+                    waiting[v] -= 1
+                    if not waiting[v]:
+                        order.append(v)
+            acyclic = len(order) == n
+            if acyclic:
+                self._swept_widths = self._sweep(order)
+            self._acyclic = acyclic  # last: set means the array is too
+        return self._swept_widths
+
+    def _sweep(self, order: List[int]) -> "Any":
+        indptr, indices, _, ebw = self._usable_view
+        n = len(self.nodes)
+        heads = _np.asarray(indices, dtype=_np.int64)
+        tails = _np.repeat(_np.arange(n), _np.diff(_np.asarray(indptr, dtype=_np.int64)))
+        by_head = _np.argsort(heads, kind="stable")
+        into = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(heads, minlength=n), out=into[1:])
+        in_tails = tails[by_head]
+        in_bw = _np.asarray(ebw, dtype=_np.float64)[by_head, None]
+        widths = _np.zeros((n, n))  # widths[v, s]: from source s to node v
+        _np.fill_diagonal(widths, _INF)
+        bounds = into.tolist()
+        for v in order:
+            lo, hi = bounds[v], bounds[v + 1]
+            if lo < hi:
+                offered = _np.minimum(widths[in_tails[lo:hi]], in_bw[lo:hi])
+                _np.maximum(widths[v], offered.max(axis=0), out=widths[v])
+        return _np.ascontiguousarray(widths.T)
 
     def _kruskal_widths(self) -> "Any":
         _, indices, _, ebw = self._usable_view
@@ -575,19 +687,28 @@ def batched_trees(
     wanted: Optional[List[int]] = None
     if targets is not None:
         wanted = sorted({index[t] for t in targets if t in index})
+    pairs = csr.pair_widths()
+    if pairs is None and len(sources) >= BULK_SHARE * csr.n:
+        pairs = csr.swept_widths()
     out = TreeBatch()
     scratch = _Scratch(csr.n, out)
     for source in sources:
-        out.append(_shortest_widest_csr(csr, index[source], scratch, wanted))
+        out.append(_shortest_widest_csr(csr, index[source], scratch, wanted, pairs))
     return out
 
 
 def _shortest_widest_csr(
-    csr: CSRGraph, src: int, scratch: _Scratch, wanted: Optional[List[int]]
+    csr: CSRGraph,
+    src: int,
+    scratch: _Scratch,
+    wanted: Optional[List[int]],
+    pairs: "Any",
 ) -> Dict[Node, RouteLabel]:
     """The two-phase Wang-Crowcroft scheme on interned arrays.
 
-    Phase 1 finds every node's width ``w``; phase 2 owes it the
+    Phase 1 finds every node's width ``w`` -- row ``src`` of the batch's
+    all-sources ``pairs`` when it has them, else a heap from ``src``
+    alone; phase 2 owes it the
     min-latency label over the edges ``>= w``.  One label-correcting pass
     walks the widths downward and *carries* the labels (a path found at a
     wider threshold still exists at every narrower one).  Stepping down
@@ -619,7 +740,6 @@ def _shortest_widest_csr(
     it, and such children are never re-queued -- a chain of parents would
     silently change under them, a tuple cannot.
     """
-    pairs = csr.pair_widths()
     if pairs is not None:
         width: List[float] = pairs[src].tolist()
     else:

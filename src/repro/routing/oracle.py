@@ -23,7 +23,9 @@ monitor's probes, the baseline's path search) asks one process-wide memo,
   instead of walking itself; the same test checks every such snapshot
   against a fresh one, array for array.  ``view`` distinguishes
   adjacency views of the same graph (e.g. the directed overlay vs. its
-  undirected relaxation, which walks links backwards).  Every tree is
+  undirected relaxation, which walks links backwards).  The
+  :data:`UNDIRECTED` view is never walked either: its snapshot is the
+  graph's own ``"successors"`` snapshot with direction ignored.  Every tree is
   shortest-widest.  A price (:meth:`~RouteOracle.prices`) is either order:
   the overlay build prices the underlay widest-shortest, the
   serialized-chain control the overlay's undirected view shortest-widest.
@@ -123,6 +125,12 @@ _PriceKey = Tuple[str, str, Hashable]
 _Prices = Dict[Node, Tuple[float, float]]
 #: What a row covers, or a lookup asks for: ``None`` is every destination.
 _Targets = Optional[FrozenSet[Node]]
+
+#: The view that reads a graph's links in both directions, each pair of
+#: nodes once under the better of its two links' metrics (the successor's
+#: on a tie).  Its snapshot is derived from the ``"successors"`` one; a
+#: ``neighbors`` function passed for it is never walked.
+UNDIRECTED = "undirected"
 
 
 @dataclass
@@ -413,7 +421,8 @@ class RouteOracle:
             view: distinguishes multiple adjacency views of one graph; the
                 same ``view`` string must always denote the same adjacency.
             neighbors: adjacency function; defaults to ``graph.successors``
-                (or ``graph.neighbors`` for underlay-style graphs).
+                (or ``graph.neighbors`` for underlay-style graphs), and is
+                not read for the :data:`UNDIRECTED` view.
             targets: the destinations the caller will read (``None``: all).
                 The row holds the source and every reachable target -- more
                 when a cached row covers more; labels equal the full tree's.
@@ -695,8 +704,12 @@ class RouteOracle:
         neighbors: Optional[NeighborFn],
     ) -> _kernel.CSRGraph:
         """The CSR snapshot of one view of ``graph``, built at most once:
-        derived from an ancestor's when :meth:`derive` left one pending,
-        else walked from the graph.
+        the :data:`UNDIRECTED` view from the graph's own ``"successors"``
+        snapshot (:meth:`CSRGraph.undirected
+        <repro.routing.kernel.CSRGraph.undirected>`), which it builds first
+        when it must; the ``"successors"`` view derived from an ancestor's
+        when :meth:`derive` left one pending; anything else walked from the
+        graph.
 
         The build itself runs outside the lock; a concurrent duplicate
         build is harmless (idempotent result).
@@ -705,7 +718,9 @@ class RouteOracle:
             csr = state.snapshots.get(view)
             pending = state.derivation if view == "successors" else None
         if csr is None:
-            if pending is not None:
+            if view == UNDIRECTED:
+                csr = self._snapshot_for(graph, state, "successors", None).undirected()
+            elif pending is not None:
                 csr = pending.build(graph)
             else:
                 csr = _kernel.snapshot(graph, neighbors)

@@ -27,7 +27,7 @@ Node = Hashable
 NeighborFn = Callable[[Node], Iterable[Tuple[Node, LinkMetrics]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RouteLabel:
     """Routing-table entry produced by the tree computations.
 
@@ -38,11 +38,28 @@ class RouteLabel:
             widest-shortest prices equal).
         hops: number of edges on the selected path (-1 when unreachable).
         path: the full node path source..node (empty when unreachable).
+
+    Slotted like :class:`PathQuality`; a slot cannot hold a class-level
+    default, so ``path``'s is the hand-written ``__init__``'s.
     """
+
+    __slots__ = ("quality", "hops", "path")
 
     quality: PathQuality
     hops: int
-    path: Tuple[Node, ...] = ()
+    path: Tuple[Node, ...]
+
+    def __init__(self, quality: PathQuality, hops: int, path: Tuple[Node, ...] = ()) -> None:
+        object.__setattr__(self, "quality", quality)
+        object.__setattr__(self, "hops", hops)
+        object.__setattr__(self, "path", path)
+
+    def __getstate__(self) -> Tuple[PathQuality, int, Tuple[Node, ...]]:
+        return (self.quality, self.hops, self.path)
+
+    def __setstate__(self, state: Tuple[PathQuality, int, Tuple[Node, ...]]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     @property
     def predecessor(self) -> Optional[Node]:

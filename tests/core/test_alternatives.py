@@ -9,7 +9,6 @@ from repro.core.alternatives import (
     FixedAlgorithm,
     RandomAlgorithm,
     ServicePathAlgorithm,
-    undirected_relaxation,
 )
 from repro.core.baseline import solve_path_requirement
 from repro.core.optimal import optimal_flow_graph
@@ -21,6 +20,7 @@ from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.requirement import RequirementClass, ServiceRequirement
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.routing import undirected_relaxation
 from tests.oracles.service_path import TreeServicePath
 
 #: The requirement classes the service-path control serializes (a drawn
@@ -296,7 +296,9 @@ class TestServicePathAlgorithm:
         consecutive layers, so it asks for those alone: one pathless kernel
         pass per hop, this layer's instances priced at the next pool only,
         on one undirected snapshot -- no tree is looked up, warmed or
-        cached."""
+        cached.  The undirected snapshot is derived from the overlay's
+        ``"successors"`` one, so that is the one snapshot walked, and the
+        overlay holds both."""
         requirement, overlay = travel_scenario.requirement, travel_scenario.overlay
         passes, snapshots = [], []
         real_prices, real_snapshot = kernel.batched_prices, kernel.snapshot
@@ -320,8 +322,8 @@ class TestServicePathAlgorithm:
         assert passes == [
             (sources, frozenset(pool)) for sources, pool in zip(layers, layers[1:])
         ]
-        assert len(snapshots) == 1
-        assert list(oracle._graphs[overlay].snapshots) == ["undirected"]
+        assert [args[0] for args in snapshots] == [overlay]
+        assert list(oracle._graphs[overlay].snapshots) == ["successors", "undirected"]
         assert oracle.cached_sources(overlay, view="undirected") == set()
         stats = oracle.stats()
         assert (stats.lookups, stats.warmed, stats.kernel_trees) == (0, 0, 0)

@@ -9,7 +9,8 @@ latencies are kept: overlay ones are float sums of shared underlay
 segments, which is where the restart rule lives), and the target subsets
 -- and the one invariant is ``tests/oracles/routing.py``'s: kernel rows
 equal pure rows, full and targeted, every source, and a symmetric
-snapshot's Kruskal phase 1 equals the heap's.  The pathless prices of
+snapshot's Kruskal phase 1, like an acyclic one's topological sweep,
+equals the heap's.  The pathless prices of
 ``kernel.batched_prices`` are held to the pure rows' qualities on the same
 cases: shortest-widest ones under either phase 1, widest-shortest ones on
 more seeds.
@@ -26,13 +27,17 @@ import textwrap
 
 import pytest
 
-from repro.core.alternatives import undirected_relaxation
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph
 from repro.network.underlay import Underlay, UnderlayConfig
 from repro.routing import kernel
 from repro.services.workloads import ScenarioConfig, generate_scenario
-from tests.oracles.routing import assert_kernel_matches_pure, assert_prices_match_pure
+from tests.oracles.routing import (
+    assert_kernel_matches_pure,
+    assert_prices_match_pure,
+    assert_swept_widths_match_heap,
+    undirected_relaxation,
+)
 
 FAMILIES = ("waxman", "erdos_renyi", "barabasi_albert", "overlay")
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0, 40.0, math.inf)
@@ -116,6 +121,22 @@ def test_the_budget_reaches_every_family_both_ways():
     assert cases == {
         (family, shape) for family in FAMILIES for shape in ("directed", "undirected")
     }
+
+
+def test_swept_widths_equal_the_heaps_on_every_directed_seed():
+    """A directed overlay is acyclic (compatibility runs forward along the
+    requirement), and its sweep's matrix equals the heap's phase 1 row for
+    row; a directed underlay links every pair both ways, and that cycle
+    gives no matrix."""
+    swept = {}
+    for seed in SEEDS:
+        description, neighbors, nodes = draw_case(seed)
+        family, shape = description.split("/")[:2]
+        if shape == "directed":
+            csr = kernel.CSRGraph.from_adjacency(nodes, neighbors)
+            swept[seed] = assert_swept_widths_match_heap(csr)
+            assert swept[seed] == (family == "overlay"), description
+    assert True in swept.values() and False in swept.values()
 
 
 def test_a_flipped_path_tie_break_is_caught(monkeypatch):

@@ -40,13 +40,13 @@ import random
 
 import pytest
 
-from repro.core.alternatives import undirected_relaxation
 from repro.network import failures
 from repro.network.overlay import OverlayGraph, Restriction
 from repro.routing import kernel
 from repro.routing.oracle import RouteOracle
 from repro.services.serialization import overlay_from_dict, overlay_to_dict
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.routing import undirected_relaxation
 from tests.oracles.wang_crowcroft import shortest_widest_tree
 
 VIEWS = (

@@ -1,6 +1,8 @@
 """Unit and property tests for the (bandwidth, latency) quality algebra."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,19 @@ class TestConstruction:
     def test_hashable_by_value(self):
         assert hash(PathQuality(3.0, 4.0)) == hash(PathQuality(3.0, 4.0))
         assert PathQuality(3.0, 4.0) in {PathQuality(3.0, 4.0)}
+
+    def test_slotted(self):
+        assert not hasattr(PathQuality(3.0, 4.0), "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        """A frozen slotted instance crosses processes (the pooled
+        campaign pickles its records), ``inf`` and all."""
+        for quality in (PathQuality(3.0, 4.0), IDEAL, UNREACHABLE):
+            back = pickle.loads(pickle.dumps(quality, protocol))
+            assert type(back) is PathQuality
+            assert (back.bandwidth, back.latency) == (quality.bandwidth, quality.latency)
+        assert copy.deepcopy(IDEAL) == IDEAL
 
 
 class TestOrdering:

@@ -1,15 +1,20 @@
 """Tests for the physical-network substrate and its topology generators."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.underlay import (
+    WAXMAN_ALPHA,
+    WAXMAN_BETA,
     Underlay,
     UnderlayConfig,
     UnderlayLink,
+    _waxman_edges,
 )
 
 
@@ -189,3 +194,29 @@ class TestGeneration:
                            ensure_connected=False)
         )
         assert net.is_connected()
+
+
+def waxman_edges_computed_first(n, rng):
+    """The Waxman loop that computes every pair's probability before it
+    draws: the reference the draw-first loop is held to."""
+    positions = [(rng.random(), rng.random()) for _ in range(n)]
+    scale = WAXMAN_ALPHA * math.sqrt(2.0)
+    edges = set()
+    for u, v in itertools.combinations(range(n), 2):
+        dx = positions[u][0] - positions[v][0]
+        dy = positions[u][1] - positions[v][1]
+        dist = math.hypot(dx, dy)
+        if rng.random() < WAXMAN_BETA * math.exp(-dist / scale):
+            edges.add((u, v))
+    return edges
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_waxman_draws_first_and_keeps_every_edge(n):
+    """A draw that is not below beta fails at any distance, so skipping
+    its arithmetic keeps the edges -- and the stream: the next draw
+    after the loop is the same too."""
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert _waxman_edges(n, fast) == waxman_edges_computed_first(n, slow), seed
+        assert fast.random() == slow.random(), seed

@@ -1,6 +1,7 @@
 """The pure Wang-Crowcroft tree functions as the routing kernel's reference:
 its shortest-widest trees' labels, and its prices' ``(bandwidth, latency)``
-floats in either order."""
+floats in either order -- and the undirected view the route oracle derives
+from a snapshot, as the adjacency walk it replaces."""
 
 import random
 
@@ -22,6 +23,24 @@ ORDERS = {
     WIDEST_SHORTEST: widest_shortest_tree,
 }
 
+def undirected_relaxation(overlay):
+    """``overlay``'s adjacency with link direction ignored: each neighbour
+    once, under the better of the two directions' metrics (the
+    successor's on a tie) -- what the oracle's ``"undirected"`` view is
+    (``CSRGraph.undirected``)."""
+
+    def undirected(inst):
+        seen = {}
+        for nbr, metrics in overlay.successors(inst):
+            seen[nbr] = metrics
+        for nbr, metrics in overlay.predecessors(inst):
+            if nbr not in seen or metrics.is_better_than(seen[nbr]):
+                seen[nbr] = metrics
+        return sorted(seen.items())
+
+    return undirected
+
+
 #: A target no snapshot knows: simply absent from every row.
 OUTSIDER = "a node outside the snapshot"
 
@@ -31,14 +50,15 @@ def assert_kernel_matches_pure(graph, neighbors, nodes, *, seed=0):
     per-source row: the full tree, and the ``targets=`` row for seeded
     subsets (each with a node outside the snapshot), the empty set, the
     source alone and -- where there is one -- an unreachable node beside a
-    reachable one.  Phase 1 of a symmetric snapshot is held to the heap on
-    the way.  The widest-shortest prices are then held to the pure
+    reachable one.  Phase 1 of a symmetric snapshot, and of an acyclic
+    one, is held to the heap on the way.  The widest-shortest prices are then held to the pure
     widest-shortest rows on the same asks (:func:`assert_prices_match_pure`).
     Returns how many width steps the batches restarted."""
     nodes = list(nodes)
     rng = random.Random(seed)
     csr = CSRGraph.from_adjacency(nodes, neighbors)
     assert_pair_widths_match_heap(csr)
+    assert_swept_widths_match_heap(csr)
     subsets = [
         frozenset(rng.sample(nodes, rng.randrange(1, len(nodes) + 1))) | {OUTSIDER}
         for _ in range(2)
@@ -76,6 +96,17 @@ def assert_pair_widths_match_heap(csr):
     if pairs is None:
         return False
     assert pairs.tolist() == [_widest_widths(csr, s) for s in range(csr.n)]
+    return True
+
+
+def assert_swept_widths_match_heap(csr):
+    """``CSRGraph.swept_widths()`` -- one topological sweep -- equals the
+    heap's phase 1 from every source, as lists; returns whether there was
+    a matrix to compare (None: the usable edges hold a cycle)."""
+    swept = csr.swept_widths()
+    if swept is None:
+        return False
+    assert swept.tolist() == [_widest_widths(csr, s) for s in range(csr.n)]
     return True
 
 

@@ -10,13 +10,14 @@ A private oracle keeps its rows out of the process-wide one.
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.alternatives import ServicePathAlgorithm, undirected_relaxation
+from repro.core.alternatives import ServicePathAlgorithm
 from repro.core.types import pinned_pool
 from repro.errors import FederationError
 from repro.network.metrics import IDEAL, UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.oracle import RouteOracle
 from repro.services.requirement import ServiceRequirement, Sid
+from tests.oracles.routing import undirected_relaxation
 
 
 class TreeServicePath(ServicePathAlgorithm):

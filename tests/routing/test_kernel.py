@@ -19,13 +19,13 @@ are held to pure on hand-built graphs at their edges.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alternatives import undirected_relaxation
 from repro.network.metrics import PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.network.underlay import Underlay, UnderlayConfig
@@ -45,6 +45,8 @@ from tests.oracles.routing import (
     assert_kernel_matches_pure,
     assert_pair_widths_match_heap,
     assert_prices_match_pure,
+    assert_swept_widths_match_heap,
+    undirected_relaxation,
 )
 from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
@@ -575,6 +577,152 @@ class TestPairWidths:
         batched_trees(csr, nodes[:1], order=SHORTEST_WIDEST, targets=nodes[1:3])
         assert csr._symmetric is True
         assert assert_pair_widths_match_heap(csr)
+
+
+#: Filled overlays of the workload's shape beside ``TestFilledOverlay``'s.
+FILLED = (
+    TestFilledOverlay.CONFIG,
+    ScenarioConfig(network_size=40, n_services=5, instances_per_service=(6, 9), seed=3),
+    ScenarioConfig(network_size=80, n_services=7, instances_per_service=(9, 12), seed=8),
+)
+
+
+class TestSweptWidths:
+    """Phase 1 of an acyclic snapshot from one topological sweep, for a
+    batch that asks for at least ``BULK_SHARE`` of the nodes: the matrix
+    equals the heap's widths from every source, and the batch's rows and
+    phase-2 counts are the heap's."""
+
+    @staticmethod
+    def heap_batch(csr, sources, monkeypatch, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(CSRGraph, "swept_widths", lambda self: None)
+            return batched_trees(csr, sources, **kwargs)
+
+    @pytest.mark.parametrize("config", FILLED, ids=lambda c: f"n{c.network_size}")
+    def test_filled_overlays(self, config, monkeypatch):
+        overlay = generate_scenario(config).overlay
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        assert assert_swept_widths_match_heap(csr)
+        pools = [overlay.instances_of(sid) for sid in overlay.sids()]
+        for targets in (None, pools[-1]):
+            swept = batched_trees(csr, csr.nodes, targets=targets)
+            heap = self.heap_batch(csr, csr.nodes, monkeypatch, targets=targets)
+            assert list(swept) == list(heap)
+            assert (swept.thresholds, swept.restarts) == (heap.thresholds, heap.restarts)
+
+    def test_a_batch_below_the_share_builds_no_matrix(self):
+        overlay = generate_scenario(TestFilledOverlay.CONFIG).overlay
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        share = math.ceil(kernel.BULK_SHARE * csr.n)
+        small = batched_trees(csr, csr.nodes[: share - 1])
+        assert (csr._acyclic, csr._swept_widths) == (None, None)
+        full = batched_trees(csr, csr.nodes[:share])
+        assert csr._acyclic is True and csr._swept_widths is not None
+        assert list(full)[: share - 1] == list(small)
+
+    def test_a_cycle_of_usable_edges_gives_no_matrix(self):
+        """A cycle counts only through usable edges: closed by a link of
+        zero bandwidth, or of infinite latency, it is no cycle."""
+        for closing, acyclic in (
+            (PathQuality(2.0, 1.0), False),
+            (PathQuality(0.0, 1.0), True),
+            (PathQuality(2.0, math.inf), True),
+        ):
+            rows = {
+                0: [(1, PathQuality(5.0, 1.0)), (3, PathQuality(1.0, 1.0))],
+                1: [(2, PathQuality(3.0, 1.0))],
+                2: [(0, closing), (3, PathQuality(4.0, 1.0))],
+                3: [],
+            }
+            csr = CSRGraph.from_adjacency(range(4), rows.__getitem__)
+            assert assert_swept_widths_match_heap(csr) is acyclic, closing
+            assert_kernel_matches_pure(None, rows.__getitem__, range(4))
+
+
+def both_ways_overlay(seed):
+    """A filled overlay whose links are each, by a seeded draw, one way
+    only or also the other way: under the same metrics (a tie), under a
+    redrawn bandwidth alone, or under a redrawn latency alone.  A share of
+    the latencies is zero, the reverse link's zero negative: a tie that
+    only the bits tell apart."""
+    rng = random.Random(seed)
+    generated = generate_scenario(FILLED[seed % len(FILLED)]).overlay
+    overlay = OverlayGraph()
+    for inst in generated.instances():
+        overlay.add_instance(inst)
+    for inst in generated.instances():
+        for link in generated.out_links(inst):
+            bandwidth, latency = link.metrics.bandwidth, link.metrics.latency
+            if rng.random() < 0.2:
+                latency = 0.0
+            overlay.add_link(link.src, link.dst, PathQuality(bandwidth, latency))
+            kind = rng.choice(("one way", "tie", "bandwidth", "latency"))
+            if kind == "tie":
+                back = PathQuality(bandwidth, -latency if latency == 0.0 else latency)
+            elif kind == "bandwidth":
+                back = PathQuality(rng.choice((bandwidth, 1.0, 5.0, 40.0)), latency)
+            elif kind == "latency":
+                back = PathQuality(bandwidth, rng.choice((latency, 0.5, 3.0, 9.0)))
+            else:
+                continue
+            overlay.add_link(link.dst, link.src, back)
+    return overlay
+
+
+class TestUndirectedView:
+    """``CSRGraph.undirected()`` of a ``"successors"`` snapshot is, array
+    for array and bit for bit, the snapshot walked from the undirected
+    relaxation -- and built symmetric, so its Kruskal phase 1 observes
+    nothing."""
+
+    @staticmethod
+    def assert_same_bits(view, walked):
+        assert view.nodes == walked.nodes
+        for name in ("indptr", "indices", "bandwidth", "latency"):
+            got, want = getattr(view, name), getattr(walked, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_hand_built_pairs(self):
+        """Each way a pair can be linked twice, with ``nid`` 10 beside 9 so
+        that the nodes' sort order is not their ``repr`` order."""
+        a, b, c, d, e, f = (ServiceInstance("S", nid) for nid in (1, 9, 10, 2, 30, 4))
+        overlay = OverlayGraph()
+        for src, dst, bandwidth, latency in (
+            (a, b, 5.0, 1.0), (b, a, 5.0, 1.0),  # a tie
+            (a, c, 5.0, 0.0), (c, a, 5.0, -0.0),  # a tie in value, not in bits
+            (b, c, 3.0, 2.0), (c, b, 4.0, 2.0),  # the reverse is wider
+            (c, d, 4.0, 2.0), (d, c, 4.0, 1.0),  # the reverse is shorter
+            (b, d, 6.0, 1.0), (d, b, 2.0, 0.5),  # the successor is wider
+            (d, e, 0.0, 1.0), (e, d, 1.0, math.inf),  # neither usable
+            (a, e, 7.0, 3.0),  # one way
+        ):
+            overlay.add_link(src, dst, PathQuality(bandwidth, latency))
+        overlay.add_instance(f)  # isolated
+        csr = CSRGraph.from_adjacency(overlay.routing_nodes(), overlay.successors)
+        neighbors = undirected_relaxation(overlay)
+        self.assert_same_bits(
+            csr.undirected(), CSRGraph.from_adjacency(overlay.routing_nodes(), neighbors)
+        )
+        assert_kernel_matches_pure(None, neighbors, overlay.routing_nodes())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlays_linked_both_ways(self, seed):
+        overlay = both_ways_overlay(seed)
+        nodes = overlay.routing_nodes()
+        view = CSRGraph.from_adjacency(nodes, overlay.successors).undirected()
+        walked = CSRGraph.from_adjacency(nodes, undirected_relaxation(overlay))
+        self.assert_same_bits(view, walked)
+        assert view._symmetric is True and walked._observed_symmetric()
+        assert assert_pair_widths_match_heap(view)
+
+    def test_built_symmetric(self, monkeypatch):
+        overlay = generate_scenario(TestFilledOverlay.CONFIG).overlay
+        view = snapshot(overlay).undirected()
+        monkeypatch.setattr(
+            kernel._np, "lexsort", lambda keys: pytest.fail("proved symmetry again")
+        )
+        assert view.pair_widths() is not None
 
 
 class TestReachAndDominance:

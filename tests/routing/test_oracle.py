@@ -16,7 +16,6 @@ import weakref
 
 import pytest
 
-from repro.core.alternatives import undirected_relaxation
 from repro.core.sflow import SFlowAlgorithm
 from repro.network.failures import (
     degrade_links,
@@ -36,6 +35,7 @@ from repro.routing.oracle import (
 )
 from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.workloads import ScenarioConfig, generate_scenario
+from tests.oracles.routing import undirected_relaxation
 from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
 
@@ -503,7 +503,12 @@ class TestDerivedSnapshots:
         self.snapshot_of(oracle, failed)  # derived: walks nothing
         undirected = undirected_relaxation(failed)
         oracle.warm(failed, failed.instances(), view="undirected", neighbors=undirected)
-        assert walked == [overlay, failed]  # the undirected view walks
+        assert walked == [overlay]  # nor does the undirected view: it is derived
+        held = oracle._graphs[failed].snapshots["undirected"]
+        fresh = kernel.CSRGraph.from_adjacency(failed.routing_nodes(), undirected)
+        assert held.nodes == fresh.nodes
+        for field in ("indptr", "indices", "bandwidth", "latency"):
+            assert getattr(held, field).tolist() == getattr(fresh, field).tolist()
 
 
 class TestEqualGraphs:
@@ -687,7 +692,6 @@ class TestKernelCounters:
     """``oracle.kernel_*``: the kernel's phase-2 work, added per batch."""
 
     def test_shortest_widest_batches_are_counted(self):
-        from repro.core.alternatives import undirected_relaxation
         from repro.obs import metrics as obs_metrics
 
         overlay = generate_scenario(

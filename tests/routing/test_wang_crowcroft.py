@@ -9,6 +9,7 @@ oracle, which is how the package answers them.
 """
 
 import ast
+import pickle
 import random
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.metrics import IDEAL, UNREACHABLE, PathQuality
 from repro.routing.oracle import RouteOracle
-from repro.routing.wang_crowcroft import extract_path
+from repro.routing.wang_crowcroft import RouteLabel, extract_path
 from tests.oracles import wang_crowcroft as reference
 from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
 
@@ -316,3 +317,19 @@ def test_the_reference_shares_only_the_label_type_with_the_package():
     assert ours.keys() == {"repro.routing.wang_crowcroft", "repro.network.metrics"}
     assert ours["repro.routing.wang_crowcroft"] == {"RouteLabel", "Node", "NeighborFn"}
     assert not any(module.startswith((".", "tests")) for module in taken)
+
+
+class TestRouteLabel:
+    def test_slotted_with_a_default_path(self):
+        label = RouteLabel(PathQuality(2.0, 1.0), 0)
+        assert label.path == ()
+        assert not hasattr(label, "__dict__")
+        with pytest.raises(AttributeError):
+            label.hops = 1  # type: ignore[misc]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        label = RouteLabel(PathQuality(2.0, 1.5), 2, ("a", "b", "c"))
+        back = pickle.loads(pickle.dumps(label, protocol))
+        assert back == label and type(back) is RouteLabel
+        assert back.path == ("a", "b", "c") and back.quality == PathQuality(2.0, 1.5)
