@@ -14,7 +14,8 @@ three measurements nothing there covers, one section each of
   ``tests/oracles/wang_crowcroft.py`` -- no route oracle in either arm,
   labels compared equal, >= 5x asserted at N >= 200;
 * **scale probe**: a Fig. 10-style scenario and abstract-graph build at
-  N = 1000 must complete (the kernel is what makes this size reachable);
+  N = 1000 must complete (the kernel is what makes this size reachable),
+  with the overlay build's price pass timed on its own line;
 * **serial vs pooled campaign**: the same sweep through ``workers=0`` and
   a fork pool.  The tables are asserted identical; the wall-clocks are
   *recorded, never asserted* -- ten cells that total a second or two do
@@ -133,17 +134,31 @@ def test_kernel_cold_trees(bench_record):
         )
 
 
-def test_scale_probe(bench_record):
+def test_scale_probe(bench_record, monkeypatch):
     """Fig. 10-style build at campaign scale: it must simply *complete*.
 
     Scenario generation (overlay build, also kernel-served) and the
     abstract-graph build are timed separately; the graph is a view over
-    the oracle's trees, so the build is timed with a full read of it.
+    the oracle's trees, so the build is timed with a full read of it.  The
+    overlay build's underlay price pass -- the widest-shortest
+    ``kernel.batched_prices`` calls inside generation -- is timed on its
+    own line too.
     """
     size = _scale_size()
     if not size:
         pytest.skip("PERF_ORACLE_SCALE_N=0")
+    price_seconds = []
+    batched_prices = kernel.batched_prices
+
+    def timed_prices(csr, sources, targets, *, order=kernel.SHORTEST_WIDEST):
+        rows, seconds = _timed(lambda: batched_prices(csr, sources, targets, order=order))
+        if order == kernel.WIDEST_SHORTEST:
+            price_seconds.append(seconds)
+        return rows
+
+    monkeypatch.setattr(kernel, "batched_prices", timed_prices)
     scenario, generate_seconds = _timed(lambda: _scenario(size))
+    monkeypatch.undo()
     oracle = RouteOracle.reset_default()
     edges, build_seconds = _timed(
         lambda: list(
@@ -159,6 +174,7 @@ def test_scale_probe(bench_record):
             "overlay_links": scenario.overlay.num_links(),
             "abstract_edges": len(edges),
             "generate_seconds": generate_seconds,
+            "price_pass_seconds": sum(price_seconds),
             "build_seconds": build_seconds,
             "warmed_trees": oracle.stats().warmed,
             "context": _context(),
@@ -167,6 +183,8 @@ def test_scale_probe(bench_record):
     print(
         f"\n  N={size}: generate {generate_seconds:.1f} s, "
         f"build and read {build_seconds:.1f} s -> {path}"
+        f"\n  the overlay build's price pass: {sum(price_seconds):.2f} s "
+        f"of generate, {len(price_seconds)} call(s)"
     )
 
 

@@ -46,11 +46,14 @@ two-phase shortest-widest scheme against primitive arrays:
   unreached tail is never labelled, so the relaxations are the same;
 * a caller that reads only the ``(bandwidth, latency)`` of widest-shortest
   pairs -- the overlay build, pricing its underlay -- asks
-  :func:`batched_prices` for that order: one Dijkstra on ``(latency,
-  -bandwidth)`` over ``(head, latency, bandwidth)`` row tuples, less the
-  edges a two-hop detour beats by more than float error
-  (:meth:`CSRGraph.edge_rows`), stopped once its targets are settled
-  (:func:`_widest_shortest_prices` has the argument).
+  :func:`batched_prices` for that order: a Dijkstra on ``(latency,
+  -bandwidth)`` a source, all sources in lockstep on ``S x n`` numpy rows,
+  each iteration settling one node a row and relaxing its edges in one
+  vectorised step, over CSR arrays less the edges a two-hop detour beats
+  by more than float error (:meth:`CSRGraph.edge_rows`); a row stops once
+  its targets are settled, and settles in the heap's order, or by latency
+  alone where every edge strictly raises a latency
+  (:func:`_widest_shortest_lockstep` has the argument).
 
 **Exactness contract.**  :func:`batched_trees` is bit-identical to the
 pure per-source reference, the textbook two-phase Dijkstras kept with the
@@ -135,6 +138,10 @@ BULK_SHARE = 0.25
 #: out of the row at the first disqualified edge.
 _UsableCSR = Tuple[List[int], List[int], List[float], List[float]]
 
+#: One layer of :meth:`CSRGraph.edge_rows`: ``(indptr, heads, latency,
+#: bandwidth)`` ndarrays, no row naming a head twice.
+_EdgeRows = Tuple["Any", "Any", "Any", "Any"]
+
 #: Every usable edge, bandwidth-descending across rows: ``(tails, slots
 #: into the _UsableCSR edge arrays, negated bandwidths for bisect)``.
 _Activation = Tuple[List[int], List[int], List[float]]
@@ -205,7 +212,7 @@ class CSRGraph:
             latency[order].tolist(),
             bandwidth[order].tolist(),
         )
-        self._edge_rows: Optional[List[List[Tuple[int, float, float]]]] = None
+        self._edge_rows: Optional[List[_EdgeRows]] = None
         self._price_rows: Optional[List[List[Tuple[float, int, float]]]] = None
         self._activation: Optional[_Activation] = None
         self._activation_arrays: "Any" = None  # the same order, as ndarrays
@@ -389,10 +396,14 @@ class CSRGraph:
         """
         return self._usable_view
 
-    def edge_rows(self) -> List[List[Tuple[int, float, float]]]:
-        """The usable view row by row, less its latency-dominated edges:
-        ``rows[u]`` lists ``u``'s edges as ``(head, latency, bandwidth)``
-        tuples, one unpack an edge.
+    def edge_rows(self) -> List[_EdgeRows]:
+        """The usable view less its latency-dominated edges, as CSR arrays
+        ``(indptr, heads, latency, bandwidth)`` in the usable view's row
+        order, split into *layers*: layer ``k`` holds each row's ``k``-th
+        edge to any one head, so no row of a layer names a head twice and
+        one vectorised relaxation of a layer writes each cell once.  A
+        snapshot whose adjacency names no neighbour twice -- every graph
+        the package builds -- has one layer.
 
         An edge ``u -> v`` is left out when some two-hop walk ``u -> w ->
         v`` is shorter than it by more than ``8 * 2**-53 * (D + l)``, where
@@ -408,25 +419,40 @@ class CSRGraph:
         alone -- the mirror image of :meth:`activation_order` (a concurrent
         duplicate build is as harmless as there).
         """
-        rows = self._edge_rows
-        if rows is None:
+        layers = self._edge_rows
+        if layers is None:
             indptr, indices, elat, ebw = self._usable_view
             n = len(self.nodes)
+            tails = _np.repeat(_np.arange(n), _np.diff(indptr))
             heads = _np.asarray(indices, dtype=_np.int64)
             lat = _np.asarray(elat, dtype=_np.float64)
             dense = _np.full((n, n), _INF)
-            _np.minimum.at(dense, (_np.repeat(_np.arange(n), _np.diff(indptr)), heads), lat)
+            _np.minimum.at(dense, (tails, heads), lat)
             detour = _np.full(len(lat), _INF)  # per edge: its best two-hop latency
             for i, j in zip(indptr, indptr[1:]):
                 if j - i > 1:
                     hop = heads[i:j]
                     detour[i:j] = (lat[i:j, None] + dense[_np.ix_(hop, hop)]).min(axis=0)
             keep = lat - detour <= 8 * 2.0**-53 * (lat.sum() + lat)
-            edges = list(compress(zip(indices, elat, ebw), keep.tolist()))
-            ends = _np.concatenate(([0], _np.cumsum(keep)))[indptr].tolist()
-            rows = [edges[i:j] for i, j in zip(ends, ends[1:])]
-            self._edge_rows = rows
-        return rows
+            tails, heads, lat = tails[keep], heads[keep], lat[keep]
+            bw = _np.asarray(ebw, dtype=_np.float64)[keep]
+            # An edge's layer: how many earlier edges of its row share its head.
+            pair = tails * n + heads
+            by_pair = _np.argsort(pair, kind="stable")
+            ranked = pair[by_pair]
+            starts = _np.flatnonzero(_np.r_[True, ranked[1:] != ranked[:-1]])
+            repeat = _np.empty(len(pair), dtype=_np.int64)
+            repeat[by_pair] = _np.arange(len(pair)) - _np.repeat(
+                starts, _np.diff(_np.r_[starts, len(pair)])
+            )
+            layers = []
+            for k in range(int(repeat.max(initial=0)) + 1):
+                mine = repeat == k
+                ptr = _np.zeros(n + 1, dtype=_np.int64)
+                _np.cumsum(_np.bincount(tails[mine], minlength=n), out=ptr[1:])
+                layers.append((ptr, heads[mine], lat[mine], bw[mine]))
+            self._edge_rows = layers
+        return layers
 
     def price_rows(self) -> List[List[Tuple[float, int, float]]]:
         """The usable view row by row as ``(bandwidth, head, latency)``
@@ -911,19 +937,17 @@ def batched_prices(
     order.  No hop count, path or :class:`RouteLabel` is built.  Sources
     missing from the snapshot raise ``KeyError``; a target the snapshot
     does not know is simply absent.  A shortest-widest pass is
-    :func:`_prices_csr`, a widest-shortest one
-    :func:`_widest_shortest_prices`; any other order raises
-    ``ValueError``.
+    :func:`_prices_csr` a source, a widest-shortest one
+    :func:`_widest_shortest_lockstep` for every source at once; any other
+    order raises ``ValueError``.
     """
-    if order == SHORTEST_WIDEST:
-        walk = _prices_csr
-    elif order == WIDEST_SHORTEST:
-        walk = _widest_shortest_prices
-    else:
+    if order not in (SHORTEST_WIDEST, WIDEST_SHORTEST):
         raise ValueError(f"unknown price order {order!r}")
     index = csr.index
     wanted = sorted({index[t] for t in targets if t in index})
-    return [walk(csr, index[source], wanted) for source in sources]
+    if order == WIDEST_SHORTEST:
+        return _widest_shortest_lockstep(csr, [index[source] for source in sources], wanted)
+    return [_prices_csr(csr, index[source], wanted) for source in sources]
 
 
 def _prices_csr(
@@ -1021,56 +1045,124 @@ def _prices_csr(
     return prices
 
 
-def _widest_shortest_prices(
-    csr: CSRGraph, src: int, wanted: List[int]
-) -> Dict[Node, Tuple[float, float]]:
-    """One Dijkstra on ``(latency, -bandwidth)`` over
-    :meth:`CSRGraph.edge_rows`, stopped once every target is settled.
+def _widest_shortest_lockstep(
+    csr: CSRGraph, sources: List[int], wanted: List[int]
+) -> List[Dict[Node, Tuple[float, float]]]:
+    """Every source's Dijkstra on ``(latency, -bandwidth)`` over
+    :meth:`CSRGraph.edge_rows`, in lockstep: ``S x n`` latency, bandwidth
+    and key arrays, one row a source.  Each iteration every live row
+    settles its least queued node and relaxes that node's edges, all rows
+    in one vectorised step a layer; a row leaves once its targets are
+    settled, or when nothing it reaches is left queued.  Each node settles
+    at most once a row, so a row costs at most ``n`` iterations -- unlike a
+    Bellman-Ford, which re-relaxes every edge each round.
 
-    The reference's widest-shortest tree sorts on ``(latency, -bandwidth,
-    hops, path)``; this pass keeps the first two keys and drops the rest,
-    and still settles every node at its label's quality.  An extension
-    never ranks a label above its origin's (``a <= a + l`` in floats, and
-    ``min`` never widens), so both passes settle in non-decreasing key
-    order, and each ends with every node at the best ``(latency,
-    -bandwidth)`` offer over its in-edges: a node settled earlier made its
-    offer, one settled later ranks no better than the node.  Two such
-    solutions are one.  Where they differ, take the best differing value,
-    say ``x[v]`` better than ``y[v]``, where ``x``'s label of ``v`` extends
-    a chain of settled parents back to the source.  Every node on that
-    chain has ``x`` no worse than ``x[v]``, so ``y`` there equals ``x`` or
-    ranks worse; at the first node where it ranks worse, the parent agrees
-    and offers ``x``'s value, so ``y`` is not the best offer.  The order
-    is *not* isotone in floats (``a < b`` yet ``a + l == b + l``, and the
-    wider of two tied extensions comes from the worse origin), which is
-    why the argument runs along settled parents, not along paths: the
-    price is the tree label's quality, not the best path's.
+    *The order.*  A row settles in the per-source heap's ``(latency,
+    -bandwidth, index)`` order -- least latency, widest among those, first
+    index among those -- unless every kept latency is at least
+    ``np.spacing(2 * D)``, ``D`` the sum of the kept latencies.  A label
+    is a rounded sum along a simple path, so it stays below ``2 * D``, and
+    every edge then strictly raises it (``fl(a + l) > a``).  A node's label
+    is then final once the least queued latency reaches its own: every
+    offer it can still get comes from a node of strictly smaller latency,
+    all settled.  The order among equal latencies is free, and a
+    latency-only ``argmin`` pop settles the same labels, one ``argmin`` a
+    row; a graph with zero or tiny latencies keeps the ordered pop.
+
+    *The labels.*  The reference's widest-shortest tree sorts on
+    ``(latency, -bandwidth, hops, path)``; this pass keeps the first two
+    keys and drops the rest, and still settles every node at its label's
+    quality.  An extension never ranks a label above its origin's (``a <=
+    a + l`` in floats, and ``min`` never widens), so both passes settle in
+    non-decreasing key order, and each ends with every node at the best
+    ``(latency, -bandwidth)`` offer over its in-edges: a node settled
+    earlier made its offer, one settled later ranks no better than the
+    node (and never relabels a settled one).  Two such solutions are one.
+    Where they differ, take the best differing value, say ``x[v]`` better
+    than ``y[v]``, where ``x``'s label of ``v`` extends a chain of settled
+    parents back to the source.  Every node on that chain has ``x`` no
+    worse than ``x[v]``, so ``y`` there equals ``x`` or ranks worse; at the
+    first node where it ranks worse, the parent agrees and offers ``x``'s
+    value, so ``y`` is not the best offer.  The order is *not* isotone in
+    floats (``a < b`` yet ``a + l == b + l``, and the wider of two tied
+    extensions comes from the worse origin), which is why the argument runs
+    along settled parents, not along paths: the price is the tree label's
+    quality, not the best path's.
     """
-    rows = csr.edge_rows()
-    lat = [_INF] * csr.n
-    bw = [0.0] * csr.n
-    settled = bytearray(csr.n)
-    lat[src] = 0.0
-    bw[src] = _INF
-    remaining = set(wanted)
-    heap: List[Tuple[float, float, int]] = [(0.0, -_INF, src)]
-    while heap and remaining:
-        ulat, _, u = heappop(heap)
-        if settled[u]:
-            continue  # the first entry popped is the node's final label
-        settled[u] = 1
-        remaining.discard(u)
-        ubw = bw[u]
-        for v, l, b in rows[u]:
-            clat = ulat + l
-            vlat = lat[v]
-            if clat > vlat:
-                continue
-            cbw = ubw if ubw < b else b
-            if clat == vlat and cbw <= bw[v]:
-                continue
-            lat[v] = clat
-            bw[v] = cbw
-            heappush(heap, (clat, -cbw, v))
     nodes = csr.nodes
-    return {nodes[v]: (bw[v], lat[v]) for v in wanted if settled[v]}
+    found_lat = _np.full((len(sources), len(wanted)), _INF)
+    found_bw = _np.zeros((len(sources), len(wanted)))
+    if sources and wanted:
+        layers = [
+            (ptr[:-1], _np.diff(ptr), heads, elat, ebw)
+            for ptr, heads, elat, ebw in csr.edge_rows()
+        ]
+        n = csr.n
+        kept = _np.concatenate([layer[3] for layer in layers])
+        rising = not len(kept) or bool(kept.min() >= _np.spacing(2.0 * kept.sum()))
+        target = _np.zeros(n, dtype=_np.int64)
+        target[wanted] = 1
+        live = _np.arange(len(sources))  # each working row's source
+        base = live * n  # each working row's first cell
+        lat = _np.full((len(sources), n), _INF)
+        bw = _np.zeros((len(sources), n))
+        lat[live, sources] = 0.0
+        bw[live, sources] = _INF
+        key = lat.copy()  # a queued node's latency; inf once settled
+        left = _np.full(len(sources), len(wanted))  # targets not yet settled
+
+        def leave(done: "Any") -> None:
+            nonlocal live, base, lat, bw, key, left
+            found_lat[live[done]] = lat[done][:, wanted]
+            found_bw[live[done]] = bw[done][:, wanted]
+            stay = ~done
+            live, lat, bw, key, left = live[stay], lat[stay], bw[stay], key[stay], left[stay]
+            base = _np.arange(len(live)) * n
+
+        while len(live):
+            if rising:
+                u = key.argmin(axis=1)
+            else:
+                least = key.min(axis=1, keepdims=True)
+                tied = key == least
+                widest = _np.where(tied, bw, -1.0).max(axis=1, keepdims=True)
+                u = (tied & (bw == widest)).argmax(axis=1)
+            at = base + u
+            ulat = key.take(at)
+            done = ulat == _INF  # nothing queued: every reached node is settled
+            if done.any():
+                leave(done)
+                if not len(live):
+                    break
+                u, ulat = u[~done], ulat[~done]
+                at = base + u
+            key.put(at, _INF)
+            left -= target.take(u)
+            ubw = bw.take(at)
+            for start, degree, heads, elat, ebw in layers:
+                count = degree.take(u)
+                ends = count.cumsum()
+                if not ends[-1]:
+                    continue
+                # Row r's edges, one after another: its slots start[u[r]] on.
+                edge = _np.arange(ends[-1]) + _np.repeat(start.take(u) - ends + count, count)
+                row = _np.repeat(_np.arange(len(u)), count)
+                cell = base.take(row) + heads.take(edge)
+                clat = ulat.take(row) + elat.take(edge)
+                vlat = lat.take(cell)
+                near = _np.flatnonzero(clat <= vlat)
+                cell, clat, vlat = cell.take(near), clat.take(near), vlat.take(near)
+                cbw = _np.minimum(ubw.take(row.take(near)), ebw.take(edge.take(near)))
+                better = (clat < vlat) | (cbw > bw.take(cell))
+                cell, clat = cell[better], clat[better]
+                lat.put(cell, clat)
+                key.put(cell, clat)
+                bw.put(cell, cbw[better])
+            done = left == 0
+            if done.any():
+                leave(done)
+    asked = [nodes[v] for v in wanted]
+    return [
+        {node: (b, l) for node, b, l in zip(asked, bws, lats) if l < _INF}
+        for bws, lats in zip(found_bw.tolist(), found_lat.tolist())
+    ]

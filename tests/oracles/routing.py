@@ -3,9 +3,12 @@ its shortest-widest trees' labels, and its prices' ``(bandwidth, latency)``
 floats in either order -- and the undirected view the route oracle derives
 from a snapshot, as the adjacency walk it replaces."""
 
+import inspect
 import random
+import textwrap
 
 from repro.network.metrics import IDEAL
+from repro.routing import kernel
 from repro.routing.kernel import (
     SHORTEST_WIDEST,
     WIDEST_SHORTEST,
@@ -140,10 +143,25 @@ def assert_prices_match_pure(neighbors, nodes, *, seed=0, order=SHORTEST_WIDEST)
     check(nodes, frozenset(nodes))
     for _ in range(2):
         check(nodes, frozenset(rng.sample(nodes, rng.randrange(1, len(nodes) + 1))) | {OUTSIDER})
+    asked = {}  # a target set -> the sources asking for it, priced in one batch
     for source in nodes:
         reached = tree(neighbors, source)
         missed = [node for node in nodes if node not in reached][:1]
         nearest = list(reached)[:2]  # the source and one it reaches
         for targets in ((), (source,), missed, missed + nearest):
-            check([source], frozenset(targets))
+            asked.setdefault(frozenset(targets), {})[source] = None
+    for targets, sources in asked.items():
+        check(list(sources), targets)
     return compared
+
+
+def patch_lockstep(monkeypatch, kept, broken):
+    """Replace ``kernel._widest_shortest_lockstep`` with its source less
+    the one line ``kept``, which becomes ``broken``."""
+    source = textwrap.dedent(inspect.getsource(kernel._widest_shortest_lockstep))
+    assert source.count(kept) == 1, kept
+    namespace = dict(vars(kernel))
+    exec(compile(source.replace(kept, broken), kernel.__file__, "exec"), namespace)
+    monkeypatch.setattr(
+        kernel, "_widest_shortest_lockstep", namespace["_widest_shortest_lockstep"]
+    )

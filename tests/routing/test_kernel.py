@@ -46,6 +46,7 @@ from tests.oracles.routing import (
     assert_pair_widths_match_heap,
     assert_prices_match_pure,
     assert_swept_widths_match_heap,
+    patch_lockstep,
     undirected_relaxation,
 )
 from tests.oracles.wang_crowcroft import shortest_widest_tree, widest_shortest_tree
@@ -408,6 +409,113 @@ class TestPrices:
         ]
         for neighbors in (overlay.successors, undirected):
             assert assert_prices_match_pure(neighbors, nodes, order=WIDEST_SHORTEST) > 0
+
+
+def zero_latency_rows():
+    """``s`` reaches ``a`` and ``b`` at one latency, ``a`` narrow and first
+    in rank, ``b`` wide and linked to ``a`` at latency 0: ``b`` must settle
+    first and widen ``a`` before ``a`` prices ``t``."""
+    return TestReachAndDominance.adjacency([
+        ("s", "a", 1.0, 1.0),
+        ("s", "b", 5.0, 1.0),
+        ("b", "a", 5.0, 0.0),
+        ("a", "t", 10.0, 1.0),
+    ])
+
+
+def staggered_rows():
+    """A chain ``s0 -> s1 -> s2 -> t`` and, apart, ``x -> y -> z``: a
+    batch's rows finish after different numbers of iterations -- at their
+    own source, when they run dry, or at their last target."""
+    return TestReachAndDominance.adjacency([
+        ("s0", "s1", 4.0, 1.0),
+        ("s1", "s2", 8.0, 1.0),
+        ("s2", "t", 2.0, 1.0),
+        ("x", "y", 3.0, 2.0),
+        ("y", "z", 6.0, 0.5),
+    ])
+
+
+class TestLockstep:
+    """The widest-shortest pass settles every source together; each row
+    is held to the pure widest-shortest row."""
+
+    @staticmethod
+    def priced(rows, sources, targets):
+        """The batch's rows, each checked against pure's."""
+        csr = CSRGraph.from_adjacency(sorted(rows), rows.__getitem__)
+        priced = batched_prices(csr, sources, targets, order=WIDEST_SHORTEST)
+        for source, row in zip(sources, priced):
+            pure = widest_shortest_tree(rows.__getitem__, source, targets=targets)
+            assert row == {
+                node: (label.quality.bandwidth, label.quality.latency)
+                for node, label in pure.items()
+                if node in targets
+            }, source
+        return priced
+
+    def test_zero_latency_links_keep_the_ordered_pop(self):
+        rows = zero_latency_rows()
+        assert self.priced(rows, ("s",), ("a", "t")) == [
+            {"a": (5.0, 1.0), "t": (5.0, 2.0)}
+        ]
+        assert assert_prices_match_pure(
+            rows.__getitem__, sorted(rows), order=WIDEST_SHORTEST
+        ) > 0
+
+    def test_rows_stop_at_different_iterations(self):
+        """Rows leave as they finish -- at their own target, at the end of
+        what they reach, or later -- and those left keep their cells."""
+        rows = staggered_rows()
+        sources = ("t", "s2", "x", "s0", "y")
+        assert self.priced(rows, sources, ("t", "z")) == [
+            {"t": (math.inf, 0.0)},
+            {"t": (2.0, 1.0)},
+            {"z": (3.0, 2.5)},
+            {"t": (2.0, 3.0)},
+            {"z": (6.0, 0.5)},
+        ]
+
+    def test_unreachable_targets_and_a_source_that_is_its_own(self):
+        rows = staggered_rows()
+        assert self.priced(rows, ("z", "s1", "x"), ("z", "t", "s0")) == [
+            {"z": (math.inf, 0.0)},
+            {"t": (2.0, 2.0)},
+            {"z": (3.0, 2.5)},
+        ]
+
+    def test_empty_targets_and_no_sources(self):
+        rows = staggered_rows()
+        assert self.priced(rows, ("s0", "x", "t"), ()) == [{}, {}, {}]
+        assert self.priced(rows, (), ("t",)) == []
+
+    def test_a_latency_only_pop_mutant_is_caught(self, monkeypatch):
+        """Popped by latency alone, ``a`` settles narrow before ``b``
+        widens it, and the row, its one target settled, stops there."""
+        patch_lockstep(monkeypatch, "if rising:", "if True:")
+        with pytest.raises(AssertionError):
+            self.priced(zero_latency_rows(), ("s",), ("a",))
+
+    def test_a_row_stopped_at_its_first_target_mutant_is_caught(self, monkeypatch):
+        """Stopped once the source, its first target, is settled, the row
+        never prices ``t``."""
+        patch_lockstep(monkeypatch, "done = left == 0", "done = left < len(wanted)")
+        with pytest.raises(AssertionError):
+            self.priced(staggered_rows(), ("s0",), ("s0", "t"))
+
+    def test_a_neighbour_named_twice_gets_a_layer_each(self):
+        """Two offers of one edge pair in one relaxation would write one
+        cell twice: the second edge to a head goes in a second layer."""
+        rows = TestReachAndDominance.adjacency([
+            ("s", "a", 5.0, 1.0),
+            ("s", "a", 1.0, 1.0),
+            ("a", "t", 10.0, 1.0),
+        ])
+        csr = CSRGraph.from_adjacency(sorted(rows), rows.__getitem__)
+        assert [len(heads) for _, heads, _, _ in csr.edge_rows()] == [2, 1]
+        assert self.priced(rows, ("s",), ("a", "t")) == [
+            {"a": (5.0, 1.0), "t": (5.0, 2.0)}
+        ]
 
 
 class TestCSRGraph:
@@ -804,9 +912,14 @@ class TestReachAndDominance:
         nodes = sorted(rows)
         assert_kernel_matches_pure(None, rows.__getitem__, nodes)
         csr = CSRGraph.from_adjacency(nodes, rows.__getitem__)
+        (indptr, heads, latency, bandwidth), = csr.edge_rows()
+        u = csr.index["u"]
+        kept = slice(indptr[u], indptr[u + 1])
         return [
-            (csr.nodes[head], latency, bandwidth)
-            for head, latency, bandwidth in csr.edge_rows()[csr.index["u"]]
+            (csr.nodes[head], lat, bw)
+            for head, lat, bw in zip(
+                heads[kept].tolist(), latency[kept].tolist(), bandwidth[kept].tolist()
+            )
         ]
 
     def test_an_edge_beaten_far_by_a_detour_is_dropped(self):
